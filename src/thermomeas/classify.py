@@ -293,18 +293,30 @@ def joint_with_hamiltonian(
             labels.append(f"{x}|{m}")
             effects.append(require_hermitian(e @ p, tol, name=f"joint effect {x}|{m}"))
     joint = Observable(labels, effects, tol)
-    n_m = energy.n_outcomes
-    for i, (x, e) in enumerate(zip(observable.outcomes, observable.effects)):
-        marg = sum(joint.effects[i * n_m + j] for j in range(n_m))
-        defect = frobenius(marg - e)
-        if defect > tol:
-            raise ValidationError(f"marginal over energies differs from E_{x} by {defect:.3e}")
-    for j, (m, p) in enumerate(zip(energy.outcomes, energy.effects)):
-        marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
-        defect = frobenius(marg - p)
-        if defect > tol:
-            raise ValidationError(f"marginal over outcomes differs from P_{m} by {defect:.3e}")
+    defect = marginal_defect(joint, observable, system_hamiltonian)
+    if defect > tol:
+        raise ValidationError(
+            f"a marginal of the joint observable is off by {defect:.3e} > {tol:.1e}"
+        )
     return joint
+
+
+def marginal_defect(joint: Observable, observable: Observable, system_hamiltonian) -> float:
+    """Worst distance of a marginal of an x-major joint observable from its target.
+
+    Summing ``G_(x,m)`` over energies must give ``E_x``, and summing over
+    outcomes must give the spectral projector ``P_m`` of the Hamiltonian.
+    """
+    energy = spectral_observable(system_hamiltonian)
+    n_m = energy.n_outcomes
+    defect = 0.0
+    for i, e in enumerate(observable.effects):
+        marg = sum(joint.effects[i * n_m + j] for j in range(n_m))
+        defect = max(defect, frobenius(marg - e))
+    for j, p in enumerate(energy.effects):
+        marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
+        defect = max(defect, frobenius(marg - p))
+    return defect
 
 
 @dataclass(frozen=True)

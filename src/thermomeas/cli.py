@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", help="write the JSON report here instead of stdout")
     check.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     check.add_argument("--tol", type=float, default=None, help="override the default check tolerance")
-    check.add_argument("--jobs", type=int, default=1, help="thread count (never affects results)")
     check.add_argument(
         "--timing", action="store_true",
         help="include wall time in the report (breaks byte-reproducibility)",
@@ -40,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="write the CSV table here instead of stdout")
     sweep.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sweep.add_argument("--tol", type=float, default=None, help="override the default check tolerance")
-    sweep.add_argument("--jobs", type=int, default=1, help="thread count (never affects results)")
     return parser
 
 
@@ -54,7 +52,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
-            report = run_scenario(args.file, seed=args.seed, tol=args.tol, jobs=args.jobs)
+            report = run_scenario(args.file, seed=args.seed, tol=args.tol)
             text = report.to_json(include_timing=args.timing)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
             return 0 if report.verdict else 1
-        table, all_pass = run_sweep(args.file, seed=args.seed, tol=args.tol, jobs=args.jobs)
+        table, all_pass = run_sweep(args.file, seed=args.seed, tol=args.tol)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(table)

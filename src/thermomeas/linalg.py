@@ -62,18 +62,15 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a) -> float:
-    """Frobenius norm of ``A - A†``."""
-    m = require_square(as_matrix(a))
-    return frobenius(m - dag(m))
-
-
 def require_hermitian(obj, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     """Return the symmetrization ``(A + A†)/2`` if the defect is below ``tol``.
 
-    A defect above ``tol`` is an error, not something to repair silently.
+    A defect above ``tol`` is an error, not something to repair silently,
+    and so is any NaN or infinite entry.
     """
     m = require_square(as_matrix(obj), name)
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{name} has non-finite (NaN or infinite) entries")
     defect = frobenius(m - dag(m))
     if defect > tol:
         raise ValidationError(
@@ -105,10 +102,6 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return sum(lam * p for lam, p in zip(self.eigenvalues, self.projectors))
-
-    def function_of(self, f) -> np.ndarray:
-        """Apply the scalar function ``f`` spectrally."""
-        return sum(f(lam) * p for lam, p in zip(self.eigenvalues, self.projectors))
 
 
 def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> list:

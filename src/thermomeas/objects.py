@@ -18,6 +18,7 @@ from .linalg import (
     VALIDATION_TOL,
     as_matrix,
     dag,
+    density_matrix,
     eig_hermitian,
     frobenius,
     psd_sqrt,
@@ -40,13 +41,7 @@ class State:
     """Density operator: Hermitian, positive semidefinite, unit trace."""
 
     def __init__(self, matrix, tol: float = VALIDATION_TOL):
-        m = require_hermitian(matrix, tol, name="state")
-        trace_defect = abs(np.trace(m).real - 1.0)
-        if trace_defect > tol:
-            raise ValidationError(f"state trace differs from 1 by {trace_defect:.3e} > {tol:.1e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -tol:
-            raise ValidationError(f"state has negative eigenvalue {min_eig:.3e} < -{tol:.1e}")
+        m = density_matrix(matrix, tol)
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
 
@@ -182,6 +177,12 @@ class KrausChannel:
                 raise ValidationError(
                     f"Kraus operator {i} has shape {k.shape}, expected {shape}"
                 )
+        stack = np.stack(ops)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(
+                f"Kraus operator {int(np.argmin(finite))} has non-finite (NaN or infinite) entries"
+            )
         gram = sum(dag(k) @ k for k in ops)
         tp_defect = frobenius(gram - np.eye(shape[1]))
         if tp_defect > tol:
@@ -191,7 +192,7 @@ class KrausChannel:
             )
         self.kraus = tuple(_freeze(k) for k in ops)
         self.dim_out, self.dim_in = shape
-        self._stack = np.stack(self.kraus)
+        self._stack = stack
 
     @property
     def dim(self) -> int:
@@ -227,15 +228,6 @@ class KrausChannel:
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
-
-
-def apply_channel(channel: KrausChannel, rho: State, tol: float = VALIDATION_TOL) -> State:
-    """Apply a channel to a state, revalidating the output."""
-    return State(channel.apply(rho), tol)
-
-
-def apply_dual(channel: KrausChannel, a) -> np.ndarray:
-    return channel.apply_dual(a)
 
 
 @dataclass(frozen=True)
@@ -320,6 +312,12 @@ class Instrument:
                         f"expected {dim}"
                     )
             frozen_sets.append(tuple(_freeze(k) for k in ops))
+        stacks = tuple(np.stack(ops) for ops in frozen_sets)
+        for label, ks in zip(outcomes, stacks):
+            if not np.isfinite(ks).all():
+                raise ValidationError(
+                    f"Kraus operator of outcome {label!r} has non-finite (NaN or infinite) entries"
+                )
         gram = sum(dag(k) @ k for ops in frozen_sets for k in ops)
         tp_defect = frobenius(gram - np.eye(dim))
         if tp_defect > tol:
@@ -330,7 +328,7 @@ class Instrument:
         self.outcomes = outcomes
         self.kraus_sets = tuple(frozen_sets)
         self.dim = dim
-        self._stacks = tuple(np.stack(ops) for ops in frozen_sets)
+        self._stacks = stacks
 
     @classmethod
     def luders(cls, observable: Observable, tol: float = VALIDATION_TOL) -> "Instrument":
@@ -344,15 +342,6 @@ class Instrument:
     @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
-
-    def kraus_for(self, label: str):
-        return self.kraus_sets[self.outcomes.index(str(label))]
-
-    def apply_outcome(self, index: int, rho) -> np.ndarray:
-        """Unnormalized post-measurement operator for one outcome."""
-        m = as_matrix(rho)
-        ks = self._stacks[index]
-        return np.einsum("kij,jl,kml->im", ks, m, ks.conj())
 
     def apply(self, rho) -> list:
         """All unnormalized outputs ``[I_x(rho)]`` in outcome order."""

@@ -9,8 +9,8 @@ list) and/or an observable for classifier-only runs, a collection of input
 states, the checks to run, and tolerances.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
-is byte-identical across runs and thread counts (timing is therefore kept
-out of the serialized report unless explicitly requested).
+is byte-identical across runs (timing is therefore kept out of the
+serialized report unless explicitly requested).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +26,11 @@ import numpy as np
 from ._version import __version__
 from .errors import ValidationError
 from .linalg import eig_hermitian, frobenius, require_hermitian
-from .objects import (
-    ChoiMatrix,
-    Instrument,
-    KrausChannel,
-    Observable,
-    State,
-    gibbs_state,
-    spectral_observable,
-)
+from .objects import Instrument, KrausChannel, Observable, State, gibbs_state
 from .sampling import random_density_matrix, rng_from_seed
 from .schemes import (
     MeasurementScheme,
-    energy_moment_defect,
+    energy_moment_defects,
     induced_instrument,
     random_free_scheme,
     trivial_scheme,
@@ -52,6 +43,9 @@ SCHEMA_VERSION = 1
 
 DEFAULT_THEOREM_TOL = 1e-8
 DEFAULT_VALIDATION_TOL = 1e-9
+
+#: Largest ``states.count`` a scenario may request; every state is built up front.
+MAX_STATE_COUNT = 10_000
 
 KNOWN_CHECKS = (
     "free_scheme",
@@ -111,8 +105,10 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
 def decode_hamiltonian(obj, name: str) -> np.ndarray:
     """Full matrix, or a flat list of real energies meaning a diagonal matrix."""
     if isinstance(obj, list) and obj and all(isinstance(e, (int, float)) for e in obj):
-        return np.diag(np.asarray(obj, dtype=float)).astype(complex)
-    return require_hermitian(decode_matrix(obj, name), name=name)
+        m = np.diag(np.asarray(obj, dtype=float)).astype(complex)
+    else:
+        m = decode_matrix(obj, name)
+    return require_hermitian(m, name=name)
 
 
 def encode_observable(observable: Observable) -> dict:
@@ -138,47 +134,6 @@ def decode_channel(obj, tol: float = DEFAULT_VALIDATION_TOL) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError("channel: expected an object with a 'kraus' field")
     return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(obj["kraus"])], tol)
-
-
-def encode_state(state: State) -> dict:
-    return {"matrix": encode_matrix(state.matrix)}
-
-
-def encode_instrument(instrument: Instrument) -> dict:
-    return {
-        "outcomes": list(instrument.outcomes),
-        "kraus_sets": [[encode_matrix(k) for k in ops] for ops in instrument.kraus_sets],
-    }
-
-
-def decode_instrument(obj, tol: float = DEFAULT_VALIDATION_TOL) -> Instrument:
-    if not isinstance(obj, dict) or "kraus_sets" not in obj:
-        raise ValidationError("instrument: expected an object with a 'kraus_sets' field")
-    sets = [
-        [decode_matrix(k, f"Kraus {i}.{j}") for j, k in enumerate(ops)]
-        for i, ops in enumerate(obj["kraus_sets"])
-    ]
-    outcomes = obj.get("outcomes") or [f"x{i}" for i in range(len(sets))]
-    return Instrument(outcomes, sets, tol)
-
-
-def encode_choi(choi: ChoiMatrix) -> dict:
-    return {
-        "matrix": encode_matrix(choi.matrix),
-        "dim_out": choi.dim_out,
-        "dim_in": choi.dim_in,
-    }
-
-
-def decode_choi(obj, tol: float = DEFAULT_VALIDATION_TOL) -> ChoiMatrix:
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValidationError("Choi matrix: expected an object with a 'matrix' field")
-    return ChoiMatrix(
-        decode_matrix(obj["matrix"], "Choi matrix"),
-        int(obj["dim_out"]),
-        int(obj["dim_in"]),
-        tol,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +202,10 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
     if isinstance(spec, dict):
         count = int(spec.get("count", 0))
         seed = int(spec.get("seed", scenario_seed))
-        if count < 0:
-            raise ValidationError(f"states.count must be nonnegative, got {count}")
+        if not 0 <= count <= MAX_STATE_COUNT:
+            raise ValidationError(
+                f"states.count must lie in [0, {MAX_STATE_COUNT}], got {count}"
+            )
         rng = rng_from_seed(seed)
         d = h_system.shape[0]
         for i in range(count):
@@ -337,6 +294,9 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         tolerances[str(key)] = float(value)
     if tol_override is not None:
         tolerances["default"] = float(tol_override)
+    for key, value in tolerances.items():
+        if not np.isfinite(value):
+            raise ValidationError(f"tolerance {key!r} must be finite, got {value}")
     validation_tol = tolerances["validation"]
 
     h_system = decode_hamiltonian(raw["system_hamiltonian"], "system_hamiltonian")
@@ -407,24 +367,17 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 # ---------------------------------------------------------------------------
 
 
-def _map_states(fn, states, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, states))
-    return [fn(s) for s in states]
-
-
 def _require_states(sc: Scenario, check: str):
     if not sc.states:
         raise ValidationError(f"check {check!r} requires at least one input state")
 
 
-def _check_free_scheme(sc: Scenario, jobs: int) -> dict:
+def _check_free_scheme(sc: Scenario) -> dict:
     report = validate_free_scheme(sc.scheme, sc.tol_for("free_scheme"))
     return {"name": "free_scheme", **report.to_dict()}
 
 
-def _check_second_law(sc: Scenario, jobs: int) -> dict:
+def _check_second_law(sc: Scenario) -> dict:
     tol = sc.tol_for("second_law")
     _require_states(sc, "second_law")
 
@@ -433,7 +386,7 @@ def _check_second_law(sc: Scenario, jobs: int) -> dict:
         law, work = second_law_report(sc.scheme, state, tol)
         return {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
 
-    rows = _map_states(one, sc.states, jobs)
+    rows = [one(named) for named in sc.states]
     verdict = all(r["second_law"]["verdict"] for r in rows)
     worst = min(r["second_law"]["prop1_slack"] for r in rows)
     return {
@@ -445,57 +398,49 @@ def _check_second_law(sc: Scenario, jobs: int) -> dict:
     }
 
 
-def _check_covariant(sc: Scenario, jobs: int) -> dict:
+def _check_covariant(sc: Scenario) -> dict:
     verdict = classify.is_covariant_instrument(
         sc.instrument, sc.system_hamiltonian, sc.tol_for("covariant")
     )
     return {"name": "covariant", **verdict.to_dict()}
 
 
-def _check_gibbs_preserving(sc: Scenario, jobs: int) -> dict:
+def _check_gibbs_preserving(sc: Scenario) -> dict:
     verdict = classify.is_gibbs_preserving(
         sc.instrument, sc.system_hamiltonian, sc.beta, sc.tol_for("gibbs_preserving")
     )
     return {"name": "gibbs_preserving", **verdict.to_dict()}
 
 
-def _check_nuclear(sc: Scenario, jobs: int) -> dict:
+def _check_nuclear(sc: Scenario) -> dict:
     verdict = classify.is_nuclear(sc.instrument, sc.tol_for("nuclear"))
     return {"name": "nuclear", **verdict.to_dict()}
 
 
-def _check_prop2(sc: Scenario, jobs: int) -> dict:
+def _check_prop2(sc: Scenario) -> dict:
     verdict = classify.check_prop2(
         sc.instrument, sc.system_hamiltonian, sc.beta, sc.tol_for("prop2")
     )
     return {"name": "prop2", **verdict.to_dict()}
 
 
-def _check_quasi_complete(sc: Scenario, jobs: int) -> dict:
+def _check_quasi_complete(sc: Scenario) -> dict:
     verdict = classify.is_quasi_complete(sc.instrument, sc.tol_for("quasi_complete"))
     return {"name": "quasi_complete", **verdict.to_dict()}
 
 
-def _check_thermal_observable(sc: Scenario, jobs: int) -> dict:
+def _check_thermal_observable(sc: Scenario) -> dict:
     verdict = classify.is_thermal_observable(
         sc.observable_under_test(), sc.system_hamiltonian, sc.tol_for("thermal_observable")
     )
     return {"name": "thermal_observable", **verdict.to_dict()}
 
 
-def _check_joint_observable(sc: Scenario, jobs: int) -> dict:
+def _check_joint_observable(sc: Scenario) -> dict:
     tol = sc.tol_for("joint_observable")
     observable = sc.observable_under_test()
     joint = classify.joint_with_hamiltonian(observable, sc.system_hamiltonian, tol)
-    energy = spectral_observable(sc.system_hamiltonian)
-    n_m = energy.n_outcomes
-    defect = 0.0
-    for i, e in enumerate(observable.effects):
-        marg = sum(joint.effects[i * n_m + j] for j in range(n_m))
-        defect = max(defect, frobenius(marg - e))
-    for j, p in enumerate(energy.effects):
-        marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
-        defect = max(defect, frobenius(marg - p))
+    defect = classify.marginal_defect(joint, observable, sc.system_hamiltonian)
     return {
         "name": "joint_observable",
         "verdict": defect <= tol,
@@ -505,7 +450,7 @@ def _check_joint_observable(sc: Scenario, jobs: int) -> dict:
     }
 
 
-def _check_post_processing(sc: Scenario, jobs: int) -> dict:
+def _check_post_processing(sc: Scenario) -> dict:
     tol = sc.tol_for("post_processing")
     post = classify.post_processing_decomposition(
         sc.observable_under_test(), sc.system_hamiltonian, tol
@@ -520,7 +465,7 @@ def _check_post_processing(sc: Scenario, jobs: int) -> dict:
     }
 
 
-def _check_refine(sc: Scenario, jobs: int) -> dict:
+def _check_refine(sc: Scenario) -> dict:
     tol = sc.tol_for("refine")
     observable = sc.observable_under_test()
     refined, relabel = classify.refine_to_rank_one(observable)
@@ -539,13 +484,9 @@ def _check_refine(sc: Scenario, jobs: int) -> dict:
     }
 
 
-def _check_moments(sc: Scenario, jobs: int, max_moment: int = 4) -> dict:
+def _check_moments(sc: Scenario) -> dict:
     tol = sc.tol_for("moments")
-    h_total = sc.scheme.total_hamiltonian()
-    defects = [
-        energy_moment_defect(sc.scheme.interaction, h_total, k)
-        for k in range(1, max_moment + 1)
-    ]
+    defects = list(energy_moment_defects(sc.scheme))
     joint_gibbs = np.kron(sc.scheme.system_gibbs().matrix, sc.scheme.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
     return {
@@ -557,7 +498,7 @@ def _check_moments(sc: Scenario, jobs: int, max_moment: int = 4) -> dict:
     }
 
 
-def _check_skew_chain(sc: Scenario, jobs: int) -> dict:
+def _check_skew_chain(sc: Scenario) -> dict:
     tol = sc.tol_for("skew_chain")
     _require_states(sc, "skew_chain")
 
@@ -568,7 +509,7 @@ def _check_skew_chain(sc: Scenario, jobs: int) -> dict:
         )
         return {"state": name, "selective_slack": selective, "convexity_slack": convexity}
 
-    rows = _map_states(one, sc.states, jobs)
+    rows = [one(named) for named in sc.states]
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return {
         "name": "skew_chain",
@@ -579,7 +520,7 @@ def _check_skew_chain(sc: Scenario, jobs: int) -> dict:
     }
 
 
-def _check_heat_duality(sc: Scenario, jobs: int) -> dict:
+def _check_heat_duality(sc: Scenario) -> dict:
     tol = sc.tol_for("heat_duality")
     _require_states(sc, "heat_duality")
 
@@ -588,7 +529,7 @@ def _check_heat_duality(sc: Scenario, jobs: int) -> dict:
         report = heat_absorbed(sc.scheme, state)
         return {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
 
-    rows = _map_states(one, sc.states, jobs)
+    rows = [one(named) for named in sc.states]
     worst = max(r["duality_defect"] for r in rows)
     return {
         "name": "heat_duality",
@@ -659,7 +600,7 @@ def _load(source) -> dict:
         return json.load(fh)
 
 
-def run_scenario(source, seed=None, tol=None, jobs: int = 1) -> RunReport:
+def run_scenario(source, seed=None, tol=None) -> RunReport:
     """Execute a scenario (path or dict) and return the report.
 
     Checks run in declared order; the overall verdict is the conjunction of
@@ -670,7 +611,7 @@ def run_scenario(source, seed=None, tol=None, jobs: int = 1) -> RunReport:
     scenario = parse_scenario(raw, seed_override=seed, tol_override=tol)
     results = []
     for name in scenario.checks:
-        results.append(_CHECK_FUNCTIONS[name](scenario, jobs))
+        results.append(_CHECK_FUNCTIONS[name](scenario))
     verdict = all(bool(r.get("verdict")) for r in results)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(scenario=scenario.echo, checks=results, verdict=verdict, timing_ms=elapsed)
@@ -720,10 +661,11 @@ def _axis_values(axis) -> tuple:
     return name, values
 
 
-def run_sweep(source, seed=None, tol=None, jobs: int = 1) -> tuple[str, bool]:
+def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     """Execute a sweep file; returns ``(csv_text, all_rows_pass)``.
 
-    One CSV row per grid point. When the scenario carries several states,
+    One CSV row per grid point, built from the ``free_scheme`` and
+    ``second_law`` check results. When the scenario carries several states,
     the row reports the state with the smallest second-law margin (minimal
     ``prop1_slack``), so a passing row certifies every state at that grid
     point.
@@ -745,38 +687,22 @@ def run_sweep(source, seed=None, tol=None, jobs: int = 1) -> tuple[str, bool]:
         scenario = parse_scenario(template, seed_override=seed, tol_override=tol)
         if scenario.scheme is None:
             raise ValidationError("sweep scenarios must define a scheme")
-        if not scenario.states:
-            raise ValidationError("sweep scenarios need at least one input state")
-        free = validate_free_scheme(scenario.scheme, scenario.tol_for("free_scheme"))
-        tol_law = scenario.tol_for("second_law")
-
-        def one(named):
-            name, state = named
-            law, work = second_law_report(scenario.scheme, state, tol_law)
-            return name, law, work
-
-        rows = _map_states(one, scenario.states, jobs)
-        name, law, work = min(rows, key=lambda r: r[1].prop1_slack)
-        ok = free.verdict and all(r[1].verdict for r in rows)
-        all_pass = all_pass and ok
+        free = _check_free_scheme(scenario)
+        law = _check_second_law(scenario)
+        worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
+        all_pass = all_pass and free["verdict"] and law["verdict"]
+        numbers = {**worst["work"], **worst["second_law"]}
         writer.writerow(
             [
                 axis_name,
                 repr(float(value)) if axis_name == "beta" else value,
                 scenario.seed,
                 repr(float(scenario.beta)),
-                name,
-                repr(float(work.extractable_work)),
-                repr(float(work.average_extractable_work)),
-                repr(float(work.outcome_divergence)),
-                repr(float(work.heat)),
-                repr(float(work.groenewold_gain)),
-                repr(float(law.prop1_slack)),
-                repr(float(law.eq5_identity_defect)),
-                repr(float(law.eq5_bound_slack)),
-                repr(float(law.heat_bound_slack)),
-                free.verdict,
-                all(r[1].verdict for r in rows),
+                worst["state"],
+                # extractable_work .. heat_bound_slack
+                *(repr(float(numbers[column])) for column in SWEEP_COLUMNS[5:14]),
+                free["verdict"],
+                law["verdict"],
             ]
         )
     return buffer.getvalue(), all_pass

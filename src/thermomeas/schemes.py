@@ -155,6 +155,14 @@ def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     return frobenius(channel.apply_dual(hk) - hk)
 
 
+def energy_moment_defects(scheme: MeasurementScheme, max_moment: int = 4) -> tuple:
+    """Energy-moment defects of the interaction for ``k = 1..max_moment``."""
+    h_total = scheme.total_hamiltonian()
+    return tuple(
+        energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, max_moment + 1)
+    )
+
+
 def validate_free_scheme(
     scheme: MeasurementScheme, tol: float = FREENESS_TOL, max_moment: int = 4
 ) -> FreeSchemeReport:
@@ -167,10 +175,7 @@ def validate_free_scheme(
     a pointer effect with the probe Hamiltonian.
     """
     bist = is_bistochastic(scheme.interaction, tol)
-    h_total = scheme.total_hamiltonian()
-    moment_defects = tuple(
-        energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, max_moment + 1)
-    )
+    moment_defects = energy_moment_defects(scheme, max_moment)
     yanase = max(
         commutator_defect(z, scheme.probe_hamiltonian) for z in scheme.pointer.effects
     )

@@ -9,7 +9,7 @@ defined for outcomes that actually occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .linalg import (
     density_matrix,
     frobenius,
     psd_sqrt,
-    relative_entropy,
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument, gibbs_state
+from .objects import Instrument
 from .schemes import (
     FREENESS_TOL,
     MeasurementScheme,
@@ -118,6 +117,49 @@ def _validate_beta(beta: float) -> float:
     return float(beta)
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    top = float(np.max(x))
+    return top + float(np.log(np.sum(np.exp(x - top))))
+
+
+def _gibbs_log_weights(hamiltonian, beta: float):
+    """Eigenvectors of ``H`` and the log-weights ``ln tau_i = -beta E_i - ln Z``.
+
+    ``ln Z`` is a log-sum-exp, so the weights stay finite for every finite
+    beta, however small the Gibbs populations of the excited levels.
+    """
+    h = require_hermitian(hamiltonian, name="hamiltonian")
+    evals, vecs = np.linalg.eigh(h)
+    log_weights = -beta * (evals - evals[0])
+    return log_weights - _logsumexp(log_weights), vecs
+
+
+def _diagonal(m, vecs) -> np.ndarray:
+    """Diagonal ``<i|M|i>`` of an operator in the eigenbasis ``vecs`` of ``H``."""
+    return np.einsum("ia,ij,ja->a", vecs.conj(), m, vecs).real
+
+
+def _divergence_to_gibbs(rho, entropy: float, gibbs) -> float:
+    """``D(rho || tau) = -S(rho) - sum_i <i|rho|i> ln tau_i``, given ``S(rho)``."""
+    log_weights, vecs = gibbs
+    return -entropy - float(_diagonal(rho, vecs) @ log_weights)
+
+
+def _conditional_terms(instrument: Instrument, r) -> list:
+    """``(p_x, rho_x, S(rho_x))`` of every outcome above the probability cutoff.
+
+    ``r`` must already be a validated density matrix; the conditional states
+    are plain Hermitian matrices.
+    """
+    terms = []
+    for out in instrument.apply(r):
+        p = float(np.trace(out).real)
+        if p > PROBABILITY_CUTOFF:
+            cond = (out + dag(out)) / 2 / p
+            terms.append((p, cond, von_neumann_entropy(cond, validate=False)))
+    return terms
+
+
 def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     """Nonequilibrium free energy relative to the Gibbs state, over beta.
 
@@ -125,67 +167,79 @@ def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     state relaxes to thermal equilibrium; zero exactly at the Gibbs state.
     """
     beta = _validate_beta(beta)
-    tau = gibbs_state(system_hamiltonian, beta)
-    return relative_entropy(rho, tau) / beta
+    r = density_matrix(rho)
+    gibbs = _gibbs_log_weights(system_hamiltonian, beta)
+    return _divergence_to_gibbs(r, von_neumann_entropy(r, validate=False), gibbs) / beta
 
 
-def _conditional_terms(instrument: Instrument, rho):
-    """Outcome probabilities and conditional post-measurement states.
-
-    Returns ``(probabilities, conditionals)`` where conditionals are plain
-    Hermitian matrices (``None`` for outcomes below the probability cutoff).
-    """
-    outputs = instrument.apply(density_matrix(rho))
-    probs = np.array([float(np.trace(out).real) for out in outputs])
-    conditionals = []
-    for p, out in zip(probs, outputs):
-        if p > PROBABILITY_CUTOFF:
-            m = (out + dag(out)) / 2 / p
-            conditionals.append(m)
-        else:
-            conditionals.append(None)
-    return probs, conditionals
+def _average_work(terms: list, gibbs, beta: float) -> float:
+    total = 0.0
+    for p, cond, entropy in terms:
+        total += p * _divergence_to_gibbs(cond, entropy, gibbs)
+    return float(total / beta)
 
 
 def average_extractable_work(instrument: Instrument, rho, system_hamiltonian, beta: float) -> float:
     """Mean post-measurement extractable work under outcome-conditioned feedback."""
     beta = _validate_beta(beta)
-    tau = gibbs_state(system_hamiltonian, beta)
-    probs, conditionals = _conditional_terms(instrument, rho)
-    total = 0.0
-    for p, cond in zip(probs, conditionals):
-        if cond is not None:
-            total += p * relative_entropy(cond, tau.matrix, validate=False)
-    return float(total / beta)
+    terms = _conditional_terms(instrument, density_matrix(rho))
+    return _average_work(terms, _gibbs_log_weights(system_hamiltonian, beta), beta)
 
 
-def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> float:
-    """Classical relative entropy between measurement statistics in ``rho`` and in the Gibbs state."""
-    beta = _validate_beta(beta)
-    tau = gibbs_state(system_hamiltonian, beta)
+def _outcome_divergence(observable, rho, gibbs) -> float:
+    log_weights, vecs = gibbs
     p = observable.probabilities(rho)
-    q = observable.probabilities(tau)
     total = 0.0
-    for label, px, qx in zip(observable.outcomes, p, q):
+    for label, px, effect in zip(observable.outcomes, p, observable.effects):
         if px <= PROBABILITY_CUTOFF:
             continue
-        if qx <= PROBABILITY_CUTOFF:
+        diagonal = _diagonal(effect, vecs)
+        support = diagonal > 0.0
+        if not support.any():
             raise ValidationError(
                 f"outcome {label!r} has zero Gibbs probability but p = {px:.3e}; "
                 "effects must be zero operators to be skipped"
             )
-        total += px * np.log(px / qx)
+        log_q = _logsumexp(np.log(diagonal[support]) + log_weights[support])
+        total += px * (np.log(px) - log_q)
     return float(total)
+
+
+def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> float:
+    """Classical relative entropy between measurement statistics in ``rho`` and in the Gibbs state.
+
+    The Gibbs probabilities are taken in log form,
+    ``ln q_x = logsumexp_i(ln <i|E_x|i> + ln tau_i)`` over the positive
+    diagonal entries of ``E_x`` in the eigenbasis of ``H``, so they stay
+    finite at low temperature.
+    """
+    beta = _validate_beta(beta)
+    return _outcome_divergence(observable, rho, _gibbs_log_weights(system_hamiltonian, beta))
+
+
+def _gain(entropy: float, terms: list) -> float:
+    gain = entropy
+    for p, _, cond_entropy in terms:
+        gain -= p * cond_entropy
+    return float(gain)
 
 
 def groenewold_gain(instrument: Instrument, rho) -> float:
     """Entropy of the input minus the mean entropy of the conditional outputs."""
-    probs, conditionals = _conditional_terms(instrument, rho)
-    gain = von_neumann_entropy(rho)
-    for p, cond in zip(probs, conditionals):
-        if cond is not None:
-            gain -= p * von_neumann_entropy(cond, validate=False)
-    return float(gain)
+    r = density_matrix(rho)
+    return _gain(von_neumann_entropy(r, validate=False), _conditional_terms(instrument, r))
+
+
+def _probe_side_heat(scheme: MeasurementScheme, r) -> float:
+    """Decrease of the probe's expected energy when the scheme acts on ``r``."""
+    xi = scheme.probe_state.matrix
+    probe_after = conjugate_channel(scheme).apply(r)
+    return float(np.trace(scheme.probe_hamiltonian @ (xi - probe_after)).real)
+
+
+def _system_side_heat(instrument: Instrument, h, r) -> float:
+    """Increase of the system's expected energy under the instrument's total channel."""
+    return float(np.trace(h @ (sum(instrument.apply(r)) - r)).real)
 
 
 def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
@@ -196,11 +250,8 @@ def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
     whose interaction conserves the total Hamiltonian.
     """
     r = density_matrix(rho)
-    xi = scheme.probe_state.matrix
-    probe_after = conjugate_channel(scheme).apply(r)
-    heat = float(np.trace(scheme.probe_hamiltonian @ (xi - probe_after)).real)
-    system_after = sum(induced_instrument(scheme).apply(r))
-    system_side = float(np.trace(scheme.system_hamiltonian @ (system_after - r)).real)
+    heat = _probe_side_heat(scheme, r)
+    system_side = _system_side_heat(induced_instrument(scheme), scheme.system_hamiltonian, r)
     return HeatReport(heat=heat, duality_defect=abs(heat - system_side))
 
 
@@ -250,13 +301,15 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     beta = _validate_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
     r = density_matrix(rho)
-    system_after = sum(instrument.apply(r))
+    gibbs = _gibbs_log_weights(h, beta)
+    entropy = von_neumann_entropy(r, validate=False)
+    terms = _conditional_terms(instrument, r)
     return WorkReport(
-        extractable_work=extractable_work(r, h, beta),
-        average_extractable_work=average_extractable_work(instrument, r, h, beta),
-        outcome_divergence=outcome_divergence(instrument.induced_observable(), r, h, beta),
-        heat=float(np.trace(h @ (system_after - r)).real),
-        groenewold_gain=groenewold_gain(instrument, r),
+        extractable_work=_divergence_to_gibbs(r, entropy, gibbs) / beta,
+        average_extractable_work=_average_work(terms, gibbs, beta),
+        outcome_divergence=_outcome_divergence(instrument.induced_observable(), r, gibbs),
+        heat=_system_side_heat(instrument, h, r),
+        groenewold_gain=_gain(entropy, terms),
         beta=beta,
     )
 
@@ -268,8 +321,9 @@ def second_law_report(
 
     The scheme must pass :func:`validate_free_scheme`; the audited
     inequalities are theorems only for thermal instruments, so non-free
-    schemes are refused rather than scored. Use :func:`work_report` for
-    diagnostics on arbitrary instruments.
+    schemes are refused rather than scored. The work accounting is
+    :func:`work_report` on the induced instrument, with its system-side heat
+    replaced by the probe-side heat of :func:`heat_absorbed`.
     """
     freeness = validate_free_scheme(scheme, tol)
     if not freeness.verdict:
@@ -277,36 +331,12 @@ def second_law_report(
             f"scheme is not thermodynamically free: worst defect "
             f"{freeness.worst_defect:.3e} > {tol:.1e}"
         )
-    beta = scheme.beta
     r = density_matrix(rho)
-    instrument = induced_instrument(scheme)
-    tau = scheme.system_gibbs()
-    xi = scheme.probe_state.matrix
-
-    w = relative_entropy(r, tau.matrix, validate=False) / beta
-    probs, conditionals = _conditional_terms(instrument, r)
-    q = instrument.induced_observable().probabilities(tau)
-    avg_w = 0.0
-    divergence = 0.0
-    gain = von_neumann_entropy(r)
-    for px, qx, cond in zip(probs, q, conditionals):
-        if cond is None:
-            continue
-        avg_w += px * relative_entropy(cond, tau.matrix, validate=False) / beta
-        divergence += px * np.log(px / qx)
-        gain -= px * von_neumann_entropy(cond, validate=False)
-
-    probe_after = conjugate_channel(scheme).apply(r)
-    heat = float(np.trace(scheme.probe_hamiltonian @ (xi - probe_after)).real)
-
-    work = WorkReport(
-        extractable_work=float(w),
-        average_extractable_work=float(avg_w),
-        outcome_divergence=float(divergence),
-        heat=float(heat),
-        groenewold_gain=float(gain),
-        beta=beta,
-    )
+    work = work_report(induced_instrument(scheme), r, scheme.system_hamiltonian, scheme.beta)
+    work = replace(work, heat=_probe_side_heat(scheme, r))
+    beta = work.beta
+    w, avg_w = work.extractable_work, work.average_extractable_work
+    divergence, heat, gain = work.outcome_divergence, work.heat, work.groenewold_gain
     law = SecondLawReport(
         prop1_slack=float(w - divergence / beta - avg_w),
         eq5_identity_defect=float(abs(avg_w - w - heat - gain / beta)),

@@ -91,12 +91,6 @@ class TestCheckCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "second_law: PASS" in first.stdout
 
-    def test_jobs_flag_does_not_change_bytes(self, scenario_file, tmp_path):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        cli("check", str(scenario_file), "--out", str(out1))
-        cli("check", str(scenario_file), "--jobs", "4", "--out", str(out2))
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_timing_flag_adds_field(self, scenario_file):
         result = cli("check", str(scenario_file), "--timing")
         assert result.returncode == 0
@@ -132,6 +126,28 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert "unknown check" in json.loads(result.stderr)["error"]
 
+    def test_jobs_flag_is_gone(self, scenario_file):
+        assert cli("check", "--jobs", "2", str(scenario_file)).returncode == 2
+
+    def test_non_finite_hamiltonian_exits_two(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, system_hamiltonian=[0.0, float("nan")])))
+        assert "NaN" in path.read_text()
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "system_hamiltonian has non-finite" in json.loads(result.stderr)["error"]
+
+    def test_huge_state_count_is_refused_promptly(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, states={"count": 10**12})))
+        result = subprocess.run(
+            [sys.executable, "-m", "thermomeas", "check", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "states.count" in json.loads(result.stderr)["error"]
+
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2
@@ -152,7 +168,7 @@ class TestSweepCommand:
         path.write_text(json.dumps(SWEEP))
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         assert cli("sweep", str(path), "--out", str(out1)).returncode == 0
-        assert cli("sweep", str(path), "--out", str(out2), "--jobs", "2").returncode == 0
+        assert cli("sweep", str(path), "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_empty_axis_header_only(self, tmp_path):

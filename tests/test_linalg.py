@@ -194,6 +194,13 @@ class TestHermitianRepair:
         with pytest.raises(ValidationError, match="not Hermitian"):
             require_hermitian(a)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_by_name(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(ValidationError, match="probe Hamiltonian has non-finite"):
+            require_hermitian(a, name="probe Hamiltonian")
+
     def test_psd_sqrt_squares_back(self):
         rng = np.random.default_rng(3)
         m = random_state_matrix(4, rng)

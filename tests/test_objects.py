@@ -11,7 +11,6 @@ from thermomeas.objects import (
     KrausChannel,
     Observable,
     State,
-    apply_channel,
     choi_of_operation,
     gibbs_state,
     is_bistochastic,
@@ -57,6 +56,13 @@ class TestState:
         m = np.eye(2, dtype=complex) / 2
         m[0, 1] = 1e-4
         with pytest.raises(ValidationError, match="not Hermitian"):
+            State(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = bad
+        with pytest.raises(ValidationError, match="state has non-finite"):
             State(m)
 
     def test_symmetrizes_tiny_defect(self):
@@ -180,16 +186,18 @@ class TestKrausChannel:
         with pytest.raises(ValidationError, match="trace preserving"):
             KrausChannel([np.eye(2) * 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_non_finite_kraus(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(ValidationError, match="Kraus operator 1 has non-finite"):
+            KrausChannel([np.eye(2), k])
+
     def test_superoperator_matches_action(self):
         ch = amplitude_damping(0.45)
         rho = random_density_matrix(2, rng_from_seed(6)).matrix
         via_superop = (ch.superoperator() @ rho.reshape(-1)).reshape(2, 2)
         np.testing.assert_allclose(via_superop, ch.apply(rho), atol=1e-14)
-
-    def test_apply_channel_revalidates(self):
-        ch = amplitude_damping(0.2)
-        out = apply_channel(ch, random_density_matrix(2, rng_from_seed(7)))
-        assert isinstance(out, State)
 
 
 class TestBistochastic:
@@ -229,6 +237,10 @@ class TestInstrument:
         induced = ins.induced_observable()
         assert induced.is_sharp()
         np.testing.assert_allclose(induced.effects[0], P0, atol=1e-14)
+
+    def test_rejects_non_finite_kraus(self):
+        with pytest.raises(ValidationError, match="outcome 'x2' has non-finite"):
+            Instrument(["x1", "x2"], [[P0], [P1 * math.nan]])
 
     def test_rejects_non_trace_preserving_total(self):
         with pytest.raises(ValidationError, match="trace preserving"):

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from thermomeas.errors import ValidationError
-from thermomeas.objects import Instrument
 from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
+    MAX_STATE_COUNT,
     decode_channel,
     decode_hamiltonian,
-    decode_instrument,
     decode_matrix,
     decode_observable,
     encode_channel,
-    encode_instrument,
     encode_matrix,
     encode_observable,
     parse_scenario,
@@ -61,23 +59,6 @@ class TestSerializationRoundTrip:
         back = decode_channel(encode_channel(ch))
         for a, b in zip(back.kraus, ch.kraus):
             assert np.array_equal(a, b)
-
-    def test_instrument_round_trip(self):
-        ins = Instrument.luders(random_povm(2, 2, rng_from_seed(2)))
-        back = decode_instrument(encode_instrument(ins))
-        assert back.outcomes == ins.outcomes
-        for ops_a, ops_b in zip(back.kraus_sets, ins.kraus_sets):
-            for a, b in zip(ops_a, ops_b):
-                assert np.array_equal(a, b)
-
-    def test_choi_round_trip(self):
-        from thermomeas.objects import choi_of_operation
-        from thermomeas.scenario import decode_choi, encode_choi
-
-        choi = choi_of_operation(Instrument.luders(random_povm(2, 2, rng_from_seed(3))).kraus_sets[0])
-        back = decode_choi(encode_choi(choi))
-        assert np.array_equal(back.matrix, choi.matrix)
-        assert (back.dim_out, back.dim_in) == (choi.dim_out, choi.dim_in)
 
     def test_scenario_echo_is_a_fixed_point(self):
         raw = random_block_scenario(["free_scheme"], n_states=2)
@@ -158,6 +139,26 @@ class TestParseScenario:
         report = run_scenario(raw)
         assert report.verdict
 
+    def test_state_count_is_bounded(self):
+        raw = random_block_scenario(["free_scheme"], n_states=MAX_STATE_COUNT + 1)
+        with pytest.raises(ValidationError, match="states.count"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize("where", ["system_hamiltonian", "probe_hamiltonian"])
+    def test_non_finite_hamiltonian_rejected(self, where):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw[where] = [0.0, float("inf")]
+        with pytest.raises(ValidationError, match=f"{where} has non-finite"):
+            parse_scenario(raw)
+
+    def test_non_finite_tolerance_rejected(self):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["tolerances"] = {"second_law": float("nan")}
+        with pytest.raises(ValidationError, match="tolerance 'second_law' must be finite"):
+            parse_scenario(raw)
+        with pytest.raises(ValidationError, match="tolerance 'default' must be finite"):
+            parse_scenario(random_block_scenario(["free_scheme"]), tol_override=float("inf"))
+
     def test_seed_override_wins(self):
         raw = random_block_scenario(["free_scheme"], n_states=1, seed=7)
         sc = parse_scenario(raw, seed_override=99)
@@ -198,12 +199,6 @@ class TestRunScenario:
         raw = random_block_scenario(["free_scheme", "second_law"], n_states=10)
         a = run_scenario(raw).to_json()
         b = run_scenario(raw).to_json()
-        assert a == b
-
-    def test_jobs_do_not_affect_results(self):
-        raw = random_block_scenario(["second_law", "skew_chain", "heat_duality"], n_states=12)
-        a = run_scenario(raw, jobs=1).to_json()
-        b = run_scenario(raw, jobs=4).to_json()
         assert a == b
 
     def test_timing_only_on_request(self):
@@ -319,7 +314,7 @@ class TestRunSweep:
             },
         }
         a, _ = run_sweep(sweep)
-        b, _ = run_sweep(sweep, jobs=3)
+        b, _ = run_sweep(sweep)
         assert a == b
 
     def test_bad_axis_rejected(self):

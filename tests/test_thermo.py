@@ -262,6 +262,38 @@ class TestSecondLawReport:
                 assert abs(direct - decomposed) < 1e-8
                 assert beta * work.extractable_work - direct >= -1e-8
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_report_is_work_report_with_probe_side_heat(self, dim):
+        h = np.diag(np.arange(float(dim))).astype(complex)
+        rng = rng_from_seed(700 + dim)
+        for seed in range(4):
+            pointer = random_commuting_povm(h, 2, rng)
+            scheme = random_free_scheme(h, h, 0.9, pointer, seed=600 + seed)
+            ins = induced_instrument(scheme)
+            for _ in range(50):
+                rho = random_density_matrix(dim, rng)
+                _, work = second_law_report(scheme, rho)
+                plain = work_report(ins, rho, h, scheme.beta)
+                for field in ("extractable_work", "average_extractable_work",
+                              "outcome_divergence", "groenewold_gain", "beta"):
+                    assert abs(getattr(work, field) - getattr(plain, field)) <= 1e-12, field
+                assert work.heat == heat_absorbed(scheme, rho).heat
+
+    @pytest.mark.parametrize("beta", [40.0, 600.0])
+    def test_low_temperature_passes_with_finite_slacks(self, beta):
+        scheme = random_free_scheme(H2, H2, beta, Z_SHARP, seed=17)
+        rng = rng_from_seed(18)
+        for rho in [GROUND, EXCITED] + [random_density_matrix(2, rng) for _ in range(10)]:
+            law, work = second_law_report(scheme, rho)
+            assert law.verdict, law
+            assert all(math.isfinite(v) for v in law.to_dict().values() if not isinstance(v, bool))
+            assert all(math.isfinite(v) for v in work.to_dict().values())
+
+    def test_low_temperature_outcome_divergence_is_finite(self):
+        # q_excited = 1 / (1 + e^600): far below any probability cutoff, yet positive
+        d = outcome_divergence(Z_SHARP, EXCITED, H2, 600.0)
+        assert abs(d - (600.0 + math.log1p(math.exp(-600.0)))) < 1e-9
+
     def test_work_report_diagnostic_luders(self):
         # non-thermal instrument: average extractable work exceeds extractable work
         beta = 1.0
