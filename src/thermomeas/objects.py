@@ -23,7 +23,6 @@ from .linalg import (
     frobenius,
     psd_sqrt,
     require_hermitian,
-    require_square,
 )
 
 
@@ -35,6 +34,47 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
+    """Read-only ``(k, d_out, d_in)`` stack of a Kraus list.
+
+    Refuses an empty list, operators of unequal shape and non-finite
+    entries; ``outcome`` names the instrument outcome in error messages.
+    """
+    ops = [as_matrix(k) for k in kraus]
+    where = "" if outcome is None else f" of outcome {outcome!r}"
+    if not ops:
+        raise ValidationError(f"no Kraus operator given{where}")
+    for i, k in enumerate(ops):
+        if k.shape != ops[0].shape:
+            raise ValidationError(
+                f"Kraus operator {i}{where} has shape {k.shape}, expected {ops[0].shape}"
+            )
+    ks = np.array(ops, dtype=complex)
+    finite = np.isfinite(ks).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"Kraus operator {int(np.argmin(finite))}{where} has non-finite "
+            f"(NaN or infinite) entries"
+        )
+    ks.flags.writeable = False
+    return ks
+
+
+def _gram(ks: np.ndarray) -> np.ndarray:
+    """``sum K† K`` over a Kraus stack."""
+    return np.tensordot(ks.conj(), ks, axes=([0, 1], [0, 1]))
+
+
+def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``sum K m K†`` over a Kraus stack."""
+    return np.einsum("kij,jl,kml->im", ks, m, ks.conj())
+
+
+def _superoperator(ks: np.ndarray) -> np.ndarray:
+    """Matrix of ``m -> sum K m K†`` on row-major vectorized operators."""
+    return sum(np.kron(k, k.conj()) for k in ks)
 
 
 class State:
@@ -163,36 +203,20 @@ class Observable:
 class KrausChannel:
     """Trace-preserving completely positive map in Kraus form.
 
-    Kraus operators may be rectangular (``dim_out x dim_in``); the trace
-    preservation constraint is ``sum K† K = identity`` on the input space.
+    ``kraus`` is one read-only ``(k, dim_out, dim_in)`` stack; operators may
+    be rectangular, and ``sum K† K`` must be the identity on the input space.
     """
 
     def __init__(self, kraus: Sequence, tol: float = VALIDATION_TOL):
-        ops = [np.asarray(as_matrix(k), dtype=complex) for k in kraus]
-        if not ops:
-            raise ValidationError("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        for i, k in enumerate(ops):
-            if k.shape != shape:
-                raise ValidationError(
-                    f"Kraus operator {i} has shape {k.shape}, expected {shape}"
-                )
-        stack = np.stack(ops)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError(
-                f"Kraus operator {int(np.argmin(finite))} has non-finite (NaN or infinite) entries"
-            )
-        gram = sum(dag(k) @ k for k in ops)
-        tp_defect = frobenius(gram - np.eye(shape[1]))
+        ks = _kraus_stack(kraus)
+        tp_defect = frobenius(_gram(ks) - np.eye(ks.shape[2]))
         if tp_defect > tol:
             raise ValidationError(
                 f"channel is not trace preserving: ||sum K^dag K - 1||_F = "
                 f"{tp_defect:.3e} > {tol:.1e}"
             )
-        self.kraus = tuple(_freeze(k) for k in ops)
-        self.dim_out, self.dim_in = shape
-        self._stack = stack
+        self.kraus = ks
+        self.dim_out, self.dim_in = ks.shape[1:]
 
     @property
     def dim(self) -> int:
@@ -209,8 +233,7 @@ class KrausChannel:
             raise ValidationError(
                 f"channel input must be {self.dim_in} x {self.dim_in}, got {m.shape}"
             )
-        ks = self._stack
-        return np.einsum("kij,jl,kml->im", ks, m, ks.conj())
+        return _sandwich(self.kraus, m)
 
     def apply_dual(self, a) -> np.ndarray:
         """Heisenberg action ``sum K† A K`` (trace dual of :meth:`apply`)."""
@@ -219,12 +242,12 @@ class KrausChannel:
             raise ValidationError(
                 f"dual input must be {self.dim_out} x {self.dim_out}, got {m.shape}"
             )
-        ks = self._stack
+        ks = self.kraus
         return np.einsum("kai,ab,kbj->ij", ks.conj(), m, ks)
 
     def superoperator(self) -> np.ndarray:
         """Matrix of the channel on row-major vectorized operators."""
-        return sum(np.kron(k, k.conj()) for k in self.kraus)
+        return _superoperator(self.kraus)
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
@@ -256,8 +279,9 @@ def is_bistochastic(channel: KrausChannel, tol: float = VALIDATION_TOL) -> Bisto
     if channel.dim_in != channel.dim_out:
         raise ValidationError("bistochasticity is defined for square channels only")
     eye = np.eye(channel.dim_in)
-    trace_defect = frobenius(sum(dag(k) @ k for k in channel.kraus) - eye)
-    unital_defect = frobenius(sum(k @ dag(k) for k in channel.kraus) - eye)
+    ks = channel.kraus
+    trace_defect = frobenius(_gram(ks) - eye)
+    unital_defect = frobenius(_gram(ks.conj().transpose(0, 2, 1)) - eye)
     return BistochasticReport(trace_defect, unital_defect, tol)
 
 
@@ -282,8 +306,8 @@ def time_evolution(hamiltonian, t: float) -> np.ndarray:
 class Instrument:
     """Outcome-indexed family of CP trace non-increasing operations.
 
-    Each outcome holds a Kraus set; the union of all sets must form a
-    trace-preserving channel (the total channel).
+    Each outcome holds a read-only ``(k_x, dim, dim)`` Kraus stack; together
+    the stacks must form a trace-preserving channel (the total channel).
     """
 
     def __init__(self, outcomes: Sequence[str], kraus_sets: Sequence, tol: float = VALIDATION_TOL):
@@ -296,39 +320,23 @@ class Instrument:
             raise ValidationError(
                 f"{len(outcomes)} outcomes but {len(kraus_sets)} Kraus sets supplied"
             )
-        dim = None
-        frozen_sets = []
-        for label, ops in zip(outcomes, kraus_sets):
-            ops = [np.asarray(as_matrix(k), dtype=complex) for k in ops]
-            if not ops:
-                raise ValidationError(f"outcome {label!r} has an empty Kraus set")
-            for k in ops:
-                require_square(k, f"Kraus operator of outcome {label!r}")
-                if dim is None:
-                    dim = k.shape[0]
-                elif k.shape[0] != dim:
-                    raise ValidationError(
-                        f"outcome {label!r} has a {k.shape[0]}-dimensional Kraus operator, "
-                        f"expected {dim}"
-                    )
-            frozen_sets.append(tuple(_freeze(k) for k in ops))
-        stacks = tuple(np.stack(ops) for ops in frozen_sets)
+        stacks = tuple(_kraus_stack(ops, label) for label, ops in zip(outcomes, kraus_sets))
+        dim = stacks[0].shape[1]
         for label, ks in zip(outcomes, stacks):
-            if not np.isfinite(ks).all():
+            if ks.shape[1:] != (dim, dim):
                 raise ValidationError(
-                    f"Kraus operator of outcome {label!r} has non-finite (NaN or infinite) entries"
+                    f"outcome {label!r} has Kraus operators of shape {ks.shape[1:]}, "
+                    f"expected ({dim}, {dim})"
                 )
-        gram = sum(dag(k) @ k for ops in frozen_sets for k in ops)
-        tp_defect = frobenius(gram - np.eye(dim))
+        tp_defect = frobenius(sum(_gram(ks) for ks in stacks) - np.eye(dim))
         if tp_defect > tol:
             raise ValidationError(
                 f"total channel is not trace preserving: ||sum K^dag K - 1||_F = "
                 f"{tp_defect:.3e} > {tol:.1e}"
             )
         self.outcomes = outcomes
-        self.kraus_sets = tuple(frozen_sets)
+        self.kraus_sets = stacks
         self.dim = dim
-        self._stacks = stacks
 
     @classmethod
     def luders(cls, observable: Observable, tol: float = VALIDATION_TOL) -> "Instrument":
@@ -346,24 +354,22 @@ class Instrument:
     def apply(self, rho) -> list:
         """All unnormalized outputs ``[I_x(rho)]`` in outcome order."""
         m = as_matrix(rho)
-        return [
-            np.einsum("kij,jl,kml->im", ks, m, ks.conj()) for ks in self._stacks
-        ]
+        return [_sandwich(ks, m) for ks in self.kraus_sets]
 
     def probabilities(self, rho) -> np.ndarray:
         return np.array([float(np.trace(out).real) for out in self.apply(rho)])
 
     def total_channel(self, tol: float = VALIDATION_TOL) -> KrausChannel:
-        return KrausChannel([k for ops in self.kraus_sets for k in ops], tol)
+        return KrausChannel(np.concatenate(self.kraus_sets), tol)
 
     def induced_observable(self, tol: float = VALIDATION_TOL) -> Observable:
         """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``."""
-        effects = [sum(dag(k) @ k for k in ops) for ops in self.kraus_sets]
+        effects = [_gram(ks) for ks in self.kraus_sets]
         return Observable(self.outcomes, effects, tol)
 
     def superoperator(self, index: int) -> np.ndarray:
         """Matrix of one outcome's operation on row-major vectorized operators."""
-        return sum(np.kron(k, k.conj()) for k in self.kraus_sets[index])
+        return _superoperator(self.kraus_sets[index])
 
     def __repr__(self):
         return f"Instrument(outcomes={list(self.outcomes)}, dim={self.dim})"
@@ -411,11 +417,8 @@ class ChoiMatrix:
     def to_kraus(self, tol: float = 1e-12) -> list:
         """Kraus operators from the Choi eigendecomposition."""
         evals, vecs = np.linalg.eigh(self.matrix)
-        ops = []
-        for lam, v in zip(evals, vecs.T):
-            if lam > tol:
-                ops.append(np.sqrt(lam) * v.reshape(self.dim_out, self.dim_in))
-        return ops
+        keep = evals > tol
+        return list((vecs[:, keep] * np.sqrt(evals[keep])).T.reshape(-1, self.dim_out, self.dim_in))
 
     def __repr__(self):
         return f"ChoiMatrix(dims={self.dim_out}x{self.dim_in})"
@@ -428,13 +431,9 @@ def choi_of_operation(kraus: Sequence, tol: float = VALIDATION_TOL) -> ChoiMatri
     unnormalized maximally entangled vector, so the Choi matrix is the Gram
     sum of flattened Kraus operators.
     """
-    ops = [as_matrix(k) for k in kraus]
-    if not ops:
-        raise ValidationError("operation needs at least one Kraus operator")
-    d_out, d_in = ops[0].shape
-    vecs = [k.reshape(-1) for k in ops]
-    m = sum(np.outer(v, v.conj()) for v in vecs)
-    return ChoiMatrix(m, d_out, d_in, tol)
+    ks = _kraus_stack(kraus)
+    vecs = ks.reshape(len(ks), -1)
+    return ChoiMatrix(vecs.T @ vecs.conj(), *ks.shape[1:], tol)
 
 
 def choi_rank(choi: ChoiMatrix, tol: float = 1e-8) -> int:

@@ -47,6 +47,9 @@ DEFAULT_VALIDATION_TOL = 1e-9
 #: Largest ``states.count`` a scenario may request; every state is built up front.
 MAX_STATE_COUNT = 10_000
 
+#: Largest number of grid points a sweep may request.
+MAX_GRID_SIZE = 10_000
+
 KNOWN_CHECKS = (
     "free_scheme",
     "second_law",
@@ -100,6 +103,14 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
                 )
         rows.append(entries)
     return np.array(rows, dtype=complex)
+
+
+def _number(value, cast, field: str):
+    """``cast(value)`` for a JSON scalar, refusing a value of the wrong type by name."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{field}: expected a number, got {value!r}") from exc
 
 
 def decode_hamiltonian(obj, name: str) -> np.ndarray:
@@ -200,8 +211,8 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
         spec = ["gibbs"]
     states = []
     if isinstance(spec, dict):
-        count = int(spec.get("count", 0))
-        seed = int(spec.get("seed", scenario_seed))
+        count = _number(spec.get("count", 0), int, "states.count")
+        seed = _number(spec.get("seed", scenario_seed), int, "states.seed")
         if not 0 <= count <= MAX_STATE_COUNT:
             raise ValidationError(
                 f"states.count must lie in [0, {MAX_STATE_COUNT}], got {count}"
@@ -246,8 +257,8 @@ def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable, va
     if kind == "random_block":
         if pointer is None:
             raise ValidationError("scheme 'random_block' needs a pointer observable on the probe")
-        seed = int(spec.get("seed", scenario_seed))
-        mixture_size = int(spec.get("mixture_size", 3))
+        seed = _number(spec.get("seed", scenario_seed), int, "scheme.seed")
+        mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
         scheme = random_free_scheme(h_system, h_probe, beta, pointer, seed, mixture_size)
         echo = {
             "kind": "random_block",
@@ -281,19 +292,19 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         raise ValidationError("scenario: missing required field 'system_hamiltonian'")
     if "beta" not in raw:
         raise ValidationError("scenario: missing required field 'beta'")
-    beta = float(raw["beta"])
+    beta = _number(raw["beta"], float, "beta")
     if not np.isfinite(beta) or beta <= 0:
         raise ValidationError(f"beta must be positive and finite, got {beta}")
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    seed = _number(seed_override if seed_override is not None else raw.get("seed", 0), int, "seed")
 
     tolerances = {"default": DEFAULT_THEOREM_TOL, "validation": DEFAULT_VALIDATION_TOL}
     raw_tols = raw.get("tolerances", {})
     if not isinstance(raw_tols, dict):
         raise ValidationError("tolerances: expected an object")
     for key, value in raw_tols.items():
-        tolerances[str(key)] = float(value)
+        tolerances[str(key)] = _number(value, float, f"tolerances.{key}")
     if tol_override is not None:
-        tolerances["default"] = float(tol_override)
+        tolerances["default"] = _number(tol_override, float, "tol")
     for key, value in tolerances.items():
         if not np.isfinite(value):
             raise ValidationError(f"tolerance {key!r} must be finite, got {value}")
@@ -381,12 +392,10 @@ def _check_second_law(sc: Scenario) -> dict:
     tol = sc.tol_for("second_law")
     _require_states(sc, "second_law")
 
-    def one(named):
-        name, state = named
+    rows = []
+    for name, state in sc.states:
         law, work = second_law_report(sc.scheme, state, tol)
-        return {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
-
-    rows = [one(named) for named in sc.states]
+        rows.append({"state": name, "work": work.to_dict(), "second_law": law.to_dict()})
     verdict = all(r["second_law"]["verdict"] for r in rows)
     worst = min(r["second_law"]["prop1_slack"] for r in rows)
     return {
@@ -502,14 +511,10 @@ def _check_skew_chain(sc: Scenario) -> dict:
     tol = sc.tol_for("skew_chain")
     _require_states(sc, "skew_chain")
 
-    def one(named):
-        name, state = named
-        selective, convexity = skew_information_chain(
-            sc.instrument, state, sc.system_hamiltonian
-        )
-        return {"state": name, "selective_slack": selective, "convexity_slack": convexity}
-
-    rows = [one(named) for named in sc.states]
+    rows = []
+    for name, state in sc.states:
+        selective, convexity = skew_information_chain(sc.instrument, state, sc.system_hamiltonian)
+        rows.append({"state": name, "selective_slack": selective, "convexity_slack": convexity})
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return {
         "name": "skew_chain",
@@ -524,12 +529,10 @@ def _check_heat_duality(sc: Scenario) -> dict:
     tol = sc.tol_for("heat_duality")
     _require_states(sc, "heat_duality")
 
-    def one(named):
-        name, state = named
+    rows = []
+    for name, state in sc.states:
         report = heat_absorbed(sc.scheme, state)
-        return {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
-
-    rows = [one(named) for named in sc.states]
+        rows.append({"state": name, "heat": report.heat, "duality_defect": report.duality_defect})
     worst = max(r["duality_defect"] for r in rows)
     return {
         "name": "heat_duality",
@@ -648,17 +651,25 @@ def _axis_values(axis) -> tuple:
     if name not in ("beta", "seed"):
         raise ValidationError(f"sweep axis must be 'beta' or 'seed', got {name!r}")
     if "values" in axis:
-        values = list(axis["values"])
+        values = axis["values"]
+        if not isinstance(values, list):
+            raise ValidationError("sweep axis 'values' must be a list")
+        size = len(values)
     elif "range" in axis:
-        lo, hi = axis["range"]
-        values = list(range(int(lo), int(hi) + 1))
+        bounds = axis["range"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ValidationError("sweep axis 'range' must be a list [first, last]")
+        lo, hi = (_number(b, int, "axis.range") for b in bounds)
+        size = hi - lo + 1
+        values = range(lo, hi + 1)  # lazy: nothing is built before the size check
     else:
         raise ValidationError("sweep axis needs 'values' or 'range'")
-    if name == "beta":
-        values = [float(v) for v in values]
-    else:
-        values = [int(v) for v in values]
-    return name, values
+    if not 1 <= size <= MAX_GRID_SIZE:
+        raise ValidationError(
+            f"sweep grid must have 1 to {MAX_GRID_SIZE} points, got {max(size, 0)}"
+        )
+    cast = float if name == "beta" else int
+    return name, [_number(v, cast, f"axis.{name}") for v in values]
 
 
 def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:

@@ -29,7 +29,7 @@ from .linalg import (
     psd_sqrt,
     require_hermitian,
 )
-from .objects import Instrument, KrausChannel, Observable, gibbs_state, is_bistochastic
+from .objects import Instrument, KrausChannel, Observable, State, gibbs_state, is_bistochastic
 from .sampling import haar_unitary
 
 #: Kraus operators with Frobenius norm below this are dropped from dilations.
@@ -188,10 +188,22 @@ def validate_free_scheme(
     )
 
 
-def _probe_spectral(scheme: MeasurementScheme):
+def _dilation(scheme: MeasurementScheme) -> np.ndarray:
+    """Stack of ``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)``, shaped ``(k, d_s, d_a, d_s)``.
+
+    One entry per interaction Kraus operator ``M`` and probe Gibbs level ``|a>``
+    with ``g_a > 0``, in that order; the other axes are system out, probe out, system in.
+    """
+    d_s, d_a = scheme.dim_system, scheme.dim_probe
     evals, vecs = np.linalg.eigh(scheme.probe_state.matrix)
-    weights = np.clip(evals, 0.0, None)
-    return weights, vecs
+    kept = evals > 0.0
+    probe_in = vecs[:, kept] * np.sqrt(evals[kept])
+    t = scheme.interaction.kraus.reshape(-1, d_s, d_a, d_s, d_a)
+    return np.einsum("mibjc,ca->maibj", t, probe_in).reshape(-1, d_s, d_a, d_s)
+
+
+def _pruned(ks: np.ndarray, prune_tol: float) -> np.ndarray:
+    return ks[np.linalg.norm(ks, axis=(1, 2)) > prune_tol]
 
 
 def induced_instrument(
@@ -199,35 +211,22 @@ def induced_instrument(
 ) -> Instrument:
     """Instrument the scheme implements: ``I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)]``.
 
-    Realized in Kraus form from the square roots of the pointer effects,
-    the Kraus operators of the interaction, and the eigendecomposition of
-    the probe Gibbs state. The Kraus decomposition is not unique; only the
-    action is the contract.
+    Realized in Kraus form by applying the square roots of the pointer
+    effects to the probe output leg of the dilation; Kraus operators are
+    ordered by interaction Kraus operator, probe level and probe output.
+    The Kraus decomposition is not unique; only the action is the contract.
     """
-    d_s, d_a = scheme.dim_system, scheme.dim_probe
-    weights, vecs = _probe_spectral(scheme)
+    d_s = scheme.dim_system
+    dilation = _dilation(scheme)
     kraus_sets = []
     for label, z in zip(scheme.pointer.outcomes, scheme.pointer.effects):
         try:
             sqrt_z = psd_sqrt(z, tol)
         except ValidationError as exc:
             raise ValidationError(f"pointer effect {label!r}: {exc}") from exc
-        ops = []
-        for m in scheme.interaction.kraus:
-            t = m.reshape(d_s, d_a, d_s, d_a)
-            for a, g in enumerate(weights):
-                if g <= 0.0:
-                    continue
-                # right = (1 (x) <.|) E-Kraus (1 (x) |a>), still carrying the probe output leg
-                right = np.einsum("ibjc,c->ibj", t, vecs[:, a])
-                lifted = np.sqrt(g) * np.einsum("pb,ibj->ipj", sqrt_z, right)
-                for b in range(d_a):
-                    k = lifted[:, b, :]
-                    if frobenius(k) > prune_tol:
-                        ops.append(k)
-        if not ops:
-            ops = [np.zeros((d_s, d_s), dtype=complex)]
-        kraus_sets.append(ops)
+        lifted = np.einsum("pb,kibj->kpij", sqrt_z, dilation).reshape(-1, d_s, d_s)
+        ops = _pruned(lifted, prune_tol)
+        kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
     return Instrument(scheme.pointer.outcomes, kraus_sets, tol)
 
 
@@ -236,22 +235,12 @@ def conjugate_channel(
 ) -> KrausChannel:
     """Channel describing the probe after the interaction: ``tr_S[E(rho (x) xi)]``.
 
-    Input dimension is the system's, output dimension the probe's.
+    Input dimension is the system's, output dimension the probe's. Kraus
+    operators are ordered by interaction Kraus operator, probe level and
+    system output.
     """
     d_s, d_a = scheme.dim_system, scheme.dim_probe
-    weights, vecs = _probe_spectral(scheme)
-    ops = []
-    for m in scheme.interaction.kraus:
-        t = m.reshape(d_s, d_a, d_s, d_a)
-        for a, g in enumerate(weights):
-            if g <= 0.0:
-                continue
-            right = np.sqrt(g) * np.einsum("ibjc,c->ibj", t, vecs[:, a])
-            for s in range(d_s):
-                k = right[s, :, :]
-                if frobenius(k) > prune_tol:
-                    ops.append(k)
-    return KrausChannel(ops, tol)
+    return KrausChannel(_pruned(_dilation(scheme).reshape(-1, d_a, d_s), prune_tol), tol)
 
 
 def swap_unitary(dim: int) -> np.ndarray:

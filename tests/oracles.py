@@ -1,6 +1,7 @@
 """Independent reference computations the library code must reproduce.
 
-These deliberately avoid the package's Kraus-dilation code paths: the
+These deliberately avoid the package's Kraus code paths: the joint state is
+evolved by an explicit sum over the interaction's Kraus operators, the
 instrument action is evaluated from its defining formula on the joint
 space, and the dilation relative entropy is evaluated on explicitly built
 block-diagonal matrices.
@@ -11,10 +12,15 @@ import numpy as np
 from thermomeas.linalg import as_matrix, partial_trace, relative_entropy
 
 
+def evolved_joint_state(scheme, rho):
+    """``E(rho (x) xi) = sum_M M (rho (x) xi) M†`` with plain matrix products."""
+    joint = np.kron(as_matrix(rho), scheme.probe_state.matrix)
+    return sum(m @ joint @ m.conj().T for m in scheme.interaction.kraus)
+
+
 def direct_instrument_action(scheme, rho):
     """Evaluate ``tr_probe[(1 (x) Z_x) E(rho (x) xi)]`` literally, per outcome."""
-    joint = np.kron(as_matrix(rho), scheme.probe_state.matrix)
-    evolved = scheme.interaction.apply(joint)
+    evolved = evolved_joint_state(scheme, rho)
     dims = (scheme.dim_system, scheme.dim_probe)
     outs = []
     for z in scheme.pointer.effects:
@@ -25,8 +31,7 @@ def direct_instrument_action(scheme, rho):
 
 def direct_probe_state(scheme, rho):
     """Evaluate ``tr_system[E(rho (x) xi)]`` literally."""
-    joint = np.kron(as_matrix(rho), scheme.probe_state.matrix)
-    evolved = scheme.interaction.apply(joint)
+    evolved = evolved_joint_state(scheme, rho)
     return partial_trace(evolved, (scheme.dim_system, scheme.dim_probe), "probe")
 
 

@@ -148,6 +148,23 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert "states.count" in json.loads(result.stderr)["error"]
 
+    @pytest.mark.parametrize(
+        "field,patch",
+        [
+            ("beta", {"beta": [1]}),
+            ("seed", {"seed": {}}),
+            ("tolerances.default", {"tolerances": {"default": None}}),
+            ("states.count", {"states": {"count": None}}),
+        ],
+    )
+    def test_wrong_typed_scalar_exits_two(self, tmp_path, field, patch):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, **patch)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"].startswith(f"{field}: expected a number")
+
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2
@@ -171,13 +188,14 @@ class TestSweepCommand:
         assert cli("sweep", str(path), "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_empty_axis_header_only(self, tmp_path):
+    def test_empty_axis_exits_two(self, tmp_path):
         sweep = dict(SWEEP, axis={"name": "beta", "values": []})
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         result = cli("sweep", str(path))
-        assert result.returncode == 0
-        assert result.stdout.count("\n") == 1
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "sweep grid" in json.loads(result.stderr)["error"]
 
     def test_sweep_input_error(self, tmp_path):
         path = tmp_path / "sweep.json"

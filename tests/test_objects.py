@@ -266,6 +266,29 @@ class TestInstrument:
         np.testing.assert_allclose(total, ins.total_channel().apply(rho), atol=1e-12)
 
 
+def held_arrays(value):
+    """Every array held by an object's attributes, inside tuples and lists too."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_arrays(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from held_arrays(item)
+
+
+def test_kraus_storage_is_read_only():
+    channel = amplitude_damping(0.3)
+    instrument = Instrument.luders(random_povm(2, 3, rng_from_seed(14)))
+    arrays = list(held_arrays([channel, instrument]))
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 1.0
+    assert len(arrays) == 1 + 3  # each Kraus set once: one stack, then one per outcome
+
+
 class TestChoi:
     def test_identity_operation_is_entangled_projector(self):
         choi = choi_of_operation([np.eye(2)])

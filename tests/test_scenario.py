@@ -6,6 +6,7 @@ import pytest
 from thermomeas.errors import ValidationError
 from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
+    MAX_GRID_SIZE,
     MAX_STATE_COUNT,
     decode_channel,
     decode_hamiltonian,
@@ -287,9 +288,10 @@ class TestRunSweep:
         assert seeds == list(range(1, 101))
         assert all(line.split(",")[-1] == "True" for line in lines[1:])
 
-    def test_empty_axis_yields_header_only(self):
-        sweep = {
-            "axis": {"name": "beta", "values": []},
+    @staticmethod
+    def swap_sweep(axis):
+        return {
+            "axis": axis,
             "scenario": {
                 "beta": 1.0,
                 "system_hamiltonian": [0.0, 1.0],
@@ -297,10 +299,19 @@ class TestRunSweep:
                 "checks": ["second_law"],
             },
         }
-        table, all_pass = run_sweep(sweep)
-        assert all_pass
-        assert table.count("\n") == 1
-        assert table.startswith("axis,axis_value,seed,beta,state,")
+
+    def test_empty_axis_is_refused(self):
+        for axis in ({"name": "beta", "values": []}, {"name": "seed", "range": [5, 1]}):
+            with pytest.raises(ValidationError, match="sweep grid must have 1 to .* points, got 0"):
+                run_sweep(self.swap_sweep(axis))
+
+    def test_grid_size_is_bounded(self):
+        # a range of 10**12 points is refused before any grid point is built
+        with pytest.raises(ValidationError, match=f"got {10**12}"):
+            run_sweep(self.swap_sweep({"name": "seed", "range": [1, 10**12]}))
+        too_many = {"name": "seed", "range": [1, MAX_GRID_SIZE + 1]}
+        with pytest.raises(ValidationError, match=f"got {MAX_GRID_SIZE + 1}"):
+            run_sweep(self.swap_sweep(too_many))
 
     def test_sweep_is_deterministic(self):
         sweep = {

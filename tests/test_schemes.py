@@ -1,7 +1,11 @@
 import math
 
+import typing
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import direct_instrument_action, direct_probe_state
 from thermomeas.errors import PreconditionError, ValidationError
@@ -9,6 +13,7 @@ from thermomeas.linalg import commutator_defect
 from thermomeas.objects import (
     KrausChannel,
     Observable,
+    State,
     gibbs_state,
     spectral_observable,
     time_evolution,
@@ -105,16 +110,22 @@ class TestInducedInstrument:
         for x, out in enumerate(ins.apply(rho)):
             assert np.linalg.norm(out - q[x] * rho.matrix) < 1e-12
 
-    @pytest.mark.parametrize("dim,seed", [(2, 7), (2, 8), (3, 21)])
-    def test_action_matches_direct_formula(self, dim, seed):
-        scheme = resonant_random_scheme(seed=seed, dim=dim)
-        ins = induced_instrument(scheme)
-        rng = rng_from_seed(seed + 1)
-        for _ in range(5):
-            rho = random_density_matrix(dim, rng)
-            direct = direct_instrument_action(scheme, rho)
-            for out, ref in zip(ins.apply(rho), direct):
-                assert np.linalg.norm(out - ref) < 1e-12
+    @given(
+        dims=st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)]),
+        log10_beta=st.floats(min_value=-2.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_action_matches_direct_formula(self, dims, log10_beta, seed):
+        d_s, d_a = dims
+        h_s, h_a = np.diag(np.arange(float(d_s))), np.diag(np.arange(float(d_a)))
+        scheme = random_free_scheme(h_s, h_a, 10.0**log10_beta, sharp_z(d_a), seed)
+        rho = random_density_matrix(d_s, rng_from_seed(seed + 1))
+        outputs = induced_instrument(scheme).apply(rho)
+        for out, ref in zip(outputs, direct_instrument_action(scheme, rho), strict=True):
+            assert np.linalg.norm(out - ref) < 1e-12
+        probe = conjugate_channel(scheme).apply(rho)
+        assert np.linalg.norm(probe - direct_probe_state(scheme, rho)) < 1e-12
 
     def test_gibbs_input_reproduces_gibbs(self):
         scheme = resonant_random_scheme(seed=3)
@@ -290,3 +301,8 @@ class TestEnergyMoments:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="match"):
             energy_moment_defect(swap_channel(2), H2, 1)
+
+
+def test_scheme_annotations_resolve():
+    hints = typing.get_type_hints(MeasurementScheme.probe_state.fget)
+    assert hints["return"] is State
