@@ -110,13 +110,24 @@ class TestInducedInstrument:
         for x, out in enumerate(ins.apply(rho)):
             assert np.linalg.norm(out - q[x] * rho.matrix) < 1e-12
 
+    @pytest.mark.parametrize("dim,seed", [(2, 7), (2, 8), (3, 21)])
+    def test_action_matches_direct_formula(self, dim, seed):
+        scheme = resonant_random_scheme(seed=seed, dim=dim)
+        ins = induced_instrument(scheme)
+        rng = rng_from_seed(seed + 1)
+        for _ in range(5):
+            rho = random_density_matrix(dim, rng)
+            direct = direct_instrument_action(scheme, rho)
+            for out, ref in zip(ins.apply(rho), direct, strict=True):
+                assert np.linalg.norm(out - ref) < 1e-12
+
     @given(
         dims=st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)]),
         log10_beta=st.floats(min_value=-2.0, max_value=2.0),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=25, deadline=None)
-    def test_action_matches_direct_formula(self, dims, log10_beta, seed):
+    def test_action_matches_direct_formula_unequal_dims(self, dims, log10_beta, seed):
         d_s, d_a = dims
         h_s, h_a = np.diag(np.arange(float(d_s))), np.diag(np.arange(float(d_a)))
         scheme = random_free_scheme(h_s, h_a, 10.0**log10_beta, sharp_z(d_a), seed)
