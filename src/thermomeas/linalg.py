@@ -47,6 +47,12 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def logsumexp(x: np.ndarray) -> float:
+    """``ln sum_i exp(x_i)``, shifted by the largest entry so nothing overflows."""
+    top = float(np.max(x))
+    return top + float(np.log(np.sum(np.exp(x - top))))
+
+
 def as_matrix(obj) -> np.ndarray:
     """Coerce ``obj`` to a complex 2-D array, unwrapping ``.matrix`` if present."""
     m = getattr(obj, "matrix", obj)

@@ -21,6 +21,7 @@ from .linalg import (
     density_matrix,
     eig_hermitian,
     frobenius,
+    logsumexp,
     psd_sqrt,
     require_hermitian,
 )
@@ -296,6 +297,21 @@ def gibbs_state(hamiltonian, beta: float, tol: float = VALIDATION_TOL) -> State:
     return State((vecs * weights) @ dag(vecs), tol)
 
 
+def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
+    """Log-weights ``ln tau_i = -beta E_i - ln Z`` and eigenvectors of ``H``, read-only.
+
+    ``ln Z`` is a log-sum-exp, so the weights stay finite for every finite
+    beta, however small the Gibbs populations of the excited levels.
+    """
+    h = require_hermitian(hamiltonian, name="hamiltonian")
+    evals, vecs = np.linalg.eigh(h)
+    log_weights = -beta * (evals - evals[0])
+    log_weights = log_weights - logsumexp(log_weights)
+    log_weights.flags.writeable = False
+    vecs.flags.writeable = False
+    return log_weights, vecs
+
+
 def time_evolution(hamiltonian, t: float) -> np.ndarray:
     """Unitary ``exp(-i t H)`` computed spectrally."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
@@ -337,6 +353,7 @@ class Instrument:
         self.outcomes = outcomes
         self.kraus_sets = stacks
         self.dim = dim
+        self._induced_observable = None
 
     @classmethod
     def luders(cls, observable: Observable, tol: float = VALIDATION_TOL) -> "Instrument":
@@ -362,10 +379,12 @@ class Instrument:
     def total_channel(self, tol: float = VALIDATION_TOL) -> KrausChannel:
         return KrausChannel(np.concatenate(self.kraus_sets), tol)
 
-    def induced_observable(self, tol: float = VALIDATION_TOL) -> Observable:
-        """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``."""
-        effects = [_gram(ks) for ks in self.kraus_sets]
-        return Observable(self.outcomes, effects, tol)
+    def induced_observable(self) -> Observable:
+        """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once."""
+        if self._induced_observable is None:
+            effects = [_gram(ks) for ks in self.kraus_sets]
+            self._induced_observable = Observable(self.outcomes, effects)
+        return self._induced_observable
 
     def superoperator(self, index: int) -> np.ndarray:
         """Matrix of one outcome's operation on row-major vectorized operators."""

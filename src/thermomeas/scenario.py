@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -28,14 +29,7 @@ from .errors import ValidationError
 from .linalg import eig_hermitian, frobenius, require_hermitian
 from .objects import Instrument, KrausChannel, Observable, State, gibbs_state
 from .sampling import random_density_matrix, rng_from_seed
-from .schemes import (
-    MeasurementScheme,
-    energy_moment_defects,
-    induced_instrument,
-    random_free_scheme,
-    trivial_scheme,
-    validate_free_scheme,
-)
+from .schemes import MeasurementScheme, random_free_scheme, trivial_scheme
 from .thermo import heat_absorbed, second_law_report, skew_information_chain
 from . import classify
 
@@ -106,10 +100,18 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def _number(value, cast, field: str):
-    """``cast(value)`` for a JSON scalar, refusing a value of the wrong type by name."""
+    """``cast(value)`` for a JSON number, ``cast`` being ``int`` or ``float``.
+
+    Refuses by name anything but a number (booleans and numeric strings
+    included) and, for an integer field, a value with a fractional part.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{field}: expected a number, got {value!r}")
+    if cast is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValidationError(f"{field}: expected an integer, got {value!r}")
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValidationError(f"{field}: expected a number, got {value!r}") from exc
 
 
@@ -167,22 +169,21 @@ class Scenario:
     tolerances: dict
     echo: dict
 
-    _instrument: Instrument = None
-
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
 
     @property
     def instrument(self) -> Instrument:
-        """Instrument under test: induced by the scheme, else Lueders of the observable."""
-        if self._instrument is None:
-            if self.scheme is not None:
-                self._instrument = induced_instrument(self.scheme)
-            elif self.observable is not None:
-                self._instrument = Instrument.luders(self.observable)
-            else:
-                raise ValidationError("scenario provides neither a scheme nor an observable")
-        return self._instrument
+        """Instrument under test: induced by the scheme, else Lueders of the observable.
+
+        The induced instrument is kept by the scheme; a Lueders instrument is
+        rebuilt on each access.
+        """
+        if self.scheme is not None:
+            return self.scheme.instrument
+        if self.observable is not None:
+            return Instrument.luders(self.observable)
+        raise ValidationError("scenario provides neither a scheme nor an observable")
 
     def observable_under_test(self) -> Observable:
         if self.observable is not None:
@@ -384,7 +385,7 @@ def _require_states(sc: Scenario, check: str):
 
 
 def _check_free_scheme(sc: Scenario) -> dict:
-    report = validate_free_scheme(sc.scheme, sc.tol_for("free_scheme"))
+    report = sc.scheme.freeness(sc.tol_for("free_scheme"))
     return {"name": "free_scheme", **report.to_dict()}
 
 
@@ -495,7 +496,7 @@ def _check_refine(sc: Scenario) -> dict:
 
 def _check_moments(sc: Scenario) -> dict:
     tol = sc.tol_for("moments")
-    defects = list(energy_moment_defects(sc.scheme))
+    defects = list(sc.scheme.freeness().energy_conservation_defects)
     joint_gibbs = np.kron(sc.scheme.system_gibbs().matrix, sc.scheme.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
     return {
@@ -511,9 +512,10 @@ def _check_skew_chain(sc: Scenario) -> dict:
     tol = sc.tol_for("skew_chain")
     _require_states(sc, "skew_chain")
 
+    instrument = sc.instrument
     rows = []
     for name, state in sc.states:
-        selective, convexity = skew_information_chain(sc.instrument, state, sc.system_hamiltonian)
+        selective, convexity = skew_information_chain(instrument, state, sc.system_hamiltonian)
         rows.append({"state": name, "selective_slack": selective, "convexity_slack": convexity})
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return {

@@ -16,7 +16,7 @@ standard way to obtain interesting instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,15 @@ from .linalg import (
     psd_sqrt,
     require_hermitian,
 )
-from .objects import Instrument, KrausChannel, Observable, State, gibbs_state, is_bistochastic
+from .objects import (
+    Instrument,
+    KrausChannel,
+    Observable,
+    State,
+    gibbs_log_weights,
+    gibbs_state,
+    is_bistochastic,
+)
 from .sampling import haar_unitary
 
 #: Kraus operators with Frobenius norm below this are dropped from dilations.
@@ -38,12 +46,21 @@ PRUNE_TOL = 1e-12
 #: Default tolerance for theorem-level (freeness) checks.
 FREENESS_TOL = 1e-8
 
+#: Energy conservation is checked for the moments ``k = 1..ENERGY_MOMENTS``.
+ENERGY_MOMENTS = 4
+
 
 class MeasurementScheme:
     """Tuple (system Hamiltonian, probe Hamiltonian, beta, interaction, pointer).
 
     The probe is prepared in ``gibbs_state(probe_hamiltonian, beta)``; there
     is deliberately no way to supply a different probe state.
+
+    A scheme is immutable: its attributes cannot be reassigned and its
+    Hamiltonians are read-only. What depends on the scheme alone (the Gibbs
+    states and log-weights, the freeness defects, the induced instrument and
+    the conjugate channel) is derived on first use, by the function that
+    defines it, and kept for every later use.
     """
 
     def __init__(
@@ -53,38 +70,75 @@ class MeasurementScheme:
         beta: float,
         interaction: KrausChannel,
         pointer: Observable,
-        tol: float = 1e-9,
     ):
-        self.system_hamiltonian = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-        self.probe_hamiltonian = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
+        h_s = require_hermitian(system_hamiltonian, name="system Hamiltonian")
+        h_a = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
         if not np.isfinite(beta) or beta <= 0:
             raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
-        self.beta = float(beta)
-        self.dim_system = self.system_hamiltonian.shape[0]
-        self.dim_probe = self.probe_hamiltonian.shape[0]
+        d_s, d_a = h_s.shape[0], h_a.shape[0]
         if interaction.dim_in != interaction.dim_out:
             raise ValidationError("interaction channel must be square")
-        if interaction.dim_in != self.dim_system * self.dim_probe:
+        if interaction.dim_in != d_s * d_a:
             raise ValidationError(
                 f"interaction acts on dimension {interaction.dim_in}, expected "
-                f"{self.dim_system} * {self.dim_probe} = {self.dim_system * self.dim_probe}"
+                f"{d_s} * {d_a} = {d_s * d_a}"
             )
-        if pointer.dim != self.dim_probe:
+        if pointer.dim != d_a:
             raise ValidationError(
-                f"pointer has dimension {pointer.dim}, expected probe dimension {self.dim_probe}"
+                f"pointer has dimension {pointer.dim}, expected probe dimension {d_a}"
             )
-        self.interaction = interaction
-        self.pointer = pointer
-        self._probe_state = None
+        h_s.flags.writeable = False
+        h_a.flags.writeable = False
+        vars(self).update(
+            system_hamiltonian=h_s,
+            probe_hamiltonian=h_a,
+            beta=float(beta),
+            dim_system=d_s,
+            dim_probe=d_a,
+            interaction=interaction,
+            pointer=pointer,
+            _derived={},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MeasurementScheme is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MeasurementScheme is immutable: cannot delete {name!r}")
+
+    def _once(self, key: str, derive, *args):
+        """``derive(*args)`` on the first call for ``key``, the stored result after."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = derive(*args)
+        return derived[key]
 
     @property
     def probe_state(self) -> State:
-        if self._probe_state is None:
-            self._probe_state = gibbs_state(self.probe_hamiltonian, self.beta)
-        return self._probe_state
+        return self._once("probe_state", gibbs_state, self.probe_hamiltonian, self.beta)
 
     def system_gibbs(self) -> State:
-        return gibbs_state(self.system_hamiltonian, self.beta)
+        return self._once("system_gibbs", gibbs_state, self.system_hamiltonian, self.beta)
+
+    @property
+    def gibbs_log_weights(self) -> tuple:
+        """``gibbs_log_weights(system_hamiltonian, beta)``: log-weights and eigenvectors."""
+        h, beta = self.system_hamiltonian, self.beta
+        return self._once("gibbs_log_weights", gibbs_log_weights, h, beta)
+
+    def freeness(self, tol: float = FREENESS_TOL) -> FreeSchemeReport:
+        """The :func:`validate_free_scheme` report at ``tol``; its defects are derived once."""
+        return replace(self._once("freeness", validate_free_scheme, self), tol=tol)
+
+    @property
+    def instrument(self) -> Instrument:
+        """The :func:`induced_instrument` of the scheme."""
+        return self._once("instrument", induced_instrument, self)
+
+    @property
+    def conjugate(self) -> KrausChannel:
+        """The :func:`conjugate_channel` of the scheme."""
+        return self._once("conjugate", conjugate_channel, self)
 
     def total_hamiltonian(self) -> np.ndarray:
         return np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
@@ -104,7 +158,7 @@ class FreeSchemeReport:
 
     ``gibbs_probe_ok`` is always true (the probe state is Gibbs by
     construction) and is recorded for completeness. Energy-conservation
-    defects are indexed by moment ``k = 1..max_moment``; moments beyond the
+    defects are indexed by moment ``k = 1..ENERGY_MOMENTS``; moments beyond the
     first must vanish automatically once bistochasticity and first-moment
     conservation hold.
     """
@@ -155,27 +209,21 @@ def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     return frobenius(channel.apply_dual(hk) - hk)
 
 
-def energy_moment_defects(scheme: MeasurementScheme, max_moment: int = 4) -> tuple:
-    """Energy-moment defects of the interaction for ``k = 1..max_moment``."""
-    h_total = scheme.total_hamiltonian()
-    return tuple(
-        energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, max_moment + 1)
-    )
-
-
-def validate_free_scheme(
-    scheme: MeasurementScheme, tol: float = FREENESS_TOL, max_moment: int = 4
-) -> FreeSchemeReport:
+def validate_free_scheme(scheme: MeasurementScheme, tol: float = FREENESS_TOL) -> FreeSchemeReport:
     """Measure how far a scheme is from being thermodynamically free.
 
     Probe thermality holds by construction, so three defects remain:
     bistochasticity of the interaction, conservation of the total additive
     Hamiltonian (checked in the Heisenberg picture for moments
-    ``k = 1..max_moment``), and the Yanase defect, the worst commutator of
-    a pointer effect with the probe Hamiltonian.
+    ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
+    of a pointer effect with the probe Hamiltonian. The defects do not
+    depend on ``tol``, which only sets the verdict.
     """
     bist = is_bistochastic(scheme.interaction, tol)
-    moment_defects = energy_moment_defects(scheme, max_moment)
+    h_total = scheme.total_hamiltonian()
+    moment_defects = tuple(
+        energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, ENERGY_MOMENTS + 1)
+    )
     yanase = max(
         commutator_defect(z, scheme.probe_hamiltonian) for z in scheme.pointer.effects
     )
@@ -202,13 +250,11 @@ def _dilation(scheme: MeasurementScheme) -> np.ndarray:
     return np.einsum("mibjc,ca->maibj", t, probe_in).reshape(-1, d_s, d_a, d_s)
 
 
-def _pruned(ks: np.ndarray, prune_tol: float) -> np.ndarray:
-    return ks[np.linalg.norm(ks, axis=(1, 2)) > prune_tol]
+def _pruned(ks: np.ndarray) -> np.ndarray:
+    return ks[np.linalg.norm(ks, axis=(1, 2)) > PRUNE_TOL]
 
 
-def induced_instrument(
-    scheme: MeasurementScheme, tol: float = 1e-9, prune_tol: float = PRUNE_TOL
-) -> Instrument:
+def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     """Instrument the scheme implements: ``I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)]``.
 
     Realized in Kraus form by applying the square roots of the pointer
@@ -221,18 +267,16 @@ def induced_instrument(
     kraus_sets = []
     for label, z in zip(scheme.pointer.outcomes, scheme.pointer.effects):
         try:
-            sqrt_z = psd_sqrt(z, tol)
+            sqrt_z = psd_sqrt(z)
         except ValidationError as exc:
             raise ValidationError(f"pointer effect {label!r}: {exc}") from exc
         lifted = np.einsum("pb,kibj->kpij", sqrt_z, dilation).reshape(-1, d_s, d_s)
-        ops = _pruned(lifted, prune_tol)
+        ops = _pruned(lifted)
         kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
-    return Instrument(scheme.pointer.outcomes, kraus_sets, tol)
+    return Instrument(scheme.pointer.outcomes, kraus_sets)
 
 
-def conjugate_channel(
-    scheme: MeasurementScheme, tol: float = 1e-9, prune_tol: float = PRUNE_TOL
-) -> KrausChannel:
+def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     """Channel describing the probe after the interaction: ``tr_S[E(rho (x) xi)]``.
 
     Input dimension is the system's, output dimension the probe's. Kraus
@@ -240,7 +284,7 @@ def conjugate_channel(
     system output.
     """
     d_s, d_a = scheme.dim_system, scheme.dim_probe
-    return KrausChannel(_pruned(_dilation(scheme).reshape(-1, d_a, d_s), prune_tol), tol)
+    return KrausChannel(_pruned(_dilation(scheme).reshape(-1, d_a, d_s)))
 
 
 def swap_unitary(dim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ defined for outcomes that actually occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,13 @@ from .linalg import (
     dag,
     density_matrix,
     frobenius,
+    logsumexp,
     psd_sqrt,
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument
-from .schemes import (
-    FREENESS_TOL,
-    MeasurementScheme,
-    conjugate_channel,
-    induced_instrument,
-    validate_free_scheme,
-)
+from .objects import Instrument, gibbs_log_weights
+from .schemes import FREENESS_TOL, MeasurementScheme
 
 #: Outcomes with probability at or below this contribute nothing to conditional sums.
 PROBABILITY_CUTOFF = 1e-12
@@ -117,23 +112,6 @@ def _validate_beta(beta: float) -> float:
     return float(beta)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    top = float(np.max(x))
-    return top + float(np.log(np.sum(np.exp(x - top))))
-
-
-def _gibbs_log_weights(hamiltonian, beta: float):
-    """Eigenvectors of ``H`` and the log-weights ``ln tau_i = -beta E_i - ln Z``.
-
-    ``ln Z`` is a log-sum-exp, so the weights stay finite for every finite
-    beta, however small the Gibbs populations of the excited levels.
-    """
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    evals, vecs = np.linalg.eigh(h)
-    log_weights = -beta * (evals - evals[0])
-    return log_weights - _logsumexp(log_weights), vecs
-
-
 def _diagonal(m, vecs) -> np.ndarray:
     """Diagonal ``<i|M|i>`` of an operator in the eigenbasis ``vecs`` of ``H``."""
     return np.einsum("ia,ij,ja->a", vecs.conj(), m, vecs).real
@@ -168,7 +146,7 @@ def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     """
     beta = _validate_beta(beta)
     r = density_matrix(rho)
-    gibbs = _gibbs_log_weights(system_hamiltonian, beta)
+    gibbs = gibbs_log_weights(system_hamiltonian, beta)
     return _divergence_to_gibbs(r, von_neumann_entropy(r, validate=False), gibbs) / beta
 
 
@@ -183,7 +161,7 @@ def average_extractable_work(instrument: Instrument, rho, system_hamiltonian, be
     """Mean post-measurement extractable work under outcome-conditioned feedback."""
     beta = _validate_beta(beta)
     terms = _conditional_terms(instrument, density_matrix(rho))
-    return _average_work(terms, _gibbs_log_weights(system_hamiltonian, beta), beta)
+    return _average_work(terms, gibbs_log_weights(system_hamiltonian, beta), beta)
 
 
 def _outcome_divergence(observable, rho, gibbs) -> float:
@@ -200,7 +178,7 @@ def _outcome_divergence(observable, rho, gibbs) -> float:
                 f"outcome {label!r} has zero Gibbs probability but p = {px:.3e}; "
                 "effects must be zero operators to be skipped"
             )
-        log_q = _logsumexp(np.log(diagonal[support]) + log_weights[support])
+        log_q = logsumexp(np.log(diagonal[support]) + log_weights[support])
         total += px * (np.log(px) - log_q)
     return float(total)
 
@@ -214,7 +192,7 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     finite at low temperature.
     """
     beta = _validate_beta(beta)
-    return _outcome_divergence(observable, rho, _gibbs_log_weights(system_hamiltonian, beta))
+    return _outcome_divergence(observable, rho, gibbs_log_weights(system_hamiltonian, beta))
 
 
 def _gain(entropy: float, terms: list) -> float:
@@ -233,7 +211,7 @@ def groenewold_gain(instrument: Instrument, rho) -> float:
 def _probe_side_heat(scheme: MeasurementScheme, r) -> float:
     """Decrease of the probe's expected energy when the scheme acts on ``r``."""
     xi = scheme.probe_state.matrix
-    probe_after = conjugate_channel(scheme).apply(r)
+    probe_after = scheme.conjugate.apply(r)
     return float(np.trace(scheme.probe_hamiltonian @ (xi - probe_after)).real)
 
 
@@ -251,7 +229,7 @@ def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
     """
     r = density_matrix(rho)
     heat = _probe_side_heat(scheme, r)
-    system_side = _system_side_heat(induced_instrument(scheme), scheme.system_hamiltonian, r)
+    system_side = _system_side_heat(scheme.instrument, scheme.system_hamiltonian, r)
     return HeatReport(heat=heat, duality_defect=abs(heat - system_side))
 
 
@@ -301,14 +279,19 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     beta = _validate_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
     r = density_matrix(rho)
-    gibbs = _gibbs_log_weights(h, beta)
+    heat = _system_side_heat(instrument, h, r)
+    return _work(instrument, r, beta, gibbs_log_weights(h, beta), heat)
+
+
+def _work(instrument: Instrument, r, beta: float, gibbs, heat: float) -> WorkReport:
+    """Work accounting of a validated state ``r``, given the Gibbs log-weights and the heat."""
     entropy = von_neumann_entropy(r, validate=False)
     terms = _conditional_terms(instrument, r)
     return WorkReport(
         extractable_work=_divergence_to_gibbs(r, entropy, gibbs) / beta,
         average_extractable_work=_average_work(terms, gibbs, beta),
         outcome_divergence=_outcome_divergence(instrument.induced_observable(), r, gibbs),
-        heat=_system_side_heat(instrument, h, r),
+        heat=heat,
         groenewold_gain=_gain(entropy, terms),
         beta=beta,
     )
@@ -325,16 +308,15 @@ def second_law_report(
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
-    freeness = validate_free_scheme(scheme, tol)
+    freeness = scheme.freeness(tol)
     if not freeness.verdict:
         raise PreconditionError(
             f"scheme is not thermodynamically free: worst defect "
             f"{freeness.worst_defect:.3e} > {tol:.1e}"
         )
     r = density_matrix(rho)
-    work = work_report(induced_instrument(scheme), r, scheme.system_hamiltonian, scheme.beta)
-    work = replace(work, heat=_probe_side_heat(scheme, r))
-    beta = work.beta
+    beta = scheme.beta
+    work = _work(scheme.instrument, r, beta, scheme.gibbs_log_weights, _probe_side_heat(scheme, r))
     w, avg_w = work.extractable_work, work.average_extractable_work
     divergence, heat, gain = work.outcome_divergence, work.heat, work.groenewold_gain
     law = SecondLawReport(

@@ -165,6 +165,23 @@ class TestCheckCommand:
         assert result.stdout == ""
         assert json.loads(result.stderr)["error"].startswith(f"{field}: expected a number")
 
+    @pytest.mark.parametrize(
+        "field,patch",
+        [
+            ("states.count", {"states": {"count": 2.7}}),
+            ("seed", {"seed": 3.9}),
+            ("beta", {"beta": True}),
+            ("beta", {"beta": "2.5"}),
+        ],
+    )
+    def test_inexact_scalar_exits_two(self, tmp_path, field, patch):
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, **patch)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"].startswith(f"{field}: expected a")
+
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from thermomeas import schemes
 from thermomeas.errors import ValidationError
 from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
@@ -230,6 +231,34 @@ class TestRunScenario:
         )
         report = run_scenario(raw)
         assert report.verdict
+
+    def test_scheme_objects_are_derived_once(self, monkeypatch):
+        counts = {"dilation": 0, "moment": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(schemes, "_dilation", counted("dilation", schemes._dilation))
+        monkeypatch.setattr(
+            schemes, "energy_moment_defect", counted("moment", schemes.energy_moment_defect)
+        )
+        raw = random_block_scenario(
+            ["free_scheme", "second_law", "moments", "skew_chain", "heat_duality"]
+        )
+        raw.update(system_hamiltonian=[0.0, 1.0, 2.0], probe_hamiltonian=[0.0, 1.0, 2.0])
+        raw["scheme"]["pointer"] = {
+            "outcomes": ["low", "high"],
+            "effects": [np.diag([1.0, 0.0, 0.0]).tolist(), np.diag([0.0, 1.0, 1.0]).tolist()],
+        }
+        report = run_scenario(raw)
+        assert report.verdict
+        assert report.checks[1]["n_states"] == 20
+        # one dilation for the instrument, one for the conjugate channel
+        assert counts == {"dilation": 2, "moment": 4}
 
     def test_prop2_precondition_is_input_error(self):
         raw = {

@@ -34,6 +34,7 @@ from thermomeas.schemes import (
     trivial_scheme,
     validate_free_scheme,
 )
+from thermomeas.thermo import heat_absorbed, second_law_report
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
 H3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -54,6 +55,37 @@ def amplitude_damping_times_identity(gamma=0.3):
 def resonant_random_scheme(seed=7, beta=1.0, mixture_size=3, dim=2):
     h = np.diag(np.arange(float(dim))).astype(complex)
     return random_free_scheme(h, h, beta, sharp_z(dim), seed, mixture_size)
+
+
+SPECTRA = {
+    "resonant": lambda d: np.arange(float(d)),
+    "degenerate": lambda d: np.repeat([0.0, 1.0], [d // 2, d - d // 2]),
+    "non_resonant": lambda d: np.sqrt(np.arange(d) + 2.0) - math.sqrt(2.0),
+}
+
+
+@st.composite
+def scheme_inputs(draw):
+    """Arguments of :func:`build_scheme`: unequal dimensions, spectra, rotation, beta, seed."""
+    return (
+        *draw(st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)])),
+        draw(st.sampled_from(sorted(SPECTRA))),
+        draw(st.sampled_from(sorted(SPECTRA))),
+        draw(st.booleans()),
+        10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)),
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+
+
+def build_scheme(d_s, d_a, spectrum_s, spectrum_a, rotate, beta, seed):
+    """A random free scheme; ``rotate`` turns both Hamiltonians to a Haar-random basis."""
+    rng = rng_from_seed(seed)
+    hamiltonians = []
+    for d, spectrum in ((d_s, spectrum_s), (d_a, spectrum_a)):
+        u = haar_unitary(d, rng) if rotate else np.eye(d)
+        hamiltonians.append((u * SPECTRA[spectrum](d)) @ u.conj().T)
+    h_s, h_a = hamiltonians
+    return random_free_scheme(h_s, h_a, beta, spectral_observable(h_a), seed)
 
 
 class TestValidateFreeScheme:
@@ -121,21 +153,15 @@ class TestInducedInstrument:
             for out, ref in zip(ins.apply(rho), direct, strict=True):
                 assert np.linalg.norm(out - ref) < 1e-12
 
-    @given(
-        dims=st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)]),
-        log10_beta=st.floats(min_value=-2.0, max_value=2.0),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
+    @given(inputs=scheme_inputs())
     @settings(max_examples=25, deadline=None)
-    def test_action_matches_direct_formula_unequal_dims(self, dims, log10_beta, seed):
-        d_s, d_a = dims
-        h_s, h_a = np.diag(np.arange(float(d_s))), np.diag(np.arange(float(d_a)))
-        scheme = random_free_scheme(h_s, h_a, 10.0**log10_beta, sharp_z(d_a), seed)
-        rho = random_density_matrix(d_s, rng_from_seed(seed + 1))
-        outputs = induced_instrument(scheme).apply(rho)
+    def test_action_matches_direct_formula_unequal_dims(self, inputs):
+        scheme = build_scheme(*inputs)
+        rho = random_density_matrix(scheme.dim_system, rng_from_seed(inputs[-1] + 1))
+        outputs = scheme.instrument.apply(rho)
         for out, ref in zip(outputs, direct_instrument_action(scheme, rho), strict=True):
             assert np.linalg.norm(out - ref) < 1e-12
-        probe = conjugate_channel(scheme).apply(rho)
+        probe = scheme.conjugate.apply(rho)
         assert np.linalg.norm(probe - direct_probe_state(scheme, rho)) < 1e-12
 
     def test_gibbs_input_reproduces_gibbs(self):
@@ -317,3 +343,48 @@ class TestEnergyMoments:
 def test_scheme_annotations_resolve():
     hints = typing.get_type_hints(MeasurementScheme.probe_state.fget)
     assert hints["return"] is State
+
+
+class TestCompiledScheme:
+    def test_attributes_cannot_be_reassigned(self):
+        scheme = resonant_random_scheme()
+        for name in ("interaction", "pointer", "beta", "system_hamiltonian", "probe_hamiltonian"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(scheme, name, getattr(scheme, name))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(scheme, name)
+
+    def test_hamiltonians_are_read_only(self):
+        h = H2.copy()
+        scheme = MeasurementScheme(h, h, 1.0, swap_channel(2), sharp_z())
+        for m in (scheme.system_hamiltonian, scheme.probe_hamiltonian):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 5.0
+        h[1, 1] = 5.0  # the caller's array is not the scheme's
+        assert scheme.system_hamiltonian[1, 1] == 1.0
+        assert h.flags.writeable
+
+    def test_derived_objects_are_kept(self):
+        scheme = resonant_random_scheme()
+        assert scheme.instrument is scheme.instrument
+        assert scheme.conjugate is scheme.conjugate
+        assert scheme.system_gibbs() is scheme.system_gibbs()
+        assert scheme.freeness(1e-3).tol == 1e-3
+        assert scheme.freeness(1e-3).energy_conservation_defects == (
+            validate_free_scheme(scheme).energy_conservation_defects
+        )
+        ins = scheme.instrument
+        assert ins.induced_observable() is ins.induced_observable()
+
+    @given(inputs=scheme_inputs())
+    @settings(max_examples=25, deadline=None)
+    def test_warm_scheme_reports_what_a_fresh_one_does(self, inputs):
+        warm = build_scheme(*inputs)
+        rng = rng_from_seed(inputs[-1] + 1)
+        earlier, rho = (random_density_matrix(warm.dim_system, rng) for _ in range(2))
+        second_law_report(warm, earlier)
+        heat_absorbed(warm, earlier)
+        law, work = second_law_report(warm, rho)
+        assert (law, work) == second_law_report(build_scheme(*inputs), rho)
+        assert heat_absorbed(warm, rho) == heat_absorbed(build_scheme(*inputs), rho)
+        assert law.verdict
