@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .linalg import (
+    PROBABILITY_CUTOFF,
+    SUPPORT_TOL,
+    THEOREM_TOL,
+    VALIDATION_TOL,
     commutator_defect,
     dag,
     eig_hermitian,
@@ -33,9 +37,6 @@ from .objects import (
     time_evolution,
 )
 from .sampling import random_density_matrix, rng_from_seed
-
-#: Default tolerance for classifier verdicts.
-CLASSIFIER_TOL = 1e-8
 
 #: Times at which covariance is cross-checked directly.
 COVARIANCE_SAMPLE_TIMES = (0.37, 1.0, 2.5)
@@ -71,7 +72,7 @@ def _verdict(name, defect, tol, witness=None) -> ClassifierVerdict:
 
 
 def is_thermal_observable(
-    observable: Observable, system_hamiltonian, tol: float = CLASSIFIER_TOL
+    observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> ClassifierVerdict:
     """Observable thermality test: commutation of every effect with the Hamiltonian.
 
@@ -103,10 +104,7 @@ def derivation_superoperator(hamiltonian) -> np.ndarray:
 
 
 def is_covariant_instrument(
-    instrument: Instrument,
-    system_hamiltonian,
-    tol: float = CLASSIFIER_TOL,
-    sample_times=COVARIANCE_SAMPLE_TIMES,
+    instrument: Instrument, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> ClassifierVerdict:
     """Time-translation covariance of every operation of an instrument.
 
@@ -130,7 +128,7 @@ def is_covariant_instrument(
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
     probes = [random_density_matrix(instrument.dim, rng).matrix for _ in range(3)]
     sampled = 0.0
-    for t in sample_times:
+    for t in COVARIANCE_SAMPLE_TIMES:
         u = time_evolution(h, t)
         for r in probes:
             rotated = instrument.apply(u @ r @ dag(u))
@@ -144,13 +142,13 @@ def is_covariant_instrument(
         witness={
             "worst_outcome": instrument.outcomes[worst],
             "sampled_time_defect": float(sampled),
-            "sample_times": list(sample_times),
+            "sample_times": list(COVARIANCE_SAMPLE_TIMES),
         },
     )
 
 
 def is_gibbs_preserving(
-    instrument: Instrument, system_hamiltonian, beta: float, tol: float = CLASSIFIER_TOL
+    instrument: Instrument, system_hamiltonian, beta: float, tol: float = THEOREM_TOL
 ) -> ClassifierVerdict:
     """Check ``I_x(tau) = tr[E_x tau] tau`` for every outcome.
 
@@ -171,7 +169,7 @@ def is_gibbs_preserving(
     )
 
 
-def is_nuclear(instrument: Instrument, tol: float = CLASSIFIER_TOL) -> ClassifierVerdict:
+def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVerdict:
     """Test whether every operation factorizes as ``rho -> tr[E_x rho] sigma_x``.
 
     Checked in Choi form: the operation is nuclear exactly when its Choi
@@ -186,7 +184,7 @@ def is_nuclear(instrument: Instrument, tol: float = CLASSIFIER_TOL) -> Classifie
     sigmas = {}
     for label, ops, effect in zip(instrument.outcomes, instrument.kraus_sets, effects):
         weight = float(np.trace(effect).real)
-        if weight <= 1e-12:
+        if weight <= PROBABILITY_CUTOFF:
             continue  # null effects carry no constraint
         choi = choi_of_operation(ops)
         sigma = partial_trace(choi.matrix, (d, d), keep=0) / weight
@@ -203,7 +201,7 @@ def is_nuclear(instrument: Instrument, tol: float = CLASSIFIER_TOL) -> Classifie
 
 
 def check_prop2(
-    instrument: Instrument, system_hamiltonian, beta: float, tol: float = CLASSIFIER_TOL
+    instrument: Instrument, system_hamiltonian, beta: float, tol: float = THEOREM_TOL
 ) -> ClassifierVerdict:
     """Nuclear + Gibbs-preserving instruments must thermalise: ``sigma_x = tau``.
 
@@ -236,7 +234,7 @@ def check_prop2(
     )
 
 
-def is_quasi_complete(instrument: Instrument, tol: float = CLASSIFIER_TOL) -> ClassifierVerdict:
+def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVerdict:
     """Choi rank at most one per outcome: pure inputs give pure conditionals.
 
     The defect is the largest second Choi eigenvalue over outcomes, so
@@ -265,7 +263,7 @@ def is_quasi_complete(instrument: Instrument, tol: float = CLASSIFIER_TOL) -> Cl
 
 
 def joint_with_hamiltonian(
-    observable: Observable, system_hamiltonian, tol: float = CLASSIFIER_TOL
+    observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> Observable:
     """Joint observable of a thermal observable and the energy.
 
@@ -334,19 +332,19 @@ class PostProcessing:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.min() < -1e-9 or m.max() > 1 + 1e-9:
+        if m.min() < -VALIDATION_TOL or m.max() > 1 + VALIDATION_TOL:
             raise ValidationError(
                 f"post-processing entries must lie in [0, 1], got range "
                 f"[{m.min():.3e}, {m.max():.3e}]"
             )
         col_defect = float(np.abs(m.sum(axis=0) - 1.0).max())
-        if col_defect > 1e-9:
+        if col_defect > VALIDATION_TOL:
             raise ValidationError(f"post-processing columns must sum to 1, defect {col_defect:.3e}")
         object.__setattr__(self, "matrix", m)
 
 
 def post_processing_decomposition(
-    observable: Observable, system_hamiltonian, tol: float = CLASSIFIER_TOL
+    observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> PostProcessing:
     """Diagonal weights of a thermal observable over a nondegenerate spectrum.
 
@@ -391,11 +389,11 @@ def post_processing_decomposition(
     )
 
 
-def refine_to_rank_one(observable: Observable, tol: float = 1e-10):
+def refine_to_rank_one(observable: Observable):
     """Maximal refinement of an observable into rank-1 effects.
 
     Each effect is diagonalized and split into its rank-1 eigenvalue pieces
-    (eigenvalues at or below ``tol`` are dropped to avoid null effects).
+    (eigenvalues at or below ``SUPPORT_TOL`` are dropped to avoid null effects).
     Returns the refined observable, whose outcomes ``"y:i"`` enumerate the
     retained pieces in ascending eigenvalue order, together with the
     relabeling map back to the original outcomes; coarse-graining by that
@@ -408,7 +406,7 @@ def refine_to_rank_one(observable: Observable, tol: float = 1e-10):
         evals, vecs = np.linalg.eigh(e)
         kept = 0
         for lam, v in zip(evals, vecs.T):
-            if lam <= tol:
+            if lam <= SUPPORT_TOL:
                 continue
             label = f"{y}:{kept}"
             labels.append(label)

@@ -5,13 +5,20 @@ in :mod:`thermomeas.objects` are thin validated wrappers around them, and
 every function here also accepts such wrappers (anything with a ``.matrix``
 attribute). Logarithms are natural throughout, so entropies are in nats.
 
-Numerical conventions, applied consistently package-wide:
+Numerical conventions, applied consistently package-wide. Each numerical
+decision has one constant here, and the other modules import it:
 
-* Hermiticity defects below ``HERMITICITY_TOL`` are repaired by replacing
-  ``A`` with ``(A + A†)/2``; larger defects raise, they are never silently
-  repaired.
+* ``VALIDATION_TOL`` decides whether an object is valid. Hermiticity
+  defects up to it are repaired by replacing ``A`` with ``(A + A†)/2``;
+  larger defects raise, they are never silently repaired. Scenario input
+  overrides it for observables and Kraus channels (``tolerances.validation``).
+* ``THEOREM_TOL`` decides whether a theorem's defect counts as zero. The
+  classifiers, ``freeness`` and ``second_law_report`` take it as a ``tol``
+  argument, which scenario input sets (``tolerances.<check>``, ``--tol``).
+* ``SUPPORT_TOL`` decides support and rank: eigenvalues at or below it are
+  zero.
 * ``0 * ln 0 := 0`` in every entropy-like sum.
-* Eigenvalues closer than ``cluster_tol`` times the spectral range are
+* Eigenvalues closer than ``CLUSTER_TOL`` times the spectral range are
   treated as degenerate and merged into a single spectral projector.
 """
 
@@ -24,17 +31,20 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Hermiticity repair threshold: symmetrize below, raise above.
-HERMITICITY_TOL = 1e-9
+#: Object validation (states, effects, channels); also the Hermiticity repair threshold.
+VALIDATION_TOL = 1e-9
 
-#: Default relative eigenvalue-clustering tolerance for degeneracy detection.
-CLUSTER_TOL = 1e-8
+#: Theorem checks: a defect at or below this counts as zero.
+THEOREM_TOL = 1e-8
 
-#: Rank tolerance deciding support membership in the relative entropy.
+#: Support and rank: eigenvalues at or below this count as zero.
 SUPPORT_TOL = 1e-10
 
-#: Default tolerance for object validation (states, effects, channels).
-VALIDATION_TOL = 1e-9
+#: Outcomes with probability at or below this contribute nothing to conditional sums.
+PROBABILITY_CUTOFF = 1e-12
+
+#: Relative eigenvalue-clustering tolerance for degeneracy detection.
+CLUSTER_TOL = 1e-8
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -68,7 +78,7 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(obj, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(obj, tol: float = VALIDATION_TOL, name: str = "matrix") -> np.ndarray:
     """Return the symmetrization ``(A + A†)/2`` if the defect is below ``tol``.
 
     A defect above ``tol`` is an error, not something to repair silently,
@@ -83,6 +93,13 @@ def require_hermitian(obj, tol: float = HERMITICITY_TOL, name: str = "matrix") -
             f"{name} is not Hermitian: ||A - A^dag||_F = {defect:.3e} > {tol:.1e}"
         )
     return (m + dag(m)) / 2
+
+
+def require_beta(beta) -> float:
+    """``float(beta)`` for a positive, finite inverse temperature; anything else raises."""
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+    return float(beta)
 
 
 @dataclass(frozen=True)
@@ -110,10 +127,10 @@ class SpectralDecomposition:
         return sum(lam * p for lam, p in zip(self.eigenvalues, self.projectors))
 
 
-def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> list:
+def cluster_indices(values: np.ndarray) -> list:
     """Group sorted real values whose consecutive gaps fall below the threshold.
 
-    The absolute threshold is ``cluster_tol * max(spread, 1)``. Returns a
+    The absolute threshold is ``CLUSTER_TOL * max(spread, 1)``. Returns a
     list of index arrays, one per cluster, in ascending order.
     """
     values = np.asarray(values, dtype=float)
@@ -121,7 +138,7 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> lis
     if n == 0:
         return []
     spread = float(values[-1] - values[0])
-    thresh = cluster_tol * max(spread, 1.0)
+    thresh = CLUSTER_TOL * max(spread, 1.0)
     groups = [[0]]
     for i in range(1, n):
         if values[i] - values[i - 1] > thresh:
@@ -130,10 +147,10 @@ def cluster_indices(values: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> lis
     return [np.asarray(g, dtype=int) for g in groups]
 
 
-def eig_hermitian(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator, merging near-degenerate eigenvalues.
 
-    Each cluster of eigenvalues within ``cluster_tol`` (relative to the
+    Each cluster of eigenvalues within ``CLUSTER_TOL`` (relative to the
     spectral range) of each other yields one projector; the reported
     eigenvalue is the cluster mean.
     """
@@ -142,7 +159,7 @@ def eig_hermitian(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     projectors = []
     values = []
     mults = []
-    for idx in cluster_indices(evals, cluster_tol):
+    for idx in cluster_indices(evals):
         block = vecs[:, idx]
         projectors.append(block @ dag(block))
         values.append(float(np.mean(evals[idx])))
@@ -152,17 +169,18 @@ def eig_hermitian(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
     )
 
 
-def psd_sqrt(a, tol: float = VALIDATION_TOL) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Principal square root of a positive semidefinite operator.
 
-    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything more negative
-    raises.
+    Eigenvalues in ``[-VALIDATION_TOL, 0)`` are clipped to zero; anything
+    more negative raises.
     """
-    m = require_hermitian(a, max(tol, HERMITICITY_TOL))
+    m = require_hermitian(a)
     evals, vecs = np.linalg.eigh(m)
-    if evals[0] < -tol:
+    if evals[0] < -VALIDATION_TOL:
         raise ValidationError(
-            f"operator is not positive semidefinite: min eigenvalue {evals[0]:.3e} < -{tol:.1e}"
+            f"operator is not positive semidefinite: min eigenvalue {evals[0]:.3e} "
+            f"< -{VALIDATION_TOL:.1e}"
         )
     root = np.sqrt(np.clip(evals, 0.0, None))
     return (vecs * root) @ dag(vecs)
@@ -194,19 +212,23 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return np.einsum("iaib->ab", t)
 
 
-def density_matrix(obj, tol: float = VALIDATION_TOL) -> np.ndarray:
+def density_matrix(obj) -> np.ndarray:
     """Validate and return a density matrix (Hermitian, PSD, unit trace)."""
-    m = require_hermitian(obj, max(tol, HERMITICITY_TOL), name="state")
+    m = require_hermitian(obj, name="state")
     trace_defect = abs(np.trace(m).real - 1.0)
-    if trace_defect > tol:
-        raise ValidationError(f"state trace differs from 1 by {trace_defect:.3e} > {tol:.1e}")
+    if trace_defect > VALIDATION_TOL:
+        raise ValidationError(
+            f"state trace differs from 1 by {trace_defect:.3e} > {VALIDATION_TOL:.1e}"
+        )
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -tol:
-        raise ValidationError(f"state has negative eigenvalue {min_eig:.3e} < -{tol:.1e}")
+    if min_eig < -VALIDATION_TOL:
+        raise ValidationError(
+            f"state has negative eigenvalue {min_eig:.3e} < -{VALIDATION_TOL:.1e}"
+        )
     return m
 
 
-def von_neumann_entropy(rho, tol: float = VALIDATION_TOL, validate: bool = True) -> float:
+def von_neumann_entropy(rho, validate: bool = True) -> float:
     """``-tr[rho ln rho]`` in nats, with the 0 ln 0 := 0 convention.
 
     ``validate=False`` skips the density-matrix checks (negative eigenvalues
@@ -214,7 +236,7 @@ def von_neumann_entropy(rho, tol: float = VALIDATION_TOL, validate: bool = True)
     normalizing machine-generated instrument outputs.
     """
     if validate:
-        m = density_matrix(rho, tol)
+        m = density_matrix(rho)
     else:
         m = as_matrix(rho)
         m = (m + dag(m)) / 2
@@ -223,27 +245,15 @@ def von_neumann_entropy(rho, tol: float = VALIDATION_TOL, validate: bool = True)
     return max(float(-np.sum(pos * np.log(pos))), 0.0)
 
 
-def relative_entropy(
-    rho,
-    sigma,
-    tol: float = VALIDATION_TOL,
-    support_tol: float = SUPPORT_TOL,
-    validate: bool = True,
-) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy ``tr[rho (ln rho - ln sigma)]`` in nats.
 
     Computed on the numerical support of ``sigma`` (eigenvalues above
-    ``support_tol``). Returns ``math.inf`` when ``rho`` carries more than
-    ``support_tol`` of weight outside that support.
+    ``SUPPORT_TOL``). Returns ``math.inf`` when ``rho`` carries more than
+    ``SUPPORT_TOL`` of weight outside that support.
     """
-    if validate:
-        r = density_matrix(rho, tol)
-        s = density_matrix(sigma, tol)
-    else:
-        r = as_matrix(rho)
-        r = (r + dag(r)) / 2
-        s = as_matrix(sigma)
-        s = (s + dag(s)) / 2
+    r = density_matrix(rho)
+    s = density_matrix(sigma)
     if r.shape != s.shape:
         raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
     a, u = np.linalg.eigh(r)
@@ -251,9 +261,9 @@ def relative_entropy(
     a = np.clip(a, 0.0, None)
     # overlap[i, j] = |<u_i|v_j>|^2
     overlap = np.abs(dag(u) @ v) ** 2
-    on_support = b > support_tol
+    on_support = b > SUPPORT_TOL
     leaked = float(np.sum(a[:, None] * overlap[:, ~on_support]))
-    if leaked > support_tol:
+    if leaked > SUPPORT_TOL:
         return math.inf
     pos = a > 0.0
     entropy_term = float(np.sum(a[pos] * np.log(a[pos])))

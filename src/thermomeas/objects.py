@@ -2,8 +2,10 @@
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their defining invariants on entry, so downstream
-code can assume well-formed inputs. Default validation tolerance is 1e-9,
-overridable per call.
+code can assume well-formed inputs. Validation uses ``VALIDATION_TOL``;
+only ``Observable`` and ``KrausChannel`` take a ``tol``, which scenario
+input sets (``tolerances.validation``). Ranks and supports use
+``SUPPORT_TOL``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    SUPPORT_TOL,
     VALIDATION_TOL,
     as_matrix,
     dag,
@@ -23,12 +26,9 @@ from .linalg import (
     frobenius,
     logsumexp,
     psd_sqrt,
+    require_beta,
     require_hermitian,
 )
-
-
-#: Eigenvalue threshold below which an effect direction counts as null.
-SUPPORT_RANK_TOL = 1e-10
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -81,27 +81,23 @@ def _superoperator(ks: np.ndarray) -> np.ndarray:
 class State:
     """Density operator: Hermitian, positive semidefinite, unit trace."""
 
-    def __init__(self, matrix, tol: float = VALIDATION_TOL):
-        m = density_matrix(matrix, tol)
+    def __init__(self, matrix):
+        m = density_matrix(matrix)
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
-
-    def expectation(self, a) -> float:
-        """Real expectation value ``tr[A rho]`` of a Hermitian operator."""
-        return float(np.trace(as_matrix(a) @ self.matrix).real)
 
     def __repr__(self):
         return f"State(dim={self.dim})"
 
 
-def pure_state(vector, tol: float = VALIDATION_TOL) -> State:
+def pure_state(vector) -> State:
     """State |v><v| from a (not necessarily normalized) vector."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValidationError("cannot normalize the zero vector")
     v = v / norm
-    return State(np.outer(v, v.conj()), tol)
+    return State(np.outer(v, v.conj()))
 
 
 class Observable:
@@ -148,10 +144,6 @@ class Observable:
         self.effects = tuple(checked)
         self.dim = dim
 
-    @classmethod
-    def from_dict(cls, effects: dict, tol: float = VALIDATION_TOL) -> "Observable":
-        return cls(tuple(effects.keys()), tuple(effects.values()), tol)
-
     @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
@@ -173,8 +165,8 @@ class Observable:
                 worst = max(worst, frobenius(a @ b - target))
         return worst
 
-    def is_sharp(self, tol: float = VALIDATION_TOL) -> bool:
-        return self.sharpness_defect() <= tol
+    def is_sharp(self) -> bool:
+        return self.sharpness_defect() <= VALIDATION_TOL
 
     def triviality_defect(self) -> float:
         """Max distance of an effect from the span of the identity.
@@ -187,13 +179,13 @@ class Observable:
             frobenius(e - (np.trace(e).real / self.dim) * eye) for e in self.effects
         )
 
-    def is_trivial(self, tol: float = VALIDATION_TOL) -> bool:
-        return self.triviality_defect() <= tol
+    def is_trivial(self) -> bool:
+        return self.triviality_defect() <= VALIDATION_TOL
 
-    def is_rank_one(self, rank_tol: float = SUPPORT_RANK_TOL) -> bool:
+    def is_rank_one(self) -> bool:
         """True when every effect is a positive multiple of a rank-1 projection."""
         for e in self.effects:
-            if int(np.sum(np.linalg.eigvalsh(e) > rank_tol)) > 1:
+            if int(np.sum(np.linalg.eigvalsh(e) > SUPPORT_TOL)) > 1:
                 return False
         return True
 
@@ -275,7 +267,7 @@ class BistochasticReport:
         }
 
 
-def is_bistochastic(channel: KrausChannel, tol: float = VALIDATION_TOL) -> BistochasticReport:
+def is_bistochastic(channel: KrausChannel) -> BistochasticReport:
     """Check that a channel preserves both the trace and the identity."""
     if channel.dim_in != channel.dim_out:
         raise ValidationError("bistochasticity is defined for square channels only")
@@ -283,18 +275,17 @@ def is_bistochastic(channel: KrausChannel, tol: float = VALIDATION_TOL) -> Bisto
     ks = channel.kraus
     trace_defect = frobenius(_gram(ks) - eye)
     unital_defect = frobenius(_gram(ks.conj().transpose(0, 2, 1)) - eye)
-    return BistochasticReport(trace_defect, unital_defect, tol)
+    return BistochasticReport(trace_defect, unital_defect, VALIDATION_TOL)
 
 
-def gibbs_state(hamiltonian, beta: float, tol: float = VALIDATION_TOL) -> State:
+def gibbs_state(hamiltonian, beta: float) -> State:
     """Thermal state ``exp(-beta H) / tr[exp(-beta H)]``, computed spectrally."""
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+    beta = require_beta(beta)
     h = require_hermitian(hamiltonian, name="hamiltonian")
     evals, vecs = np.linalg.eigh(h)
     weights = np.exp(-beta * (evals - evals[0]))  # shift avoids overflow
     weights /= weights.sum()
-    return State((vecs * weights) @ dag(vecs), tol)
+    return State((vecs * weights) @ dag(vecs))
 
 
 def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
@@ -326,7 +317,7 @@ class Instrument:
     the stacks must form a trace-preserving channel (the total channel).
     """
 
-    def __init__(self, outcomes: Sequence[str], kraus_sets: Sequence, tol: float = VALIDATION_TOL):
+    def __init__(self, outcomes: Sequence[str], kraus_sets: Sequence):
         outcomes = tuple(str(x) for x in outcomes)
         if not outcomes:
             raise ValidationError("instrument needs at least one outcome")
@@ -345,10 +336,10 @@ class Instrument:
                     f"expected ({dim}, {dim})"
                 )
         tp_defect = frobenius(sum(_gram(ks) for ks in stacks) - np.eye(dim))
-        if tp_defect > tol:
+        if tp_defect > VALIDATION_TOL:
             raise ValidationError(
                 f"total channel is not trace preserving: ||sum K^dag K - 1||_F = "
-                f"{tp_defect:.3e} > {tol:.1e}"
+                f"{tp_defect:.3e} > {VALIDATION_TOL:.1e}"
             )
         self.outcomes = outcomes
         self.kraus_sets = stacks
@@ -356,13 +347,9 @@ class Instrument:
         self._induced_observable = None
 
     @classmethod
-    def luders(cls, observable: Observable, tol: float = VALIDATION_TOL) -> "Instrument":
+    def luders(cls, observable: Observable) -> "Instrument":
         """Lueders instrument of an observable: Kraus sets ``{sqrt(E_x)}``."""
-        return cls(
-            observable.outcomes,
-            [[psd_sqrt(e, tol)] for e in observable.effects],
-            tol,
-        )
+        return cls(observable.outcomes, [[psd_sqrt(e)] for e in observable.effects])
 
     @property
     def n_outcomes(self) -> int:
@@ -376,8 +363,8 @@ class Instrument:
     def probabilities(self, rho) -> np.ndarray:
         return np.array([float(np.trace(out).real) for out in self.apply(rho)])
 
-    def total_channel(self, tol: float = VALIDATION_TOL) -> KrausChannel:
-        return KrausChannel(np.concatenate(self.kraus_sets), tol)
+    def total_channel(self) -> KrausChannel:
+        return KrausChannel(np.concatenate(self.kraus_sets))
 
     def induced_observable(self) -> Observable:
         """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once."""
@@ -394,13 +381,12 @@ class Instrument:
         return f"Instrument(outcomes={list(self.outcomes)}, dim={self.dim})"
 
 
-def spectral_observable(hamiltonian, cluster_tol: float = None) -> Observable:
+def spectral_observable(hamiltonian) -> Observable:
     """Sharp observable of a Hermitian operator's spectral projectors.
 
     Outcomes are labeled ``"0", "1", ...`` in ascending eigenvalue order.
     """
-    kwargs = {} if cluster_tol is None else {"cluster_tol": cluster_tol}
-    decomp = eig_hermitian(hamiltonian, **kwargs)
+    decomp = eig_hermitian(hamiltonian)
     labels = [str(i) for i in range(len(decomp.projectors))]
     return Observable(labels, decomp.projectors)
 
@@ -414,14 +400,14 @@ class ChoiMatrix:
     entangled projector.
     """
 
-    def __init__(self, matrix, dim_out: int, dim_in: int, tol: float = VALIDATION_TOL):
-        m = require_hermitian(matrix, tol, name="Choi matrix")
+    def __init__(self, matrix, dim_out: int, dim_in: int):
+        m = require_hermitian(matrix, name="Choi matrix")
         if m.shape[0] != dim_out * dim_in:
             raise ValidationError(
                 f"Choi matrix has dimension {m.shape[0]}, expected {dim_out * dim_in}"
             )
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -tol:
+        if min_eig < -VALIDATION_TOL:
             raise ValidationError(
                 f"Choi matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}"
             )
@@ -429,21 +415,21 @@ class ChoiMatrix:
         self.dim_out = dim_out
         self.dim_in = dim_in
 
-    def rank(self, tol: float = 1e-8) -> int:
-        """Number of eigenvalues above ``tol``."""
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > tol))
+    def rank(self) -> int:
+        """Number of eigenvalues above ``SUPPORT_TOL``."""
+        return int(np.sum(np.linalg.eigvalsh(self.matrix) > SUPPORT_TOL))
 
-    def to_kraus(self, tol: float = 1e-12) -> list:
-        """Kraus operators from the Choi eigendecomposition."""
+    def to_kraus(self) -> list:
+        """Kraus operators from the Choi eigenvectors with eigenvalues above ``SUPPORT_TOL``."""
         evals, vecs = np.linalg.eigh(self.matrix)
-        keep = evals > tol
+        keep = evals > SUPPORT_TOL
         return list((vecs[:, keep] * np.sqrt(evals[keep])).T.reshape(-1, self.dim_out, self.dim_in))
 
     def __repr__(self):
         return f"ChoiMatrix(dims={self.dim_out}x{self.dim_in})"
 
 
-def choi_of_operation(kraus: Sequence, tol: float = VALIDATION_TOL) -> ChoiMatrix:
+def choi_of_operation(kraus: Sequence) -> ChoiMatrix:
     """Choi matrix of the CP operation with the given Kraus operators.
 
     Row-major flattening of a Kraus operator is exactly its image of the
@@ -452,8 +438,8 @@ def choi_of_operation(kraus: Sequence, tol: float = VALIDATION_TOL) -> ChoiMatri
     """
     ks = _kraus_stack(kraus)
     vecs = ks.reshape(len(ks), -1)
-    return ChoiMatrix(vecs.T @ vecs.conj(), *ks.shape[1:], tol)
+    return ChoiMatrix(vecs.T @ vecs.conj(), *ks.shape[1:])
 
 
-def choi_rank(choi: ChoiMatrix, tol: float = 1e-8) -> int:
-    return choi.rank(tol)
+def choi_rank(choi: ChoiMatrix) -> int:
+    return choi.rank()

@@ -29,14 +29,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = ginibre(dim, dim, rng)
-    return scale * (g + dag(g)) / 2
+    return (g + dag(g)) / 2
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int = None) -> State:
-    """Full-rank (default) random state from the Ginibre ensemble."""
-    g = ginibre(dim, rank or dim, rng)
+def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
+    """Full-rank random state from the Ginibre ensemble."""
+    g = ginibre(dim, dim, rng)
     m = g @ dag(g)
     return State(m / np.trace(m).real)
 
@@ -61,9 +61,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Observab
     return Observable(labels, effects)
 
 
-def random_commuting_povm(
-    hamiltonian, n_outcomes: int, rng: np.random.Generator, cluster_tol: float = 1e-8
-) -> Observable:
+def random_commuting_povm(hamiltonian, n_outcomes: int, rng: np.random.Generator) -> Observable:
     """POVM commuting with a Hamiltonian: random post-processing of its spectral measure.
 
     For each (clustered) energy level a probability vector over outcomes is
@@ -71,7 +69,7 @@ def random_commuting_povm(
     """
     h = np.asarray(hamiltonian, dtype=complex)
     evals, vecs = np.linalg.eigh((h + dag(h)) / 2)
-    groups = cluster_indices(evals, cluster_tol)
+    groups = cluster_indices(evals)
     projectors = [vecs[:, idx] @ dag(vecs[:, idx]) for idx in groups]
     dim = h.shape[0]
     effects = [np.zeros((dim, dim), dtype=complex) for _ in range(n_outcomes)]
@@ -83,8 +81,6 @@ def random_commuting_povm(
     return Observable(labels, effects)
 
 
-def random_diagonal_hamiltonian(
-    dim: int, rng: np.random.Generator, spread: float = 2.0
-) -> np.ndarray:
-    """Diagonal Hamiltonian with ascending energies drawn uniformly in [0, spread]."""
-    return np.diag(np.sort(rng.uniform(0.0, spread, size=dim)).astype(complex))
+def random_diagonal_hamiltonian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Diagonal Hamiltonian with ascending energies drawn uniformly in [0, 2]."""
+    return np.diag(np.sort(rng.uniform(0.0, 2.0, size=dim)).astype(complex))

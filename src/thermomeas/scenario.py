@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .linalg import eig_hermitian, frobenius, require_hermitian
+from .linalg import THEOREM_TOL, VALIDATION_TOL, eig_hermitian, frobenius, require_hermitian
 from .objects import Instrument, KrausChannel, Observable, State, gibbs_state
 from .sampling import random_density_matrix, rng_from_seed
 from .schemes import MeasurementScheme, random_free_scheme, trivial_scheme
@@ -34,9 +34,6 @@ from .thermo import heat_absorbed, second_law_report, skew_information_chain
 from . import classify
 
 SCHEMA_VERSION = 1
-
-DEFAULT_THEOREM_TOL = 1e-8
-DEFAULT_VALIDATION_TOL = 1e-9
 
 #: Largest ``states.count`` a scenario may request; every state is built up front.
 MAX_STATE_COUNT = 10_000
@@ -131,7 +128,7 @@ def encode_observable(observable: Observable) -> dict:
     }
 
 
-def decode_observable(obj, tol: float = DEFAULT_VALIDATION_TOL) -> Observable:
+def decode_observable(obj, tol: float = VALIDATION_TOL) -> Observable:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise ValidationError("observable: expected an object with an 'effects' field")
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(obj["effects"])]
@@ -143,7 +140,7 @@ def encode_channel(channel: KrausChannel) -> dict:
     return {"kraus": [encode_matrix(k) for k in channel.kraus]}
 
 
-def decode_channel(obj, tol: float = DEFAULT_VALIDATION_TOL) -> KrausChannel:
+def decode_channel(obj, tol: float = VALIDATION_TOL) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError("channel: expected an object with a 'kraus' field")
     return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(obj["kraus"])], tol)
@@ -298,7 +295,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         raise ValidationError(f"beta must be positive and finite, got {beta}")
     seed = _number(seed_override if seed_override is not None else raw.get("seed", 0), int, "seed")
 
-    tolerances = {"default": DEFAULT_THEOREM_TOL, "validation": DEFAULT_VALIDATION_TOL}
+    tolerances = {"default": THEOREM_TOL, "validation": VALIDATION_TOL}
     raw_tols = raw.get("tolerances", {})
     if not isinstance(raw_tols, dict):
         raise ValidationError("tolerances: expected an object")

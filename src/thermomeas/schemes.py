@@ -22,11 +22,13 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .linalg import (
+    THEOREM_TOL,
     cluster_indices,
     commutator_defect,
     dag,
     frobenius,
     psd_sqrt,
+    require_beta,
     require_hermitian,
 )
 from .objects import (
@@ -42,9 +44,6 @@ from .sampling import haar_unitary
 
 #: Kraus operators with Frobenius norm below this are dropped from dilations.
 PRUNE_TOL = 1e-12
-
-#: Default tolerance for theorem-level (freeness) checks.
-FREENESS_TOL = 1e-8
 
 #: Energy conservation is checked for the moments ``k = 1..ENERGY_MOMENTS``.
 ENERGY_MOMENTS = 4
@@ -73,8 +72,7 @@ class MeasurementScheme:
     ):
         h_s = require_hermitian(system_hamiltonian, name="system Hamiltonian")
         h_a = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
-        if not np.isfinite(beta) or beta <= 0:
-            raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+        beta = require_beta(beta)
         d_s, d_a = h_s.shape[0], h_a.shape[0]
         if interaction.dim_in != interaction.dim_out:
             raise ValidationError("interaction channel must be square")
@@ -92,7 +90,7 @@ class MeasurementScheme:
         vars(self).update(
             system_hamiltonian=h_s,
             probe_hamiltonian=h_a,
-            beta=float(beta),
+            beta=beta,
             dim_system=d_s,
             dim_probe=d_a,
             interaction=interaction,
@@ -126,7 +124,7 @@ class MeasurementScheme:
         h, beta = self.system_hamiltonian, self.beta
         return self._once("gibbs_log_weights", gibbs_log_weights, h, beta)
 
-    def freeness(self, tol: float = FREENESS_TOL) -> FreeSchemeReport:
+    def freeness(self, tol: float = THEOREM_TOL) -> FreeSchemeReport:
         """The :func:`validate_free_scheme` report at ``tol``; its defects are derived once."""
         return replace(self._once("freeness", validate_free_scheme, self), tol=tol)
 
@@ -209,17 +207,17 @@ def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     return frobenius(channel.apply_dual(hk) - hk)
 
 
-def validate_free_scheme(scheme: MeasurementScheme, tol: float = FREENESS_TOL) -> FreeSchemeReport:
+def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     """Measure how far a scheme is from being thermodynamically free.
 
     Probe thermality holds by construction, so three defects remain:
     bistochasticity of the interaction, conservation of the total additive
     Hamiltonian (checked in the Heisenberg picture for moments
     ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
-    of a pointer effect with the probe Hamiltonian. The defects do not
-    depend on ``tol``, which only sets the verdict.
+    of a pointer effect with the probe Hamiltonian. The report's verdict is
+    at ``THEOREM_TOL``; ``scheme.freeness(tol)`` gives it at any other tol.
     """
-    bist = is_bistochastic(scheme.interaction, tol)
+    bist = is_bistochastic(scheme.interaction)
     h_total = scheme.total_hamiltonian()
     moment_defects = tuple(
         energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, ENERGY_MOMENTS + 1)
@@ -232,7 +230,7 @@ def validate_free_scheme(scheme: MeasurementScheme, tol: float = FREENESS_TOL) -
         bistochastic_defect=max(bist.trace_defect, bist.unital_defect),
         energy_conservation_defects=moment_defects,
         yanase_defect=yanase,
-        tol=tol,
+        tol=THEOREM_TOL,
     )
 
 
@@ -300,9 +298,7 @@ def swap_channel(dim: int) -> KrausChannel:
     return KrausChannel([swap_unitary(dim)])
 
 
-def trivial_scheme(
-    observable: Observable, system_hamiltonian, beta: float, tol: float = FREENESS_TOL
-) -> MeasurementScheme:
+def trivial_scheme(observable: Observable, system_hamiltonian, beta: float) -> MeasurementScheme:
     """Free scheme for an observable commuting with the Hamiltonian.
 
     Uses a probe identical to the system and a unitary swap interaction,
@@ -316,10 +312,10 @@ def trivial_scheme(
             f"dimension {h.shape[0]}"
         )
     worst = max(commutator_defect(e, h) for e in observable.effects)
-    if worst > tol:
+    if worst > THEOREM_TOL:
         raise PreconditionError(
             f"observable does not commute with the Hamiltonian: worst effect "
-            f"commutator defect {worst:.3e} > {tol:.1e}"
+            f"commutator defect {worst:.3e} > {THEOREM_TOL:.1e}"
         )
     return MeasurementScheme(
         system_hamiltonian=h,
@@ -337,8 +333,6 @@ def random_free_scheme(
     pointer: Observable,
     seed: int,
     mixture_size: int = 3,
-    cluster_tol: float = 1e-8,
-    tol: float = FREENESS_TOL,
 ) -> MeasurementScheme:
     """Seeded generator of nontrivial thermodynamically free schemes.
 
@@ -354,17 +348,17 @@ def random_free_scheme(
             f"pointer dimension {pointer.dim} does not match probe dimension {h_a.shape[0]}"
         )
     yanase = max(commutator_defect(z, h_a) for z in pointer.effects)
-    if yanase > tol:
+    if yanase > THEOREM_TOL:
         raise PreconditionError(
             f"pointer violates the Yanase condition: worst commutator defect "
-            f"{yanase:.3e} > {tol:.1e}"
+            f"{yanase:.3e} > {THEOREM_TOL:.1e}"
         )
     if mixture_size < 1:
         raise ValidationError(f"mixture_size must be at least 1, got {mixture_size}")
     d_s, d_a = h_s.shape[0], h_a.shape[0]
     h_total = np.kron(h_s, np.eye(d_a)) + np.kron(np.eye(d_s), h_a)
     evals, vecs = np.linalg.eigh(h_total)
-    blocks = [vecs[:, idx] for idx in cluster_indices(evals, cluster_tol)]
+    blocks = [vecs[:, idx] for idx in cluster_indices(evals)]
     rng = np.random.default_rng(seed)
     unitaries = []
     for _ in range(mixture_size):

@@ -15,20 +15,21 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .linalg import (
+    PROBABILITY_CUTOFF,
+    THEOREM_TOL,
+    VALIDATION_TOL,
     as_matrix,
     dag,
     density_matrix,
     frobenius,
     logsumexp,
     psd_sqrt,
+    require_beta,
     require_hermitian,
     von_neumann_entropy,
 )
 from .objects import Instrument, gibbs_log_weights
-from .schemes import FREENESS_TOL, MeasurementScheme
-
-#: Outcomes with probability at or below this contribute nothing to conditional sums.
-PROBABILITY_CUTOFF = 1e-12
+from .schemes import MeasurementScheme
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,6 @@ class HeatReport:
     duality_defect: float
 
 
-def _validate_beta(beta: float) -> float:
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
-    return float(beta)
-
-
 def _diagonal(m, vecs) -> np.ndarray:
     """Diagonal ``<i|M|i>`` of an operator in the eigenbasis ``vecs`` of ``H``."""
     return np.einsum("ia,ij,ja->a", vecs.conj(), m, vecs).real
@@ -144,7 +139,7 @@ def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     This is the maximum work an isothermal process can extract while the
     state relaxes to thermal equilibrium; zero exactly at the Gibbs state.
     """
-    beta = _validate_beta(beta)
+    beta = require_beta(beta)
     r = density_matrix(rho)
     gibbs = gibbs_log_weights(system_hamiltonian, beta)
     return _divergence_to_gibbs(r, von_neumann_entropy(r, validate=False), gibbs) / beta
@@ -159,7 +154,7 @@ def _average_work(terms: list, gibbs, beta: float) -> float:
 
 def average_extractable_work(instrument: Instrument, rho, system_hamiltonian, beta: float) -> float:
     """Mean post-measurement extractable work under outcome-conditioned feedback."""
-    beta = _validate_beta(beta)
+    beta = require_beta(beta)
     terms = _conditional_terms(instrument, density_matrix(rho))
     return _average_work(terms, gibbs_log_weights(system_hamiltonian, beta), beta)
 
@@ -191,7 +186,7 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     diagonal entries of ``E_x`` in the eigenbasis of ``H``, so they stay
     finite at low temperature.
     """
-    beta = _validate_beta(beta)
+    beta = require_beta(beta)
     return _outcome_divergence(observable, rho, gibbs_log_weights(system_hamiltonian, beta))
 
 
@@ -244,7 +239,7 @@ def skew_information(hamiltonian, rho) -> float:
     m = as_matrix(rho)
     m = (m + dag(m)) / 2
     trace = float(np.trace(m).real)
-    if trace > 1 + 1e-9:
+    if trace > 1 + VALIDATION_TOL:
         raise ValidationError(f"operator must be sub-normalized, got trace {trace:.6f}")
     root = psd_sqrt(m)
     comm = root @ h - h @ root
@@ -276,7 +271,7 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     defined). This is the mode to use for comparative studies such as the
     measurement-and-feedback engine run with a non-thermal instrument.
     """
-    beta = _validate_beta(beta)
+    beta = require_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
     r = density_matrix(rho)
     heat = _system_side_heat(instrument, h, r)
@@ -298,7 +293,7 @@ def _work(instrument: Instrument, r, beta: float, gibbs, heat: float) -> WorkRep
 
 
 def second_law_report(
-    scheme: MeasurementScheme, rho, tol: float = FREENESS_TOL
+    scheme: MeasurementScheme, rho, tol: float = THEOREM_TOL
 ) -> tuple[SecondLawReport, WorkReport]:
     """Full second-law audit of a thermodynamically free scheme on one state.
 

@@ -1,0 +1,42 @@
+"""The seed-0 benchmark inputs reproduce `bench/reference/` through the CLI, in-process.
+
+`bench/workloads.py` is loaded by path and not modified. Each workload's
+output must pass every verdict and agree with its reference to the
+benchmark's own relative tolerance (`workloads.REL_TOL`).
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from thermomeas.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through sys.modules
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_seed_zero_output_matches_reference(name, tmp_path, capsys):
+    workload = workloads.WORKLOADS[name]
+    suffix = workload.output_suffix
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(workload.input_document(0)))
+    output = tmp_path / f"output{suffix}"
+    assert main([workload.command, str(source), "--out", str(output)]) == 0, capsys.readouterr()
+    got = workloads.load_output(output.read_text(encoding="utf-8"), suffix)
+    want = workloads.load_output((BENCH / "reference" / f"{name}{suffix}").read_text(), suffix)
+    assert workloads.verdict_failures(got, suffix) == []
+    assert workloads.first_difference(got, want) is None

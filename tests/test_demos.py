@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the current package."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -17,11 +16,5 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
-    )
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -295,12 +295,12 @@ class TestChoi:
         omega = np.zeros(4, dtype=complex)
         omega[0] = omega[3] = 1.0
         np.testing.assert_allclose(choi.matrix, np.outer(omega, omega), atol=1e-14)
-        assert choi.rank(1e-10) == 1
+        assert choi.rank() == 1
 
     def test_luders_rank_one_effect(self):
         effect = 0.7 * P0
         choi = choi_of_operation([np.sqrt(0.7) * P0])
-        assert choi.rank(1e-10) == 1
+        assert choi.rank() == 1
         np.testing.assert_allclose(
             partial_trace(choi.matrix, (2, 2), "probe").T, effect, atol=1e-14
         )
@@ -325,7 +325,7 @@ class TestChoi:
                 out = np.trace(effect @ unit) * tau
                 direct += np.kron(out, unit)
         np.testing.assert_allclose(choi.matrix, direct, atol=1e-12)
-        assert choi.rank(1e-10) == 2
+        assert choi.rank() == 2
 
     def test_choi_kraus_round_trip(self):
         rng = rng_from_seed(14)

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from oracles import direct_instrument_action, direct_probe_state
+from thermomeas.errors import ValidationError
 from thermomeas.linalg import dag, frobenius
-from thermomeas.objects import Instrument, Observable, spectral_observable
+from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
 from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
+from thermomeas.scenario import parse_scenario
 from thermomeas.schemes import (
+    MeasurementScheme,
     conjugate_channel,
     induced_instrument,
     random_free_scheme,
+    swap_channel,
     validate_free_scheme,
 )
 from thermomeas.thermo import (
@@ -22,8 +26,12 @@ from thermomeas.thermo import (
     heat_absorbed,
     outcome_divergence,
     second_law_report,
+    work_report,
 )
 from thermomeas.classify import is_covariant_instrument, is_gibbs_preserving, is_nuclear, is_quasi_complete
+
+
+H2 = np.diag([0.0, 1.0]).astype(complex)
 
 
 def rotated(h, u):
@@ -190,21 +198,25 @@ class TestCliNonFreeScheme:
 
 class TestToleranceKnobs:
     def test_cluster_tolerance_controls_degeneracy(self):
-        from thermomeas.linalg import eig_hermitian
+        from thermomeas.linalg import CLUSTER_TOL, eig_hermitian
 
+        # gaps below CLUSTER_TOL (relative to the spectral range) merge, larger ones do not
         h = np.diag([0.0, 1e-5, 1.0]).astype(complex)
         assert eig_hermitian(h).multiplicities == (1, 1, 1)
-        assert eig_hermitian(h, cluster_tol=1e-4).multiplicities == (2, 1)
+        h = np.diag([0.0, CLUSTER_TOL / 10, 1.0]).astype(complex)
+        assert eig_hermitian(h).multiplicities == (2, 1)
 
     def test_support_tolerance_controls_infinity(self):
         import math
 
-        from thermomeas.linalg import relative_entropy
+        from thermomeas.linalg import SUPPORT_TOL, relative_entropy
 
-        sigma = np.diag([1.0 - 1e-12, 1e-12])
         rho = np.eye(2) / 2
+        # an eigenvalue of sigma at or below SUPPORT_TOL is outside its support
+        sigma = np.diag([1.0 - 1e-12, 1e-12])
         assert relative_entropy(rho, sigma) == math.inf
-        assert math.isfinite(relative_entropy(rho, sigma, support_tol=1e-14))
+        sigma = np.diag([1.0 - 100 * SUPPORT_TOL, 100 * SUPPORT_TOL])
+        assert math.isfinite(relative_entropy(rho, sigma))
 
     def test_cli_tol_override_reaches_checks(self, tmp_path):
         scenario = {
@@ -235,6 +247,84 @@ class TestToleranceKnobs:
             capture_output=True, text=True,
         )
         assert tight.returncode == 1
+
+
+class TestInverseTemperature:
+    """Every library entry point that takes a beta refuses the same values with one message."""
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda beta: gibbs_state(H2, beta),
+            lambda beta: MeasurementScheme(H2, H2, beta, swap_channel(2), spectral_observable(H2)),
+            lambda beta: work_report(Instrument.luders(spectral_observable(H2)), np.eye(2) / 2, H2, beta),
+        ],
+        ids=["gibbs_state", "MeasurementScheme", "work_report"],
+    )
+    def test_non_positive_or_non_finite_beta_is_refused(self, build, beta):
+        with pytest.raises(ValidationError, match="inverse temperature must be positive and finite"):
+            build(beta)
+
+
+# An effect 1.4e-7 from Hermitian and an interaction 1.4e-7 from trace preserving:
+# refused at the default validation tolerance, accepted at tolerances.validation = 1e-6.
+SKEWED_OBSERVABLE = {
+    "outcomes": ["0", "1"],
+    "effects": [[[1, 1e-7], [0, 0]], [[0, -1e-7], [0, 1]]],
+}
+STRETCH = 1 + 3.5e-8  # ||K^dag K - 1||_F = 4 * 3.5e-8 on the 4-dimensional joint space
+SLOPPY_KRAUS_SCHEME = {
+    "kind": "kraus",
+    "kraus": [[[STRETCH if i == j else 0.0 for j in range(4)] for i in range(4)]],
+    "pointer": {
+        "outcomes": ["0", "1"],
+        "effects": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    },
+}
+
+
+class TestValidationTolerance:
+    """``tolerances.validation`` is what sets the observable and Kraus channel tolerances."""
+
+    @staticmethod
+    def scenario(case, tolerances=None):
+        raw = {"beta": 1.0, "system_hamiltonian": [0.0, 1.0]}
+        if case == "observable":
+            raw.update(observable=SKEWED_OBSERVABLE, checks=["thermal_observable"])
+        else:
+            raw.update(scheme=SLOPPY_KRAUS_SCHEME, checks=["free_scheme"])
+        if tolerances is not None:
+            raw["tolerances"] = tolerances
+        return raw
+
+    def run_cli(self, tmp_path, raw):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        return subprocess.run(
+            [sys.executable, "-m", "thermomeas", "check", str(path)], capture_output=True, text=True
+        )
+
+    @pytest.mark.parametrize(
+        "case,defect", [("observable", "not Hermitian"), ("kraus", "not trace preserving")]
+    )
+    def test_default_tolerance_refuses(self, tmp_path, case, defect):
+        with pytest.raises(ValidationError, match=defect):
+            parse_scenario(self.scenario(case))
+        result = self.run_cli(tmp_path, self.scenario(case))
+        assert result.returncode == 2
+        assert defect in json.loads(result.stderr)["error"]
+
+    @pytest.mark.parametrize("case", ["observable", "kraus"])
+    def test_loosened_tolerance_accepts(self, tmp_path, case):
+        loose = {"validation": 1e-6}
+        sc = parse_scenario(self.scenario(case, loose))
+        assert sc.tolerances["validation"] == 1e-6
+        # accepted, then judged: each defect still exceeds the 1e-8 theorem tolerance
+        result = self.run_cli(tmp_path, self.scenario(case, loose))
+        assert result.returncode == 1, result.stderr
+        (check,) = json.loads(result.stdout)["checks"]
+        assert check["verdict"] is False
 
 
 class TestLargerDimensions:

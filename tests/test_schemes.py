@@ -191,7 +191,7 @@ class TestInducedInstrument:
             assert np.linalg.norm(out - ref) < 1e-12
 
     def test_bad_pointer_effect_rejected(self):
-        bad = Observable.from_dict({"a": np.diag([1.0, -0.2]), "b": np.diag([0.0, 1.2])}, tol=0.5)
+        bad = Observable(["a", "b"], [np.diag([1.0, -0.2]), np.diag([0.0, 1.2])], tol=0.5)
         scheme = MeasurementScheme(H2, H2, 1.0, swap_channel(2), bad)
         with pytest.raises(ValidationError, match="pointer effect"):
             induced_instrument(scheme)
