@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol", type=float, default=None, help="override the default check tolerance")
     check.add_argument(
         "--timing", action="store_true",
-        help="include wall time in the report (breaks byte-reproducibility)",
+        help="include wall time, in total and per check, in the report "
+        "(breaks byte-reproducibility)",
     )
 
     sweep = sub.add_parser("sweep", help="run a scenario template over a beta grid or seed range")

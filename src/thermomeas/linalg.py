@@ -3,7 +3,10 @@
 All operators are plain complex numpy arrays; the higher-level object types
 in :mod:`thermomeas.objects` are thin validated wrappers around them, and
 every function here also accepts such wrappers (anything with a ``.matrix``
-attribute). Logarithms are natural throughout, so entropies are in nats.
+attribute). ``psd_sqrt``, ``density_matrix`` and ``von_neumann_entropy``
+also take an ``(n, d, d)`` stack of operators and treat each entry as one
+operator; their messages then name the first offending entry by its
+index. Logarithms are natural throughout, so entropies are in nats.
 
 Numerical conventions, applied consistently package-wide. Each numerical
 decision has one constant here, and the other modules import it:
@@ -48,8 +51,8 @@ CLUSTER_TOL = 1e-8
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each entry of a stack)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -72,8 +75,30 @@ def as_matrix(obj) -> np.ndarray:
     return m
 
 
+def as_matrices(obj) -> np.ndarray:
+    """Like :func:`as_matrix`, but an ``(n, rows, cols)`` stack of matrices is accepted too."""
+    m = getattr(obj, "matrix", obj)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3):
+        raise ValidationError(
+            f"expected a matrix or a stack of matrices, got array of ndim {m.ndim}"
+        )
+    return m
+
+
+def _first_failure(values, bad, name: str) -> tuple:
+    """``(value, label)`` of the first entry flagged in ``bad``, which flags one at least.
+
+    ``values`` and ``bad`` hold one entry per matrix of a stack, or a single
+    entry for one matrix; the label is ``name`` for one matrix and
+    ``"name i"`` for entry ``i`` of a stack.
+    """
+    i = int(np.argmax(np.atleast_1d(bad)))
+    return np.atleast_1d(values)[i], (name if np.ndim(bad) == 0 else f"{name} {i}")
+
+
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -84,14 +109,24 @@ def require_hermitian(obj, tol: float = VALIDATION_TOL, name: str = "matrix") ->
     A defect above ``tol`` is an error, not something to repair silently,
     and so is any NaN or infinite entry.
     """
-    m = require_square(as_matrix(obj), name)
+    return _symmetrized(as_matrix(obj), tol, name)
+
+
+def _symmetrized(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """:func:`require_hermitian` of a matrix or of each entry of a stack."""
+    require_square(m, name)
     if not np.isfinite(m).all():
-        raise ValidationError(f"{name} has non-finite (NaN or infinite) entries")
-    defect = frobenius(m - dag(m))
-    if defect > tol:
-        raise ValidationError(
-            f"{name} is not Hermitian: ||A - A^dag||_F = {defect:.3e} > {tol:.1e}"
-        )
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        _, label = _first_failure(finite, ~finite, name)
+        raise ValidationError(f"{label} has non-finite (NaN or infinite) entries")
+    skew = m - dag(m)
+    if frobenius(skew) > tol:  # the defect of the whole stack bounds each entry's
+        defect = np.linalg.norm(skew, axis=(-2, -1))
+        if (defect > tol).any():
+            worst, label = _first_failure(defect, defect > tol, name)
+            raise ValidationError(
+                f"{label} is not Hermitian: ||A - A^dag||_F = {worst:.3e} > {tol:.1e}"
+            )
     return (m + dag(m)) / 2
 
 
@@ -170,20 +205,21 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Principal square root of a positive semidefinite operator.
+    """Principal square root of a positive semidefinite operator, or of each entry of a stack.
 
     Eigenvalues in ``[-VALIDATION_TOL, 0)`` are clipped to zero; anything
     more negative raises.
     """
-    m = require_hermitian(a)
-    evals, vecs = np.linalg.eigh(m)
-    if evals[0] < -VALIDATION_TOL:
+    evals, vecs = np.linalg.eigh(_symmetrized(as_matrices(a), VALIDATION_TOL, "matrix"))
+    lowest = evals[..., 0]
+    if (lowest < -VALIDATION_TOL).any():
+        worst, label = _first_failure(lowest, lowest < -VALIDATION_TOL, "operator")
         raise ValidationError(
-            f"operator is not positive semidefinite: min eigenvalue {evals[0]:.3e} "
+            f"{label} is not positive semidefinite: min eigenvalue {worst:.3e} "
             f"< -{VALIDATION_TOL:.1e}"
         )
-    root = np.sqrt(np.clip(evals, 0.0, None))
-    return (vecs * root) @ dag(vecs)
+    root = np.sqrt(np.maximum(evals, 0.0))
+    return (vecs * root[..., None, :]) @ dag(vecs)
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -213,24 +249,27 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 
 
 def density_matrix(obj) -> np.ndarray:
-    """Validate and return a density matrix (Hermitian, PSD, unit trace)."""
-    m = require_hermitian(obj, name="state")
-    trace_defect = abs(np.trace(m).real - 1.0)
-    if trace_defect > VALIDATION_TOL:
+    """Validate and return a density matrix (Hermitian, PSD, unit trace), or a stack of them."""
+    m = _symmetrized(as_matrices(obj), VALIDATION_TOL, "state")
+    trace_defect = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    if (trace_defect > VALIDATION_TOL).any():
+        worst, label = _first_failure(trace_defect, trace_defect > VALIDATION_TOL, "state")
         raise ValidationError(
-            f"state trace differs from 1 by {trace_defect:.3e} > {VALIDATION_TOL:.1e}"
+            f"{label} trace differs from 1 by {worst:.3e} > {VALIDATION_TOL:.1e}"
         )
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -VALIDATION_TOL:
+    min_eig = np.linalg.eigvalsh(m)[..., 0]
+    if (min_eig < -VALIDATION_TOL).any():
+        worst, label = _first_failure(min_eig, min_eig < -VALIDATION_TOL, "state")
         raise ValidationError(
-            f"state has negative eigenvalue {min_eig:.3e} < -{VALIDATION_TOL:.1e}"
+            f"{label} has negative eigenvalue {worst:.3e} < -{VALIDATION_TOL:.1e}"
         )
     return m
 
 
-def von_neumann_entropy(rho, validate: bool = True) -> float:
+def von_neumann_entropy(rho, validate: bool = True):
     """``-tr[rho ln rho]`` in nats, with the 0 ln 0 := 0 convention.
 
+    A float for one operator, an array of one entropy per entry for a stack.
     ``validate=False`` skips the density-matrix checks (negative eigenvalues
     are still clipped at zero); intended for conditional states obtained by
     normalizing machine-generated instrument outputs.
@@ -238,11 +277,12 @@ def von_neumann_entropy(rho, validate: bool = True) -> float:
     if validate:
         m = density_matrix(rho)
     else:
-        m = as_matrix(rho)
+        m = as_matrices(rho)
         m = (m + dag(m)) / 2
-    evals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    pos = evals[evals > 0.0]
-    return max(float(-np.sum(pos * np.log(pos))), 0.0)
+    evals = np.maximum(np.linalg.eigvalsh(m), 0.0)
+    log = np.log(evals, out=np.zeros_like(evals), where=evals > 0.0)  # 0 ln 0 := 0
+    entropy = np.maximum(-(evals * log).sum(axis=-1), 0.0)
+    return float(entropy) if m.ndim == 2 else entropy
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .linalg import (
     SUPPORT_TOL,
     VALIDATION_TOL,
+    as_matrices,
     as_matrix,
     dag,
     density_matrix,
@@ -69,8 +70,31 @@ def _gram(ks: np.ndarray) -> np.ndarray:
 
 
 def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``sum K m K†`` over a Kraus stack."""
-    return np.einsum("kij,jl,kml->im", ks, m, ks.conj())
+    """``sum K m K†`` over a Kraus stack, for one operator ``m`` or an ``(n, d, d)`` stack.
+
+    Two matrix products per group of Kraus operators: the operators laid
+    one above the other times the stack laid side by side, then, with the
+    products regrouped, times the ``K†`` laid one above the other, which
+    sums over the operators and their inner index. Groups hold
+    ``max(1, k // n)`` operators and the sum accumulates in the output, so
+    no intermediate is larger than the Kraus stack or, for
+    ``d_in <= d_out``, the output.
+    """
+    stack = m[None] if m.ndim == 2 else m
+    n, d_in = stack.shape[:2]
+    k, d_out = ks.shape[:2]
+    side_by_side = stack.transpose(1, 0, 2).reshape(d_in, n * d_in)
+    rows = ks.reshape(k * d_out, d_in)
+    cols = dag(ks).reshape(k * d_in, d_out)
+    group = max(1, k // n)
+    out = np.zeros((d_out * n, d_out), dtype=complex)
+    for start in range(0, k, group):
+        stop = min(start + group, k)
+        left = rows[start * d_out:stop * d_out] @ side_by_side
+        left = left.reshape(stop - start, d_out, n, d_in).transpose(1, 2, 0, 3)
+        out += left.reshape(d_out * n, (stop - start) * d_in) @ cols[start * d_in:stop * d_in]
+    out = out.reshape(d_out, n, d_out).transpose(1, 0, 2)
+    return out[0] if m.ndim == 2 else out
 
 
 def _superoperator(ks: np.ndarray) -> np.ndarray:
@@ -220,9 +244,9 @@ class KrausChannel:
         return self.dim_in
 
     def apply(self, rho) -> np.ndarray:
-        """Schroedinger action ``sum K rho K†``."""
-        m = as_matrix(rho)
-        if m.shape != (self.dim_in, self.dim_in):
+        """Schroedinger action ``sum K rho K†`` on one operator or on each entry of a stack."""
+        m = as_matrices(rho)
+        if m.shape[-2:] != (self.dim_in, self.dim_in):
             raise ValidationError(
                 f"channel input must be {self.dim_in} x {self.dim_in}, got {m.shape}"
             )
@@ -356,8 +380,15 @@ class Instrument:
         return len(self.outcomes)
 
     def apply(self, rho) -> list:
-        """All unnormalized outputs ``[I_x(rho)]`` in outcome order."""
-        m = as_matrix(rho)
+        """All unnormalized outputs ``[I_x(rho)]`` in outcome order.
+
+        For an ``(n, d, d)`` stack of inputs each output is a stack too.
+        """
+        m = as_matrices(rho)
+        if m.shape[-2:] != (self.dim, self.dim):
+            raise ValidationError(
+                f"instrument input must be {self.dim} x {self.dim}, got {m.shape}"
+            )
         return [_sandwich(ks, m) for ks in self.kraus_sets]
 
     def probabilities(self, rho) -> np.ndarray:

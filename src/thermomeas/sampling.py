@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import cluster_indices, dag
+from .linalg import cluster_indices, dag, density_matrix
 from .objects import Observable, State
 
 
@@ -34,11 +34,27 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + dag(g)) / 2
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
-    """Full-rank random state from the Ginibre ensemble."""
+def _ginibre_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = ginibre(dim, dim, rng)
     m = g @ dag(g)
-    return State(m / np.trace(m).real)
+    return m / np.trace(m).real
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
+    """Full-rank random state from the Ginibre ensemble."""
+    return State(_ginibre_state(dim, rng))
+
+
+def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of :func:`random_density_matrix` as one validated read-only stack.
+
+    The stack is ``(count, dim, dim)``; it draws from ``rng`` exactly as
+    ``count`` calls of :func:`random_density_matrix` would.
+    """
+    draws = [_ginibre_state(dim, rng) for _ in range(count)]
+    stack = density_matrix(np.array(draws, dtype=complex).reshape(count, dim, dim))
+    stack.flags.writeable = False
+    return stack
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> State:

@@ -21,16 +21,24 @@ import json
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._version import __version__
 from .errors import ValidationError
-from .linalg import THEOREM_TOL, VALIDATION_TOL, eig_hermitian, frobenius, require_hermitian
-from .objects import Instrument, KrausChannel, Observable, State, gibbs_state
-from .sampling import random_density_matrix, rng_from_seed
+from .linalg import (
+    THEOREM_TOL,
+    VALIDATION_TOL,
+    density_matrix,
+    eig_hermitian,
+    frobenius,
+    require_hermitian,
+)
+from .objects import Instrument, KrausChannel, Observable, gibbs_state
+from .sampling import random_density_matrices, rng_from_seed
 from .schemes import MeasurementScheme, random_free_scheme, trivial_scheme
-from .thermo import heat_absorbed, second_law_report, skew_information_chain
+from .thermo import StateAudit
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -153,7 +161,12 @@ def decode_channel(obj, tol: float = VALIDATION_TOL) -> KrausChannel:
 
 @dataclass
 class Scenario:
-    """A parsed scenario: resolved objects plus the canonical echo dict."""
+    """A parsed scenario: resolved objects plus the canonical echo dict.
+
+    ``states`` is one validated, read-only ``(n, d, d)`` stack and
+    ``state_names`` names its entries in order. The instrument under test
+    and the per-state :class:`StateAudit` are derived on first use and kept.
+    """
 
     beta: float
     seed: int
@@ -161,7 +174,8 @@ class Scenario:
     probe_hamiltonian: np.ndarray
     scheme: MeasurementScheme
     observable: Observable
-    states: list
+    state_names: tuple
+    states: np.ndarray
     checks: list
     tolerances: dict
     echo: dict
@@ -169,18 +183,21 @@ class Scenario:
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
 
-    @property
+    @cached_property
     def instrument(self) -> Instrument:
-        """Instrument under test: induced by the scheme, else Lueders of the observable.
-
-        The induced instrument is kept by the scheme; a Lueders instrument is
-        rebuilt on each access.
-        """
+        """Instrument under test: induced by the scheme, else Lueders of the observable."""
         if self.scheme is not None:
             return self.scheme.instrument
         if self.observable is not None:
             return Instrument.luders(self.observable)
         raise ValidationError("scenario provides neither a scheme nor an observable")
+
+    @cached_property
+    def audit(self) -> StateAudit:
+        """Per-state record of the instrument under test on ``states``, shared by every check."""
+        return StateAudit(
+            self.instrument, self.states, self.system_hamiltonian, self.beta, self.scheme
+        )
 
     def observable_under_test(self) -> Observable:
         if self.observable is not None:
@@ -188,26 +205,37 @@ class Scenario:
         return self.instrument.induced_observable()
 
 
-def _named_state(name: str, h_system, beta: float) -> State:
+def _named_state(name: str, h_system, beta: float) -> np.ndarray:
     if name == "gibbs":
-        return gibbs_state(h_system, beta)
+        return gibbs_state(h_system, beta).matrix
     if name == "maximally_mixed":
         d = h_system.shape[0]
-        return State(np.eye(d) / d)
+        return density_matrix(np.eye(d) / d)
     if name == "ground":
         decomp = eig_hermitian(h_system)
         p = decomp.projectors[0]
-        return State(p / decomp.multiplicities[0])
+        return density_matrix(p / decomp.multiplicities[0])
     raise ValidationError(
         f"unknown named state {name!r}; expected 'gibbs', 'ground', or 'maximally_mixed'"
     )
 
 
+def _explicit_state(entry: dict, name: str, d: int) -> np.ndarray:
+    """The validated matrix of a ``{"name", "matrix"}`` entry; a refusal names the state."""
+    m = decode_matrix(entry["matrix"], name)
+    if m.shape != (d, d):
+        raise ValidationError(f"state {name!r} has shape {m.shape}, expected ({d}, {d})")
+    try:
+        return density_matrix(m)
+    except ValidationError as exc:
+        raise ValidationError(f"state {name!r}: {exc}") from None
+
+
 def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
-    """Return ([(name, State)], canonical echo entry)."""
+    """Return (names, validated read-only ``(n, d, d)`` stack, canonical echo entry)."""
     if spec is None:
         spec = ["gibbs"]
-    states = []
+    d = h_system.shape[0]
     if isinstance(spec, dict):
         count = _number(spec.get("count", 0), int, "states.count")
         seed = _number(spec.get("seed", scenario_seed), int, "states.seed")
@@ -215,24 +243,25 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
             raise ValidationError(
                 f"states.count must lie in [0, {MAX_STATE_COUNT}], got {count}"
             )
-        rng = rng_from_seed(seed)
-        d = h_system.shape[0]
-        for i in range(count):
-            states.append((f"random_{i:04d}", random_density_matrix(d, rng)))
-        return states, {"count": count, "seed": seed}
+        names = tuple(f"random_{i:04d}" for i in range(count))
+        stack = random_density_matrices(d, count, rng_from_seed(seed))
+        return names, stack, {"count": count, "seed": seed}
     if isinstance(spec, list):
-        echo = []
+        names, matrices, echo = [], [], []
         for i, entry in enumerate(spec):
             if isinstance(entry, str):
-                states.append((entry, _named_state(entry, h_system, beta)))
+                names.append(entry)
+                matrices.append(_named_state(entry, h_system, beta))
                 echo.append(entry)
             elif isinstance(entry, dict) and "matrix" in entry:
-                name = str(entry.get("name", f"state_{i}"))
-                states.append((name, State(decode_matrix(entry["matrix"], name))))
-                echo.append({"name": name, "matrix": encode_matrix(states[-1][1].matrix)})
+                names.append(str(entry.get("name", f"state_{i}")))
+                matrices.append(_explicit_state(entry, names[-1], d))
+                echo.append({"name": names[-1], "matrix": encode_matrix(matrices[-1])})
             else:
                 raise ValidationError(f"states[{i}]: expected a name or an object with 'matrix'")
-        return states, echo
+        stack = np.array(matrices, dtype=complex).reshape(len(matrices), d, d)
+        stack.flags.writeable = False
+        return tuple(names), stack, echo
     raise ValidationError("states: expected a generator object or a list")
 
 
@@ -343,7 +372,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         if name in scheme_checks and scheme is None:
             raise ValidationError(f"check {name!r} requires a scheme")
 
-    states, states_echo = _resolve_states(raw.get("states"), h_system, beta, seed)
+    state_names, states, states_echo = _resolve_states(raw.get("states"), h_system, beta, seed)
 
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -364,6 +393,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         probe_hamiltonian=h_probe,
         scheme=scheme,
         observable=observable,
+        state_names=state_names,
         states=states,
         checks=list(checks),
         tolerances=tolerances,
@@ -377,7 +407,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 
 
 def _require_states(sc: Scenario, check: str):
-    if not sc.states:
+    if not sc.state_names:
         raise ValidationError(f"check {check!r} requires at least one input state")
 
 
@@ -390,10 +420,10 @@ def _check_second_law(sc: Scenario) -> dict:
     tol = sc.tol_for("second_law")
     _require_states(sc, "second_law")
 
-    rows = []
-    for name, state in sc.states:
-        law, work = second_law_report(sc.scheme, state, tol)
-        rows.append({"state": name, "work": work.to_dict(), "second_law": law.to_dict()})
+    rows = [
+        {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
+        for name, (law, work) in zip(sc.state_names, sc.audit.second_law_reports(tol))
+    ]
     verdict = all(r["second_law"]["verdict"] for r in rows)
     worst = min(r["second_law"]["prop1_slack"] for r in rows)
     return {
@@ -509,11 +539,10 @@ def _check_skew_chain(sc: Scenario) -> dict:
     tol = sc.tol_for("skew_chain")
     _require_states(sc, "skew_chain")
 
-    instrument = sc.instrument
-    rows = []
-    for name, state in sc.states:
-        selective, convexity = skew_information_chain(instrument, state, sc.system_hamiltonian)
-        rows.append({"state": name, "selective_slack": selective, "convexity_slack": convexity})
+    rows = [
+        {"state": name, "selective_slack": float(selective), "convexity_slack": float(convexity)}
+        for name, selective, convexity in zip(sc.state_names, *sc.audit.skew_chain)
+    ]
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return {
         "name": "skew_chain",
@@ -528,10 +557,10 @@ def _check_heat_duality(sc: Scenario) -> dict:
     tol = sc.tol_for("heat_duality")
     _require_states(sc, "heat_duality")
 
-    rows = []
-    for name, state in sc.states:
-        report = heat_absorbed(sc.scheme, state)
-        rows.append({"state": name, "heat": report.heat, "duality_defect": report.duality_defect})
+    rows = [
+        {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
+        for name, report in zip(sc.state_names, sc.audit.heat_reports())
+    ]
     worst = max(r["duality_defect"] for r in rows)
     return {
         "name": "heat_duality",
@@ -569,15 +598,19 @@ _CHECK_FUNCTIONS = {
 class RunReport:
     """Outcome of one scenario run; serializes deterministically.
 
-    ``timing_ms`` is measured wall time and is excluded from the serialized
-    form by default so that reports are byte-reproducible for a fixed
-    scenario and seed.
+    ``timing_ms`` is the measured wall time of the run and
+    ``check_timing_ms`` that of each check, by name (summed over repeats).
+    The per-state record the state checks share is derived inside the
+    first of them that runs, so that check carries its cost. Both are
+    excluded from the serialized form by default so that reports are
+    byte-reproducible for a fixed scenario and seed.
     """
 
     scenario: dict
     checks: list
     verdict: bool
     timing_ms: float
+    check_timing_ms: dict
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -589,6 +622,7 @@ class RunReport:
         }
         if include_timing:
             out["timing_ms"] = self.timing_ms
+            out["check_timing_ms"] = self.check_timing_ms
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -612,11 +646,21 @@ def run_scenario(source, seed=None, tol=None) -> RunReport:
     raw = _load(source)
     scenario = parse_scenario(raw, seed_override=seed, tol_override=tol)
     results = []
+    check_timing = {}
     for name in scenario.checks:
+        begin = time.perf_counter()
         results.append(_CHECK_FUNCTIONS[name](scenario))
+        elapsed = (time.perf_counter() - begin) * 1000.0
+        check_timing[name] = check_timing.get(name, 0.0) + elapsed
     verdict = all(bool(r.get("verdict")) for r in results)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return RunReport(scenario=scenario.echo, checks=results, verdict=verdict, timing_ms=elapsed)
+    return RunReport(
+        scenario=scenario.echo,
+        checks=results,
+        verdict=verdict,
+        timing_ms=elapsed,
+        check_timing_ms=check_timing,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ class TestCheckCommand:
         assert report["verdict"] is True
         assert report["schema_version"] == 1
         assert "timing_ms" not in report
+        assert "check_timing_ms" not in report
 
     def test_reports_are_byte_reproducible(self, scenario_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -94,7 +95,17 @@ class TestCheckCommand:
     def test_timing_flag_adds_field(self, scenario_file):
         result = cli("check", str(scenario_file), "--timing")
         assert result.returncode == 0
-        assert "timing_ms" in json.loads(result.stdout)
+        report = json.loads(result.stdout)
+        assert "timing_ms" in report
+        per_check = report["check_timing_ms"]
+        assert sorted(per_check) == sorted(SCENARIO_PASS["checks"])
+        assert all(ms >= 0 for ms in per_check.values())
+        assert sum(per_check.values()) <= report["timing_ms"]
+        untimed = cli("check", str(scenario_file))
+        assert untimed.stdout == json.dumps(
+            {k: v for k, v in report.items() if k not in ("timing_ms", "check_timing_ms")},
+            indent=2, sort_keys=True,
+        ) + "\n"
 
     def test_failing_scenario_exits_one(self, tmp_path):
         path = tmp_path / "fail.json"
@@ -181,6 +192,22 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert json.loads(result.stderr)["error"].startswith(f"{field}: expected a")
+
+    def test_invalid_state_in_the_middle_exits_two_naming_it(self, tmp_path):
+        states = [
+            "gibbs",
+            {"name": "fine", "matrix": [[0.5, 0], [0, 0.5]]},
+            {"name": "negative", "matrix": [[1.5, 0], [0, -0.5]]},
+            "ground",
+        ]
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, states=states)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr)["error"]
+        assert error.startswith("state 'negative': ")
+        assert "negative eigenvalue -5.000e-01" in error
 
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))

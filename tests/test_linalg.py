@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     commutator_defect,
+    density_matrix,
     eig_hermitian,
     partial_trace,
     psd_sqrt,
@@ -210,3 +211,43 @@ class TestHermitianRepair:
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+
+class TestStacks:
+    """``psd_sqrt``, ``density_matrix`` and ``von_neumann_entropy`` on ``(n, d, d)`` stacks."""
+
+    def test_each_entry_as_alone(self):
+        rng = np.random.default_rng(21)
+        states = np.array([random_state_matrix(3, rng) for _ in range(6)] + [np.diag([1.0, 0, 0])])
+        np.testing.assert_array_equal(density_matrix(states), [density_matrix(m) for m in states])
+        entropies = von_neumann_entropy(states)
+        assert entropies.shape == (7,)
+        for s, m in zip(entropies, states):
+            assert abs(s - von_neumann_entropy(m)) <= 1e-15
+        roots = psd_sqrt(states)
+        for root, m in zip(roots, states):
+            np.testing.assert_allclose(root, psd_sqrt(m), atol=1e-15)
+
+    def test_empty_stack(self):
+        assert density_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        assert von_neumann_entropy(np.zeros((0, 2, 2)), validate=False).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.diag([1.5, -0.5]), "state 2 has negative eigenvalue -5.000e-01"),
+            (np.diag([0.6, 0.6]), "state 2 trace differs from 1 by 2.000e-01"),
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), "state 2 is not Hermitian"),
+            (np.array([[math.nan, 0.0], [0.0, 1.0]]), "state 2 has non-finite"),
+        ],
+    )
+    def test_refusal_names_the_first_bad_entry(self, bad, message):
+        states = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), bad, bad], dtype=complex)
+        with pytest.raises(ValidationError, match=message):
+            density_matrix(states)
+        with pytest.raises(ValidationError, match=message.replace("state 2", "state")):
+            density_matrix(bad)
+
+    def test_psd_sqrt_refusal_names_the_entry(self):
+        with pytest.raises(ValidationError, match="operator 1 is not positive semidefinite"):
+            psd_sqrt(np.array([np.eye(2), -np.eye(2)]))

@@ -193,6 +193,23 @@ class TestKrausChannel:
         with pytest.raises(ValidationError, match="Kraus operator 1 has non-finite"):
             KrausChannel([np.eye(2), k])
 
+    @pytest.mark.parametrize("n_kraus,d_out,d_in,n", [
+        (1, 3, 3, 1), (9, 3, 3, 1), (9, 3, 3, 4), (4, 3, 3, 20), (5, 2, 4, 3), (6, 4, 2, 7),
+    ])
+    def test_apply_matches_the_kraus_sum_on_stacks(self, n_kraus, d_out, d_in, n):
+        # rectangular Kraus stacks, more or fewer operators than inputs, non-Hermitian inputs
+        rng = rng_from_seed(40 + n_kraus + n)
+        raw = np.array([ginibre(d_out, d_in, rng) for _ in range(n_kraus)])
+        gram = sum(k.conj().T @ k for k in raw)
+        evals, vecs = np.linalg.eigh(gram)
+        ch = KrausChannel(raw @ ((vecs / np.sqrt(evals)) @ vecs.conj().T))
+        inputs = np.array([ginibre(d_in, d_in, rng) for _ in range(n)])
+        reference = np.array([sum(k @ m @ k.conj().T for k in ch.kraus) for m in inputs])
+        np.testing.assert_allclose(ch.apply(inputs), reference, atol=1e-13)
+        np.testing.assert_allclose(ch.apply(inputs[0]), reference[0], atol=1e-13)
+        with pytest.raises(ValidationError, match="channel input must be"):
+            ch.apply(np.zeros((n, d_in + 1, d_in + 1)))
+
     def test_superoperator_matches_action(self):
         ch = amplitude_damping(0.45)
         rho = random_density_matrix(2, rng_from_seed(6)).matrix
@@ -256,6 +273,17 @@ class TestInstrument:
                 ins.probabilities(rho), obs.probabilities(rho), atol=1e-9
             )
             assert abs(sum(ins.probabilities(rho)) - 1.0) < 1e-9
+
+    def test_apply_on_a_stack_is_apply_on_each_entry(self):
+        rng = rng_from_seed(41)
+        ins = Instrument.luders(random_povm(3, 3, rng))
+        states = np.array([random_density_matrix(3, rng).matrix for _ in range(5)])
+        stacked = ins.apply(states)
+        for i, rho in enumerate(states):
+            for out, single in zip(stacked, ins.apply(rho)):
+                np.testing.assert_allclose(out[i], single, atol=1e-14)
+        with pytest.raises(ValidationError, match="instrument input must be 3 x 3"):
+            ins.apply(np.eye(2))
 
     def test_outputs_sum_to_total_channel(self):
         rng = rng_from_seed(13)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from thermomeas import schemes
+from thermomeas import objects, schemes, thermo
+from thermomeas import scenario as scenario_module
 from thermomeas.errors import ValidationError
 from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
@@ -111,9 +112,27 @@ class TestParseScenario:
             "checks": ["thermal_observable"],
         }
         sc = parse_scenario(raw)
-        names = [name for name, _ in sc.states]
-        assert names == ["gibbs", "ground", "maximally_mixed"]
-        np.testing.assert_allclose(sc.states[1][1].matrix, np.diag([1.0, 0.0]), atol=1e-14)
+        assert sc.state_names == ("gibbs", "ground", "maximally_mixed")
+        assert sc.states.shape == (3, 2, 2)
+        np.testing.assert_allclose(sc.states[1], np.diag([1.0, 0.0]), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.eye(3).tolist(), r"state 'odd' has shape \(3, 3\), expected \(2, 2\)"),
+            ([[1.0, 0.0], [0.0, 1.0]], "state 'odd': state trace differs from 1"),
+        ],
+    )
+    def test_explicit_state_refusal_names_the_state(self, matrix, message):
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "observable": Z_POINTER,
+            "states": ["gibbs", {"name": "odd", "matrix": matrix}, "ground"],
+            "checks": ["thermal_observable"],
+        }
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario(raw)
 
     def test_swap_scheme_uses_top_level_observable(self):
         raw = {
@@ -205,10 +224,20 @@ class TestRunScenario:
 
     def test_timing_only_on_request(self):
         raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["checks"] = ["free_scheme", "second_law", "free_scheme"]
         report = run_scenario(raw)
         assert "timing_ms" not in report.to_dict()
-        assert "timing_ms" in report.to_dict(include_timing=True)
+        assert "check_timing_ms" not in report.to_dict()
+        timed = report.to_dict(include_timing=True)
+        assert "timing_ms" in timed
         assert report.timing_ms > 0
+        # one entry per check name; a repeated check adds up its runs
+        assert sorted(timed["check_timing_ms"]) == ["free_scheme", "second_law"]
+        assert all(ms > 0 for ms in report.check_timing_ms.values())
+        assert sum(report.check_timing_ms.values()) <= report.timing_ms
+        assert {k: v for k, v in timed.items() if k not in ("timing_ms", "check_timing_ms")} == (
+            report.to_dict()
+        )
 
     def test_classifier_only_run_uses_luders(self):
         raw = {
@@ -233,7 +262,7 @@ class TestRunScenario:
         assert report.verdict
 
     def test_scheme_objects_are_derived_once(self, monkeypatch):
-        counts = {"dilation": 0, "moment": 0}
+        counts = {"dilation": 0, "moment": 0, "instrument_apply": 0, "audit": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -242,9 +271,30 @@ class TestRunScenario:
 
             return wrapper
 
+        sandwiches = []
+
+        def recorded(ks, m):
+            sandwiches.append((ks, m.shape))
+            return sandwich(ks, m)
+
+        parsed = []
+
+        def kept(*args, **kwargs):
+            parsed.append(parse(*args, **kwargs))
+            return parsed[-1]
+
+        sandwich, parse = objects._sandwich, scenario_module.parse_scenario
+        monkeypatch.setattr(objects, "_sandwich", recorded)
+        monkeypatch.setattr(scenario_module, "parse_scenario", kept)
         monkeypatch.setattr(schemes, "_dilation", counted("dilation", schemes._dilation))
         monkeypatch.setattr(
             schemes, "energy_moment_defect", counted("moment", schemes.energy_moment_defect)
+        )
+        monkeypatch.setattr(
+            objects.Instrument, "apply", counted("instrument_apply", objects.Instrument.apply)
+        )
+        monkeypatch.setattr(
+            thermo.StateAudit, "__init__", counted("audit", thermo.StateAudit.__init__)
         )
         raw = random_block_scenario(
             ["free_scheme", "second_law", "moments", "skew_chain", "heat_duality"]
@@ -258,7 +308,31 @@ class TestRunScenario:
         assert report.verdict
         assert report.checks[1]["n_states"] == 20
         # one dilation for the instrument, one for the conjugate channel
-        assert counts == {"dilation": 2, "moment": 4}
+        assert counts == {"dilation": 2, "moment": 4, "instrument_apply": 1, "audit": 1}
+        # each outcome's Kraus stack and the conjugate channel meet the
+        # 20-state stack once, in one application each
+        scheme = parsed[0].scheme
+        for ks in (*scheme.instrument.kraus_sets, scheme.conjugate.kraus):
+            assert [shape for other, shape in sandwiches if other is ks] == [(20, 3, 3)]
+
+    def test_luders_instrument_is_built_once(self, monkeypatch):
+        calls = []
+        luders = objects.Instrument.luders.__func__
+
+        def counted(cls, observable):
+            calls.append(observable)
+            return luders(cls, observable)
+
+        monkeypatch.setattr(objects.Instrument, "luders", classmethod(counted))
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "observable": Z_POINTER,
+            "checks": ["covariant", "gibbs_preserving", "nuclear", "quasi_complete", "skew_chain"],
+        }
+        report = run_scenario(raw)
+        assert [c["name"] for c in report.checks] == raw["checks"]
+        assert len(calls) == 1
 
     def test_prop2_precondition_is_input_error(self):
         raw = {
