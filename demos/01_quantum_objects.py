@@ -52,7 +52,7 @@ print(f"damping bistochastic? {report.verdict} (unital defect {report.unital_def
 luders = tm.Instrument.luders(unsharp)
 outputs = luders.apply(rho)
 print("outcome probabilities:", [round(float(np.trace(o).real), 4) for o in outputs])
-print("induced observable matches:", np.allclose(luders.induced_observable().effects[0],
+print("induced observable matches:", np.allclose(luders.induced_observable.effects[0],
                                                  unsharp.effects[0]))
 
 # --- Choi matrices ----------------------------------------------------------

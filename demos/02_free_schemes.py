@@ -47,7 +47,7 @@ scheme = tm.random_free_scheme(H, H, BETA, pointer, seed=7, mixture_size=3)
 print("\nrandom scheme report:", tm.validate_free_scheme(scheme).to_dict())
 
 induced = tm.induced_instrument(scheme)
-E = induced.induced_observable()
+E = induced.induced_observable
 print("induced observable triviality defect:", round(E.triviality_defect(), 4))
 print("induced effects commute with H:",
       max(tm.commutator_defect(e, H) for e in E.effects) < 1e-10)

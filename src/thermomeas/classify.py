@@ -28,15 +28,8 @@ from .linalg import (
     partial_trace,
     require_hermitian,
 )
-from .objects import (
-    Instrument,
-    Observable,
-    choi_of_operation,
-    gibbs_state,
-    spectral_observable,
-    time_evolution,
-)
-from .sampling import random_density_matrix, rng_from_seed
+from .objects import Instrument, Observable, gibbs_state, spectral_observable, time_evolution
+from .sampling import random_density_matrices, rng_from_seed
 
 #: Times at which covariance is cross-checked directly.
 COVARIANCE_SAMPLE_TIMES = (0.37, 1.0, 2.5)
@@ -96,45 +89,40 @@ def is_thermal_observable(
     )
 
 
-def derivation_superoperator(hamiltonian) -> np.ndarray:
-    """Matrix of ``rho -> -i [H, rho]`` on row-major vectorized operators."""
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 def is_covariant_instrument(
     instrument: Instrument, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> ClassifierVerdict:
     """Time-translation covariance of every operation of an instrument.
 
-    Checked as commutation of each outcome's superoperator with the
-    derivation generated by the Hamiltonian, which is equivalent to
-    covariance at all times. A direct cross-check at a few sampled times
-    (on a fixed set of random states) is recorded in the witness.
+    Read off the Choi matrices in the eigenbasis of the Hamiltonian, where
+    covariance at all times means that every entry ``(a, i), (b, j)`` with
+    unequal Bohr frequencies ``E_a - E_i`` and ``E_b - E_j`` vanishes (no
+    mode of asymmetry). An outcome's defect is the Frobenius norm of its
+    Choi matrix weighted entrywise by that frequency difference, which
+    equals the commutator of its operation with ``-i [H, .]`` as maps on
+    operators. A direct cross-check at a few sampled times (on a fixed set
+    of random states, all applied in one batch) is recorded in the witness.
     """
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    if instrument.dim != h.shape[0]:
-        raise ValidationError(
-            f"instrument dimension {instrument.dim} != Hamiltonian dimension {h.shape[0]}"
-        )
-    derivation = derivation_superoperator(h)
-    defects = []
-    for x in range(instrument.n_outcomes):
-        sup = instrument.superoperator(x)
-        defects.append(frobenius(sup @ derivation - derivation @ sup))
+    d = instrument.dim
+    if d != h.shape[0]:
+        raise ValidationError(f"instrument dimension {d} != Hamiltonian dimension {h.shape[0]}")
+    energies, basis = np.linalg.eigh(h)
+    rotation = np.kron(basis, basis.conj())
+    bohr = (energies[:, None] - energies[None, :]).reshape(-1)
+    mask = bohr[:, None] - bohr[None, :]
+    defects = [frobenius((dag(rotation) @ choi @ rotation) * mask) for choi in instrument.choi]
     worst = int(np.argmax(defects))
 
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
-    probes = [random_density_matrix(instrument.dim, rng).matrix for _ in range(3)]
+    probes = random_density_matrices(d, 3, rng)
+    evolutions = np.array([time_evolution(h, t) for t in COVARIANCE_SAMPLE_TIMES])[:, None]
+    rotated = evolutions @ probes @ dag(evolutions)  # (time, probe, d, d)
     sampled = 0.0
-    for t in COVARIANCE_SAMPLE_TIMES:
-        u = time_evolution(h, t)
-        for r in probes:
-            rotated = instrument.apply(u @ r @ dag(u))
-            plain = instrument.apply(r)
-            for a, b in zip(rotated, plain):
-                sampled = max(sampled, frobenius(a - u @ b @ dag(u)))
+    for out in instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)])):
+        plain, moved = out[:3], out[3:].reshape(rotated.shape)
+        gap = np.linalg.norm(moved - evolutions @ plain @ dag(evolutions), axis=(-2, -1))
+        sampled = max(sampled, float(gap.max()))
     return _verdict(
         "covariant",
         max(defects),
@@ -157,7 +145,7 @@ def is_gibbs_preserving(
     temperature.
     """
     tau = gibbs_state(system_hamiltonian, beta)
-    q = instrument.induced_observable().probabilities(tau)
+    q = instrument.induced_observable.probabilities(tau)
     outputs = instrument.apply(tau)
     defects = [frobenius(out - qx * tau.matrix) for out, qx in zip(outputs, q)]
     worst = int(np.argmax(defects))
@@ -178,17 +166,16 @@ def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVe
     defect is the worst factorization residual. When the verdict is true
     the recovered ``sigma_x`` family is returned in the witness.
     """
-    effects = instrument.induced_observable().effects
+    effects = instrument.induced_observable.effects
     d = instrument.dim
     residuals = {}
     sigmas = {}
-    for label, ops, effect in zip(instrument.outcomes, instrument.kraus_sets, effects):
+    for label, choi, effect in zip(instrument.outcomes, instrument.choi, effects):
         weight = float(np.trace(effect).real)
         if weight <= PROBABILITY_CUTOFF:
             continue  # null effects carry no constraint
-        choi = choi_of_operation(ops)
-        sigma = partial_trace(choi.matrix, (d, d), keep=0) / weight
-        residuals[label] = frobenius(choi.matrix - np.kron(sigma, effect.T))
+        sigma = partial_trace(choi, (d, d), keep=0) / weight
+        residuals[label] = frobenius(choi - np.kron(sigma, effect.T))
         sigmas[label] = sigma
     if not residuals:
         return _verdict("nuclear", 0.0, tol, witness={"note": "all effects null"})
@@ -243,22 +230,16 @@ def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> Class
     input; the tests exercise that forward implication on random states,
     while the converse is recorded here as documentation only.
     """
-    defect = 0.0
-    worst_label = instrument.outcomes[0]
-    worst_rank = 0
-    for label, ops in zip(instrument.outcomes, instrument.kraus_sets):
-        choi = choi_of_operation(ops)
-        evals = np.linalg.eigvalsh(choi.matrix)
-        second = float(evals[-2]) if len(evals) > 1 else 0.0
-        if second > defect:
-            defect = second
-            worst_label = label
-            worst_rank = int(np.sum(evals > tol))
+    evals = np.linalg.eigvalsh(instrument.choi)
+    # second-largest eigenvalue per outcome, clipped at 0 (and 0 when dim is 1)
+    second = evals[:, -2:-1].max(axis=1, initial=0.0)
+    worst = int(np.argmax(second))  # the first outcome when every entry is 0
+    rank = int(np.sum(evals[worst] > tol)) if second[worst] > 0.0 else 0
     return _verdict(
         "quasi_complete",
-        defect,
+        second[worst],
         tol,
-        witness={"worst_outcome": worst_label, "worst_rank": worst_rank},
+        witness={"worst_outcome": instrument.outcomes[worst], "worst_rank": rank},
     )
 
 
@@ -269,7 +250,8 @@ def joint_with_hamiltonian(
 
     For ``E`` commuting with ``H`` the joint observable with the spectral
     measure ``P`` of ``H`` is uniquely ``G_(x,m) = E_x P_m``. Outcomes are
-    labeled ``"x|m"`` in x-major order; both marginals are validated.
+    labeled ``"x|m"`` in x-major order; :func:`marginal_defect` measures how
+    far its marginals are from ``E`` and ``P``.
 
     Only this commutativity-based construction is provided. Observables
     that fail to commute with the Hamiltonian fall outside the free class,
@@ -290,13 +272,7 @@ def joint_with_hamiltonian(
         for m, p in zip(energy.outcomes, energy.effects):
             labels.append(f"{x}|{m}")
             effects.append(require_hermitian(e @ p, tol, name=f"joint effect {x}|{m}"))
-    joint = Observable(labels, effects, tol)
-    defect = marginal_defect(joint, observable, system_hamiltonian)
-    if defect > tol:
-        raise ValidationError(
-            f"a marginal of the joint observable is off by {defect:.3e} > {tol:.1e}"
-        )
-    return joint
+    return Observable(labels, effects, tol)
 
 
 def marginal_defect(joint: Observable, observable: Observable, system_hamiltonian) -> float:
@@ -350,8 +326,9 @@ def post_processing_decomposition(
 
     With rank-1 spectral projections ``P_m``, every effect of an observable
     commuting with ``H`` is ``E_x = sum_m p(x|m) P_m``; the weights are read
-    back as ``<m|E_x|m>``. Degenerate spectra are refused (the decomposition
-    is not unique there).
+    back as ``<m|E_x|m>``, and ``reconstruction_defect`` is the worst distance
+    of an effect from ``sum_m p(x|m) P_m``. Degenerate spectra are refused
+    (the decomposition is not unique there).
     """
     thermal = is_thermal_observable(observable, system_hamiltonian, tol)
     if not thermal.verdict:
@@ -371,16 +348,10 @@ def post_processing_decomposition(
             for e in observable.effects
         ]
     )
-    worst = 0.0
-    for x, e, row in zip(observable.outcomes, observable.effects, weights):
-        rebuilt = sum(w * p for w, p in zip(row, decomp.projectors))
-        defect = frobenius(rebuilt - e)
-        worst = max(worst, defect)
-        if defect > tol:
-            raise ValidationError(
-                f"effect {x!r} is not diagonal in the energy basis: "
-                f"reconstruction defect {defect:.3e} > {tol:.1e}"
-            )
+    worst = max(
+        frobenius(sum(w * p for w, p in zip(row, decomp.projectors)) - e)
+        for e, row in zip(observable.effects, weights)
+    )
     return PostProcessing(
         matrix=weights,
         outcomes=observable.outcomes,

@@ -11,6 +11,7 @@ input sets (``tolerances.validation``). Ranks and supports use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,9 +98,14 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out[0] if m.ndim == 2 else out
 
 
-def _superoperator(ks: np.ndarray) -> np.ndarray:
-    """Matrix of ``m -> sum K m K†`` on row-major vectorized operators."""
-    return sum(np.kron(k, k.conj()) for k in ks)
+def _choi(ks: np.ndarray) -> np.ndarray:
+    """Choi matrix of a Kraus stack: the Gram sum of its row-major flattened operators.
+
+    Row-major flattening of a Kraus operator is exactly its image of the
+    unnormalized maximally entangled vector (see :class:`ChoiMatrix`).
+    """
+    vecs = ks.reshape(len(ks), -1)
+    return vecs.T @ vecs.conj()
 
 
 class State:
@@ -262,10 +268,6 @@ class KrausChannel:
         ks = self.kraus
         return np.einsum("kai,ab,kbj->ij", ks.conj(), m, ks)
 
-    def superoperator(self) -> np.ndarray:
-        """Matrix of the channel on row-major vectorized operators."""
-        return _superoperator(self.kraus)
-
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
 
@@ -304,12 +306,12 @@ def is_bistochastic(channel: KrausChannel) -> BistochasticReport:
 
 def gibbs_state(hamiltonian, beta: float) -> State:
     """Thermal state ``exp(-beta H) / tr[exp(-beta H)]``, computed spectrally."""
-    beta = require_beta(beta)
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    evals, vecs = np.linalg.eigh(h)
-    weights = np.exp(-beta * (evals - evals[0]))  # shift avoids overflow
-    weights /= weights.sum()
-    return State((vecs * weights) @ dag(vecs))
+    return gibbs_state_from(*gibbs_log_weights(hamiltonian, require_beta(beta)))
+
+
+def gibbs_state_from(log_weights: np.ndarray, vecs: np.ndarray) -> State:
+    """The thermal state with the :func:`gibbs_log_weights` ``log_weights`` and ``vecs``."""
+    return State((vecs * np.exp(log_weights)) @ dag(vecs))
 
 
 def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
@@ -368,7 +370,6 @@ class Instrument:
         self.outcomes = outcomes
         self.kraus_sets = stacks
         self.dim = dim
-        self._induced_observable = None
 
     @classmethod
     def luders(cls, observable: Observable) -> "Instrument":
@@ -397,16 +398,22 @@ class Instrument:
     def total_channel(self) -> KrausChannel:
         return KrausChannel(np.concatenate(self.kraus_sets))
 
+    @cached_property
     def induced_observable(self) -> Observable:
         """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once."""
-        if self._induced_observable is None:
-            effects = [_gram(ks) for ks in self.kraus_sets]
-            self._induced_observable = Observable(self.outcomes, effects)
-        return self._induced_observable
+        return Observable(self.outcomes, [_gram(ks) for ks in self.kraus_sets])
 
-    def superoperator(self, index: int) -> np.ndarray:
-        """Matrix of one outcome's operation on row-major vectorized operators."""
-        return _superoperator(self.kraus_sets[index])
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """The outcomes' Choi matrices as one read-only ``(n_outcomes, dim², dim²)`` stack.
+
+        Entry ``x`` is operation ``x``'s matrix in the :class:`ChoiMatrix`
+        convention, symmetrized as :class:`ChoiMatrix` does; derived once.
+        """
+        stack = np.array([_choi(ks) for ks in self.kraus_sets])
+        stack = (stack + dag(stack)) / 2
+        stack.flags.writeable = False
+        return stack
 
     def __repr__(self):
         return f"Instrument(outcomes={list(self.outcomes)}, dim={self.dim})"
@@ -463,13 +470,10 @@ class ChoiMatrix:
 def choi_of_operation(kraus: Sequence) -> ChoiMatrix:
     """Choi matrix of the CP operation with the given Kraus operators.
 
-    Row-major flattening of a Kraus operator is exactly its image of the
-    unnormalized maximally entangled vector, so the Choi matrix is the Gram
-    sum of flattened Kraus operators.
+    The Choi matrix is the Gram sum of the flattened Kraus operators.
     """
     ks = _kraus_stack(kraus)
-    vecs = ks.reshape(len(ks), -1)
-    return ChoiMatrix(vecs.T @ vecs.conj(), *ks.shape[1:])
+    return ChoiMatrix(_choi(ks), *ks.shape[1:])
 
 
 def choi_rank(choi: ChoiMatrix) -> int:

@@ -49,24 +49,6 @@ MAX_STATE_COUNT = 10_000
 #: Largest number of grid points a sweep may request.
 MAX_GRID_SIZE = 10_000
 
-KNOWN_CHECKS = (
-    "free_scheme",
-    "second_law",
-    "covariant",
-    "gibbs_preserving",
-    "nuclear",
-    "prop2",
-    "quasi_complete",
-    "thermal_observable",
-    "joint_observable",
-    "post_processing",
-    "refine",
-    "moments",
-    "skew_chain",
-    "heat_duality",
-)
-
-
 # ---------------------------------------------------------------------------
 # JSON (de)serialization of matrices and quantum objects
 # ---------------------------------------------------------------------------
@@ -202,7 +184,7 @@ class Scenario:
     def observable_under_test(self) -> Observable:
         if self.observable is not None:
             return self.observable
-        return self.instrument.induced_observable()
+        return self.instrument.induced_observable
 
 
 def _named_state(name: str, h_system, beta: float) -> np.ndarray:
@@ -524,7 +506,7 @@ def _check_refine(sc: Scenario) -> dict:
 def _check_moments(sc: Scenario) -> dict:
     tol = sc.tol_for("moments")
     defects = list(sc.scheme.freeness().energy_conservation_defects)
-    joint_gibbs = np.kron(sc.scheme.system_gibbs().matrix, sc.scheme.probe_state.matrix)
+    joint_gibbs = np.kron(sc.scheme.system_gibbs.matrix, sc.scheme.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
     return {
         "name": "moments",
@@ -587,6 +569,9 @@ _CHECK_FUNCTIONS = {
     "skew_chain": _check_skew_chain,
     "heat_duality": _check_heat_duality,
 }
+
+#: Check names in the order the known-checks error message lists them.
+KNOWN_CHECKS = tuple(_CHECK_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ standard way to obtain interesting instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +38,13 @@ from .objects import (
     Observable,
     State,
     gibbs_log_weights,
-    gibbs_state,
+    gibbs_state_from,
     is_bistochastic,
 )
 from .sampling import haar_unitary
 
-#: Kraus operators with Frobenius norm below this are dropped from dilations.
+#: Kraus operators of a dilation with Frobenius norm at or below this, relative to
+#: the amplitude ``sqrt(g_a)`` of their probe level, are dropped.
 PRUNE_TOL = 1e-12
 
 #: Energy conservation is checked for the moments ``k = 1..ENERGY_MOMENTS``.
@@ -59,7 +61,8 @@ class MeasurementScheme:
     Hamiltonians are read-only. What depends on the scheme alone (the Gibbs
     states and log-weights, the freeness defects, the induced instrument and
     the conjugate channel) is derived on first use, by the function that
-    defines it, and kept for every later use.
+    defines it, and kept for every later use: a ``cached_property`` stores
+    it in the instance ``__dict__`` directly, past the immutability guard.
     """
 
     def __init__(
@@ -95,7 +98,6 @@ class MeasurementScheme:
             dim_probe=d_a,
             interaction=interaction,
             pointer=pointer,
-            _derived={},
         )
 
     def __setattr__(self, name, value):
@@ -104,39 +106,41 @@ class MeasurementScheme:
     def __delattr__(self, name):
         raise AttributeError(f"MeasurementScheme is immutable: cannot delete {name!r}")
 
-    def _once(self, key: str, derive, *args):
-        """``derive(*args)`` on the first call for ``key``, the stored result after."""
-        derived = self._derived
-        if key not in derived:
-            derived[key] = derive(*args)
-        return derived[key]
-
-    @property
-    def probe_state(self) -> State:
-        return self._once("probe_state", gibbs_state, self.probe_hamiltonian, self.beta)
-
-    def system_gibbs(self) -> State:
-        return self._once("system_gibbs", gibbs_state, self.system_hamiltonian, self.beta)
-
-    @property
+    @cached_property
     def gibbs_log_weights(self) -> tuple:
         """``gibbs_log_weights(system_hamiltonian, beta)``: log-weights and eigenvectors."""
-        h, beta = self.system_hamiltonian, self.beta
-        return self._once("gibbs_log_weights", gibbs_log_weights, h, beta)
+        return gibbs_log_weights(self.system_hamiltonian, self.beta)
+
+    @cached_property
+    def probe_log_weights(self) -> tuple:
+        """``gibbs_log_weights(probe_hamiltonian, beta)``: log-weights and eigenvectors."""
+        return gibbs_log_weights(self.probe_hamiltonian, self.beta)
+
+    @cached_property
+    def probe_state(self) -> State:
+        return gibbs_state_from(*self.probe_log_weights)
+
+    @cached_property
+    def system_gibbs(self) -> State:
+        return gibbs_state_from(*self.gibbs_log_weights)
+
+    @cached_property
+    def _free_defects(self) -> FreeSchemeReport:
+        return validate_free_scheme(self)
 
     def freeness(self, tol: float = THEOREM_TOL) -> FreeSchemeReport:
         """The :func:`validate_free_scheme` report at ``tol``; its defects are derived once."""
-        return replace(self._once("freeness", validate_free_scheme, self), tol=tol)
+        return replace(self._free_defects, tol=tol)
 
-    @property
+    @cached_property
     def instrument(self) -> Instrument:
         """The :func:`induced_instrument` of the scheme."""
-        return self._once("instrument", induced_instrument, self)
+        return induced_instrument(self)
 
-    @property
+    @cached_property
     def conjugate(self) -> KrausChannel:
         """The :func:`conjugate_channel` of the scheme."""
-        return self._once("conjugate", conjugate_channel, self)
+        return conjugate_channel(self)
 
     def total_hamiltonian(self) -> np.ndarray:
         return np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
@@ -234,22 +238,27 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     )
 
 
-def _dilation(scheme: MeasurementScheme) -> np.ndarray:
-    """Stack of ``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)``, shaped ``(k, d_s, d_a, d_s)``.
+def _dilation(scheme: MeasurementScheme) -> tuple:
+    """``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)`` and the amplitudes ``sqrt(g_a)``.
 
-    One entry per interaction Kraus operator ``M`` and probe Gibbs level ``|a>``
-    with ``g_a > 0``, in that order; the other axes are system out, probe out, system in.
+    The stack is ``(k, d_a, d_s, d_a, d_s)``: interaction Kraus operator
+    ``M``, probe level ``|a>``, then system out, probe out, system in. The
+    amplitudes ``sqrt(g_a) = exp(ln g_a / 2)`` come from the log Gibbs
+    weights, so they stay positive where ``g_a`` is far below round-off.
     """
     d_s, d_a = scheme.dim_system, scheme.dim_probe
-    evals, vecs = np.linalg.eigh(scheme.probe_state.matrix)
-    kept = evals > 0.0
-    probe_in = vecs[:, kept] * np.sqrt(evals[kept])
+    log_weights, vecs = scheme.probe_log_weights
+    amplitudes = np.exp(log_weights / 2)
     t = scheme.interaction.kraus.reshape(-1, d_s, d_a, d_s, d_a)
-    return np.einsum("mibjc,ca->maibj", t, probe_in).reshape(-1, d_s, d_a, d_s)
+    return np.einsum("mibjc,ca->maibj", t, vecs * amplitudes), amplitudes
 
 
-def _pruned(ks: np.ndarray) -> np.ndarray:
-    return ks[np.linalg.norm(ks, axis=(1, 2)) > PRUNE_TOL]
+def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """The operators of a ``(k, d_a, n, rows, cols)`` stack as one ``(-1, rows, cols)`` stack.
+
+    Kept are those whose norm exceeds ``PRUNE_TOL`` times the amplitude of their probe level.
+    """
+    return ks[np.linalg.norm(ks, axis=(-2, -1)) > PRUNE_TOL * amplitudes[:, None]]
 
 
 def induced_instrument(scheme: MeasurementScheme) -> Instrument:
@@ -261,15 +270,14 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     The Kraus decomposition is not unique; only the action is the contract.
     """
     d_s = scheme.dim_system
-    dilation = _dilation(scheme)
+    dilation, amplitudes = _dilation(scheme)
     kraus_sets = []
     for label, z in zip(scheme.pointer.outcomes, scheme.pointer.effects):
         try:
             sqrt_z = psd_sqrt(z)
         except ValidationError as exc:
             raise ValidationError(f"pointer effect {label!r}: {exc}") from exc
-        lifted = np.einsum("pb,kibj->kpij", sqrt_z, dilation).reshape(-1, d_s, d_s)
-        ops = _pruned(lifted)
+        ops = _pruned(np.einsum("pb,maibj->mapij", sqrt_z, dilation), amplitudes)
         kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
     return Instrument(scheme.pointer.outcomes, kraus_sets)
 
@@ -281,8 +289,7 @@ def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     operators are ordered by interaction Kraus operator, probe level and
     system output.
     """
-    d_s, d_a = scheme.dim_system, scheme.dim_probe
-    return KrausChannel(_pruned(_dilation(scheme).reshape(-1, d_a, d_s)))
+    return KrausChannel(_pruned(*_dilation(scheme)))
 
 
 def swap_unitary(dim: int) -> np.ndarray:

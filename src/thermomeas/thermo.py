@@ -249,7 +249,7 @@ class StateAudit:
 
     @cached_property
     def outcome_divergence(self) -> np.ndarray:
-        observable = self.instrument.induced_observable()
+        observable = self.instrument.induced_observable
         log_q = _log_gibbs_probabilities(observable, self.gibbs)
         return _outcome_divergence(observable, self.states, log_q)
 

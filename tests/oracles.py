@@ -3,8 +3,9 @@
 These deliberately avoid the package's Kraus code paths: the joint state is
 evolved by an explicit sum over the interaction's Kraus operators, the
 instrument action is evaluated from its defining formula on the joint
-space, and the dilation relative entropy is evaluated on explicitly built
-block-diagonal matrices.
+space, the dilation relative entropy is evaluated on explicitly built
+block-diagonal matrices, and the covariance defect is the commutator of
+explicit Kronecker-product superoperators.
 """
 
 import numpy as np
@@ -52,3 +53,17 @@ def dilation_relative_entropy(outputs, gibbs_probs, tau):
         big_rho += np.kron(out, unit)
         big_tau += np.kron(qx * tau, unit)
     return relative_entropy(big_rho, big_tau)
+
+
+def liouville_covariance_defect(kraus, hamiltonian):
+    """``||[S, L]||_F`` for ``S = sum_K K (x) conj(K)`` and ``L = -i (H (x) 1 - 1 (x) H^T)``.
+
+    ``S`` is the operation ``rho -> sum K rho K†`` and ``L`` the derivation
+    ``rho -> -i [H, rho]``, both on row-major vectorized operators; they
+    commute exactly when the operation is covariant at all times.
+    """
+    h = as_matrix(hamiltonian)
+    eye = np.eye(h.shape[0])
+    sup = sum(np.kron(k, k.conj()) for k in kraus)
+    derivation = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return float(np.linalg.norm(sup @ derivation - derivation @ sup))

@@ -85,8 +85,8 @@ def sweep():
                 h, h, beta, pointer, seed=9000 + index, mixture_size=1 + (index % 3)
             )
             instrument = induced_instrument(scheme)
-            observable = instrument.induced_observable()
-            tau = scheme.system_gibbs()
+            observable = instrument.induced_observable
+            tau = scheme.system_gibbs
             q = observable.probabilities(tau)
             conjugate = conjugate_channel(scheme)
             schemes.append(

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import liouville_covariance_defect
+from test_schemes import SPECTRA, build_scheme, scheme_inputs
 from thermomeas.classify import (
+    COVARIANCE_SAMPLE_TIMES,
     check_prop2,
     is_covariant_instrument,
     is_gibbs_preserving,
@@ -21,6 +26,7 @@ from thermomeas.objects import (
     Observable,
     gibbs_state,
     spectral_observable,
+    time_evolution,
 )
 from thermomeas.sampling import (
     haar_unitary,
@@ -62,14 +68,81 @@ class TestThermalObservable:
         obs = random_commuting_povm(H2, 3, rng)
         assert is_thermal_observable(obs, H2).verdict
         scheme = trivial_scheme(obs, H2, beta=1.0)
-        induced = induced_instrument(scheme).induced_observable()
+        induced = induced_instrument(scheme).induced_observable
         for a, b in zip(induced.effects, obs.effects):
             assert frobenius(a - b) < 1e-8
         with pytest.raises(PreconditionError):
             trivial_scheme(X_BASIS, H2, beta=1.0)
 
 
+def rotated_spectrum(d, spectrum, rotate, rng):
+    u = haar_unitary(d, rng) if rotate else np.eye(d)
+    return (u * SPECTRA[spectrum](d)) @ u.conj().T
+
+
+@st.composite
+def instruments_and_hamiltonians(draw):
+    """Lueders instruments of random POVMs (not covariant) or instruments of random free schemes."""
+    if draw(st.booleans()):
+        scheme = build_scheme(*draw(scheme_inputs()))
+        return scheme.instrument, scheme.system_hamiltonian
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    rng = rng_from_seed(draw(st.integers(min_value=0, max_value=10_000)))
+    h = rotated_spectrum(d, draw(st.sampled_from(sorted(SPECTRA))), draw(st.booleans()), rng)
+    return Instrument.luders(random_povm(d, draw(st.integers(2, 4)), rng)), h
+
+
+def per_probe_sampled_defect(instrument, h):
+    """The witness's sampled-time defect, one probe and one instrument application at a time."""
+    rng = rng_from_seed(20100526)  # the probe seed is_covariant_instrument fixes
+    probes = [random_density_matrix(instrument.dim, rng).matrix for _ in range(3)]
+    sampled = 0.0
+    for t in COVARIANCE_SAMPLE_TIMES:
+        u = time_evolution(h, t)
+        for r in probes:
+            for a, b in zip(instrument.apply(u @ r @ u.conj().T), instrument.apply(r)):
+                sampled = max(sampled, frobenius(a - u @ b @ u.conj().T))
+    return sampled
+
+
 class TestCovariantInstrument:
+    @given(case=instruments_and_hamiltonians())
+    @settings(max_examples=60, deadline=None)
+    def test_choi_defect_is_the_liouville_commutator(self, case):
+        instrument, h = case
+        oracle = [liouville_covariance_defect(ops, h) for ops in instrument.kraus_sets]
+        verdict = is_covariant_instrument(instrument, h)
+        assert abs(verdict.defect - max(oracle)) <= 1e-12 * max(1.0, max(oracle))
+        if max(oracle) > 1e-6:
+            assert verdict.witness["worst_outcome"] == instrument.outcomes[int(np.argmax(oracle))]
+
+    @pytest.mark.parametrize("case", ["sharp", "x_basis", "rotated_povm", "free_scheme"])
+    def test_stacked_cross_check_is_the_per_probe_loop(self, case):
+        rng = rng_from_seed(31)
+        h3 = rotated_spectrum(3, "non_resonant", True, rng)
+        instrument, h = {
+            "sharp": (Instrument.luders(Z_SHARP), H2),
+            "x_basis": (Instrument.luders(X_BASIS), H2),
+            "rotated_povm": (Instrument.luders(random_povm(3, 3, rng)), h3),
+            "free_scheme": (random_free_scheme(H4, H2, 0.7, Z_SHARP, seed=5).instrument, H4),
+        }[case]
+        stacked = is_covariant_instrument(instrument, h).witness["sampled_time_defect"]
+        looped = per_probe_sampled_defect(instrument, h)
+        assert abs(stacked - looped) <= 1e-14 * max(1.0, looped)
+
+    def test_one_instrument_application(self, monkeypatch):
+        shapes = []
+        apply = Instrument.apply
+
+        def counted(self, rho):
+            shapes.append(np.shape(rho))
+            return apply(self, rho)
+
+        instrument = random_free_scheme(H4, H2, 1.0, Z_SHARP, seed=3).instrument
+        monkeypatch.setattr(Instrument, "apply", counted)
+        is_covariant_instrument(instrument, H4)
+        assert shapes == [(12, 4, 4)]  # 3 probes and their rotations at 3 times
+
     def test_luders_eigenbasis_is_covariant(self):
         verdict = is_covariant_instrument(Instrument.luders(Z_SHARP), H2)
         assert verdict.verdict
@@ -90,7 +163,7 @@ class TestCovariantInstrument:
             scheme = random_free_scheme(H2, H2, 0.9, Z_SHARP, seed=700 + seed)
             ins = induced_instrument(scheme)
             assert is_covariant_instrument(ins, H2).verdict
-            assert is_thermal_observable(ins.induced_observable(), H2).verdict
+            assert is_thermal_observable(ins.induced_observable, H2).verdict
 
 
 class TestGibbsPreserving:

@@ -210,12 +210,6 @@ class TestKrausChannel:
         with pytest.raises(ValidationError, match="channel input must be"):
             ch.apply(np.zeros((n, d_in + 1, d_in + 1)))
 
-    def test_superoperator_matches_action(self):
-        ch = amplitude_damping(0.45)
-        rho = random_density_matrix(2, rng_from_seed(6)).matrix
-        via_superop = (ch.superoperator() @ rho.reshape(-1)).reshape(2, 2)
-        np.testing.assert_allclose(via_superop, ch.apply(rho), atol=1e-14)
-
 
 class TestBistochastic:
     def test_unitary_channel(self):
@@ -240,18 +234,18 @@ class TestInstrument:
     def test_luders_induces_original_observable(self):
         obs = random_povm(3, 3, rng_from_seed(10))
         ins = Instrument.luders(obs)
-        induced = ins.induced_observable()
+        induced = ins.induced_observable
         for a, b in zip(induced.effects, obs.effects):
             assert np.linalg.norm(a - b) < 1e-10
 
     def test_single_outcome_unitary(self):
         ins = Instrument(["only"], [[haar_unitary(2, rng_from_seed(11))]])
-        induced = ins.induced_observable()
+        induced = ins.induced_observable
         np.testing.assert_allclose(induced.effects[0], np.eye(2), atol=1e-12)
 
     def test_projective_kraus_sets(self):
         ins = Instrument(["x1", "x2"], [[P0], [P1]])
-        induced = ins.induced_observable()
+        induced = ins.induced_observable
         assert induced.is_sharp()
         np.testing.assert_allclose(induced.effects[0], P0, atol=1e-14)
 
@@ -284,6 +278,17 @@ class TestInstrument:
                 np.testing.assert_allclose(out[i], single, atol=1e-14)
         with pytest.raises(ValidationError, match="instrument input must be 3 x 3"):
             ins.apply(np.eye(2))
+
+    def test_choi_stack_holds_each_outcomes_choi_matrix(self):
+        ins = Instrument.luders(random_povm(3, 2, rng_from_seed(42)))
+        assert ins.choi is ins.choi
+        assert ins.choi.shape == (2, 9, 9) and not ins.choi.flags.writeable
+        units = np.eye(9).reshape(9, 3, 3)  # |i><j| at index 3 i + j
+        outputs = ins.apply(units)
+        for x, ops in enumerate(ins.kraus_sets):
+            np.testing.assert_array_equal(ins.choi[x], choi_of_operation(ops).matrix)
+            direct = sum(np.kron(out, unit) for out, unit in zip(outputs[x], units))
+            np.testing.assert_allclose(ins.choi[x], direct, atol=1e-14)
 
     def test_outputs_sum_to_total_channel(self):
         rng = rng_from_seed(13)

@@ -58,8 +58,8 @@ class TestRotatedBases:
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
             assert frobenius(out - ref) < 1e-12
 
-        tau = scheme.system_gibbs()
-        q = ins.induced_observable().probabilities(tau)
+        tau = scheme.system_gibbs
+        q = ins.induced_observable.probabilities(tau)
         for qx, out in zip(q, ins.apply(tau)):
             assert frobenius(out - qx * tau.matrix) < 1e-8
         assert is_covariant_instrument(ins, h_sys).verdict

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from thermomeas import scenario as scenario_module
 from thermomeas.errors import ValidationError
 from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
+    KNOWN_CHECKS,
     MAX_GRID_SIZE,
     MAX_STATE_COUNT,
     decode_channel,
@@ -84,8 +87,18 @@ class TestParseScenario:
 
     def test_unknown_check_rejected(self):
         raw = random_block_scenario(["not_a_check"])
-        with pytest.raises(ValidationError, match="unknown check"):
+        with pytest.raises(ValidationError) as caught:
             parse_scenario(raw)
+        assert str(caught.value) == (
+            "unknown check 'not_a_check'; known checks: free_scheme, second_law, covariant, "
+            "gibbs_preserving, nuclear, prop2, quasi_complete, thermal_observable, "
+            "joint_observable, post_processing, refine, moments, skew_chain, heat_duality"
+        )
+
+    def test_readme_lists_the_known_checks(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Known checks: (.*?)\.\n", readme, re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", listed)) == KNOWN_CHECKS
 
     def test_scheme_required_for_scheme_checks(self):
         raw = {
@@ -343,6 +356,20 @@ class TestRunScenario:
         }
         with pytest.raises(ValueError, match="Gibbs-preserving"):
             run_scenario(raw)
+
+    def test_post_processing_check_owns_its_verdict(self):
+        # commutes with H within tol (the gap is small) yet is far from diagonal at that tol
+        eps = 5e-6
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1e-3],
+            "observable": {"effects": [[[0.5, eps], [eps, 0.5]], [[0.5, -eps], [-eps, 0.5]]]},
+            "checks": ["thermal_observable", "post_processing"],
+        }
+        thermal, post = run_scenario(raw).checks
+        assert thermal["verdict"]
+        assert not post["verdict"]
+        assert abs(post["reconstruction_defect"] - 2**0.5 * eps) < 1e-15
 
 
 class TestRunSweep:

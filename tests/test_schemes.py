@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_instrument_action, direct_probe_state
+from oracles import direct_instrument_action, direct_probe_state, liouville_covariance_defect
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.linalg import commutator_defect
 from thermomeas.objects import (
@@ -167,8 +167,8 @@ class TestInducedInstrument:
     def test_gibbs_input_reproduces_gibbs(self):
         scheme = resonant_random_scheme(seed=3)
         ins = induced_instrument(scheme)
-        tau = scheme.system_gibbs()
-        q = ins.induced_observable().probabilities(tau)
+        tau = scheme.system_gibbs
+        q = ins.induced_observable.probabilities(tau)
         for x, out in enumerate(ins.apply(tau)):
             assert np.linalg.norm(out - q[x] * tau.matrix) < 1e-9
 
@@ -213,7 +213,7 @@ class TestConjugateChannel:
     def test_gibbs_is_fixed_point_pair(self):
         scheme = resonant_random_scheme(seed=11, beta=0.7)
         lam = conjugate_channel(scheme)
-        tau = scheme.system_gibbs()
+        tau = scheme.system_gibbs
         assert np.linalg.norm(lam.apply(tau) - scheme.probe_state.matrix) < 1e-9
 
     def test_matches_direct_partial_trace(self):
@@ -244,7 +244,7 @@ class TestRandomFreeScheme:
     def test_resonant_qubits_verdict_and_nontrivial(self):
         scheme = resonant_random_scheme(seed=7, mixture_size=3)
         assert validate_free_scheme(scheme).verdict
-        induced = induced_instrument(scheme).induced_observable()
+        induced = induced_instrument(scheme).induced_observable
         assert induced.triviality_defect() > 1e-3
 
     def test_determinism(self):
@@ -262,8 +262,8 @@ class TestRandomFreeScheme:
     def test_gibbs_preservation_property(self, seed):
         scheme = resonant_random_scheme(seed=seed, beta=0.9)
         ins = induced_instrument(scheme)
-        tau = scheme.system_gibbs()
-        q = ins.induced_observable().probabilities(tau)
+        tau = scheme.system_gibbs
+        q = ins.induced_observable.probabilities(tau)
         for x, out in enumerate(ins.apply(tau)):
             assert np.linalg.norm(out - q[x] * tau.matrix) < 1e-8
 
@@ -272,12 +272,9 @@ class TestRandomFreeScheme:
         scheme = resonant_random_scheme(seed=seed + 50, dim=3)
         ins = induced_instrument(scheme)
         h = scheme.system_hamiltonian
-        eye = np.eye(3)
-        derivation = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         rng = rng_from_seed(seed)
-        for x in range(ins.n_outcomes):
-            sup = ins.superoperator(x)
-            assert np.linalg.norm(sup @ derivation - derivation @ sup) < 1e-8
+        for ops in ins.kraus_sets:
+            assert liouville_covariance_defect(ops, h) < 1e-8
         for t in (0.37, 1.0, 2.5):
             u = time_evolution(h, t)
             rho = random_density_matrix(3, rng)
@@ -289,7 +286,7 @@ class TestRandomFreeScheme:
     @pytest.mark.parametrize("seed", range(3))
     def test_joint_gibbs_fixed_point(self, seed):
         scheme = resonant_random_scheme(seed=seed + 80, beta=1.4)
-        joint = np.kron(scheme.system_gibbs().matrix, scheme.probe_state.matrix)
+        joint = np.kron(scheme.system_gibbs.matrix, scheme.probe_state.matrix)
         assert np.linalg.norm(scheme.interaction.apply(joint) - joint) < 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
@@ -310,7 +307,7 @@ class TestRandomFreeScheme:
     @pytest.mark.parametrize("seed", range(3))
     def test_induced_observable_invariance(self, seed):
         scheme = resonant_random_scheme(seed=seed + 70, dim=3)
-        induced = induced_instrument(scheme).induced_observable()
+        induced = induced_instrument(scheme).induced_observable
         for e in induced.effects:
             assert commutator_defect(e, scheme.system_hamiltonian) < 1e-8
 
@@ -341,7 +338,7 @@ class TestEnergyMoments:
 
 
 def test_scheme_annotations_resolve():
-    hints = typing.get_type_hints(MeasurementScheme.probe_state.fget)
+    hints = typing.get_type_hints(MeasurementScheme.probe_state.func)
     assert hints["return"] is State
 
 
@@ -368,13 +365,13 @@ class TestCompiledScheme:
         scheme = resonant_random_scheme()
         assert scheme.instrument is scheme.instrument
         assert scheme.conjugate is scheme.conjugate
-        assert scheme.system_gibbs() is scheme.system_gibbs()
+        assert scheme.system_gibbs is scheme.system_gibbs
         assert scheme.freeness(1e-3).tol == 1e-3
         assert scheme.freeness(1e-3).energy_conservation_defects == (
             validate_free_scheme(scheme).energy_conservation_defects
         )
         ins = scheme.instrument
-        assert ins.induced_observable() is ins.induced_observable()
+        assert ins.induced_observable is ins.induced_observable
 
     @given(inputs=scheme_inputs())
     @settings(max_examples=25, deadline=None)

@@ -80,8 +80,8 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
     plain = StateAudit(instrument, states, h, beta)
     plain_work = plain.work_reports(plain.system_heat)
 
-    tau = scheme.system_gibbs()
-    q = instrument.induced_observable().probabilities(tau)
+    tau = scheme.system_gibbs
+    q = instrument.induced_observable.probabilities(tau)
     oracle_exact = q.min() * tau.matrix.diagonal().real.min() > SUPPORT_TOL
     for i, rho in enumerate(states):
         law, work = second_law_report(scheme, rho)
@@ -99,7 +99,7 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         assert close(audit.average_extractable_work[i],
                      average_extractable_work(instrument, rho, h, beta))
         assert close(audit.outcome_divergence[i],
-                     outcome_divergence(instrument.induced_observable(), rho, h, beta))
+                     outcome_divergence(instrument.induced_observable, rho, h, beta))
         assert close(audit.groenewold_gain[i], groenewold_gain(instrument, rho))
         if oracle_exact:  # no Gibbs block weight falls under the oracle's support cut
             direct = dilation_relative_entropy(instrument.apply(rho), q, tau.matrix)
