@@ -49,8 +49,7 @@ print("\nrandom scheme report:", tm.validate_free_scheme(scheme).to_dict())
 induced = tm.induced_instrument(scheme)
 E = induced.induced_observable
 print("induced observable triviality defect:", round(E.triviality_defect(), 4))
-print("induced effects commute with H:",
-      max(tm.commutator_defect(e, H) for e in E.effects) < 1e-10)
+print("induced effects commute with H:", tm.commutator_defect(E.effects, H).max() < 1e-10)
 
 # Gibbs preservation in action:
 for x, out in zip(induced.outcomes, induced.apply(tau)):

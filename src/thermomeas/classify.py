@@ -21,6 +21,7 @@ from .linalg import (
     SUPPORT_TOL,
     THEOREM_TOL,
     VALIDATION_TOL,
+    _symmetrized,
     commutator_defect,
     dag,
     eig_hermitian,
@@ -79,11 +80,11 @@ def is_thermal_observable(
         raise ValidationError(
             f"observable dimension {observable.dim} != Hamiltonian dimension {h.shape[0]}"
         )
-    defects = [commutator_defect(e, h) for e in observable.effects]
+    defects = commutator_defect(observable.effects, h)
     worst = int(np.argmax(defects))
     return _verdict(
         "thermal_observable",
-        max(defects),
+        defects[worst],
         tol,
         witness={"worst_outcome": observable.outcomes[worst]},
     )
@@ -266,12 +267,10 @@ def joint_with_hamiltonian(
             f"(defect {thermal.defect:.3e} > {tol:.1e}); no unique joint observable"
         )
     energy = spectral_observable(system_hamiltonian)
-    labels = []
-    effects = []
-    for x, e in zip(observable.outcomes, observable.effects):
-        for m, p in zip(energy.outcomes, energy.effects):
-            labels.append(f"{x}|{m}")
-            effects.append(require_hermitian(e @ p, tol, name=f"joint effect {x}|{m}"))
+    labels = tuple(f"{x}|{m}" for x in observable.outcomes for m in energy.outcomes)
+    d = observable.dim
+    products = (observable.effects[:, None] @ energy.effects[None]).reshape(-1, d, d)
+    effects = _symmetrized(products, tol, tuple(f"joint effect {label}" for label in labels))
     return Observable(labels, effects, tol)
 
 
@@ -282,15 +281,9 @@ def marginal_defect(joint: Observable, observable: Observable, system_hamiltonia
     outcomes must give the spectral projector ``P_m`` of the Hamiltonian.
     """
     energy = spectral_observable(system_hamiltonian)
-    n_m = energy.n_outcomes
-    defect = 0.0
-    for i, e in enumerate(observable.effects):
-        marg = sum(joint.effects[i * n_m + j] for j in range(n_m))
-        defect = max(defect, frobenius(marg - e))
-    for j, p in enumerate(energy.effects):
-        marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
-        defect = max(defect, frobenius(marg - p))
-    return defect
+    grid = joint.effects.reshape(observable.n_outcomes, *energy.effects.shape)
+    gaps = (grid.sum(axis=1) - observable.effects, grid.sum(axis=0) - energy.effects)
+    return max(float(np.linalg.norm(gap, axis=(1, 2)).max()) for gap in gaps)
 
 
 @dataclass(frozen=True)
@@ -342,21 +335,15 @@ def post_processing_decomposition(
             f"Hamiltonian spectrum is degenerate (multiplicities {decomp.multiplicities}); "
             "the post-processing decomposition is not unique"
         )
-    weights = np.array(
-        [
-            [float(np.trace(e @ p).real) for p in decomp.projectors]
-            for e in observable.effects
-        ]
-    )
-    worst = max(
-        frobenius(sum(w * p for w, p in zip(row, decomp.projectors)) - e)
-        for e, row in zip(observable.effects, weights)
-    )
+    weights = np.einsum("xij,mji->xm", observable.effects, decomp.projectors).real
+    rebuilt = np.tensordot(weights, decomp.projectors, axes=1)
     return PostProcessing(
         matrix=weights,
         outcomes=observable.outcomes,
         energies=decomp.eigenvalues,
-        reconstruction_defect=worst,
+        reconstruction_defect=float(
+            np.linalg.norm(rebuilt - observable.effects, axis=(1, 2)).max()
+        ),
     )
 
 
@@ -370,19 +357,10 @@ def refine_to_rank_one(observable: Observable):
     relabeling map back to the original outcomes; coarse-graining by that
     map reproduces the input.
     """
-    labels = []
-    effects = []
-    relabel = {}
-    for y, e in zip(observable.outcomes, observable.effects):
-        evals, vecs = np.linalg.eigh(e)
-        kept = 0
-        for lam, v in zip(evals, vecs.T):
-            if lam <= SUPPORT_TOL:
-                continue
-            label = f"{y}:{kept}"
-            labels.append(label)
-            effects.append(lam * np.outer(v, v.conj()))
-            relabel[label] = y
-            kept += 1
-    refined = Observable(labels, effects)
-    return refined, relabel
+    evals, vecs = np.linalg.eigh(observable.effects)
+    kept = evals > SUPPORT_TOL
+    columns = vecs.swapaxes(1, 2)[kept]  # the kept eigenvectors, (pieces, d)
+    effects = evals[kept][:, None, None] * (columns[:, :, None] * columns[:, None, :].conj())
+    counts = kept.sum(axis=1)
+    relabel = {f"{y}:{i}": y for y, count in zip(observable.outcomes, counts) for i in range(count)}
+    return Observable(list(relabel), effects), relabel

@@ -3,10 +3,11 @@
 All operators are plain complex numpy arrays; the higher-level object types
 in :mod:`thermomeas.objects` are thin validated wrappers around them, and
 every function here also accepts such wrappers (anything with a ``.matrix``
-attribute). ``psd_sqrt``, ``density_matrix`` and ``von_neumann_entropy``
-also take an ``(n, d, d)`` stack of operators and treat each entry as one
-operator; their messages then name the first offending entry by its
-index. Logarithms are natural throughout, so entropies are in nats.
+attribute). ``psd_sqrt``, ``density_matrix``, ``von_neumann_entropy`` and
+the first operand of ``commutator_defect`` also take an ``(n, d, d)`` stack
+of operators and treat each entry as one operator; their messages then name
+the first offending entry by its index. Logarithms are natural throughout,
+so entropies are in nats.
 
 Numerical conventions, applied consistently package-wide. Each numerical
 decision has one constant here, and the other modules import it:
@@ -86,15 +87,17 @@ def as_matrices(obj) -> np.ndarray:
     return m
 
 
-def _first_failure(values, bad, name: str) -> tuple:
+def _first_failure(values, bad, name) -> tuple:
     """``(value, label)`` of the first entry flagged in ``bad``, which flags one at least.
 
     ``values`` and ``bad`` hold one entry per matrix of a stack, or a single
-    entry for one matrix; the label is ``name`` for one matrix and
-    ``"name i"`` for entry ``i`` of a stack.
+    entry for one matrix. The label is ``name`` for one matrix; for entry
+    ``i`` of a stack it is ``name[i]`` when ``name`` is a tuple of one label
+    per entry, else ``"name i"``.
     """
     i = int(np.argmax(np.atleast_1d(bad)))
-    return np.atleast_1d(values)[i], (name if np.ndim(bad) == 0 else f"{name} {i}")
+    label = name if np.ndim(bad) == 0 else name[i] if isinstance(name, tuple) else f"{name} {i}"
+    return np.atleast_1d(values)[i], label
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -112,8 +115,11 @@ def require_hermitian(obj, tol: float = VALIDATION_TOL, name: str = "matrix") ->
     return _symmetrized(as_matrix(obj), tol, name)
 
 
-def _symmetrized(m: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """:func:`require_hermitian` of a matrix or of each entry of a stack."""
+def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
+    """:func:`require_hermitian` of a matrix or of each entry of a stack.
+
+    A refusal names the entry as :func:`_first_failure` does.
+    """
     require_square(m, name)
     if not np.isfinite(m).all():
         finite = np.isfinite(m).all(axis=(-2, -1))
@@ -142,44 +148,45 @@ class SpectralDecomposition:
     """Clustered eigendecomposition of a Hermitian operator.
 
     ``eigenvalues`` holds one value per cluster, ascending; ``projectors``
-    the corresponding orthogonal projectors (rank = multiplicity), which
-    are mutually orthogonal and sum to the identity.
+    the corresponding orthogonal projectors (rank = multiplicity) as one
+    read-only ``(n_levels, d, d)`` stack, mutually orthogonal and summing
+    to the identity.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple
+    projectors: np.ndarray
     multiplicities: tuple
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def nondegenerate(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
 
     def reconstruct(self) -> np.ndarray:
-        return sum(lam * p for lam, p in zip(self.eigenvalues, self.projectors))
+        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
+
+
+def _new_clusters(values: np.ndarray) -> np.ndarray:
+    """Flags, per consecutive pair of sorted values, of a gap above the clustering threshold.
+
+    The absolute threshold is ``CLUSTER_TOL * max(spread, 1)``.
+    """
+    return np.diff(values) > CLUSTER_TOL * max(float(values[-1] - values[0]), 1.0)
 
 
 def cluster_indices(values: np.ndarray) -> list:
     """Group sorted real values whose consecutive gaps fall below the threshold.
 
-    The absolute threshold is ``CLUSTER_TOL * max(spread, 1)``. Returns a
-    list of index arrays, one per cluster, in ascending order.
+    The threshold is that of :func:`_new_clusters`. Returns a list of index
+    arrays, one per cluster, in ascending order.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         return []
-    spread = float(values[-1] - values[0])
-    thresh = CLUSTER_TOL * max(spread, 1.0)
-    groups = [[0]]
-    for i in range(1, n):
-        if values[i] - values[i - 1] > thresh:
-            groups.append([])
-        groups[-1].append(i)
-    return [np.asarray(g, dtype=int) for g in groups]
+    return np.split(np.arange(len(values)), np.flatnonzero(_new_clusters(values)) + 1)
 
 
 def eig_hermitian(a) -> SpectralDecomposition:
@@ -189,18 +196,16 @@ def eig_hermitian(a) -> SpectralDecomposition:
     spectral range) of each other yields one projector; the reported
     eigenvalue is the cluster mean.
     """
-    m = require_hermitian(a)
-    evals, vecs = np.linalg.eigh(m)
-    projectors = []
-    values = []
-    mults = []
-    for idx in cluster_indices(evals):
-        block = vecs[:, idx]
-        projectors.append(block @ dag(block))
-        values.append(float(np.mean(evals[idx])))
-        mults.append(int(len(idx)))
+    evals, vecs = np.linalg.eigh(require_hermitian(a))
+    level = np.concatenate([[0], np.cumsum(_new_clusters(evals))])
+    member = level == np.arange(level[-1] + 1)[:, None]  # (n_levels, d): eigenvector in level
+    counts = member.sum(axis=1)
+    projectors = (vecs * member[:, None, :]) @ dag(vecs)
+    projectors.flags.writeable = False
     return SpectralDecomposition(
-        eigenvalues=np.asarray(values), projectors=tuple(projectors), multiplicities=tuple(mults)
+        eigenvalues=member @ evals / counts,
+        projectors=projectors,
+        multiplicities=tuple(counts.tolist()),
     )
 
 
@@ -210,10 +215,15 @@ def psd_sqrt(a) -> np.ndarray:
     Eigenvalues in ``[-VALIDATION_TOL, 0)`` are clipped to zero; anything
     more negative raises.
     """
-    evals, vecs = np.linalg.eigh(_symmetrized(as_matrices(a), VALIDATION_TOL, "matrix"))
+    return _psd_sqrt(as_matrices(a), "operator")
+
+
+def _psd_sqrt(m: np.ndarray, name) -> np.ndarray:
+    """:func:`psd_sqrt`; a refusal names the entry as :func:`_first_failure` does."""
+    evals, vecs = np.linalg.eigh(_symmetrized(m, VALIDATION_TOL, "matrix"))
     lowest = evals[..., 0]
     if (lowest < -VALIDATION_TOL).any():
-        worst, label = _first_failure(lowest, lowest < -VALIDATION_TOL, "operator")
+        worst, label = _first_failure(lowest, lowest < -VALIDATION_TOL, name)
         raise ValidationError(
             f"{label} is not positive semidefinite: min eigenvalue {worst:.3e} "
             f"< -{VALIDATION_TOL:.1e}"
@@ -311,11 +321,16 @@ def relative_entropy(rho, sigma) -> float:
     return entropy_term - cross_term
 
 
-def commutator_defect(a, b) -> float:
-    """``||AB - BA||_F``, the uniform metric for all commutation checks."""
-    ma, mb = as_matrix(a), as_matrix(b)
+def commutator_defect(a, b):
+    """``||AB - BA||_F``, the uniform metric for all commutation checks.
+
+    A float for one operator ``a``; for an ``(n, d, d)`` stack ``a``, an
+    array of one defect per entry.
+    """
+    ma, mb = as_matrices(a), as_matrix(b)
     require_square(ma, "first operand")
     require_square(mb, "second operand")
-    if ma.shape != mb.shape:
+    if ma.shape[-2:] != mb.shape:
         raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return frobenius(ma @ mb - mb @ ma)
+    defects = np.linalg.norm(ma @ mb - mb @ ma, axis=(-2, -1))
+    return float(defects) if ma.ndim == 2 else defects

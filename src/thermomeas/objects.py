@@ -20,6 +20,8 @@ from .errors import ValidationError
 from .linalg import (
     SUPPORT_TOL,
     VALIDATION_TOL,
+    _psd_sqrt,
+    _symmetrized,
     as_matrices,
     as_matrix,
     dag,
@@ -27,9 +29,9 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     logsumexp,
-    psd_sqrt,
     require_beta,
     require_hermitian,
+    require_square,
 )
 
 
@@ -131,7 +133,10 @@ def pure_state(vector) -> State:
 
 
 class Observable:
-    """Discrete POVM: labeled effects with 0 <= E_x <= 1 summing to identity."""
+    """Discrete POVM: labeled effects with 0 <= E_x <= 1 summing to identity.
+
+    ``effects`` is one read-only ``(n_outcomes, dim, dim)`` stack.
+    """
 
     def __init__(self, outcomes: Sequence[str], effects: Sequence, tol: float = VALIDATION_TOL):
         outcomes = tuple(str(x) for x in outcomes)
@@ -143,35 +148,30 @@ class Observable:
             raise ValidationError(
                 f"{len(outcomes)} outcomes but {len(effects)} effects supplied"
             )
-        checked = []
-        dim = None
-        worst = (0.0, None)  # range violation magnitude, offending label
-        for label, effect in zip(outcomes, effects):
-            m = require_hermitian(effect, tol, name=f"effect {label!r}")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValidationError(
-                    f"effect {label!r} has dimension {m.shape[0]}, expected {dim}"
-                )
-            evals = np.linalg.eigvalsh(m)
-            violation = max(-float(evals[0]), float(evals[-1]) - 1.0)
-            if violation > worst[0]:
-                worst = (violation, label)
-            checked.append(_freeze(m))
-        if worst[0] > tol:
+        names = tuple(f"effect {x!r}" for x in outcomes)
+        matrices = [as_matrix(e) for e in effects]
+        dim = matrices[0].shape[0]
+        for name, m in zip(names, matrices):
+            require_square(m, name)
+            if m.shape[0] != dim:
+                raise ValidationError(f"{name} has dimension {m.shape[0]}, expected {dim}")
+        stack = _symmetrized(np.array(matrices), tol, names)
+        evals = np.linalg.eigvalsh(stack)
+        violation = np.maximum(-evals[:, 0], evals[:, -1] - 1.0)
+        worst = int(np.argmax(violation))
+        if violation[worst] > tol:
             raise ValidationError(
-                f"effect {worst[1]!r} has an eigenvalue {worst[0]:.3e} outside [0, 1] "
+                f"{names[worst]} has an eigenvalue {violation[worst]:.3e} outside [0, 1] "
                 f"(worst violation over all effects; tolerance {tol:.1e})"
             )
-        total = sum(checked)
-        completeness_defect = frobenius(total - np.eye(dim))
+        completeness_defect = frobenius(stack.sum(axis=0) - np.eye(dim))
         if completeness_defect > tol:
             raise ValidationError(
                 f"effects sum differs from identity by {completeness_defect:.3e} > {tol:.1e}"
             )
+        stack.flags.writeable = False
         self.outcomes = outcomes
-        self.effects = tuple(checked)
+        self.effects = stack
         self.dim = dim
 
     @property
@@ -183,17 +183,15 @@ class Observable:
 
     def probabilities(self, rho) -> np.ndarray:
         """Born-rule outcome distribution ``tr[E_x rho]``."""
-        m = as_matrix(rho)
-        return np.array([float(np.trace(e @ m).real) for e in self.effects])
+        return np.trace(self.effects @ as_matrix(rho), axis1=1, axis2=2).real
 
     def sharpness_defect(self) -> float:
-        """Max ``||E_x E_y - delta_xy E_x||_F`` over outcome pairs."""
-        worst = 0.0
-        for i, a in enumerate(self.effects):
-            for j, b in enumerate(self.effects):
-                target = a if i == j else 0.0
-                worst = max(worst, frobenius(a @ b - target))
-        return worst
+        """Max ``||E_x E_y - delta_xy E_x||_F`` over outcome pairs, one row ``E_x E`` at a time."""
+        delta = np.eye(self.n_outcomes)[:, :, None, None]
+        return max(
+            float(np.linalg.norm(e @ self.effects - d * e, axis=(1, 2)).max())
+            for e, d in zip(self.effects, delta)
+        )
 
     def is_sharp(self) -> bool:
         return self.sharpness_defect() <= VALIDATION_TOL
@@ -204,20 +202,16 @@ class Observable:
         Zero exactly when every effect is proportional to the identity (or
         the zero operator), i.e. when the observable carries no information.
         """
-        eye = np.eye(self.dim)
-        return max(
-            frobenius(e - (np.trace(e).real / self.dim) * eye) for e in self.effects
-        )
+        mean = np.trace(self.effects, axis1=1, axis2=2).real / self.dim
+        spread = self.effects - mean[:, None, None] * np.eye(self.dim)
+        return float(np.linalg.norm(spread, axis=(1, 2)).max())
 
     def is_trivial(self) -> bool:
         return self.triviality_defect() <= VALIDATION_TOL
 
     def is_rank_one(self) -> bool:
         """True when every effect is a positive multiple of a rank-1 projection."""
-        for e in self.effects:
-            if int(np.sum(np.linalg.eigvalsh(e) > SUPPORT_TOL)) > 1:
-                return False
-        return True
+        return bool(((np.linalg.eigvalsh(self.effects) > SUPPORT_TOL).sum(axis=1) <= 1).all())
 
     def __repr__(self):
         return f"Observable(outcomes={list(self.outcomes)}, dim={self.dim})"
@@ -361,7 +355,9 @@ class Instrument:
                     f"outcome {label!r} has Kraus operators of shape {ks.shape[1:]}, "
                     f"expected ({dim}, {dim})"
                 )
-        tp_defect = frobenius(sum(_gram(ks) for ks in stacks) - np.eye(dim))
+        grams = np.array([_gram(ks) for ks in stacks])
+        grams.flags.writeable = False
+        tp_defect = frobenius(grams.sum(axis=0) - np.eye(dim))
         if tp_defect > VALIDATION_TOL:
             raise ValidationError(
                 f"total channel is not trace preserving: ||sum K^dag K - 1||_F = "
@@ -370,11 +366,16 @@ class Instrument:
         self.outcomes = outcomes
         self.kraus_sets = stacks
         self.dim = dim
+        self._grams = grams
 
     @classmethod
     def luders(cls, observable: Observable) -> "Instrument":
-        """Lueders instrument of an observable: Kraus sets ``{sqrt(E_x)}``."""
-        return cls(observable.outcomes, [[psd_sqrt(e)] for e in observable.effects])
+        """Lueders instrument of an observable: Kraus sets ``{sqrt(E_x)}``.
+
+        A refusal of an effect's square root names its outcome.
+        """
+        names = tuple(f"effect {x!r}: operator" for x in observable.outcomes)
+        return cls(observable.outcomes, _psd_sqrt(observable.effects, names)[:, None])
 
     @property
     def n_outcomes(self) -> int:
@@ -400,8 +401,12 @@ class Instrument:
 
     @cached_property
     def induced_observable(self) -> Observable:
-        """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once."""
-        return Observable(self.outcomes, [_gram(ks) for ks in self.kraus_sets])
+        """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once.
+
+        Its effects are the per-outcome Gram sums ``sum K† K`` that the
+        trace-preservation check of the constructor already took.
+        """
+        return Observable(self.outcomes, self._grams)
 
     @cached_property
     def choi(self) -> np.ndarray:

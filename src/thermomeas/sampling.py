@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import cluster_indices, dag, density_matrix
+from .linalg import dag, density_matrix, eig_hermitian
 from .objects import Observable, State
 
 
@@ -83,18 +83,10 @@ def random_commuting_povm(hamiltonian, n_outcomes: int, rng: np.random.Generator
     For each (clustered) energy level a probability vector over outcomes is
     drawn uniformly from the simplex; effect ``E_x = sum_m p(x|m) P_m``.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    evals, vecs = np.linalg.eigh((h + dag(h)) / 2)
-    groups = cluster_indices(evals)
-    projectors = [vecs[:, idx] @ dag(vecs[:, idx]) for idx in groups]
-    dim = h.shape[0]
-    effects = [np.zeros((dim, dim), dtype=complex) for _ in range(n_outcomes)]
-    for p in projectors:
-        weights = rng.dirichlet(np.ones(n_outcomes))
-        for x in range(n_outcomes):
-            effects[x] = effects[x] + weights[x] * p
-    labels = [f"x{i}" for i in range(n_outcomes)]
-    return Observable(labels, effects)
+    projectors = eig_hermitian(hamiltonian).projectors
+    weights = rng.dirichlet(np.ones(n_outcomes), size=len(projectors))  # one row per level
+    effects = np.einsum("mx,mij->xij", weights, projectors)
+    return Observable([f"x{i}" for i in range(n_outcomes)], effects)
 
 
 def random_diagonal_hamiltonian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -488,12 +488,10 @@ def _check_refine(sc: Scenario) -> dict:
     tol = sc.tol_for("refine")
     observable = sc.observable_under_test()
     refined, relabel = classify.refine_to_rank_one(observable)
-    defect = 0.0
-    for y, original in zip(observable.outcomes, observable.effects):
-        coarse = sum(
-            e for label, e in zip(refined.outcomes, refined.effects) if relabel[label] == y
-        )
-        defect = max(defect, frobenius(coarse - original))
+    coarse = np.zeros_like(observable.effects)
+    owners = [observable.outcomes.index(relabel[label]) for label in refined.outcomes]
+    np.add.at(coarse, owners, refined.effects)
+    defect = float(np.linalg.norm(coarse - observable.effects, axis=(1, 2)).max())
     return {
         "name": "refine",
         "verdict": defect <= tol and refined.is_rank_one(),

@@ -24,11 +24,11 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
+    _psd_sqrt,
     cluster_indices,
     commutator_defect,
     dag,
     frobenius,
-    psd_sqrt,
     require_beta,
     require_hermitian,
 )
@@ -226,9 +226,7 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     moment_defects = tuple(
         energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, ENERGY_MOMENTS + 1)
     )
-    yanase = max(
-        commutator_defect(z, scheme.probe_hamiltonian) for z in scheme.pointer.effects
-    )
+    yanase = float(commutator_defect(scheme.pointer.effects, scheme.probe_hamiltonian).max())
     return FreeSchemeReport(
         gibbs_probe_ok=True,
         bistochastic_defect=max(bist.trace_defect, bist.unital_defect),
@@ -269,17 +267,15 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    d_s = scheme.dim_system
+    d_s, outcomes = scheme.dim_system, scheme.pointer.outcomes
     dilation, amplitudes = _dilation(scheme)
+    names = tuple(f"pointer effect {x!r}: operator" for x in outcomes)
+    roots = _psd_sqrt(scheme.pointer.effects, names)
     kraus_sets = []
-    for label, z in zip(scheme.pointer.outcomes, scheme.pointer.effects):
-        try:
-            sqrt_z = psd_sqrt(z)
-        except ValidationError as exc:
-            raise ValidationError(f"pointer effect {label!r}: {exc}") from exc
-        ops = _pruned(np.einsum("pb,maibj->mapij", sqrt_z, dilation), amplitudes)
+    for root in roots:
+        ops = _pruned(np.einsum("pb,maibj->mapij", root, dilation), amplitudes)
         kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
-    return Instrument(scheme.pointer.outcomes, kraus_sets)
+    return Instrument(outcomes, kraus_sets)
 
 
 def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
@@ -318,7 +314,7 @@ def trivial_scheme(observable: Observable, system_hamiltonian, beta: float) -> M
             f"observable dimension {observable.dim} does not match Hamiltonian "
             f"dimension {h.shape[0]}"
         )
-    worst = max(commutator_defect(e, h) for e in observable.effects)
+    worst = commutator_defect(observable.effects, h).max()
     if worst > THEOREM_TOL:
         raise PreconditionError(
             f"observable does not commute with the Hamiltonian: worst effect "
@@ -354,7 +350,7 @@ def random_free_scheme(
         raise ValidationError(
             f"pointer dimension {pointer.dim} does not match probe dimension {h_a.shape[0]}"
         )
-    yanase = max(commutator_defect(z, h_a) for z in pointer.effects)
+    yanase = commutator_defect(pointer.effects, h_a).max()
     if yanase > THEOREM_TOL:
         raise PreconditionError(
             f"pointer violates the Yanase condition: worst commutator defect "

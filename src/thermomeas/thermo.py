@@ -128,7 +128,7 @@ def _log_gibbs_probabilities(observable, gibbs) -> np.ndarray:
     eigenbasis of ``H``, so ``ln q_x`` stays finite at low temperature.
     """
     log_weights, vecs = gibbs
-    diagonals = _diagonal(np.array(observable.effects), vecs)
+    diagonals = _diagonal(observable.effects, vecs)
     support = diagonals > 0.0
     terms = np.log(diagonals, out=np.full(diagonals.shape, -np.inf), where=support) + log_weights
     occurs = support.any(axis=1)
@@ -141,7 +141,7 @@ def _log_gibbs_probabilities(observable, gibbs) -> np.ndarray:
 
 def _outcome_divergence(observable, states, log_q) -> np.ndarray:
     """``sum_x p_x (ln p_x - ln q_x)`` of each state of a stack, over ``p_x`` above the cutoff."""
-    p = np.einsum("xij,nji->xn", np.array(observable.effects), states).real
+    p = np.einsum("xij,nji->xn", observable.effects, states).real
     kept = p > PROBABILITY_CUTOFF
     impossible = kept & np.isnan(log_q)[:, None]
     if impossible.any():

@@ -5,12 +5,14 @@ evolved by an explicit sum over the interaction's Kraus operators, the
 instrument action is evaluated from its defining formula on the joint
 space, the dilation relative entropy is evaluated on explicitly built
 block-diagonal matrices, and the covariance defect is the commutator of
-explicit Kronecker-product superoperators.
+explicit Kronecker-product superoperators. The per-effect references at the
+end loop over effects and energy projectors one matrix at a time, as the
+library did before it held them as stacks.
 """
 
 import numpy as np
 
-from thermomeas.linalg import as_matrix, partial_trace, relative_entropy
+from thermomeas.linalg import CLUSTER_TOL, SUPPORT_TOL, as_matrix, partial_trace, relative_entropy
 
 
 def evolved_joint_state(scheme, rho):
@@ -67,3 +69,115 @@ def liouville_covariance_defect(kraus, hamiltonian):
     sup = sum(np.kron(k, k.conj()) for k in kraus)
     derivation = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     return float(np.linalg.norm(sup @ derivation - derivation @ sup))
+
+
+# ---------------------------------------------------------------------------
+# Per-effect references: one matrix at a time, plain loops
+# ---------------------------------------------------------------------------
+
+
+def spectral_projectors(hamiltonian):
+    """Projectors of the clustered eigenvalues of ``H``, grown one eigenvector at a time."""
+    h = as_matrix(hamiltonian)
+    evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    thresh = CLUSTER_TOL * max(float(evals[-1] - evals[0]), 1.0)
+    projectors = []
+    for i in range(len(evals)):
+        piece = np.outer(vecs[:, i], vecs[:, i].conj())
+        if i > 0 and evals[i] - evals[i - 1] <= thresh:
+            projectors[-1] = projectors[-1] + piece
+        else:
+            projectors.append(piece)
+    return projectors
+
+
+def commuting_povm_effects(hamiltonian, n_outcomes, rng):
+    """Effects ``sum_m p(x|m) P_m`` with one simplex draw per energy level, in level order."""
+    projectors = spectral_projectors(hamiltonian)
+    d = projectors[0].shape[0]
+    effects = [np.zeros((d, d), dtype=complex) for _ in range(n_outcomes)]
+    for p in projectors:
+        weights = rng.dirichlet(np.ones(n_outcomes))
+        for x in range(n_outcomes):
+            effects[x] = effects[x] + weights[x] * p
+    return effects
+
+
+def probabilities(effects, rho):
+    return [float(np.trace(e @ rho).real) for e in effects]
+
+
+def sharpness_defect(effects):
+    worst = 0.0
+    for i, a in enumerate(effects):
+        for j, b in enumerate(effects):
+            target = a if i == j else 0.0
+            worst = max(worst, float(np.linalg.norm(a @ b - target)))
+    return worst
+
+
+def triviality_defect(effects):
+    d = effects[0].shape[0]
+    return max(float(np.linalg.norm(e - np.trace(e).real / d * np.eye(d))) for e in effects)
+
+
+def is_rank_one(effects):
+    return all(int(np.sum(np.linalg.eigvalsh(e) > SUPPORT_TOL)) <= 1 for e in effects)
+
+
+def commutator_defects(effects, hamiltonian):
+    h = as_matrix(hamiltonian)
+    return [float(np.linalg.norm(e @ h - h @ e)) for e in effects]
+
+
+def joint_effects(effects, projectors):
+    """``E_x P_m`` in x-major order."""
+    return [e @ p for e in effects for p in projectors]
+
+
+def marginal_defect(joint, effects, projectors):
+    """Worst distance of the two marginals of an x-major joint family from ``E`` and ``P``."""
+    n_m = len(projectors)
+    defect = 0.0
+    for i, e in enumerate(effects):
+        marginal = sum(joint[i * n_m + j] for j in range(n_m))
+        defect = max(defect, float(np.linalg.norm(marginal - e)))
+    for j, p in enumerate(projectors):
+        marginal = sum(joint[i * n_m + j] for i in range(len(effects)))
+        defect = max(defect, float(np.linalg.norm(marginal - p)))
+    return defect
+
+
+def post_processing(effects, projectors):
+    """Weights ``tr[E_x P_m]`` and the worst distance of ``E_x`` from ``sum_m w_xm P_m``."""
+    weights = [[float(np.trace(e @ p).real) for p in projectors] for e in effects]
+    defect = 0.0
+    for e, row in zip(effects, weights):
+        rebuilt = sum(w * p for w, p in zip(row, projectors))
+        defect = max(defect, float(np.linalg.norm(rebuilt - e)))
+    return weights, defect
+
+
+def rank_one_refinement(outcomes, effects):
+    """Labels ``"y:i"`` and pieces ``lambda |v><v|`` of the eigenvalues above ``SUPPORT_TOL``."""
+    labels, pieces = [], []
+    for y, e in zip(outcomes, effects):
+        evals, vecs = np.linalg.eigh(e)
+        kept = 0
+        for lam, v in zip(evals, vecs.T):
+            if lam > SUPPORT_TOL:
+                labels.append(f"{y}:{kept}")
+                pieces.append(lam * np.outer(v, v.conj()))
+                kept += 1
+    return labels, pieces
+
+
+def coarse_grain_defect(outcomes, effects, refined_labels, refined_effects):
+    """Worst distance of an effect from the sum of its refinement's pieces."""
+    defect = 0.0
+    for y, original in zip(outcomes, effects):
+        coarse = sum(
+            e for label, e in zip(refined_labels, refined_effects) if label.rpartition(":")[0] == y
+        )
+        defect = max(defect, float(np.linalg.norm(coarse - original)))
+    return defect

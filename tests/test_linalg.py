@@ -33,6 +33,12 @@ def random_state_matrix(dim, rng):
 
 
 class TestEigHermitian:
+    def test_projectors_are_one_read_only_stack(self):
+        decomp = eig_hermitian(np.diag([0.0, 1.0, 1.0]).astype(complex))
+        assert isinstance(decomp.projectors, np.ndarray) and decomp.projectors.shape == (2, 3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            decomp.projectors[0, 0, 0] = 1.0
+
     def test_identity_single_cluster(self):
         decomp = eig_hermitian(np.eye(3, dtype=complex))
         assert decomp.eigenvalues.tolist() == [1.0]
@@ -180,6 +186,14 @@ class TestCommutatorDefect:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             commutator_defect(np.eye(2), np.eye(3))
+        with pytest.raises(ValidationError, match="mismatch"):
+            commutator_defect(np.array([np.eye(2)]), np.eye(3))
+
+    def test_stack_gives_one_defect_per_entry(self):
+        stack = np.array([X, Z, X + 2j * Z])
+        defects = commutator_defect(stack, Z)
+        assert defects.shape == (3,)
+        assert defects.tolist() == [commutator_defect(m, Z) for m in stack]
 
 
 class TestHermitianRepair:

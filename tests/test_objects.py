@@ -104,6 +104,61 @@ class TestObservable:
         assert Observable(["a", "b"], [P0, P1]).is_rank_one()
         assert not Observable(["a"], [np.eye(2)]).is_rank_one()
 
+    def test_effects_are_one_read_only_stack(self):
+        obs = random_povm(3, 4, rng_from_seed(15))
+        assert isinstance(obs.effects, np.ndarray) and obs.effects.shape == (4, 3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            obs.effects[0, 0, 0] = 1.0
+        assert np.array_equal(obs.effect("x2"), obs.effects[2])
+
+    @pytest.mark.parametrize(
+        "outcomes,effects,message",
+        [
+            ([], [], "observable needs at least one outcome"),
+            (["x0", "x0"], [P0, P1], "outcome labels must be unique"),
+            (["x0", "x1"], [np.eye(2)], "2 outcomes but 1 effects supplied"),
+            (["x0"], [np.ones(2)], "expected a matrix, got array of ndim 1"),
+            (["x0", "x1"], [P0, np.ones((2, 3))], "effect 'x1' must be square, got shape (2, 3)"),
+            (["x0", "x1"], [P0, np.eye(3)], "effect 'x1' has dimension 3, expected 2"),
+            (
+                ["x0", "x1"],
+                [P0, np.array([[math.nan, 0.0], [0.0, 1.0]])],
+                "effect 'x1' has non-finite (NaN or infinite) entries",
+            ),
+            (
+                ["a", "b"],
+                [np.array([[math.inf, 0.0], [0.0, 0.5]]), np.eye(2) / 2],
+                "effect 'a' has non-finite (NaN or infinite) entries",
+            ),
+            (
+                ["x0", "x1"],
+                [np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])],
+                "effect 'x1' is not Hermitian: ||A - A^dag||_F = 1.414e+00 > 1.0e-09",
+            ),
+            (
+                ["x0", "x1"],
+                [np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])],
+                "effect 'x1' has an eigenvalue 2.000e-01 outside [0, 1] "
+                "(worst violation over all effects; tolerance 1.0e-09)",
+            ),
+            (
+                ["a", "b", "c"],
+                [np.diag([1.1, 0.0]), np.diag([-0.3, 0.5]), np.diag([0.2, 0.5])],
+                "effect 'b' has an eigenvalue 3.000e-01 outside [0, 1] "
+                "(worst violation over all effects; tolerance 1.0e-09)",
+            ),
+            (
+                ["x0", "x1"],
+                [np.eye(2) / 2, np.eye(2) / 3],
+                "effects sum differs from identity by 2.357e-01 > 1.0e-09",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, outcomes, effects, message):
+        with pytest.raises(ValidationError) as refusal:
+            Observable(outcomes, effects)
+        assert str(refusal.value) == message
+
 
 class TestGibbsState:
     def test_degenerate_hamiltonian_maximally_mixed(self):
@@ -253,6 +308,15 @@ class TestInstrument:
         with pytest.raises(ValidationError, match="outcome 'x2' has non-finite"):
             Instrument(["x1", "x2"], [[P0], [P1 * math.nan]])
 
+    def test_luders_refusal_names_the_outcome(self):
+        loose = Observable(["a", "b"], [np.diag([1 + 5e-7, 0.5]), np.diag([-5e-7, 0.5])], tol=1e-6)
+        with pytest.raises(ValidationError) as refusal:
+            Instrument.luders(loose)
+        assert str(refusal.value) == (
+            "effect 'b': operator is not positive semidefinite: "
+            "min eigenvalue -5.000e-07 < -1.0e-09"
+        )
+
     def test_rejects_non_trace_preserving_total(self):
         with pytest.raises(ValidationError, match="trace preserving"):
             Instrument(["x1", "x2"], [[P0], [P1 * 0.5]])
@@ -319,7 +383,8 @@ def test_kraus_storage_is_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0] = 1.0
-    assert len(arrays) == 1 + 3  # each Kraus set once: one stack, then one per outcome
+    # each Kraus set once (one stack, then one per outcome), then the instrument's Gram stack
+    assert len(arrays) == 1 + 3 + 1
 
 
 class TestChoi:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracles import commuting_povm_effects
+from thermomeas.errors import ValidationError
 from thermomeas.linalg import commutator_defect
 from thermomeas.sampling import (
     haar_unitary,
@@ -40,6 +44,29 @@ def test_random_commuting_povm_commutes_with_hamiltonian():
     obs = random_commuting_povm(h, 3, rng_from_seed(4))
     for e in obs.effects:
         assert commutator_defect(e, h) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("energies", [[0.0, 1.0, 1.0, 2.0], [0.0, 0.3, 1.7], [1.0]])
+def test_random_commuting_povm_draws_as_the_per_level_loop(seed, energies):
+    h = np.diag(energies).astype(complex)
+    u = haar_unitary(len(energies), rng_from_seed(seed))
+    for hamiltonian in (h, u @ h @ u.conj().T):
+        got = random_commuting_povm(hamiltonian, 3, rng_from_seed(seed)).effects
+        want = commuting_povm_effects(hamiltonian, 3, rng_from_seed(seed))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "hamiltonian,message",
+    [
+        ([[0.0, 1.0], [0.0, 1.0]], "not Hermitian"),
+        ([[math.nan, 0.0], [0.0, 1.0]], "non-finite"),
+    ],
+)
+def test_random_commuting_povm_refuses_a_bad_hamiltonian(hamiltonian, message):
+    with pytest.raises(ValidationError, match=message):
+        random_commuting_povm(np.array(hamiltonian, dtype=complex), 2, rng_from_seed(0))
 
 
 def test_generators_are_deterministic():
