@@ -14,8 +14,8 @@ decision has one constant here, and the other modules import it:
 
 * ``VALIDATION_TOL`` decides whether an object is valid. Hermiticity
   defects up to it are repaired by replacing ``A`` with ``(A + A†)/2``;
-  larger defects raise, they are never silently repaired. Scenario input
-  overrides it for observables and Kraus channels (``tolerances.validation``).
+  larger defects raise, they are never silently repaired. Every object,
+  parsed from a scenario or derived, validates at it.
 * ``THEOREM_TOL`` decides whether a theorem's defect counts as zero. The
   classifiers, ``freeness`` and ``second_law_report`` take it as a ``tol``
   argument, which scenario input sets (``tolerances.<check>``, ``--tol``).
@@ -61,10 +61,10 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def logsumexp(x: np.ndarray) -> float:
-    """``ln sum_i exp(x_i)``, shifted by the largest entry so nothing overflows."""
-    top = float(np.max(x))
-    return top + float(np.log(np.sum(np.exp(x - top))))
+def logsumexp(x: np.ndarray, axis: int = -1):
+    """``ln sum_i exp(x_i)`` along ``axis``, shifted by the largest entry so nothing overflows."""
+    top = x.max(axis, keepdims=True)
+    return top.squeeze(axis) + np.log(np.exp(x - top).sum(axis))
 
 
 def as_matrix(obj) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their defining invariants on entry, so downstream
-code can assume well-formed inputs. Validation uses ``VALIDATION_TOL``;
-only ``Observable`` and ``KrausChannel`` take a ``tol``, which scenario
-input sets (``tolerances.validation``). Ranks and supports use
-``SUPPORT_TOL``.
+code can assume well-formed inputs. Validation uses ``VALIDATION_TOL``,
+for objects parsed from a scenario as for derived ones; only
+``Observable`` takes a ``tol``, for the joint observable a classifier
+builds at its theorem tolerance. Ranks and supports use ``SUPPORT_TOL``.
 """
 
 from __future__ import annotations
@@ -224,13 +224,13 @@ class KrausChannel:
     be rectangular, and ``sum K† K`` must be the identity on the input space.
     """
 
-    def __init__(self, kraus: Sequence, tol: float = VALIDATION_TOL):
+    def __init__(self, kraus: Sequence):
         ks = _kraus_stack(kraus)
         tp_defect = frobenius(_gram(ks) - np.eye(ks.shape[2]))
-        if tp_defect > tol:
+        if tp_defect > VALIDATION_TOL:
             raise ValidationError(
                 f"channel is not trace preserving: ||sum K^dag K - 1||_F = "
-                f"{tp_defect:.3e} > {tol:.1e}"
+                f"{tp_defect:.3e} > {VALIDATION_TOL:.1e}"
             )
         self.kraus = ks
         self.dim_out, self.dim_in = ks.shape[1:]

@@ -29,11 +29,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = ginibre(dim, dim, rng)
-    return (g + dag(g)) / 2
-
-
 def _ginibre_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = ginibre(dim, dim, rng)
     m = g @ dag(g)

@@ -6,7 +6,9 @@ Hamiltonians may be given as flat lists of real energies. A scenario names
 a system (and optionally probe) Hamiltonian, an inverse temperature, a
 scheme constructor (``"swap"``, ``"random_block"``, or an explicit Kraus
 list) and/or an observable for classifier-only runs, a collection of input
-states, the checks to run, and tolerances.
+states, the checks to run, and tolerances. Parsing refuses unknown keys and
+a check whose scheme or input states are missing, and validates every
+parsed object at ``VALIDATION_TOL``, as the objects derived from it are.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -118,27 +120,49 @@ def encode_observable(observable: Observable) -> dict:
     }
 
 
-def decode_observable(obj, tol: float = VALIDATION_TOL) -> Observable:
+def decode_observable(obj) -> Observable:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise ValidationError("observable: expected an object with an 'effects' field")
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(obj["effects"])]
     outcomes = obj.get("outcomes") or [f"x{i}" for i in range(len(effects))]
-    return Observable(outcomes, effects, tol)
+    return Observable(outcomes, effects)
 
 
 def encode_channel(channel: KrausChannel) -> dict:
     return {"kraus": [encode_matrix(k) for k in channel.kraus]}
 
 
-def decode_channel(obj, tol: float = VALIDATION_TOL) -> KrausChannel:
+def decode_channel(obj) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError("channel: expected an object with a 'kraus' field")
-    return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(obj["kraus"])], tol)
+    return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(obj["kraus"])])
 
 
 # ---------------------------------------------------------------------------
 # Scenario resolution
 # ---------------------------------------------------------------------------
+
+#: Keys a scenario object may hold.
+_SCENARIO_KEYS = (
+    "schema_version", "seed", "beta", "system_hamiltonian", "probe_hamiltonian",
+    "scheme", "observable", "states", "checks", "tolerances",
+)
+
+#: Keys a ``scheme`` object may hold, by ``kind``.
+_SCHEME_KEYS = {
+    "swap": ("kind", "pointer"),
+    "random_block": ("kind", "pointer", "seed", "mixture_size"),
+    "kraus": ("kind", "pointer", "kraus"),
+}
+
+
+def _refuse_unknown_keys(obj: dict, allowed, where: str) -> None:
+    """Refuse by name the first key of ``obj`` that ``allowed`` does not list."""
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(
+                f"{where}: unknown key {key!r}; allowed keys: {', '.join(allowed)}"
+            )
 
 
 @dataclass
@@ -170,9 +194,7 @@ class Scenario:
         """Instrument under test: induced by the scheme, else Lueders of the observable."""
         if self.scheme is not None:
             return self.scheme.instrument
-        if self.observable is not None:
-            return Instrument.luders(self.observable)
-        raise ValidationError("scenario provides neither a scheme nor an observable")
+        return Instrument.luders(self.observable)
 
     @cached_property
     def audit(self) -> StateAudit:
@@ -219,6 +241,7 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
         spec = ["gibbs"]
     d = h_system.shape[0]
     if isinstance(spec, dict):
+        _refuse_unknown_keys(spec, ("count", "seed"), "states")
         count = _number(spec.get("count", 0), int, "states.count")
         seed = _number(spec.get("seed", scenario_seed), int, "states.seed")
         if not 0 <= count <= MAX_STATE_COUNT:
@@ -247,25 +270,35 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
     raise ValidationError("states: expected a generator object or a list")
 
 
-def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable, validation_tol):
+def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable):
     if spec is None:
         return None, None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("scheme: expected an object with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SCHEME_KEYS:
+        raise ValidationError(
+            f"unknown scheme kind {kind!r}; expected swap, random_block, or kraus"
+        )
+    _refuse_unknown_keys(spec, _SCHEME_KEYS[kind], f"scheme {kind!r}")
     pointer = None
     if spec.get("pointer") is not None:
-        pointer = decode_observable(spec["pointer"], validation_tol)
+        pointer = decode_observable(spec["pointer"])
     if kind == "swap":
         target = pointer or observable
         if target is None:
             raise ValidationError("scheme 'swap' needs a pointer or a top-level observable")
+        if not np.array_equal(h_probe, h_system):
+            raise ValidationError(
+                "scheme 'swap': probe_hamiltonian must equal system_hamiltonian, "
+                "since the swap probe is a copy of the system"
+            )
         scheme = trivial_scheme(target, h_system, beta)
         echo = {"kind": "swap", "pointer": encode_observable(target)}
         return scheme, echo
+    if pointer is None:
+        raise ValidationError(f"scheme {kind!r} needs a pointer observable on the probe")
     if kind == "random_block":
-        if pointer is None:
-            raise ValidationError("scheme 'random_block' needs a pointer observable on the probe")
         seed = _number(spec.get("seed", scenario_seed), int, "scheme.seed")
         mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
         scheme = random_free_scheme(h_system, h_probe, beta, pointer, seed, mixture_size)
@@ -276,18 +309,14 @@ def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable, va
             "pointer": encode_observable(pointer),
         }
         return scheme, echo
-    if kind == "kraus":
-        if pointer is None:
-            raise ValidationError("scheme 'kraus' needs a pointer observable on the probe")
-        interaction = decode_channel(spec, validation_tol)
-        scheme = MeasurementScheme(h_system, h_probe, beta, interaction, pointer)
-        echo = {
-            "kind": "kraus",
-            "kraus": [encode_matrix(k) for k in interaction.kraus],
-            "pointer": encode_observable(pointer),
-        }
-        return scheme, echo
-    raise ValidationError(f"unknown scheme kind {kind!r}; expected swap, random_block, or kraus")
+    interaction = decode_channel(spec)
+    scheme = MeasurementScheme(h_system, h_probe, beta, interaction, pointer)
+    echo = {
+        "kind": "kraus",
+        "kraus": [encode_matrix(k) for k in interaction.kraus],
+        "pointer": encode_observable(pointer),
+    }
+    return scheme, echo
 
 
 def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario:
@@ -297,6 +326,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
     schema = raw.get("schema_version", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {schema}, expected {SCHEMA_VERSION}")
+    _refuse_unknown_keys(raw, _SCENARIO_KEYS, "scenario")
     if "system_hamiltonian" not in raw:
         raise ValidationError("scenario: missing required field 'system_hamiltonian'")
     if "beta" not in raw:
@@ -310,14 +340,19 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
     raw_tols = raw.get("tolerances", {})
     if not isinstance(raw_tols, dict):
         raise ValidationError("tolerances: expected an object")
+    _refuse_unknown_keys(raw_tols, ("default", "validation", *KNOWN_CHECKS), "tolerances")
     for key, value in raw_tols.items():
-        tolerances[str(key)] = _number(value, float, f"tolerances.{key}")
+        tolerances[key] = _number(value, float, f"tolerances.{key}")
     if tol_override is not None:
         tolerances["default"] = _number(tol_override, float, "tol")
     for key, value in tolerances.items():
-        if not np.isfinite(value):
-            raise ValidationError(f"tolerance {key!r} must be finite, got {value}")
-    validation_tol = tolerances["validation"]
+        if not np.isfinite(value) or value < 0:
+            raise ValidationError(f"tolerance {key!r} must be finite and non-negative, got {value}")
+    if tolerances["validation"] != VALIDATION_TOL:
+        raise ValidationError(
+            f"tolerances.validation: every object validates at {VALIDATION_TOL}, "
+            f"got {tolerances['validation']}"
+        )
 
     h_system = decode_hamiltonian(raw["system_hamiltonian"], "system_hamiltonian")
     h_probe = (
@@ -328,7 +363,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 
     observable = None
     if raw.get("observable") is not None:
-        observable = decode_observable(raw["observable"], validation_tol)
+        observable = decode_observable(raw["observable"])
         if observable.dim != h_system.shape[0]:
             raise ValidationError(
                 f"observable dimension {observable.dim} does not match the system "
@@ -336,7 +371,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
             )
 
     scheme, scheme_echo = _resolve_scheme(
-        raw.get("scheme"), h_system, h_probe, beta, seed, observable, validation_tol
+        raw.get("scheme"), h_system, h_probe, beta, seed, observable
     )
     if scheme is None and observable is None:
         raise ValidationError("scenario must provide a scheme, an observable, or both")
@@ -349,11 +384,6 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
             raise ValidationError(
                 f"unknown check {name!r}; known checks: {', '.join(KNOWN_CHECKS)}"
             )
-    scheme_checks = {"free_scheme", "second_law", "moments", "heat_duality"}
-    for name in checks:
-        if name in scheme_checks and scheme is None:
-            raise ValidationError(f"check {name!r} requires a scheme")
-
     state_names, states, states_echo = _resolve_states(raw.get("states"), h_system, beta, seed)
 
     echo = {
@@ -368,7 +398,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         "checks": list(checks),
         "tolerances": tolerances,
     }
-    return Scenario(
+    scenario = Scenario(
         beta=beta,
         seed=seed,
         system_hamiltonian=h_system,
@@ -381,16 +411,13 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         tolerances=tolerances,
         echo=echo,
     )
+    _require_inputs(scenario, scenario.checks)
+    return scenario
 
 
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
-
-
-def _require_states(sc: Scenario, check: str):
-    if not sc.state_names:
-        raise ValidationError(f"check {check!r} requires at least one input state")
 
 
 def _check_free_scheme(sc: Scenario) -> dict:
@@ -400,8 +427,6 @@ def _check_free_scheme(sc: Scenario) -> dict:
 
 def _check_second_law(sc: Scenario) -> dict:
     tol = sc.tol_for("second_law")
-    _require_states(sc, "second_law")
-
     rows = [
         {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
         for name, (law, work) in zip(sc.state_names, sc.audit.second_law_reports(tol))
@@ -517,8 +542,6 @@ def _check_moments(sc: Scenario) -> dict:
 
 def _check_skew_chain(sc: Scenario) -> dict:
     tol = sc.tol_for("skew_chain")
-    _require_states(sc, "skew_chain")
-
     rows = [
         {"state": name, "selective_slack": float(selective), "convexity_slack": float(convexity)}
         for name, selective, convexity in zip(sc.state_names, *sc.audit.skew_chain)
@@ -535,8 +558,6 @@ def _check_skew_chain(sc: Scenario) -> dict:
 
 def _check_heat_duality(sc: Scenario) -> dict:
     tol = sc.tol_for("heat_duality")
-    _require_states(sc, "heat_duality")
-
     rows = [
         {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
         for name, report in zip(sc.state_names, sc.audit.heat_reports())
@@ -570,6 +591,19 @@ _CHECK_FUNCTIONS = {
 
 #: Check names in the order the known-checks error message lists them.
 KNOWN_CHECKS = tuple(_CHECK_FUNCTIONS)
+
+#: What a check needs besides the instrument under test: a scheme, input states.
+_NEEDS_SCHEME = frozenset({"free_scheme", "second_law", "moments", "heat_duality"})
+_NEEDS_STATES = frozenset({"second_law", "skew_chain", "heat_duality"})
+
+
+def _require_inputs(sc: Scenario, checks) -> None:
+    """Refuse, before any of ``checks`` runs, one whose scheme or input states ``sc`` lacks."""
+    for name in checks:
+        if name in _NEEDS_SCHEME and sc.scheme is None:
+            raise ValidationError(f"check {name!r} requires a scheme")
+        if name in _NEEDS_STATES and not sc.state_names:
+            raise ValidationError(f"check {name!r} requires at least one input state")
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +756,7 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
         else:
             template["seed"] = value
         scenario = parse_scenario(template, seed_override=seed, tol_override=tol)
-        if scenario.scheme is None:
-            raise ValidationError("sweep scenarios must define a scheme")
+        _require_inputs(scenario, ("free_scheme", "second_law"))
         free = _check_free_scheme(scenario)
         law = _check_second_law(scenario)
         worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])

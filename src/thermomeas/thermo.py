@@ -26,6 +26,7 @@ from .linalg import (
     as_matrix,
     dag,
     density_matrix,
+    logsumexp,
     psd_sqrt,
     require_beta,
     require_hermitian,
@@ -133,9 +134,8 @@ def _log_gibbs_probabilities(observable, gibbs) -> np.ndarray:
     terms = np.log(diagonals, out=np.full(diagonals.shape, -np.inf), where=support) + log_weights
     occurs = support.any(axis=1)
     terms = terms[occurs]
-    top = terms.max(axis=1, keepdims=True)  # log-sum-exp of each row, shifted by its largest term
     log_q = np.full(len(diagonals), np.nan)
-    log_q[occurs] = top[:, 0] + np.log(np.exp(terms - top).sum(axis=1))
+    log_q[occurs] = logsumexp(terms, axis=1)
     return log_q
 
 

@@ -209,6 +209,36 @@ class TestCheckCommand:
         assert error.startswith("state 'negative': ")
         assert "negative eigenvalue -5.000e-01" in error
 
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            ({"tolerance": {"default": 1e-3}}, "scenario: unknown key 'tolerance'"),
+            ({"states": {"cont": 5}}, "states: unknown key 'cont'"),
+            ({"tolerances": {"second_lw": 1e-3}}, "tolerances: unknown key 'second_lw'"),
+            (
+                {"scheme": dict(SCENARIO_PASS["scheme"], mixture=1)},
+                "scheme 'random_block': unknown key 'mixture'",
+            ),
+            ({"tolerances": {"default": -1}}, "tolerance 'default' must be finite and non-neg"),
+            ({"tolerances": {"validation": 1e-6}}, "tolerances.validation: "),
+            (
+                {
+                    "scheme": {"kind": "swap", "pointer": SCENARIO_PASS["scheme"]["pointer"]},
+                    "probe_hamiltonian": [0.0, 5.0],
+                },
+                "scheme 'swap': probe_hamiltonian must equal system_hamiltonian",
+            ),
+            ({"states": []}, "check 'second_law' requires at least one input state"),
+        ],
+    )
+    def test_refused_input_exits_two_naming_it(self, tmp_path, patch, message):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, **patch)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"].startswith(message)
+
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2
@@ -240,6 +270,15 @@ class TestSweepCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "sweep grid" in json.loads(result.stderr)["error"]
+
+    def test_template_without_states_exits_two(self, tmp_path):
+        sweep = dict(SWEEP, scenario=dict(SWEEP["scenario"], states=[], checks=["free_scheme"]))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        result = cli("sweep", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "'second_law' requires at least one input state" in json.loads(result.stderr)["error"]
 
     def test_sweep_input_error(self, tmp_path):
         path = tmp_path / "sweep.json"

@@ -10,6 +10,7 @@ from thermomeas.linalg import (
     commutator_defect,
     density_matrix,
     eig_hermitian,
+    logsumexp,
     partial_trace,
     psd_sqrt,
     relative_entropy,
@@ -171,6 +172,18 @@ class TestRelativeEntropy:
         assert value >= -1e-10
         if np.linalg.norm(rho - sigma) >= 1e-6:
             assert value > 1e-10
+
+
+class TestLogSumExp:
+    def test_large_entries_do_not_overflow(self):
+        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
+
+    def test_axis_gives_one_value_per_row(self):
+        x = np.array([[0.0, -np.inf, 1.0], [-800.0, -800.0, -800.0]])
+        rows = logsumexp(x, axis=1)
+        assert rows.shape == (2,)
+        assert np.array_equal(rows, [logsumexp(x[0]), logsumexp(x[1])])
+        assert rows[1] == pytest.approx(-800.0 + math.log(3.0))
 
 
 class TestCommutatorDefect:

@@ -268,7 +268,7 @@ class TestInverseTemperature:
 
 
 # An effect 1.4e-7 from Hermitian and an interaction 1.4e-7 from trace preserving:
-# refused at the default validation tolerance, accepted at tolerances.validation = 1e-6.
+# refused at the validation tolerance, which a scenario cannot loosen.
 SKEWED_OBSERVABLE = {
     "outcomes": ["0", "1"],
     "effects": [[[1, 1e-7], [0, 0]], [[0, -1e-7], [0, 1]]],
@@ -285,15 +285,15 @@ SLOPPY_KRAUS_SCHEME = {
 
 
 class TestValidationTolerance:
-    """``tolerances.validation`` is what sets the observable and Kraus channel tolerances."""
+    """Parsed observables and Kraus channels validate at ``VALIDATION_TOL``, as derived ones do."""
 
     @staticmethod
-    def scenario(case, tolerances=None):
+    def scenario(case, tolerances=None, checks=("free_scheme",)):
         raw = {"beta": 1.0, "system_hamiltonian": [0.0, 1.0]}
         if case == "observable":
             raw.update(observable=SKEWED_OBSERVABLE, checks=["thermal_observable"])
         else:
-            raw.update(scheme=SLOPPY_KRAUS_SCHEME, checks=["free_scheme"])
+            raw.update(scheme=SLOPPY_KRAUS_SCHEME, checks=list(checks))
         if tolerances is not None:
             raw["tolerances"] = tolerances
         return raw
@@ -315,16 +315,35 @@ class TestValidationTolerance:
         assert result.returncode == 2
         assert defect in json.loads(result.stderr)["error"]
 
-    @pytest.mark.parametrize("case", ["observable", "kraus"])
-    def test_loosened_tolerance_accepts(self, tmp_path, case):
-        loose = {"validation": 1e-6}
-        sc = parse_scenario(self.scenario(case, loose))
-        assert sc.tolerances["validation"] == 1e-6
-        # accepted, then judged: each defect still exceeds the 1e-8 theorem tolerance
-        result = self.run_cli(tmp_path, self.scenario(case, loose))
-        assert result.returncode == 1, result.stderr
-        (check,) = json.loads(result.stdout)["checks"]
-        assert check["verdict"] is False
+    @pytest.mark.parametrize(
+        "case,checks",
+        [
+            ("observable", ()),
+            ("kraus", ("free_scheme",)),
+            ("kraus", ("free_scheme", "covariant")),
+            ("kraus", ("free_scheme", "second_law")),
+        ],
+    )
+    def test_loosened_tolerance_is_refused(self, tmp_path, case, checks):
+        raw = self.scenario(case, {"validation": 1e-6}, checks)
+        with pytest.raises(ValidationError, match=r"^tolerances\.validation: .* got 1e-06$"):
+            parse_scenario(raw)
+        result = self.run_cli(tmp_path, raw)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"].startswith("tolerances.validation: ")
+
+    def test_fixed_tolerance_is_accepted(self):
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "scheme": dict(SLOPPY_KRAUS_SCHEME, kraus=[np.eye(4).tolist()]),
+            "checks": ["free_scheme"],
+            "tolerances": {"validation": 1e-9},
+        }
+        assert parse_scenario(raw).tolerances["validation"] == 1e-9
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            parse_scenario(self.scenario("kraus", {"validation": 1e-9}))
 
 
 class TestLargerDimensions:

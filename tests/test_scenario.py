@@ -199,6 +199,71 @@ class TestParseScenario:
         assert sc.seed == 99
         assert sc.echo["scheme"]["seed"] == 99
 
+    def test_readme_example_scenario_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        sc = parse_scenario(json.loads(block))
+        assert sc.checks == ["free_scheme", "second_law", "covariant", "gibbs_preserving"]
+        assert sc.states.shape == (100, 2, 2)
+
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            ({"tolerance": {"default": 1e-3}}, "scenario: unknown key 'tolerance'"),
+            ({"states": {"cont": 5}}, "states: unknown key 'cont'"),
+            ({"tolerances": {"second_lw": 1e-3}}, "tolerances: unknown key 'second_lw'"),
+            (
+                {"scheme": {"kind": "random_block", "mixture": 1, "pointer": Z_POINTER}},
+                "scheme 'random_block': unknown key 'mixture'",
+            ),
+            (
+                {"scheme": {"kind": "swap", "seed": 1, "pointer": Z_POINTER}},
+                "scheme 'swap': unknown key 'seed'",
+            ),
+        ],
+    )
+    def test_unknown_key_rejected(self, patch, message):
+        raw = dict(random_block_scenario(["free_scheme"], n_states=1), **patch)
+        with pytest.raises(ValidationError, match=f"^{message}; allowed keys: "):
+            parse_scenario(raw)
+
+    def test_every_check_tolerance_is_a_known_key(self):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["tolerances"] = {name: 1e-7 for name in ("default", *KNOWN_CHECKS)}
+        sc = parse_scenario(raw)
+        assert all(sc.tol_for(name) == 1e-7 for name in KNOWN_CHECKS)
+
+    def test_negative_tolerance_rejected(self):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["tolerances"] = {"default": -1}
+        with pytest.raises(ValidationError, match="tolerance 'default' must be finite and non-neg"):
+            parse_scenario(raw)
+        with pytest.raises(ValidationError, match="tolerance 'default' must be finite"):
+            parse_scenario(random_block_scenario(["free_scheme"]), tol_override=-1e-8)
+        raw["tolerances"] = {"default": 0}
+        assert parse_scenario(raw).tol_for("free_scheme") == 0.0
+
+    @pytest.mark.parametrize("probe", [[0.0, 5.0], [0.0, 1.0, 2.0]])
+    def test_swap_scheme_refuses_another_probe(self, probe):
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "probe_hamiltonian": probe,
+            "scheme": {"kind": "swap", "pointer": Z_POINTER},
+            "checks": ["free_scheme"],
+        }
+        with pytest.raises(ValidationError, match="scheme 'swap': probe_hamiltonian must equal"):
+            parse_scenario(raw)
+        raw["probe_hamiltonian"] = [[0.0, 0.0], [0.0, 1.0]]
+        assert parse_scenario(raw).echo["probe_hamiltonian"] == encode_matrix(np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("states", [{"count": 0}, []])
+    @pytest.mark.parametrize("check", ["second_law", "skew_chain", "heat_duality"])
+    def test_state_check_without_states_rejected(self, check, states):
+        raw = dict(random_block_scenario(["free_scheme", check]), states=states)
+        with pytest.raises(ValidationError, match=f"check '{check}' requires at least one input"):
+            parse_scenario(raw)
+
 
 class TestRunScenario:
     def test_full_free_scheme_scenario_passes(self):
@@ -457,6 +522,32 @@ class TestRunSweep:
         a, _ = run_sweep(sweep)
         b, _ = run_sweep(sweep)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            (
+                {"states": [], "checks": ["free_scheme"]},
+                "check 'second_law' requires at least one input state",
+            ),
+            (
+                {"scheme": None, "observable": Z_POINTER, "checks": ["thermal_observable"]},
+                "check 'free_scheme' requires a scheme",
+            ),
+        ],
+    )
+    def test_template_without_inputs_is_refused_before_any_check(
+        self, monkeypatch, patch, message
+    ):
+        def forbidden(sc):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(scenario_module, "_check_free_scheme", forbidden)
+        monkeypatch.setattr(scenario_module, "_check_second_law", forbidden)
+        sweep = self.swap_sweep({"name": "beta", "values": [1.0, 2.0]})
+        sweep["scenario"].update(patch)
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(sweep)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValidationError, match="axis"):
