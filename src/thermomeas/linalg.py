@@ -61,10 +61,10 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def logsumexp(x: np.ndarray, axis: int = -1):
-    """``ln sum_i exp(x_i)`` along ``axis``, shifted by the largest entry so nothing overflows."""
-    top = x.max(axis, keepdims=True)
-    return top.squeeze(axis) + np.log(np.exp(x - top).sum(axis))
+def logsumexp(x: np.ndarray):
+    """``ln sum_i exp(x_i)`` over the last axis, shifted by its largest entry against overflow."""
+    top = x.max(-1, keepdims=True)
+    return top[..., 0] + np.log(np.exp(x - top).sum(-1))
 
 
 def as_matrix(obj) -> np.ndarray:

@@ -7,8 +7,10 @@ a system (and optionally probe) Hamiltonian, an inverse temperature, a
 scheme constructor (``"swap"``, ``"random_block"``, or an explicit Kraus
 list) and/or an observable for classifier-only runs, a collection of input
 states, the checks to run, and tolerances. Parsing refuses unknown keys and
-a check whose scheme or input states are missing, and validates every
-parsed object at ``VALIDATION_TOL``, as the objects derived from it are.
+a check whose scheme or input states are missing, validates every
+parsed object at ``VALIDATION_TOL``, as the objects derived from it are,
+and derives the instrument under test, so its validation too comes before
+any check runs.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -171,7 +173,9 @@ class Scenario:
 
     ``states`` is one validated, read-only ``(n, d, d)`` stack and
     ``state_names`` names its entries in order. The instrument under test
-    and the per-state :class:`StateAudit` are derived on first use and kept.
+    is derived at parse, so an object it refuses is refused before any
+    check runs; the per-state :class:`StateAudit` is derived on first use
+    and kept.
     """
 
     beta: float
@@ -180,6 +184,7 @@ class Scenario:
     probe_hamiltonian: np.ndarray
     scheme: MeasurementScheme
     observable: Observable
+    instrument: Instrument
     state_names: tuple
     states: np.ndarray
     checks: list
@@ -188,13 +193,6 @@ class Scenario:
 
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
-
-    @cached_property
-    def instrument(self) -> Instrument:
-        """Instrument under test: induced by the scheme, else Lueders of the observable."""
-        if self.scheme is not None:
-            return self.scheme.instrument
-        return Instrument.luders(self.observable)
 
     @cached_property
     def audit(self) -> StateAudit:
@@ -385,6 +383,9 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
                 f"unknown check {name!r}; known checks: {', '.join(KNOWN_CHECKS)}"
             )
     state_names, states, states_echo = _resolve_states(raw.get("states"), h_system, beta, seed)
+    _require_inputs(checks, scheme, state_names)
+    # Derived here, so a refusal of the instrument under test comes before any check runs.
+    instrument = scheme.instrument if scheme is not None else Instrument.luders(observable)
 
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -398,21 +399,20 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         "checks": list(checks),
         "tolerances": tolerances,
     }
-    scenario = Scenario(
+    return Scenario(
         beta=beta,
         seed=seed,
         system_hamiltonian=h_system,
         probe_hamiltonian=h_probe,
         scheme=scheme,
         observable=observable,
+        instrument=instrument,
         state_names=state_names,
         states=states,
         checks=list(checks),
         tolerances=tolerances,
         echo=echo,
     )
-    _require_inputs(scenario, scenario.checks)
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +597,12 @@ _NEEDS_SCHEME = frozenset({"free_scheme", "second_law", "moments", "heat_duality
 _NEEDS_STATES = frozenset({"second_law", "skew_chain", "heat_duality"})
 
 
-def _require_inputs(sc: Scenario, checks) -> None:
-    """Refuse, before any of ``checks`` runs, one whose scheme or input states ``sc`` lacks."""
+def _require_inputs(checks, scheme, state_names) -> None:
+    """Refuse, before any of ``checks`` runs, one that lacks its scheme or input states."""
     for name in checks:
-        if name in _NEEDS_SCHEME and sc.scheme is None:
+        if name in _NEEDS_SCHEME and scheme is None:
             raise ValidationError(f"check {name!r} requires a scheme")
-        if name in _NEEDS_STATES and not sc.state_names:
+        if name in _NEEDS_STATES and not state_names:
             raise ValidationError(f"check {name!r} requires at least one input state")
 
 
@@ -756,7 +756,7 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
         else:
             template["seed"] = value
         scenario = parse_scenario(template, seed_override=seed, tol_override=tol)
-        _require_inputs(scenario, ("free_scheme", "second_law"))
+        _require_inputs(("free_scheme", "second_law"), scenario.scheme, scenario.state_names)
         free = _check_free_scheme(scenario)
         law = _check_second_law(scenario)
         worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])

@@ -135,7 +135,7 @@ def _log_gibbs_probabilities(observable, gibbs) -> np.ndarray:
     occurs = support.any(axis=1)
     terms = terms[occurs]
     log_q = np.full(len(diagonals), np.nan)
-    log_q[occurs] = logsumexp(terms, axis=1)
+    log_q[occurs] = logsumexp(terms)
     return log_q
 
 

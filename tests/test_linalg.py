@@ -178,9 +178,9 @@ class TestLogSumExp:
     def test_large_entries_do_not_overflow(self):
         assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
 
-    def test_axis_gives_one_value_per_row(self):
+    def test_stack_gives_one_value_per_row(self):
         x = np.array([[0.0, -np.inf, 1.0], [-800.0, -800.0, -800.0]])
-        rows = logsumexp(x, axis=1)
+        rows = logsumexp(x)
         assert rows.shape == (2,)
         assert np.array_equal(rows, [logsumexp(x[0]), logsumexp(x[1])])
         assert rows[1] == pytest.approx(-800.0 + math.log(3.0))

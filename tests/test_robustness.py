@@ -345,6 +345,27 @@ class TestValidationTolerance:
         with pytest.raises(ValidationError, match="not trace preserving"):
             parse_scenario(self.scenario("kraus", {"validation": 1e-9}))
 
+    @pytest.mark.parametrize("checks", [("free_scheme",), ("free_scheme", "covariant")])
+    def test_derived_instrument_is_refused_at_parse(self, tmp_path, checks):
+        # The pointer's completeness defect, sqrt(2) * 7e-10, is within 1e-9 on the
+        # 2-level probe; the induced instrument's, 2 * 7e-10 on the 4-level system, is not.
+        stretch = 1 + 7e-10
+        pointer = {"outcomes": ["0", "1"], "effects": [[[stretch, 0], [0, 0]], [[0, 0], [0, stretch]]]}
+        Observable(pointer["outcomes"], pointer["effects"])
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0, 2.0, 3.0],
+            "probe_hamiltonian": [0.0, 1.0],
+            "scheme": {"kind": "kraus", "kraus": [np.eye(8).tolist()], "pointer": pointer},
+            "checks": list(checks),
+        }
+        with pytest.raises(ValidationError, match="total channel is not trace preserving"):
+            parse_scenario(raw)
+        result = self.run_cli(tmp_path, raw)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "total channel is not trace preserving" in json.loads(result.stderr)["error"]
+
 
 class TestLargerDimensions:
     def test_four_by_four_resonant_pair(self):
