@@ -58,6 +58,6 @@ print("induced observable matches:", np.allclose(luders.induced_observable.effec
 # --- Choi matrices ----------------------------------------------------------
 # The Choi of the identity is the unnormalized maximally entangled projector.
 choi = tm.choi_of_operation([np.eye(2)])
-print("identity Choi rank:", choi.rank(), "(one Kraus operator suffices)")
+print("identity Choi rank:", tm.choi_rank(choi), "(one Kraus operator suffices)")
 choi_luders = tm.choi_of_operation(luders.kraus_sets[0])
-print("Lueders outcome Choi rank:", choi_luders.rank())
+print("Lueders outcome Choi rank:", tm.choi_rank(choi_luders))

@@ -26,10 +26,9 @@ from .linalg import (
     dag,
     eig_hermitian,
     frobenius,
-    partial_trace,
     require_hermitian,
 )
-from .objects import Instrument, Observable, gibbs_state, spectral_observable, time_evolution
+from .objects import Instrument, Observable, gibbs_state, spectral_observable
 from .sampling import random_density_matrices, rng_from_seed
 
 #: Times at which covariance is cross-checked directly.
@@ -112,18 +111,19 @@ def is_covariant_instrument(
     rotation = np.kron(basis, basis.conj())
     bohr = (energies[:, None] - energies[None, :]).reshape(-1)
     mask = bohr[:, None] - bohr[None, :]
-    defects = [frobenius((dag(rotation) @ choi @ rotation) * mask) for choi in instrument.choi]
+    weighted = (dag(rotation) @ instrument.choi @ rotation) * mask
+    defects = [frobenius(w) for w in weighted]
     worst = int(np.argmax(defects))
 
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
     probes = random_density_matrices(d, 3, rng)
-    evolutions = np.array([time_evolution(h, t) for t in COVARIANCE_SAMPLE_TIMES])[:, None]
+    times = np.array(COVARIANCE_SAMPLE_TIMES)[:, None, None]
+    evolutions = ((basis * np.exp(-1j * times * energies)) @ dag(basis))[:, None]
     rotated = evolutions @ probes @ dag(evolutions)  # (time, probe, d, d)
-    sampled = 0.0
-    for out in instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)])):
-        plain, moved = out[:3], out[3:].reshape(rotated.shape)
-        gap = np.linalg.norm(moved - evolutions @ plain @ dag(evolutions), axis=(-2, -1))
-        sampled = max(sampled, float(gap.max()))
+    outs = instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)]))
+    plain, moved = outs[:, None, :3], outs[:, 3:].reshape(-1, *rotated.shape)
+    gap = np.linalg.norm(moved - evolutions @ plain @ dag(evolutions), axis=(-2, -1))
+    sampled = float(gap.max())
     return _verdict(
         "covariant",
         max(defects),
@@ -147,8 +147,7 @@ def is_gibbs_preserving(
     """
     tau = gibbs_state(system_hamiltonian, beta)
     q = instrument.induced_observable.probabilities(tau)
-    outputs = instrument.apply(tau)
-    defects = [frobenius(out - qx * tau.matrix) for out, qx in zip(outputs, q)]
+    defects = [frobenius(gap) for gap in instrument.apply(tau) - q[:, None, None] * tau.matrix]
     worst = int(np.argmax(defects))
     return _verdict(
         "gibbs_preserving",
@@ -169,23 +168,20 @@ def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVe
     """
     effects = instrument.induced_observable.effects
     d = instrument.dim
-    residuals = {}
-    sigmas = {}
-    for label, choi, effect in zip(instrument.outcomes, instrument.choi, effects):
-        weight = float(np.trace(effect).real)
-        if weight <= PROBABILITY_CUTOFF:
-            continue  # null effects carry no constraint
-        sigma = partial_trace(choi, (d, d), keep=0) / weight
-        residuals[label] = frobenius(choi - np.kron(sigma, effect.T))
-        sigmas[label] = sigma
-    if not residuals:
+    weights = np.trace(effects, axis1=1, axis2=2).real
+    live = weights > PROBABILITY_CUTOFF  # null effects carry no constraint
+    if not live.any():
         return _verdict("nuclear", 0.0, tol, witness={"note": "all effects null"})
-    worst = max(residuals, key=residuals.get)
-    defect = residuals[worst]
-    witness = {"worst_outcome": worst}
-    if defect <= tol:
-        witness["sigmas"] = sigmas
-    return _verdict("nuclear", defect, tol, witness=witness)
+    choi = instrument.choi[live]
+    sigmas = np.einsum("xiaja->xij", choi.reshape(-1, d, d, d, d)) / weights[live, None, None]
+    products = sigmas[:, :, None, :, None] * effects[live].swapaxes(1, 2)[:, None, :, None, :]
+    residuals = [frobenius(r) for r in choi - products.reshape(choi.shape)]
+    labels = [label for label, kept in zip(instrument.outcomes, live) if kept]
+    worst = int(np.argmax(residuals))
+    witness = {"worst_outcome": labels[worst]}
+    if residuals[worst] <= tol:
+        witness["sigmas"] = dict(zip(labels, sigmas))
+    return _verdict("nuclear", residuals[worst], tol, witness=witness)
 
 
 def check_prop2(

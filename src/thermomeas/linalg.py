@@ -106,13 +106,13 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(obj, tol: float = VALIDATION_TOL, name: str = "matrix") -> np.ndarray:
-    """Return the symmetrization ``(A + A†)/2`` if the defect is below ``tol``.
+def require_hermitian(obj, name: str = "matrix") -> np.ndarray:
+    """Return the symmetrization ``(A + A†)/2`` if the defect is at most ``VALIDATION_TOL``.
 
-    A defect above ``tol`` is an error, not something to repair silently,
-    and so is any NaN or infinite entry.
+    A larger defect is an error, not something to repair silently, and so
+    is any NaN or infinite entry.
     """
-    return _symmetrized(as_matrix(obj), tol, name)
+    return _symmetrized(as_matrix(obj), VALIDATION_TOL, name)
 
 
 def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Validated quantum objects: states, observables, channels, instruments, Choi forms.
+"""Validated quantum objects: states, observables, channels, instruments.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their defining invariants on entry, so downstream
@@ -33,12 +33,6 @@ from .linalg import (
     require_hermitian,
     require_square,
 )
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
@@ -101,13 +95,15 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _choi(ks: np.ndarray) -> np.ndarray:
-    """Choi matrix of a Kraus stack: the Gram sum of its row-major flattened operators.
+    """:func:`choi_of_operation` of a Kraus stack.
 
     Row-major flattening of a Kraus operator is exactly its image of the
-    unnormalized maximally entangled vector (see :class:`ChoiMatrix`).
+    unnormalized maximally entangled vector, so the Choi matrix is the Gram
+    sum of the flattened operators.
     """
     vecs = ks.reshape(len(ks), -1)
-    return vecs.T @ vecs.conj()
+    choi = vecs.T @ vecs.conj()
+    return (choi + dag(choi)) / 2
 
 
 class State:
@@ -115,7 +111,8 @@ class State:
 
     def __init__(self, matrix):
         m = density_matrix(matrix)
-        self.matrix = _freeze(m)
+        m.flags.writeable = False
+        self.matrix = m
         self.dim = m.shape[0]
 
     def __repr__(self):
@@ -381,23 +378,17 @@ class Instrument:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def apply(self, rho) -> list:
-        """All unnormalized outputs ``[I_x(rho)]`` in outcome order.
+    def apply(self, rho) -> np.ndarray:
+        """All unnormalized outputs ``I_x(rho)`` as one ``(n_outcomes, d, d)`` array.
 
-        For an ``(n, d, d)`` stack of inputs each output is a stack too.
+        For an ``(n, d, d)`` stack of inputs the result is ``(n_outcomes, n, d, d)``.
         """
         m = as_matrices(rho)
         if m.shape[-2:] != (self.dim, self.dim):
             raise ValidationError(
                 f"instrument input must be {self.dim} x {self.dim}, got {m.shape}"
             )
-        return [_sandwich(ks, m) for ks in self.kraus_sets]
-
-    def probabilities(self, rho) -> np.ndarray:
-        return np.array([float(np.trace(out).real) for out in self.apply(rho)])
-
-    def total_channel(self) -> KrausChannel:
-        return KrausChannel(np.concatenate(self.kraus_sets))
+        return np.array([_sandwich(ks, m) for ks in self.kraus_sets])
 
     @cached_property
     def induced_observable(self) -> Observable:
@@ -412,11 +403,9 @@ class Instrument:
     def choi(self) -> np.ndarray:
         """The outcomes' Choi matrices as one read-only ``(n_outcomes, dim², dim²)`` stack.
 
-        Entry ``x`` is operation ``x``'s matrix in the :class:`ChoiMatrix`
-        convention, symmetrized as :class:`ChoiMatrix` does; derived once.
+        Entry ``x`` is :func:`choi_of_operation` of outcome ``x``; derived once.
         """
         stack = np.array([_choi(ks) for ks in self.kraus_sets])
-        stack = (stack + dag(stack)) / 2
         stack.flags.writeable = False
         return stack
 
@@ -434,52 +423,17 @@ def spectral_observable(hamiltonian) -> Observable:
     return Observable(labels, decomp.projectors)
 
 
-class ChoiMatrix:
-    """Choi operator of a completely positive operation.
+def choi_of_operation(kraus: Sequence) -> np.ndarray:
+    """Choi matrix of the CP operation with the given Kraus operators, symmetrized.
 
     Convention: for an operation ``Phi`` the Choi matrix is
     ``sum_ij Phi(|i><j|) (x) |i><j|`` -- output factor first, input factor
     second -- so the Choi of the identity is the unnormalized maximally
-    entangled projector.
+    entangled projector. It is returned as ``(C + C†)/2``.
     """
-
-    def __init__(self, matrix, dim_out: int, dim_in: int):
-        m = require_hermitian(matrix, name="Choi matrix")
-        if m.shape[0] != dim_out * dim_in:
-            raise ValidationError(
-                f"Choi matrix has dimension {m.shape[0]}, expected {dim_out * dim_in}"
-            )
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -VALIDATION_TOL:
-            raise ValidationError(
-                f"Choi matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}"
-            )
-        self.matrix = _freeze(m)
-        self.dim_out = dim_out
-        self.dim_in = dim_in
-
-    def rank(self) -> int:
-        """Number of eigenvalues above ``SUPPORT_TOL``."""
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > SUPPORT_TOL))
-
-    def to_kraus(self) -> list:
-        """Kraus operators from the Choi eigenvectors with eigenvalues above ``SUPPORT_TOL``."""
-        evals, vecs = np.linalg.eigh(self.matrix)
-        keep = evals > SUPPORT_TOL
-        return list((vecs[:, keep] * np.sqrt(evals[keep])).T.reshape(-1, self.dim_out, self.dim_in))
-
-    def __repr__(self):
-        return f"ChoiMatrix(dims={self.dim_out}x{self.dim_in})"
+    return _choi(_kraus_stack(kraus))
 
 
-def choi_of_operation(kraus: Sequence) -> ChoiMatrix:
-    """Choi matrix of the CP operation with the given Kraus operators.
-
-    The Choi matrix is the Gram sum of the flattened Kraus operators.
-    """
-    ks = _kraus_stack(kraus)
-    return ChoiMatrix(_choi(ks), *ks.shape[1:])
-
-
-def choi_rank(choi: ChoiMatrix) -> int:
-    return choi.rank()
+def choi_rank(choi: np.ndarray) -> int:
+    """Number of eigenvalues of a Choi matrix above ``SUPPORT_TOL``."""
+    return int(np.sum(np.linalg.eigvalsh(choi) > SUPPORT_TOL))

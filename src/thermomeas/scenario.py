@@ -9,8 +9,10 @@ list) and/or an observable for classifier-only runs, a collection of input
 states, the checks to run, and tolerances. Parsing refuses unknown keys and
 a check whose scheme or input states are missing, validates every
 parsed object at ``VALIDATION_TOL``, as the objects derived from it are,
-and derives the instrument under test, so its validation too comes before
-any check runs.
+and derives the instrument under test (and, for the ``refine`` check, the
+rank-1 refinement), so their validation too comes before any check runs.
+A sweep file is judged the same way: an object with an ``axis`` (``values``
+or ``range``, not both) and a ``scenario`` object, and no other key.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -125,6 +127,7 @@ def encode_observable(observable: Observable) -> dict:
 def decode_observable(obj) -> Observable:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise ValidationError("observable: expected an object with an 'effects' field")
+    _refuse_unknown_keys(obj, ("outcomes", "effects"), "observable")
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(obj["effects"])]
     outcomes = obj.get("outcomes") or [f"x{i}" for i in range(len(effects))]
     return Observable(outcomes, effects)
@@ -172,10 +175,11 @@ class Scenario:
     """A parsed scenario: resolved objects plus the canonical echo dict.
 
     ``states`` is one validated, read-only ``(n, d, d)`` stack and
-    ``state_names`` names its entries in order. The instrument under test
-    is derived at parse, so an object it refuses is refused before any
-    check runs; the per-state :class:`StateAudit` is derived on first use
-    and kept.
+    ``state_names`` names its entries in order. The instrument under test,
+    and the rank-1 refinement of the observable under test when the
+    ``refine`` check runs (else ``None``), are derived at parse, so an
+    object they refuse is refused before any check runs; the per-state
+    :class:`StateAudit` is derived on first use and kept.
     """
 
     beta: float
@@ -190,6 +194,7 @@ class Scenario:
     checks: list
     tolerances: dict
     echo: dict
+    refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
@@ -257,6 +262,7 @@ def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
                 matrices.append(_named_state(entry, h_system, beta))
                 echo.append(entry)
             elif isinstance(entry, dict) and "matrix" in entry:
+                _refuse_unknown_keys(entry, ("name", "matrix"), f"states[{i}]")
                 names.append(str(entry.get("name", f"state_{i}")))
                 matrices.append(_explicit_state(entry, names[-1], d))
                 echo.append({"name": names[-1], "matrix": encode_matrix(matrices[-1])})
@@ -399,7 +405,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         "checks": list(checks),
         "tolerances": tolerances,
     }
-    return Scenario(
+    sc = Scenario(
         beta=beta,
         seed=seed,
         system_hamiltonian=h_system,
@@ -413,6 +419,12 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
         tolerances=tolerances,
         echo=echo,
     )
+    if "refine" in checks:
+        try:
+            sc.refinement = classify.refine_to_rank_one(sc.observable_under_test())
+        except ValidationError as exc:
+            raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +524,7 @@ def _check_post_processing(sc: Scenario) -> dict:
 def _check_refine(sc: Scenario) -> dict:
     tol = sc.tol_for("refine")
     observable = sc.observable_under_test()
-    refined, relabel = classify.refine_to_rank_one(observable)
+    refined, relabel = sc.refinement
     coarse = np.zeros_like(observable.effects)
     owners = [observable.outcomes.index(relabel[label]) for label in refined.outcomes]
     np.add.at(coarse, owners, refined.effects)
@@ -707,6 +719,9 @@ SWEEP_COLUMNS = (
 def _axis_values(axis) -> tuple:
     if not isinstance(axis, dict) or "name" not in axis:
         raise ValidationError("sweep: 'axis' must be an object with a 'name' field")
+    _refuse_unknown_keys(axis, ("name", "values", "range"), "sweep axis")
+    if "values" in axis and "range" in axis:
+        raise ValidationError("sweep axis: give 'values' or 'range', not both")
     name = axis["name"]
     if name not in ("beta", "seed"):
         raise ValidationError(f"sweep axis must be 'beta' or 'seed', got {name!r}")
@@ -742,20 +757,21 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     point.
     """
     raw = _load(source)
+    if not isinstance(raw, dict):
+        raise ValidationError("sweep: expected a JSON object at top level")
+    _refuse_unknown_keys(raw, ("axis", "scenario"), "sweep")
     if "scenario" not in raw or "axis" not in raw:
         raise ValidationError("sweep: expected 'scenario' and 'axis' fields")
+    if not isinstance(raw["scenario"], dict):
+        raise ValidationError("sweep: 'scenario' must be an object")
     axis_name, values = _axis_values(raw["axis"])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     all_pass = True
     for value in values:
-        template = json.loads(json.dumps(raw["scenario"]))
-        if axis_name == "beta":
-            template["beta"] = value
-        else:
-            template["seed"] = value
-        scenario = parse_scenario(template, seed_override=seed, tol_override=tol)
+        point = {**raw["scenario"], axis_name: value}
+        scenario = parse_scenario(point, seed_override=seed, tol_override=tol)
         _require_inputs(("free_scheme", "second_law"), scenario.scheme, scenario.state_names)
         free = _check_free_scheme(scenario)
         law = _check_second_law(scenario)

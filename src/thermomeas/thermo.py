@@ -207,7 +207,7 @@ class StateAudit:
     @cached_property
     def outputs(self) -> np.ndarray:
         """``I_x(rho)`` of every outcome and state, shaped ``(n_outcomes, n, d, d)``."""
-        return np.array(self.instrument.apply(self.states))
+        return self.instrument.apply(self.states)
 
     @cached_property
     def probabilities(self) -> np.ndarray:

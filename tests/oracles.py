@@ -7,7 +7,9 @@ space, the dilation relative entropy is evaluated on explicitly built
 block-diagonal matrices, and the covariance defect is the commutator of
 explicit Kronecker-product superoperators. The per-effect references at the
 end loop over effects and energy projectors one matrix at a time, as the
-library did before it held them as stacks.
+library did before it held them as stacks; the per-outcome instrument
+references after them take one operation at a time, from its Kraus
+operators and its defining action.
 """
 
 import numpy as np
@@ -181,3 +183,91 @@ def coarse_grain_defect(outcomes, effects, refined_labels, refined_effects):
         )
         defect = max(defect, float(np.linalg.norm(coarse - original)))
     return defect
+
+
+# ---------------------------------------------------------------------------
+# Per-outcome instrument references: one operation at a time, plain loops
+# ---------------------------------------------------------------------------
+
+
+def operation(kraus, rho):
+    """``sum K rho K†`` over one outcome's Kraus operators."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def operation_effect(kraus):
+    """``sum K† K`` over one outcome's Kraus operators."""
+    return sum(k.conj().T @ k for k in kraus)
+
+
+def operation_choi(kraus):
+    """``sum_ij I_x(|i><j|) (x) |i><j|`` built from the defining action."""
+    d = kraus[0].shape[1]
+    choi = 0.0
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            choi = choi + np.kron(operation(kraus, unit), unit)
+    return choi
+
+
+def covariance_choi_defects(instrument, hamiltonian):
+    """Per outcome, ``||C_x * (w_ai - w_bj)||_F``, ``C_x`` its Choi in the eigenbasis of ``H``."""
+    energies, basis = np.linalg.eigh(as_matrix(hamiltonian))
+    rotation = np.kron(basis, basis.conj())
+    defects = []
+    for kraus in instrument.kraus_sets:
+        rotated = rotation.conj().T @ operation_choi(kraus) @ rotation
+        d = len(energies)
+        weighted = np.zeros_like(rotated)
+        for a in range(d):
+            for i in range(d):
+                for b in range(d):
+                    for j in range(d):
+                        gap = (energies[a] - energies[i]) - (energies[b] - energies[j])
+                        weighted[a * d + i, b * d + j] = rotated[a * d + i, b * d + j] * gap
+        defects.append(float(np.linalg.norm(weighted)))
+    return defects
+
+
+def sampled_covariance_defect(instrument, hamiltonian, times, probes):
+    """Worst ``||I_x(U rho U†) - U I_x(rho) U†||_F`` over outcomes, times and probes."""
+    h = as_matrix(hamiltonian)
+    energies, basis = np.linalg.eigh(h)
+    worst = 0.0
+    for kraus in instrument.kraus_sets:
+        for t in times:
+            u = basis @ np.diag(np.exp(-1j * t * energies)) @ basis.conj().T
+            for rho in probes:
+                moved = operation(kraus, u @ rho @ u.conj().T)
+                gap = moved - u @ operation(kraus, rho) @ u.conj().T
+                worst = max(worst, float(np.linalg.norm(gap)))
+    return worst
+
+
+def gibbs_preservation_defects(instrument, tau):
+    """Per outcome, ``||I_x(tau) - tr[E_x tau] tau||_F``."""
+    tau = as_matrix(tau)
+    return [
+        float(np.linalg.norm(operation(k, tau) - np.trace(operation_effect(k) @ tau).real * tau))
+        for k in instrument.kraus_sets
+    ]
+
+
+def nuclear_factors(instrument, cutoff):
+    """Per outcome with ``tr[E_x] > cutoff``: ``sigma_x`` and ``||C_x - sigma_x (x) E_x^T||_F``.
+
+    ``sigma_x`` is the Choi traced over its input factor, divided by ``tr[E_x]``.
+    """
+    d = instrument.dim
+    sigmas, residuals = {}, {}
+    for label, kraus in zip(instrument.outcomes, instrument.kraus_sets):
+        effect = operation_effect(kraus)
+        weight = float(np.trace(effect).real)
+        if weight <= cutoff:
+            continue
+        choi = operation_choi(kraus)
+        sigmas[label] = partial_trace(choi, (d, d), "system") / weight
+        residuals[label] = float(np.linalg.norm(choi - np.kron(sigmas[label], effect.T)))
+    return sigmas, residuals

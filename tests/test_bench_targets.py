@@ -1,24 +1,32 @@
 """Every callable the benchmark tracer wraps must exist where the tracer looks for it.
 
-`bench/tracing.py` is loaded by path and not modified. A target `module.name`
-must be a module attribute; a target `module.Owner.name` must sit in the
-owner's own `__dict__`, since the tracer patches that entry.
+`bench/tracing.py` and `bench/workloads.py` are loaded by path and not
+modified. A target `module.name` must be a module attribute; a target
+`module.Owner.name` must sit in the owner's own `__dict__`, since the tracer
+patches that entry. The tracer's instrument sizing must run on every
+workload and keep its sizes.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 @pytest.mark.parametrize("module_name,qualname", load_tracing().TARGETS)
@@ -37,3 +45,15 @@ def test_instrument_sizing_helpers_exist():
     objects = importlib.import_module("thermomeas.objects")
     assert callable(objects.choi_rank)
     assert callable(objects.choi_of_operation)
+
+
+@pytest.mark.parametrize(
+    "workload,kraus_ops,choi_rank",
+    [("audit_d4", 48, 40), ("scheme_d8", 192, 104), ("sweep_d3", 27, 19)],
+)
+def test_instrument_sizes_of_each_workload(workload, kraus_ops, choi_rank):
+    scenario = load_bench("workloads").WORKLOADS[workload].scenario(0)
+    assert load_tracing().instrument_sizes(scenario) == {
+        "instrument_kraus_ops": kraus_ops,
+        "instrument_choi_rank": choi_rank,
+    }

@@ -37,21 +37,20 @@ SCENARIO_FAIL = {
     "checks": ["thermal_observable", "covariant"],
 }
 
+SWEEP_POINTER = {
+    "outcomes": ["0", "1"],
+    "effects": [
+        [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    ],
+}
+
 SWEEP = {
     "axis": {"name": "beta", "values": [0.5, 1.0, 2.0]},
     "scenario": {
         "beta": 1.0,
         "system_hamiltonian": [0.0, 1.0],
-        "scheme": {
-            "kind": "swap",
-            "pointer": {
-                "outcomes": ["0", "1"],
-                "effects": [
-                    [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
-                    [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
-                ],
-            },
-        },
+        "scheme": {"kind": "swap", "pointer": SWEEP_POINTER},
         "states": ["ground"],
         "checks": ["second_law"],
     },
@@ -229,6 +228,19 @@ class TestCheckCommand:
                 "scheme 'swap': probe_hamiltonian must equal system_hamiltonian",
             ),
             ({"states": []}, "check 'second_law' requires at least one input state"),
+            (
+                {
+                    "scheme": dict(
+                        SCENARIO_PASS["scheme"],
+                        pointer={"outcome": ["a", "b"], "effects": SWEEP_POINTER["effects"]},
+                    )
+                },
+                "observable: unknown key 'outcome'",
+            ),
+            (
+                {"states": [{"nam": "odd", "matrix": [[0.5, 0], [0, 0.5]]}]},
+                "states[0]: unknown key 'nam'",
+            ),
         ],
     )
     def test_refused_input_exits_two_naming_it(self, tmp_path, patch, message):
@@ -238,6 +250,39 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert json.loads(result.stderr)["error"].startswith(message)
+
+    def test_refused_refinement_exits_two_before_any_check(self, tmp_path):
+        # both effects validate, but the rank-1 refinement drops the -9e-10
+        # eigenvalues and so lies 1.27e-9 from complete
+        scenario = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0, 2.0, 3.0],
+            "scheme": {
+                "kind": "random_block",
+                "pointer": {
+                    "effects": [
+                        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                    ]
+                },
+            },
+            "observable": {
+                "effects": [
+                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -9e-10, 0], [0, 0, 0, -9e-10]],
+                    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1 + 9e-10, 0], [0, 0, 0, 1 + 9e-10]],
+                ]
+            },
+            "checks": ["thermal_observable", "refine"],
+        }
+        path = tmp_path / "refine.json"
+        path.write_text(json.dumps(scenario))
+        result = cli("check", str(path), "--out", str(tmp_path / "report.json"))
+        assert result.returncode == 2
+        assert result.stdout == ""  # no check ran, so none printed its status
+        assert json.loads(result.stderr)["error"] == (
+            "check 'refine': rank-1 refinement refused: "
+            "effects sum differs from identity by 1.273e-09 > 1.0e-09"
+        )
 
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
@@ -279,6 +324,30 @@ class TestSweepCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "'second_law' requires at least one input state" in json.loads(result.stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            (5, "sweep: expected a JSON object at top level"),
+            (
+                {"axis": {"name": "seed", "range": [1, 2]}, "scenario": [1]},
+                "sweep: 'scenario' must be an object",
+            ),
+            (
+                dict(SWEEP, axis={"name": "seed", "range": [1, 2], "values": [5]}),
+                "sweep axis: give 'values' or 'range', not both",
+            ),
+            (dict(SWEEP, axes={}), "sweep: unknown key 'axes'"),
+        ],
+    )
+    def test_malformed_sweep_exits_two(self, tmp_path, sweep, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        result = cli("sweep", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stderr)["error"].startswith(message)
 
     def test_sweep_input_error(self, tmp_path):
         path = tmp_path / "sweep.json"

@@ -126,7 +126,8 @@ class TestNullEffects:
         zero = np.zeros((2, 2), dtype=complex)
         ins = Instrument(["all", "never"], [[np.eye(2)], [zero]])
         rho = random_density_matrix(2, rng_from_seed(5))
-        probs = ins.probabilities(rho)
+        probs = np.trace(ins.apply(rho), axis1=1, axis2=2).real
+        np.testing.assert_allclose(probs, ins.induced_observable.probabilities(rho), atol=1e-14)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert probs[1] == 0.0
 

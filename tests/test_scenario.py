@@ -30,6 +30,24 @@ Z_EFFECTS = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [
 Z_POINTER = {"outcomes": ["z0", "z1"], "effects": Z_EFFECTS}
 
 
+#: A d = 4 observable that parses but whose rank-1 refinement is refused.
+REFINE_REFUSED = {
+    "beta": 1.0,
+    "system_hamiltonian": [0.0, 1.0, 2.0, 3.0],
+    "scheme": {
+        "kind": "random_block",
+        "pointer": {"effects": [np.diag([1, 1, 0, 0]).tolist(), np.diag([0, 0, 1, 1]).tolist()]},
+    },
+    "observable": {
+        "effects": [
+            np.diag([1, 1, -9e-10, -9e-10]).tolist(),
+            np.diag([0, 0, 1 + 9e-10, 1 + 9e-10]).tolist(),
+        ]
+    },
+    "checks": ["thermal_observable", "refine"],
+}
+
+
 def random_block_scenario(checks, n_states=20, seed=7):
     return {
         "schema_version": 1,
@@ -220,6 +238,18 @@ class TestParseScenario:
                 {"scheme": {"kind": "swap", "seed": 1, "pointer": Z_POINTER}},
                 "scheme 'swap': unknown key 'seed'",
             ),
+            (
+                {"scheme": {"kind": "swap", "pointer": {"outcome": ["a"], "effects": Z_EFFECTS}}},
+                "observable: unknown key 'outcome'",
+            ),
+            (
+                {"observable": {"outcome": ["a", "b"], "effects": Z_EFFECTS}},
+                "observable: unknown key 'outcome'",
+            ),
+            (
+                {"states": ["gibbs", {"nam": "odd", "matrix": [[0.5, 0], [0, 0.5]]}]},
+                "states\\[1\\]: unknown key 'nam'",
+            ),
         ],
     )
     def test_unknown_key_rejected(self, patch, message):
@@ -256,6 +286,30 @@ class TestParseScenario:
             parse_scenario(raw)
         raw["probe_hamiltonian"] = [[0.0, 0.0], [0.0, 1.0]]
         assert parse_scenario(raw).echo["probe_hamiltonian"] == encode_matrix(np.diag([0.0, 1.0]))
+
+    def test_refinement_is_derived_at_parse(self, monkeypatch):
+        sc = parse_scenario(random_block_scenario(["refine"], n_states=1))
+        refined, relabel = sc.refinement
+        assert refined.is_rank_one() and set(relabel.values()) == {"z0", "z1"}
+        assert parse_scenario(random_block_scenario(["covariant"], n_states=1)).refinement is None
+
+        def forbidden(observable):
+            raise AssertionError("refined after parse")
+
+        monkeypatch.setattr(scenario_module.classify, "refine_to_rank_one", forbidden)
+        assert scenario_module._check_refine(sc)["verdict"]
+
+    def test_refinement_refused_at_parse(self, monkeypatch):
+        # each effect is within VALIDATION_TOL of positive, but dropping the
+        # -9e-10 eigenvalues leaves a refinement 1.27e-9 from complete
+        def forbidden(sc):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(scenario_module, "_check_thermal_observable", forbidden)
+        with pytest.raises(ValidationError, match="check 'refine': rank-1 refinement refused: "
+                           "effects sum differs from identity by 1.273e-09"):
+            parse_scenario(REFINE_REFUSED)
+        assert parse_scenario(dict(REFINE_REFUSED, checks=["thermal_observable"]))
 
     @pytest.mark.parametrize("states", [{"count": 0}, []])
     @pytest.mark.parametrize("check", ["second_law", "skew_chain", "heat_duality"])
@@ -552,3 +606,39 @@ class TestRunSweep:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValidationError, match="axis"):
             run_sweep({"axis": {"name": "gamma", "values": [1]}, "scenario": {}})
+
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            (5, "sweep: expected a JSON object at top level"),
+            ([{"axis": {}}], "sweep: expected a JSON object at top level"),
+            (
+                {"axis": {"name": "seed", "range": [1, 2]}, "scenario": [1]},
+                "sweep: 'scenario' must be an object",
+            ),
+            (
+                {"axis": {"name": "seed", "range": [1, 2]}, "scenario": {}, "seed": 3},
+                "sweep: unknown key 'seed'; allowed keys: axis, scenario",
+            ),
+            (
+                {"axis": {"name": "seed", "rnge": [1, 2]}, "scenario": {}},
+                "sweep axis: unknown key 'rnge'; allowed keys: name, values, range",
+            ),
+            (
+                {"axis": {"name": "seed", "range": [1, 2], "values": [5]}, "scenario": {}},
+                "sweep axis: give 'values' or 'range', not both",
+            ),
+        ],
+    )
+    def test_malformed_sweep_is_refused(self, tmp_path, sweep, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_sweep(str(path))
+
+    def test_grid_points_leave_the_template_alone(self):
+        sweep = self.swap_sweep({"name": "beta", "values": [0.5, 2.0]})
+        before = json.dumps(sweep, sort_keys=True)
+        table, _ = run_sweep(sweep)
+        assert json.dumps(sweep, sort_keys=True) == before
+        assert [row.split(",")[3] for row in table.strip().split("\n")[1:]] == ["0.5", "2.0"]
