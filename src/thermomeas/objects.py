@@ -257,7 +257,11 @@ class KrausChannel:
                 f"dual input must be {self.dim_out} x {self.dim_out}, got {m.shape}"
             )
         ks = self.kraus
-        return np.einsum("kai,ab,kbj->ij", ks.conj(), m, ks)
+        # Two pairwise contractions, O(k D^3), in this order: for a diagonal A,
+        # conj(K) A first and then the sum over k and b forms each term and
+        # sums them as the three-operand einsum does, whose round-off the
+        # benchmark's reference outputs hold; a matmul kernel sums otherwise.
+        return np.einsum("kib,kbj->ij", np.einsum("kai,ab->kib", ks.conj(), m), ks)
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,19 +76,26 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{name}: expected a nonempty nested list")
     rows = []
-    for row in obj:
+    for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise ValidationError(f"{name}: expected a list of rows")
+        if rows and len(row) != len(rows[0]):
+            raise ValidationError(
+                f"{name}: row {i} has {len(row)} entries, row 0 has {len(rows[0])}"
+            )
         entries = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                entries.append(complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2:
-                entries.append(complex(entry[0], entry[1]))
-            else:
+        for j, entry in enumerate(row):
+            where = f"{name} row {i} column {j}"
+            try:
+                if isinstance(entry, list) and len(entry) == 2:
+                    z = complex(_number(entry[0], float, where), _number(entry[1], float, where))
+                else:
+                    z = complex(_number(entry, float, where))
+            except ValidationError as exc:
                 raise ValidationError(
-                    f"{name}: matrix entries must be numbers or [re, im] pairs, got {entry!r}"
-                )
+                    f"{where}: matrix entries must be numbers or [re, im] pairs, got {entry!r}"
+                ) from exc
+            entries.append(z)
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -110,8 +118,9 @@ def _number(value, cast, field: str):
 
 def decode_hamiltonian(obj, name: str) -> np.ndarray:
     """Full matrix, or a flat list of real energies meaning a diagonal matrix."""
-    if isinstance(obj, list) and obj and all(isinstance(e, (int, float)) for e in obj):
-        m = np.diag(np.asarray(obj, dtype=float)).astype(complex)
+    if isinstance(obj, list) and obj and not any(isinstance(e, list) for e in obj):
+        energies = [_number(e, float, f"{name} entry {i}") for i, e in enumerate(obj)]
+        m = np.diag(np.asarray(energies, dtype=float)).astype(complex)
     else:
         m = decode_matrix(obj, name)
     return require_hermitian(m, name=name)
@@ -659,8 +668,17 @@ class RunReport:
 
 
 def _load(source) -> dict:
+    """A scenario or sweep given as a dict or as the path of a JSON file.
+
+    Anything else is refused, so an integer is never opened as a file
+    descriptor (and closed on return).
+    """
     if isinstance(source, dict):
         return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise ValidationError(
+            f"expected a dict or the path of a JSON file, got {type(source).__name__}"
+        )
     with open(source, "r", encoding="utf-8") as fh:
         return json.load(fh)
 

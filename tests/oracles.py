@@ -1,15 +1,15 @@
 """Independent reference computations the library code must reproduce.
 
 These deliberately avoid the package's Kraus code paths: the joint state is
-evolved by an explicit sum over the interaction's Kraus operators, the
-instrument action is evaluated from its defining formula on the joint
-space, the dilation relative entropy is evaluated on explicitly built
-block-diagonal matrices, and the covariance defect is the commutator of
-explicit Kronecker-product superoperators. The per-effect references at the
-end loop over effects and energy projectors one matrix at a time, as the
-library did before it held them as stacks; the per-outcome instrument
-references after them take one operation at a time, from its Kraus
-operators and its defining action.
+evolved by an explicit sum over the interaction's Kraus operators, the dual
+action is one three-operand contraction, the instrument action is evaluated
+from its defining formula on the joint space, the dilation relative entropy
+is evaluated on explicitly built block-diagonal matrices, and the covariance
+defect is the commutator of explicit Kronecker-product superoperators. The
+per-effect references at the end loop over effects and energy projectors one
+matrix at a time, as the library did before it held them as stacks; the
+per-outcome instrument references after them take one operation at a time,
+from its Kraus operators and its defining action.
 """
 
 import numpy as np
@@ -21,6 +21,16 @@ def evolved_joint_state(scheme, rho):
     """``E(rho (x) xi) = sum_M M (rho (x) xi) M†`` with plain matrix products."""
     joint = np.kron(as_matrix(rho), scheme.probe_state.matrix)
     return sum(m @ joint @ m.conj().T for m in scheme.interaction.kraus)
+
+
+def dual_action(kraus, a):
+    """``sum K† A K`` as one three-operand contraction.
+
+    For a diagonal ``A`` its round-off is the one the benchmark's reference
+    outputs hold, which ``KrausChannel.apply_dual`` must keep.
+    """
+    ks = np.asarray(kraus)
+    return np.einsum("kai,ab,kbj->ij", ks.conj(), np.asarray(a), ks)
 
 
 def direct_instrument_action(scheme, rho):

@@ -192,6 +192,24 @@ class TestCheckCommand:
         assert result.stdout == ""
         assert json.loads(result.stderr)["error"].startswith(f"{field}: expected a")
 
+    @pytest.mark.parametrize(
+        "hamiltonian,message",
+        [
+            ([[[1, "x"]]], "system_hamiltonian row 0 column 0: matrix entries must be"),
+            ([[[None, 0]]], "system_hamiltonian row 0 column 0: matrix entries must be"),
+            ([True, False], "system_hamiltonian entry 0: expected a number, got True"),
+            ([[[[1], 0]]], "system_hamiltonian row 0 column 0: matrix entries must be"),
+        ],
+    )
+    def test_malformed_matrix_entry_exits_two_naming_it(self, tmp_path, hamiltonian, message):
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, system_hamiltonian=hamiltonian)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stderr)["error"].startswith(message)
+
     def test_invalid_state_in_the_middle_exits_two_naming_it(self, tmp_path):
         states = [
             "gibbs",

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import dual_action
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import partial_trace
 from thermomeas.objects import (
@@ -25,11 +28,20 @@ from thermomeas.sampling import (
     random_povm,
     rng_from_seed,
 )
+from thermomeas.schemes import conjugate_channel, random_free_scheme
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 P0 = np.outer(KET0, KET0)
 P1 = np.outer(KET1, KET1)
+
+
+def random_channel(n_kraus, d_out, d_in, rng):
+    """Ginibre Kraus stack ``K_k`` made trace preserving as ``K_k (sum K† K)^(-1/2)``."""
+    raw = np.array([ginibre(d_out, d_in, rng) for _ in range(n_kraus)])
+    gram = sum(k.conj().T @ k for k in raw)
+    evals, vecs = np.linalg.eigh(gram)
+    return KrausChannel(raw @ ((vecs / np.sqrt(evals)) @ vecs.conj().T))
 
 
 def amplitude_damping(gamma):
@@ -254,16 +266,54 @@ class TestKrausChannel:
     def test_apply_matches_the_kraus_sum_on_stacks(self, n_kraus, d_out, d_in, n):
         # rectangular Kraus stacks, more or fewer operators than inputs, non-Hermitian inputs
         rng = rng_from_seed(40 + n_kraus + n)
-        raw = np.array([ginibre(d_out, d_in, rng) for _ in range(n_kraus)])
-        gram = sum(k.conj().T @ k for k in raw)
-        evals, vecs = np.linalg.eigh(gram)
-        ch = KrausChannel(raw @ ((vecs / np.sqrt(evals)) @ vecs.conj().T))
+        ch = random_channel(n_kraus, d_out, d_in, rng)
         inputs = np.array([ginibre(d_in, d_in, rng) for _ in range(n)])
         reference = np.array([sum(k @ m @ k.conj().T for k in ch.kraus) for m in inputs])
         np.testing.assert_allclose(ch.apply(inputs), reference, atol=1e-13)
         np.testing.assert_allclose(ch.apply(inputs[0]), reference[0], atol=1e-13)
         with pytest.raises(ValidationError, match="channel input must be"):
             ch.apply(np.zeros((n, d_in + 1, d_in + 1)))
+
+    @given(
+        n_kraus=st.integers(1, 6),
+        d_out=st.integers(1, 6),
+        d_in=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_apply_dual_matches_the_three_operand_contraction(self, n_kraus, d_out, d_in, seed):
+        # rectangular stacks (trace preserving needs k d_out >= d_in), dense non-Hermitian A
+        assume(d_in != d_out and n_kraus * d_out >= d_in)
+        rng = rng_from_seed(seed)
+        ch = random_channel(n_kraus, d_out, d_in, rng)
+        a = ginibre(d_out, d_out, rng)
+        got, reference = ch.apply_dual(a), dual_action(ch.kraus, a)
+        assert got.shape == (d_in, d_in)
+        assert np.abs(got - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
+        with pytest.raises(ValidationError, match="dual input must be"):
+            ch.apply_dual(np.eye(d_out + 1))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_apply_dual_on_diagonal_energy_powers_is_bit_for_bit_the_reference(self, d):
+        # The free-scheme check takes Phi*(H^k), k = 1..4, with H diagonal on
+        # every spectrum the benchmark uses, and its reference outputs hold the
+        # round-off of the three-operand contraction: a kernel that sums in
+        # another order moves them.
+        h = np.diag(np.arange(d, dtype=float)).astype(complex)
+        low = np.diag((np.arange(d) < d // 2).astype(float))
+        pointer = Observable(["low", "high"], [low, np.eye(d) - low])
+        scheme = random_free_scheme(h, h, 1.0, pointer, seed=d)
+        for channel, energy in (
+            (scheme.interaction, scheme.total_hamiltonian()),
+            (conjugate_channel(scheme), h),
+        ):
+            for k in range(1, 5):
+                power = np.linalg.matrix_power(energy, k)
+                got = channel.apply_dual(power)
+                assert np.array_equal(got, dual_action(channel.kraus, power)), (
+                    f"apply_dual(H^{k}) on the {channel.dim_out}x{channel.dim_in} channel "
+                    "differs from the three-operand contraction in its round-off"
+                )
 
 
 class TestBistochastic:

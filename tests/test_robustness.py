@@ -9,10 +9,10 @@ import pytest
 
 from oracles import direct_instrument_action, direct_probe_state
 from thermomeas.errors import ValidationError
-from thermomeas.linalg import dag, frobenius
+from thermomeas.linalg import THEOREM_TOL, dag, frobenius
 from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
 from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
-from thermomeas.scenario import parse_scenario
+from thermomeas.scenario import parse_scenario, run_scenario
 from thermomeas.schemes import (
     MeasurementScheme,
     conjugate_channel,
@@ -381,3 +381,29 @@ class TestLargerDimensions:
         law, _ = second_law_report(scheme, rho)
         assert law.verdict
         assert is_covariant_instrument(ins, h).verdict
+
+    def test_free_scheme_and_moments_at_d16(self):
+        # the energy-moment check on a 256-dimensional joint space: seconds
+        # with an O(k D^3) dual action, minutes with an O(k D^4) one
+        d = 16
+        low = np.diag((np.arange(d) < d // 2).astype(float))
+        raw = {
+            "seed": 0,
+            "beta": 1.0,
+            "system_hamiltonian": [float(e) for e in range(d)],
+            "probe_hamiltonian": [float(e) for e in range(d)],
+            "scheme": {
+                "kind": "random_block",
+                "mixture_size": 3,
+                "pointer": {"effects": [low.tolist(), (np.eye(d) - low).tolist()]},
+            },
+            "checks": ["free_scheme", "moments"],
+        }
+        report = run_scenario(raw)
+        assert [(c["name"], c["verdict"]) for c in report.checks] == [
+            ("free_scheme", True),
+            ("moments", True),
+        ]
+        moments = report.checks[1]["moment_defects"]
+        assert len(moments) == 4
+        assert max(moments) <= THEOREM_TOL

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -61,6 +62,11 @@ def random_block_scenario(checks, n_states=20, seed=7):
     }
 
 
+BAD_ENTRY = (
+    "system_hamiltonian row {} column {}: matrix entries must be numbers or [re, im] pairs, got {}"
+)
+
+
 class TestSerializationRoundTrip:
     def test_matrix_round_trip_is_exact(self):
         m = ginibre(3, 3, rng_from_seed(0))
@@ -93,6 +99,28 @@ class TestSerializationRoundTrip:
     def test_bad_matrix_entry_rejected(self):
         with pytest.raises(ValidationError, match="entries"):
             decode_matrix([["zero"]])
+
+    def test_bare_entries_decode_as_their_pairs(self):
+        m = decode_matrix([[1, 0.5], [[0, -2], [3, 4.25]]])
+        assert np.array_equal(m, np.array([[1, 0.5], [-2j, 3 + 4.25j]]))
+
+    @pytest.mark.parametrize(
+        "hamiltonian,message",
+        [
+            ([[[1, "x"]]], BAD_ENTRY.format(0, 0, "[1, 'x']")),
+            ([[0, 0], [0, [None, 0]]], BAD_ENTRY.format(1, 1, "[None, 0]")),
+            ([[[1, 0], True]], BAD_ENTRY.format(0, 1, "True")),
+            ([[[[1], 0]]], BAD_ENTRY.format(0, 0, "[[1], 0]")),
+            ([[1, 0], [0]], "system_hamiltonian: row 1 has 1 entries, row 0 has 2"),
+            ([True, False], "system_hamiltonian entry 0: expected a number, got True"),
+            ([0, "1"], "system_hamiltonian entry 1: expected a number, got '1'"),
+        ],
+    )
+    def test_malformed_hamiltonian_entry_is_refused_by_position(self, hamiltonian, message):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["system_hamiltonian"] = hamiltonian
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(raw)
 
 
 class TestParseScenario:
@@ -330,6 +358,19 @@ class TestRunScenario:
         assert by_name["second_law"]["n_states"] == 200
         assert by_name["second_law"]["worst_prop1_slack"] >= -1e-8
         assert by_name["covariant"]["verdict"]
+
+    @pytest.mark.parametrize("run", [run_scenario, run_sweep])
+    def test_a_file_descriptor_is_refused_and_left_open(self, tmp_path, run):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(random_block_scenario(["free_scheme"], n_states=1)))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            message = "expected a dict or the path of a JSON file, got int"
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                run(fd)
+            os.fstat(fd)
+        finally:
+            os.close(fd)
 
     def test_luders_x_basis_scenario_fails(self):
         raw = {
