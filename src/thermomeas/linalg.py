@@ -209,18 +209,13 @@ def eig_hermitian(a) -> SpectralDecomposition:
     )
 
 
-def psd_sqrt(a) -> np.ndarray:
+def psd_sqrt(a, name="operator") -> np.ndarray:
     """Principal square root of a positive semidefinite operator, or of each entry of a stack.
 
     Eigenvalues in ``[-VALIDATION_TOL, 0)`` are clipped to zero; anything
-    more negative raises.
+    more negative raises, naming the entry as :func:`_first_failure` does.
     """
-    return _psd_sqrt(as_matrices(a), "operator")
-
-
-def _psd_sqrt(m: np.ndarray, name) -> np.ndarray:
-    """:func:`psd_sqrt`; a refusal names the entry as :func:`_first_failure` does."""
-    evals, vecs = np.linalg.eigh(_symmetrized(m, VALIDATION_TOL, "matrix"))
+    evals, vecs = np.linalg.eigh(_symmetrized(as_matrices(a), VALIDATION_TOL, "matrix"))
     lowest = evals[..., 0]
     if (lowest < -VALIDATION_TOL).any():
         worst, label = _first_failure(lowest, lowest < -VALIDATION_TOL, name)

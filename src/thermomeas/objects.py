@@ -20,7 +20,6 @@ from .errors import ValidationError
 from .linalg import (
     SUPPORT_TOL,
     VALIDATION_TOL,
-    _psd_sqrt,
     _symmetrized,
     as_matrices,
     as_matrix,
@@ -29,6 +28,7 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     logsumexp,
+    psd_sqrt,
     require_beta,
     require_hermitian,
     require_square,
@@ -280,12 +280,7 @@ class BistochasticReport:
         return self.trace_defect <= self.tol and self.unital_defect <= self.tol
 
     def to_dict(self) -> dict:
-        return {
-            "trace_defect": self.trace_defect,
-            "unital_defect": self.unital_defect,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
+        return {**vars(self), "verdict": self.verdict}
 
 
 def is_bistochastic(channel: KrausChannel) -> BistochasticReport:
@@ -376,7 +371,7 @@ class Instrument:
         A refusal of an effect's square root names its outcome.
         """
         names = tuple(f"effect {x!r}: operator" for x in observable.outcomes)
-        return cls(observable.outcomes, _psd_sqrt(observable.effects, names)[:, None])
+        return cls(observable.outcomes, psd_sqrt(observable.effects, names)[:, None])
 
     @property
     def n_outcomes(self) -> int:

@@ -53,6 +53,9 @@ SCHEMA_VERSION = 1
 #: Largest ``states.count`` a scenario may request; every state is built up front.
 MAX_STATE_COUNT = 10_000
 
+#: Largest ``scheme.mixture_size``; a ``random_block`` scheme keeps one dense unitary per term.
+MAX_MIXTURE_SIZE = 100
+
 #: Largest number of grid points a sweep may request.
 MAX_GRID_SIZE = 10_000
 
@@ -133,13 +136,22 @@ def encode_observable(observable: Observable) -> dict:
     }
 
 
+def _list_field(obj: dict, key: str, where: str) -> list:
+    """``obj[key]``, refused by name unless it is a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: '{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
 def decode_observable(obj) -> Observable:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise ValidationError("observable: expected an object with an 'effects' field")
     _refuse_unknown_keys(obj, ("outcomes", "effects"), "observable")
-    effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(obj["effects"])]
-    outcomes = obj.get("outcomes") or [f"x{i}" for i in range(len(effects))]
-    return Observable(outcomes, effects)
+    matrices = _list_field(obj, "effects", "observable")
+    effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(matrices)]
+    outcomes = _list_field(obj, "outcomes", "observable") if obj.get("outcomes") is not None else []
+    return Observable(outcomes or [f"x{i}" for i in range(len(effects))], effects)
 
 
 def encode_channel(channel: KrausChannel) -> dict:
@@ -149,7 +161,8 @@ def encode_channel(channel: KrausChannel) -> dict:
 def decode_channel(obj) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError("channel: expected an object with a 'kraus' field")
-    return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(obj["kraus"])])
+    kraus = _list_field(obj, "kraus", "channel")
+    return KrausChannel([decode_matrix(k, f"Kraus {i}") for i, k in enumerate(kraus)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +327,10 @@ def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable):
     if kind == "random_block":
         seed = _number(spec.get("seed", scenario_seed), int, "scheme.seed")
         mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
+        if mixture_size > MAX_MIXTURE_SIZE:
+            raise ValidationError(
+                f"scheme.mixture_size must be at most {MAX_MIXTURE_SIZE}, got {mixture_size}"
+            )
         scheme = random_free_scheme(h_system, h_probe, beta, pointer, seed, mixture_size)
         echo = {
             "kind": "random_block",
@@ -441,13 +458,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 # ---------------------------------------------------------------------------
 
 
-def _check_free_scheme(sc: Scenario) -> dict:
-    report = sc.scheme.freeness(sc.tol_for("free_scheme"))
-    return {"name": "free_scheme", **report.to_dict()}
-
-
-def _check_second_law(sc: Scenario) -> dict:
-    tol = sc.tol_for("second_law")
+def _check_second_law(sc: Scenario, tol: float) -> dict:
     rows = [
         {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
         for name, (law, work) in zip(sc.state_names, sc.audit.second_law_reports(tol))
@@ -455,7 +466,6 @@ def _check_second_law(sc: Scenario) -> dict:
     verdict = all(r["second_law"]["verdict"] for r in rows)
     worst = min(r["second_law"]["prop1_slack"] for r in rows)
     return {
-        "name": "second_law",
         "verdict": verdict,
         "n_states": len(rows),
         "worst_prop1_slack": worst,
@@ -463,51 +473,11 @@ def _check_second_law(sc: Scenario) -> dict:
     }
 
 
-def _check_covariant(sc: Scenario) -> dict:
-    verdict = classify.is_covariant_instrument(
-        sc.instrument, sc.system_hamiltonian, sc.tol_for("covariant")
-    )
-    return {"name": "covariant", **verdict.to_dict()}
-
-
-def _check_gibbs_preserving(sc: Scenario) -> dict:
-    verdict = classify.is_gibbs_preserving(
-        sc.instrument, sc.system_hamiltonian, sc.beta, sc.tol_for("gibbs_preserving")
-    )
-    return {"name": "gibbs_preserving", **verdict.to_dict()}
-
-
-def _check_nuclear(sc: Scenario) -> dict:
-    verdict = classify.is_nuclear(sc.instrument, sc.tol_for("nuclear"))
-    return {"name": "nuclear", **verdict.to_dict()}
-
-
-def _check_prop2(sc: Scenario) -> dict:
-    verdict = classify.check_prop2(
-        sc.instrument, sc.system_hamiltonian, sc.beta, sc.tol_for("prop2")
-    )
-    return {"name": "prop2", **verdict.to_dict()}
-
-
-def _check_quasi_complete(sc: Scenario) -> dict:
-    verdict = classify.is_quasi_complete(sc.instrument, sc.tol_for("quasi_complete"))
-    return {"name": "quasi_complete", **verdict.to_dict()}
-
-
-def _check_thermal_observable(sc: Scenario) -> dict:
-    verdict = classify.is_thermal_observable(
-        sc.observable_under_test(), sc.system_hamiltonian, sc.tol_for("thermal_observable")
-    )
-    return {"name": "thermal_observable", **verdict.to_dict()}
-
-
-def _check_joint_observable(sc: Scenario) -> dict:
-    tol = sc.tol_for("joint_observable")
+def _check_joint_observable(sc: Scenario, tol: float) -> dict:
     observable = sc.observable_under_test()
     joint = classify.joint_with_hamiltonian(observable, sc.system_hamiltonian, tol)
     defect = classify.marginal_defect(joint, observable, sc.system_hamiltonian)
     return {
-        "name": "joint_observable",
         "verdict": defect <= tol,
         "marginal_defect": defect,
         "n_effects": joint.n_outcomes,
@@ -515,13 +485,11 @@ def _check_joint_observable(sc: Scenario) -> dict:
     }
 
 
-def _check_post_processing(sc: Scenario) -> dict:
-    tol = sc.tol_for("post_processing")
+def _check_post_processing(sc: Scenario, tol: float) -> dict:
     post = classify.post_processing_decomposition(
         sc.observable_under_test(), sc.system_hamiltonian, tol
     )
     return {
-        "name": "post_processing",
         "verdict": post.reconstruction_defect <= tol,
         "reconstruction_defect": post.reconstruction_defect,
         "matrix": [[float(v) for v in row] for row in post.matrix],
@@ -530,8 +498,7 @@ def _check_post_processing(sc: Scenario) -> dict:
     }
 
 
-def _check_refine(sc: Scenario) -> dict:
-    tol = sc.tol_for("refine")
+def _check_refine(sc: Scenario, tol: float) -> dict:
     observable = sc.observable_under_test()
     refined, relabel = sc.refinement
     coarse = np.zeros_like(observable.effects)
@@ -539,7 +506,6 @@ def _check_refine(sc: Scenario) -> dict:
     np.add.at(coarse, owners, refined.effects)
     defect = float(np.linalg.norm(coarse - observable.effects, axis=(1, 2)).max())
     return {
-        "name": "refine",
         "verdict": defect <= tol and refined.is_rank_one(),
         "coarse_grain_defect": defect,
         "n_refined": refined.n_outcomes,
@@ -547,13 +513,11 @@ def _check_refine(sc: Scenario) -> dict:
     }
 
 
-def _check_moments(sc: Scenario) -> dict:
-    tol = sc.tol_for("moments")
+def _check_moments(sc: Scenario, tol: float) -> dict:
     defects = list(sc.scheme.freeness().energy_conservation_defects)
     joint_gibbs = np.kron(sc.scheme.system_gibbs.matrix, sc.scheme.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
     return {
-        "name": "moments",
         "verdict": max(max(defects), fixed_point) <= tol,
         "moment_defects": defects,
         "fixed_point_defect": fixed_point,
@@ -561,15 +525,13 @@ def _check_moments(sc: Scenario) -> dict:
     }
 
 
-def _check_skew_chain(sc: Scenario) -> dict:
-    tol = sc.tol_for("skew_chain")
+def _check_skew_chain(sc: Scenario, tol: float) -> dict:
     rows = [
         {"state": name, "selective_slack": float(selective), "convexity_slack": float(convexity)}
         for name, selective, convexity in zip(sc.state_names, *sc.audit.skew_chain)
     ]
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return {
-        "name": "skew_chain",
         "verdict": worst >= -tol,
         "n_states": len(rows),
         "worst_slack": worst,
@@ -577,15 +539,13 @@ def _check_skew_chain(sc: Scenario) -> dict:
     }
 
 
-def _check_heat_duality(sc: Scenario) -> dict:
-    tol = sc.tol_for("heat_duality")
+def _check_heat_duality(sc: Scenario, tol: float) -> dict:
     rows = [
         {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
         for name, report in zip(sc.state_names, sc.audit.heat_reports())
     ]
     worst = max(r["duality_defect"] for r in rows)
     return {
-        "name": "heat_duality",
         "verdict": worst <= tol,
         "n_states": len(rows),
         "worst_duality_defect": worst,
@@ -593,38 +553,67 @@ def _check_heat_duality(sc: Scenario) -> dict:
     }
 
 
-_CHECK_FUNCTIONS = {
-    "free_scheme": _check_free_scheme,
-    "second_law": _check_second_law,
-    "covariant": _check_covariant,
-    "gibbs_preserving": _check_gibbs_preserving,
-    "nuclear": _check_nuclear,
-    "prop2": _check_prop2,
-    "quasi_complete": _check_quasi_complete,
-    "thermal_observable": _check_thermal_observable,
-    "joint_observable": _check_joint_observable,
-    "post_processing": _check_post_processing,
-    "refine": _check_refine,
-    "moments": _check_moments,
-    "skew_chain": _check_skew_chain,
-    "heat_duality": _check_heat_duality,
+@dataclass(frozen=True)
+class _Check:
+    """A check's result as a function of ``(scenario, tol)``, and what it needs
+    besides the instrument under test: a scheme, at least one input state."""
+
+    run: object
+    needs_scheme: bool = False
+    needs_states: bool = False
+
+
+#: Every check by name, in the order the known-checks error message lists them.
+_CHECKS = {
+    "free_scheme": _Check(lambda sc, tol: sc.scheme.freeness(tol).to_dict(), needs_scheme=True),
+    "second_law": _Check(_check_second_law, needs_scheme=True, needs_states=True),
+    "covariant": _Check(
+        lambda sc, tol: classify.is_covariant_instrument(
+            sc.instrument, sc.system_hamiltonian, tol
+        ).to_dict()
+    ),
+    "gibbs_preserving": _Check(
+        lambda sc, tol: classify.is_gibbs_preserving(
+            sc.instrument, sc.system_hamiltonian, sc.beta, tol
+        ).to_dict()
+    ),
+    "nuclear": _Check(lambda sc, tol: classify.is_nuclear(sc.instrument, tol).to_dict()),
+    "prop2": _Check(
+        lambda sc, tol: classify.check_prop2(
+            sc.instrument, sc.system_hamiltonian, sc.beta, tol
+        ).to_dict()
+    ),
+    "quasi_complete": _Check(
+        lambda sc, tol: classify.is_quasi_complete(sc.instrument, tol).to_dict()
+    ),
+    "thermal_observable": _Check(
+        lambda sc, tol: classify.is_thermal_observable(
+            sc.observable_under_test(), sc.system_hamiltonian, tol
+        ).to_dict()
+    ),
+    "joint_observable": _Check(_check_joint_observable),
+    "post_processing": _Check(_check_post_processing),
+    "refine": _Check(_check_refine),
+    "moments": _Check(_check_moments, needs_scheme=True),
+    "skew_chain": _Check(_check_skew_chain, needs_states=True),
+    "heat_duality": _Check(_check_heat_duality, needs_scheme=True, needs_states=True),
 }
 
-#: Check names in the order the known-checks error message lists them.
-KNOWN_CHECKS = tuple(_CHECK_FUNCTIONS)
-
-#: What a check needs besides the instrument under test: a scheme, input states.
-_NEEDS_SCHEME = frozenset({"free_scheme", "second_law", "moments", "heat_duality"})
-_NEEDS_STATES = frozenset({"second_law", "skew_chain", "heat_duality"})
+KNOWN_CHECKS = tuple(_CHECKS)
 
 
 def _require_inputs(checks, scheme, state_names) -> None:
     """Refuse, before any of ``checks`` runs, one that lacks its scheme or input states."""
     for name in checks:
-        if name in _NEEDS_SCHEME and scheme is None:
+        if _CHECKS[name].needs_scheme and scheme is None:
             raise ValidationError(f"check {name!r} requires a scheme")
-        if name in _NEEDS_STATES and not state_names:
+        if _CHECKS[name].needs_states and not state_names:
             raise ValidationError(f"check {name!r} requires at least one input state")
+
+
+def _run_check(sc: Scenario, name: str) -> dict:
+    """The result of check ``name`` on ``sc``, at the tolerance the scenario sets for it."""
+    return {"name": name, **_CHECKS[name].run(sc, sc.tol_for(name))}
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +685,7 @@ def run_scenario(source, seed=None, tol=None) -> RunReport:
     check_timing = {}
     for name in scenario.checks:
         begin = time.perf_counter()
-        results.append(_CHECK_FUNCTIONS[name](scenario))
+        results.append(_run_check(scenario, name))
         elapsed = (time.perf_counter() - begin) * 1000.0
         check_timing[name] = check_timing.get(name, 0.0) + elapsed
     verdict = all(bool(r.get("verdict")) for r in results)
@@ -791,8 +780,8 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
         point = {**raw["scenario"], axis_name: value}
         scenario = parse_scenario(point, seed_override=seed, tol_override=tol)
         _require_inputs(("free_scheme", "second_law"), scenario.scheme, scenario.state_names)
-        free = _check_free_scheme(scenario)
-        law = _check_second_law(scenario)
+        free = _run_check(scenario, "free_scheme")
+        law = _run_check(scenario, "second_law")
         worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
         all_pass = all_pass and free["verdict"] and law["verdict"]
         numbers = {**worst["work"], **worst["second_law"]}

@@ -24,11 +24,11 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
-    _psd_sqrt,
     cluster_indices,
     commutator_defect,
     dag,
     frobenius,
+    psd_sqrt,
     require_beta,
     require_hermitian,
 )
@@ -190,11 +190,8 @@ class FreeSchemeReport:
 
     def to_dict(self) -> dict:
         return {
-            "gibbs_probe_ok": self.gibbs_probe_ok,
-            "bistochastic_defect": self.bistochastic_defect,
+            **vars(self),
             "energy_conservation_defects": list(self.energy_conservation_defects),
-            "yanase_defect": self.yanase_defect,
-            "tol": self.tol,
             "verdict": self.verdict,
         }
 
@@ -270,7 +267,7 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     d_s, outcomes = scheme.dim_system, scheme.pointer.outcomes
     dilation, amplitudes = _dilation(scheme)
     names = tuple(f"pointer effect {x!r}: operator" for x in outcomes)
-    roots = _psd_sqrt(scheme.pointer.effects, names)
+    roots = psd_sqrt(scheme.pointer.effects, names)
     kraus_sets = []
     for root in roots:
         ops = _pruned(np.einsum("pb,maibj->mapij", root, dilation), amplitudes)

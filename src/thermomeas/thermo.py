@@ -53,14 +53,7 @@ class WorkReport:
     beta: float
 
     def to_dict(self) -> dict:
-        return {
-            "extractable_work": self.extractable_work,
-            "average_extractable_work": self.average_extractable_work,
-            "outcome_divergence": self.outcome_divergence,
-            "heat": self.heat,
-            "groenewold_gain": self.groenewold_gain,
-            "beta": self.beta,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -93,14 +86,7 @@ class SecondLawReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "prop1_slack": self.prop1_slack,
-            "eq5_identity_defect": self.eq5_identity_defect,
-            "eq5_bound_slack": self.eq5_bound_slack,
-            "heat_bound_slack": self.heat_bound_slack,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
+        return {**vars(self), "verdict": self.verdict}
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 modified. A target `module.name` must be a module attribute; a target
 `module.Owner.name` must sit in the owner's own `__dict__`, since the tracer
 patches that entry. The tracer's instrument sizing must run on every
-workload and keep its sizes.
+workload and keep its sizes, and every square root the library takes must
+be counted.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -57,3 +59,25 @@ def test_instrument_sizes_of_each_workload(workload, kraus_ops, choi_rank):
         "instrument_kraus_ops": kraus_ops,
         "instrument_choi_rank": choi_rank,
     }
+
+
+def traced_square_roots(build) -> int:
+    """`linalg.psd_sqrt` spans recorded while `build()` runs under the benchmark's tracer."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        build()
+    finally:
+        tracer.restore()
+    return sum(span[0] == "linalg.psd_sqrt" for span in tracer.spans)
+
+
+def test_every_square_root_is_traced():
+    import thermomeas.cli  # noqa: F401  the tracer patches every module the CLI imports
+    from thermomeas import objects, schemes
+
+    h = np.diag([0.0, 1.0])
+    pointer = objects.Observable(["low", "high"], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    scheme = schemes.random_free_scheme(h, h, 1.0, pointer, 0)
+    assert traced_square_roots(lambda: objects.Instrument.luders(pointer)) == 1
+    assert traced_square_roots(lambda: schemes.induced_instrument(scheme)) == 1

@@ -259,6 +259,26 @@ class TestCheckCommand:
                 {"states": [{"nam": "odd", "matrix": [[0.5, 0], [0, 0.5]]}]},
                 "states[0]: unknown key 'nam'",
             ),
+            (
+                {"scheme": dict(SCENARIO_PASS["scheme"], pointer={"effects": 5})},
+                "observable: 'effects' must be a list, got int",
+            ),
+            (
+                {"scheme": dict(SCENARIO_PASS["scheme"], pointer=dict(SWEEP_POINTER, outcomes=5))},
+                "observable: 'outcomes' must be a list, got int",
+            ),
+            (
+                {"observable": dict(SWEEP_POINTER, outcomes="ab")},
+                "observable: 'outcomes' must be a list, got str",
+            ),
+            (
+                {"scheme": {"kind": "kraus", "kraus": 5, "pointer": SWEEP_POINTER}},
+                "channel: 'kraus' must be a list, got int",
+            ),
+            (
+                {"scheme": dict(SCENARIO_PASS["scheme"], mixture_size=101)},
+                "scheme.mixture_size must be at most 100, got 101",
+            ),
         ],
     )
     def test_refused_input_exits_two_naming_it(self, tmp_path, patch, message):
@@ -267,6 +287,7 @@ class TestCheckCommand:
         result = cli("check", str(path))
         assert result.returncode == 2
         assert result.stdout == ""
+        assert "Traceback" not in result.stderr
         assert json.loads(result.stderr)["error"].startswith(message)
 
     def test_refused_refinement_exits_two_before_any_check(self, tmp_path):

@@ -13,6 +13,7 @@ from thermomeas.sampling import ginibre, random_povm, rng_from_seed
 from thermomeas.scenario import (
     KNOWN_CHECKS,
     MAX_GRID_SIZE,
+    MAX_MIXTURE_SIZE,
     MAX_STATE_COUNT,
     decode_channel,
     decode_hamiltonian,
@@ -145,6 +146,16 @@ class TestParseScenario:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listed = re.search(r"Known checks: (.*?)\.\n", readme, re.S).group(1)
         assert tuple(re.findall(r"`(\w+)`", listed)) == KNOWN_CHECKS
+
+    def test_readme_lists_the_inputs_each_check_needs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"a check whose inputs are missing: (.*?);\n", readme, re.S).group(1)
+        scheme, states = re.fullmatch(
+            r"(.*) need a scheme, and (.*) at least one input state", " ".join(sentence.split())
+        ).groups()
+        checks = scenario_module._CHECKS
+        assert re.findall(r"`(\w+)`", scheme) == [n for n in checks if checks[n].needs_scheme]
+        assert re.findall(r"`(\w+)`", states) == [n for n in checks if checks[n].needs_states]
 
     def test_scheme_required_for_scheme_checks(self):
         raw = {
@@ -285,6 +296,46 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match=f"^{message}; allowed keys: "):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize(
+        "scheme,message",
+        [
+            (
+                {"kind": "swap", "pointer": {"effects": 5}},
+                "observable: 'effects' must be a list, got int",
+            ),
+            (
+                {"kind": "swap", "pointer": dict(Z_POINTER, outcomes=5)},
+                "observable: 'outcomes' must be a list, got int",
+            ),
+            (
+                {"kind": "swap", "pointer": dict(Z_POINTER, outcomes="ab")},
+                "observable: 'outcomes' must be a list, got str",
+            ),
+            (
+                {"kind": "kraus", "kraus": 5, "pointer": Z_POINTER},
+                "channel: 'kraus' must be a list, got int",
+            ),
+        ],
+    )
+    def test_non_list_field_rejected(self, scheme, message):
+        raw = dict(random_block_scenario(["free_scheme"], n_states=1), scheme=scheme)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_scenario(raw)
+
+    def test_mixture_size_is_bounded_before_any_draw(self, monkeypatch):
+        raw = random_block_scenario(["free_scheme"], n_states=1)
+        raw["scheme"]["mixture_size"] = MAX_MIXTURE_SIZE
+        assert parse_scenario(raw).echo["scheme"]["mixture_size"] == MAX_MIXTURE_SIZE
+
+        def forbidden(*args):
+            raise AssertionError("a scheme was drawn")
+
+        monkeypatch.setattr(scenario_module, "random_free_scheme", forbidden)
+        raw["scheme"]["mixture_size"] = MAX_MIXTURE_SIZE + 1
+        with pytest.raises(ValidationError, match=f"^scheme.mixture_size must be at most "
+                           f"{MAX_MIXTURE_SIZE}, got {MAX_MIXTURE_SIZE + 1}$"):
+            parse_scenario(raw)
+
     def test_every_check_tolerance_is_a_known_key(self):
         raw = random_block_scenario(["free_scheme"], n_states=1)
         raw["tolerances"] = {name: 1e-7 for name in ("default", *KNOWN_CHECKS)}
@@ -325,15 +376,15 @@ class TestParseScenario:
             raise AssertionError("refined after parse")
 
         monkeypatch.setattr(scenario_module.classify, "refine_to_rank_one", forbidden)
-        assert scenario_module._check_refine(sc)["verdict"]
+        assert scenario_module._run_check(sc, "refine")["verdict"]
 
     def test_refinement_refused_at_parse(self, monkeypatch):
         # each effect is within VALIDATION_TOL of positive, but dropping the
         # -9e-10 eigenvalues leaves a refinement 1.27e-9 from complete
-        def forbidden(sc):
+        def forbidden(sc, name):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(scenario_module, "_check_thermal_observable", forbidden)
+        monkeypatch.setattr(scenario_module, "_run_check", forbidden)
         with pytest.raises(ValidationError, match="check 'refine': rank-1 refinement refused: "
                            "effects sum differs from identity by 1.273e-09"):
             parse_scenario(REFINE_REFUSED)
@@ -348,6 +399,33 @@ class TestParseScenario:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            "free_scheme", "second_law", "covariant", "gibbs_preserving", "nuclear", "prop2",
+            "quasi_complete", "thermal_observable", "joint_observable", "post_processing",
+            "refine", "moments",
+        ],
+    )
+    def test_each_check_runs_at_its_own_tolerance(self, check):
+        def reported(entry):
+            if entry["name"] == "second_law":
+                return {row["second_law"]["tol"] for row in entry["per_state"]}
+            return {entry.get("tol")}
+
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "scheme": {"kind": "swap", "pointer": Z_POINTER},
+            "states": {"count": 2, "seed": 1},
+            "checks": list(KNOWN_CHECKS),
+            "tolerances": {check: 3.5e-6},
+        }
+        tols = {entry["name"]: reported(entry) for entry in run_scenario(raw).checks}
+        assert tols.pop(check) == {3.5e-6}
+        assert all(t in ({1e-8}, {None}) for t in tols.values())
+        assert sum(t == {1e-8} for t in tols.values()) == 11
+
     def test_full_free_scheme_scenario_passes(self):
         raw = random_block_scenario(
             ["free_scheme", "second_law", "covariant", "gibbs_preserving"], n_states=200
@@ -634,11 +712,10 @@ class TestRunSweep:
     def test_template_without_inputs_is_refused_before_any_check(
         self, monkeypatch, patch, message
     ):
-        def forbidden(sc):
+        def forbidden(sc, name):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(scenario_module, "_check_free_scheme", forbidden)
-        monkeypatch.setattr(scenario_module, "_check_second_law", forbidden)
+        monkeypatch.setattr(scenario_module, "_run_check", forbidden)
         sweep = self.swap_sweep({"name": "beta", "values": [1.0, 2.0]})
         sweep["scenario"].update(patch)
         with pytest.raises(ValidationError, match=message):
