@@ -43,7 +43,7 @@ except tm.PreconditionError as err:
 # so energy-conserving unitaries can do more than attach phases. The generator
 # mixes Haar-random block unitaries; everything follows from the seed.
 pointer = tm.spectral_observable(H)
-scheme = tm.random_free_scheme(H, H, BETA, pointer, seed=7, mixture_size=3)
+scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, pointer), seed=7, mixture_size=3)
 print("\nrandom scheme report:", tm.validate_free_scheme(scheme).to_dict())
 
 induced = tm.induced_instrument(scheme)
@@ -63,6 +63,6 @@ print("probe after equilibrium input stays Gibbs:",
       np.linalg.norm(conjugate.apply(tau) - scheme.probe_state.matrix) < 1e-9)
 
 # Energy moments are conserved to machine precision:
-h_total = scheme.total_hamiltonian()
+h_total = scheme.total_hamiltonian
 print("moment defects k=1..4:",
       [f"{tm.energy_moment_defect(scheme.interaction, h_total, k):.1e}" for k in (1, 2, 3, 4)])

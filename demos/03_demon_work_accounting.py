@@ -29,7 +29,7 @@ print(f"  Shannon entropy / beta: {-(q * np.log(q)).sum() / BETA:.6f}")
 print("  -> heat converted to work, so this instrument cannot be free.\n")
 
 # --- the same question for a free measurement ----------------------------------
-scheme = tm.random_free_scheme(H, H, BETA, energy, seed=11, mixture_size=3)
+scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, energy), seed=11, mixture_size=3)
 law, work = tm.second_law_report(scheme, tau)
 print("free measurement on tau:")
 print(f"  average extractable work: {work.average_extractable_work:.2e} (nothing)")

@@ -33,7 +33,7 @@ print("  Gibbs-preserving? ", tm.is_gibbs_preserving(luders, H, BETA).verdict)
 print("  quasi-complete?   ", tm.is_quasi_complete(luders).verdict)
 
 # A free scheme's instrument passes both necessary conditions:
-scheme = tm.random_free_scheme(H, H, BETA, energy, seed=5, mixture_size=2)
+scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, energy), seed=5, mixture_size=2)
 instrument = tm.induced_instrument(scheme)
 print("\nfree-scheme instrument:")
 print("  covariant?        ", tm.is_covariant_instrument(instrument, H).verdict)

@@ -23,10 +23,31 @@ def ginibre(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre(dim, dim, rng))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return haar_unitaries([dim], rng)[0]
+
+
+def haar_unitaries(sizes, rng: np.random.Generator) -> list:
+    """Haar unitaries of the given sizes, in order, drawn from ``rng`` as
+    ``haar_unitary`` called once per size would draw them.
+
+    One ``standard_normal`` call takes every Ginibre matrix (real parts,
+    then imaginary parts, size by size), and one stacked QR, phase-fixed by
+    the diagonal of ``R`` (Mezzadri, Notices AMS 54, 592, 2007), turns all
+    the matrices of one size into unitaries.
+    """
+    sizes = [int(n) for n in sizes]
+    ends = np.cumsum([2 * n * n for n in sizes])
+    normals = rng.standard_normal(int(ends[-1]) if sizes else 0)
+    unitaries = [None] * len(sizes)
+    for n in sorted(set(sizes)):
+        which = [i for i, size in enumerate(sizes) if size == n]
+        parts = np.stack([normals[ends[i] - 2 * n * n : ends[i]].reshape(2, n, n) for i in which])
+        q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
+        phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        phases /= np.abs(phases)
+        for i, u in zip(which, q * phases[:, None, :]):
+            unitaries[i] = u
+    return unitaries
 
 
 def _ginibre_state(dim: int, rng: np.random.Generator) -> np.ndarray:

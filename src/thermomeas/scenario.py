@@ -6,13 +6,19 @@ Hamiltonians may be given as flat lists of real energies. A scenario names
 a system (and optionally probe) Hamiltonian, an inverse temperature, a
 scheme constructor (``"swap"``, ``"random_block"``, or an explicit Kraus
 list) and/or an observable for classifier-only runs, a collection of input
-states, the checks to run, and tolerances. Parsing refuses unknown keys and
-a check whose scheme or input states are missing, validates every
-parsed object at ``VALIDATION_TOL``, as the objects derived from it are,
-and derives the instrument under test (and, for the ``refine`` check, the
-rank-1 refinement), so their validation too comes before any check runs.
-A sweep file is judged the same way: an object with an ``axis`` (``values``
-or ``range``, not both) and a ``scenario`` object, and no other key.
+states, the checks to run, and tolerances.
+
+Resolution has two stages. :func:`parse_template` judges a scenario once:
+it refuses unknown keys and a check whose scheme or input states are
+missing, and decodes and validates every given object at
+``VALIDATION_TOL``. :meth:`ScenarioTemplate.point` then derives one grid
+point: the random interaction and states, the scheme, the instrument under
+test and, for the ``refine`` check, the rank-1 refinement, so their
+validation too comes before any check runs. :func:`parse_scenario` is the
+template and its own point. A sweep file (an object with an ``axis``,
+``values`` or ``range`` but not both, and a ``scenario`` object, and no
+other key) judges its template and every axis value before the first grid
+point, then derives each point from the one template.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -33,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from ._version import __version__
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
@@ -44,7 +50,13 @@ from .linalg import (
 )
 from .objects import Instrument, KrausChannel, Observable, gibbs_state
 from .sampling import random_density_matrices, rng_from_seed
-from .schemes import MeasurementScheme, random_free_scheme, trivial_scheme
+from .schemes import (
+    MeasurementScheme,
+    SchemeFrame,
+    random_free_scheme,
+    require_free_draw,
+    trivial_scheme,
+)
 from .thermo import StateAudit
 from . import classify
 
@@ -144,13 +156,14 @@ def _list_field(obj: dict, key: str, where: str) -> list:
     return value
 
 
-def decode_observable(obj) -> Observable:
+def decode_observable(obj, field: str = "observable") -> Observable:
+    """An observable object; a refusal names ``field`` (``observable`` or ``scheme.pointer``)."""
     if not isinstance(obj, dict) or "effects" not in obj:
-        raise ValidationError("observable: expected an object with an 'effects' field")
-    _refuse_unknown_keys(obj, ("outcomes", "effects"), "observable")
-    matrices = _list_field(obj, "effects", "observable")
+        raise ValidationError(f"{field}: expected an object with an 'effects' field")
+    _refuse_unknown_keys(obj, ("outcomes", "effects"), field)
+    matrices = _list_field(obj, "effects", field)
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(matrices)]
-    outcomes = _list_field(obj, "outcomes", "observable") if obj.get("outcomes") is not None else []
+    outcomes = _list_field(obj, "outcomes", field) if obj.get("outcomes") is not None else []
     return Observable(outcomes or [f"x{i}" for i in range(len(effects))], effects)
 
 
@@ -194,14 +207,15 @@ def _refuse_unknown_keys(obj: dict, allowed, where: str) -> None:
 
 @dataclass
 class Scenario:
-    """A parsed scenario: resolved objects plus the canonical echo dict.
+    """One resolved scenario: a grid point of its :class:`ScenarioTemplate`.
 
     ``states`` is one validated, read-only ``(n, d, d)`` stack and
     ``state_names`` names its entries in order. The instrument under test,
     and the rank-1 refinement of the observable under test when the
-    ``refine`` check runs (else ``None``), are derived at parse, so an
+    ``refine`` check runs (else ``None``), are derived with the point, so an
     object they refuse is refused before any check runs; the per-state
-    :class:`StateAudit` is derived on first use and kept.
+    :class:`StateAudit` and the canonical :attr:`echo` are derived on first
+    use and kept.
     """
 
     beta: float
@@ -215,7 +229,7 @@ class Scenario:
     states: np.ndarray
     checks: list
     tolerances: dict
-    echo: dict
+    template: ScenarioTemplate
     refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
@@ -228,25 +242,80 @@ class Scenario:
             self.instrument, self.states, self.system_hamiltonian, self.beta, self.scheme
         )
 
+    @cached_property
+    def echo(self) -> dict:
+        """The canonical scenario dict: parsing it again resolves to this scenario."""
+        t = self.template
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "beta": self.beta,
+            "seed": self.seed,
+            "system_hamiltonian": encode_matrix(self.system_hamiltonian),
+            "probe_hamiltonian": encode_matrix(self.probe_hamiltonian),
+            "scheme": t.scheme.echo(self.scheme, self.seed) if t.scheme is not None else None,
+            "observable": (
+                encode_observable(self.observable) if self.observable is not None else None
+            ),
+            "states": t.states.echo(self.seed),
+            "checks": list(self.checks),
+            "tolerances": self.tolerances,
+        }
+
     def observable_under_test(self) -> Observable:
         if self.observable is not None:
             return self.observable
         return self.instrument.induced_observable
 
 
-def _named_state(name: str, h_system, beta: float) -> np.ndarray:
-    if name == "gibbs":
-        return gibbs_state(h_system, beta).matrix
-    if name == "maximally_mixed":
+def _ground_state(h_system, beta) -> np.ndarray:
+    decomp = eig_hermitian(h_system)
+    return density_matrix(decomp.projectors[0] / decomp.multiplicities[0])
+
+
+#: Each named input state as a function of the system Hamiltonian and beta.
+_NAMED_STATES = {
+    "gibbs": lambda h_system, beta: gibbs_state(h_system, beta).matrix,
+    "maximally_mixed": lambda h_system, beta: density_matrix(np.eye(len(h_system)) / len(h_system)),
+    "ground": _ground_state,
+}
+
+
+@dataclass(frozen=True)
+class _States:
+    """A ``states`` entry judged at parse.
+
+    A generator has a ``count`` and draws its states at each point from its
+    own ``seed``, or from the point's when that is ``None``. A list holds
+    per entry its validated matrix, or ``None`` for a named state, which
+    is built at the point's beta.
+    """
+
+    names: tuple
+    count: int = None
+    seed: int = None
+    matrices: tuple = ()
+
+    def stack(self, h_system, seed: int, beta: float) -> np.ndarray:
+        """The validated read-only ``(n, d, d)`` stack of this point's states."""
         d = h_system.shape[0]
-        return density_matrix(np.eye(d) / d)
-    if name == "ground":
-        decomp = eig_hermitian(h_system)
-        p = decomp.projectors[0]
-        return density_matrix(p / decomp.multiplicities[0])
-    raise ValidationError(
-        f"unknown named state {name!r}; expected 'gibbs', 'ground', or 'maximally_mixed'"
-    )
+        if self.count is not None:
+            own = self.seed if self.seed is not None else seed
+            return random_density_matrices(d, self.count, rng_from_seed(own))
+        matrices = [
+            m if m is not None else _NAMED_STATES[name](h_system, beta)
+            for name, m in zip(self.names, self.matrices)
+        ]
+        stack = np.array(matrices, dtype=complex).reshape(len(matrices), d, d)
+        stack.flags.writeable = False
+        return stack
+
+    def echo(self, seed: int):
+        if self.count is not None:
+            return {"count": self.count, "seed": self.seed if self.seed is not None else seed}
+        return [
+            name if m is None else {"name": name, "matrix": encode_matrix(m)}
+            for name, m in zip(self.names, self.matrices)
+        ]
 
 
 def _explicit_state(entry: dict, name: str, d: int) -> np.ndarray:
@@ -260,45 +329,81 @@ def _explicit_state(entry: dict, name: str, d: int) -> np.ndarray:
         raise ValidationError(f"state {name!r}: {exc}") from None
 
 
-def _resolve_states(spec, h_system, beta, scenario_seed) -> tuple:
-    """Return (names, validated read-only ``(n, d, d)`` stack, canonical echo entry)."""
+def _resolve_states(spec, d: int) -> _States:
     if spec is None:
         spec = ["gibbs"]
-    d = h_system.shape[0]
     if isinstance(spec, dict):
         _refuse_unknown_keys(spec, ("count", "seed"), "states")
         count = _number(spec.get("count", 0), int, "states.count")
-        seed = _number(spec.get("seed", scenario_seed), int, "states.seed")
+        seed = _number(spec["seed"], int, "states.seed") if "seed" in spec else None
         if not 0 <= count <= MAX_STATE_COUNT:
             raise ValidationError(
                 f"states.count must lie in [0, {MAX_STATE_COUNT}], got {count}"
             )
-        names = tuple(f"random_{i:04d}" for i in range(count))
-        stack = random_density_matrices(d, count, rng_from_seed(seed))
-        return names, stack, {"count": count, "seed": seed}
+        return _States(tuple(f"random_{i:04d}" for i in range(count)), count=count, seed=seed)
     if isinstance(spec, list):
-        names, matrices, echo = [], [], []
+        names, matrices = [], []
         for i, entry in enumerate(spec):
             if isinstance(entry, str):
+                if entry not in _NAMED_STATES:
+                    raise ValidationError(
+                        f"unknown named state {entry!r}; "
+                        "expected 'gibbs', 'ground', or 'maximally_mixed'"
+                    )
                 names.append(entry)
-                matrices.append(_named_state(entry, h_system, beta))
-                echo.append(entry)
+                matrices.append(None)
             elif isinstance(entry, dict) and "matrix" in entry:
                 _refuse_unknown_keys(entry, ("name", "matrix"), f"states[{i}]")
                 names.append(str(entry.get("name", f"state_{i}")))
                 matrices.append(_explicit_state(entry, names[-1], d))
-                echo.append({"name": names[-1], "matrix": encode_matrix(matrices[-1])})
             else:
                 raise ValidationError(f"states[{i}]: expected a name or an object with 'matrix'")
-        stack = np.array(matrices, dtype=complex).reshape(len(matrices), d, d)
-        stack.flags.writeable = False
-        return tuple(names), stack, echo
+        return _States(tuple(names), matrices=tuple(matrices))
     raise ValidationError("states: expected a generator object or a list")
 
 
-def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable):
+@dataclass(frozen=True)
+class _Scheme:
+    """A ``scheme`` entry judged at parse, on the frame of the template's beta.
+
+    A ``swap`` or ``kraus`` scheme draws nothing and is ``fixed``; a
+    ``random_block`` scheme draws its interaction at each point from its own
+    ``seed``, or from the point's when that is ``None``.
+    """
+
+    kind: str
+    frame: SchemeFrame
+    fixed: MeasurementScheme = None
+    seed: int = None
+    mixture_size: int = None
+
+    def at(self, seed: int, beta: float) -> MeasurementScheme:
+        """The scheme of the point with ``seed`` and ``beta``."""
+        frame = self.frame
+        if beta != frame.beta:
+            frame = SchemeFrame(
+                frame.system_hamiltonian, frame.probe_hamiltonian, beta, frame.pointer
+            )
+        if self.kind == "random_block":
+            own = self.seed if self.seed is not None else seed
+            return random_free_scheme(frame, own, self.mixture_size)
+        if frame is self.frame:
+            return self.fixed
+        return MeasurementScheme(frame, self.fixed.interaction)
+
+    def echo(self, scheme: MeasurementScheme, seed: int) -> dict:
+        echo = {"kind": self.kind, "pointer": encode_observable(scheme.pointer)}
+        if self.kind == "random_block":
+            echo["seed"] = self.seed if self.seed is not None else seed
+            echo["mixture_size"] = self.mixture_size
+        elif self.kind == "kraus":
+            echo["kraus"] = [encode_matrix(k) for k in scheme.interaction.kraus]
+        return echo
+
+
+def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
     if spec is None:
-        return None, None
+        return None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("scheme: expected an object with a 'kind' field")
     kind = spec["kind"]
@@ -309,7 +414,7 @@ def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable):
     _refuse_unknown_keys(spec, _SCHEME_KEYS[kind], f"scheme {kind!r}")
     pointer = None
     if spec.get("pointer") is not None:
-        pointer = decode_observable(spec["pointer"])
+        pointer = decode_observable(spec["pointer"], "scheme.pointer")
     if kind == "swap":
         target = pointer or observable
         if target is None:
@@ -320,37 +425,72 @@ def _resolve_scheme(spec, h_system, h_probe, beta, scenario_seed, observable):
                 "since the swap probe is a copy of the system"
             )
         scheme = trivial_scheme(target, h_system, beta)
-        echo = {"kind": "swap", "pointer": encode_observable(target)}
-        return scheme, echo
+        return _Scheme(kind, scheme.frame, fixed=scheme)
     if pointer is None:
         raise ValidationError(f"scheme {kind!r} needs a pointer observable on the probe")
+    frame = SchemeFrame(h_system, h_probe, beta, pointer)
     if kind == "random_block":
-        seed = _number(spec.get("seed", scenario_seed), int, "scheme.seed")
+        seed = _number(spec["seed"], int, "scheme.seed") if "seed" in spec else None
         mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
         if mixture_size > MAX_MIXTURE_SIZE:
             raise ValidationError(
                 f"scheme.mixture_size must be at most {MAX_MIXTURE_SIZE}, got {mixture_size}"
             )
-        scheme = random_free_scheme(h_system, h_probe, beta, pointer, seed, mixture_size)
-        echo = {
-            "kind": "random_block",
-            "seed": seed,
-            "mixture_size": mixture_size,
-            "pointer": encode_observable(pointer),
-        }
-        return scheme, echo
-    interaction = decode_channel(spec)
-    scheme = MeasurementScheme(h_system, h_probe, beta, interaction, pointer)
-    echo = {
-        "kind": "kraus",
-        "kraus": [encode_matrix(k) for k in interaction.kraus],
-        "pointer": encode_observable(pointer),
-    }
-    return scheme, echo
+        require_free_draw(frame, mixture_size)
+        return _Scheme(kind, frame, seed=seed, mixture_size=mixture_size)
+    return _Scheme(kind, frame, fixed=MeasurementScheme(frame, decode_channel(spec)))
 
 
-def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario:
-    """Validate and resolve a scenario dict into live objects plus a canonical echo."""
+@dataclass(frozen=True)
+class ScenarioTemplate:
+    """A scenario judged once: every field decoded and validated.
+
+    What a grid point draws is left open. :meth:`point` derives, for one
+    seed and beta, the random interaction and states, the scheme, the
+    instrument under test and the ``refine`` refinement. Every point at the
+    template's beta shares the template's :class:`SchemeFrame`, so a seed
+    sweep decodes, validates and derives the frame once.
+    """
+
+    beta: float
+    seed: int
+    system_hamiltonian: np.ndarray
+    probe_hamiltonian: np.ndarray
+    observable: Observable
+    scheme: _Scheme
+    states: _States
+    checks: tuple
+    tolerances: dict
+
+    def point(self, seed: int, beta: float) -> Scenario:
+        """The scenario of the grid point with ``seed`` and ``beta``."""
+        scheme = self.scheme.at(seed, beta) if self.scheme is not None else None
+        # Derived here, so a refusal of the instrument under test comes before any check runs.
+        instrument = scheme.instrument if scheme is not None else Instrument.luders(self.observable)
+        sc = Scenario(
+            beta=beta,
+            seed=seed,
+            system_hamiltonian=self.system_hamiltonian,
+            probe_hamiltonian=self.probe_hamiltonian,
+            scheme=scheme,
+            observable=self.observable,
+            instrument=instrument,
+            state_names=self.states.names,
+            states=self.states.stack(self.system_hamiltonian, seed, beta),
+            checks=list(self.checks),
+            tolerances=self.tolerances,
+            template=self,
+        )
+        if "refine" in self.checks:
+            try:
+                sc.refinement = classify.refine_to_rank_one(sc.observable_under_test())
+            except ValidationError as exc:
+                raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
+        return sc
+
+
+def parse_template(raw: dict, seed_override=None, tol_override=None) -> ScenarioTemplate:
+    """Decode and validate a scenario dict once; :meth:`ScenarioTemplate.point` does the draws."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     schema = raw.get("schema_version", SCHEMA_VERSION)
@@ -400,9 +540,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
                 f"dimension {h_system.shape[0]}"
             )
 
-    scheme, scheme_echo = _resolve_scheme(
-        raw.get("scheme"), h_system, h_probe, beta, seed, observable
-    )
+    scheme = _resolve_scheme(raw.get("scheme"), h_system, h_probe, beta, observable)
     if scheme is None and observable is None:
         raise ValidationError("scenario must provide a scheme, an observable, or both")
 
@@ -414,43 +552,25 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
             raise ValidationError(
                 f"unknown check {name!r}; known checks: {', '.join(KNOWN_CHECKS)}"
             )
-    state_names, states, states_echo = _resolve_states(raw.get("states"), h_system, beta, seed)
-    _require_inputs(checks, scheme, state_names)
-    # Derived here, so a refusal of the instrument under test comes before any check runs.
-    instrument = scheme.instrument if scheme is not None else Instrument.luders(observable)
-
-    echo = {
-        "schema_version": SCHEMA_VERSION,
-        "beta": beta,
-        "seed": seed,
-        "system_hamiltonian": encode_matrix(h_system),
-        "probe_hamiltonian": encode_matrix(h_probe),
-        "scheme": scheme_echo,
-        "observable": encode_observable(observable) if observable is not None else None,
-        "states": states_echo,
-        "checks": list(checks),
-        "tolerances": tolerances,
-    }
-    sc = Scenario(
+    states = _resolve_states(raw.get("states"), h_system.shape[0])
+    _require_inputs(checks, scheme, states.names)
+    return ScenarioTemplate(
         beta=beta,
         seed=seed,
         system_hamiltonian=h_system,
         probe_hamiltonian=h_probe,
-        scheme=scheme,
         observable=observable,
-        instrument=instrument,
-        state_names=state_names,
+        scheme=scheme,
         states=states,
-        checks=list(checks),
+        checks=tuple(checks),
         tolerances=tolerances,
-        echo=echo,
     )
-    if "refine" in checks:
-        try:
-            sc.refinement = classify.refine_to_rank_one(sc.observable_under_test())
-        except ValidationError as exc:
-            raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
-    return sc
+
+
+def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario:
+    """Validate and resolve a scenario dict: its template and the template's own point."""
+    template = parse_template(raw, seed_override, tol_override)
+    return template.point(template.seed, template.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +750,11 @@ class RunReport:
     The per-state record the state checks share is derived inside the
     first of them that runs, so that check carries its cost. Both are
     excluded from the serialized form by default so that reports are
-    byte-reproducible for a fixed scenario and seed.
+    byte-reproducible for a fixed scenario and seed. The scenario's echo
+    is built when the report is serialized.
     """
 
-    scenario: dict
+    scenario: Scenario
     checks: list
     verdict: bool
     timing_ms: float
@@ -643,7 +764,7 @@ class RunReport:
         out = {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "scenario": self.scenario,
+            "scenario": self.scenario.echo,
             "checks": self.checks,
             "verdict": self.verdict,
         }
@@ -691,7 +812,7 @@ def run_scenario(source, seed=None, tol=None) -> RunReport:
     verdict = all(bool(r.get("verdict")) for r in results)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(
-        scenario=scenario.echo,
+        scenario=scenario,
         checks=results,
         verdict=verdict,
         timing_ms=elapsed,
@@ -724,6 +845,7 @@ SWEEP_COLUMNS = (
 
 
 def _axis_values(axis) -> tuple:
+    """The axis name and its judged values; a refused value is named by its entry."""
     if not isinstance(axis, dict) or "name" not in axis:
         raise ValidationError("sweep: 'axis' must be an object with a 'name' field")
     _refuse_unknown_keys(axis, ("name", "values", "range"), "sweep axis")
@@ -751,17 +873,40 @@ def _axis_values(axis) -> tuple:
             f"sweep grid must have 1 to {MAX_GRID_SIZE} points, got {max(size, 0)}"
         )
     cast = float if name == "beta" else int
-    return name, [_number(v, cast, f"axis.{name}") for v in values]
+    judged = [_number(v, cast, f"axis.{name}[{i}]") for i, v in enumerate(values)]
+    for i, value in enumerate(judged):
+        if name == "beta" and not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"axis.beta[{i}]: beta must be positive and finite, got {value}")
+    return name, judged
+
+
+def _sweep_row(axis_name: str, value, sc: Scenario, free: dict, law: dict) -> list:
+    """The CSV row of one grid point from its ``free_scheme`` and ``second_law`` results."""
+    worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
+    numbers = {**worst["work"], **worst["second_law"]}
+    return [
+        axis_name,
+        repr(float(value)) if axis_name == "beta" else value,
+        sc.seed,
+        repr(float(sc.beta)),
+        worst["state"],
+        # extractable_work .. heat_bound_slack
+        *(repr(float(numbers[column])) for column in SWEEP_COLUMNS[5:14]),
+        free["verdict"],
+        law["verdict"],
+    ]
 
 
 def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     """Execute a sweep file; returns ``(csv_text, all_rows_pass)``.
 
-    One CSV row per grid point, built from the ``free_scheme`` and
-    ``second_law`` check results. When the scenario carries several states,
-    the row reports the state with the smallest second-law margin (minimal
-    ``prop1_slack``), so a passing row certifies every state at that grid
-    point.
+    The scenario template is judged once, with the axis's first value, and
+    every axis value is then one grid point of it. One CSV row per grid
+    point, built from the ``free_scheme`` and ``second_law`` check results.
+    When the scenario carries several states, the row reports the state
+    with the smallest second-law margin (minimal ``prop1_slack``), so a
+    passing row certifies every state at that grid point. A refusal at a
+    grid point names its axis entry and value.
     """
     raw = _load(source)
     if not isinstance(raw, dict):
@@ -772,30 +917,27 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     if not isinstance(raw["scenario"], dict):
         raise ValidationError("sweep: 'scenario' must be an object")
     axis_name, values = _axis_values(raw["axis"])
+    if axis_name == "seed" and seed is not None:
+        raise ValidationError(
+            f"sweep: the seed override ({seed}) conflicts with the 'seed' axis, "
+            "which sets the seed of every grid point"
+        )
+    template = parse_template(
+        {**raw["scenario"], axis_name: values[0]}, seed_override=seed, tol_override=tol
+    )
+    _require_inputs(("free_scheme", "second_law"), template.scheme, template.states.names)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     all_pass = True
-    for value in values:
-        point = {**raw["scenario"], axis_name: value}
-        scenario = parse_scenario(point, seed_override=seed, tol_override=tol)
-        _require_inputs(("free_scheme", "second_law"), scenario.scheme, scenario.state_names)
-        free = _run_check(scenario, "free_scheme")
-        law = _run_check(scenario, "second_law")
-        worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
+    for i, value in enumerate(values):
+        point = {"seed": template.seed, "beta": template.beta, axis_name: value}
+        try:
+            scenario = template.point(**point)
+            free = _run_check(scenario, "free_scheme")
+            law = _run_check(scenario, "second_law")
+        except (ValidationError, PreconditionError) as exc:
+            raise type(exc)(f"axis.{axis_name}[{i}] = {value!r}: {exc}") from None
         all_pass = all_pass and free["verdict"] and law["verdict"]
-        numbers = {**worst["work"], **worst["second_law"]}
-        writer.writerow(
-            [
-                axis_name,
-                repr(float(value)) if axis_name == "beta" else value,
-                scenario.seed,
-                repr(float(scenario.beta)),
-                worst["state"],
-                # extractable_work .. heat_bound_slack
-                *(repr(float(numbers[column])) for column in SWEEP_COLUMNS[5:14]),
-                free["verdict"],
-                law["verdict"],
-            ]
-        )
+        writer.writerow(_sweep_row(axis_name, value, scenario, free, law))
     return buffer.getvalue(), all_pass

@@ -8,6 +8,12 @@ and the pointer commutes with the probe Hamiltonian (the Yanase condition).
 The probe state is always constructed internally as the Gibbs state of the
 probe Hamiltonian, so the thermality of the probe holds by construction.
 
+A scheme is a :class:`SchemeFrame` (the Hamiltonians, beta and pointer,
+with everything derived from them alone) plus an interaction. Schemes that
+differ only in their interaction share one frame, so a seed sweep derives
+the total Hamiltonian's energy blocks and moment powers, the Yanase defect,
+the pointer's square roots and the Gibbs data once.
+
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
 phase unitary. Resonant system/probe pairs (equal level spacings) are the
@@ -41,7 +47,7 @@ from .objects import (
     gibbs_state_from,
     is_bistochastic,
 )
-from .sampling import haar_unitary
+from .sampling import haar_unitaries
 
 #: Kraus operators of a dilation with Frobenius norm at or below this, relative to
 #: the amplitude ``sqrt(g_a)`` of their probe level, are dropped.
@@ -51,42 +57,30 @@ PRUNE_TOL = 1e-12
 ENERGY_MOMENTS = 4
 
 
-class MeasurementScheme:
-    """Tuple (system Hamiltonian, probe Hamiltonian, beta, interaction, pointer).
+class SchemeFrame:
+    """The system and probe Hamiltonians, beta and pointer of a scheme, and
+    everything derived from them alone.
 
-    The probe is prepared in ``gibbs_state(probe_hamiltonian, beta)``; there
-    is deliberately no way to supply a different probe state.
+    Schemes that differ only in their interaction, such as the grid points
+    of a seed sweep, share one frame, so each of its derived quantities is
+    computed once for all of them: the total Hamiltonian, its powers for
+    moments ``k = 1..ENERGY_MOMENTS`` and its energy blocks, the Yanase
+    defect and the square roots of the pointer effects, and the Gibbs
+    log-weights and states of system and probe.
 
-    A scheme is immutable: its attributes cannot be reassigned and its
-    Hamiltonians are read-only. What depends on the scheme alone (the Gibbs
-    states and log-weights, the freeness defects, the induced instrument and
-    the conjugate channel) is derived on first use, by the function that
-    defines it, and kept for every later use: a ``cached_property`` stores
-    it in the instance ``__dict__`` directly, past the immutability guard.
+    A frame is immutable: its attributes cannot be reassigned and its arrays
+    are read-only. Derived data is computed on first use and kept; a
+    ``cached_property`` stores it in the instance ``__dict__`` directly,
+    past the immutability guard.
     """
 
-    def __init__(
-        self,
-        system_hamiltonian,
-        probe_hamiltonian,
-        beta: float,
-        interaction: KrausChannel,
-        pointer: Observable,
-    ):
+    def __init__(self, system_hamiltonian, probe_hamiltonian, beta: float, pointer: Observable):
         h_s = require_hermitian(system_hamiltonian, name="system Hamiltonian")
         h_a = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
         beta = require_beta(beta)
-        d_s, d_a = h_s.shape[0], h_a.shape[0]
-        if interaction.dim_in != interaction.dim_out:
-            raise ValidationError("interaction channel must be square")
-        if interaction.dim_in != d_s * d_a:
+        if pointer.dim != h_a.shape[0]:
             raise ValidationError(
-                f"interaction acts on dimension {interaction.dim_in}, expected "
-                f"{d_s} * {d_a} = {d_s * d_a}"
-            )
-        if pointer.dim != d_a:
-            raise ValidationError(
-                f"pointer has dimension {pointer.dim}, expected probe dimension {d_a}"
+                f"pointer has dimension {pointer.dim}, expected probe dimension {h_a.shape[0]}"
             )
         h_s.flags.writeable = False
         h_a.flags.writeable = False
@@ -94,17 +88,54 @@ class MeasurementScheme:
             system_hamiltonian=h_s,
             probe_hamiltonian=h_a,
             beta=beta,
-            dim_system=d_s,
-            dim_probe=d_a,
-            interaction=interaction,
+            dim_system=h_s.shape[0],
+            dim_probe=h_a.shape[0],
             pointer=pointer,
         )
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"MeasurementScheme is immutable: cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"MeasurementScheme is immutable: cannot delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    @cached_property
+    def total_hamiltonian(self) -> np.ndarray:
+        """``H_S (x) 1 + 1 (x) H_A``, read-only."""
+        h = np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
+            np.eye(self.dim_system), self.probe_hamiltonian
+        )
+        h.flags.writeable = False
+        return h
+
+    @cached_property
+    def energy_powers(self) -> tuple:
+        """The total Hamiltonian's powers ``k = 1..ENERGY_MOMENTS``, read-only."""
+        powers = tuple(
+            np.linalg.matrix_power(self.total_hamiltonian, k) for k in range(1, ENERGY_MOMENTS + 1)
+        )
+        for hk in powers:
+            hk.flags.writeable = False
+        return powers
+
+    @cached_property
+    def energy_blocks(self) -> tuple:
+        """``(vecs, bounds)``: eigenvectors of the total Hamiltonian in ascending
+        energy, and the ``(start, stop)`` columns of each degenerate eigenspace."""
+        evals, vecs = np.linalg.eigh(self.total_hamiltonian)
+        vecs.flags.writeable = False
+        return vecs, tuple((int(idx[0]), int(idx[-1]) + 1) for idx in cluster_indices(evals))
+
+    @cached_property
+    def yanase_defect(self) -> float:
+        """The worst commutator of a pointer effect with the probe Hamiltonian."""
+        return float(commutator_defect(self.pointer.effects, self.probe_hamiltonian).max())
+
+    @cached_property
+    def pointer_roots(self) -> np.ndarray:
+        """Square roots of the pointer effects, one per outcome."""
+        names = tuple(f"pointer effect {x!r}: operator" for x in self.pointer.outcomes)
+        return psd_sqrt(self.pointer.effects, names)
 
     @cached_property
     def gibbs_log_weights(self) -> tuple:
@@ -124,6 +155,41 @@ class MeasurementScheme:
     def system_gibbs(self) -> State:
         return gibbs_state_from(*self.gibbs_log_weights)
 
+
+class MeasurementScheme:
+    """A frame (system and probe Hamiltonians, beta, pointer) and an interaction.
+
+    The probe is prepared in ``gibbs_state(probe_hamiltonian, beta)``; there
+    is deliberately no way to supply a different probe state. Every
+    attribute of the :class:`SchemeFrame` reads as an attribute of the
+    scheme, so ``scheme.beta`` is ``scheme.frame.beta``.
+
+    A scheme is immutable, as its frame is. What depends on the interaction
+    too (the freeness defects, the induced instrument and the conjugate
+    channel) is derived on first use, by the function that defines it, and
+    kept for every later use.
+    """
+
+    def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
+        d = frame.dim_system * frame.dim_probe
+        if interaction.dim_in != interaction.dim_out:
+            raise ValidationError("interaction channel must be square")
+        if interaction.dim_in != d:
+            raise ValidationError(
+                f"interaction acts on dimension {interaction.dim_in}, expected "
+                f"{frame.dim_system} * {frame.dim_probe} = {d}"
+            )
+        vars(self).update(frame=frame, interaction=interaction)
+
+    def __getattr__(self, name):
+        # Called only for names the scheme itself lacks.
+        if name == "frame":
+            raise AttributeError(name)
+        return getattr(self.frame, name)
+
+    __setattr__ = SchemeFrame.__setattr__
+    __delattr__ = SchemeFrame.__delattr__
+
     @cached_property
     def _free_defects(self) -> FreeSchemeReport:
         return validate_free_scheme(self)
@@ -141,11 +207,6 @@ class MeasurementScheme:
     def conjugate(self) -> KrausChannel:
         """The :func:`conjugate_channel` of the scheme."""
         return conjugate_channel(self)
-
-    def total_hamiltonian(self) -> np.ndarray:
-        return np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
-            np.eye(self.dim_system), self.probe_hamiltonian
-        )
 
     def __repr__(self):
         return (
@@ -204,7 +265,10 @@ def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
             f"channel dims {channel.dim_out}x{channel.dim_in} do not match "
             f"Hamiltonian dimension {h.shape[0]}"
         )
-    hk = np.linalg.matrix_power(h, int(k))
+    return _moment_defect(channel, np.linalg.matrix_power(h, int(k)))
+
+
+def _moment_defect(channel: KrausChannel, hk: np.ndarray) -> float:
     return frobenius(channel.apply_dual(hk) - hk)
 
 
@@ -219,16 +283,13 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     at ``THEOREM_TOL``; ``scheme.freeness(tol)`` gives it at any other tol.
     """
     bist = is_bistochastic(scheme.interaction)
-    h_total = scheme.total_hamiltonian()
-    moment_defects = tuple(
-        energy_moment_defect(scheme.interaction, h_total, k) for k in range(1, ENERGY_MOMENTS + 1)
-    )
-    yanase = float(commutator_defect(scheme.pointer.effects, scheme.probe_hamiltonian).max())
     return FreeSchemeReport(
         gibbs_probe_ok=True,
         bistochastic_defect=max(bist.trace_defect, bist.unital_defect),
-        energy_conservation_defects=moment_defects,
-        yanase_defect=yanase,
+        energy_conservation_defects=tuple(
+            _moment_defect(scheme.interaction, hk) for hk in scheme.energy_powers
+        ),
+        yanase_defect=scheme.yanase_defect,
         tol=THEOREM_TOL,
     )
 
@@ -264,15 +325,13 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    d_s, outcomes = scheme.dim_system, scheme.pointer.outcomes
+    d_s = scheme.dim_system
     dilation, amplitudes = _dilation(scheme)
-    names = tuple(f"pointer effect {x!r}: operator" for x in outcomes)
-    roots = psd_sqrt(scheme.pointer.effects, names)
     kraus_sets = []
-    for root in roots:
+    for root in scheme.pointer_roots:
         ops = _pruned(np.einsum("pb,maibj->mapij", root, dilation), amplitudes)
         kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
-    return Instrument(outcomes, kraus_sets)
+    return Instrument(scheme.pointer.outcomes, kraus_sets)
 
 
 def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
@@ -317,61 +376,43 @@ def trivial_scheme(observable: Observable, system_hamiltonian, beta: float) -> M
             f"observable does not commute with the Hamiltonian: worst effect "
             f"commutator defect {worst:.3e} > {THEOREM_TOL:.1e}"
         )
-    return MeasurementScheme(
-        system_hamiltonian=h,
-        probe_hamiltonian=h,
-        beta=beta,
-        interaction=swap_channel(h.shape[0]),
-        pointer=observable,
-    )
+    return MeasurementScheme(SchemeFrame(h, h, beta, observable), swap_channel(h.shape[0]))
 
 
-def random_free_scheme(
-    system_hamiltonian,
-    probe_hamiltonian,
-    beta: float,
-    pointer: Observable,
-    seed: int,
-    mixture_size: int = 3,
-) -> MeasurementScheme:
-    """Seeded generator of nontrivial thermodynamically free schemes.
+def require_free_draw(frame: SchemeFrame, mixture_size: int) -> None:
+    """Refuse what :func:`random_free_scheme` refuses before it draws: a
+    pointer off the Yanase condition, or a ``mixture_size`` below 1."""
+    if frame.yanase_defect > THEOREM_TOL:
+        raise PreconditionError(
+            f"pointer violates the Yanase condition: worst commutator defect "
+            f"{frame.yanase_defect:.3e} > {THEOREM_TOL:.1e}"
+        )
+    if mixture_size < 1:
+        raise ValidationError(f"mixture_size must be at least 1, got {mixture_size}")
+
+
+def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> MeasurementScheme:
+    """Seeded generator of nontrivial thermodynamically free schemes on ``frame``.
 
     The interaction is a convex mixture of ``mixture_size`` Haar-random
     unitaries block-diagonal on the degenerate eigenspaces of the total
     Hamiltonian (hence energy conserving), with mixture weights drawn
     uniformly from the simplex. Deterministic for a fixed seed.
+
+    Every block unitary of every term comes from one batched draw, term by
+    term and block by block in ascending energy; each term is then one
+    conjugation of its block-diagonal matrix by the energy eigenbasis.
     """
-    h_s = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    h_a = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
-    if pointer.dim != h_a.shape[0]:
-        raise ValidationError(
-            f"pointer dimension {pointer.dim} does not match probe dimension {h_a.shape[0]}"
-        )
-    yanase = commutator_defect(pointer.effects, h_a).max()
-    if yanase > THEOREM_TOL:
-        raise PreconditionError(
-            f"pointer violates the Yanase condition: worst commutator defect "
-            f"{yanase:.3e} > {THEOREM_TOL:.1e}"
-        )
-    if mixture_size < 1:
-        raise ValidationError(f"mixture_size must be at least 1, got {mixture_size}")
-    d_s, d_a = h_s.shape[0], h_a.shape[0]
-    h_total = np.kron(h_s, np.eye(d_a)) + np.kron(np.eye(d_s), h_a)
-    evals, vecs = np.linalg.eigh(h_total)
-    blocks = [vecs[:, idx] for idx in cluster_indices(evals)]
+    require_free_draw(frame, mixture_size)
+    vecs, bounds = frame.energy_blocks
     rng = np.random.default_rng(seed)
-    unitaries = []
-    for _ in range(mixture_size):
-        u = np.zeros((d_s * d_a, d_s * d_a), dtype=complex)
-        for basis in blocks:
-            u += basis @ haar_unitary(basis.shape[1], rng) @ dag(basis)
-        unitaries.append(u)
+    draws = iter(haar_unitaries([stop - start for start, stop in bounds] * mixture_size, rng))
+    blocks = np.zeros((mixture_size, *vecs.shape), dtype=complex)
+    for term in blocks:
+        for start, stop in bounds:
+            term[start:stop, start:stop] = next(draws)
+    # "+ 0.0" makes each -0.0 off the blocks +0.0, as a sum over blocks from zero does.
+    unitaries = vecs @ blocks @ dag(vecs) + 0.0
     weights = rng.dirichlet(np.ones(mixture_size))
-    kraus = [np.sqrt(w) * u for w, u in zip(weights, unitaries)]
-    return MeasurementScheme(
-        system_hamiltonian=h_s,
-        probe_hamiltonian=h_a,
-        beta=beta,
-        interaction=KrausChannel(kraus),
-        pointer=pointer,
-    )
+    kraus = np.sqrt(weights)[:, None, None] * unitaries
+    return MeasurementScheme(frame, KrausChannel(kraus))

@@ -9,12 +9,22 @@ defect is the commutator of explicit Kronecker-product superoperators. The
 per-effect references at the end loop over effects and energy projectors one
 matrix at a time, as the library did before it held them as stacks; the
 per-outcome instrument references after them take one operation at a time,
-from its Kraus operators and its defining action.
+from its Kraus operators and its defining action. The free-interaction
+reference draws one block unitary at a time, by its own QR, and sums each
+mixture term over the energy blocks, as the library did before it drew
+them in one batch.
 """
 
 import numpy as np
 
-from thermomeas.linalg import CLUSTER_TOL, SUPPORT_TOL, as_matrix, partial_trace, relative_entropy
+from thermomeas.linalg import (
+    CLUSTER_TOL,
+    SUPPORT_TOL,
+    as_matrix,
+    cluster_indices,
+    partial_trace,
+    relative_entropy,
+)
 
 
 def evolved_joint_state(scheme, rho):
@@ -281,3 +291,34 @@ def nuclear_factors(instrument, cutoff):
         sigmas[label] = partial_trace(choi, (d, d), "system") / weight
         residuals[label] = float(np.linalg.norm(choi - np.kron(sigmas[label], effect.T)))
     return sigmas, residuals
+
+
+def haar_unitary_by_qr(dim, rng):
+    """One Haar unitary: phase-fixed QR of one Ginibre draw, real parts first."""
+    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def blockwise_free_kraus(h_system, h_probe, seed, mixture_size):
+    """The Kraus stack ``random_free_scheme`` draws, one block unitary at a time.
+
+    Each mixture term sums ``basis @ U_b @ basis†`` over the degenerate
+    eigenspaces of the total Hamiltonian, drawing ``U_b`` term by term and
+    block by block; the mixture weights are drawn last.
+    """
+    d_s, d_a = len(h_system), len(h_probe)
+    h_total = np.kron(h_system, np.eye(d_a)) + np.kron(np.eye(d_s), h_probe)
+    evals, vecs = np.linalg.eigh(h_total)
+    blocks = [vecs[:, idx] for idx in cluster_indices(evals)]
+    rng = np.random.default_rng(seed)
+    unitaries = []
+    for _ in range(mixture_size):
+        u = np.zeros((d_s * d_a, d_s * d_a), dtype=complex)
+        for basis in blocks:
+            u += basis @ haar_unitary_by_qr(basis.shape[1], rng) @ basis.conj().T
+        unitaries.append(u)
+    weights = rng.dirichlet(np.ones(mixture_size))
+    return np.array([np.sqrt(w) * u for w, u in zip(weights, unitaries)])

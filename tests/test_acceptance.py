@@ -32,6 +32,7 @@ from thermomeas.sampling import (
     rng_from_seed,
 )
 from thermomeas.schemes import (
+    SchemeFrame,
     conjugate_channel,
     energy_moment_defect,
     induced_instrument,
@@ -82,7 +83,7 @@ def sweep():
             else:
                 pointer = random_commuting_povm(h, 2 + (i % 2), pointer_rng)
             scheme = random_free_scheme(
-                h, h, beta, pointer, seed=9000 + index, mixture_size=1 + (index % 3)
+                SchemeFrame(h, h, beta, pointer), seed=9000 + index, mixture_size=1 + (index % 3)
             )
             instrument = induced_instrument(scheme)
             observable = instrument.induced_observable
@@ -164,7 +165,9 @@ def test_criterion_2_gibbs_preservation_and_covariance():
                 else random_commuting_povm(h, 2, pointer_rng)
             )
             scheme = random_free_scheme(
-                h, h, beta, pointer, seed=3000 + 100 * dim + i, mixture_size=1 + (i % 3)
+                SchemeFrame(h, h, beta, pointer),
+                seed=3000 + 100 * dim + i,
+                mixture_size=1 + (i % 3),
             )
             instrument = induced_instrument(scheme)
             gibbs = is_gibbs_preserving(instrument, h, beta, tol=1e-8)
@@ -273,7 +276,7 @@ def test_criterion_7_energy_moment_conservation(sweep):
     worst_moment = worst_fixed = 0.0
     for entry in sweep["schemes"]:
         scheme = entry["scheme"]
-        h_total = scheme.total_hamiltonian()
+        h_total = scheme.total_hamiltonian
         for k in range(1, 5):
             worst_moment = max(
                 worst_moment, energy_moment_defect(scheme.interaction, h_total, k)

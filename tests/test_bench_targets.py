@@ -78,6 +78,6 @@ def test_every_square_root_is_traced():
 
     h = np.diag([0.0, 1.0])
     pointer = objects.Observable(["low", "high"], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    scheme = schemes.random_free_scheme(h, h, 1.0, pointer, 0)
+    scheme = schemes.random_free_scheme(schemes.SchemeFrame(h, h, 1.0, pointer), 0)
     assert traced_square_roots(lambda: objects.Instrument.luders(pointer)) == 1
     assert traced_square_roots(lambda: schemes.induced_instrument(scheme)) == 1

@@ -35,7 +35,7 @@ from thermomeas.sampling import (
     random_povm,
     rng_from_seed,
 )
-from thermomeas.schemes import induced_instrument, random_free_scheme, trivial_scheme
+from thermomeas.schemes import SchemeFrame, induced_instrument, random_free_scheme, trivial_scheme
 from thermomeas.thermo import groenewold_gain
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
@@ -124,7 +124,10 @@ class TestCovariantInstrument:
             "sharp": (Instrument.luders(Z_SHARP), H2),
             "x_basis": (Instrument.luders(X_BASIS), H2),
             "rotated_povm": (Instrument.luders(random_povm(3, 3, rng)), h3),
-            "free_scheme": (random_free_scheme(H4, H2, 0.7, Z_SHARP, seed=5).instrument, H4),
+            "free_scheme": (
+                random_free_scheme(SchemeFrame(H4, H2, 0.7, Z_SHARP), seed=5).instrument,
+                H4,
+            ),
         }[case]
         stacked = is_covariant_instrument(instrument, h).witness["sampled_time_defect"]
         looped = per_probe_sampled_defect(instrument, h)
@@ -138,7 +141,7 @@ class TestCovariantInstrument:
             shapes.append(np.shape(rho))
             return apply(self, rho)
 
-        instrument = random_free_scheme(H4, H2, 1.0, Z_SHARP, seed=3).instrument
+        instrument = random_free_scheme(SchemeFrame(H4, H2, 1.0, Z_SHARP), seed=3).instrument
         monkeypatch.setattr(Instrument, "apply", counted)
         is_covariant_instrument(instrument, H4)
         assert shapes == [(12, 4, 4)]  # 3 probes and their rotations at 3 times
@@ -149,7 +152,7 @@ class TestCovariantInstrument:
         assert verdict.witness["sampled_time_defect"] < 1e-8
 
     def test_free_scheme_instrument_is_covariant(self):
-        scheme = random_free_scheme(H2, H2, 1.0, Z_SHARP, seed=17)
+        scheme = random_free_scheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), seed=17)
         verdict = is_covariant_instrument(induced_instrument(scheme), H2)
         assert verdict.verdict and verdict.defect < 1e-8
 
@@ -160,7 +163,7 @@ class TestCovariantInstrument:
 
     def test_covariance_implies_invariant_observable(self):
         for seed in range(4):
-            scheme = random_free_scheme(H2, H2, 0.9, Z_SHARP, seed=700 + seed)
+            scheme = random_free_scheme(SchemeFrame(H2, H2, 0.9, Z_SHARP), seed=700 + seed)
             ins = induced_instrument(scheme)
             assert is_covariant_instrument(ins, H2).verdict
             assert is_thermal_observable(ins.induced_observable, H2).verdict
@@ -178,7 +181,7 @@ class TestGibbsPreserving:
         assert verdict.defect > 0.01
 
     def test_free_scheme_instrument_passes(self):
-        scheme = random_free_scheme(H2, H2, 1.2, Z_SHARP, seed=21)
+        scheme = random_free_scheme(SchemeFrame(H2, H2, 1.2, Z_SHARP), seed=21)
         assert is_gibbs_preserving(induced_instrument(scheme), H2, 1.2).verdict
 
     def test_non_thermality_witness(self):

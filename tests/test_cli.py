@@ -253,7 +253,7 @@ class TestCheckCommand:
                         pointer={"outcome": ["a", "b"], "effects": SWEEP_POINTER["effects"]},
                     )
                 },
-                "observable: unknown key 'outcome'",
+                "scheme.pointer: unknown key 'outcome'",
             ),
             (
                 {"states": [{"nam": "odd", "matrix": [[0.5, 0], [0, 0.5]]}]},
@@ -261,11 +261,12 @@ class TestCheckCommand:
             ),
             (
                 {"scheme": dict(SCENARIO_PASS["scheme"], pointer={"effects": 5})},
-                "observable: 'effects' must be a list, got int",
+                "scheme.pointer: 'effects' must be a list, got int",
             ),
+            ({"observable": {"effects": 5}}, "observable: 'effects' must be a list, got int"),
             (
                 {"scheme": dict(SCENARIO_PASS["scheme"], pointer=dict(SWEEP_POINTER, outcomes=5))},
-                "observable: 'outcomes' must be a list, got int",
+                "scheme.pointer: 'outcomes' must be a list, got int",
             ),
             (
                 {"observable": dict(SWEEP_POINTER, outcomes="ab")},
@@ -387,6 +388,37 @@ class TestSweepCommand:
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
         assert json.loads(result.stderr)["error"].startswith(message)
+
+    def test_seed_flag_on_a_seed_axis_exits_two(self, tmp_path):
+        sweep = {"axis": {"name": "seed", "range": [0, 3]}, "scenario": SCENARIO_PASS}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        result = cli("sweep", str(path), "--seed", "5")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr)["error"]
+        assert error.startswith("sweep: the seed override (5) conflicts with the 'seed' axis")
+        result = cli("sweep", str(path))
+        assert result.returncode == 0
+        rows = result.stdout.strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == ["0", "1", "2", "3"]
+        assert len(set(row.split(",", 3)[3] for row in rows)) == 4  # four distinct schemes
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([1, 2, -1], "axis.beta[2]: beta must be positive and finite, got -1.0"),
+            ([1, float("nan")], "axis.beta[1]: beta must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_beta_on_the_axis_exits_two_before_any_row(self, tmp_path, values, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(SWEEP, axis={"name": "beta", "values": values})))
+        out = tmp_path / "table.csv"
+        result = cli("sweep", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert not out.exists()
+        assert json.loads(result.stderr)["error"] == message
 
     def test_sweep_input_error(self, tmp_path):
         path = tmp_path / "sweep.json"

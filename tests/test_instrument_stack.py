@@ -26,7 +26,7 @@ from thermomeas.sampling import (
     random_povm,
     rng_from_seed,
 )
-from thermomeas.schemes import random_free_scheme, trivial_scheme
+from thermomeas.schemes import SchemeFrame, random_free_scheme, trivial_scheme
 
 
 def assert_close(got, want):
@@ -71,7 +71,7 @@ def instruments(draw):
     else:
         pointer = random_commuting_povm(h, n, rng)
         seed = int(rng.integers(2**31))
-        instrument = random_free_scheme(h, h, beta, pointer, seed, 2).instrument
+        instrument = random_free_scheme(SchemeFrame(h, h, beta, pointer), seed, 2).instrument
     if null:
         instrument = Instrument(
             (*instrument.outcomes, "null"), (*instrument.kraus_sets, np.zeros((1, d, d)))

@@ -28,7 +28,7 @@ from thermomeas.sampling import (
     random_povm,
     rng_from_seed,
 )
-from thermomeas.schemes import conjugate_channel, random_free_scheme
+from thermomeas.schemes import SchemeFrame, conjugate_channel, random_free_scheme
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -302,9 +302,9 @@ class TestKrausChannel:
         h = np.diag(np.arange(d, dtype=float)).astype(complex)
         low = np.diag((np.arange(d) < d // 2).astype(float))
         pointer = Observable(["low", "high"], [low, np.eye(d) - low])
-        scheme = random_free_scheme(h, h, 1.0, pointer, seed=d)
+        scheme = random_free_scheme(SchemeFrame(h, h, 1.0, pointer), seed=d)
         for channel, energy in (
-            (scheme.interaction, scheme.total_hamiltonian()),
+            (scheme.interaction, scheme.total_hamiltonian),
             (conjugate_channel(scheme), h),
         ):
             for k in range(1, 5):

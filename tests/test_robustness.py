@@ -15,6 +15,7 @@ from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_se
 from thermomeas.scenario import parse_scenario, run_scenario
 from thermomeas.schemes import (
     MeasurementScheme,
+    SchemeFrame,
     conjugate_channel,
     induced_instrument,
     random_free_scheme,
@@ -49,7 +50,7 @@ class TestRotatedBases:
         h_sys = rotated(np.diag([0.0, 1.0]).astype(complex), u_sys)
         h_probe = rotated(np.diag([0.0, 1.0]).astype(complex), u_probe)
         pointer = spectral_observable(h_probe)
-        scheme = random_free_scheme(h_sys, h_probe, 1.0, pointer, seed=60 + seed)
+        scheme = random_free_scheme(SchemeFrame(h_sys, h_probe, 1.0, pointer), seed=60 + seed)
         report = validate_free_scheme(scheme)
         assert report.verdict, report.to_dict()
 
@@ -74,7 +75,8 @@ class TestUnequalDimensions:
         h_sys = np.diag([0.0, 1.0]).astype(complex)
         h_probe = np.diag([0.0, 1.0, 2.0]).astype(complex)  # shares the level spacing
         pointer = spectral_observable(h_probe)
-        return random_free_scheme(h_sys, h_probe, beta, pointer, seed=seed, mixture_size=2)
+        frame = SchemeFrame(h_sys, h_probe, beta, pointer)
+        return random_free_scheme(frame, seed=seed, mixture_size=2)
 
     def test_scheme_validates(self):
         assert validate_free_scheme(self.build()).verdict
@@ -258,7 +260,9 @@ class TestInverseTemperature:
         "build",
         [
             lambda beta: gibbs_state(H2, beta),
-            lambda beta: MeasurementScheme(H2, H2, beta, swap_channel(2), spectral_observable(H2)),
+            lambda beta: MeasurementScheme(
+                SchemeFrame(H2, H2, beta, spectral_observable(H2)), swap_channel(2)
+            ),
             lambda beta: work_report(Instrument.luders(spectral_observable(H2)), np.eye(2) / 2, H2, beta),
         ],
         ids=["gibbs_state", "MeasurementScheme", "work_report"],
@@ -372,7 +376,7 @@ class TestLargerDimensions:
     def test_four_by_four_resonant_pair(self):
         h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
         pointer = spectral_observable(h)
-        scheme = random_free_scheme(h, h, 0.6, pointer, seed=77, mixture_size=2)
+        scheme = random_free_scheme(SchemeFrame(h, h, 0.6, pointer), seed=77, mixture_size=2)
         assert validate_free_scheme(scheme).verdict
         ins = induced_instrument(scheme)
         rho = random_density_matrix(4, rng_from_seed(8))

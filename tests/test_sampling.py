@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import commuting_povm_effects
+from oracles import commuting_povm_effects, haar_unitary_by_qr
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import commutator_defect
 from thermomeas.sampling import (
+    haar_unitaries,
     haar_unitary,
     random_commuting_povm,
     random_density_matrix,
@@ -20,6 +21,16 @@ from thermomeas.sampling import (
 def test_haar_unitary_is_unitary():
     u = haar_unitary(5, rng_from_seed(0))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [[5], [1, 2, 3, 2, 1], [3, 1, 4, 1, 5, 9, 2, 6] * 3, []])
+def test_batched_unitaries_are_the_one_at_a_time_draws(sizes):
+    rng, reference_rng = rng_from_seed(4), rng_from_seed(4)
+    batch = haar_unitaries(sizes, rng)
+    assert [u.shape for u in batch] == [(n, n) for n in sizes]
+    for u, n in zip(batch, sizes):
+        assert u.tobytes() == haar_unitary_by_qr(n, reference_rng).tobytes()
+    assert rng.random() == reference_rng.random()  # both generators end in the same state
 
 
 def test_random_density_matrix_is_full_rank_state():

@@ -279,7 +279,7 @@ class TestParseScenario:
             ),
             (
                 {"scheme": {"kind": "swap", "pointer": {"outcome": ["a"], "effects": Z_EFFECTS}}},
-                "observable: unknown key 'outcome'",
+                "scheme.pointer: unknown key 'outcome'",
             ),
             (
                 {"observable": {"outcome": ["a", "b"], "effects": Z_EFFECTS}},
@@ -301,15 +301,15 @@ class TestParseScenario:
         [
             (
                 {"kind": "swap", "pointer": {"effects": 5}},
-                "observable: 'effects' must be a list, got int",
+                "scheme.pointer: 'effects' must be a list, got int",
             ),
             (
                 {"kind": "swap", "pointer": dict(Z_POINTER, outcomes=5)},
-                "observable: 'outcomes' must be a list, got int",
+                "scheme.pointer: 'outcomes' must be a list, got int",
             ),
             (
                 {"kind": "swap", "pointer": dict(Z_POINTER, outcomes="ab")},
-                "observable: 'outcomes' must be a list, got str",
+                "scheme.pointer: 'outcomes' must be a list, got str",
             ),
             (
                 {"kind": "kraus", "kraus": 5, "pointer": Z_POINTER},
@@ -538,9 +538,7 @@ class TestRunScenario:
         monkeypatch.setattr(objects, "_sandwich", recorded)
         monkeypatch.setattr(scenario_module, "parse_scenario", kept)
         monkeypatch.setattr(schemes, "_dilation", counted("dilation", schemes._dilation))
-        monkeypatch.setattr(
-            schemes, "energy_moment_defect", counted("moment", schemes.energy_moment_defect)
-        )
+        monkeypatch.setattr(schemes, "_moment_defect", counted("moment", schemes._moment_defect))
         monkeypatch.setattr(
             objects.Instrument, "apply", counted("instrument_apply", objects.Instrument.apply)
         )
@@ -760,3 +758,116 @@ class TestRunSweep:
         table, _ = run_sweep(sweep)
         assert json.dumps(sweep, sort_keys=True) == before
         assert [row.split(",")[3] for row in table.strip().split("\n")[1:]] == ["0.5", "2.0"]
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"name": "seed", "range": [4, 9]},
+            {"name": "beta", "values": [0.3, 1.0, 2.5, 7.0]},
+        ],
+    )
+    @pytest.mark.parametrize(
+        "states", [{"count": 3}, {"count": 2, "seed": 11}, ["gibbs", "ground"]]
+    )
+    def test_each_row_is_its_grid_point_run_alone(self, axis, states):
+        template = {
+            "seed": 2,
+            "beta": 0.8,
+            "system_hamiltonian": [0.0, 1.0, 2.0],
+            "scheme": {
+                "kind": "random_block",
+                "mixture_size": 2,
+                "pointer": {
+                    "effects": [np.diag([1.0, 0, 0]).tolist(), np.diag([0, 1.0, 1]).tolist()]
+                },
+            },
+            "states": states,
+            "checks": ["second_law"],
+        }
+        table, all_pass = run_sweep({"axis": axis, "scenario": template})
+        assert all_pass
+        rows = [line.split(",") for line in table.strip().split("\n")[1:]]
+        name = axis["name"]
+        values = axis.get("values") or range(axis["range"][0], axis["range"][1] + 1)
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            point = dict(template, checks=["free_scheme", "second_law"], **{name: value})
+            report = run_scenario(point)
+            alone = scenario_module._sweep_row(name, value, report.scenario, *report.checks)
+            assert row == [str(field) for field in alone]
+
+    def test_seed_sweep_derives_the_frame_once(self, monkeypatch):
+        counts = {"hamiltonian": 0, "observable": 0, "pointer_roots": 0, "total_eigh": 0}
+
+        def counted(key, fn, keep=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                counts[key] += bool(keep(*args))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            scenario_module, "decode_hamiltonian",
+            counted("hamiltonian", scenario_module.decode_hamiltonian),
+        )
+        monkeypatch.setattr(
+            scenario_module, "decode_observable",
+            counted("observable", scenario_module.decode_observable),
+        )
+        monkeypatch.setattr(schemes, "psd_sqrt", counted("pointer_roots", schemes.psd_sqrt))
+        # the total Hamiltonian is the only 9 x 9 matrix a d = 3 sweep diagonalises
+        monkeypatch.setattr(
+            np.linalg, "eigh",
+            counted("total_eigh", np.linalg.eigh, keep=lambda a: np.shape(a)[-2:] == (9, 9)),
+        )
+        n = 7
+        sweep = {
+            "axis": {"name": "seed", "range": [1, n]},
+            "scenario": {
+                "beta": 1.0,
+                "system_hamiltonian": [0.0, 1.0, 2.0],
+                "probe_hamiltonian": [0.0, 1.0, 2.0],
+                "scheme": {
+                    "kind": "random_block",
+                    "pointer": {"effects": [np.diag(row).tolist() for row in np.eye(3)]},
+                },
+                "states": {"count": 1},
+                "checks": ["second_law"],
+            },
+        }
+        table, all_pass = run_sweep(sweep)
+        assert all_pass and len(table.strip().split("\n")) == n + 1
+        assert counts == {"hamiltonian": 2, "observable": 1, "pointer_roots": 1, "total_eigh": 1}
+
+    def test_seed_override_on_a_seed_axis_is_refused(self):
+        sweep = {
+            "axis": {"name": "seed", "range": [0, 3]},
+            "scenario": random_block_scenario(["second_law"], n_states=1),
+        }
+        conflict = r"^sweep: the seed override \(5\) conflicts with the 'seed' axis"
+        with pytest.raises(ValidationError, match=conflict):
+            run_sweep(sweep, seed=5)
+        table, _ = run_sweep(dict(sweep, axis={"name": "beta", "values": [1.0, 2.0]}), seed=5)
+        assert [row.split(",")[2] for row in table.strip().split("\n")[1:]] == ["5", "5"]
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([1, 2, -1], "axis.beta[2]: beta must be positive and finite, got -1.0"),
+            ([0.5, float("nan")], "axis.beta[1]: beta must be positive and finite, got nan"),
+            ([0, 1], "axis.beta[0]: beta must be positive and finite, got 0.0"),
+            ([1, "2"], "axis.beta[1]: expected a number, got '2'"),
+        ],
+    )
+    def test_bad_axis_value_is_refused_before_any_point(self, monkeypatch, values, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a grid point was derived")
+
+        monkeypatch.setattr(scenario_module.ScenarioTemplate, "point", forbidden)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_sweep(self.swap_sweep({"name": "beta", "values": values}))
+
+    def test_refusal_at_a_grid_point_names_its_axis_value(self):
+        sweep = {"axis": {"name": "seed", "values": [3, 8]}, "scenario": REFINE_REFUSED}
+        with pytest.raises(ValidationError, match=r"^axis\.seed\[0\] = 3: check 'refine': "):
+            run_sweep(sweep)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_instrument_action, direct_probe_state, liouville_covariance_defect
+from oracles import (
+    blockwise_free_kraus,
+    direct_instrument_action,
+    direct_probe_state,
+    liouville_covariance_defect,
+)
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.linalg import commutator_defect
 from thermomeas.objects import (
@@ -26,6 +31,7 @@ from thermomeas.sampling import (
 )
 from thermomeas.schemes import (
     MeasurementScheme,
+    SchemeFrame,
     conjugate_channel,
     energy_moment_defect,
     induced_instrument,
@@ -54,7 +60,7 @@ def amplitude_damping_times_identity(gamma=0.3):
 
 def resonant_random_scheme(seed=7, beta=1.0, mixture_size=3, dim=2):
     h = np.diag(np.arange(float(dim))).astype(complex)
-    return random_free_scheme(h, h, beta, sharp_z(dim), seed, mixture_size)
+    return random_free_scheme(SchemeFrame(h, h, beta, sharp_z(dim)), seed, mixture_size)
 
 
 SPECTRA = {
@@ -85,7 +91,7 @@ def build_scheme(d_s, d_a, spectrum_s, spectrum_a, rotate, beta, seed):
         u = haar_unitary(d, rng) if rotate else np.eye(d)
         hamiltonians.append((u * SPECTRA[spectrum](d)) @ u.conj().T)
     h_s, h_a = hamiltonians
-    return random_free_scheme(h_s, h_a, beta, spectral_observable(h_a), seed)
+    return random_free_scheme(SchemeFrame(h_s, h_a, beta, spectral_observable(h_a)), seed)
 
 
 class TestValidateFreeScheme:
@@ -98,7 +104,7 @@ class TestValidateFreeScheme:
 
     def test_yanase_violation_detected(self):
         pointer = Observable(["p", "m"], [PLUS, MINUS])
-        scheme = MeasurementScheme(H2, H2, 1.0, swap_channel(2), pointer)
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, pointer), swap_channel(2))
         report = validate_free_scheme(scheme)
         assert not report.verdict
         # defined metric: max_x ||[Z_x, H_probe]||_F = 1/sqrt(2) for the X basis
@@ -106,14 +112,15 @@ class TestValidateFreeScheme:
         assert report.bistochastic_defect < 1e-12
 
     def test_non_unital_interaction_detected(self):
-        scheme = MeasurementScheme(H2, H2, 1.0, amplitude_damping_times_identity(), sharp_z())
+        frame = SchemeFrame(H2, H2, 1.0, sharp_z())
+        scheme = MeasurementScheme(frame, amplitude_damping_times_identity())
         report = validate_free_scheme(scheme)
         assert not report.verdict
         assert report.bistochastic_defect > 0.1
 
     def test_non_conserving_unitary_detected(self):
         u = haar_unitary(4, rng_from_seed(99))
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([u]), sharp_z())
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([u]))
         report = validate_free_scheme(scheme)
         assert not report.verdict
         assert report.energy_conservation_defects[0] > 1e-3
@@ -133,7 +140,7 @@ class TestInducedInstrument:
                 assert np.linalg.norm(out - p[x] * tau.matrix) < 1e-12
 
     def test_identity_interaction_leaves_state_alone(self):
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([np.eye(4)]), sharp_z())
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([np.eye(4)]))
         assert validate_free_scheme(scheme).verdict
         ins = induced_instrument(scheme)
         xi = scheme.probe_state
@@ -175,7 +182,8 @@ class TestInducedInstrument:
     def test_phase_unitary_when_total_spectrum_nondegenerate(self):
         # detuned pair: total spectrum {0, 2.3, 1, 3.3} has no repeats
         h_probe = np.diag([0.0, 2.3]).astype(complex)
-        scheme = random_free_scheme(H2, h_probe, 1.0, sharp_z(), seed=5, mixture_size=1)
+        frame = SchemeFrame(H2, h_probe, 1.0, sharp_z())
+        scheme = random_free_scheme(frame, seed=5, mixture_size=1)
         u = scheme.interaction.kraus[0]
         off_diag = u - np.diag(np.diag(u))
         assert np.linalg.norm(off_diag) < 1e-12
@@ -192,7 +200,7 @@ class TestInducedInstrument:
 
     def test_bad_pointer_effect_rejected(self):
         bad = Observable(["a", "b"], [np.diag([1.0, -0.2]), np.diag([0.0, 1.2])], tol=0.5)
-        scheme = MeasurementScheme(H2, H2, 1.0, swap_channel(2), bad)
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, bad), swap_channel(2))
         with pytest.raises(ValidationError, match="pointer effect"):
             induced_instrument(scheme)
 
@@ -205,7 +213,7 @@ class TestConjugateChannel:
         np.testing.assert_allclose(lam.apply(rho), rho.matrix, atol=1e-12)
 
     def test_identity_interaction_leaves_probe_alone(self):
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([np.eye(4)]), sharp_z())
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([np.eye(4)]))
         lam = conjugate_channel(scheme)
         rho = random_density_matrix(2, rng_from_seed(3))
         np.testing.assert_allclose(lam.apply(rho), scheme.probe_state.matrix, atol=1e-12)
@@ -256,7 +264,7 @@ class TestRandomFreeScheme:
     def test_yanase_precondition(self):
         pointer = Observable(["p", "m"], [PLUS, MINUS])
         with pytest.raises(PreconditionError, match="Yanase"):
-            random_free_scheme(H2, H2, 1.0, pointer, seed=0)
+            random_free_scheme(SchemeFrame(H2, H2, 1.0, pointer), seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gibbs_preservation_property(self, seed):
@@ -312,6 +320,64 @@ class TestRandomFreeScheme:
             assert commutator_defect(e, scheme.system_hamiltonian) < 1e-8
 
 
+class TestBatchedDraw:
+    """The batched draw of ``random_free_scheme`` against the per-block loop of the oracle."""
+
+    @staticmethod
+    def frame(d_s, d_a, spectrum_s, spectrum_a, rotate, seed=0):
+        rng = rng_from_seed(1000 + seed)
+        hamiltonians = []
+        for d, spectrum in ((d_s, spectrum_s), (d_a, spectrum_a)):
+            u = haar_unitary(d, rng) if rotate else np.eye(d)
+            hamiltonians.append((u * SPECTRA[spectrum](d)) @ u.conj().T)
+        return SchemeFrame(*hamiltonians, 1.0, spectral_observable(hamiltonians[1]))
+
+    @pytest.mark.parametrize("mixture_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "dims,spectra",
+        [
+            ((2, 2), ("resonant", "resonant")),
+            ((3, 3), ("resonant", "resonant")),
+            ((4, 4), ("degenerate", "degenerate")),
+            ((3, 3), ("non_resonant", "non_resonant")),
+            ((4, 2), ("resonant", "resonant")),
+            ((3, 4), ("degenerate", "resonant")),
+            ((2, 4), ("non_resonant", "degenerate")),
+            ((8, 8), ("resonant", "resonant")),
+        ],
+    )
+    def test_diagonal_spectra_draw_the_oracle_bit_for_bit(self, dims, spectra, mixture_size):
+        frame = self.frame(*dims, *spectra, rotate=False)
+        for seed in range(3):
+            ks = random_free_scheme(frame, seed, mixture_size).interaction.kraus
+            reference = blockwise_free_kraus(
+                frame.system_hamiltonian, frame.probe_hamiltonian, seed, mixture_size
+            )
+            assert ks.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("mixture_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 2)])
+    def test_rotated_spectra_draw_the_oracle_within_round_off(self, dims, spectrum, mixture_size):
+        for seed in range(3):
+            frame = self.frame(*dims, spectrum, spectrum, rotate=True, seed=seed)
+            ks = random_free_scheme(frame, seed, mixture_size).interaction.kraus
+            reference = blockwise_free_kraus(
+                frame.system_hamiltonian, frame.probe_hamiltonian, seed, mixture_size
+            )
+            np.testing.assert_allclose(ks, reference, rtol=0, atol=1e-13)
+
+    def test_schemes_of_one_frame_share_its_derived_data(self):
+        frame = self.frame(3, 3, "resonant", "resonant", rotate=False)
+        a, b = (random_free_scheme(frame, seed) for seed in (1, 2))
+        assert a.frame is b.frame is frame
+        assert a.energy_blocks is b.energy_blocks
+        assert a.pointer_roots is b.pointer_roots
+        assert a.instrument is not b.instrument
+        with pytest.raises(AttributeError, match="immutable"):
+            frame.beta = 2.0
+
+
 class TestEnergyMoments:
     def test_swap_conserves_all_moments(self):
         h_total = np.kron(H2, np.eye(2)) + np.kron(np.eye(2), H2)
@@ -322,7 +388,7 @@ class TestEnergyMoments:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_free_interactions_conserve_moments(self, seed):
         scheme = resonant_random_scheme(seed=seed + 200, dim=3)
-        h_total = scheme.total_hamiltonian()
+        h_total = scheme.total_hamiltonian
         for k in range(1, 5):
             assert energy_moment_defect(scheme.interaction, h_total, k) < 1e-9
 
@@ -338,7 +404,7 @@ class TestEnergyMoments:
 
 
 def test_scheme_annotations_resolve():
-    hints = typing.get_type_hints(MeasurementScheme.probe_state.func)
+    hints = typing.get_type_hints(SchemeFrame.probe_state.func)
     assert hints["return"] is State
 
 
@@ -353,7 +419,7 @@ class TestCompiledScheme:
 
     def test_hamiltonians_are_read_only(self):
         h = H2.copy()
-        scheme = MeasurementScheme(h, h, 1.0, swap_channel(2), sharp_z())
+        scheme = MeasurementScheme(SchemeFrame(h, h, 1.0, sharp_z()), swap_channel(2))
         for m in (scheme.system_hamiltonian, scheme.probe_hamiltonian):
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 5.0

@@ -15,7 +15,7 @@ from oracles import dilation_relative_entropy
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL
 from thermomeas.objects import spectral_observable
 from thermomeas.sampling import random_density_matrices, rng_from_seed
-from thermomeas.schemes import random_free_scheme
+from thermomeas.schemes import SchemeFrame, random_free_scheme
 from thermomeas.thermo import (
     StateAudit,
     average_extractable_work,
@@ -60,7 +60,8 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
     """A random free scheme, sharp pointer; a stack of energy eigenstates and random states."""
     h_s = np.diag(np.arange(float(d_s))).astype(complex)
     h_a = np.diag(np.arange(float(d_a))).astype(complex)
-    scheme = random_free_scheme(h_s, h_a, beta, spectral_observable(h_a), seed, mixture_size)
+    frame = SchemeFrame(h_s, h_a, beta, spectral_observable(h_a))
+    scheme = random_free_scheme(frame, seed, mixture_size)
     eigenstates = np.array([np.diag(np.eye(d_s)[i]) for i in range(n_eigen)], dtype=complex)
     random_states = random_density_matrices(d_s, n_random, rng_from_seed(seed + 1))
     return scheme, np.concatenate([eigenstates, random_states])[list(order)]

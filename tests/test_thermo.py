@@ -21,6 +21,7 @@ from thermomeas.sampling import (
 )
 from thermomeas.schemes import (
     MeasurementScheme,
+    SchemeFrame,
     induced_instrument,
     random_free_scheme,
     trivial_scheme,
@@ -85,7 +86,7 @@ class TestAverageExtractableWork:
         assert abs(average_extractable_work(ins, tau, H2, beta) - expected) < 1e-12
 
     def test_identity_interaction_reproduces_extractable_work(self):
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([np.eye(4)]), Z_SHARP)
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), KrausChannel([np.eye(4)]))
         ins = induced_instrument(scheme)
         rho = random_density_matrix(2, rng_from_seed(3))
         assert abs(
@@ -118,7 +119,7 @@ class TestOutcomeDivergence:
 
 class TestHeat:
     def test_zero_at_equilibrium(self):
-        scheme = random_free_scheme(H2, H2, 1.0, Z_SHARP, seed=9)
+        scheme = random_free_scheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), seed=9)
         report = heat_absorbed(scheme, gibbs_state(H2, 1.0))
         assert abs(report.heat) < 1e-9
         assert report.duality_defect < 1e-9
@@ -134,7 +135,7 @@ class TestHeat:
         assert report.duality_defect < 1e-12
 
     def test_identity_interaction_no_heat(self):
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([np.eye(4)]), Z_SHARP)
+        scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), KrausChannel([np.eye(4)]))
         rho = random_density_matrix(2, rng_from_seed(6))
         report = heat_absorbed(scheme, rho)
         assert abs(report.heat) < 1e-12
@@ -188,7 +189,7 @@ class TestSkewInformation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_for_free_schemes(self, seed):
-        scheme = random_free_scheme(H2, H2, 0.8, Z_SHARP, seed=seed + 300)
+        scheme = random_free_scheme(SchemeFrame(H2, H2, 0.8, Z_SHARP), seed=seed + 300)
         ins = induced_instrument(scheme)
         rng = rng_from_seed(seed)
         for _ in range(5):
@@ -226,7 +227,8 @@ class TestSecondLawReport:
         u_rng = rng_from_seed(13)
         from thermomeas.sampling import haar_unitary
 
-        scheme = MeasurementScheme(H2, H2, 1.0, KrausChannel([haar_unitary(4, u_rng)]), Z_SHARP)
+        frame = SchemeFrame(H2, H2, 1.0, Z_SHARP)
+        scheme = MeasurementScheme(frame, KrausChannel([haar_unitary(4, u_rng)]))
         with pytest.raises(PreconditionError, match="not thermodynamically free"):
             second_law_report(scheme, GROUND)
 
@@ -235,7 +237,7 @@ class TestSecondLawReport:
         # sharp form of the bound at a ground state: gain <= -divergence - beta * heat
         rng = rng_from_seed(14)
         for seed in range(5):
-            scheme = random_free_scheme(H2, H2, beta, Z_SHARP, seed=400 + seed)
+            scheme = random_free_scheme(SchemeFrame(H2, H2, beta, Z_SHARP), seed=400 + seed)
             law, work = second_law_report(scheme, GROUND)
             assert law.verdict
             assert work.groenewold_gain <= (
@@ -248,7 +250,7 @@ class TestSecondLawReport:
         rng = rng_from_seed(dim * 100 + int(beta * 10))
         for seed in range(5):
             pointer = random_commuting_povm(h, 2, rng)
-            scheme = random_free_scheme(h, h, beta, pointer, seed=500 + seed)
+            scheme = random_free_scheme(SchemeFrame(h, h, beta, pointer), seed=500 + seed)
             ins = induced_instrument(scheme)
             tau = scheme.system_gibbs
             q = ins.induced_observable.probabilities(tau)
@@ -268,7 +270,7 @@ class TestSecondLawReport:
         rng = rng_from_seed(700 + dim)
         for seed in range(4):
             pointer = random_commuting_povm(h, 2, rng)
-            scheme = random_free_scheme(h, h, 0.9, pointer, seed=600 + seed)
+            scheme = random_free_scheme(SchemeFrame(h, h, 0.9, pointer), seed=600 + seed)
             ins = induced_instrument(scheme)
             for _ in range(50):
                 rho = random_density_matrix(dim, rng)
@@ -281,7 +283,7 @@ class TestSecondLawReport:
 
     @pytest.mark.parametrize("beta", [40.0, 600.0])
     def test_low_temperature_passes_with_finite_slacks(self, beta):
-        scheme = random_free_scheme(H2, H2, beta, Z_SHARP, seed=17)
+        scheme = random_free_scheme(SchemeFrame(H2, H2, beta, Z_SHARP), seed=17)
         rng = rng_from_seed(18)
         for rho in [GROUND, EXCITED] + [random_density_matrix(2, rng) for _ in range(10)]:
             law, work = second_law_report(scheme, rho)
@@ -291,7 +293,8 @@ class TestSecondLawReport:
 
     def test_prop1_holds_when_pruning_would_drop_a_probe_level(self):
         h3, h2 = np.diag([0.0, 1.0, 2.0]).astype(complex), H2
-        scheme = random_free_scheme(h3, h2, 100.0, spectral_observable(h2), seed=0, mixture_size=1)
+        frame = SchemeFrame(h3, h2, 100.0, spectral_observable(h2))
+        scheme = random_free_scheme(frame, seed=0, mixture_size=1)
         # q_1 = tr[Z_1 xi] = e^-100 / (1 + e^-100) exactly, for a free scheme
         q = scheme.instrument.induced_observable.probabilities(scheme.system_gibbs)
         assert abs(math.log(q[1]) + 100.0) < 1e-9
