@@ -26,13 +26,24 @@ from .linalg import (
     dag,
     density_matrix,
     eig_hermitian,
-    frobenius,
+    frobenius_each,
     logsumexp,
     psd_sqrt,
     require_beta,
     require_hermitian,
     require_square,
 )
+
+
+def _from_validated(cls, *fields):
+    """An instance of ``cls`` made from ``fields`` that a stacked kernel has validated.
+
+    ``cls._hold`` sets what the constructor sets once it has validated the
+    same fields, so what an object holds is decided by its class alone.
+    """
+    obj = object.__new__(cls)
+    obj._hold(*fields)
+    return obj
 
 
 def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
@@ -51,23 +62,84 @@ def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
                 f"Kraus operator {i}{where} has shape {k.shape}, expected {ops[0].shape}"
             )
     ks = np.array(ops, dtype=complex)
-    finite = np.isfinite(ks).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(
-            f"Kraus operator {int(np.argmin(finite))}{where} has non-finite "
-            f"(NaN or infinite) entries"
-        )
+    _require_finite(ks, where)
     ks.flags.writeable = False
     return ks
 
 
+def _require_finite(ks: np.ndarray, where: str = "") -> None:
+    """Refuse the first Kraus operator of a ``(..., k, rows, cols)`` stack with a non-finite entry.
+
+    The message gives the operator's index within its own ``k`` operators.
+    """
+    finite = np.isfinite(ks).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        raise ValidationError(
+            f"Kraus operator {int(np.argmin(finite)) % ks.shape[-3]}{where} has non-finite "
+            f"(NaN or infinite) entries"
+        )
+
+
+def _require_trace_preserving(grams: np.ndarray, what: str) -> None:
+    """Refuse the first ``sum K† K`` of a ``(..., d, d)`` stack that is not the identity."""
+    defects = frobenius_each(grams - np.eye(grams.shape[-1])).reshape(-1)
+    bad = defects > VALIDATION_TOL
+    if bad.any():
+        raise ValidationError(
+            f"{what} is not trace preserving: ||sum K^dag K - 1||_F = "
+            f"{defects[np.argmax(bad)]:.3e} > {VALIDATION_TOL:.1e}"
+        )
+
+
+def _require_effects(stack: np.ndarray, names: tuple, tol: float) -> None:
+    """Refuse the first observable of a ``(..., n, d, d)`` stack of Hermitian effects
+    with an eigenvalue outside [0, 1] or effects that do not sum to the identity.
+
+    ``names`` names the ``n`` effects of one observable.
+    """
+    evals = np.linalg.eigvalsh(stack)
+    violation = np.maximum(-evals[..., 0], evals[..., -1] - 1.0).reshape(-1, len(names))
+    bad = (violation > tol).any(axis=1)
+    if bad.any():
+        row = violation[np.argmax(bad)]
+        worst = int(np.argmax(row))
+        raise ValidationError(
+            f"{names[worst]} has an eigenvalue {row[worst]:.3e} outside [0, 1] "
+            f"(worst violation over all effects; tolerance {tol:.1e})"
+        )
+    defects = frobenius_each(stack.sum(axis=-3) - np.eye(stack.shape[-1])).reshape(-1)
+    bad = defects > tol
+    if bad.any():
+        raise ValidationError(
+            f"effects sum differs from identity by {defects[np.argmax(bad)]:.3e} > {tol:.1e}"
+        )
+
+
 def _gram(ks: np.ndarray) -> np.ndarray:
-    """``sum K† K`` over a Kraus stack."""
-    return np.tensordot(ks.conj(), ks, axes=([0, 1], [0, 1]))
+    """``sum K† K`` over a Kraus stack, or over each of a ``(..., k, rows, cols)`` stack of them.
+
+    One matrix product: the ``K†`` laid side by side times the ``K`` laid
+    one above the other.
+    """
+    k, rows, cols = ks.shape[-3:]
+    lead = ks.shape[:-3]
+    side_by_side = np.ascontiguousarray(np.moveaxis(ks.conj(), -1, -3))
+    return side_by_side.reshape(*lead, cols, k * rows) @ ks.reshape(*lead, k * rows, cols)
+
+
+def _bistochastic_defects(ks: np.ndarray) -> tuple:
+    """Trace-preservation and unitality defects of the channel of a square Kraus stack,
+    or of each channel of a ``(..., k, d, d)`` stack of them."""
+    eye = np.eye(ks.shape[-1])
+    return frobenius_each(_gram(ks) - eye), frobenius_each(_gram(dag(ks)) - eye)
 
 
 def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``sum K m K†`` over a Kraus stack, for one operator ``m`` or an ``(n, d, d)`` stack.
+
+    With a ``(P, k, d_out, d_in)`` stack of Kraus stacks, ``m`` is a
+    ``(P, n, d_in, d_in)`` stack of stacks, and each point's operators act
+    on its own stack.
 
     Two matrix products per group of Kraus operators: the operators laid
     one above the other times the stack laid side by side, then, with the
@@ -77,21 +149,36 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     no intermediate is larger than the Kraus stack or, for
     ``d_in <= d_out``, the output.
     """
-    stack = m[None] if m.ndim == 2 else m
-    n, d_in = stack.shape[:2]
-    k, d_out = ks.shape[:2]
-    side_by_side = stack.transpose(1, 0, 2).reshape(d_in, n * d_in)
-    rows = ks.reshape(k * d_out, d_in)
-    cols = dag(ks).reshape(k * d_in, d_out)
+    points = ks if ks.ndim == 4 else ks[None]
+    stack = m if ks.ndim == 4 else (m[None] if m.ndim == 3 else m[None, None])
+    p, n, d_in = stack.shape[:3]
+    k, d_out = points.shape[1:3]
+    side_by_side = stack.transpose(0, 2, 1, 3).reshape(p, d_in, n * d_in)
+    rows = points.reshape(p, k * d_out, d_in)
+    cols = dag(points).reshape(p, k * d_in, d_out)
     group = max(1, k // n)
-    out = np.zeros((d_out * n, d_out), dtype=complex)
+    out = np.zeros((p, d_out * n, d_out), dtype=complex)
     for start in range(0, k, group):
         stop = min(start + group, k)
-        left = rows[start * d_out:stop * d_out] @ side_by_side
-        left = left.reshape(stop - start, d_out, n, d_in).transpose(1, 2, 0, 3)
-        out += left.reshape(d_out * n, (stop - start) * d_in) @ cols[start * d_in:stop * d_in]
-    out = out.reshape(d_out, n, d_out).transpose(1, 0, 2)
-    return out[0] if m.ndim == 2 else out
+        left = rows[:, start * d_out:stop * d_out] @ side_by_side
+        left = left.reshape(p, stop - start, d_out, n, d_in).transpose(0, 2, 3, 1, 4)
+        left = left.reshape(p, d_out * n, (stop - start) * d_in)
+        out += left @ cols[:, start * d_in:stop * d_in]
+    out = out.reshape(p, d_out, n, d_out).transpose(0, 2, 1, 3)
+    if ks.ndim == 4:
+        return out
+    return out[0, 0] if m.ndim == 2 else out[0]
+
+
+def _dual(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``sum K† A K`` over a Kraus stack, or over each of a ``(..., k, d_out, d_in)`` stack.
+
+    Two pairwise contractions, O(k D^3), in this order: for a diagonal A,
+    conj(K) A first and then the sum over k and b forms each term and sums
+    them as the three-operand einsum does, whose round-off the benchmark's
+    reference outputs hold; a matmul kernel sums otherwise.
+    """
+    return np.einsum("...kib,...kbj->...ij", np.einsum("...kai,ab->...kib", ks.conj(), a), ks)
 
 
 def _choi(ks: np.ndarray) -> np.ndarray:
@@ -153,23 +240,14 @@ class Observable:
             if m.shape[0] != dim:
                 raise ValidationError(f"{name} has dimension {m.shape[0]}, expected {dim}")
         stack = _symmetrized(np.array(matrices), tol, names)
-        evals = np.linalg.eigvalsh(stack)
-        violation = np.maximum(-evals[:, 0], evals[:, -1] - 1.0)
-        worst = int(np.argmax(violation))
-        if violation[worst] > tol:
-            raise ValidationError(
-                f"{names[worst]} has an eigenvalue {violation[worst]:.3e} outside [0, 1] "
-                f"(worst violation over all effects; tolerance {tol:.1e})"
-            )
-        completeness_defect = frobenius(stack.sum(axis=0) - np.eye(dim))
-        if completeness_defect > tol:
-            raise ValidationError(
-                f"effects sum differs from identity by {completeness_defect:.3e} > {tol:.1e}"
-            )
+        _require_effects(stack, names, tol)
         stack.flags.writeable = False
+        self._hold(outcomes, stack)
+
+    def _hold(self, outcomes: tuple, effects: np.ndarray) -> None:
         self.outcomes = outcomes
-        self.effects = stack
-        self.dim = dim
+        self.effects = effects
+        self.dim = effects.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -223,14 +301,12 @@ class KrausChannel:
 
     def __init__(self, kraus: Sequence):
         ks = _kraus_stack(kraus)
-        tp_defect = frobenius(_gram(ks) - np.eye(ks.shape[2]))
-        if tp_defect > VALIDATION_TOL:
-            raise ValidationError(
-                f"channel is not trace preserving: ||sum K^dag K - 1||_F = "
-                f"{tp_defect:.3e} > {VALIDATION_TOL:.1e}"
-            )
-        self.kraus = ks
-        self.dim_out, self.dim_in = ks.shape[1:]
+        _require_trace_preserving(_gram(ks), "channel")
+        self._hold(ks)
+
+    def _hold(self, kraus: np.ndarray) -> None:
+        self.kraus = kraus
+        self.dim_out, self.dim_in = kraus.shape[1:]
 
     @property
     def dim(self) -> int:
@@ -256,12 +332,7 @@ class KrausChannel:
             raise ValidationError(
                 f"dual input must be {self.dim_out} x {self.dim_out}, got {m.shape}"
             )
-        ks = self.kraus
-        # Two pairwise contractions, O(k D^3), in this order: for a diagonal A,
-        # conj(K) A first and then the sum over k and b forms each term and
-        # sums them as the three-operand einsum does, whose round-off the
-        # benchmark's reference outputs hold; a matmul kernel sums otherwise.
-        return np.einsum("kib,kbj->ij", np.einsum("kai,ab->kib", ks.conj(), m), ks)
+        return _dual(self.kraus, m)
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
@@ -287,11 +358,8 @@ def is_bistochastic(channel: KrausChannel) -> BistochasticReport:
     """Check that a channel preserves both the trace and the identity."""
     if channel.dim_in != channel.dim_out:
         raise ValidationError("bistochasticity is defined for square channels only")
-    eye = np.eye(channel.dim_in)
-    ks = channel.kraus
-    trace_defect = frobenius(_gram(ks) - eye)
-    unital_defect = frobenius(_gram(ks.conj().transpose(0, 2, 1)) - eye)
-    return BistochasticReport(trace_defect, unital_defect, VALIDATION_TOL)
+    trace_defect, unital_defect = _bistochastic_defects(channel.kraus)
+    return BistochasticReport(float(trace_defect), float(unital_defect), VALIDATION_TOL)
 
 
 def gibbs_state(hamiltonian, beta: float) -> State:
@@ -353,16 +421,20 @@ class Instrument:
                 )
         grams = np.array([_gram(ks) for ks in stacks])
         grams.flags.writeable = False
-        tp_defect = frobenius(grams.sum(axis=0) - np.eye(dim))
-        if tp_defect > VALIDATION_TOL:
-            raise ValidationError(
-                f"total channel is not trace preserving: ||sum K^dag K - 1||_F = "
-                f"{tp_defect:.3e} > {VALIDATION_TOL:.1e}"
-            )
+        _require_trace_preserving(grams.sum(axis=0), "total channel")
+        self._hold(outcomes, stacks, grams)
+
+    def _hold(
+        self, outcomes: tuple, kraus_sets: tuple, grams: np.ndarray, induced: Observable = None
+    ) -> None:
+        """Holds the outcomes, their Kraus stacks and Gram sums, and, when given,
+        the induced observable of those Gram sums."""
         self.outcomes = outcomes
-        self.kraus_sets = stacks
-        self.dim = dim
+        self.kraus_sets = kraus_sets
+        self.dim = kraus_sets[0].shape[-1]
         self._grams = grams
+        if induced is not None:
+            self.induced_observable = induced
 
     @classmethod
     def luders(cls, observable: Observable) -> "Instrument":

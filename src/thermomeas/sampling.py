@@ -28,37 +28,42 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitaries(sizes, rng: np.random.Generator) -> list:
     """Haar unitaries of the given sizes, in order, drawn from ``rng`` as
-    ``haar_unitary`` called once per size would draw them.
+    ``haar_unitary`` called once per size would draw them."""
+    sizes = [int(n) for n in sizes]
+    stacks = haar_unitary_stacks(sizes, [rng])
+    taken = {n: iter(stack[0]) for n, stack in stacks.items()}
+    return [next(taken[n]) for n in sizes]
 
-    One ``standard_normal`` call takes every Ginibre matrix (real parts,
-    then imaginary parts, size by size), and one stacked QR, phase-fixed by
-    the diagonal of ``R`` (Mezzadri, Notices AMS 54, 592, 2007), turns all
-    the matrices of one size into unitaries.
+
+def haar_unitary_stacks(sizes, rngs) -> dict:
+    """For each generator of ``rngs``, the unitaries :func:`haar_unitaries` draws
+    from it, as one ``(len(rngs), count, n, n)`` stack per size ``n``.
+
+    Each generator gives every Ginibre matrix in one ``standard_normal``
+    call (real parts, then imaginary parts, size by size). One stacked QR
+    per size, phase-fixed by the diagonal of ``R`` (Mezzadri, Notices AMS
+    54, 592, 2007), turns the matrices of that size of every generator into
+    unitaries; entry ``[g, j]`` is the ``j``-th of size ``n`` from generator ``g``.
     """
     sizes = [int(n) for n in sizes]
-    ends = np.cumsum([2 * n * n for n in sizes])
-    normals = rng.standard_normal(int(ends[-1]) if sizes else 0)
-    unitaries = [None] * len(sizes)
+    ends = np.cumsum([2 * n * n for n in sizes], dtype=int)
+    total = int(ends[-1]) if sizes else 0
+    normals = np.array([rng.standard_normal(total) for rng in rngs]).reshape(len(rngs), total)
+    stacks = {}
     for n in sorted(set(sizes)):
         which = [i for i, size in enumerate(sizes) if size == n]
-        parts = np.stack([normals[ends[i] - 2 * n * n : ends[i]].reshape(2, n, n) for i in which])
-        q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
+        columns = np.concatenate([np.arange(ends[i] - 2 * n * n, ends[i]) for i in which])
+        parts = normals[:, columns].reshape(len(rngs), len(which), 2, n, n)
+        q, r = np.linalg.qr((parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2))
         phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
         phases /= np.abs(phases)
-        for i, u in zip(which, q * phases[:, None, :]):
-            unitaries[i] = u
-    return unitaries
-
-
-def _ginibre_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = ginibre(dim, dim, rng)
-    m = g @ dag(g)
-    return m / np.trace(m).real
+        stacks[n] = q * phases[..., None, :]
+    return stacks
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
     """Full-rank random state from the Ginibre ensemble."""
-    return State(_ginibre_state(dim, rng))
+    return State(random_density_matrix_stacks(dim, 1, [rng])[0, 0])
 
 
 def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,8 +72,22 @@ def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> n
     The stack is ``(count, dim, dim)``; it draws from ``rng`` exactly as
     ``count`` calls of :func:`random_density_matrix` would.
     """
-    draws = [_ginibre_state(dim, rng) for _ in range(count)]
-    stack = density_matrix(np.array(draws, dtype=complex).reshape(count, dim, dim))
+    return random_density_matrix_stacks(dim, count, [rng])[0]
+
+
+def random_density_matrix_stacks(dim: int, count: int, rngs) -> np.ndarray:
+    """:func:`random_density_matrices` of each generator of ``rngs``, as one
+    validated read-only ``(len(rngs), count, dim, dim)`` stack.
+
+    Each generator gives the real and imaginary parts of its ``count``
+    Ginibre matrices in one ``standard_normal`` call, as ``count`` calls of
+    :func:`random_density_matrix` would draw them, one after the other.
+    """
+    normals = np.array([rng.standard_normal((count, 2, dim, dim)) for rng in rngs])
+    g = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2)
+    m = g @ dag(g)
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    stack = density_matrix(m.reshape(-1, dim, dim)).reshape(m.shape)
     stack.flags.writeable = False
     return stack
 

@@ -10,15 +10,22 @@ states, the checks to run, and tolerances.
 
 Resolution has two stages. :func:`parse_template` judges a scenario once:
 it refuses unknown keys and a check whose scheme or input states are
-missing, and decodes and validates every given object at
-``VALIDATION_TOL``. :meth:`ScenarioTemplate.point` then derives one grid
-point: the random interaction and states, the scheme, the instrument under
-test and, for the ``refine`` check, the rank-1 refinement, so their
-validation too comes before any check runs. :func:`parse_scenario` is the
-template and its own point. A sweep file (an object with an ``axis``,
+missing, decodes and validates every given object at ``VALIDATION_TOL``,
+and refines a top-level observable for the ``refine`` check.
+:meth:`ScenarioTemplate.points` then derives a chunk of grid points that
+share one beta: the random interactions and states, the schemes, the
+instruments under test and, for the ``refine`` check of an induced
+observable, its refinement, so their validation too comes before any check
+runs. Each is one stacked kernel over the chunk's points, with every
+validation holding per point; :func:`parse_scenario` is the template and
+its own point, a chunk of one. A sweep file (an object with an ``axis``,
 ``values`` or ``range`` but not both, and a ``scenario`` object, and no
 other key) judges its template and every axis value before the first grid
-point, then derives each point from the one template.
+point, then derives its points from the one template in chunks of
+:func:`chunk_size` points, whose largest stacked array stays within
+``CHUNK_BYTES`` (one point at least), and derives only what the
+``free_scheme`` and ``second_law`` checks of its rows read. A refusal
+names the first failing grid point in axis order.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import numbers
 import os
@@ -49,15 +57,15 @@ from .linalg import (
     require_hermitian,
 )
 from .objects import Instrument, KrausChannel, Observable, gibbs_state
-from .sampling import random_density_matrices, rng_from_seed
+from .sampling import random_density_matrix_stacks, rng_from_seed
 from .schemes import (
     MeasurementScheme,
     SchemeFrame,
-    random_free_scheme,
+    random_free_schemes,
     require_free_draw,
     trivial_scheme,
 )
-from .thermo import StateAudit
+from .thermo import AuditBatch, StateAudit
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -214,8 +222,10 @@ class Scenario:
     and the rank-1 refinement of the observable under test when the
     ``refine`` check runs (else ``None``), are derived with the point, so an
     object they refuse is refused before any check runs; the per-state
-    :class:`StateAudit` and the canonical :attr:`echo` are derived on first
-    use and kept.
+    ``audit``, the per-state record of the instrument under test on
+    ``states`` that every state check reads, is this point of its chunk's
+    :class:`AuditBatch`, whose quantities are derived on first use and
+    kept; so is the canonical :attr:`echo`.
     """
 
     beta: float
@@ -230,17 +240,11 @@ class Scenario:
     checks: list
     tolerances: dict
     template: ScenarioTemplate
+    audit: StateAudit
     refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
-
-    @cached_property
-    def audit(self) -> StateAudit:
-        """Per-state record of the instrument under test on ``states``, shared by every check."""
-        return StateAudit(
-            self.instrument, self.states, self.system_hamiltonian, self.beta, self.scheme
-        )
 
     @cached_property
     def echo(self) -> dict:
@@ -295,19 +299,19 @@ class _States:
     seed: int = None
     matrices: tuple = ()
 
-    def stack(self, h_system, seed: int, beta: float) -> np.ndarray:
-        """The validated read-only ``(n, d, d)`` stack of this point's states."""
+    def stacks(self, h_system, seeds, beta: float) -> np.ndarray:
+        """The validated read-only ``(P, n, d, d)`` stack of the states of the
+        points with ``seeds``, all at ``beta``."""
         d = h_system.shape[0]
         if self.count is not None:
-            own = self.seed if self.seed is not None else seed
-            return random_density_matrices(d, self.count, rng_from_seed(own))
+            own = seeds if self.seed is None else [self.seed] * len(seeds)
+            return random_density_matrix_stacks(d, self.count, [rng_from_seed(s) for s in own])
         matrices = [
             m if m is not None else _NAMED_STATES[name](h_system, beta)
             for name, m in zip(self.names, self.matrices)
         ]
         stack = np.array(matrices, dtype=complex).reshape(len(matrices), d, d)
-        stack.flags.writeable = False
-        return stack
+        return np.broadcast_to(stack, (len(seeds), *stack.shape))
 
     def echo(self, seed: int):
         if self.count is not None:
@@ -377,19 +381,16 @@ class _Scheme:
     seed: int = None
     mixture_size: int = None
 
-    def at(self, seed: int, beta: float) -> MeasurementScheme:
-        """The scheme of the point with ``seed`` and ``beta``."""
-        frame = self.frame
-        if beta != frame.beta:
-            frame = SchemeFrame(
-                frame.system_hamiltonian, frame.probe_hamiltonian, beta, frame.pointer
-            )
+    def at(self, seeds, beta: float) -> list:
+        """The schemes of the points with ``seeds``, all at ``beta``; a
+        ``random_block`` scheme draws them as one batch."""
+        frame = self.frame if beta == self.frame.beta else self.frame.at_beta(beta)
         if self.kind == "random_block":
-            own = self.seed if self.seed is not None else seed
-            return random_free_scheme(frame, own, self.mixture_size)
-        if frame is self.frame:
-            return self.fixed
-        return MeasurementScheme(frame, self.fixed.interaction)
+            own = seeds if self.seed is None else [self.seed] * len(seeds)
+            return random_free_schemes(frame, own, self.mixture_size)
+        if frame is not self.frame:
+            return [MeasurementScheme(frame, self.fixed.interaction)] * len(seeds)
+        return [self.fixed] * len(seeds)
 
     def echo(self, scheme: MeasurementScheme, seed: int) -> dict:
         echo = {"kind": self.kind, "pointer": encode_observable(scheme.pointer)}
@@ -445,11 +446,14 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
 class ScenarioTemplate:
     """A scenario judged once: every field decoded and validated.
 
-    What a grid point draws is left open. :meth:`point` derives, for one
-    seed and beta, the random interaction and states, the scheme, the
-    instrument under test and the ``refine`` refinement. Every point at the
-    template's beta shares the template's :class:`SchemeFrame`, so a seed
-    sweep decodes, validates and derives the frame once.
+    What a grid point draws is left open. :meth:`points` derives, for a
+    chunk of seeds at one beta, the random interactions and states, the
+    schemes, the instruments under test and, for the ``refine`` check of an
+    induced observable, its refinement; a top-level observable is refined
+    once, at parse. Every point at the template's beta shares the
+    template's :class:`SchemeFrame`, so a seed sweep decodes, validates and
+    derives the frame once, and a point at another beta shares all of it
+    but the Gibbs data.
     """
 
     beta: float
@@ -461,32 +465,66 @@ class ScenarioTemplate:
     states: _States
     checks: tuple
     tolerances: dict
+    refinement: tuple = None
 
     def point(self, seed: int, beta: float) -> Scenario:
-        """The scenario of the grid point with ``seed`` and ``beta``."""
-        scheme = self.scheme.at(seed, beta) if self.scheme is not None else None
-        # Derived here, so a refusal of the instrument under test comes before any check runs.
-        instrument = scheme.instrument if scheme is not None else Instrument.luders(self.observable)
-        sc = Scenario(
-            beta=beta,
-            seed=seed,
-            system_hamiltonian=self.system_hamiltonian,
-            probe_hamiltonian=self.probe_hamiltonian,
-            scheme=scheme,
-            observable=self.observable,
-            instrument=instrument,
-            state_names=self.states.names,
-            states=self.states.stack(self.system_hamiltonian, seed, beta),
-            checks=list(self.checks),
-            tolerances=self.tolerances,
-            template=self,
+        """The scenario of the grid point with ``seed`` and ``beta``: a chunk of one."""
+        return self.points([seed], beta)[0]
+
+    def points(self, seeds, beta: float, checks=None) -> list:
+        """The scenarios of the grid points with ``seeds``, all at ``beta``, derived as one chunk.
+
+        The interactions, instruments and states of the chunk are stacked
+        kernels over its points, validated for every point before any
+        check runs, and the points share one :class:`AuditBatch`.
+        ``checks`` names the checks that will run (by default the
+        template's); nothing is derived for any other.
+        """
+        checks = self.checks if checks is None else tuple(checks)
+        if self.scheme is not None:
+            schemes = self.scheme.at(seeds, beta)
+            instruments = [scheme.instrument for scheme in schemes]
+        else:
+            schemes = [None] * len(seeds)
+            instruments = [Instrument.luders(self.observable)] * len(seeds)
+        states = self.states.stacks(self.system_hamiltonian, seeds, beta)
+        audits = AuditBatch(
+            instruments, states, self.system_hamiltonian, beta,
+            None if self.scheme is None else schemes,
         )
-        if "refine" in self.checks:
-            try:
-                sc.refinement = classify.refine_to_rank_one(sc.observable_under_test())
-            except ValidationError as exc:
-                raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
-        return sc
+        scenarios = [
+            Scenario(
+                beta=beta,
+                seed=seed,
+                system_hamiltonian=self.system_hamiltonian,
+                probe_hamiltonian=self.probe_hamiltonian,
+                scheme=scheme,
+                observable=self.observable,
+                instrument=instrument,
+                state_names=self.states.names,
+                states=stack,
+                checks=list(checks),
+                tolerances=self.tolerances,
+                template=self,
+                audit=audits.point(i),
+                refinement=self.refinement,
+            )
+            for i, (seed, scheme, instrument, stack) in enumerate(
+                zip(seeds, schemes, instruments, states)
+            )
+        ]
+        if "refine" in checks and self.observable is None:
+            for sc in scenarios:
+                sc.refinement = _refinement(sc.observable_under_test())
+        return scenarios
+
+
+def _refinement(observable: Observable) -> tuple:
+    """The ``refine`` check's rank-1 refinement of ``observable``; a refusal names the check."""
+    try:
+        return classify.refine_to_rank_one(observable)
+    except ValidationError as exc:
+        raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
 
 
 def parse_template(raw: dict, seed_override=None, tol_override=None) -> ScenarioTemplate:
@@ -554,6 +592,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
             )
     states = _resolve_states(raw.get("states"), h_system.shape[0])
     _require_inputs(checks, scheme, states.names)
+    refine = "refine" in checks and observable is not None
     return ScenarioTemplate(
         beta=beta,
         seed=seed,
@@ -564,6 +603,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
         states=states,
         checks=tuple(checks),
         tolerances=tolerances,
+        refinement=_refinement(observable) if refine else None,
     )
 
 
@@ -897,16 +937,72 @@ def _sweep_row(axis_name: str, value, sc: Scenario, free: dict, law: dict) -> li
     ]
 
 
+#: The checks a sweep runs at every grid point; its row is built from their results.
+_SWEEP_CHECKS = ("free_scheme", "second_law")
+
+#: Bytes the largest stacked intermediate of a sweep chunk may take: a chunk holds
+#: as many grid points as fit, and at least one.
+CHUNK_BYTES = 256 * 1024
+
+
+def chunk_size(template: ScenarioTemplate) -> int:
+    """Grid points per chunk of a sweep of ``template``, which has a scheme:
+    ``CHUNK_BYTES`` over one point's largest stacked intermediate.
+
+    Per point, the largest stacked arrays are the dilation of its
+    interaction and each outcome's Kraus operators before pruning (``k D²``
+    complex entries for ``k`` interaction Kraus operators on the joint
+    dimension ``D``), the outputs of its instrument on its ``n`` states
+    (``n_outcomes n d_s²``) and the probe states after them (``n d_a²``);
+    every other intermediate is at most one of these.
+    """
+    d_s, d_a = template.system_hamiltonian.shape[0], template.probe_hamiltonian.shape[0]
+    scheme, n = template.scheme, len(template.states.names)
+    k = scheme.mixture_size if scheme.fixed is None else len(scheme.fixed.interaction.kraus)
+    n_outcomes = scheme.frame.pointer.n_outcomes
+    point_bytes = 16 * max(k * (d_s * d_a) ** 2, n_outcomes * n * d_s**2, n * d_a**2)
+    return max(1, CHUNK_BYTES // point_bytes)
+
+
+def _sweep_rows(template, axis_name: str, values, indices) -> list:
+    """``(passed, row)`` of each grid point in ``indices``, all at one beta, derived as one chunk.
+
+    On a refusal the chunk is derived again one point at a time, so the
+    refusal names the first failing point in axis order, with the message
+    that point gives alone.
+    """
+    if axis_name == "seed":
+        seeds, beta = [values[i] for i in indices], template.beta
+    else:
+        seeds, beta = [template.seed] * len(indices), values[indices[0]]
+    try:
+        scenarios = template.points(seeds, beta, _SWEEP_CHECKS)
+        rows = []
+        for i, scenario in zip(indices, scenarios):
+            free = _run_check(scenario, "free_scheme")
+            law = _run_check(scenario, "second_law")
+            passed = free["verdict"] and law["verdict"]
+            rows.append((passed, _sweep_row(axis_name, values[i], scenario, free, law)))
+        return rows
+    except (ValidationError, PreconditionError) as exc:
+        if len(indices) > 1:
+            return [row for i in indices for row in _sweep_rows(template, axis_name, values, [i])]
+        i = indices[0]
+        raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
+
+
 def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     """Execute a sweep file; returns ``(csv_text, all_rows_pass)``.
 
     The scenario template is judged once, with the axis's first value, and
-    every axis value is then one grid point of it. One CSV row per grid
-    point, built from the ``free_scheme`` and ``second_law`` check results.
-    When the scenario carries several states, the row reports the state
-    with the smallest second-law margin (minimal ``prop1_slack``), so a
-    passing row certifies every state at that grid point. A refusal at a
-    grid point names its axis entry and value.
+    every axis value is then one grid point of it. Consecutive grid points
+    at one beta are derived and audited in chunks of :func:`chunk_size`
+    points, as stacked kernels over the chunk. One CSV row per grid point,
+    built from the ``free_scheme`` and ``second_law`` check results, which
+    are all that is derived. When the scenario carries several states, the
+    row reports the state with the smallest second-law margin (minimal
+    ``prop1_slack``), so a passing row certifies every state at that grid
+    point. A refusal at a grid point names its axis entry and value.
     """
     raw = _load(source)
     if not isinstance(raw, dict):
@@ -925,19 +1021,18 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     template = parse_template(
         {**raw["scenario"], axis_name: values[0]}, seed_override=seed, tol_override=tol
     )
-    _require_inputs(("free_scheme", "second_law"), template.scheme, template.states.names)
+    _require_inputs(_SWEEP_CHECKS, template.scheme, template.states.names)
+    size = chunk_size(template)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     all_pass = True
-    for i, value in enumerate(values):
-        point = {"seed": template.seed, "beta": template.beta, axis_name: value}
-        try:
-            scenario = template.point(**point)
-            free = _run_check(scenario, "free_scheme")
-            law = _run_check(scenario, "second_law")
-        except (ValidationError, PreconditionError) as exc:
-            raise type(exc)(f"axis.{axis_name}[{i}] = {value!r}: {exc}") from None
-        all_pass = all_pass and free["verdict"] and law["verdict"]
-        writer.writerow(_sweep_row(axis_name, value, scenario, free, law))
+    # a chunk is a run of consecutive points at one beta, at most `size` long
+    beta_of = (lambda i: values[i]) if axis_name == "beta" else (lambda i: template.beta)
+    for _, run in itertools.groupby(range(len(values)), key=beta_of):
+        run = list(run)
+        for start in range(0, len(run), size):
+            for passed, row in _sweep_rows(template, axis_name, values, run[start:start + size]):
+                all_pass = all_pass and passed
+                writer.writerow(row)
     return buffer.getvalue(), all_pass

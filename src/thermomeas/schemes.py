@@ -12,7 +12,15 @@ A scheme is a :class:`SchemeFrame` (the Hamiltonians, beta and pointer,
 with everything derived from them alone) plus an interaction. Schemes that
 differ only in their interaction share one frame, so a seed sweep derives
 the total Hamiltonian's energy blocks and moment powers, the Yanase defect,
-the pointer's square roots and the Gibbs data once.
+the pointer's square roots and the Gibbs data once; a frame at another beta
+shares all of it but the Gibbs data.
+
+What depends on the interaction is derived by stacked kernels with a
+leading point axis, over a :class:`SchemeBatch` of interactions on one
+frame: the freeness defects, one dilation per batch, and from it the
+induced instruments and the conjugate channels. :func:`random_free_schemes`
+draws a whole batch, one stacked QR per block size; a scheme made alone is
+a batch of one of the same kernels.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -30,24 +38,31 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
+    VALIDATION_TOL,
     cluster_indices,
     commutator_defect,
     dag,
-    frobenius,
     psd_sqrt,
     require_beta,
     require_hermitian,
 )
+from .linalg import _symmetrized, frobenius_each
 from .objects import (
     Instrument,
     KrausChannel,
     Observable,
     State,
+    _bistochastic_defects,
+    _dual,
+    _from_validated,
+    _gram,
+    _require_effects,
+    _require_finite,
+    _require_trace_preserving,
     gibbs_log_weights,
     gibbs_state_from,
-    is_bistochastic,
 )
-from .sampling import haar_unitaries
+from .sampling import haar_unitary_stacks
 
 #: Kraus operators of a dilation with Frobenius norm at or below this, relative to
 #: the amplitude ``sqrt(g_a)`` of their probe level, are dropped.
@@ -55,6 +70,16 @@ PRUNE_TOL = 1e-12
 
 #: Energy conservation is checked for the moments ``k = 1..ENERGY_MOMENTS``.
 ENERGY_MOMENTS = 4
+
+
+class _beta_free(cached_property):
+    """A derived quantity of a frame that does not depend on beta: a frame made
+    by :meth:`SchemeFrame.at_beta` reads it from the frame it was made from."""
+
+    def __get__(self, frame, owner=None):
+        if frame is not None and frame._origin is not frame:
+            return getattr(frame._origin, self.attrname)
+        return super().__get__(frame, owner)
 
 
 class SchemeFrame:
@@ -66,7 +91,8 @@ class SchemeFrame:
     computed once for all of them: the total Hamiltonian, its powers for
     moments ``k = 1..ENERGY_MOMENTS`` and its energy blocks, the Yanase
     defect and the square roots of the pointer effects, and the Gibbs
-    log-weights and states of system and probe.
+    log-weights and states of system and probe. The frames of a beta sweep,
+    made by :meth:`at_beta`, share all but the Gibbs data.
 
     A frame is immutable: its attributes cannot be reassigned and its arrays
     are read-only. Derived data is computed on first use and kept; a
@@ -84,6 +110,10 @@ class SchemeFrame:
             )
         h_s.flags.writeable = False
         h_a.flags.writeable = False
+        self._hold(h_s, h_a, beta, pointer, self)
+
+    def _hold(self, h_s, h_a, beta: float, pointer: Observable, origin: "SchemeFrame") -> None:
+        """Holds the validated inputs and the frame whose beta-free data this one reads."""
         vars(self).update(
             system_hamiltonian=h_s,
             probe_hamiltonian=h_a,
@@ -91,6 +121,16 @@ class SchemeFrame:
             dim_system=h_s.shape[0],
             dim_probe=h_a.shape[0],
             pointer=pointer,
+            _origin=origin,
+        )
+
+    def at_beta(self, beta: float) -> "SchemeFrame":
+        """This frame at another ``beta``: it derives its own Gibbs data and reads
+        everything else (the total Hamiltonian, its eigenbasis and powers, the
+        Yanase defect and the pointer roots) from the frame it came from."""
+        return _from_validated(
+            SchemeFrame, self.system_hamiltonian, self.probe_hamiltonian, require_beta(beta),
+            self.pointer, self._origin,
         )
 
     def __setattr__(self, name, value):
@@ -99,7 +139,7 @@ class SchemeFrame:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
-    @cached_property
+    @_beta_free
     def total_hamiltonian(self) -> np.ndarray:
         """``H_S (x) 1 + 1 (x) H_A``, read-only."""
         h = np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
@@ -108,7 +148,7 @@ class SchemeFrame:
         h.flags.writeable = False
         return h
 
-    @cached_property
+    @_beta_free
     def energy_powers(self) -> tuple:
         """The total Hamiltonian's powers ``k = 1..ENERGY_MOMENTS``, read-only."""
         powers = tuple(
@@ -118,7 +158,7 @@ class SchemeFrame:
             hk.flags.writeable = False
         return powers
 
-    @cached_property
+    @_beta_free
     def energy_blocks(self) -> tuple:
         """``(vecs, bounds)``: eigenvectors of the total Hamiltonian in ascending
         energy, and the ``(start, stop)`` columns of each degenerate eigenspace."""
@@ -126,12 +166,12 @@ class SchemeFrame:
         vecs.flags.writeable = False
         return vecs, tuple((int(idx[0]), int(idx[-1]) + 1) for idx in cluster_indices(evals))
 
-    @cached_property
+    @_beta_free
     def yanase_defect(self) -> float:
         """The worst commutator of a pointer effect with the probe Hamiltonian."""
         return float(commutator_defect(self.pointer.effects, self.probe_hamiltonian).max())
 
-    @cached_property
+    @_beta_free
     def pointer_roots(self) -> np.ndarray:
         """Square roots of the pointer effects, one per outcome."""
         names = tuple(f"pointer effect {x!r}: operator" for x in self.pointer.outcomes)
@@ -167,7 +207,9 @@ class MeasurementScheme:
     A scheme is immutable, as its frame is. What depends on the interaction
     too (the freeness defects, the induced instrument and the conjugate
     channel) is derived on first use, by the function that defines it, and
-    kept for every later use.
+    kept for every later use. Each is read from the stacked kernels of the
+    scheme's :class:`SchemeBatch`, which for a scheme made alone is a batch
+    of one.
     """
 
     def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
@@ -179,7 +221,14 @@ class MeasurementScheme:
                 f"interaction acts on dimension {interaction.dim_in}, expected "
                 f"{frame.dim_system} * {frame.dim_probe} = {d}"
             )
+        self._hold(frame, interaction)
+
+    def _hold(self, frame: SchemeFrame, interaction: KrausChannel, point: tuple = None) -> None:
+        """Holds the frame and interaction and, when given, the ``(batch, index)``
+        of the :class:`SchemeBatch` entry they are."""
         vars(self).update(frame=frame, interaction=interaction)
+        if point is not None:
+            vars(self)["_point"] = point
 
     def __getattr__(self, name):
         # Called only for names the scheme itself lacks.
@@ -189,6 +238,11 @@ class MeasurementScheme:
 
     __setattr__ = SchemeFrame.__setattr__
     __delattr__ = SchemeFrame.__delattr__
+
+    @cached_property
+    def _point(self) -> tuple:
+        """``(batch, index)``: the :class:`SchemeBatch` this scheme is entry ``index`` of."""
+        return SchemeBatch(self.frame, self.interaction.kraus[None]), 0
 
     @cached_property
     def _free_defects(self) -> FreeSchemeReport:
@@ -257,6 +311,95 @@ class FreeSchemeReport:
         }
 
 
+class SchemeBatch:
+    """The schemes of one frame whose interactions are the entries of one stack.
+
+    ``kraus`` is a read-only ``(P, k, D, D)`` stack of validated interactions,
+    one per point. What the schemes derive from their interactions is
+    computed for all points at once, on first use, and kept: the freeness
+    defects, one dilation, and from it the induced instruments and the
+    conjugate channels. Each point keeps the dilation's operators that
+    :func:`_pruned` keeps; points that keep different ones cannot share a
+    stack and are refused, to be derived one at a time.
+    """
+
+    def __init__(self, frame: SchemeFrame, kraus: np.ndarray):
+        self.frame = frame
+        self.kraus = kraus
+
+    def schemes(self) -> list:
+        """One :class:`MeasurementScheme` per point, each reading this batch."""
+        return [
+            _from_validated(
+                MeasurementScheme, self.frame, _from_validated(KrausChannel, ks), (self, i)
+            )
+            for i, ks in enumerate(self.kraus)
+        ]
+
+    @cached_property
+    def free_defects(self) -> tuple:
+        """``(bistochastic, moments)``: per point the worse of the trace and unital
+        defects, ``(P,)``, and the defects of the energy moments ``k =
+        1..ENERGY_MOMENTS``, ``(P, ENERGY_MOMENTS)``."""
+        trace, unital = _bistochastic_defects(self.kraus)
+        moments = [_moment_defect(self.kraus, hk) for hk in self.frame.energy_powers]
+        return np.maximum(trace, unital), np.stack(moments, axis=-1)
+
+    @cached_property
+    def dilation(self) -> tuple:
+        """:func:`_dilation` of every point: the stack and the probe amplitudes."""
+        return _dilation(self.frame, self.kraus)
+
+    @cached_property
+    def instruments(self) -> list:
+        """The induced instrument of each point, with its induced observable.
+
+        Every outcome's Kraus stack is one ``(P, k', d_s, d_s)`` array;
+        finiteness, the trace preservation of the total channel and the
+        induced effects are validated for all points at once.
+        """
+        frame = self.frame
+        outcomes, d_s, n = frame.pointer.outcomes, frame.dim_system, len(self.kraus)
+        dilation, amplitudes = self.dilation
+        stacks = []
+        for label, root in zip(outcomes, frame.pointer_roots):
+            ops = _pruned(np.einsum("pb,qmaibj->qmapij", root, dilation), amplitudes)
+            if ops.shape[1] == 0:
+                ops = np.zeros((n, 1, d_s, d_s), dtype=complex)
+            _require_finite(ops, f" of outcome {label!r}")
+            ops.flags.writeable = False
+            stacks.append(ops)
+        grams = np.stack([_gram(ops) for ops in stacks], axis=1)
+        grams.flags.writeable = False
+        _require_trace_preserving(grams.sum(axis=1), "total channel")
+        names = tuple(f"effect {x!r}" for x in outcomes)
+        effects = _symmetrized(grams.reshape(-1, d_s, d_s), VALIDATION_TOL, names * n)
+        effects = effects.reshape(grams.shape)
+        _require_effects(effects, names, VALIDATION_TOL)
+        effects.flags.writeable = False
+        return [
+            _from_validated(
+                Instrument,
+                outcomes,
+                tuple(ops[i] for ops in stacks),
+                grams[i],
+                _from_validated(Observable, outcomes, effects[i]),
+            )
+            for i in range(n)
+        ]
+
+    @cached_property
+    def conjugates(self) -> list:
+        """The conjugate channel of each point, validated for all points at once."""
+        ops = _pruned(*self.dilation)
+        if ops.shape[1] == 0:
+            raise ValidationError("no Kraus operator given")
+        _require_finite(ops)
+        _require_trace_preserving(_gram(ops), "channel")
+        ops.flags.writeable = False
+        return [_from_validated(KrausChannel, ks) for ks in ops]
+
+
 def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     """``||Phi*(H^k) - H^k||_F``: conservation of the k-th energy moment."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
@@ -265,11 +408,12 @@ def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
             f"channel dims {channel.dim_out}x{channel.dim_in} do not match "
             f"Hamiltonian dimension {h.shape[0]}"
         )
-    return _moment_defect(channel, np.linalg.matrix_power(h, int(k)))
+    return float(_moment_defect(channel.kraus, np.linalg.matrix_power(h, int(k))))
 
 
-def _moment_defect(channel: KrausChannel, hk: np.ndarray) -> float:
-    return frobenius(channel.apply_dual(hk) - hk)
+def _moment_defect(kraus: np.ndarray, hk: np.ndarray) -> np.ndarray:
+    """``||Phi*(H^k) - H^k||_F`` of the channel of a Kraus stack, or of each of a stack of them."""
+    return frobenius_each(_dual(kraus, hk) - hk)
 
 
 def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
@@ -281,40 +425,48 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
     of a pointer effect with the probe Hamiltonian. The report's verdict is
     at ``THEOREM_TOL``; ``scheme.freeness(tol)`` gives it at any other tol.
+    The defects are read from the scheme's :class:`SchemeBatch`.
     """
-    bist = is_bistochastic(scheme.interaction)
+    batch, i = scheme._point
+    bistochastic, moments = batch.free_defects
     return FreeSchemeReport(
         gibbs_probe_ok=True,
-        bistochastic_defect=max(bist.trace_defect, bist.unital_defect),
-        energy_conservation_defects=tuple(
-            _moment_defect(scheme.interaction, hk) for hk in scheme.energy_powers
-        ),
+        bistochastic_defect=float(bistochastic[i]),
+        energy_conservation_defects=tuple(float(d) for d in moments[i]),
         yanase_defect=scheme.yanase_defect,
         tol=THEOREM_TOL,
     )
 
 
-def _dilation(scheme: MeasurementScheme) -> tuple:
-    """``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)`` and the amplitudes ``sqrt(g_a)``.
+def _dilation(frame: SchemeFrame, kraus: np.ndarray) -> tuple:
+    """``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)`` for each point, and the amplitudes ``sqrt(g_a)``.
 
-    The stack is ``(k, d_a, d_s, d_a, d_s)``: interaction Kraus operator
-    ``M``, probe level ``|a>``, then system out, probe out, system in. The
+    ``kraus`` is a ``(P, k, D, D)`` stack of interactions; the result is
+    ``(P, k, d_a, d_s, d_a, d_s)``: point, interaction Kraus operator ``M``,
+    probe level ``|a>``, then system out, probe out, system in. The
     amplitudes ``sqrt(g_a) = exp(ln g_a / 2)`` come from the log Gibbs
     weights, so they stay positive where ``g_a`` is far below round-off.
     """
-    d_s, d_a = scheme.dim_system, scheme.dim_probe
-    log_weights, vecs = scheme.probe_log_weights
+    d_s, d_a = frame.dim_system, frame.dim_probe
+    log_weights, vecs = frame.probe_log_weights
     amplitudes = np.exp(log_weights / 2)
-    t = scheme.interaction.kraus.reshape(-1, d_s, d_a, d_s, d_a)
-    return np.einsum("mibjc,ca->maibj", t, vecs * amplitudes), amplitudes
+    t = kraus.reshape(len(kraus), -1, d_s, d_a, d_s, d_a)
+    return np.einsum("qmibjc,ca->qmaibj", t, vecs * amplitudes), amplitudes
 
 
 def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """The operators of a ``(k, d_a, n, rows, cols)`` stack as one ``(-1, rows, cols)`` stack.
+    """The kept operators of a ``(P, k, d_a, n, rows, cols)`` stack, as ``(P, -1, rows, cols)``.
 
-    Kept are those whose norm exceeds ``PRUNE_TOL`` times the amplitude of their probe level.
+    Kept are those whose norm exceeds ``PRUNE_TOL`` times the amplitude of
+    their probe level. Every point must keep the same ones.
     """
-    return ks[np.linalg.norm(ks, axis=(-2, -1)) > PRUNE_TOL * amplitudes[:, None]]
+    keep = np.linalg.norm(ks, axis=(-2, -1)) > PRUNE_TOL * amplitudes[:, None]
+    if (keep != keep[:1]).any():
+        raise ValidationError(
+            "the points of a scheme batch keep different dilation operators; "
+            "derive them one at a time"
+        )
+    return ks[:, keep[0]]
 
 
 def induced_instrument(scheme: MeasurementScheme) -> Instrument:
@@ -325,13 +477,8 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    d_s = scheme.dim_system
-    dilation, amplitudes = _dilation(scheme)
-    kraus_sets = []
-    for root in scheme.pointer_roots:
-        ops = _pruned(np.einsum("pb,maibj->mapij", root, dilation), amplitudes)
-        kraus_sets.append(ops if len(ops) else np.zeros((1, d_s, d_s)))
-    return Instrument(scheme.pointer.outcomes, kraus_sets)
+    batch, i = scheme._point
+    return batch.instruments[i]
 
 
 def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
@@ -341,7 +488,8 @@ def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     operators are ordered by interaction Kraus operator, probe level and
     system output.
     """
-    return KrausChannel(_pruned(*_dilation(scheme)))
+    batch, i = scheme._point
+    return batch.conjugates[i]
 
 
 def swap_unitary(dim: int) -> np.ndarray:
@@ -397,22 +545,37 @@ def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> 
     The interaction is a convex mixture of ``mixture_size`` Haar-random
     unitaries block-diagonal on the degenerate eigenspaces of the total
     Hamiltonian (hence energy conserving), with mixture weights drawn
-    uniformly from the simplex. Deterministic for a fixed seed.
+    uniformly from the simplex. Deterministic for a fixed seed; the draw of
+    :func:`random_free_schemes` for one seed.
+    """
+    return random_free_schemes(frame, [seed], mixture_size)[0]
 
-    Every block unitary of every term comes from one batched draw, term by
-    term and block by block in ascending energy; each term is then one
-    conjugation of its block-diagonal matrix by the energy eigenbasis.
+
+def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> list:
+    """:func:`random_free_scheme` for each of ``seeds``, as one :class:`SchemeBatch`.
+
+    Each seed's generator draws its Ginibre normals, term by term and block
+    by block in ascending energy, then its mixture weights. One stacked QR
+    per block size turns the normals of every seed into unitaries, and one
+    conjugation by the energy eigenbasis turns each term's block-diagonal
+    matrix into a unitary. Trace preservation and finiteness are validated
+    for all seeds at once.
     """
     require_free_draw(frame, mixture_size)
     vecs, bounds = frame.energy_blocks
-    rng = np.random.default_rng(seed)
-    draws = iter(haar_unitaries([stop - start for start, stop in bounds] * mixture_size, rng))
-    blocks = np.zeros((mixture_size, *vecs.shape), dtype=complex)
-    for term in blocks:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = haar_unitary_stacks([stop - start for start, stop in bounds] * mixture_size, rngs)
+    taken = dict.fromkeys(draws, 0)
+    blocks = np.zeros((len(rngs), mixture_size, *vecs.shape), dtype=complex)
+    for term in range(mixture_size):
         for start, stop in bounds:
-            term[start:stop, start:stop] = next(draws)
+            blocks[:, term, start:stop, start:stop] = draws[stop - start][:, taken[stop - start]]
+            taken[stop - start] += 1
     # "+ 0.0" makes each -0.0 off the blocks +0.0, as a sum over blocks from zero does.
     unitaries = vecs @ blocks @ dag(vecs) + 0.0
-    weights = rng.dirichlet(np.ones(mixture_size))
-    kraus = np.sqrt(weights)[:, None, None] * unitaries
-    return MeasurementScheme(frame, KrausChannel(kraus))
+    weights = np.array([rng.dirichlet(np.ones(mixture_size)) for rng in rngs])
+    kraus = np.sqrt(weights)[..., None, None] * unitaries
+    _require_finite(kraus)
+    _require_trace_preserving(_gram(kraus), "channel")
+    kraus.flags.writeable = False
+    return SchemeBatch(frame, kraus).schemes()

@@ -6,9 +6,12 @@ Outcomes with probability below ``PROBABILITY_CUTOFF`` are excluded from
 every conditional sum (the 0 ln 0 convention); conditional states are only
 defined for outcomes that actually occur.
 
-Every per-state quantity has one implementation, which works on a stack of
-states: :class:`StateAudit` and the stack helpers it uses. The single-state
-functions call them on a stack of one.
+Every per-state quantity has one implementation, which works on stacks of
+states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
+d)`` state stack holds each point's states for that point's instrument, and
+the stack helpers it uses. A :class:`StateAudit` is one point of a batch;
+made alone it is a batch of one, and the points of a sweep chunk share one
+batch. The single-state functions call them on a stack of one state.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .linalg import (
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument, gibbs_log_weights
+from .objects import Instrument, _sandwich, gibbs_log_weights
 from .schemes import MeasurementScheme
 
 
@@ -108,37 +111,41 @@ def _divergence_to_gibbs(rho, entropy, gibbs):
     return -entropy - _diagonal(rho, vecs) @ log_weights
 
 
-def _log_gibbs_probabilities(observable, gibbs) -> np.ndarray:
+def _log_gibbs_probabilities(effects, gibbs) -> np.ndarray:
     """``ln q_x = logsumexp_i(ln <i|E_x|i> + ln tau_i)`` per outcome; NaN where ``q_x = 0``.
 
-    The sum runs over the positive diagonal entries of ``E_x`` in the
-    eigenbasis of ``H``, so ``ln q_x`` stays finite at low temperature.
+    ``effects`` is one observable's ``(n_outcomes, d, d)`` stack, or a stack
+    of them. The sum runs over the positive diagonal entries of ``E_x`` in
+    the eigenbasis of ``H``, so ``ln q_x`` stays finite at low temperature.
     """
     log_weights, vecs = gibbs
-    diagonals = _diagonal(observable.effects, vecs)
+    diagonals = _diagonal(effects, vecs)
     support = diagonals > 0.0
     terms = np.log(diagonals, out=np.full(diagonals.shape, -np.inf), where=support) + log_weights
-    occurs = support.any(axis=1)
-    terms = terms[occurs]
-    log_q = np.full(len(diagonals), np.nan)
-    log_q[occurs] = logsumexp(terms)
+    occurs = support.any(axis=-1)
+    log_q = np.full(occurs.shape, np.nan)
+    log_q[occurs] = logsumexp(terms[occurs])
     return log_q
 
 
-def _outcome_divergence(observable, states, log_q) -> np.ndarray:
-    """``sum_x p_x (ln p_x - ln q_x)`` of each state of a stack, over ``p_x`` above the cutoff."""
-    p = np.einsum("xij,nji->xn", observable.effects, states).real
+def _outcome_divergence(outcomes, effects, states, log_q) -> np.ndarray:
+    """``sum_x p_x (ln p_x - ln q_x)`` of each state, over ``p_x`` above the cutoff.
+
+    ``effects`` is ``(P, n_outcomes, d, d)``, ``states`` ``(P, n, d, d)`` and
+    ``log_q`` ``(P, n_outcomes)``: each point's observable on its own states.
+    """
+    # One contraction per point: a stacked einsum sums in another order.
+    p = np.array([np.einsum("xij,nji->xn", e, s) for e, s in zip(effects, states)]).real
     kept = p > PROBABILITY_CUTOFF
-    impossible = kept & np.isnan(log_q)[:, None]
+    impossible = kept & np.isnan(log_q)[..., None]
     if impossible.any():
-        i = int(np.argmax(impossible.any(axis=0)))
-        x = int(np.argmax(impossible[:, i]))
+        point, x, i = np.argwhere(impossible.transpose(0, 2, 1))[0][[0, 2, 1]]
         raise ValidationError(
-            f"outcome {observable.outcomes[x]!r} has zero Gibbs probability but "
-            f"p = {p[x, i]:.3e}; effects must be zero operators to be skipped"
+            f"outcome {outcomes[x]!r} has zero Gibbs probability but "
+            f"p = {p[point, x, i]:.3e}; effects must be zero operators to be skipped"
         )
     log_p = np.log(np.where(kept, p, 1.0))
-    return np.where(kept, p * (log_p - log_q[:, None]), 0.0).sum(axis=0)
+    return np.where(kept, p * (log_p - log_q[..., None]), 0.0).sum(axis=-2)
 
 
 def _skew_information(h, m) -> np.ndarray:
@@ -146,58 +153,72 @@ def _skew_information(h, m) -> np.ndarray:
     trace = np.trace(m, axis1=-2, axis2=-1).real
     if (trace > 1 + VALIDATION_TOL).any():
         raise ValidationError(f"operator must be sub-normalized, got trace {np.max(trace):.6f}")
-    root = psd_sqrt(m)
+    d = m.shape[-1]
+    root = psd_sqrt(m if m.ndim <= 3 else m.reshape(-1, d, d)).reshape(m.shape)
     comm = root @ h
     comm -= h @ root
     return 0.5 * np.linalg.norm(comm, axis=(-2, -1)) ** 2
 
 
-class StateAudit:
-    """Every per-state quantity of one instrument on a stack of states.
+def _entropy(m) -> np.ndarray:
+    """:func:`von_neumann_entropy` of each matrix of a ``(..., d, d)`` stack, unvalidated."""
+    d = m.shape[-1]
+    return von_neumann_entropy(m.reshape(-1, d, d), validate=False).reshape(m.shape[:-2])
 
-    ``states`` is a validated ``(n, d, d)`` stack, as :func:`density_matrix`
-    returns it, and ``hamiltonian`` a Hermitian matrix, as
-    :func:`require_hermitian` returns it. Each outcome's Kraus stack is
-    applied to the whole stack once; every quantity is derived from those
-    outputs on its first use and kept, so the second law, heat duality
-    and the skew chain read one shared record and a caller pays only for
-    what it reads. Arrays hold one entry per state (per outcome and state
-    for ``probabilities``).
 
-    ``hamiltonian`` and ``beta`` are needed only by the quantities that
-    use them. With a ``scheme``, the instrument, Hamiltonian and beta
-    must be the scheme's; it then supplies the Gibbs data and the
-    probe-side heat, and gates :meth:`second_law_reports` on freeness.
+class AuditBatch:
+    """Every per-state quantity of several points, each one instrument on its
+    own stack of states, as arrays with a leading point axis.
+
+    ``instruments`` holds one instrument per point, every point with as many
+    Kraus operators per outcome as the others, and ``states`` is a validated
+    ``(P, n, d, d)`` stack: entry ``[i]`` holds the states of point ``i``.
+    ``hamiltonian`` and ``beta`` are shared by every point and needed only by
+    the quantities that use them. With ``schemes`` (one per point, all on one
+    frame), the instruments, Hamiltonian and beta must be theirs; the frame
+    then supplies the Gibbs data and the probe-side heat, and each point's
+    scheme gates its second law on freeness.
+
+    Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
+    stack once; every quantity is derived from those outputs on its first
+    use and kept, so the second law, heat duality and the skew chain read
+    one shared record and a caller pays only for what it reads.
+    :meth:`point` gives one point's :class:`StateAudit`.
     """
 
-    def __init__(
-        self, instrument: Instrument, states, hamiltonian=None, beta=None, scheme=None
-    ):
-        self.instrument = instrument
+    def __init__(self, instruments, states, hamiltonian=None, beta=None, schemes=None):
+        self.instruments = list(instruments)
         self.states = states
         self.hamiltonian = hamiltonian
         self.beta = beta
-        self.scheme = scheme
+        self.schemes = schemes
 
-    @classmethod
-    def of_scheme(cls, scheme: MeasurementScheme, states) -> "StateAudit":
-        return cls(scheme.instrument, states, scheme.system_hamiltonian, scheme.beta, scheme)
+    def point(self, i: int) -> "StateAudit":
+        """The :class:`StateAudit` of point ``i``, reading this batch."""
+        audit = object.__new__(StateAudit)
+        audit._batch, audit._point = self, i
+        return audit
 
     @cached_property
     def gibbs(self) -> tuple:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
-        if self.scheme is not None:
-            return self.scheme.gibbs_log_weights
+        if self.schemes is not None:
+            return self.schemes[0].gibbs_log_weights
         return gibbs_log_weights(self.hamiltonian, require_beta(self.beta))
 
     @cached_property
     def outputs(self) -> np.ndarray:
-        """``I_x(rho)`` of every outcome and state, shaped ``(n_outcomes, n, d, d)``."""
-        return self.instrument.apply(self.states)
+        """``I_x(rho)`` of every point, outcome and state, shaped ``(P, n_outcomes, n, d, d)``."""
+        p, n, d = self.states.shape[:3]
+        outputs = np.empty((p, len(self.instruments[0].outcomes), n, d, d), dtype=complex)
+        for x in range(outputs.shape[1]):
+            kraus = np.stack([ins.kraus_sets[x] for ins in self.instruments])
+            outputs[:, x] = _sandwich(kraus, self.states)
+        return outputs
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        """``tr I_x(rho)``, shaped ``(n_outcomes, n)``."""
+        """``tr I_x(rho)``, shaped ``(P, n_outcomes, n)``."""
         return np.trace(self.outputs, axis1=-2, axis2=-1).real
 
     @cached_property
@@ -209,18 +230,18 @@ class StateAudit:
         return self.outputs[self._occurring] / self.probabilities[self._occurring][:, None, None]
 
     def _per_outcome(self, values) -> np.ndarray:
-        """``values`` of the occurring pairs spread to ``(n_outcomes, n)``, zero elsewhere."""
+        """``values`` of the occurring pairs spread to ``(P, n_outcomes, n)``, zero elsewhere."""
         full = np.zeros(self.probabilities.shape)
         full[self._occurring] = values
         return full
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return von_neumann_entropy(self.states, validate=False)
+        return _entropy(self.states)
 
     @cached_property
     def _conditional_entropy(self) -> np.ndarray:
-        return self._per_outcome(von_neumann_entropy(self._conditional_states(), validate=False))
+        return self._per_outcome(_entropy(self._conditional_states()))
 
     @cached_property
     def extractable_work(self) -> np.ndarray:
@@ -231,41 +252,110 @@ class StateAudit:
         divergence = _divergence_to_gibbs(
             self._conditional_states(), self._conditional_entropy[self._occurring], self.gibbs
         )
-        return (self.probabilities * self._per_outcome(divergence)).sum(axis=0) / self.beta
+        return (self.probabilities * self._per_outcome(divergence)).sum(axis=1) / self.beta
 
     @cached_property
     def outcome_divergence(self) -> np.ndarray:
-        observable = self.instrument.induced_observable
-        log_q = _log_gibbs_probabilities(observable, self.gibbs)
-        return _outcome_divergence(observable, self.states, log_q)
+        observables = [ins.induced_observable for ins in self.instruments]
+        effects = np.stack([observable.effects for observable in observables])
+        log_q = _log_gibbs_probabilities(effects, self.gibbs)
+        return _outcome_divergence(observables[0].outcomes, effects, self.states, log_q)
 
     @cached_property
     def groenewold_gain(self) -> np.ndarray:
-        return self.entropy - (self.probabilities * self._conditional_entropy).sum(axis=0)
+        return self.entropy - (self.probabilities * self._conditional_entropy).sum(axis=1)
 
     @cached_property
     def system_heat(self) -> np.ndarray:
         """Increase of the system's expected energy under the instrument's total channel."""
-        change = self.outputs.sum(axis=0) - self.states
-        return np.einsum("ij,nji->n", self.hamiltonian, change).real
+        change = self.outputs.sum(axis=1) - self.states
+        return np.einsum("ij,pnji->pn", self.hamiltonian, change).real
 
     @cached_property
     def probe_heat(self) -> np.ndarray:
         """Decrease of the probe's expected energy when the scheme acts on each state."""
-        scheme = self.scheme
-        probe_after = scheme.conjugate.apply(self.states)
-        change = scheme.probe_state.matrix - probe_after
-        return np.einsum("ij,nji->n", scheme.probe_hamiltonian, change).real
+        conjugates = np.stack([scheme.conjugate.kraus for scheme in self.schemes])
+        shared = self.schemes[0]  # every scheme has the same frame
+        change = shared.probe_state.matrix - _sandwich(conjugates, self.states)
+        return np.einsum("ij,pnji->pn", shared.probe_hamiltonian, change).real
 
     @cached_property
-    def skew_chain(self) -> tuple:
-        """``(selective_slack, convexity_slack)`` arrays; see :func:`skew_information_chain`."""
+    def skew_chain(self) -> np.ndarray:
+        """``(selective_slack, convexity_slack)`` of each state, shaped ``(P, 2, n)``;
+        see :func:`skew_information_chain`."""
         h, outputs = self.hamiltonian, self.outputs
-        k, n, d = outputs.shape[:3]
         before = _skew_information(h, self.states)
-        per_outcome = _skew_information(h, outputs.reshape(k * n, d, d)).reshape(k, n).sum(axis=0)
-        after_total = _skew_information(h, outputs.sum(axis=0))
-        return before - per_outcome, per_outcome - after_total
+        per_outcome = _skew_information(h, outputs).sum(axis=1)
+        after_total = _skew_information(h, outputs.sum(axis=1))
+        return np.stack([before - per_outcome, per_outcome - after_total], axis=1)
+
+
+class StateAudit:
+    """Every per-state quantity of one instrument on a stack of states: one point
+    of an :class:`AuditBatch`.
+
+    ``states`` is a validated ``(n, d, d)`` stack, as :func:`density_matrix`
+    returns it, and ``hamiltonian`` a Hermitian matrix, as
+    :func:`require_hermitian` returns it. The audit made here is a batch of
+    one; the grid points of a sweep chunk read one shared batch. Each
+    public derived array of the batch reads as this point's entry, holding
+    one entry per state (per outcome and state for ``probabilities``), and
+    ``instrument``, ``states`` and ``scheme`` as this point's.
+
+    ``hamiltonian`` and ``beta`` are needed only by the quantities that
+    use them. With a ``scheme``, the instrument, Hamiltonian and beta
+    must be the scheme's; it then supplies the Gibbs data and the
+    probe-side heat, and gates :meth:`second_law_reports` on freeness.
+    """
+
+    def __init__(
+        self, instrument: Instrument, states, hamiltonian=None, beta=None, scheme=None
+    ):
+        schemes = None if scheme is None else [scheme]
+        self._batch = AuditBatch([instrument], states[None], hamiltonian, beta, schemes)
+        self._point = 0
+
+    @classmethod
+    def of_scheme(cls, scheme: MeasurementScheme, states) -> "StateAudit":
+        return cls(scheme.instrument, states, scheme.system_hamiltonian, scheme.beta, scheme)
+
+    #: The batch's per-point arrays: its public derived quantities but the shared Gibbs data.
+    _PER_STATE = frozenset(
+        name for name, value in vars(AuditBatch).items()
+        if isinstance(value, cached_property) and not name.startswith("_") and name != "gibbs"
+    )
+
+    def __getattr__(self, name):
+        # Called only for names the audit itself lacks.
+        if name not in StateAudit._PER_STATE:
+            raise AttributeError(name)
+        return getattr(self._batch, name)[self._point]
+
+    @property
+    def instrument(self) -> Instrument:
+        return self._batch.instruments[self._point]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._batch.states[self._point]
+
+    @property
+    def hamiltonian(self):
+        return self._batch.hamiltonian
+
+    @property
+    def beta(self):
+        return self._batch.beta
+
+    @property
+    def scheme(self):
+        schemes = self._batch.schemes
+        return None if schemes is None else schemes[self._point]
+
+    @property
+    def gibbs(self) -> tuple:
+        """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
+        return self._batch.gibbs
 
     def work_reports(self, heat) -> list:
         """One :class:`WorkReport` per state, with the given heat array."""
@@ -287,8 +377,7 @@ class StateAudit:
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
         """``(SecondLawReport, WorkReport)`` per state; see :func:`second_law_report`."""
-        scheme = self.scheme
-        freeness = scheme.freeness(tol)
+        freeness = self.scheme.freeness(tol)
         if not freeness.verdict:
             raise PreconditionError(
                 f"scheme is not thermodynamically free: worst defect "
@@ -339,9 +428,12 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     finite at low temperature.
     """
     log_q = _log_gibbs_probabilities(
-        observable, gibbs_log_weights(system_hamiltonian, require_beta(beta))
+        observable.effects, gibbs_log_weights(system_hamiltonian, require_beta(beta))
     )
-    return float(_outcome_divergence(observable, as_matrix(rho)[None], log_q)[0])
+    divergence = _outcome_divergence(
+        observable.outcomes, observable.effects[None], as_matrix(rho)[None, None], log_q[None]
+    )
+    return float(divergence[0, 0])
 
 
 def groenewold_gain(instrument: Instrument, rho) -> float:

@@ -330,7 +330,7 @@ class TestParseScenario:
         def forbidden(*args):
             raise AssertionError("a scheme was drawn")
 
-        monkeypatch.setattr(scenario_module, "random_free_scheme", forbidden)
+        monkeypatch.setattr(scenario_module, "random_free_schemes", forbidden)
         raw["scheme"]["mixture_size"] = MAX_MIXTURE_SIZE + 1
         with pytest.raises(ValidationError, match=f"^scheme.mixture_size must be at most "
                            f"{MAX_MIXTURE_SIZE}, got {MAX_MIXTURE_SIZE + 1}$"):
@@ -513,7 +513,7 @@ class TestRunScenario:
         assert report.verdict
 
     def test_scheme_objects_are_derived_once(self, monkeypatch):
-        counts = {"dilation": 0, "moment": 0, "instrument_apply": 0, "audit": 0}
+        counts = {"dilation": 0, "moment": 0, "audit": 0, "instrument_apply": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -522,10 +522,14 @@ class TestRunScenario:
 
             return wrapper
 
-        sandwiches = []
+        sandwiches, other_sandwiches = [], []
 
         def recorded(ks, m):
             sandwiches.append((ks, m.shape))
+            return sandwich(ks, m)
+
+        def recorded_elsewhere(ks, m):
+            other_sandwiches.append(m.shape)
             return sandwich(ks, m)
 
         parsed = []
@@ -534,16 +538,17 @@ class TestRunScenario:
             parsed.append(parse(*args, **kwargs))
             return parsed[-1]
 
-        sandwich, parse = objects._sandwich, scenario_module.parse_scenario
-        monkeypatch.setattr(objects, "_sandwich", recorded)
+        sandwich, parse = thermo._sandwich, scenario_module.parse_scenario
+        monkeypatch.setattr(thermo, "_sandwich", recorded)
+        monkeypatch.setattr(objects, "_sandwich", recorded_elsewhere)
         monkeypatch.setattr(scenario_module, "parse_scenario", kept)
         monkeypatch.setattr(schemes, "_dilation", counted("dilation", schemes._dilation))
         monkeypatch.setattr(schemes, "_moment_defect", counted("moment", schemes._moment_defect))
         monkeypatch.setattr(
-            objects.Instrument, "apply", counted("instrument_apply", objects.Instrument.apply)
+            thermo.AuditBatch, "__init__", counted("audit", thermo.AuditBatch.__init__)
         )
         monkeypatch.setattr(
-            thermo.StateAudit, "__init__", counted("audit", thermo.StateAudit.__init__)
+            objects.Instrument, "apply", counted("instrument_apply", objects.Instrument.apply)
         )
         raw = random_block_scenario(
             ["free_scheme", "second_law", "moments", "skew_chain", "heat_duality"]
@@ -556,13 +561,18 @@ class TestRunScenario:
         report = run_scenario(raw)
         assert report.verdict
         assert report.checks[1]["n_states"] == 20
-        # one dilation for the instrument, one for the conjugate channel
-        assert counts == {"dilation": 2, "moment": 4, "instrument_apply": 1, "audit": 1}
+        # one dilation, shared by the instrument and the conjugate channel; the
+        # states meet the instrument and the conjugate only in the audit, and
+        # outside it only the interaction acts, on the joint Gibbs state
+        assert counts == {"dilation": 1, "moment": 4, "audit": 1, "instrument_apply": 0}
+        assert other_sandwiches == [(9, 9)]
         # each outcome's Kraus stack and the conjugate channel meet the
-        # 20-state stack once, in one application each
+        # 20-state stack once, in one application each, as a batch of one point
         scheme = parsed[0].scheme
-        for ks in (*scheme.instrument.kraus_sets, scheme.conjugate.kraus):
-            assert [shape for other, shape in sandwiches if other is ks] == [(20, 3, 3)]
+        expected = (*scheme.instrument.kraus_sets, scheme.conjugate.kraus)
+        assert [shape for _, shape in sandwiches] == [(1, 20, 3, 3)] * len(expected)
+        for (ks, _), want in zip(sandwiches, expected):
+            assert np.array_equal(ks, want[None])
 
     def test_luders_instrument_is_built_once(self, monkeypatch):
         calls = []
@@ -869,5 +879,8 @@ class TestRunSweep:
 
     def test_refusal_at_a_grid_point_names_its_axis_value(self):
         sweep = {"axis": {"name": "seed", "values": [3, 8]}, "scenario": REFINE_REFUSED}
-        with pytest.raises(ValidationError, match=r"^axis\.seed\[0\] = 3: check 'refine': "):
+        # the top-level observable is refined once, with the template, before any grid point
+        with pytest.raises(
+            ValidationError, match=r"^check 'refine': rank-1 refinement refused: effects sum"
+        ):
             run_sweep(sweep)
