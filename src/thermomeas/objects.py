@@ -173,12 +173,14 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _dual(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``sum K† A K`` over a Kraus stack, or over each of a ``(..., k, d_out, d_in)`` stack.
 
-    Two pairwise contractions, O(k D^3), in this order: for a diagonal A,
-    conj(K) A first and then the sum over k and b forms each term and sums
-    them as the three-operand einsum does, whose round-off the benchmark's
-    reference outputs hold; a matmul kernel sums otherwise.
+    Two steps, O(k D^3). First ``conj(K) A``, one matrix product per Kraus
+    operator: for a diagonal A each entry has one nonzero term, so any
+    kernel forms it exactly. Then the sum over k and b, an einsum that
+    accumulates in sequence over the merged ``(k, b)`` index, as the
+    three-operand einsum does; that order is what the benchmark's reference
+    outputs pin, and a matmul kernel for this step sums otherwise.
     """
-    return np.einsum("...kib,...kbj->...ij", np.einsum("...kai,ab->...kib", ks.conj(), a), ks)
+    return np.einsum("...kib,...kbj->...ij", dag(ks) @ a, ks)
 
 
 def _choi(ks: np.ndarray) -> np.ndarray:

@@ -460,7 +460,7 @@ def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     Kept are those whose norm exceeds ``PRUNE_TOL`` times the amplitude of
     their probe level. Every point must keep the same ones.
     """
-    keep = np.linalg.norm(ks, axis=(-2, -1)) > PRUNE_TOL * amplitudes[:, None]
+    keep = frobenius_each(ks) > PRUNE_TOL * amplitudes[:, None]
     if (keep != keep[:1]).any():
         raise ValidationError(
             "the points of a scheme batch keep different dilation operators; "

@@ -166,6 +166,13 @@ def _entropy(m) -> np.ndarray:
     return von_neumann_entropy(m.reshape(-1, d, d), validate=False).reshape(m.shape[:-2])
 
 
+def _given(value, name: str):
+    """``value``; refused, naming the input ``name``, when the audit was not given it."""
+    if value is None:
+        raise PreconditionError(f"this quantity needs a {name}, and the audit was given none")
+    return value
+
+
 class AuditBatch:
     """Every per-state quantity of several points, each one instrument on its
     own stack of states, as arrays with a leading point axis.
@@ -202,9 +209,10 @@ class AuditBatch:
     @cached_property
     def gibbs(self) -> tuple:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
+        beta = _given(self.beta, "beta")
         if self.schemes is not None:
             return self.schemes[0].gibbs_log_weights
-        return gibbs_log_weights(self.hamiltonian, require_beta(self.beta))
+        return gibbs_log_weights(_given(self.hamiltonian, "Hamiltonian"), require_beta(beta))
 
     @cached_property
     def outputs(self) -> np.ndarray:
@@ -268,14 +276,16 @@ class AuditBatch:
     @cached_property
     def system_heat(self) -> np.ndarray:
         """Increase of the system's expected energy under the instrument's total channel."""
+        h = _given(self.hamiltonian, "Hamiltonian")
         change = self.outputs.sum(axis=1) - self.states
-        return np.einsum("ij,pnji->pn", self.hamiltonian, change).real
+        return np.einsum("ij,pnji->pn", h, change).real
 
     @cached_property
     def probe_heat(self) -> np.ndarray:
         """Decrease of the probe's expected energy when the scheme acts on each state."""
-        conjugates = np.stack([scheme.conjugate.kraus for scheme in self.schemes])
-        shared = self.schemes[0]  # every scheme has the same frame
+        schemes = _given(self.schemes, "scheme")
+        conjugates = np.stack([scheme.conjugate.kraus for scheme in schemes])
+        shared = schemes[0]  # every scheme has the same frame
         change = shared.probe_state.matrix - _sandwich(conjugates, self.states)
         return np.einsum("ij,pnji->pn", shared.probe_hamiltonian, change).real
 
@@ -283,11 +293,39 @@ class AuditBatch:
     def skew_chain(self) -> np.ndarray:
         """``(selective_slack, convexity_slack)`` of each state, shaped ``(P, 2, n)``;
         see :func:`skew_information_chain`."""
-        h, outputs = self.hamiltonian, self.outputs
+        h, outputs = _given(self.hamiltonian, "Hamiltonian"), self.outputs
         before = _skew_information(h, self.states)
         per_outcome = _skew_information(h, outputs).sum(axis=1)
         after_total = _skew_information(h, outputs.sum(axis=1))
         return np.stack([before - per_outcome, per_outcome - after_total], axis=1)
+
+    @cached_property
+    def report_rows(self) -> list:
+        """Per point and state, the five :class:`WorkReport` quantities and, with
+        ``schemes``, the four :class:`SecondLawReport` slacks, as Python floats.
+
+        The heat is probe-side with ``schemes`` and system-side without. One
+        stacked expression and one ``tolist`` for the whole batch.
+        """
+        beta = self.beta
+        w, avg_w = self.extractable_work, self.average_extractable_work
+        divergence, gain = self.outcome_divergence, self.groenewold_gain
+        heat = self.system_heat if self.schemes is None else self.probe_heat
+        columns = [w, avg_w, divergence, heat, gain]
+        if self.schemes is not None:
+            columns += [
+                w - divergence / beta - avg_w,
+                np.abs(avg_w - w - heat - gain / beta),
+                -divergence / beta - heat - gain / beta,
+                -gain / beta - heat,
+            ]
+        return np.stack(columns, axis=-1).tolist()
+
+    @cached_property
+    def heat_rows(self) -> list:
+        """Per point and state, the probe-side heat and its system-side defect, as Python floats."""
+        heat = self.probe_heat
+        return np.stack([heat, np.abs(heat - self.system_heat)], axis=-1).tolist()
 
 
 class StateAudit:
@@ -300,12 +338,15 @@ class StateAudit:
     one; the grid points of a sweep chunk read one shared batch. Each
     public derived array of the batch reads as this point's entry, holding
     one entry per state (per outcome and state for ``probabilities``), and
-    ``instrument``, ``states`` and ``scheme`` as this point's.
+    ``instrument``, ``states`` and ``scheme`` as this point's. The report
+    methods read this point's entries of the batch's report rows.
 
     ``hamiltonian`` and ``beta`` are needed only by the quantities that
-    use them. With a ``scheme``, the instrument, Hamiltonian and beta
-    must be the scheme's; it then supplies the Gibbs data and the
-    probe-side heat, and gates :meth:`second_law_reports` on freeness.
+    use them; one that needs an input the audit was not given is refused
+    with a :class:`PreconditionError` naming it. With a ``scheme``, the
+    instrument, Hamiltonian and beta must be the scheme's; it then supplies
+    the Gibbs data and the probe-side heat, and gates
+    :meth:`second_law_reports` on freeness.
     """
 
     def __init__(
@@ -357,43 +398,26 @@ class StateAudit:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
         return self._batch.gibbs
 
-    def work_reports(self, heat) -> list:
-        """One :class:`WorkReport` per state, with the given heat array."""
-        columns = (
-            self.extractable_work,
-            self.average_extractable_work,
-            self.outcome_divergence,
-            heat,
-            self.groenewold_gain,
-        )
-        return [WorkReport(*map(float, row), beta=self.beta) for row in zip(*columns)]
+    def work_reports(self) -> list:
+        """One :class:`WorkReport` per state; its heat is probe-side with a scheme
+        and system-side without."""
+        beta = self.beta
+        return [WorkReport(*row[:5], beta=beta) for row in self.report_rows]
 
     def heat_reports(self) -> list:
         """One :class:`HeatReport` per state: probe-side heat and its system-side defect."""
-        return [
-            HeatReport(heat=float(q), duality_defect=float(abs(q - s)))
-            for q, s in zip(self.probe_heat, self.system_heat)
-        ]
+        return [HeatReport(*row) for row in self.heat_rows]
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
         """``(SecondLawReport, WorkReport)`` per state; see :func:`second_law_report`."""
-        freeness = self.scheme.freeness(tol)
+        freeness = _given(self.scheme, "scheme").freeness(tol)
         if not freeness.verdict:
             raise PreconditionError(
                 f"scheme is not thermodynamically free: worst defect "
                 f"{freeness.worst_defect:.3e} > {tol:.1e}"
             )
-        beta = self.beta
-        w, avg_w = self.extractable_work, self.average_extractable_work
-        divergence, heat, gain = self.outcome_divergence, self.probe_heat, self.groenewold_gain
-        slacks = zip(
-            w - divergence / beta - avg_w,
-            np.abs(avg_w - w - heat - gain / beta),
-            -divergence / beta - heat - gain / beta,
-            -gain / beta - heat,
-        )
-        laws = [SecondLawReport(*map(float, row), tol=tol) for row in slacks]
-        return list(zip(laws, self.work_reports(heat)))
+        laws = [SecondLawReport(*row[5:], tol=tol) for row in self.report_rows]
+        return list(zip(laws, self.work_reports()))
 
 
 def _one_state(rho) -> np.ndarray:
@@ -486,8 +510,7 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     """
     beta = require_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    audit = StateAudit(instrument, _one_state(rho), h, beta)
-    return audit.work_reports(audit.system_heat)[0]
+    return StateAudit(instrument, _one_state(rho), h, beta).work_reports()[0]
 
 
 def second_law_report(

@@ -36,8 +36,10 @@ def evolved_joint_state(scheme, rho):
 def dual_action(kraus, a):
     """``sum K† A K`` as one three-operand contraction.
 
-    For a diagonal ``A`` its round-off is the one the benchmark's reference
-    outputs hold, which ``KrausChannel.apply_dual`` must keep.
+    For a diagonal ``A`` every product ``conj(K) A`` is exact, so the
+    round-off is that of the sum over k and b alone, in the order this
+    contraction takes it; that sum is what the benchmark's reference outputs
+    pin, and ``KrausChannel.apply_dual`` must keep it.
     """
     ks = np.asarray(kraus)
     return np.einsum("kai,ab,kbj->ij", ks.conj(), np.asarray(a), ks)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dual_action
@@ -13,6 +13,7 @@ from thermomeas.objects import (
     KrausChannel,
     Observable,
     State,
+    _dual,
     choi_of_operation,
     choi_rank,
     gibbs_state,
@@ -293,12 +294,53 @@ class TestKrausChannel:
         with pytest.raises(ValidationError, match="dual input must be"):
             ch.apply_dual(np.eye(d_out + 1))
 
+    @given(
+        n_points=st.integers(0, 3),
+        n_kraus=st.integers(1, 5),
+        d_out=st.integers(1, 6),
+        d_in=st.integers(1, 6),
+        levels=st.lists(
+            st.just(0.0) | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=3,
+        ),
+        picks=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+        power=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_points=0, n_kraus=2, d_out=3, d_in=2, levels=[0.0], picks=[0] * 6, power=1, seed=0)
+    @example(
+        n_points=2, n_kraus=3, d_out=4, d_in=4, levels=[1e6, -1e6], picks=[0, 1] * 3, power=4,
+        seed=1,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dual_of_a_diagonal_operator_is_bit_for_bit_the_reference(
+        self, n_points, n_kraus, d_out, d_in, levels, picks, power, seed
+    ):
+        # Zero, negative, degenerate (picks repeat a level) and large diagonal
+        # entries, up to fourth powers near 1e24; rectangular stacks as
+        # conjugate channels have; with n_points > 0 a (P, k, d_out, d_in)
+        # stack, each of whose points must give what its stack alone gives.
+        rng = rng_from_seed(seed)
+        diagonal = [levels[i % len(levels)] for i in picks[:d_out]]
+        a = np.diag(np.array(diagonal) ** power).astype(complex)
+        stacks = np.array(
+            [[ginibre(d_out, d_in, rng) for _ in range(n_kraus)] for _ in range(max(n_points, 1))]
+        )
+        alone = [_dual(ks, a) for ks in stacks]
+        for ks, got in zip(stacks, alone):
+            assert got.tobytes() == dual_action(ks, a).tobytes()
+        if n_points:
+            batch = _dual(stacks, a)
+            assert batch.shape == (n_points, d_in, d_in)
+            assert all(point.tobytes() == one.tobytes() for point, one in zip(batch, alone))
+
     @pytest.mark.parametrize("d", range(2, 9))
     def test_apply_dual_on_diagonal_energy_powers_is_bit_for_bit_the_reference(self, d):
         # The free-scheme check takes Phi*(H^k), k = 1..4, with H diagonal on
-        # every spectrum the benchmark uses, and its reference outputs hold the
-        # round-off of the three-operand contraction: a kernel that sums in
-        # another order moves them.
+        # every spectrum the benchmark uses. Each entry of conj(K) H^k then has
+        # one nonzero term, so only the sum over k and b can move the round-off
+        # its reference outputs hold, which is the three-operand contraction's.
         h = np.diag(np.arange(d, dtype=float)).astype(complex)
         low = np.diag((np.arange(d) < d // 2).astype(float))
         pointer = Observable(["low", "high"], [low, np.eye(d) - low])

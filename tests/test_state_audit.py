@@ -8,10 +8,12 @@ entropy of the classical-register dilation, computed independently.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dilation_relative_entropy
+from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL
 from thermomeas.objects import spectral_observable
 from thermomeas.sampling import random_density_matrices, rng_from_seed
@@ -79,7 +81,7 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
     heats = audit.heat_reports()
     selective, convexity = audit.skew_chain
     plain = StateAudit(instrument, states, h, beta)
-    plain_work = plain.work_reports(plain.system_heat)
+    plain_work = plain.work_reports()
 
     tau = scheme.system_gibbs
     q = instrument.induced_observable.probabilities(tau)
@@ -111,3 +113,34 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         # the ground state is in every stack; at this beta it leaves every
         # pointer outcome but the lowest below the probability cutoff
         assert (audit.probabilities <= PROBABILITY_CUTOFF).any()
+
+
+def precondition_audit(without) -> StateAudit:
+    """A free scheme's instrument on two states, audited without the inputs ``without``."""
+    scheme, states = build(2, 2, 1.0, 5, 2, 2, 0, [0, 1])
+    given = {"hamiltonian": scheme.system_hamiltonian, "beta": scheme.beta, "scheme": scheme}
+    for name in without:
+        del given[name]
+    return StateAudit(scheme.instrument, states, **given)
+
+
+@pytest.mark.parametrize(
+    "without,quantity,named",
+    [
+        (["scheme"], lambda audit: audit.second_law_reports(), "scheme"),
+        (["scheme"], lambda audit: audit.heat_reports(), "scheme"),
+        (["scheme"], lambda audit: audit.probe_heat, "scheme"),
+        (["scheme", "beta"], lambda audit: audit.extractable_work, "beta"),
+        (["scheme", "beta"], lambda audit: audit.work_reports(), "beta"),
+        (["scheme", "hamiltonian"], lambda audit: audit.system_heat, "Hamiltonian"),
+        (["scheme", "hamiltonian"], lambda audit: audit.skew_chain, "Hamiltonian"),
+    ],
+    ids=[
+        "second_law_reports", "heat_reports", "probe_heat", "extractable_work", "work_reports",
+        "system_heat", "skew_chain",
+    ],
+)
+def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, named):
+    audit = precondition_audit(without)
+    with pytest.raises(PreconditionError, match=rf"needs a {named}, and the audit was given none"):
+        quantity(audit)

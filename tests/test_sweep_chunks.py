@@ -9,6 +9,7 @@ what the same point gives alone, which is how ``run_scenario`` derives it.
 
 import math
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermomeas import scenario as scenario_module
-from thermomeas import schemes
+from thermomeas import schemes, thermo
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.objects import spectral_observable
 from thermomeas.scenario import (
@@ -300,3 +301,82 @@ def test_chunked_sweep_rows_equal_the_unchunked_sweep(monkeypatch):
     points_per_chunk(monkeypatch, sweep, 3)
     assert run_sweep(sweep)[0] == whole
     assert re.fullmatch(r"(.*\n){11}", whole)
+
+
+def recorded_chunks(monkeypatch) -> list:
+    """The scenarios of each chunk that ``ScenarioTemplate.points`` derives from now on."""
+    chunks, points = [], scenario_module.ScenarioTemplate.points
+
+    def recorded(template, seeds, beta, checks=None):
+        chunks.append(points(template, seeds, beta, checks))
+        return chunks[-1]
+
+    monkeypatch.setattr(scenario_module.ScenarioTemplate, "points", recorded)
+    return chunks
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_report_rows_are_the_per_state_formulas_bit_for_bit(monkeypatch):
+    sweep = {
+        "axis": {"name": "seed", "range": [20, 27]},
+        "scenario": sweep_template(3, 3, "equally_spaced", 2, {"count": 3}),
+    }
+    points_per_chunk(monkeypatch, sweep, 3)
+    chunks = recorded_chunks(monkeypatch)
+    assert run_sweep(sweep)[1]
+    assert [len(chunk) for chunk in chunks] == [3, 3, 2]
+    for scenario in (sc for chunk in chunks for sc in chunk):
+        audit, beta = scenario.audit, scenario.beta
+        w, avg_w = audit.extractable_work, audit.average_extractable_work
+        divergence, gain = audit.outcome_divergence, audit.groenewold_gain
+        heat, system_heat = audit.probe_heat, audit.system_heat
+        laws, heats = audit.second_law_reports(), audit.heat_reports()
+        assert len(laws) == len(heats) == 3
+        for i, ((law, work), heat_report) in enumerate(zip(laws, heats)):
+            slacks = [
+                w[i] - divergence[i] / beta - avg_w[i],
+                abs(avg_w[i] - w[i] - heat[i] - gain[i] / beta),
+                -divergence[i] / beta - heat[i] - gain[i] / beta,
+                -gain[i] / beta - heat[i],
+            ]
+            assert bits(list(law.to_dict().values())[:4]) == bits(slacks)
+            quantities = [w[i], avg_w[i], divergence[i], heat[i], gain[i]]
+            assert bits(list(work.to_dict().values())[:5]) == bits(quantities)
+            assert bits([heat_report.heat, heat_report.duality_defect]) == bits(
+                [heat[i], abs(heat[i] - system_heat[i])]
+            )
+            assert type(law.prop1_slack) is type(work.heat) is type(heat_report.heat) is float
+
+
+def test_report_rows_are_derived_once_per_chunk(monkeypatch):
+    counts = {"report_rows": 0, "heat_rows": 0}
+
+    def counted(name):
+        derive = getattr(thermo.AuditBatch, name).func
+
+        def wrapper(batch):
+            counts[name] += 1
+            return derive(batch)
+
+        rows = cached_property(wrapper)
+        rows.__set_name__(thermo.AuditBatch, name)
+        monkeypatch.setattr(thermo.AuditBatch, name, rows)
+
+    for name in counts:
+        counted(name)
+    sweep = {
+        "axis": {"name": "seed", "range": [1, 8]},
+        "scenario": sweep_template(3, 3, "equally_spaced", 2, {"count": 3}),
+    }
+    points_per_chunk(monkeypatch, sweep, 3)
+    chunks = recorded_chunks(monkeypatch)
+    assert run_sweep(sweep)[1]
+    # eight points, three chunks: one derivation per chunk, none per point
+    assert len(chunks) == 3 and counts == {"report_rows": 3, "heat_rows": 0}
+    for scenario in chunks[0]:
+        scenario.audit.heat_reports()
+        scenario.audit.work_reports()
+    assert counts == {"report_rows": 3, "heat_rows": 1}
