@@ -266,8 +266,8 @@ def joint_with_hamiltonian(
     labels = tuple(f"{x}|{m}" for x in observable.outcomes for m in energy.outcomes)
     d = observable.dim
     products = (observable.effects[:, None] @ energy.effects[None]).reshape(-1, d, d)
-    effects = _symmetrized(products, tol, tuple(f"joint effect {label}" for label in labels))
-    return Observable(labels, effects, tol)
+    names = tuple(f"joint effect {label}" for label in labels)
+    return Observable(labels, _symmetrized(products, VALIDATION_TOL, names))
 
 
 def marginal_defect(joint: Observable, observable: Observable, system_hamiltonian) -> float:

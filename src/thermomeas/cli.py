@@ -1,8 +1,9 @@
 """Command-line front end: ``thermomeas check <file>`` and ``thermomeas sweep <file>``.
 
 Exit codes: 0 when every requested check passes, 1 when some check fails,
-2 on input errors (unparseable files, unknown checks, dimension mismatches,
-or checks whose mathematical preconditions the scenario does not satisfy).
+2 on input errors (files that cannot be opened or are not UTF-8 JSON,
+unknown checks, dimension mismatches, or checks whose mathematical
+preconditions the scenario does not satisfy).
 """
 
 from __future__ import annotations
@@ -71,8 +72,12 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(table)
         return 0 if all_pass else 1
-    except FileNotFoundError as exc:
-        return _fail(f"cannot open {exc.filename!r}")
+    except OSError as exc:  # missing, a directory, unreadable
+        if exc.filename is None:
+            raise
+        return _fail(f"cannot open {exc.filename!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.file!r} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"invalid JSON in {args.file!r}: {exc.msg} at line {exc.lineno} column {exc.colno}")
     except ValueError as exc:  # ValidationError, PreconditionError, bad numerics

@@ -12,20 +12,21 @@ Resolution has two stages. :func:`parse_template` judges a scenario once:
 it refuses unknown keys and a check whose scheme or input states are
 missing, decodes and validates every given object at ``VALIDATION_TOL``,
 and refines a top-level observable for the ``refine`` check.
-:meth:`ScenarioTemplate.points` then derives a chunk of grid points that
-share one beta: the random interactions and states, the schemes, the
-instruments under test and, for the ``refine`` check of an induced
-observable, its refinement, so their validation too comes before any check
-runs. Each is one stacked kernel over the chunk's points, with every
-validation holding per point; :func:`parse_scenario` is the template and
-its own point, a chunk of one. A sweep file (an object with an ``axis``,
+:meth:`ScenarioTemplate.point` then derives a grid point: its random
+interaction and states, its scheme, the instrument under test and, for the
+``refine`` check of an induced observable, its refinement, so their
+validation too comes before any check runs; :func:`parse_scenario` is the
+template and its own point. A sweep file (an object with an ``axis``,
 ``values`` or ``range`` but not both, and a ``scenario`` object, and no
 other key) judges its template and every axis value before the first grid
 point, then derives its points from the one template in chunks of
-:func:`chunk_size` points, whose largest stacked array stays within
-``CHUNK_BYTES`` (one point at least), and derives only what the
-``free_scheme`` and ``second_law`` checks of its rows read. A refusal
-names the first failing grid point in axis order.
+:func:`chunk_size` points at one beta, whose largest stacked array stays
+within ``CHUNK_BYTES`` (one point at least). A chunk's schemes, states
+and second-law audit are stacked kernels over its points, with every
+validation holding per point, and its rows are read off their arrays: a
+sweep derives only what the ``free_scheme`` and ``second_law`` verdicts
+of its rows read. A refusal names the first failing grid point in axis
+order.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -60,12 +61,13 @@ from .objects import Instrument, KrausChannel, Observable, gibbs_state
 from .sampling import random_density_matrix_stacks, rng_from_seed
 from .schemes import (
     MeasurementScheme,
+    SchemeBatch,
     SchemeFrame,
     random_free_schemes,
     require_free_draw,
     trivial_scheme,
 )
-from .thermo import AuditBatch, StateAudit
+from .thermo import AuditBatch, StateAudit, second_law_verdict
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -223,9 +225,8 @@ class Scenario:
     ``refine`` check runs (else ``None``), are derived with the point, so an
     object they refuse is refused before any check runs; the per-state
     ``audit``, the per-state record of the instrument under test on
-    ``states`` that every state check reads, is this point of its chunk's
-    :class:`AuditBatch`, whose quantities are derived on first use and
-    kept; so is the canonical :attr:`echo`.
+    ``states`` that every state check reads, derives its quantities on
+    first use and keeps them; so does the canonical :attr:`echo`.
     """
 
     beta: float
@@ -244,7 +245,7 @@ class Scenario:
     refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
-        return float(self.tolerances.get(check, self.tolerances["default"]))
+        return self.template.tol_for(check)
 
     @cached_property
     def echo(self) -> dict:
@@ -381,16 +382,16 @@ class _Scheme:
     seed: int = None
     mixture_size: int = None
 
-    def at(self, seeds, beta: float) -> list:
-        """The schemes of the points with ``seeds``, all at ``beta``; a
-        ``random_block`` scheme draws them as one batch."""
+    def at(self, seeds, beta: float) -> SchemeBatch:
+        """The schemes of the points with ``seeds``, all at ``beta``, as one batch;
+        a ``random_block`` scheme draws them together."""
         frame = self.frame if beta == self.frame.beta else self.frame.at_beta(beta)
         if self.kind == "random_block":
             own = seeds if self.seed is None else [self.seed] * len(seeds)
             return random_free_schemes(frame, own, self.mixture_size)
-        if frame is not self.frame:
-            return [MeasurementScheme(frame, self.fixed.interaction)] * len(seeds)
-        return [self.fixed] * len(seeds)
+        kraus = np.repeat(self.fixed.interaction.kraus[None], len(seeds), axis=0)
+        kraus.flags.writeable = False
+        return SchemeBatch(frame, kraus)
 
     def echo(self, scheme: MeasurementScheme, seed: int) -> dict:
         echo = {"kind": self.kind, "pointer": encode_observable(scheme.pointer)}
@@ -446,14 +447,15 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
 class ScenarioTemplate:
     """A scenario judged once: every field decoded and validated.
 
-    What a grid point draws is left open. :meth:`points` derives, for a
-    chunk of seeds at one beta, the random interactions and states, the
-    schemes, the instruments under test and, for the ``refine`` check of an
-    induced observable, its refinement; a top-level observable is refined
-    once, at parse. Every point at the template's beta shares the
-    template's :class:`SchemeFrame`, so a seed sweep decodes, validates and
-    derives the frame once, and a point at another beta shares all of it
-    but the Gibbs data.
+    What a grid point draws is left open. :meth:`point` derives, for a seed
+    and beta, the random interaction and states, the scheme, the instrument
+    under test and, for the ``refine`` check of an induced observable, its
+    refinement; a top-level observable is refined once, at parse. A sweep
+    derives the schemes of a chunk of seeds as one batch, with
+    ``scheme.at``, and their states with ``states.stacks``. Every point at
+    the template's beta shares the template's :class:`SchemeFrame`, so a
+    seed sweep decodes, validates and derives the frame once, and a point
+    at another beta shares all of it but the Gibbs data.
     """
 
     beta: float
@@ -467,56 +469,41 @@ class ScenarioTemplate:
     tolerances: dict
     refinement: tuple = None
 
+    def tol_for(self, check: str) -> float:
+        return float(self.tolerances.get(check, self.tolerances["default"]))
+
     def point(self, seed: int, beta: float) -> Scenario:
-        """The scenario of the grid point with ``seed`` and ``beta``: a chunk of one."""
-        return self.points([seed], beta)[0]
+        """The scenario of the grid point with ``seed`` and ``beta``.
 
-    def points(self, seeds, beta: float, checks=None) -> list:
-        """The scenarios of the grid points with ``seeds``, all at ``beta``, derived as one chunk.
-
-        The interactions, instruments and states of the chunk are stacked
-        kernels over its points, validated for every point before any
-        check runs, and the points share one :class:`AuditBatch`.
-        ``checks`` names the checks that will run (by default the
-        template's); nothing is derived for any other.
+        Its scheme is a :class:`SchemeBatch` of one, and its instrument, states
+        and, for the ``refine`` check, refinement are derived and validated
+        before any check runs.
         """
-        checks = self.checks if checks is None else tuple(checks)
         if self.scheme is not None:
-            schemes = self.scheme.at(seeds, beta)
-            instruments = [scheme.instrument for scheme in schemes]
+            scheme = self.scheme.at([seed], beta).schemes()[0]
+            instrument = scheme.instrument
         else:
-            schemes = [None] * len(seeds)
-            instruments = [Instrument.luders(self.observable)] * len(seeds)
-        states = self.states.stacks(self.system_hamiltonian, seeds, beta)
-        audits = AuditBatch(
-            instruments, states, self.system_hamiltonian, beta,
-            None if self.scheme is None else schemes,
+            scheme, instrument = None, Instrument.luders(self.observable)
+        states = self.states.stacks(self.system_hamiltonian, [seed], beta)[0]
+        sc = Scenario(
+            beta=beta,
+            seed=seed,
+            system_hamiltonian=self.system_hamiltonian,
+            probe_hamiltonian=self.probe_hamiltonian,
+            scheme=scheme,
+            observable=self.observable,
+            instrument=instrument,
+            state_names=self.states.names,
+            states=states,
+            checks=list(self.checks),
+            tolerances=self.tolerances,
+            template=self,
+            audit=StateAudit(instrument, states, self.system_hamiltonian, beta, scheme),
+            refinement=self.refinement,
         )
-        scenarios = [
-            Scenario(
-                beta=beta,
-                seed=seed,
-                system_hamiltonian=self.system_hamiltonian,
-                probe_hamiltonian=self.probe_hamiltonian,
-                scheme=scheme,
-                observable=self.observable,
-                instrument=instrument,
-                state_names=self.states.names,
-                states=stack,
-                checks=list(checks),
-                tolerances=self.tolerances,
-                template=self,
-                audit=audits.point(i),
-                refinement=self.refinement,
-            )
-            for i, (seed, scheme, instrument, stack) in enumerate(
-                zip(seeds, schemes, instruments, states)
-            )
-        ]
-        if "refine" in checks and self.observable is None:
-            for sc in scenarios:
-                sc.refinement = _refinement(sc.observable_under_test())
-        return scenarios
+        if "refine" in self.checks and self.observable is None:
+            sc.refinement = _refinement(instrument.induced_observable)
+        return sc
 
 
 def _refinement(observable: Observable) -> tuple:
@@ -920,24 +907,7 @@ def _axis_values(axis) -> tuple:
     return name, judged
 
 
-def _sweep_row(axis_name: str, value, sc: Scenario, free: dict, law: dict) -> list:
-    """The CSV row of one grid point from its ``free_scheme`` and ``second_law`` results."""
-    worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
-    numbers = {**worst["work"], **worst["second_law"]}
-    return [
-        axis_name,
-        repr(float(value)) if axis_name == "beta" else value,
-        sc.seed,
-        repr(float(sc.beta)),
-        worst["state"],
-        # extractable_work .. heat_bound_slack
-        *(repr(float(numbers[column])) for column in SWEEP_COLUMNS[5:14]),
-        free["verdict"],
-        law["verdict"],
-    ]
-
-
-#: The checks a sweep runs at every grid point; its row is built from their results.
+#: The checks whose verdicts a sweep's rows report.
 _SWEEP_CHECKS = ("free_scheme", "second_law")
 
 #: Bytes the largest stacked intermediate of a sweep chunk may take: a chunk holds
@@ -964,9 +934,15 @@ def chunk_size(template: ScenarioTemplate) -> int:
     return max(1, CHUNK_BYTES // point_bytes)
 
 
-def _sweep_rows(template, axis_name: str, values, indices) -> list:
-    """``(passed, row)`` of each grid point in ``indices``, all at one beta, derived as one chunk.
+def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
+    """``(passed, rows)``: whether every grid point in ``indices`` passes, and the CSV
+    rows of those points, all at one beta, derived as one chunk.
 
+    The chunk's schemes, instruments, states and second-law audit are
+    stacked kernels over its points, and its rows are read from their
+    arrays: each point's ``free_scheme`` verdict from the freeness defects,
+    and from the audit's report rows its ``second_law`` verdict and the
+    cells of its worst state, the first with the smallest ``prop1_slack``.
     On a refusal the chunk is derived again one point at a time, so the
     refusal names the first failing point in axis order, with the message
     that point gives alone.
@@ -975,20 +951,43 @@ def _sweep_rows(template, axis_name: str, values, indices) -> list:
         seeds, beta = [values[i] for i in indices], template.beta
     else:
         seeds, beta = [template.seed] * len(indices), values[indices[0]]
+    h_system, law_tol = template.system_hamiltonian, template.tol_for("second_law")
     try:
-        scenarios = template.points(seeds, beta, _SWEEP_CHECKS)
-        rows = []
-        for i, scenario in zip(indices, scenarios):
-            free = _run_check(scenario, "free_scheme")
-            law = _run_check(scenario, "second_law")
-            passed = free["verdict"] and law["verdict"]
-            rows.append((passed, _sweep_row(axis_name, values[i], scenario, free, law)))
-        return rows
+        schemes = template.scheme.at(seeds, beta)
+        kraus_sets, _, effects = schemes.instrument_stacks
+        states = template.states.stacks(h_system, seeds, beta)
+        free = schemes.free_verdicts(template.tol_for("free_scheme"))
+        schemes.require_free(law_tol)
+        report = AuditBatch(
+            schemes.frame.pointer.outcomes, kraus_sets, effects, states, h_system, beta,
+            schemes.frame, schemes.conjugate_kraus,
+        ).report_rows
     except (ValidationError, PreconditionError) as exc:
         if len(indices) > 1:
-            return [row for i in indices for row in _sweep_rows(template, axis_name, values, [i])]
+            chunks = [_sweep_rows(template, axis_name, values, [i]) for i in indices]
+            return all(passed for passed, _ in chunks), [row for _, rows in chunks for row in rows]
         i = indices[0]
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
+    law = second_law_verdict(*np.moveaxis(report[..., 5:], -1, 0), law_tol).all(axis=-1)
+    worst = report[..., 5].argmin(axis=-1)
+    cells = report[np.arange(len(worst)), worst].tolist()
+    names, beta_cell = template.states.names, repr(float(beta))
+    rows = [
+        [
+            axis_name,
+            repr(float(values[i])) if axis_name == "beta" else values[i],
+            seed,
+            beta_cell,
+            names[state],
+            *map(repr, numbers),  # extractable_work .. heat_bound_slack
+            free_ok,
+            law_ok,
+        ]
+        for i, seed, state, numbers, free_ok, law_ok in zip(
+            indices, seeds, worst.tolist(), cells, free.tolist(), law.tolist()
+        )
+    ]
+    return bool((free & law).all()), rows
 
 
 def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
@@ -998,11 +997,12 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     every axis value is then one grid point of it. Consecutive grid points
     at one beta are derived and audited in chunks of :func:`chunk_size`
     points, as stacked kernels over the chunk. One CSV row per grid point,
-    built from the ``free_scheme`` and ``second_law`` check results, which
-    are all that is derived. When the scenario carries several states, the
-    row reports the state with the smallest second-law margin (minimal
-    ``prop1_slack``), so a passing row certifies every state at that grid
-    point. A refusal at a grid point names its axis entry and value.
+    with the ``free_scheme`` and ``second_law`` verdicts, which are all that
+    is derived, read off the chunk's arrays by the predicates the checks
+    use. When the scenario carries several states, the row reports the
+    state with the smallest second-law margin (minimal ``prop1_slack``), so
+    a passing row certifies every state at that grid point. A refusal at a
+    grid point names its axis entry and value.
     """
     raw = _load(source)
     if not isinstance(raw, dict):
@@ -1032,7 +1032,7 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     for _, run in itertools.groupby(range(len(values)), key=beta_of):
         run = list(run)
         for start in range(0, len(run), size):
-            for passed, row in _sweep_rows(template, axis_name, values, run[start:start + size]):
-                all_pass = all_pass and passed
-                writer.writerow(row)
+            passed, rows = _sweep_rows(template, axis_name, values, run[start:start + size])
+            all_pass = all_pass and passed
+            writer.writerows(rows)
     return buffer.getvalue(), all_pass

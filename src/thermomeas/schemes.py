@@ -17,10 +17,12 @@ shares all of it but the Gibbs data.
 
 What depends on the interaction is derived by stacked kernels with a
 leading point axis, over a :class:`SchemeBatch` of interactions on one
-frame: the freeness defects, one dilation per batch, and from it the
-induced instruments and the conjugate channels. :func:`random_free_schemes`
-draws a whole batch, one stacked QR per block size; a scheme made alone is
-a batch of one of the same kernels.
+frame: the freeness defects and their verdicts, one dilation per batch,
+and from it the Kraus stacks of the induced instruments and of the
+conjugate channels, of which a scheme's instrument and conjugate channel
+are its entries. :func:`random_free_schemes` draws a whole batch, one
+stacked QR per block size; a scheme made alone is a batch of one of the
+same kernels.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -269,6 +271,20 @@ class MeasurementScheme:
         )
 
 
+def free_verdict(gibbs_probe_ok, bistochastic, energy_conservation, yanase, tol: float):
+    """Whether defects against the conditions of a free scheme are all within ``tol``.
+
+    The verdict of :class:`FreeSchemeReport`, of one scheme's scalars, and of
+    a :class:`SchemeBatch`, elementwise on arrays with a leading point axis;
+    ``energy_conservation`` holds the moment defects on its last axis.
+    """
+    return (
+        (gibbs_probe_ok & (bistochastic <= tol))
+        & np.all(np.asarray(energy_conservation) <= tol, axis=-1)
+        & (yanase <= tol)
+    )
+
+
 @dataclass(frozen=True)
 class FreeSchemeReport:
     """Defects against the four conditions of a thermodynamically free scheme.
@@ -288,11 +304,11 @@ class FreeSchemeReport:
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.gibbs_probe_ok
-            and self.bistochastic_defect <= self.tol
-            and all(d <= self.tol for d in self.energy_conservation_defects)
-            and self.yanase_defect <= self.tol
+        return bool(
+            free_verdict(
+                self.gibbs_probe_ok, self.bistochastic_defect, self.energy_conservation_defects,
+                self.yanase_defect, self.tol,
+            )
         )
 
     @property
@@ -317,10 +333,10 @@ class SchemeBatch:
     ``kraus`` is a read-only ``(P, k, D, D)`` stack of validated interactions,
     one per point. What the schemes derive from their interactions is
     computed for all points at once, on first use, and kept: the freeness
-    defects, one dilation, and from it the induced instruments and the
-    conjugate channels. Each point keeps the dilation's operators that
-    :func:`_pruned` keeps; points that keep different ones cannot share a
-    stack and are refused, to be derived one at a time.
+    defects, one dilation, and from it the stacks of the induced instruments
+    and of the conjugate channels. Each point keeps the dilation's operators
+    that :func:`_pruned` keeps; points that keep different ones cannot share
+    a stack and are refused, to be derived one at a time.
     """
 
     def __init__(self, frame: SchemeFrame, kraus: np.ndarray):
@@ -345,17 +361,45 @@ class SchemeBatch:
         moments = [_moment_defect(self.kraus, hk) for hk in self.frame.energy_powers]
         return np.maximum(trace, unital), np.stack(moments, axis=-1)
 
+    def free_report(self, i: int, tol: float = THEOREM_TOL) -> FreeSchemeReport:
+        """The :class:`FreeSchemeReport` of point ``i`` at ``tol``."""
+        bistochastic, moments = self.free_defects
+        return FreeSchemeReport(
+            gibbs_probe_ok=True,
+            bistochastic_defect=float(bistochastic[i]),
+            energy_conservation_defects=tuple(float(d) for d in moments[i]),
+            yanase_defect=self.frame.yanase_defect,
+            tol=tol,
+        )
+
+    def free_verdicts(self, tol: float) -> np.ndarray:
+        """The :func:`free_verdict` of every point at ``tol``, ``(P,)``."""
+        return free_verdict(True, *self.free_defects, self.frame.yanase_defect, tol)
+
+    def require_free(self, tol: float, points=slice(None)) -> None:
+        """Refuse, naming the worst defect of the first, a point of ``points`` whose
+        scheme is not thermodynamically free at ``tol``."""
+        free = self.free_verdicts(tol)[points]
+        if not free.all():
+            i = np.arange(len(self.kraus))[points][np.argmin(free)]
+            raise PreconditionError(
+                f"scheme is not thermodynamically free: worst defect "
+                f"{self.free_report(i, tol).worst_defect:.3e} > {tol:.1e}"
+            )
+
     @cached_property
     def dilation(self) -> tuple:
         """:func:`_dilation` of every point: the stack and the probe amplitudes."""
         return _dilation(self.frame, self.kraus)
 
     @cached_property
-    def instruments(self) -> list:
-        """The induced instrument of each point, with its induced observable.
+    def instrument_stacks(self) -> tuple:
+        """``(kraus_sets, grams, effects)`` of the induced instruments, read-only.
 
-        Every outcome's Kraus stack is one ``(P, k', d_s, d_s)`` array;
-        finiteness, the trace preservation of the total channel and the
+        ``kraus_sets`` holds per outcome one ``(P, k', d_s, d_s)`` Kraus stack;
+        ``grams`` and ``effects`` are ``(P, n_outcomes, d_s, d_s)``: each
+        outcome's Gram sum and the induced effect symmetrized from it.
+        Finiteness, the trace preservation of the total channel and the
         induced effects are validated for all points at once.
         """
         frame = self.frame
@@ -377,27 +421,19 @@ class SchemeBatch:
         effects = effects.reshape(grams.shape)
         _require_effects(effects, names, VALIDATION_TOL)
         effects.flags.writeable = False
-        return [
-            _from_validated(
-                Instrument,
-                outcomes,
-                tuple(ops[i] for ops in stacks),
-                grams[i],
-                _from_validated(Observable, outcomes, effects[i]),
-            )
-            for i in range(n)
-        ]
+        return tuple(stacks), grams, effects
 
     @cached_property
-    def conjugates(self) -> list:
-        """The conjugate channel of each point, validated for all points at once."""
+    def conjugate_kraus(self) -> np.ndarray:
+        """The read-only ``(P, k', d_a, d_s)`` Kraus stack of the conjugate channels,
+        validated for all points at once."""
         ops = _pruned(*self.dilation)
         if ops.shape[1] == 0:
             raise ValidationError("no Kraus operator given")
         _require_finite(ops)
         _require_trace_preserving(_gram(ops), "channel")
         ops.flags.writeable = False
-        return [_from_validated(KrausChannel, ks) for ks in ops]
+        return ops
 
 
 def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
@@ -428,14 +464,7 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     The defects are read from the scheme's :class:`SchemeBatch`.
     """
     batch, i = scheme._point
-    bistochastic, moments = batch.free_defects
-    return FreeSchemeReport(
-        gibbs_probe_ok=True,
-        bistochastic_defect=float(bistochastic[i]),
-        energy_conservation_defects=tuple(float(d) for d in moments[i]),
-        yanase_defect=scheme.yanase_defect,
-        tol=THEOREM_TOL,
-    )
+    return batch.free_report(i)
 
 
 def _dilation(frame: SchemeFrame, kraus: np.ndarray) -> tuple:
@@ -478,7 +507,15 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     The Kraus decomposition is not unique; only the action is the contract.
     """
     batch, i = scheme._point
-    return batch.instruments[i]
+    stacks, grams, effects = batch.instrument_stacks
+    outcomes = scheme.pointer.outcomes
+    return _from_validated(
+        Instrument,
+        outcomes,
+        tuple(ops[i] for ops in stacks),
+        grams[i],
+        _from_validated(Observable, outcomes, effects[i]),
+    )
 
 
 def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
@@ -489,7 +526,7 @@ def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     system output.
     """
     batch, i = scheme._point
-    return batch.conjugates[i]
+    return _from_validated(KrausChannel, batch.conjugate_kraus[i])
 
 
 def swap_unitary(dim: int) -> np.ndarray:
@@ -548,10 +585,10 @@ def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> 
     uniformly from the simplex. Deterministic for a fixed seed; the draw of
     :func:`random_free_schemes` for one seed.
     """
-    return random_free_schemes(frame, [seed], mixture_size)[0]
+    return random_free_schemes(frame, [seed], mixture_size).schemes()[0]
 
 
-def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> list:
+def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> SchemeBatch:
     """:func:`random_free_scheme` for each of ``seeds``, as one :class:`SchemeBatch`.
 
     Each seed's generator draws its Ginibre normals, term by term and block
@@ -578,4 +615,4 @@ def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> lis
     _require_finite(kraus)
     _require_trace_preserving(_gram(kraus), "channel")
     kraus.flags.writeable = False
-    return SchemeBatch(frame, kraus).schemes()
+    return SchemeBatch(frame, kraus)

@@ -9,9 +9,11 @@ defined for outcomes that actually occur.
 Every per-state quantity has one implementation, which works on stacks of
 states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
 d)`` state stack holds each point's states for that point's instrument, and
-the stack helpers it uses. A :class:`StateAudit` is one point of a batch;
-made alone it is a batch of one, and the points of a sweep chunk share one
-batch. The single-state functions call them on a stack of one state.
+the stack helpers it uses. A :class:`StateAudit` is a batch of one point,
+made from its instrument; the points of a sweep chunk share one batch,
+made from the chunk's stacks. The single-state functions call them on a
+stack of one state. Each second-law verdict, of one state or of a whole
+batch, is :func:`second_law_verdict`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ class WorkReport:
         return dict(vars(self))
 
 
+def second_law_verdict(prop1_slack, eq5_identity_defect, eq5_bound_slack, heat_bound_slack, tol):
+    """Whether the second-law slacks and defect are all within ``tol``.
+
+    The verdict of :class:`SecondLawReport`, of one state's scalars, and of
+    an :class:`AuditBatch`, elementwise on its per-state arrays.
+    """
+    return (
+        (prop1_slack >= -tol)
+        & (eq5_identity_defect <= tol)
+        & (eq5_bound_slack >= -tol)
+        & (heat_bound_slack >= -tol)
+    )
+
+
 @dataclass(frozen=True)
 class SecondLawReport:
     """Slack and defect values of the second-law inequalities.
@@ -81,11 +97,11 @@ class SecondLawReport:
 
     @property
     def verdict(self) -> bool:
-        return (
-            self.prop1_slack >= -self.tol
-            and self.eq5_identity_defect <= self.tol
-            and self.eq5_bound_slack >= -self.tol
-            and self.heat_bound_slack >= -self.tol
+        return bool(
+            second_law_verdict(
+                self.prop1_slack, self.eq5_identity_defect, self.eq5_bound_slack,
+                self.heat_bound_slack, self.tol,
+            )
         )
 
     def to_dict(self) -> dict:
@@ -177,50 +193,52 @@ class AuditBatch:
     """Every per-state quantity of several points, each one instrument on its
     own stack of states, as arrays with a leading point axis.
 
-    ``instruments`` holds one instrument per point, every point with as many
-    Kraus operators per outcome as the others, and ``states`` is a validated
-    ``(P, n, d, d)`` stack: entry ``[i]`` holds the states of point ``i``.
-    ``hamiltonian`` and ``beta`` are shared by every point and needed only by
-    the quantities that use them. With ``schemes`` (one per point, all on one
-    frame), the instruments, Hamiltonian and beta must be theirs; the frame
-    then supplies the Gibbs data and the probe-side heat, and each point's
-    scheme gates its second law on freeness.
+    Each point's instrument has the outcomes ``outcomes`` and as many Kraus
+    operators per outcome as the others: ``kraus_sets`` holds per outcome
+    one ``(P, k, d, d)`` Kraus stack, and ``effects`` the ``(P, n_outcomes,
+    d, d)`` induced effects, as :class:`Instrument` validates them.
+    ``states`` is a validated ``(P, n, d, d)`` stack: entry ``[i]`` holds
+    the states of point ``i``. ``hamiltonian`` and ``beta`` are shared by
+    every point and needed only by the quantities that use them. With a
+    scheme, ``frame`` is the :class:`SchemeFrame` every point's scheme is
+    on and ``conjugates`` the ``(P, k', d_a, d)`` Kraus stack of their
+    conjugate channels; the instruments, Hamiltonian and beta must be the
+    schemes'. The frame then supplies the Gibbs data and, with the
+    conjugates, the probe-side heat.
 
     Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
     stack once; every quantity is derived from those outputs on its first
     use and kept, so the second law, heat duality and the skew chain read
     one shared record and a caller pays only for what it reads.
-    :meth:`point` gives one point's :class:`StateAudit`.
     """
 
-    def __init__(self, instruments, states, hamiltonian=None, beta=None, schemes=None):
-        self.instruments = list(instruments)
+    def __init__(
+        self, outcomes, kraus_sets, effects, states, hamiltonian=None, beta=None, frame=None,
+        conjugates=None,
+    ):
+        self.outcomes = outcomes
+        self.kraus_sets = kraus_sets
+        self.effects = effects
         self.states = states
         self.hamiltonian = hamiltonian
         self.beta = beta
-        self.schemes = schemes
-
-    def point(self, i: int) -> "StateAudit":
-        """The :class:`StateAudit` of point ``i``, reading this batch."""
-        audit = object.__new__(StateAudit)
-        audit._batch, audit._point = self, i
-        return audit
+        self.frame = frame
+        self.conjugates = conjugates
 
     @cached_property
     def gibbs(self) -> tuple:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
         beta = _given(self.beta, "beta")
-        if self.schemes is not None:
-            return self.schemes[0].gibbs_log_weights
+        if self.frame is not None:
+            return self.frame.gibbs_log_weights
         return gibbs_log_weights(_given(self.hamiltonian, "Hamiltonian"), require_beta(beta))
 
     @cached_property
     def outputs(self) -> np.ndarray:
         """``I_x(rho)`` of every point, outcome and state, shaped ``(P, n_outcomes, n, d, d)``."""
         p, n, d = self.states.shape[:3]
-        outputs = np.empty((p, len(self.instruments[0].outcomes), n, d, d), dtype=complex)
-        for x in range(outputs.shape[1]):
-            kraus = np.stack([ins.kraus_sets[x] for ins in self.instruments])
+        outputs = np.empty((p, len(self.outcomes), n, d, d), dtype=complex)
+        for x, kraus in enumerate(self.kraus_sets):
             outputs[:, x] = _sandwich(kraus, self.states)
         return outputs
 
@@ -264,10 +282,8 @@ class AuditBatch:
 
     @cached_property
     def outcome_divergence(self) -> np.ndarray:
-        observables = [ins.induced_observable for ins in self.instruments]
-        effects = np.stack([observable.effects for observable in observables])
-        log_q = _log_gibbs_probabilities(effects, self.gibbs)
-        return _outcome_divergence(observables[0].outcomes, effects, self.states, log_q)
+        log_q = _log_gibbs_probabilities(self.effects, self.gibbs)
+        return _outcome_divergence(self.outcomes, self.effects, self.states, log_q)
 
     @cached_property
     def groenewold_gain(self) -> np.ndarray:
@@ -283,11 +299,9 @@ class AuditBatch:
     @cached_property
     def probe_heat(self) -> np.ndarray:
         """Decrease of the probe's expected energy when the scheme acts on each state."""
-        schemes = _given(self.schemes, "scheme")
-        conjugates = np.stack([scheme.conjugate.kraus for scheme in schemes])
-        shared = schemes[0]  # every scheme has the same frame
-        change = shared.probe_state.matrix - _sandwich(conjugates, self.states)
-        return np.einsum("ij,pnji->pn", shared.probe_hamiltonian, change).real
+        frame = _given(self.frame, "scheme")
+        change = frame.probe_state.matrix - _sandwich(self.conjugates, self.states)
+        return np.einsum("ij,pnji->pn", frame.probe_hamiltonian, change).real
 
     @cached_property
     def skew_chain(self) -> np.ndarray:
@@ -300,46 +314,44 @@ class AuditBatch:
         return np.stack([before - per_outcome, per_outcome - after_total], axis=1)
 
     @cached_property
-    def report_rows(self) -> list:
+    def report_rows(self) -> np.ndarray:
         """Per point and state, the five :class:`WorkReport` quantities and, with
-        ``schemes``, the four :class:`SecondLawReport` slacks, as Python floats.
+        a scheme, the four :class:`SecondLawReport` slacks: ``(P, n, 5)`` or
+        ``(P, n, 9)``, in one stacked expression for the whole batch.
 
-        The heat is probe-side with ``schemes`` and system-side without. One
-        stacked expression and one ``tolist`` for the whole batch.
+        The heat is probe-side with a scheme and system-side without.
         """
         beta = self.beta
         w, avg_w = self.extractable_work, self.average_extractable_work
         divergence, gain = self.outcome_divergence, self.groenewold_gain
-        heat = self.system_heat if self.schemes is None else self.probe_heat
+        heat = self.system_heat if self.frame is None else self.probe_heat
         columns = [w, avg_w, divergence, heat, gain]
-        if self.schemes is not None:
+        if self.frame is not None:
             columns += [
                 w - divergence / beta - avg_w,
                 np.abs(avg_w - w - heat - gain / beta),
                 -divergence / beta - heat - gain / beta,
                 -gain / beta - heat,
             ]
-        return np.stack(columns, axis=-1).tolist()
+        return np.stack(columns, axis=-1)
 
     @cached_property
-    def heat_rows(self) -> list:
-        """Per point and state, the probe-side heat and its system-side defect, as Python floats."""
+    def heat_rows(self) -> np.ndarray:
+        """Per point and state, the probe-side heat and its system-side defect: ``(P, n, 2)``."""
         heat = self.probe_heat
-        return np.stack([heat, np.abs(heat - self.system_heat)], axis=-1).tolist()
+        return np.stack([heat, np.abs(heat - self.system_heat)], axis=-1)
 
 
 class StateAudit:
-    """Every per-state quantity of one instrument on a stack of states: one point
-    of an :class:`AuditBatch`.
+    """Every per-state quantity of one instrument on a stack of states: an
+    :class:`AuditBatch` of one point.
 
     ``states`` is a validated ``(n, d, d)`` stack, as :func:`density_matrix`
     returns it, and ``hamiltonian`` a Hermitian matrix, as
-    :func:`require_hermitian` returns it. The audit made here is a batch of
-    one; the grid points of a sweep chunk read one shared batch. Each
-    public derived array of the batch reads as this point's entry, holding
-    one entry per state (per outcome and state for ``probabilities``), and
-    ``instrument``, ``states`` and ``scheme`` as this point's. The report
-    methods read this point's entries of the batch's report rows.
+    :func:`require_hermitian` returns it. Each public derived array of the
+    batch reads as its one entry, holding one entry per state (per outcome
+    and state for ``probabilities``). The report methods read the batch's
+    report rows.
 
     ``hamiltonian`` and ``beta`` are needed only by the quantities that
     use them; one that needs an input the audit was not given is refused
@@ -352,9 +364,17 @@ class StateAudit:
     def __init__(
         self, instrument: Instrument, states, hamiltonian=None, beta=None, scheme=None
     ):
-        schemes = None if scheme is None else [scheme]
-        self._batch = AuditBatch([instrument], states[None], hamiltonian, beta, schemes)
-        self._point = 0
+        self.instrument, self.scheme = instrument, scheme
+        self._batch = AuditBatch(
+            instrument.outcomes,
+            tuple(ks[None] for ks in instrument.kraus_sets),
+            instrument.induced_observable.effects[None],
+            states[None],
+            hamiltonian,
+            beta,
+            None if scheme is None else scheme.frame,
+            None if scheme is None else scheme.conjugate.kraus[None],
+        )
 
     @classmethod
     def of_scheme(cls, scheme: MeasurementScheme, states) -> "StateAudit":
@@ -370,15 +390,11 @@ class StateAudit:
         # Called only for names the audit itself lacks.
         if name not in StateAudit._PER_STATE:
             raise AttributeError(name)
-        return getattr(self._batch, name)[self._point]
-
-    @property
-    def instrument(self) -> Instrument:
-        return self._batch.instruments[self._point]
+        return getattr(self._batch, name)[0]
 
     @property
     def states(self) -> np.ndarray:
-        return self._batch.states[self._point]
+        return self._batch.states[0]
 
     @property
     def hamiltonian(self):
@@ -389,11 +405,6 @@ class StateAudit:
         return self._batch.beta
 
     @property
-    def scheme(self):
-        schemes = self._batch.schemes
-        return None if schemes is None else schemes[self._point]
-
-    @property
     def gibbs(self) -> tuple:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
         return self._batch.gibbs
@@ -402,21 +413,17 @@ class StateAudit:
         """One :class:`WorkReport` per state; its heat is probe-side with a scheme
         and system-side without."""
         beta = self.beta
-        return [WorkReport(*row[:5], beta=beta) for row in self.report_rows]
+        return [WorkReport(*row[:5], beta=beta) for row in self.report_rows.tolist()]
 
     def heat_reports(self) -> list:
         """One :class:`HeatReport` per state: probe-side heat and its system-side defect."""
-        return [HeatReport(*row) for row in self.heat_rows]
+        return [HeatReport(*row) for row in self.heat_rows.tolist()]
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
         """``(SecondLawReport, WorkReport)`` per state; see :func:`second_law_report`."""
-        freeness = _given(self.scheme, "scheme").freeness(tol)
-        if not freeness.verdict:
-            raise PreconditionError(
-                f"scheme is not thermodynamically free: worst defect "
-                f"{freeness.worst_defect:.3e} > {tol:.1e}"
-            )
-        laws = [SecondLawReport(*row[5:], tol=tol) for row in self.report_rows]
+        batch, i = _given(self.scheme, "scheme")._point
+        batch.require_free(tol, slice(i, i + 1))
+        laws = [SecondLawReport(*row[5:], tol=tol) for row in self.report_rows.tolist()]
         return list(zip(laws, self.work_reports()))
 
 

@@ -12,7 +12,9 @@ per-outcome instrument references after them take one operation at a time,
 from its Kraus operators and its defining action. The free-interaction
 reference draws one block unitary at a time, by its own QR, and sums each
 mixture term over the energy blocks, as the library did before it drew
-them in one batch.
+them in one batch. The sweep-row reference reads a grid point's row off
+the check results of that point run alone, as the sweep did before it read
+its rows off a chunk's stacked arrays.
 """
 
 import numpy as np
@@ -324,3 +326,38 @@ def blockwise_free_kraus(h_system, h_probe, seed, mixture_size):
         unitaries.append(u)
     weights = rng.dirichlet(np.ones(mixture_size))
     return np.array([np.sqrt(w) * u for w, u in zip(weights, unitaries)])
+
+
+#: The numeric columns of a sweep row: the worst state's work report, then its second-law slacks.
+SWEEP_NUMBERS = (
+    "extractable_work", "average_extractable_work", "outcome_divergence", "heat",
+    "groenewold_gain", "prop1_slack", "eq5_identity_defect", "eq5_bound_slack",
+    "heat_bound_slack",
+)
+
+
+def sweep_row(axis_name, value, report):
+    """The CSV cells, as text, of the grid point with axis value ``value`` run alone.
+
+    ``report`` is the point's ``run_scenario`` report with the checks
+    ``free_scheme`` and ``second_law``. The numbers are those of the state
+    with the smallest ``prop1_slack``, the first one on a tie.
+    """
+    free, law = (
+        next(check for check in report.checks if check["name"] == name)
+        for name in ("free_scheme", "second_law")
+    )
+    worst = min(law["per_state"], key=lambda row: row["second_law"]["prop1_slack"])
+    numbers = {**worst["work"], **worst["second_law"]}
+    sc = report.scenario
+    cells = [
+        axis_name,
+        repr(float(value)) if axis_name == "beta" else value,
+        sc.seed,
+        repr(float(sc.beta)),
+        worst["state"],
+        *(repr(float(numbers[column])) for column in SWEEP_NUMBERS),
+        free["verdict"],
+        law["verdict"],
+    ]
+    return [str(cell) for cell in cells]

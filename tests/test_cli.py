@@ -431,3 +431,57 @@ def test_version_flag():
     result = cli("--version")
     assert result.returncode == 0
     assert "thermomeas" in result.stdout
+
+
+def scheme_d8(seed: int) -> dict:
+    """The benchmark's d = 8 scheme check: a lower and an upper half as the pointer."""
+    energies = [float(e) for e in range(8)]
+    halves = [[[1.0 if i == j and (i < 4) == low else 0.0 for j in range(8)] for i in range(8)]
+              for low in (True, False)]
+    return {
+        "seed": seed,
+        "beta": 1.0,
+        "system_hamiltonian": energies,
+        "probe_hamiltonian": energies,
+        "scheme": {
+            "kind": "random_block",
+            "mixture_size": 3,
+            "pointer": {"outcomes": ["low", "high"], "effects": halves},
+        },
+        "states": ["gibbs"],
+        "checks": ["free_scheme", "moments", "covariant", "gibbs_preserving",
+                   "thermal_observable", "joint_observable", "post_processing", "refine"],
+    }
+
+
+def test_a_zero_tolerance_reports_its_verdicts(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scheme_d8(0)))
+    result = cli("check", str(path), "--tol", "0")
+    assert result.returncode == 1, result.stderr
+    checks = {check["name"]: check for check in json.loads(result.stdout)["checks"]}
+    assert list(checks) == scheme_d8(0)["checks"]
+    joint = checks["joint_observable"]
+    assert joint["tol"] == 0.0 and joint["verdict"] == (joint["marginal_defect"] <= 0.0)
+    assert cli("check", str(path)).returncode == 0
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_an_input_that_is_a_directory_exits_two_naming_it(tmp_path, command):
+    result = cli(command, str(tmp_path))
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert json.loads(result.stderr)["error"] == f"cannot open {str(tmp_path)!r}: Is a directory"
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_an_input_that_is_not_utf8_exits_two_naming_it(tmp_path, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff{"beta": 1.0}')
+    result = cli(command, str(path))
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert json.loads(result.stderr)["error"] == (
+        f"{str(path)!r} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte"
+    )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import sweep_row
 from thermomeas import objects, schemes, thermo
 from thermomeas import scenario as scenario_module
 from thermomeas.errors import ValidationError
@@ -802,9 +803,7 @@ class TestRunSweep:
         assert len(rows) == len(values)
         for row, value in zip(rows, values):
             point = dict(template, checks=["free_scheme", "second_law"], **{name: value})
-            report = run_scenario(point)
-            alone = scenario_module._sweep_row(name, value, report.scenario, *report.checks)
-            assert row == [str(field) for field in alone]
+            assert row == sweep_row(name, value, run_scenario(point))
 
     def test_seed_sweep_derives_the_frame_once(self, monkeypatch):
         counts = {"hamiltonian": 0, "observable": 0, "pointer_roots": 0, "total_eigh": 0}

@@ -7,6 +7,9 @@ it, and the per-state audit. Each point's results must equal, bit for bit,
 what the same point gives alone, which is how ``run_scenario`` derives it.
 """
 
+import csv
+import io
+import json
 import math
 import re
 from functools import cached_property
@@ -16,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sweep_row
 from thermomeas import scenario as scenario_module
 from thermomeas import schemes, thermo
+from thermomeas.cli import main as cli_main
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.objects import spectral_observable
 from thermomeas.scenario import (
-    _SWEEP_CHECKS,
     MAX_STATE_COUNT,
     chunk_size,
     parse_template,
@@ -61,7 +65,7 @@ SEEDS = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
 @settings(max_examples=40, deadline=None)
 def test_stacked_draw_is_each_seed_drawn_alone(frame_and_size, seeds):
     frame, mixture_size = frame_and_size
-    batch = random_free_schemes(frame, seeds, mixture_size)
+    batch = random_free_schemes(frame, seeds, mixture_size).schemes()
     for seed, scheme in zip(seeds, batch):
         alone = random_free_scheme(frame, seed, mixture_size)
         assert scheme.interaction.kraus.tobytes() == alone.interaction.kraus.tobytes()
@@ -71,7 +75,7 @@ def test_stacked_draw_is_each_seed_drawn_alone(frame_and_size, seeds):
 @settings(max_examples=40, deadline=None)
 def test_each_point_derives_what_its_batch_of_one_does(frame_and_size, seeds):
     frame, mixture_size = frame_and_size
-    batch = random_free_schemes(frame, seeds, mixture_size)
+    batch = random_free_schemes(frame, seeds, mixture_size).schemes()
     for seed, scheme in zip(seeds, batch):
         alone = random_free_scheme(frame, seed, mixture_size)
         assert validate_free_scheme(scheme) == validate_free_scheme(alone)
@@ -155,9 +159,7 @@ def test_each_row_of_a_chunked_sweep_is_its_point_run_alone(sweep_and_chunk):
     assert len(rows) == len(values)
     for row, value in zip(rows, values):
         point = dict(sweep["scenario"], checks=["free_scheme", "second_law"], **{name: value})
-        report = run_scenario(point)
-        alone = scenario_module._sweep_row(name, value, report.scenario, *report.checks)
-        assert row == [str(field) for field in alone]
+        assert row == sweep_row(name, value, run_scenario(point))
 
 
 def test_a_refusal_in_a_later_chunk_names_the_first_failing_point(monkeypatch):
@@ -166,21 +168,17 @@ def test_a_refusal_in_a_later_chunk_names_the_first_failing_point(monkeypatch):
         "scenario": sweep_template(3, 3, "equally_spaced", 2, {"count": 2}),
     }
     points_per_chunk(monkeypatch, sweep, 2)
-    run_check = scenario_module._run_check
+    at = scenario_module._Scheme.at
     chunks = []
 
-    def failing(sc, name):
-        if sc.seed in (5, 6):
-            raise PreconditionError(f"seed {sc.seed} refused")
-        return run_check(sc, name)
-
-    def recorded(template, seeds, beta, checks=None):
+    def failing(scheme, seeds, beta):
         chunks.append(list(seeds))
-        return points(template, seeds, beta, checks)
+        refused = [seed for seed in seeds if seed in (5, 6)]
+        if refused:
+            raise PreconditionError(f"seed {refused[0]} refused")
+        return at(scheme, seeds, beta)
 
-    points = scenario_module.ScenarioTemplate.points
-    monkeypatch.setattr(scenario_module, "_run_check", failing)
-    monkeypatch.setattr(scenario_module.ScenarioTemplate, "points", recorded)
+    monkeypatch.setattr(scenario_module._Scheme, "at", failing)
     with pytest.raises(PreconditionError, match=r"^axis\.seed\[4\] = 5: seed 5 refused$"):
         run_sweep(sweep)
     # the chunk holding seeds 5 and 6 failed as a chunk, then point by point up to seed 5
@@ -257,19 +255,36 @@ def test_a_frame_at_another_beta_shares_all_but_its_gibbs_data():
         other.beta = 2.0
 
 
-def held_bytes(scenarios) -> dict:
-    """Bytes of each stacked array the points of one chunk hold, by name."""
-    batch, audit = scenarios[0].scheme._point[0], scenarios[0].audit._batch
-    instruments = batch.instruments
+def recorded_chunks(monkeypatch) -> list:
+    """``[schemes, audit]``: the :class:`SchemeBatch` and :class:`AuditBatch` of each
+    chunk a sweep derives from now on."""
+    chunks, at, audit_batch = [], scenario_module._Scheme.at, scenario_module.AuditBatch
+
+    def drawn(scheme, seeds, beta):
+        chunks.append([at(scheme, seeds, beta), None])
+        return chunks[-1][0]
+
+    def audited(*args):
+        chunks[-1][1] = audit_batch(*args)
+        return chunks[-1][1]
+
+    monkeypatch.setattr(scenario_module._Scheme, "at", drawn)
+    monkeypatch.setattr(scenario_module, "AuditBatch", audited)
+    return chunks
+
+
+def held_bytes(chunk) -> dict:
+    """Bytes of each stacked array one chunk holds, by name."""
+    batch, audit = chunk
     held = {
         "interactions": batch.kraus,
         "dilation": batch.dilation[0],
-        "conjugates": np.stack([conjugate.kraus for conjugate in batch.conjugates]),
+        "conjugates": batch.conjugate_kraus,
         "states": audit.states,
         "outputs": audit.outputs,
     }
-    for x in range(len(instruments[0].outcomes)):
-        held[f"outcome {x}"] = np.stack([ins.kraus_sets[x] for ins in instruments])
+    for x, ops in enumerate(batch.instrument_stacks[0]):
+        held[f"outcome {x}"] = ops
     return {name: array.nbytes for name, array in held.items()}
 
 
@@ -279,16 +294,19 @@ def held_bytes(scenarios) -> dict:
     + [(d, count, 3) for d in (2, 3) for count in (2, 37, 1000, MAX_STATE_COUNT)]
     + [(4, 100, 1), (5, 20, 2)],
 )
-def test_a_chunk_keeps_its_largest_array_within_the_budget(d, count, mixture_size):
+def test_a_chunk_keeps_its_largest_array_within_the_budget(monkeypatch, d, count, mixture_size):
     """A chunk's stacked arrays, measured, fit the budget, and one more point would not."""
-    template = parse_template(sweep_template(d, d, "equally_spaced", mixture_size, {"count": count}))
-    size = chunk_size(template)
-    one_point = max(held_bytes(template.points([0], template.beta, _SWEEP_CHECKS)).values())
+    raw = sweep_template(d, d, "equally_spaced", mixture_size, {"count": count})
+    size = chunk_size(parse_template(raw))
+    chunks = recorded_chunks(monkeypatch)
+    run_sweep({"axis": {"name": "seed", "range": [0, 0]}, "scenario": raw})
+    one_point = max(held_bytes(chunks[0]).values())
     budget = scenario_module.CHUNK_BYTES
     assert size * one_point <= max(budget, one_point) < (size + 1) * one_point
     if size > 1:
-        chunk = template.points(list(range(size)), template.beta, _SWEEP_CHECKS)
-        assert max(held_bytes(chunk).values()) <= budget
+        run_sweep({"axis": {"name": "seed", "range": [0, size - 1]}, "scenario": raw})
+        assert len(chunks) == 2 and len(chunks[1][0].kraus) == size
+        assert max(held_bytes(chunks[1]).values()) <= budget
 
 
 def test_chunked_sweep_rows_equal_the_unchunked_sweep(monkeypatch):
@@ -303,18 +321,6 @@ def test_chunked_sweep_rows_equal_the_unchunked_sweep(monkeypatch):
     assert re.fullmatch(r"(.*\n){11}", whole)
 
 
-def recorded_chunks(monkeypatch) -> list:
-    """The scenarios of each chunk that ``ScenarioTemplate.points`` derives from now on."""
-    chunks, points = [], scenario_module.ScenarioTemplate.points
-
-    def recorded(template, seeds, beta, checks=None):
-        chunks.append(points(template, seeds, beta, checks))
-        return chunks[-1]
-
-    monkeypatch.setattr(scenario_module.ScenarioTemplate, "points", recorded)
-    return chunks
-
-
 def bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
@@ -327,28 +333,26 @@ def test_report_rows_are_the_per_state_formulas_bit_for_bit(monkeypatch):
     points_per_chunk(monkeypatch, sweep, 3)
     chunks = recorded_chunks(monkeypatch)
     assert run_sweep(sweep)[1]
-    assert [len(chunk) for chunk in chunks] == [3, 3, 2]
-    for scenario in (sc for chunk in chunks for sc in chunk):
-        audit, beta = scenario.audit, scenario.beta
+    assert [len(batch.kraus) for batch, _ in chunks] == [3, 3, 2]
+    for _, audit in chunks:
+        beta = audit.beta
         w, avg_w = audit.extractable_work, audit.average_extractable_work
         divergence, gain = audit.outcome_divergence, audit.groenewold_gain
         heat, system_heat = audit.probe_heat, audit.system_heat
-        laws, heats = audit.second_law_reports(), audit.heat_reports()
-        assert len(laws) == len(heats) == 3
-        for i, ((law, work), heat_report) in enumerate(zip(laws, heats)):
+        rows, heats = audit.report_rows.tolist(), audit.heat_rows.tolist()
+        assert np.shape(rows) == (*w.shape, 9) and w.shape[1] == 3
+        for p, i in np.ndindex(w.shape):
             slacks = [
-                w[i] - divergence[i] / beta - avg_w[i],
-                abs(avg_w[i] - w[i] - heat[i] - gain[i] / beta),
-                -divergence[i] / beta - heat[i] - gain[i] / beta,
-                -gain[i] / beta - heat[i],
+                w[p, i] - divergence[p, i] / beta - avg_w[p, i],
+                abs(avg_w[p, i] - w[p, i] - heat[p, i] - gain[p, i] / beta),
+                -divergence[p, i] / beta - heat[p, i] - gain[p, i] / beta,
+                -gain[p, i] / beta - heat[p, i],
             ]
-            assert bits(list(law.to_dict().values())[:4]) == bits(slacks)
-            quantities = [w[i], avg_w[i], divergence[i], heat[i], gain[i]]
-            assert bits(list(work.to_dict().values())[:5]) == bits(quantities)
-            assert bits([heat_report.heat, heat_report.duality_defect]) == bits(
-                [heat[i], abs(heat[i] - system_heat[i])]
-            )
-            assert type(law.prop1_slack) is type(work.heat) is type(heat_report.heat) is float
+            assert bits(rows[p][i][5:]) == bits(slacks)
+            quantities = [w[p, i], avg_w[p, i], divergence[p, i], heat[p, i], gain[p, i]]
+            assert bits(rows[p][i][:5]) == bits(quantities)
+            assert bits(heats[p][i]) == bits([heat[p, i], abs(heat[p, i] - system_heat[p, i])])
+            assert {type(value) for value in rows[p][i] + heats[p][i]} == {float}
 
 
 def test_report_rows_are_derived_once_per_chunk(monkeypatch):
@@ -376,7 +380,71 @@ def test_report_rows_are_derived_once_per_chunk(monkeypatch):
     assert run_sweep(sweep)[1]
     # eight points, three chunks: one derivation per chunk, none per point
     assert len(chunks) == 3 and counts == {"report_rows": 3, "heat_rows": 0}
-    for scenario in chunks[0]:
-        scenario.audit.heat_reports()
-        scenario.audit.work_reports()
+    audit = chunks[0][1]
+    for _ in range(3):
+        assert audit.heat_rows.shape == audit.report_rows.shape[:2] + (2,)
     assert counts == {"report_rows": 3, "heat_rows": 1}
+
+
+def sweep_d3(first: int, last: int, tolerances: dict) -> dict:
+    """The benchmark's d = 3 seed sweep over ``first .. last``, with ``tolerances``."""
+    template = dict(
+        sweep_template(3, 3, "equally_spaced", 3, {"count": 1}), beta=1.0, tolerances=tolerances
+    )
+    return {"axis": {"name": "seed", "range": [first, last]}, "scenario": template}
+
+
+def test_a_failing_row_is_its_point_run_alone(monkeypatch, tmp_path):
+    sweep = sweep_d3(0, 9, {"free_scheme": 1e-30})
+    points_per_chunk(monkeypatch, sweep, 4)
+    table, all_pass = run_sweep(sweep)
+    assert not all_pass
+    header, *rows = [line.split(",") for line in table.strip().split("\n")]
+    assert len(rows) == 10
+    free, law = header.index("free_scheme_verdict"), header.index("second_law_verdict")
+    assert {(row[free], row[law]) for row in rows} == {("False", "True")}
+    for seed, row in enumerate(rows):
+        point = dict(sweep["scenario"], seed=seed, checks=["free_scheme", "second_law"])
+        assert row == sweep_row("seed", seed, run_scenario(point))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    out = tmp_path / "table.csv"
+    assert cli_main(["sweep", str(path), "--out", str(out)]) == 1
+    assert out.read_text() == table
+
+
+def test_a_scheme_not_free_at_the_second_law_tolerance_names_the_first_such_point(monkeypatch):
+    sweep = sweep_d3(0, 9, {})
+    template = parse_template(sweep["scenario"])
+    worst = [template.point(seed, 1.0).scheme.freeness().worst_defect for seed in range(10)]
+    tol = max(worst[:4])  # the first chunk of three passes
+    first = next(seed for seed, defect in enumerate(worst) if defect > tol)
+    assert first > 3
+    sweep["scenario"]["tolerances"] = {"second_law": tol}
+    point = dict(sweep["scenario"], seed=first)
+    with pytest.raises(PreconditionError) as alone:
+        run_scenario(point)
+    assert str(alone.value).startswith("scheme is not thermodynamically free: worst defect ")
+    points_per_chunk(monkeypatch, sweep, 3)
+    with pytest.raises(PreconditionError) as swept:
+        run_sweep(sweep)
+    assert str(swept.value) == f"axis.seed[{first}] = {first}: {alone.value}"
+
+
+@given(sweep_and_chunk=sweeps())
+@settings(max_examples=10, deadline=None)
+def test_every_cell_is_a_plain_number_verdict_or_state_label(sweep_and_chunk):
+    sweep, chunk = sweep_and_chunk
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        points_per_chunk(monkeypatch, sweep, chunk)
+        table, _ = run_sweep(sweep)
+    names = parse_template(sweep["scenario"]).states.names
+    axis = sweep["axis"]["name"]
+    for row in list(csv.reader(io.StringIO(table)))[1:]:
+        assert row[0] == axis
+        numbers = row[3:4] + row[5:14] + (row[1:2] if axis == "beta" else [])
+        assert all(repr(float(cell)) == cell for cell in numbers)
+        integers = row[2:3] + (row[1:2] if axis == "seed" else [])
+        assert all(str(int(cell)) == cell for cell in integers)
+        assert row[4] in names
+        assert row[14] in ("True", "False") and row[15] in ("True", "False")
