@@ -29,7 +29,7 @@ from .linalg import (
     require_hermitian,
 )
 from .objects import Instrument, Observable, gibbs_state, spectral_observable
-from .sampling import random_density_matrices, rng_from_seed
+from .sampling import random_density_matrix_stacks, rng_from_seed
 
 #: Times at which covariance is cross-checked directly.
 COVARIANCE_SAMPLE_TIMES = (0.37, 1.0, 2.5)
@@ -116,7 +116,7 @@ def is_covariant_instrument(
     worst = int(np.argmax(defects))
 
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
-    probes = random_density_matrices(d, 3, rng)
+    probes = random_density_matrix_stacks(d, 3, [rng])[0]
     times = np.array(COVARIANCE_SAMPLE_TIMES)[:, None, None]
     evolutions = ((basis * np.exp(-1j * times * energies)) @ dag(basis))[:, None]
     rotated = evolutions @ probes @ dag(evolutions)  # (time, probe, d, d)

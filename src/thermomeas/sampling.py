@@ -2,12 +2,15 @@
 
 Every function takes an explicit ``numpy.random.Generator`` so that all
 randomness in the package is reproducible from a single integer seed.
+Haar unitaries and Ginibre states each have one kernel, stacked over a list
+of generators; :func:`haar_unitary` and :func:`random_density_matrix` slice it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .linalg import dag, density_matrix, eig_hermitian
 from .objects import Observable, State
 
@@ -23,21 +26,13 @@ def ginibre(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return haar_unitaries([dim], rng)[0]
-
-
-def haar_unitaries(sizes, rng: np.random.Generator) -> list:
-    """Haar unitaries of the given sizes, in order, drawn from ``rng`` as
-    ``haar_unitary`` called once per size would draw them."""
-    sizes = [int(n) for n in sizes]
-    stacks = haar_unitary_stacks(sizes, [rng])
-    taken = {n: iter(stack[0]) for n, stack in stacks.items()}
-    return [next(taken[n]) for n in sizes]
+    return haar_unitary_stacks([dim], [rng])[int(dim)][0, 0]
 
 
 def haar_unitary_stacks(sizes, rngs) -> dict:
-    """For each generator of ``rngs``, the unitaries :func:`haar_unitaries` draws
-    from it, as one ``(len(rngs), count, n, n)`` stack per size ``n``.
+    """For each generator of ``rngs``, Haar unitaries of the given sizes, drawn
+    in order as :func:`haar_unitary` called once per size would draw them, as
+    one ``(len(rngs), count, n, n)`` stack per size ``n``.
 
     Each generator gives every Ginibre matrix in one ``standard_normal``
     call (real parts, then imaginary parts, size by size). One stacked QR
@@ -46,6 +41,8 @@ def haar_unitary_stacks(sizes, rngs) -> dict:
     unitaries; entry ``[g, j]`` is the ``j``-th of size ``n`` from generator ``g``.
     """
     sizes = [int(n) for n in sizes]
+    if min(sizes, default=1) < 1:
+        raise ValidationError(f"dimension must be at least 1, got {min(sizes)}")
     ends = np.cumsum([2 * n * n for n in sizes], dtype=int)
     total = int(ends[-1]) if sizes else 0
     normals = np.array([rng.standard_normal(total) for rng in rngs]).reshape(len(rngs), total)
@@ -66,23 +63,16 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
     return State(random_density_matrix_stacks(dim, 1, [rng])[0, 0])
 
 
-def random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws of :func:`random_density_matrix` as one validated read-only stack.
-
-    The stack is ``(count, dim, dim)``; it draws from ``rng`` exactly as
-    ``count`` calls of :func:`random_density_matrix` would.
-    """
-    return random_density_matrix_stacks(dim, count, [rng])[0]
-
-
 def random_density_matrix_stacks(dim: int, count: int, rngs) -> np.ndarray:
-    """:func:`random_density_matrices` of each generator of ``rngs``, as one
-    validated read-only ``(len(rngs), count, dim, dim)`` stack.
+    """``count`` draws of :func:`random_density_matrix` from each generator of
+    ``rngs``, as one validated read-only ``(len(rngs), count, dim, dim)`` stack.
 
     Each generator gives the real and imaginary parts of its ``count``
     Ginibre matrices in one ``standard_normal`` call, as ``count`` calls of
     :func:`random_density_matrix` would draw them, one after the other.
     """
+    if dim < 1:
+        raise ValidationError(f"dimension must be at least 1, got {dim}")
     normals = np.array([rng.standard_normal((count, 2, dim, dim)) for rng in rngs])
     g = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2)
     m = g @ dag(g)

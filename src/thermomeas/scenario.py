@@ -13,20 +13,20 @@ it refuses unknown keys and a check whose scheme or input states are
 missing, decodes and validates every given object at ``VALIDATION_TOL``,
 and refines a top-level observable for the ``refine`` check.
 :meth:`ScenarioTemplate.point` then derives a grid point: its random
-interaction and states, its scheme, the instrument under test and, for the
-``refine`` check of an induced observable, its refinement, so their
-validation too comes before any check runs; :func:`parse_scenario` is the
-template and its own point. A sweep file (an object with an ``axis``,
+interaction and states, its scheme, the instrument under test, its audit
+and, for the ``refine`` check of an induced observable, its refinement, so
+their validation too comes before any check runs; :func:`parse_scenario`
+is the template and its own point. A sweep file (an object with an ``axis``,
 ``values`` or ``range`` but not both, and a ``scenario`` object, and no
 other key) judges its template and every axis value before the first grid
 point, then derives its points from the one template in chunks of
 :func:`chunk_size` points at one beta, whose largest stacked array stays
 within ``CHUNK_BYTES`` (one point at least). A chunk's schemes, states
-and second-law audit are stacked kernels over its points, with every
-validation holding per point, and its rows are read off their arrays: a
-sweep derives only what the ``free_scheme`` and ``second_law`` verdicts
-of its rows read. A refusal names the first failing grid point in axis
-order.
+and second-law audit are :meth:`ScenarioTemplate.derive` of its seeds, as
+a lone scheme scenario's are of its one seed, with every validation holding
+per point, and its rows are read off their arrays: a sweep derives only
+what the ``free_scheme`` and ``second_law`` verdicts of its rows read. A
+refusal names the first failing grid point in axis order.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
@@ -67,7 +67,7 @@ from .schemes import (
     require_free_draw,
     trivial_scheme,
 )
-from .thermo import AuditBatch, StateAudit, second_law_verdict
+from .thermo import AuditBatch, second_law_verdict
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -223,8 +223,8 @@ class Scenario:
     ``state_names`` names its entries in order. The instrument under test,
     and the rank-1 refinement of the observable under test when the
     ``refine`` check runs (else ``None``), are derived with the point, so an
-    object they refuse is refused before any check runs; the per-state
-    ``audit``, the per-state record of the instrument under test on
+    object they refuse is refused before any check runs. ``audit``, the
+    :class:`AuditBatch` of one point of the instrument under test on
     ``states`` that every state check reads, derives its quantities on
     first use and keeps them; so does the canonical :attr:`echo`.
     """
@@ -241,7 +241,7 @@ class Scenario:
     checks: list
     tolerances: dict
     template: ScenarioTemplate
-    audit: StateAudit
+    audit: AuditBatch
     refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
@@ -450,12 +450,12 @@ class ScenarioTemplate:
     What a grid point draws is left open. :meth:`point` derives, for a seed
     and beta, the random interaction and states, the scheme, the instrument
     under test and, for the ``refine`` check of an induced observable, its
-    refinement; a top-level observable is refined once, at parse. A sweep
-    derives the schemes of a chunk of seeds as one batch, with
-    ``scheme.at``, and their states with ``states.stacks``. Every point at
-    the template's beta shares the template's :class:`SchemeFrame`, so a
-    seed sweep decodes, validates and derives the frame once, and a point
-    at another beta shares all of it but the Gibbs data.
+    refinement; a top-level observable is refined once, at parse. A lone
+    point with a scheme and a sweep chunk both derive their schemes, states
+    and audit with :meth:`derive`, of one seed or of the chunk's. Every
+    point at the template's beta shares the template's :class:`SchemeFrame`,
+    so a seed sweep decodes, validates and derives the frame once, and a
+    point at another beta shares all of it but the Gibbs data.
     """
 
     beta: float
@@ -472,19 +472,30 @@ class ScenarioTemplate:
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
 
-    def point(self, seed: int, beta: float) -> Scenario:
-        """The scenario of the grid point with ``seed`` and ``beta``.
+    def derive(self, seeds, beta: float) -> tuple:
+        """The :class:`SchemeBatch` of the points with ``seeds``, all at ``beta``,
+        and the :class:`AuditBatch` of its instruments on their states; each is
+        validated for all points at once, instruments, states, then conjugates."""
+        schemes = self.scheme.at(seeds, beta)
+        kraus_sets, _, effects = schemes.instrument_stacks
+        states = self.states.stacks(self.system_hamiltonian, seeds, beta)
+        return schemes, AuditBatch(
+            schemes.frame.pointer.outcomes, kraus_sets, effects, states,
+            self.system_hamiltonian, beta, schemes.frame, schemes.conjugate_kraus,
+        )
 
-        Its scheme is a :class:`SchemeBatch` of one, and its instrument, states
-        and, for the ``refine`` check, refinement are derived and validated
-        before any check runs.
-        """
+    def point(self, seed: int, beta: float) -> Scenario:
+        """The scenario of the grid point with ``seed`` and ``beta``: :meth:`derive` of
+        one seed, or without a scheme the observable's Lüders instrument. Its
+        instrument, states and, for ``refine``, refinement are validated first."""
         if self.scheme is not None:
-            scheme = self.scheme.at([seed], beta).schemes()[0]
-            instrument = scheme.instrument
+            schemes, audit = self.derive([seed], beta)
+            scheme = schemes.schemes()[0]
+            instrument, states = scheme.instrument, audit.states[0]
         else:
             scheme, instrument = None, Instrument.luders(self.observable)
-        states = self.states.stacks(self.system_hamiltonian, [seed], beta)[0]
+            states = self.states.stacks(self.system_hamiltonian, [seed], beta)[0]
+            audit = AuditBatch.of_instrument(instrument, states, self.system_hamiltonian, beta)
         sc = Scenario(
             beta=beta,
             seed=seed,
@@ -498,7 +509,7 @@ class ScenarioTemplate:
             checks=list(self.checks),
             tolerances=self.tolerances,
             template=self,
-            audit=StateAudit(instrument, states, self.system_hamiltonian, beta, scheme),
+            audit=audit,
             refinement=self.refinement,
         )
         if "refine" in self.checks and self.observable is None:
@@ -605,19 +616,18 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 # ---------------------------------------------------------------------------
 
 
+def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) -> dict:
+    """A state check's result: ``verdict``, ``worst`` as ``worst_key``, ``rows`` by state."""
+    rows = [{"state": name, **row} for name, row in zip(sc.state_names, rows)]
+    return {"verdict": verdict, "n_states": len(rows), worst_key: worst, "per_state": rows}
+
+
 def _check_second_law(sc: Scenario, tol: float) -> dict:
-    rows = [
-        {"state": name, "work": work.to_dict(), "second_law": law.to_dict()}
-        for name, (law, work) in zip(sc.state_names, sc.audit.second_law_reports(tol))
-    ]
-    verdict = all(r["second_law"]["verdict"] for r in rows)
-    worst = min(r["second_law"]["prop1_slack"] for r in rows)
-    return {
-        "verdict": verdict,
-        "n_states": len(rows),
-        "worst_prop1_slack": worst,
-        "per_state": rows,
-    }
+    sc.scheme._point[0].require_free(tol)
+    reports = sc.audit.second_law_reports(tol)
+    rows = [{"work": work.to_dict(), "second_law": law.to_dict()} for law, work in reports]
+    worst = min(law.prop1_slack for law, _ in reports)
+    return _per_state(sc, rows, "worst_prop1_slack", worst, all(law.verdict for law, _ in reports))
 
 
 def _check_joint_observable(sc: Scenario, tol: float) -> dict:
@@ -673,31 +683,16 @@ def _check_moments(sc: Scenario, tol: float) -> dict:
 
 
 def _check_skew_chain(sc: Scenario, tol: float) -> dict:
-    rows = [
-        {"state": name, "selective_slack": float(selective), "convexity_slack": float(convexity)}
-        for name, selective, convexity in zip(sc.state_names, *sc.audit.skew_chain)
-    ]
+    slacks = zip(*sc.audit.skew_chain[0].tolist())
+    rows = [{"selective_slack": s, "convexity_slack": c} for s, c in slacks]
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
-    return {
-        "verdict": worst >= -tol,
-        "n_states": len(rows),
-        "worst_slack": worst,
-        "per_state": rows,
-    }
+    return _per_state(sc, rows, "worst_slack", worst, worst >= -tol)
 
 
 def _check_heat_duality(sc: Scenario, tol: float) -> dict:
-    rows = [
-        {"state": name, "heat": report.heat, "duality_defect": report.duality_defect}
-        for name, report in zip(sc.state_names, sc.audit.heat_reports())
-    ]
+    rows = [vars(report) for report in sc.audit.heat_reports()]
     worst = max(r["duality_defect"] for r in rows)
-    return {
-        "verdict": worst <= tol,
-        "n_states": len(rows),
-        "worst_duality_defect": worst,
-        "per_state": rows,
-    }
+    return _per_state(sc, rows, "worst_duality_defect", worst, worst <= tol)
 
 
 @dataclass(frozen=True)
@@ -939,7 +934,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
     rows of those points, all at one beta, derived as one chunk.
 
     The chunk's schemes, instruments, states and second-law audit are
-    stacked kernels over its points, and its rows are read from their
+    :meth:`ScenarioTemplate.derive` of its seeds, and its rows are read from their
     arrays: each point's ``free_scheme`` verdict from the freeness defects,
     and from the audit's report rows its ``second_law`` verdict and the
     cells of its worst state, the first with the smallest ``prop1_slack``.
@@ -951,17 +946,12 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
         seeds, beta = [values[i] for i in indices], template.beta
     else:
         seeds, beta = [template.seed] * len(indices), values[indices[0]]
-    h_system, law_tol = template.system_hamiltonian, template.tol_for("second_law")
+    law_tol = template.tol_for("second_law")
     try:
-        schemes = template.scheme.at(seeds, beta)
-        kraus_sets, _, effects = schemes.instrument_stacks
-        states = template.states.stacks(h_system, seeds, beta)
+        schemes, audit = template.derive(seeds, beta)
         free = schemes.free_verdicts(template.tol_for("free_scheme"))
         schemes.require_free(law_tol)
-        report = AuditBatch(
-            schemes.frame.pointer.outcomes, kraus_sets, effects, states, h_system, beta,
-            schemes.frame, schemes.conjugate_kraus,
-        ).report_rows
+        report = audit.report_rows
     except (ValidationError, PreconditionError) as exc:
         if len(indices) > 1:
             chunks = [_sweep_rows(template, axis_name, values, [i]) for i in indices]

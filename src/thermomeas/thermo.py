@@ -9,11 +9,11 @@ defined for outcomes that actually occur.
 Every per-state quantity has one implementation, which works on stacks of
 states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
 d)`` state stack holds each point's states for that point's instrument, and
-the stack helpers it uses. A :class:`StateAudit` is a batch of one point,
-made from its instrument; the points of a sweep chunk share one batch,
-made from the chunk's stacks. The single-state functions call them on a
-stack of one state. Each second-law verdict, of one state or of a whole
-batch, is :func:`second_law_verdict`.
+the stack helpers it uses. :meth:`AuditBatch.of_instrument` makes a batch
+of one point, which the single-state functions read on one state; a
+scheme batch's points share one batch. The batch's report methods build
+every list of reports, and each second-law verdict, of one state or of a
+whole batch, is :func:`second_law_verdict`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .objects import Instrument, _sandwich, gibbs_log_weights
-from .schemes import MeasurementScheme
+from .schemes import MeasurementScheme, SchemeFrame
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,7 @@ def _given(value, name: str):
     return value
 
 
+@dataclass(eq=False)
 class AuditBatch:
     """Every per-state quantity of several points, each one instrument on its
     own stack of states, as arrays with a leading point axis.
@@ -199,7 +200,8 @@ class AuditBatch:
     d, d)`` induced effects, as :class:`Instrument` validates them.
     ``states`` is a validated ``(P, n, d, d)`` stack: entry ``[i]`` holds
     the states of point ``i``. ``hamiltonian`` and ``beta`` are shared by
-    every point and needed only by the quantities that use them. With a
+    every point and needed only by the quantities that use them; a quantity
+    without its input is refused with a :class:`PreconditionError`. With a
     scheme, ``frame`` is the :class:`SchemeFrame` every point's scheme is
     on and ``conjugates`` the ``(P, k', d_a, d)`` Kraus stack of their
     conjugate channels; the instruments, Hamiltonian and beta must be the
@@ -212,18 +214,29 @@ class AuditBatch:
     one shared record and a caller pays only for what it reads.
     """
 
-    def __init__(
-        self, outcomes, kraus_sets, effects, states, hamiltonian=None, beta=None, frame=None,
-        conjugates=None,
-    ):
-        self.outcomes = outcomes
-        self.kraus_sets = kraus_sets
-        self.effects = effects
-        self.states = states
-        self.hamiltonian = hamiltonian
-        self.beta = beta
-        self.frame = frame
-        self.conjugates = conjugates
+    outcomes: tuple
+    kraus_sets: tuple
+    effects: np.ndarray
+    states: np.ndarray
+    hamiltonian: np.ndarray = None
+    beta: float = None
+    frame: SchemeFrame = None
+    conjugates: np.ndarray = None
+
+    @classmethod
+    def of_instrument(cls, instrument, states, hamiltonian=None, beta=None, scheme=None):
+        """A batch of one point: ``instrument`` on a validated ``(n, d, d)`` stack
+        ``states``, with a Hermitian ``hamiltonian``, both of its dimension; with
+        a ``scheme``, whose instrument, Hamiltonian and beta these must be."""
+        _require_dimension(instrument.dim, "instrument", states=states, Hamiltonian=hamiltonian)
+        frame = conjugates = None
+        if scheme is not None:
+            frame, conjugates = scheme.frame, scheme.conjugate.kraus[None]
+        return cls(
+            instrument.outcomes, tuple(ks[None] for ks in instrument.kraus_sets),
+            instrument.induced_observable.effects[None], states[None], hamiltonian, beta,
+            frame, conjugates,
+        )
 
     @cached_property
     def gibbs(self) -> tuple:
@@ -341,89 +354,23 @@ class AuditBatch:
         heat = self.probe_heat
         return np.stack([heat, np.abs(heat - self.system_heat)], axis=-1)
 
-
-class StateAudit:
-    """Every per-state quantity of one instrument on a stack of states: an
-    :class:`AuditBatch` of one point.
-
-    ``states`` is a validated ``(n, d, d)`` stack, as :func:`density_matrix`
-    returns it, and ``hamiltonian`` a Hermitian matrix, as
-    :func:`require_hermitian` returns it. Each public derived array of the
-    batch reads as its one entry, holding one entry per state (per outcome
-    and state for ``probabilities``). The report methods read the batch's
-    report rows.
-
-    ``hamiltonian`` and ``beta`` are needed only by the quantities that
-    use them; one that needs an input the audit was not given is refused
-    with a :class:`PreconditionError` naming it. With a ``scheme``, the
-    instrument, Hamiltonian and beta must be the scheme's; it then supplies
-    the Gibbs data and the probe-side heat, and gates
-    :meth:`second_law_reports` on freeness.
-    """
-
-    def __init__(
-        self, instrument: Instrument, states, hamiltonian=None, beta=None, scheme=None
-    ):
-        self.instrument, self.scheme = instrument, scheme
-        self._batch = AuditBatch(
-            instrument.outcomes,
-            tuple(ks[None] for ks in instrument.kraus_sets),
-            instrument.induced_observable.effects[None],
-            states[None],
-            hamiltonian,
-            beta,
-            None if scheme is None else scheme.frame,
-            None if scheme is None else scheme.conjugate.kraus[None],
-        )
-
-    @classmethod
-    def of_scheme(cls, scheme: MeasurementScheme, states) -> "StateAudit":
-        return cls(scheme.instrument, states, scheme.system_hamiltonian, scheme.beta, scheme)
-
-    #: The batch's per-point arrays: its public derived quantities but the shared Gibbs data.
-    _PER_STATE = frozenset(
-        name for name, value in vars(AuditBatch).items()
-        if isinstance(value, cached_property) and not name.startswith("_") and name != "gibbs"
-    )
-
-    def __getattr__(self, name):
-        # Called only for names the audit itself lacks.
-        if name not in StateAudit._PER_STATE:
-            raise AttributeError(name)
-        return getattr(self._batch, name)[0]
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._batch.states[0]
-
-    @property
-    def hamiltonian(self):
-        return self._batch.hamiltonian
-
-    @property
-    def beta(self):
-        return self._batch.beta
-
-    @property
-    def gibbs(self) -> tuple:
-        """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
-        return self._batch.gibbs
-
     def work_reports(self) -> list:
-        """One :class:`WorkReport` per state; its heat is probe-side with a scheme
-        and system-side without."""
-        beta = self.beta
-        return [WorkReport(*row[:5], beta=beta) for row in self.report_rows.tolist()]
+        """One :class:`WorkReport` per point and state, point by point; its heat
+        is probe-side with a scheme and system-side without."""
+        beta, rows = self.beta, self.report_rows.tolist()
+        return [WorkReport(*row[:5], beta=beta) for point in rows for row in point]
 
     def heat_reports(self) -> list:
-        """One :class:`HeatReport` per state: probe-side heat and its system-side defect."""
-        return [HeatReport(*row) for row in self.heat_rows.tolist()]
+        """One :class:`HeatReport` per point and state: probe-side heat and its
+        system-side defect."""
+        return [HeatReport(*row) for point in self.heat_rows.tolist() for row in point]
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
-        """``(SecondLawReport, WorkReport)`` per state; see :func:`second_law_report`."""
-        batch, i = _given(self.scheme, "scheme")._point
-        batch.require_free(tol, slice(i, i + 1))
-        laws = [SecondLawReport(*row[5:], tol=tol) for row in self.report_rows.tolist()]
+        """``(SecondLawReport, WorkReport)`` per point and state, point by point; the
+        caller refuses a point whose scheme is not free, as :func:`second_law_report` does."""
+        _given(self.frame, "scheme")
+        rows = self.report_rows.tolist()
+        laws = [SecondLawReport(*row[5:], tol=tol) for point in rows for row in point]
         return list(zip(laws, self.work_reports()))
 
 
@@ -432,22 +379,33 @@ def _one_state(rho) -> np.ndarray:
     return density_matrix(as_matrix(rho))[None]
 
 
+def _require_dimension(d: int, of: str, **matrices) -> None:
+    """Refuse each given matrix, or stack of them, unless it is ``d x d`` as ``of`` is."""
+    for name, m in matrices.items():
+        shape = np.shape(m)[-2:]
+        if m is not None and shape != (d, d):
+            raise ValidationError(f"{name} must be {d} x {d} to match the {of}, got {shape}")
+
+
 def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     """Nonequilibrium free energy relative to the Gibbs state, over beta.
 
     This is the maximum work an isothermal process can extract while the
     state relaxes to thermal equilibrium; zero exactly at the Gibbs state.
     """
-    beta = require_beta(beta)
-    r = density_matrix(as_matrix(rho))
-    gibbs = gibbs_log_weights(system_hamiltonian, beta)
-    return float(_divergence_to_gibbs(r, von_neumann_entropy(r, validate=False), gibbs)) / beta
+    beta, state = require_beta(beta), _one_state(rho)
+    h = require_hermitian(system_hamiltonian, name="hamiltonian")
+    _require_dimension(h.shape[0], "Hamiltonian", state=state)
+    gibbs = gibbs_log_weights(h, beta)
+    return float(_divergence_to_gibbs(state, _entropy(state), gibbs)[0]) / beta
 
 
 def average_extractable_work(instrument: Instrument, rho, system_hamiltonian, beta: float) -> float:
     """Mean post-measurement extractable work under outcome-conditioned feedback."""
-    audit = StateAudit(instrument, _one_state(rho), system_hamiltonian, require_beta(beta))
-    return float(audit.average_extractable_work[0])
+    state, beta = _one_state(rho), require_beta(beta)
+    h = require_hermitian(system_hamiltonian, name="hamiltonian")
+    audit = AuditBatch.of_instrument(instrument, state, h, beta)
+    return float(audit.average_extractable_work[0, 0])
 
 
 def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> float:
@@ -458,18 +416,19 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     diagonal entries of ``E_x`` in the eigenbasis of ``H``, so they stay
     finite at low temperature.
     """
-    log_q = _log_gibbs_probabilities(
-        observable.effects, gibbs_log_weights(system_hamiltonian, require_beta(beta))
-    )
+    beta, state = require_beta(beta), _one_state(rho)
+    h = require_hermitian(system_hamiltonian, name="hamiltonian")
+    _require_dimension(observable.dim, "observable", state=state, Hamiltonian=h)
+    log_q = _log_gibbs_probabilities(observable.effects, gibbs_log_weights(h, beta))
     divergence = _outcome_divergence(
-        observable.outcomes, observable.effects[None], as_matrix(rho)[None, None], log_q[None]
+        observable.outcomes, observable.effects[None], state[None], log_q[None]
     )
     return float(divergence[0, 0])
 
 
 def groenewold_gain(instrument: Instrument, rho) -> float:
     """Entropy of the input minus the mean entropy of the conditional outputs."""
-    return float(StateAudit(instrument, _one_state(rho)).groenewold_gain[0])
+    return float(AuditBatch.of_instrument(instrument, _one_state(rho)).groenewold_gain[0, 0])
 
 
 def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
@@ -479,7 +438,9 @@ def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
     increase in the system's expected energy); the two agree for schemes
     whose interaction conserves the total Hamiltonian.
     """
-    return StateAudit.of_scheme(scheme, _one_state(rho)).heat_reports()[0]
+    h, beta = scheme.system_hamiltonian, scheme.beta
+    audit = AuditBatch.of_instrument(scheme.instrument, _one_state(rho), h, beta, scheme)
+    return audit.heat_reports()[0]
 
 
 def skew_information(hamiltonian, rho) -> float:
@@ -491,6 +452,7 @@ def skew_information(hamiltonian, rho) -> float:
     """
     h = require_hermitian(hamiltonian, name="hamiltonian")
     m = as_matrix(rho)
+    _require_dimension(h.shape[0], "Hamiltonian", operator=m)
     return float(_skew_information(h, (m + dag(m)) / 2))
 
 
@@ -503,7 +465,7 @@ def skew_information_chain(instrument: Instrument, rho, system_hamiltonian):
     nonnegative for covariant instruments.
     """
     h = require_hermitian(system_hamiltonian, name="hamiltonian")
-    selective, convexity = StateAudit(instrument, _one_state(rho), h).skew_chain
+    selective, convexity = AuditBatch.of_instrument(instrument, _one_state(rho), h).skew_chain[0]
     return float(selective[0]), float(convexity[0])
 
 
@@ -517,7 +479,7 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     """
     beta = require_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    return StateAudit(instrument, _one_state(rho), h, beta).work_reports()[0]
+    return AuditBatch.of_instrument(instrument, _one_state(rho), h, beta).work_reports()[0]
 
 
 def second_law_report(
@@ -531,4 +493,8 @@ def second_law_report(
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
-    return StateAudit.of_scheme(scheme, _one_state(rho)).second_law_reports(tol)[0]
+    h, beta = scheme.system_hamiltonian, scheme.beta
+    audit = AuditBatch.of_instrument(scheme.instrument, _one_state(rho), h, beta, scheme)
+    batch, i = scheme._point
+    batch.require_free(tol, slice(i, i + 1))
+    return audit.second_law_reports(tol)[0]

@@ -22,7 +22,7 @@ from thermomeas.objects import Instrument, gibbs_state
 from thermomeas.sampling import (
     haar_unitary,
     random_commuting_povm,
-    random_density_matrices,
+    random_density_matrix_stacks,
     random_povm,
     rng_from_seed,
 )
@@ -95,7 +95,7 @@ def test_stacked_per_outcome_classifiers_match_the_loops(case):
     choi_defects = oracles.covariance_choi_defects(instrument, h)
     assert_close(covariant.defect, max(choi_defects))
     assert_worst(covariant.witness["worst_outcome"], outcomes, choi_defects)
-    probes = random_density_matrices(instrument.dim, 3, rng_from_seed(20100526))
+    probes = random_density_matrix_stacks(instrument.dim, 3, [rng_from_seed(20100526)])[0]
     sampled = oracles.sampled_covariance_defect(instrument, h, COVARIANCE_SAMPLE_TIMES, probes)
     assert_close(covariant.witness["sampled_time_defect"], sampled)
 

@@ -7,8 +7,9 @@ from oracles import commuting_povm_effects, haar_unitary_by_qr
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import commutator_defect
 from thermomeas.sampling import (
-    haar_unitaries,
     haar_unitary,
+    haar_unitary_stacks,
+    random_density_matrix_stacks,
     random_commuting_povm,
     random_density_matrix,
     random_diagonal_hamiltonian,
@@ -26,11 +27,32 @@ def test_haar_unitary_is_unitary():
 @pytest.mark.parametrize("sizes", [[5], [1, 2, 3, 2, 1], [3, 1, 4, 1, 5, 9, 2, 6] * 3, []])
 def test_batched_unitaries_are_the_one_at_a_time_draws(sizes):
     rng, reference_rng = rng_from_seed(4), rng_from_seed(4)
-    batch = haar_unitaries(sizes, rng)
-    assert [u.shape for u in batch] == [(n, n) for n in sizes]
-    for u, n in zip(batch, sizes):
-        assert u.tobytes() == haar_unitary_by_qr(n, reference_rng).tobytes()
+    stacks = haar_unitary_stacks(sizes, [rng])
+    assert {n: s.shape for n, s in stacks.items()} == {n: (1, sizes.count(n), n, n) for n in sizes}
+    taken = {n: iter(stack[0]) for n, stack in stacks.items()}
+    for n in sizes:
+        assert next(taken[n]).tobytes() == haar_unitary_by_qr(n, reference_rng).tobytes()
     assert rng.random() == reference_rng.random()  # both generators end in the same state
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: haar_unitary(0, rng),
+        lambda rng: haar_unitary_stacks([2, -1, 3], [rng]),
+        lambda rng: random_density_matrix(0, rng),
+        lambda rng: random_density_matrix_stacks(-2, 3, [rng]),
+    ],
+    ids=["haar_unitary", "haar_unitary_stacks", "random_density_matrix", "stacks"],
+)
+def test_a_dimension_below_one_is_refused_by_name(draw):
+    with pytest.raises(ValidationError, match="dimension must be at least 1, got -?[0-9]"):
+        draw(rng_from_seed(0))
+
+
+def test_no_states_is_an_empty_stack():
+    stack = random_density_matrix_stacks(3, 0, [rng_from_seed(0), rng_from_seed(1)])
+    assert stack.shape == (2, 0, 3, 3)
 
 
 def test_random_density_matrix_is_full_rank_state():

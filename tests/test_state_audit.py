@@ -1,10 +1,11 @@
 """The batched per-state core against the single-state functions and the dilation oracle.
 
-:class:`thermomeas.thermo.StateAudit` derives every per-state scalar of the
-second law, heat duality and the skew chain for a whole stack of states at
-once. Each scalar must equal the single-state public function on that
-state, and the second law's divergence terms must equal the relative
-entropy of the classical-register dilation, computed independently.
+:meth:`thermomeas.thermo.AuditBatch.of_instrument`, a batch of one point,
+derives every per-state scalar of the second law, heat duality and the skew
+chain for a whole stack of states at once. Each scalar must equal the
+single-state public function on that state, and the second law's divergence
+terms must equal the relative entropy of the classical-register dilation,
+computed independently.
 """
 
 import numpy as np
@@ -16,10 +17,10 @@ from oracles import dilation_relative_entropy
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL
 from thermomeas.objects import spectral_observable
-from thermomeas.sampling import random_density_matrices, rng_from_seed
+from thermomeas.sampling import random_density_matrix_stacks, rng_from_seed
 from thermomeas.schemes import SchemeFrame, random_free_scheme
 from thermomeas.thermo import (
-    StateAudit,
+    AuditBatch,
     average_extractable_work,
     extractable_work,
     groenewold_gain,
@@ -65,7 +66,7 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
     frame = SchemeFrame(h_s, h_a, beta, spectral_observable(h_a))
     scheme = random_free_scheme(frame, seed, mixture_size)
     eigenstates = np.array([np.diag(np.eye(d_s)[i]) for i in range(n_eigen)], dtype=complex)
-    random_states = random_density_matrices(d_s, n_random, rng_from_seed(seed + 1))
+    random_states = random_density_matrix_stacks(d_s, n_random, [rng_from_seed(seed + 1)])[0]
     return scheme, np.concatenate([eigenstates, random_states])[list(order)]
 
 
@@ -76,11 +77,11 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
 def test_batch_equals_single_state_functions_and_oracle(inputs):
     scheme, states = build(*inputs)
     h, beta, instrument = scheme.system_hamiltonian, scheme.beta, scheme.instrument
-    audit = StateAudit.of_scheme(scheme, states)
+    audit = AuditBatch.of_instrument(instrument, states, h, beta, scheme)
     laws = audit.second_law_reports()
     heats = audit.heat_reports()
-    selective, convexity = audit.skew_chain
-    plain = StateAudit(instrument, states, h, beta)
+    selective, convexity = audit.skew_chain[0]
+    plain = AuditBatch.of_instrument(instrument, states, h, beta)
     plain_work = plain.work_reports()
 
     tau = scheme.system_gibbs
@@ -98,15 +99,16 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         assert close(heats[i].duality_defect, single_heat.duality_defect)
         single_chain = skew_information_chain(instrument, rho, h)
         assert close(selective[i], single_chain[0]) and close(convexity[i], single_chain[1])
-        assert close(audit.extractable_work[i], extractable_work(rho, h, beta))
-        assert close(audit.average_extractable_work[i],
+        assert close(audit.extractable_work[0, i], extractable_work(rho, h, beta))
+        assert close(audit.average_extractable_work[0, i],
                      average_extractable_work(instrument, rho, h, beta))
-        assert close(audit.outcome_divergence[i],
+        assert close(audit.outcome_divergence[0, i],
                      outcome_divergence(instrument.induced_observable, rho, h, beta))
-        assert close(audit.groenewold_gain[i], groenewold_gain(instrument, rho))
+        assert close(audit.groenewold_gain[0, i], groenewold_gain(instrument, rho))
         if oracle_exact:  # no Gibbs block weight falls under the oracle's support cut
             direct = dilation_relative_entropy(instrument.apply(rho), q, tau.matrix)
-            decomposed = audit.outcome_divergence[i] + beta * audit.average_extractable_work[i]
+            divergence, avg_w = audit.outcome_divergence[0, i], audit.average_extractable_work[0, i]
+            decomposed = divergence + beta * avg_w
             assert close(direct, decomposed)
 
     if beta >= 100.0:
@@ -115,13 +117,13 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         assert (audit.probabilities <= PROBABILITY_CUTOFF).any()
 
 
-def precondition_audit(without) -> StateAudit:
+def precondition_audit(without) -> AuditBatch:
     """A free scheme's instrument on two states, audited without the inputs ``without``."""
     scheme, states = build(2, 2, 1.0, 5, 2, 2, 0, [0, 1])
     given = {"hamiltonian": scheme.system_hamiltonian, "beta": scheme.beta, "scheme": scheme}
     for name in without:
         del given[name]
-    return StateAudit(scheme.instrument, states, **given)
+    return AuditBatch.of_instrument(scheme.instrument, states, **given)
 
 
 @pytest.mark.parametrize(

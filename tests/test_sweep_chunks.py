@@ -386,6 +386,29 @@ def test_report_rows_are_derived_once_per_chunk(monkeypatch):
     assert counts == {"report_rows": 3, "heat_rows": 1}
 
 
+def test_a_lone_scenario_and_each_chunk_derive_through_the_one_template_method(monkeypatch):
+    derived, derive = [], scenario_module.ScenarioTemplate.derive
+
+    def recorded(template, seeds, beta):
+        derived.append((list(seeds), beta, derive(template, seeds, beta)))
+        return derived[-1][2]
+
+    monkeypatch.setattr(scenario_module.ScenarioTemplate, "derive", recorded)
+    raw = dict(sweep_template(2, 2, "equally_spaced", 2, {"count": 2}),
+               checks=["free_scheme", "second_law", "skew_chain", "heat_duality"])
+    report = run_scenario(raw)
+    assert report.verdict
+    [(seeds, beta, (schemes, audit))] = derived
+    assert (seeds, beta) == ([2], 0.8) and report.scenario.audit is audit
+    assert report.scenario.scheme._point == (schemes, 0)
+
+    derived.clear()
+    sweep = {"axis": {"name": "seed", "range": [0, 6]}, "scenario": raw}
+    points_per_chunk(monkeypatch, sweep, 3)
+    assert run_sweep(sweep)[1]
+    assert [seeds for seeds, _, _ in derived] == [[0, 1, 2], [3, 4, 5], [6]]
+
+
 def sweep_d3(first: int, last: int, tolerances: dict) -> dict:
     """The benchmark's d = 3 seed sweep over ``first .. last``, with ``tolerances``."""
     template = dict(

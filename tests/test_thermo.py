@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from thermomeas.schemes import (
     trivial_scheme,
 )
 from thermomeas.thermo import (
+    AuditBatch,
     average_extractable_work,
     extractable_work,
     groenewold_gain,
@@ -329,3 +331,68 @@ class TestSzilardValues:
             got = average_extractable_work(Instrument.luders(obs), tau, h, beta)
             expected = shannon(obs.probabilities(tau)) / beta
             assert abs(got - expected) < 1e-9
+
+
+#: Inputs no state validates as, each of which ``outcome_divergence`` once scored.
+INVALID_STATES = {
+    "trace_2": np.diag([1.5, 0.5]),
+    "non_hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+    "negative": np.diag([1.2, -0.2]),
+    "nan": np.full((2, 2), np.nan),
+}
+
+H3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
+RHO2, RHO3 = np.eye(2) / 2, np.eye(3) / 3
+
+#: Each single-state function and the audit given a qutrit input beside qubit ones, or the
+#: reverse, as a function of a free qubit scheme.
+DIMENSION_MISMATCHES = {
+    "extractable_work-state": lambda s: extractable_work(RHO3, H2, 1.0),
+    "extractable_work-hamiltonian": lambda s: extractable_work(RHO2, H3, 1.0),
+    "average_extractable_work-state": lambda s: average_extractable_work(
+        s.instrument, RHO3, H2, 1.0
+    ),
+    "average_extractable_work-hamiltonian": lambda s: average_extractable_work(
+        s.instrument, RHO2, H3, 1.0
+    ),
+    "outcome_divergence-state": lambda s: outcome_divergence(
+        s.instrument.induced_observable, RHO3, H2, 1.0
+    ),
+    "outcome_divergence-hamiltonian": lambda s: outcome_divergence(
+        s.instrument.induced_observable, RHO2, H3, 1.0
+    ),
+    "groenewold_gain-state": lambda s: groenewold_gain(s.instrument, RHO3),
+    "heat_absorbed-state": lambda s: heat_absorbed(s, RHO3),
+    "skew_information-state": lambda s: skew_information(H2, RHO3),
+    "skew_information-hamiltonian": lambda s: skew_information(H3, RHO2),
+    "skew_information_chain-state": lambda s: skew_information_chain(s.instrument, RHO3, H2),
+    "skew_information_chain-hamiltonian": lambda s: skew_information_chain(
+        s.instrument, RHO2, H3
+    ),
+    "work_report-state": lambda s: work_report(s.instrument, RHO3, H2, 1.0),
+    "work_report-hamiltonian": lambda s: work_report(s.instrument, RHO2, H3, 1.0),
+    "second_law_report-state": lambda s: second_law_report(s, RHO3),
+    "audit-states": lambda s: AuditBatch.of_instrument(s.instrument, RHO3[None], H2, 1.0, s),
+    "audit-hamiltonian": lambda s: AuditBatch.of_instrument(s.instrument, RHO2[None], H3, 1.0),
+}
+
+
+class TestSingleStateInputs:
+    """The single-state functions refuse, by name, an input they cannot audit."""
+
+    @pytest.mark.parametrize("rho", INVALID_STATES.values(), ids=INVALID_STATES.keys())
+    def test_outcome_divergence_refuses_an_invalid_state_as_its_siblings_do(self, rho):
+        rho = rho.astype(complex)
+        with pytest.raises(ValidationError) as sibling:
+            extractable_work(rho, H2, 1.0)
+        with pytest.raises(ValidationError, match=re.escape(str(sibling.value))):
+            outcome_divergence(Z_SHARP, rho, H2, 1.0)
+
+    @pytest.mark.parametrize(
+        "call", DIMENSION_MISMATCHES.values(), ids=DIMENSION_MISMATCHES.keys()
+    )
+    def test_a_dimension_mismatch_is_refused_naming_both_dimensions(self, call):
+        scheme = random_free_scheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), 3)
+        both = r"must be 2 x 2 to match the \w+, got \(3, 3\)|must be 3 x 3 .*, got \(2, 2\)"
+        with pytest.raises(ValidationError, match=both):
+            call(scheme)
