@@ -201,8 +201,11 @@ class State:
     def __init__(self, matrix):
         m = density_matrix(matrix)
         m.flags.writeable = False
-        self.matrix = m
-        self.dim = m.shape[0]
+        self._hold(m)
+
+    def _hold(self, matrix: np.ndarray) -> None:
+        """Holds a validated, read-only density matrix."""
+        self.matrix, self.dim = matrix, matrix.shape[0]
 
     def __repr__(self):
         return f"State(dim={self.dim})"

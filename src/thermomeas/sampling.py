@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import dag, density_matrix, eig_hermitian
-from .objects import Observable, State
+from .objects import Observable, State, _from_validated
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -60,7 +60,7 @@ def haar_unitary_stacks(sizes, rngs) -> dict:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> State:
     """Full-rank random state from the Ginibre ensemble."""
-    return State(random_density_matrix_stacks(dim, 1, [rng])[0, 0])
+    return _from_validated(State, random_density_matrix_stacks(dim, 1, [rng])[0, 0])
 
 
 def random_density_matrix_stacks(dim: int, count: int, rngs) -> np.ndarray:

@@ -8,23 +8,23 @@ scheme constructor (``"swap"``, ``"random_block"``, or an explicit Kraus
 list) and/or an observable for classifier-only runs, a collection of input
 states, the checks to run, and tolerances.
 
-Resolution has two stages. :func:`parse_template` judges a scenario once:
-it refuses unknown keys and a check whose scheme or input states are
-missing, decodes and validates every given object at ``VALIDATION_TOL``,
-and refines a top-level observable for the ``refine`` check.
-:meth:`ScenarioTemplate.point` then derives a grid point: its random
-interaction and states, its scheme, the instrument under test, its audit
-and, for the ``refine`` check of an induced observable, its refinement, so
-their validation too comes before any check runs; :func:`parse_scenario`
-is the template and its own point. A sweep file (an object with an ``axis``,
+:func:`parse_template` judges a scenario once, as a :class:`Scenario`: it
+refuses unknown keys and a check whose scheme or input states are missing,
+decodes and validates every given object at ``VALIDATION_TOL``, and
+refines a top-level observable for the ``refine`` check. What a grid point
+draws is left open: :meth:`Scenario.derive` gives, for seeds and a beta,
+the points' schemes as one :class:`SchemeBatch` and their audit as one
+:class:`AuditBatch`. :func:`parse_scenario` also derives the scenario's
+own point through it, a batch of one: its random interaction and states,
+its scheme, the instrument under test, its audit and, for the ``refine``
+check of an induced observable, its refinement, so their validation too
+comes before any check runs. A sweep file (an object with an ``axis``,
 ``values`` or ``range`` but not both, and a ``scenario`` object, and no
-other key) judges its template and every axis value before the first grid
-point, then derives its points from the one template in chunks of
+other key) judges its scenario and every axis value before the first grid
+point, then derives its points from the one scenario in chunks of
 :func:`chunk_size` points at one beta, whose largest stacked array stays
-within ``CHUNK_BYTES`` (one point at least). A chunk's schemes, states
-and second-law audit are :meth:`ScenarioTemplate.derive` of its seeds, as
-a lone scheme scenario's are of its one seed, with every validation holding
-per point, and its rows are read off their arrays: a sweep derives only
+within ``CHUNK_BYTES`` (one point at least), with every validation holding
+per point. A chunk's rows are read off its arrays: a sweep derives only
 what the ``free_scheme`` and ``second_law`` verdicts of its rows read. A
 refusal names the first failing grid point in axis order.
 
@@ -215,63 +215,6 @@ def _refuse_unknown_keys(obj: dict, allowed, where: str) -> None:
             )
 
 
-@dataclass
-class Scenario:
-    """One resolved scenario: a grid point of its :class:`ScenarioTemplate`.
-
-    ``states`` is one validated, read-only ``(n, d, d)`` stack and
-    ``state_names`` names its entries in order. The instrument under test,
-    and the rank-1 refinement of the observable under test when the
-    ``refine`` check runs (else ``None``), are derived with the point, so an
-    object they refuse is refused before any check runs. ``audit``, the
-    :class:`AuditBatch` of one point of the instrument under test on
-    ``states`` that every state check reads, derives its quantities on
-    first use and keeps them; so does the canonical :attr:`echo`.
-    """
-
-    beta: float
-    seed: int
-    system_hamiltonian: np.ndarray
-    probe_hamiltonian: np.ndarray
-    scheme: MeasurementScheme
-    observable: Observable
-    instrument: Instrument
-    state_names: tuple
-    states: np.ndarray
-    checks: list
-    tolerances: dict
-    template: ScenarioTemplate
-    audit: AuditBatch
-    refinement: tuple = None
-
-    def tol_for(self, check: str) -> float:
-        return self.template.tol_for(check)
-
-    @cached_property
-    def echo(self) -> dict:
-        """The canonical scenario dict: parsing it again resolves to this scenario."""
-        t = self.template
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "beta": self.beta,
-            "seed": self.seed,
-            "system_hamiltonian": encode_matrix(self.system_hamiltonian),
-            "probe_hamiltonian": encode_matrix(self.probe_hamiltonian),
-            "scheme": t.scheme.echo(self.scheme, self.seed) if t.scheme is not None else None,
-            "observable": (
-                encode_observable(self.observable) if self.observable is not None else None
-            ),
-            "states": t.states.echo(self.seed),
-            "checks": list(self.checks),
-            "tolerances": self.tolerances,
-        }
-
-    def observable_under_test(self) -> Observable:
-        if self.observable is not None:
-            return self.observable
-        return self.instrument.induced_observable
-
-
 def _ground_state(h_system, beta) -> np.ndarray:
     decomp = eig_hermitian(h_system)
     return density_matrix(decomp.projectors[0] / decomp.multiplicities[0])
@@ -369,7 +312,7 @@ def _resolve_states(spec, d: int) -> _States:
 
 @dataclass(frozen=True)
 class _Scheme:
-    """A ``scheme`` entry judged at parse, on the frame of the template's beta.
+    """A ``scheme`` entry judged at parse, on the frame of the scenario's beta.
 
     A ``swap`` or ``kraus`` scheme draws nothing and is ``fixed``; a
     ``random_block`` scheme draws its interaction at each point from its own
@@ -393,13 +336,13 @@ class _Scheme:
         kraus.flags.writeable = False
         return SchemeBatch(frame, kraus)
 
-    def echo(self, scheme: MeasurementScheme, seed: int) -> dict:
-        echo = {"kind": self.kind, "pointer": encode_observable(scheme.pointer)}
+    def echo(self, seed: int) -> dict:
+        echo = {"kind": self.kind, "pointer": encode_observable(self.frame.pointer)}
         if self.kind == "random_block":
             echo["seed"] = self.seed if self.seed is not None else seed
             echo["mixture_size"] = self.mixture_size
         elif self.kind == "kraus":
-            echo["kraus"] = [encode_matrix(k) for k in scheme.interaction.kraus]
+            echo["kraus"] = [encode_matrix(k) for k in self.fixed.interaction.kraus]
         return echo
 
 
@@ -444,18 +387,17 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
 
 
 @dataclass(frozen=True)
-class ScenarioTemplate:
-    """A scenario judged once: every field decoded and validated.
+class Scenario:
+    """A scenario judged once, every field decoded and validated, and its own point.
 
-    What a grid point draws is left open. :meth:`point` derives, for a seed
-    and beta, the random interaction and states, the scheme, the instrument
-    under test and, for the ``refine`` check of an induced observable, its
-    refinement; a top-level observable is refined once, at parse. A lone
-    point with a scheme and a sweep chunk both derive their schemes, states
-    and audit with :meth:`derive`, of one seed or of the chunk's. Every
-    point at the template's beta shares the template's :class:`SchemeFrame`,
-    so a seed sweep decodes, validates and derives the frame once, and a
-    point at another beta shares all of it but the Gibbs data.
+    :meth:`derive` gives, for seeds and a beta, the points' schemes as one
+    :class:`SchemeBatch` and their :class:`AuditBatch`: a sweep chunk derives
+    its seeds through it, and the own point, at ``seed`` and ``beta``, is its
+    batch of one. The own point (:attr:`scheme`, the instrument under test,
+    :attr:`states`, :attr:`audit` and, for the ``refine`` check,
+    :attr:`refinement`) and the canonical :attr:`echo` are derived on first
+    use and kept. Every point at the scenario's beta shares one
+    :class:`SchemeFrame`; a point at another beta shares all but its Gibbs data.
     """
 
     beta: float
@@ -463,70 +405,92 @@ class ScenarioTemplate:
     system_hamiltonian: np.ndarray
     probe_hamiltonian: np.ndarray
     observable: Observable
-    scheme: _Scheme
-    states: _States
+    scheme_spec: _Scheme
+    state_spec: _States
     checks: tuple
     tolerances: dict
-    refinement: tuple = None
 
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
 
     def derive(self, seeds, beta: float) -> tuple:
         """The :class:`SchemeBatch` of the points with ``seeds``, all at ``beta``,
-        and the :class:`AuditBatch` of its instruments on their states; each is
-        validated for all points at once, instruments, states, then conjugates."""
-        schemes = self.scheme.at(seeds, beta)
-        kraus_sets, _, effects = schemes.instrument_stacks
-        states = self.states.stacks(self.system_hamiltonian, seeds, beta)
-        return schemes, AuditBatch(
-            schemes.frame.pointer.outcomes, kraus_sets, effects, states,
-            self.system_hamiltonian, beta, schemes.frame, schemes.conjugate_kraus,
-        )
+        and the :meth:`AuditBatch.of_schemes` of its schemes on their states."""
+        schemes = self.scheme_spec.at(seeds, beta)
+        states = self.state_spec.stacks(self.system_hamiltonian, seeds, beta)
+        return schemes, AuditBatch.of_schemes(schemes, states)
 
-    def point(self, seed: int, beta: float) -> Scenario:
-        """The scenario of the grid point with ``seed`` and ``beta``: :meth:`derive` of
-        one seed, or without a scheme the observable's Lüders instrument. Its
-        instrument, states and, for ``refine``, refinement are validated first."""
-        if self.scheme is not None:
-            schemes, audit = self.derive([seed], beta)
-            scheme = schemes.schemes()[0]
-            instrument, states = scheme.instrument, audit.states[0]
-        else:
-            scheme, instrument = None, Instrument.luders(self.observable)
-            states = self.states.stacks(self.system_hamiltonian, [seed], beta)[0]
-            audit = AuditBatch.of_instrument(instrument, states, self.system_hamiltonian, beta)
-        sc = Scenario(
-            beta=beta,
-            seed=seed,
-            system_hamiltonian=self.system_hamiltonian,
-            probe_hamiltonian=self.probe_hamiltonian,
-            scheme=scheme,
-            observable=self.observable,
-            instrument=instrument,
-            state_names=self.states.names,
-            states=states,
-            checks=list(self.checks),
-            tolerances=self.tolerances,
-            template=self,
-            audit=audit,
-            refinement=self.refinement,
-        )
-        if "refine" in self.checks and self.observable is None:
-            sc.refinement = _refinement(instrument.induced_observable)
-        return sc
+    @cached_property
+    def _own(self) -> tuple:
+        """``(scheme, instrument, audit)`` of the own point, validated in that order:
+        :meth:`derive` of one seed, or without a scheme the observable's Lüders
+        instrument on its states."""
+        h, beta = self.system_hamiltonian, self.beta
+        if self.scheme_spec is None:
+            instrument = Instrument.luders(self.observable)
+            states = self.state_spec.stacks(h, [self.seed], beta)[0]
+            return None, instrument, AuditBatch.of_instrument(instrument, states, h, beta)
+        schemes, audit = self.derive([self.seed], beta)
+        scheme = schemes.scheme
+        return scheme, scheme.instrument, audit
+
+    @property
+    def scheme(self) -> MeasurementScheme:
+        """The own point's scheme, or ``None`` without one."""
+        return self._own[0]
+
+    @property
+    def instrument(self) -> Instrument:
+        """The instrument under test: the scheme's, or the observable's Lüders instrument."""
+        return self._own[1]
+
+    @property
+    def audit(self) -> AuditBatch:
+        """The :class:`AuditBatch` of the own point, one point of the instrument under test."""
+        return self._own[2]
+
+    @property
+    def states(self) -> np.ndarray:
+        """The own point's validated, read-only ``(n, d, d)`` stack of input states."""
+        return self.audit.states[0]
+
+    @cached_property
+    def refinement(self) -> tuple:
+        """The ``refine`` check's rank-1 refinement of the observable under test,
+        or ``None`` when that check does not run."""
+        if "refine" not in self.checks:
+            return None
+        try:
+            return classify.refine_to_rank_one(self.observable_under_test())
+        except ValidationError as exc:
+            raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
+
+    def observable_under_test(self) -> Observable:
+        if self.observable is not None:
+            return self.observable
+        return self.instrument.induced_observable
+
+    @cached_property
+    def echo(self) -> dict:
+        """The canonical scenario dict: parsing it again resolves to this scenario."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "beta": self.beta,
+            "seed": self.seed,
+            "system_hamiltonian": encode_matrix(self.system_hamiltonian),
+            "probe_hamiltonian": encode_matrix(self.probe_hamiltonian),
+            "scheme": self.scheme_spec.echo(self.seed) if self.scheme_spec is not None else None,
+            "observable": (
+                encode_observable(self.observable) if self.observable is not None else None
+            ),
+            "states": self.state_spec.echo(self.seed),
+            "checks": list(self.checks),
+            "tolerances": self.tolerances,
+        }
 
 
-def _refinement(observable: Observable) -> tuple:
-    """The ``refine`` check's rank-1 refinement of ``observable``; a refusal names the check."""
-    try:
-        return classify.refine_to_rank_one(observable)
-    except ValidationError as exc:
-        raise ValidationError(f"check 'refine': rank-1 refinement refused: {exc}") from None
-
-
-def parse_template(raw: dict, seed_override=None, tol_override=None) -> ScenarioTemplate:
-    """Decode and validate a scenario dict once; :meth:`ScenarioTemplate.point` does the draws."""
+def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario:
+    """Decode and validate a scenario dict once, leaving its draws to :meth:`Scenario.derive`."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     schema = raw.get("schema_version", SCHEMA_VERSION)
@@ -590,25 +554,28 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
             )
     states = _resolve_states(raw.get("states"), h_system.shape[0])
     _require_inputs(checks, scheme, states.names)
-    refine = "refine" in checks and observable is not None
-    return ScenarioTemplate(
+    scenario = Scenario(
         beta=beta,
         seed=seed,
         system_hamiltonian=h_system,
         probe_hamiltonian=h_probe,
         observable=observable,
-        scheme=scheme,
-        states=states,
+        scheme_spec=scheme,
+        state_spec=states,
         checks=tuple(checks),
         tolerances=tolerances,
-        refinement=_refinement(observable) if refine else None,
     )
+    if observable is not None:
+        scenario.refinement  # a top-level observable is refined once, at parse
+    return scenario
 
 
 def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario:
-    """Validate and resolve a scenario dict: its template and the template's own point."""
-    template = parse_template(raw, seed_override, tol_override)
-    return template.point(template.seed, template.beta)
+    """Validate and resolve a scenario dict and derive its own point, so that
+    every refusal comes before any check runs."""
+    scenario = parse_template(raw, seed_override, tol_override)
+    scenario.audit, scenario.refinement  # the own point, derived now and kept
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +585,12 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
 
 def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) -> dict:
     """A state check's result: ``verdict``, ``worst`` as ``worst_key``, ``rows`` by state."""
-    rows = [{"state": name, **row} for name, row in zip(sc.state_names, rows)]
+    rows = [{"state": name, **row} for name, row in zip(sc.state_spec.names, rows)]
     return {"verdict": verdict, "n_states": len(rows), worst_key: worst, "per_state": rows}
 
 
 def _check_second_law(sc: Scenario, tol: float) -> dict:
-    sc.scheme._point[0].require_free(tol)
+    sc.scheme.batch.require_free(tol)
     reports = sc.audit.second_law_reports(tol)
     rows = [{"work": work.to_dict(), "second_law": law.to_dict()} for law, work in reports]
     worst = min(law.prop1_slack for law, _ in reports)
@@ -707,7 +674,9 @@ class _Check:
 
 #: Every check by name, in the order the known-checks error message lists them.
 _CHECKS = {
-    "free_scheme": _Check(lambda sc, tol: sc.scheme.freeness(tol).to_dict(), needs_scheme=True),
+    "free_scheme": _Check(
+        lambda sc, tol: sc.scheme.batch.free_report(0, tol).to_dict(), needs_scheme=True
+    ),
     "second_law": _Check(_check_second_law, needs_scheme=True, needs_states=True),
     "covariant": _Check(
         lambda sc, tol: classify.is_covariant_instrument(
@@ -910,7 +879,7 @@ _SWEEP_CHECKS = ("free_scheme", "second_law")
 CHUNK_BYTES = 256 * 1024
 
 
-def chunk_size(template: ScenarioTemplate) -> int:
+def chunk_size(template: Scenario) -> int:
     """Grid points per chunk of a sweep of ``template``, which has a scheme:
     ``CHUNK_BYTES`` over one point's largest stacked intermediate.
 
@@ -922,7 +891,7 @@ def chunk_size(template: ScenarioTemplate) -> int:
     every other intermediate is at most one of these.
     """
     d_s, d_a = template.system_hamiltonian.shape[0], template.probe_hamiltonian.shape[0]
-    scheme, n = template.scheme, len(template.states.names)
+    scheme, n = template.scheme_spec, len(template.state_spec.names)
     k = scheme.mixture_size if scheme.fixed is None else len(scheme.fixed.interaction.kraus)
     n_outcomes = scheme.frame.pointer.n_outcomes
     point_bytes = 16 * max(k * (d_s * d_a) ** 2, n_outcomes * n * d_s**2, n * d_a**2)
@@ -934,7 +903,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
     rows of those points, all at one beta, derived as one chunk.
 
     The chunk's schemes, instruments, states and second-law audit are
-    :meth:`ScenarioTemplate.derive` of its seeds, and its rows are read from their
+    :meth:`Scenario.derive` of its seeds, and its rows are read from their
     arrays: each point's ``free_scheme`` verdict from the freeness defects,
     and from the audit's report rows its ``second_law`` verdict and the
     cells of its worst state, the first with the smallest ``prop1_slack``.
@@ -961,7 +930,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
     law = second_law_verdict(*np.moveaxis(report[..., 5:], -1, 0), law_tol).all(axis=-1)
     worst = report[..., 5].argmin(axis=-1)
     cells = report[np.arange(len(worst)), worst].tolist()
-    names, beta_cell = template.states.names, repr(float(beta))
+    names, beta_cell = template.state_spec.names, repr(float(beta))
     rows = [
         [
             axis_name,
@@ -1011,7 +980,7 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
     template = parse_template(
         {**raw["scenario"], axis_name: values[0]}, seed_override=seed, tol_override=tol
     )
-    _require_inputs(_SWEEP_CHECKS, template.scheme, template.states.names)
+    _require_inputs(_SWEEP_CHECKS, template.scheme_spec, template.state_spec.names)
     size = chunk_size(template)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -19,10 +19,10 @@ What depends on the interaction is derived by stacked kernels with a
 leading point axis, over a :class:`SchemeBatch` of interactions on one
 frame: the freeness defects and their verdicts, one dilation per batch,
 and from it the Kraus stacks of the induced instruments and of the
-conjugate channels, of which a scheme's instrument and conjugate channel
-are its entries. :func:`random_free_schemes` draws a whole batch, one
-stacked QR per block size; a scheme made alone is a batch of one of the
-same kernels.
+conjugate channels. A :class:`MeasurementScheme` is a batch of one, which
+it holds from construction: its freeness, instrument and conjugate channel
+are entry 0 of its batch. :func:`random_free_schemes` draws a whole batch,
+one stacked QR per block size.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -32,7 +32,7 @@ standard way to obtain interesting instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -206,12 +206,11 @@ class MeasurementScheme:
     attribute of the :class:`SchemeFrame` reads as an attribute of the
     scheme, so ``scheme.beta`` is ``scheme.frame.beta``.
 
-    A scheme is immutable, as its frame is. What depends on the interaction
-    too (the freeness defects, the induced instrument and the conjugate
-    channel) is derived on first use, by the function that defines it, and
-    kept for every later use. Each is read from the stacked kernels of the
-    scheme's :class:`SchemeBatch`, which for a scheme made alone is a batch
-    of one.
+    A scheme is immutable, as its frame is. It is the :class:`SchemeBatch`
+    of one point it holds as ``batch``: what depends on the interaction too
+    (the freeness defects, the induced instrument and the conjugate channel)
+    is entry 0 of that batch's stacked kernels, derived on first use and
+    kept for every later use.
     """
 
     def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
@@ -223,14 +222,11 @@ class MeasurementScheme:
                 f"interaction acts on dimension {interaction.dim_in}, expected "
                 f"{frame.dim_system} * {frame.dim_probe} = {d}"
             )
-        self._hold(frame, interaction)
+        self._hold(frame, interaction, SchemeBatch(frame, interaction.kraus[None]))
 
-    def _hold(self, frame: SchemeFrame, interaction: KrausChannel, point: tuple = None) -> None:
-        """Holds the frame and interaction and, when given, the ``(batch, index)``
-        of the :class:`SchemeBatch` entry they are."""
-        vars(self).update(frame=frame, interaction=interaction)
-        if point is not None:
-            vars(self)["_point"] = point
+    def _hold(self, frame: SchemeFrame, interaction: KrausChannel, batch: SchemeBatch) -> None:
+        """Holds the frame, the interaction and the :class:`SchemeBatch` of one they are."""
+        vars(self).update(frame=frame, interaction=interaction, batch=batch)
 
     def __getattr__(self, name):
         # Called only for names the scheme itself lacks.
@@ -241,18 +237,9 @@ class MeasurementScheme:
     __setattr__ = SchemeFrame.__setattr__
     __delattr__ = SchemeFrame.__delattr__
 
-    @cached_property
-    def _point(self) -> tuple:
-        """``(batch, index)``: the :class:`SchemeBatch` this scheme is entry ``index`` of."""
-        return SchemeBatch(self.frame, self.interaction.kraus[None]), 0
-
-    @cached_property
-    def _free_defects(self) -> FreeSchemeReport:
-        return validate_free_scheme(self)
-
     def freeness(self, tol: float = THEOREM_TOL) -> FreeSchemeReport:
         """The :func:`validate_free_scheme` report at ``tol``; its defects are derived once."""
-        return replace(self._free_defects, tol=tol)
+        return self.batch.free_report(0, tol)
 
     @cached_property
     def instrument(self) -> Instrument:
@@ -343,14 +330,14 @@ class SchemeBatch:
         self.frame = frame
         self.kraus = kraus
 
-    def schemes(self) -> list:
-        """One :class:`MeasurementScheme` per point, each reading this batch."""
-        return [
-            _from_validated(
-                MeasurementScheme, self.frame, _from_validated(KrausChannel, ks), (self, i)
-            )
-            for i, ks in enumerate(self.kraus)
-        ]
+    @property
+    def scheme(self) -> MeasurementScheme:
+        """The :class:`MeasurementScheme` a batch of one point is."""
+        if len(self.kraus) != 1:
+            raise ValueError(f"a batch of {len(self.kraus)} points is not one scheme")
+        return _from_validated(
+            MeasurementScheme, self.frame, _from_validated(KrausChannel, self.kraus[0]), self
+        )
 
     @cached_property
     def free_defects(self) -> tuple:
@@ -376,12 +363,14 @@ class SchemeBatch:
         """The :func:`free_verdict` of every point at ``tol``, ``(P,)``."""
         return free_verdict(True, *self.free_defects, self.frame.yanase_defect, tol)
 
-    def require_free(self, tol: float, points=slice(None)) -> None:
-        """Refuse, naming the worst defect of the first, a point of ``points`` whose
-        scheme is not thermodynamically free at ``tol``."""
-        free = self.free_verdicts(tol)[points]
+    def require_free(self, tol: float) -> None:
+        """Refuse, naming the worst defect of the first, a point whose scheme is not
+        thermodynamically free at ``tol``, or at ``THEOREM_TOL`` if that is looser:
+        a tighter ``tol`` would refuse round-off rather than a scheme."""
+        tol = max(tol, THEOREM_TOL)
+        free = self.free_verdicts(tol)
         if not free.all():
-            i = np.arange(len(self.kraus))[points][np.argmin(free)]
+            i = int(np.argmin(free))
             raise PreconditionError(
                 f"scheme is not thermodynamically free: worst defect "
                 f"{self.free_report(i, tol).worst_defect:.3e} > {tol:.1e}"
@@ -463,8 +452,7 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     at ``THEOREM_TOL``; ``scheme.freeness(tol)`` gives it at any other tol.
     The defects are read from the scheme's :class:`SchemeBatch`.
     """
-    batch, i = scheme._point
-    return batch.free_report(i)
+    return scheme.batch.free_report(0)
 
 
 def _dilation(frame: SchemeFrame, kraus: np.ndarray) -> tuple:
@@ -506,15 +494,14 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    batch, i = scheme._point
-    stacks, grams, effects = batch.instrument_stacks
+    stacks, grams, effects = scheme.batch.instrument_stacks
     outcomes = scheme.pointer.outcomes
     return _from_validated(
         Instrument,
         outcomes,
-        tuple(ops[i] for ops in stacks),
-        grams[i],
-        _from_validated(Observable, outcomes, effects[i]),
+        tuple(ops[0] for ops in stacks),
+        grams[0],
+        _from_validated(Observable, outcomes, effects[0]),
     )
 
 
@@ -525,8 +512,7 @@ def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     operators are ordered by interaction Kraus operator, probe level and
     system output.
     """
-    batch, i = scheme._point
-    return _from_validated(KrausChannel, batch.conjugate_kraus[i])
+    return _from_validated(KrausChannel, scheme.batch.conjugate_kraus[0])
 
 
 def swap_unitary(dim: int) -> np.ndarray:
@@ -585,7 +571,7 @@ def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> 
     uniformly from the simplex. Deterministic for a fixed seed; the draw of
     :func:`random_free_schemes` for one seed.
     """
-    return random_free_schemes(frame, [seed], mixture_size).schemes()[0]
+    return random_free_schemes(frame, [seed], mixture_size).scheme
 
 
 def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> SchemeBatch:

@@ -9,9 +9,11 @@ defined for outcomes that actually occur.
 Every per-state quantity has one implementation, which works on stacks of
 states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
 d)`` state stack holds each point's states for that point's instrument, and
-the stack helpers it uses. :meth:`AuditBatch.of_instrument` makes a batch
-of one point, which the single-state functions read on one state; a
-scheme batch's points share one batch. The batch's report methods build
+the stack helpers it uses. :meth:`AuditBatch.of_schemes` audits every
+scheme of a :class:`SchemeBatch` on its own states, for a sweep chunk, a
+lone scenario and a single scheme alike, and :meth:`AuditBatch.of_instrument`
+audits a bare instrument as a batch of one point; the single-state
+functions read either on one state. The batch's report methods build
 every list of reports, and each second-law verdict, of one state or of a
 whole batch, is :func:`second_law_verdict`.
 """
@@ -29,7 +31,6 @@ from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
     as_matrix,
-    dag,
     density_matrix,
     logsumexp,
     psd_sqrt,
@@ -38,7 +39,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .objects import Instrument, _sandwich, gibbs_log_weights
-from .schemes import MeasurementScheme, SchemeFrame
+from .schemes import MeasurementScheme, SchemeBatch, SchemeFrame
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,11 @@ class AuditBatch:
     ``states`` is a validated ``(P, n, d, d)`` stack: entry ``[i]`` holds
     the states of point ``i``. ``hamiltonian`` and ``beta`` are shared by
     every point and needed only by the quantities that use them; a quantity
-    without its input is refused with a :class:`PreconditionError`. With a
-    scheme, ``frame`` is the :class:`SchemeFrame` every point's scheme is
-    on and ``conjugates`` the ``(P, k', d_a, d)`` Kraus stack of their
-    conjugate channels; the instruments, Hamiltonian and beta must be the
-    schemes'. The frame then supplies the Gibbs data and, with the
+    without its input is refused with a :class:`PreconditionError`. An
+    audit of schemes, made by :meth:`of_schemes`, also holds the
+    :class:`SchemeFrame` every point's scheme is on as ``frame`` and the
+    ``(P, k', d_a, d)`` Kraus stack of their conjugate channels as
+    ``conjugates``; the frame then supplies the Gibbs data and, with the
     conjugates, the probe-side heat.
 
     Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
@@ -224,18 +225,26 @@ class AuditBatch:
     conjugates: np.ndarray = None
 
     @classmethod
-    def of_instrument(cls, instrument, states, hamiltonian=None, beta=None, scheme=None):
+    def of_schemes(cls, schemes: SchemeBatch, states):
+        """Each scheme of ``schemes`` on its own states, a validated ``(P, n, d, d)``
+        stack of the system's dimension: the induced instruments, then the
+        conjugate channels, are validated for all points at once."""
+        frame = schemes.frame
+        _require_dimension(frame.dim_system, "scheme", states=states)
+        kraus_sets, _, effects = schemes.instrument_stacks
+        return cls(
+            frame.pointer.outcomes, kraus_sets, effects, states, frame.system_hamiltonian,
+            frame.beta, frame, schemes.conjugate_kraus,
+        )
+
+    @classmethod
+    def of_instrument(cls, instrument, states, hamiltonian=None, beta=None):
         """A batch of one point: ``instrument`` on a validated ``(n, d, d)`` stack
-        ``states``, with a Hermitian ``hamiltonian``, both of its dimension; with
-        a ``scheme``, whose instrument, Hamiltonian and beta these must be."""
+        ``states``, with a Hermitian ``hamiltonian``, both of its dimension."""
         _require_dimension(instrument.dim, "instrument", states=states, Hamiltonian=hamiltonian)
-        frame = conjugates = None
-        if scheme is not None:
-            frame, conjugates = scheme.frame, scheme.conjugate.kraus[None]
         return cls(
             instrument.outcomes, tuple(ks[None] for ks in instrument.kraus_sets),
             instrument.induced_observable.effects[None], states[None], hamiltonian, beta,
-            frame, conjugates,
         )
 
     @cached_property
@@ -438,9 +447,7 @@ def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
     increase in the system's expected energy); the two agree for schemes
     whose interaction conserves the total Hamiltonian.
     """
-    h, beta = scheme.system_hamiltonian, scheme.beta
-    audit = AuditBatch.of_instrument(scheme.instrument, _one_state(rho), h, beta, scheme)
-    return audit.heat_reports()[0]
+    return AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None]).heat_reports()[0]
 
 
 def skew_information(hamiltonian, rho) -> float:
@@ -451,9 +458,9 @@ def skew_information(hamiltonian, rho) -> float:
     nonnegative commutator form.
     """
     h = require_hermitian(hamiltonian, name="hamiltonian")
-    m = as_matrix(rho)
+    m = require_hermitian(rho, name="operator")
     _require_dimension(h.shape[0], "Hamiltonian", operator=m)
-    return float(_skew_information(h, (m + dag(m)) / 2))
+    return float(_skew_information(h, m))
 
 
 def skew_information_chain(instrument: Instrument, rho, system_hamiltonian):
@@ -487,14 +494,12 @@ def second_law_report(
 ) -> tuple[SecondLawReport, WorkReport]:
     """Full second-law audit of a thermodynamically free scheme on one state.
 
-    The scheme must pass :func:`validate_free_scheme`; the audited
-    inequalities are theorems only for thermal instruments, so non-free
-    schemes are refused rather than scored. The work accounting is
+    The scheme must be free at ``tol`` (:meth:`SchemeBatch.require_free`); the
+    audited inequalities are theorems only for thermal instruments, so
+    non-free schemes are refused rather than scored. The work accounting is
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
-    h, beta = scheme.system_hamiltonian, scheme.beta
-    audit = AuditBatch.of_instrument(scheme.instrument, _one_state(rho), h, beta, scheme)
-    batch, i = scheme._point
-    batch.require_free(tol, slice(i, i + 1))
+    audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
+    scheme.batch.require_free(tol)
     return audit.second_law_reports(tol)[0]

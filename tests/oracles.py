@@ -157,8 +157,12 @@ def commutator_defects(effects, hamiltonian):
 
 
 def joint_effects(effects, projectors):
-    """``E_x P_m`` in x-major order."""
-    return [e @ p for e in effects for p in projectors]
+    """``E_x P_m`` in x-major order, each as its Hermitian part ``(E_x P_m + P_m E_x) / 2``.
+
+    An effect that commutes with ``H`` only to within the thermal tolerance
+    leaves ``E_x P_m`` off Hermitian by half its commutator, which no effect can be.
+    """
+    return [(e @ p + p @ e) / 2 for e in effects for p in projectors]
 
 
 def marginal_defect(joint, effects, projectors):

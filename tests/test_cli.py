@@ -466,6 +466,56 @@ def test_a_zero_tolerance_reports_its_verdicts(tmp_path):
     assert cli("check", str(path)).returncode == 0
 
 
+def sharp_scenario(d: int, states, checks) -> dict:
+    """A benchmark-style d x d random block scheme with one pointer outcome per level."""
+    energies = [float(e) for e in range(d)]
+    sharp = [[[1.0 if i == j == k else 0.0 for j in range(d)] for i in range(d)] for k in range(d)]
+    return {
+        "seed": 0,
+        "beta": 1.0,
+        "system_hamiltonian": energies,
+        "probe_hamiltonian": energies,
+        "scheme": {
+            "kind": "random_block",
+            "mixture_size": 3,
+            "pointer": {"outcomes": [f"p{k}" for k in range(d)], "effects": sharp},
+        },
+        "states": states,
+        "checks": checks,
+    }
+
+
+def test_a_zero_tolerance_audits_the_second_law_of_a_free_scheme(tmp_path):
+    # the d = 4 audit: its freeness defects are round-off, above 0 but not a refusal
+    path = tmp_path / "scenario.json"
+    checks = ["free_scheme", "second_law", "covariant", "gibbs_preserving", "skew_chain",
+              "heat_duality"]
+    path.write_text(json.dumps(sharp_scenario(4, {"count": 200}, checks)))
+    result = cli("check", str(path), "--tol", "0")
+    assert result.returncode == 1, result.stderr
+    report = {check["name"]: check for check in json.loads(result.stdout)["checks"]}
+    assert list(report) == checks
+    assert report["free_scheme"]["verdict"] is False
+    law = report["second_law"]
+    assert law["n_states"] == 200
+    assert law["verdict"] == all(row["second_law"]["verdict"] for row in law["per_state"])
+    assert cli("check", str(path)).returncode == 0
+
+
+def test_a_zero_tolerance_sweep_gives_every_row_its_verdicts(tmp_path):
+    path = tmp_path / "sweep.json"
+    scenario = sharp_scenario(3, {"count": 1}, ["second_law"])
+    path.write_text(json.dumps({"axis": {"name": "seed", "range": [0, 399]}, "scenario": scenario}))
+    result, loose = cli("sweep", str(path), "--tol", "0"), cli("sweep", str(path))
+    assert (result.returncode, loose.returncode) == (1, 0), result.stderr
+    rows = [line.split(",") for line in result.stdout.strip().split("\n")]
+    assert len(rows) == 401 and {row[14] for row in rows[1:]} == {"False"}
+    # the tolerance moves only the verdict columns
+    assert [row[:14] for row in rows] == [
+        line.split(",")[:14] for line in loose.stdout.strip().split("\n")
+    ]
+
+
 @pytest.mark.parametrize("command", ["check", "sweep"])
 def test_an_input_that_is_a_directory_exits_two_naming_it(tmp_path, command):
     result = cli(command, str(tmp_path))

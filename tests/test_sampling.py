@@ -5,7 +5,8 @@ import pytest
 
 from oracles import commuting_povm_effects, haar_unitary_by_qr
 from thermomeas.errors import ValidationError
-from thermomeas.linalg import commutator_defect
+from thermomeas import objects, sampling
+from thermomeas.linalg import commutator_defect, density_matrix
 from thermomeas.sampling import (
     haar_unitary,
     haar_unitary_stacks,
@@ -58,6 +59,22 @@ def test_no_states_is_an_empty_stack():
 def test_random_density_matrix_is_full_rank_state():
     rho = random_density_matrix(4, rng_from_seed(1))
     assert np.linalg.eigvalsh(rho.matrix)[0] > 0
+
+
+def test_random_density_matrix_validates_each_draw_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return density_matrix(m)
+
+    monkeypatch.setattr(sampling, "density_matrix", counted)
+    monkeypatch.setattr(objects, "density_matrix", counted)
+    rng, reference_rng = rng_from_seed(6), rng_from_seed(6)
+    rho = random_density_matrix(3, rng)
+    assert calls == [(1, 3, 3)]
+    assert rho.dim == 3 and not rho.matrix.flags.writeable
+    assert rho.matrix.tobytes() == random_density_matrix_stacks(3, 1, [reference_rng])[0, 0].tobytes()
 
 
 def test_random_pure_state_is_rank_one():

@@ -183,7 +183,7 @@ class TestParseScenario:
             "checks": ["thermal_observable"],
         }
         sc = parse_scenario(raw)
-        assert sc.state_names == ("gibbs", "ground", "maximally_mixed")
+        assert sc.state_spec.names == ("gibbs", "ground", "maximally_mixed")
         assert sc.states.shape == (3, 2, 2)
         np.testing.assert_allclose(sc.states[1], np.diag([1.0, 0.0]), atol=1e-14)
 
@@ -261,7 +261,7 @@ class TestParseScenario:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         sc = parse_scenario(json.loads(block))
-        assert sc.checks == ["free_scheme", "second_law", "covariant", "gibbs_preserving"]
+        assert sc.checks == ("free_scheme", "second_law", "covariant", "gibbs_preserving")
         assert sc.states.shape == (100, 2, 2)
 
     @pytest.mark.parametrize(
@@ -872,7 +872,7 @@ class TestRunSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("a grid point was derived")
 
-        monkeypatch.setattr(scenario_module.ScenarioTemplate, "point", forbidden)
+        monkeypatch.setattr(scenario_module.Scenario, "derive", forbidden)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             run_sweep(self.swap_sweep({"name": "beta", "values": values}))
 

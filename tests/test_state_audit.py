@@ -1,7 +1,8 @@
 """The batched per-state core against the single-state functions and the dilation oracle.
 
-:meth:`thermomeas.thermo.AuditBatch.of_instrument`, a batch of one point,
-derives every per-state scalar of the second law, heat duality and the skew
+:meth:`thermomeas.thermo.AuditBatch.of_schemes` of a scheme's batch of one,
+and :meth:`~thermomeas.thermo.AuditBatch.of_instrument` of its bare
+instrument, derive every per-state scalar of the second law, heat duality and the skew
 chain for a whole stack of states at once. Each scalar must equal the
 single-state public function on that state, and the second law's divergence
 terms must equal the relative entropy of the classical-register dilation,
@@ -77,7 +78,7 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
 def test_batch_equals_single_state_functions_and_oracle(inputs):
     scheme, states = build(*inputs)
     h, beta, instrument = scheme.system_hamiltonian, scheme.beta, scheme.instrument
-    audit = AuditBatch.of_instrument(instrument, states, h, beta, scheme)
+    audit = AuditBatch.of_schemes(scheme.batch, states[None])
     laws = audit.second_law_reports()
     heats = audit.heat_reports()
     selective, convexity = audit.skew_chain[0]
@@ -118,11 +119,12 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
 
 
 def precondition_audit(without) -> AuditBatch:
-    """A free scheme's instrument on two states, audited without the inputs ``without``."""
+    """A free scheme's instrument on two states, audited as a bare instrument, which
+    has no scheme, without the inputs ``without``."""
     scheme, states = build(2, 2, 1.0, 5, 2, 2, 0, [0, 1])
-    given = {"hamiltonian": scheme.system_hamiltonian, "beta": scheme.beta, "scheme": scheme}
+    given = {"hamiltonian": scheme.system_hamiltonian, "beta": scheme.beta}
     for name in without:
-        del given[name]
+        given.pop(name, None)
     return AuditBatch.of_instrument(scheme.instrument, states, **given)
 
 

@@ -24,6 +24,7 @@ from thermomeas import scenario as scenario_module
 from thermomeas import schemes, thermo
 from thermomeas.cli import main as cli_main
 from thermomeas.errors import PreconditionError, ValidationError
+from thermomeas.linalg import THEOREM_TOL
 from thermomeas.objects import spectral_observable
 from thermomeas.scenario import (
     MAX_STATE_COUNT,
@@ -65,26 +66,29 @@ SEEDS = st.lists(st.integers(0, 10_000), min_size=1, max_size=8)
 @settings(max_examples=40, deadline=None)
 def test_stacked_draw_is_each_seed_drawn_alone(frame_and_size, seeds):
     frame, mixture_size = frame_and_size
-    batch = random_free_schemes(frame, seeds, mixture_size).schemes()
-    for seed, scheme in zip(seeds, batch):
+    batch = random_free_schemes(frame, seeds, mixture_size)
+    for kraus, seed in zip(batch.kraus, seeds):
         alone = random_free_scheme(frame, seed, mixture_size)
-        assert scheme.interaction.kraus.tobytes() == alone.interaction.kraus.tobytes()
+        assert kraus.tobytes() == alone.interaction.kraus.tobytes()
+    if len(seeds) > 1:
+        with pytest.raises(ValueError, match=f"a batch of {len(seeds)} points is not one scheme"):
+            batch.scheme
 
 
 @given(frame_and_size=frames(), seeds=SEEDS)
 @settings(max_examples=40, deadline=None)
 def test_each_point_derives_what_its_batch_of_one_does(frame_and_size, seeds):
     frame, mixture_size = frame_and_size
-    batch = random_free_schemes(frame, seeds, mixture_size).schemes()
-    for seed, scheme in zip(seeds, batch):
+    batch = random_free_schemes(frame, seeds, mixture_size)
+    kraus_sets, _, effects = batch.instrument_stacks
+    for i, seed in enumerate(seeds):
         alone = random_free_scheme(frame, seed, mixture_size)
-        assert validate_free_scheme(scheme) == validate_free_scheme(alone)
-        for ours, theirs in zip(scheme.instrument.kraus_sets, alone.instrument.kraus_sets):
-            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
-        effects = scheme.instrument.induced_observable.effects
-        assert effects.tobytes() == alone.instrument.induced_observable.effects.tobytes()
-        assert scheme.conjugate.kraus.tobytes() == alone.conjugate.kraus.tobytes()
-    assert len({id(scheme._point[0]) for scheme in batch}) == 1
+        assert alone.batch.scheme.batch is alone.batch
+        assert batch.free_report(i) == validate_free_scheme(alone)
+        for ours, theirs in zip(kraus_sets, alone.instrument.kraus_sets):
+            assert ours[i].shape == theirs.shape and ours[i].tobytes() == theirs.tobytes()
+        assert effects[i].tobytes() == alone.instrument.induced_observable.effects.tobytes()
+        assert batch.conjugate_kraus[i].tobytes() == alone.conjugate.kraus.tobytes()
 
 
 def sweep_template(d_s, d_a, spectrum, mixture_size, states):
@@ -258,18 +262,18 @@ def test_a_frame_at_another_beta_shares_all_but_its_gibbs_data():
 def recorded_chunks(monkeypatch) -> list:
     """``[schemes, audit]``: the :class:`SchemeBatch` and :class:`AuditBatch` of each
     chunk a sweep derives from now on."""
-    chunks, at, audit_batch = [], scenario_module._Scheme.at, scenario_module.AuditBatch
+    chunks, at, of_schemes = [], scenario_module._Scheme.at, thermo.AuditBatch.of_schemes
 
     def drawn(scheme, seeds, beta):
         chunks.append([at(scheme, seeds, beta), None])
         return chunks[-1][0]
 
-    def audited(*args):
-        chunks[-1][1] = audit_batch(*args)
+    def audited(schemes, states):
+        chunks[-1][1] = of_schemes(schemes, states)
         return chunks[-1][1]
 
     monkeypatch.setattr(scenario_module._Scheme, "at", drawn)
-    monkeypatch.setattr(scenario_module, "AuditBatch", audited)
+    monkeypatch.setattr(thermo.AuditBatch, "of_schemes", audited)
     return chunks
 
 
@@ -387,20 +391,20 @@ def test_report_rows_are_derived_once_per_chunk(monkeypatch):
 
 
 def test_a_lone_scenario_and_each_chunk_derive_through_the_one_template_method(monkeypatch):
-    derived, derive = [], scenario_module.ScenarioTemplate.derive
+    derived, derive = [], scenario_module.Scenario.derive
 
     def recorded(template, seeds, beta):
         derived.append((list(seeds), beta, derive(template, seeds, beta)))
         return derived[-1][2]
 
-    monkeypatch.setattr(scenario_module.ScenarioTemplate, "derive", recorded)
+    monkeypatch.setattr(scenario_module.Scenario, "derive", recorded)
     raw = dict(sweep_template(2, 2, "equally_spaced", 2, {"count": 2}),
                checks=["free_scheme", "second_law", "skew_chain", "heat_duality"])
     report = run_scenario(raw)
     assert report.verdict
     [(seeds, beta, (schemes, audit))] = derived
     assert (seeds, beta) == ([2], 0.8) and report.scenario.audit is audit
-    assert report.scenario.scheme._point == (schemes, 0)
+    assert report.scenario.scheme.batch is schemes
 
     derived.clear()
     sweep = {"axis": {"name": "seed", "range": [0, 6]}, "scenario": raw}
@@ -437,9 +441,14 @@ def test_a_failing_row_is_its_point_run_alone(monkeypatch, tmp_path):
 
 
 def test_a_scheme_not_free_at_the_second_law_tolerance_names_the_first_such_point(monkeypatch):
+    # at energies x 100 every worst defect is round-off of the fourth moment far above
+    # THEOREM_TOL, which the freeness gate never goes below
     sweep = sweep_d3(0, 9, {})
-    template = parse_template(sweep["scenario"])
-    worst = [template.point(seed, 1.0).scheme.freeness().worst_defect for seed in range(10)]
+    for key in ("system_hamiltonian", "probe_hamiltonian"):
+        sweep["scenario"][key] = [100 * energy for energy in sweep["scenario"][key]]
+    schemes = parse_template(sweep["scenario"]).scheme_spec.at(range(10), 1.0)
+    worst = [schemes.free_report(seed).worst_defect for seed in range(10)]
+    assert min(worst) > 100 * THEOREM_TOL
     tol = max(worst[:4])  # the first chunk of three passes
     first = next(seed for seed, defect in enumerate(worst) if defect > tol)
     assert first > 3
@@ -461,7 +470,7 @@ def test_every_cell_is_a_plain_number_verdict_or_state_label(sweep_and_chunk):
     with pytest.MonkeyPatch.context() as monkeypatch:
         points_per_chunk(monkeypatch, sweep, chunk)
         table, _ = run_sweep(sweep)
-    names = parse_template(sweep["scenario"]).states.names
+    names = parse_template(sweep["scenario"]).state_spec.names
     axis = sweep["axis"]["name"]
     for row in list(csv.reader(io.StringIO(table)))[1:]:
         assert row[0] == axis

@@ -189,6 +189,10 @@ class TestSkewInformation:
         with pytest.raises(ValidationError, match="sub-normalized"):
             skew_information(H2, 2 * np.eye(2))
 
+    def test_rejects_a_non_hermitian_operator(self):
+        with pytest.raises(ValidationError, match=r"^operator is not Hermitian: \|\|A - A\^dag"):
+            skew_information(np.diag([0.0, 1.0]), INVALID_STATES["non_hermitian"])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_for_free_schemes(self, seed):
         scheme = random_free_scheme(SchemeFrame(H2, H2, 0.8, Z_SHARP), seed=seed + 300)
@@ -372,7 +376,8 @@ DIMENSION_MISMATCHES = {
     "work_report-state": lambda s: work_report(s.instrument, RHO3, H2, 1.0),
     "work_report-hamiltonian": lambda s: work_report(s.instrument, RHO2, H3, 1.0),
     "second_law_report-state": lambda s: second_law_report(s, RHO3),
-    "audit-states": lambda s: AuditBatch.of_instrument(s.instrument, RHO3[None], H2, 1.0, s),
+    "audit-states": lambda s: AuditBatch.of_instrument(s.instrument, RHO3[None], H2, 1.0),
+    "audit_of_schemes-states": lambda s: AuditBatch.of_schemes(s.batch, RHO3[None, None]),
     "audit-hamiltonian": lambda s: AuditBatch.of_instrument(s.instrument, RHO2[None], H3, 1.0),
 }
 
