@@ -25,7 +25,7 @@ from .linalg import (
     commutator_defect,
     dag,
     eig_hermitian,
-    frobenius,
+    frobenius_each,
     require_hermitian,
 )
 from .objects import Instrument, Observable, gibbs_state, spectral_observable
@@ -112,7 +112,7 @@ def is_covariant_instrument(
     bohr = (energies[:, None] - energies[None, :]).reshape(-1)
     mask = bohr[:, None] - bohr[None, :]
     weighted = (dag(rotation) @ instrument.choi @ rotation) * mask
-    defects = [frobenius(w) for w in weighted]
+    defects = frobenius_each(weighted)
     worst = int(np.argmax(defects))
 
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
@@ -122,15 +122,14 @@ def is_covariant_instrument(
     rotated = evolutions @ probes @ dag(evolutions)  # (time, probe, d, d)
     outs = instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)]))
     plain, moved = outs[:, None, :3], outs[:, 3:].reshape(-1, *rotated.shape)
-    gap = np.linalg.norm(moved - evolutions @ plain @ dag(evolutions), axis=(-2, -1))
-    sampled = float(gap.max())
+    sampled = float(frobenius_each(moved - evolutions @ plain @ dag(evolutions)).max())
     return _verdict(
         "covariant",
-        max(defects),
+        defects[worst],
         tol,
         witness={
             "worst_outcome": instrument.outcomes[worst],
-            "sampled_time_defect": float(sampled),
+            "sampled_time_defect": sampled,
             "sample_times": list(COVARIANCE_SAMPLE_TIMES),
         },
     )
@@ -147,11 +146,11 @@ def is_gibbs_preserving(
     """
     tau = gibbs_state(system_hamiltonian, beta)
     q = instrument.induced_observable.probabilities(tau)
-    defects = [frobenius(gap) for gap in instrument.apply(tau) - q[:, None, None] * tau.matrix]
+    defects = frobenius_each(instrument.apply(tau) - q[:, None, None] * tau.matrix)
     worst = int(np.argmax(defects))
     return _verdict(
         "gibbs_preserving",
-        max(defects),
+        defects[worst],
         tol,
         witness={"worst_outcome": instrument.outcomes[worst]},
     )
@@ -175,7 +174,7 @@ def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVe
     choi = instrument.choi[live]
     sigmas = np.einsum("xiaja->xij", choi.reshape(-1, d, d, d, d)) / weights[live, None, None]
     products = sigmas[:, :, None, :, None] * effects[live].swapaxes(1, 2)[:, None, :, None, :]
-    residuals = [frobenius(r) for r in choi - products.reshape(choi.shape)]
+    residuals = frobenius_each(choi - products.reshape(choi.shape))
     labels = [label for label, kept in zip(instrument.outcomes, live) if kept]
     worst = int(np.argmax(residuals))
     witness = {"worst_outcome": labels[worst]}
@@ -208,13 +207,13 @@ def check_prop2(
     sigmas = nuclear.witness.get("sigmas", {})
     if not sigmas:
         return _verdict("prop2", 0.0, tol, witness={"note": "all effects null"})
-    defects = {label: frobenius(sigma - tau) for label, sigma in sigmas.items()}
-    worst = max(defects, key=defects.get)
+    defects = frobenius_each(np.array(list(sigmas.values())) - tau)
+    worst = int(np.argmax(defects))
     return _verdict(
         "prop2",
         defects[worst],
         tol,
-        witness={"worst_outcome": worst, "n_outcomes_tested": len(defects)},
+        witness={"worst_outcome": list(sigmas)[worst], "n_outcomes_tested": len(defects)},
     )
 
 
@@ -278,8 +277,8 @@ def marginal_defect(joint: Observable, observable: Observable, system_hamiltonia
     """
     energy = spectral_observable(system_hamiltonian)
     grid = joint.effects.reshape(observable.n_outcomes, *energy.effects.shape)
-    gaps = (grid.sum(axis=1) - observable.effects, grid.sum(axis=0) - energy.effects)
-    return max(float(np.linalg.norm(gap, axis=(1, 2)).max()) for gap in gaps)
+    gaps = [grid.sum(axis=1) - observable.effects, grid.sum(axis=0) - energy.effects]
+    return float(frobenius_each(np.concatenate(gaps)).max())
 
 
 @dataclass(frozen=True)
@@ -337,9 +336,7 @@ def post_processing_decomposition(
         matrix=weights,
         outcomes=observable.outcomes,
         energies=decomp.eigenvalues,
-        reconstruction_defect=float(
-            np.linalg.norm(rebuilt - observable.effects, axis=(1, 2)).max()
-        ),
+        reconstruction_defect=float(frobenius_each(rebuilt - observable.effects).max()),
     )
 
 

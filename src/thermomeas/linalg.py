@@ -62,15 +62,8 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def frobenius_each(a: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a ``(..., rows, cols)`` stack.
-
-    Each is summed as :func:`frobenius` sums one matrix, as the dot products
-    of its real and of its imaginary parts, so the two agree bit for bit.
-    """
-    flat = np.asarray(a).reshape(*np.shape(a)[:-2], 1, -1)
-    re, im = flat.real, flat.imag
-    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    return np.sqrt(squares[..., 0, 0])
+    """The Frobenius norm of each matrix of a ``(..., rows, cols)`` stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def logsumexp(x: np.ndarray):
@@ -139,7 +132,7 @@ def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
         raise ValidationError(f"{label} has non-finite (NaN or infinite) entries")
     skew = m - dag(m)
     if frobenius(skew) > tol:  # the defect of the whole stack bounds each entry's
-        defect = np.linalg.norm(skew, axis=(-2, -1))
+        defect = frobenius_each(skew)
         if (defect > tol).any():
             worst, label = _first_failure(defect, defect > tol, name)
             raise ValidationError(
@@ -339,5 +332,5 @@ def commutator_defect(a, b):
     require_square(mb, "second operand")
     if ma.shape[-2:] != mb.shape:
         raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    defects = np.linalg.norm(ma @ mb - mb @ ma, axis=(-2, -1))
+    defects = frobenius_each(ma @ mb - mb @ ma)
     return float(defects) if ma.ndim == 2 else defects

@@ -55,6 +55,7 @@ from .linalg import (
     density_matrix,
     eig_hermitian,
     frobenius,
+    frobenius_each,
     require_hermitian,
 )
 from .objects import Instrument, KrausChannel, Observable, gibbs_state
@@ -67,7 +68,7 @@ from .schemes import (
     require_free_draw,
     trivial_scheme,
 )
-from .thermo import AuditBatch, second_law_verdict
+from .thermo import LAW_COLUMNS, WORK_COLUMNS, AuditBatch, second_law_verdict
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -628,7 +629,7 @@ def _check_refine(sc: Scenario, tol: float) -> dict:
     coarse = np.zeros_like(observable.effects)
     owners = [observable.outcomes.index(relabel[label]) for label in refined.outcomes]
     np.add.at(coarse, owners, refined.effects)
-    defect = float(np.linalg.norm(coarse - observable.effects, axis=(1, 2)).max())
+    defect = float(frobenius_each(coarse - observable.effects).max())
     return {
         "verdict": defect <= tol and refined.is_rank_one(),
         "coarse_grain_defect": defect,
@@ -821,15 +822,8 @@ SWEEP_COLUMNS = (
     "seed",
     "beta",
     "state",
-    "extractable_work",
-    "average_extractable_work",
-    "outcome_divergence",
-    "heat",
-    "groenewold_gain",
-    "prop1_slack",
-    "eq5_identity_defect",
-    "eq5_bound_slack",
-    "heat_bound_slack",
+    *WORK_COLUMNS,
+    *LAW_COLUMNS,
     "free_scheme_verdict",
     "second_law_verdict",
 )
@@ -927,8 +921,9 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
             return all(passed for passed, _ in chunks), [row for _, rows in chunks for row in rows]
         i = indices[0]
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
-    law = second_law_verdict(*np.moveaxis(report[..., 5:], -1, 0), law_tol).all(axis=-1)
-    worst = report[..., 5].argmin(axis=-1)
+    slacks = report[..., len(WORK_COLUMNS):]
+    law = second_law_verdict(*np.moveaxis(slacks, -1, 0), law_tol).all(axis=-1)
+    worst = slacks[..., LAW_COLUMNS.index("prop1_slack")].argmin(axis=-1)
     cells = report[np.arange(len(worst)), worst].tolist()
     names, beta_cell = template.state_spec.names, repr(float(beta))
     rows = [

@@ -408,7 +408,7 @@ class SchemeBatch:
         names = tuple(f"effect {x!r}" for x in outcomes)
         effects = _symmetrized(grams.reshape(-1, d_s, d_s), VALIDATION_TOL, names * n)
         effects = effects.reshape(grams.shape)
-        _require_effects(effects, names, VALIDATION_TOL)
+        _require_effects(effects, names)
         effects.flags.writeable = False
         return tuple(stacks), grams, effects
 

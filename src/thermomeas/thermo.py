@@ -20,7 +20,7 @@ whole batch, is :func:`second_law_verdict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,7 @@ from .linalg import (
     VALIDATION_TOL,
     as_matrix,
     density_matrix,
+    frobenius_each,
     logsumexp,
     psd_sqrt,
     require_beta,
@@ -109,6 +110,13 @@ class SecondLawReport:
         return {**vars(self), "verdict": self.verdict}
 
 
+#: The columns of :attr:`AuditBatch.report_rows` in the order it stacks them: the
+#: :class:`WorkReport` quantities, then, in an audit of schemes, the
+#: :class:`SecondLawReport` slacks and defect.
+WORK_COLUMNS = tuple(f.name for f in fields(WorkReport) if f.name != "beta")
+LAW_COLUMNS = tuple(f.name for f in fields(SecondLawReport) if f.name != "tol")
+
+
 @dataclass(frozen=True)
 class HeatReport:
     """Heat absorbed by the system plus the probe/system bookkeeping defect."""
@@ -145,14 +153,12 @@ def _log_gibbs_probabilities(effects, gibbs) -> np.ndarray:
     return log_q
 
 
-def _outcome_divergence(outcomes, effects, states, log_q) -> np.ndarray:
+def _outcome_divergence(outcomes, p, log_q) -> np.ndarray:
     """``sum_x p_x (ln p_x - ln q_x)`` of each state, over ``p_x`` above the cutoff.
 
-    ``effects`` is ``(P, n_outcomes, d, d)``, ``states`` ``(P, n, d, d)`` and
-    ``log_q`` ``(P, n_outcomes)``: each point's observable on its own states.
+    ``p`` is ``(P, n_outcomes, n)`` and ``log_q`` ``(P, n_outcomes)``: each
+    point's outcome probabilities on its own states and at equilibrium.
     """
-    # One contraction per point: a stacked einsum sums in another order.
-    p = np.array([np.einsum("xij,nji->xn", e, s) for e, s in zip(effects, states)]).real
     kept = p > PROBABILITY_CUTOFF
     impossible = kept & np.isnan(log_q)[..., None]
     if impossible.any():
@@ -174,7 +180,7 @@ def _skew_information(h, m) -> np.ndarray:
     root = psd_sqrt(m if m.ndim <= 3 else m.reshape(-1, d, d)).reshape(m.shape)
     comm = root @ h
     comm -= h @ root
-    return 0.5 * np.linalg.norm(comm, axis=(-2, -1)) ** 2
+    return 0.5 * frobenius_each(comm) ** 2
 
 
 def _entropy(m) -> np.ndarray:
@@ -206,8 +212,9 @@ class AuditBatch:
     audit of schemes, made by :meth:`of_schemes`, also holds the
     :class:`SchemeFrame` every point's scheme is on as ``frame`` and the
     ``(P, k', d_a, d)`` Kraus stack of their conjugate channels as
-    ``conjugates``; the frame then supplies the Gibbs data and, with the
-    conjugates, the probe-side heat.
+    ``conjugates``; the frame then supplies the Gibbs data, the Gibbs
+    outcome probabilities (off its pointer) and, with the conjugates, the
+    probe-side heat.
 
     Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
     stack once; every quantity is derived from those outputs on its first
@@ -304,8 +311,15 @@ class AuditBatch:
 
     @cached_property
     def outcome_divergence(self) -> np.ndarray:
-        log_q = _log_gibbs_probabilities(self.effects, self.gibbs)
-        return _outcome_divergence(self.outcomes, self.effects, self.states, log_q)
+        """``D(p || q)`` of each state. With a scheme, ``q_x = tr[Z_x xi]`` is read
+        off the pointer in the Gibbs probe, which equals ``tr[E_x tau]`` for a free
+        scheme and stays exact where the induced effects underflow."""
+        if self.frame is None:
+            log_q = _log_gibbs_probabilities(self.effects, self.gibbs)
+        else:
+            pointer = self.frame.pointer.effects
+            log_q = _log_gibbs_probabilities(pointer, self.frame.probe_log_weights)[None]
+        return _outcome_divergence(self.outcomes, self.probabilities, log_q)
 
     @cached_property
     def groenewold_gain(self) -> np.ndarray:
@@ -337,9 +351,9 @@ class AuditBatch:
 
     @cached_property
     def report_rows(self) -> np.ndarray:
-        """Per point and state, the five :class:`WorkReport` quantities and, with
-        a scheme, the four :class:`SecondLawReport` slacks: ``(P, n, 5)`` or
-        ``(P, n, 9)``, in one stacked expression for the whole batch.
+        """Per point and state, the ``WORK_COLUMNS`` and, with a scheme, the
+        ``LAW_COLUMNS``: ``(P, n, 5)`` or ``(P, n, 9)``, in one stacked
+        expression for the whole batch.
 
         The heat is probe-side with a scheme and system-side without.
         """
@@ -366,8 +380,8 @@ class AuditBatch:
     def work_reports(self) -> list:
         """One :class:`WorkReport` per point and state, point by point; its heat
         is probe-side with a scheme and system-side without."""
-        beta, rows = self.beta, self.report_rows.tolist()
-        return [WorkReport(*row[:5], beta=beta) for point in rows for row in point]
+        beta, rows = self.beta, self.report_rows[..., :len(WORK_COLUMNS)].tolist()
+        return [WorkReport(*row, beta=beta) for point in rows for row in point]
 
     def heat_reports(self) -> list:
         """One :class:`HeatReport` per point and state: probe-side heat and its
@@ -378,8 +392,8 @@ class AuditBatch:
         """``(SecondLawReport, WorkReport)`` per point and state, point by point; the
         caller refuses a point whose scheme is not free, as :func:`second_law_report` does."""
         _given(self.frame, "scheme")
-        rows = self.report_rows.tolist()
-        laws = [SecondLawReport(*row[5:], tol=tol) for point in rows for row in point]
+        rows = self.report_rows[..., len(WORK_COLUMNS):].tolist()
+        laws = [SecondLawReport(*row, tol=tol) for point in rows for row in point]
         return list(zip(laws, self.work_reports()))
 
 
@@ -429,10 +443,8 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     h = require_hermitian(system_hamiltonian, name="hamiltonian")
     _require_dimension(observable.dim, "observable", state=state, Hamiltonian=h)
     log_q = _log_gibbs_probabilities(observable.effects, gibbs_log_weights(h, beta))
-    divergence = _outcome_divergence(
-        observable.outcomes, observable.effects[None], state[None], log_q[None]
-    )
-    return float(divergence[0, 0])
+    p = observable.probabilities(state[0])
+    return float(_outcome_divergence(observable.outcomes, p[None, :, None], log_q[None])[0, 0])
 
 
 def groenewold_gain(instrument: Instrument, rho) -> float:

@@ -14,6 +14,7 @@ from thermomeas.objects import (
     Observable,
     State,
     _dual,
+    _from_validated,
     choi_of_operation,
     choi_rank,
     gibbs_state,
@@ -401,7 +402,8 @@ class TestInstrument:
             Instrument(["x1", "x2"], [[P0], [P1 * math.nan]])
 
     def test_luders_refusal_names_the_outcome(self):
-        loose = Observable(["a", "b"], [np.diag([1 + 5e-7, 0.5]), np.diag([-5e-7, 0.5])], tol=1e-6)
+        effects = np.array([np.diag([1 + 5e-7, 0.5]), np.diag([-5e-7, 0.5])], dtype=complex)
+        loose = _from_validated(Observable, ("a", "b"), effects)  # past validation, on purpose
         with pytest.raises(ValidationError) as refusal:
             Instrument.luders(loose)
         assert str(refusal.value) == (

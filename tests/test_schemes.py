@@ -19,6 +19,7 @@ from thermomeas.objects import (
     KrausChannel,
     Observable,
     State,
+    _from_validated,
     gibbs_state,
     spectral_observable,
     time_evolution,
@@ -199,7 +200,8 @@ class TestInducedInstrument:
             assert np.linalg.norm(out - ref) < 1e-12
 
     def test_bad_pointer_effect_rejected(self):
-        bad = Observable(["a", "b"], [np.diag([1.0, -0.2]), np.diag([0.0, 1.2])], tol=0.5)
+        effects = np.array([np.diag([1.0, -0.2]), np.diag([0.0, 1.2])], dtype=complex)
+        bad = _from_validated(Observable, ("a", "b"), effects)  # past validation, on purpose
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, bad), swap_channel(2))
         with pytest.raises(ValidationError, match="pointer effect"):
             induced_instrument(scheme)

@@ -21,6 +21,8 @@ from thermomeas.objects import spectral_observable
 from thermomeas.sampling import random_density_matrix_stacks, rng_from_seed
 from thermomeas.schemes import SchemeFrame, random_free_scheme
 from thermomeas.thermo import (
+    LAW_COLUMNS,
+    WORK_COLUMNS,
     AuditBatch,
     average_extractable_work,
     extractable_work,
@@ -71,6 +73,16 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
     return scheme, np.concatenate([eigenstates, random_states])[list(order)]
 
 
+def pointer_side_divergence(scheme, rho) -> float:
+    """``D(p || q)`` with the exact ``q_x = tr[Z_x xi]``, which is ``tr[E_x tau]`` for a
+    free scheme: on the sharp pointer of ``build``, ``ln q_x = -beta x - ln Z`` of the probe."""
+    levels = -scheme.beta * np.arange(scheme.dim_probe)
+    log_q = levels - np.logaddexp.reduce(levels)
+    p = scheme.instrument.induced_observable.probabilities(rho)
+    kept = p > PROBABILITY_CUTOFF
+    return float(np.sum(p[kept] * (np.log(p[kept]) - log_q[kept])))
+
+
 @given(inputs=audit_inputs())
 @example(inputs=(3, 2, 1e3, 11, 3, 3, 4, [6, 0, 5, 1, 4, 2, 3]))
 @example(inputs=(2, 4, 1e-3, 12, 2, 1, 0, [0]))
@@ -103,7 +115,8 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         assert close(audit.extractable_work[0, i], extractable_work(rho, h, beta))
         assert close(audit.average_extractable_work[0, i],
                      average_extractable_work(instrument, rho, h, beta))
-        assert close(audit.outcome_divergence[0, i],
+        assert close(audit.outcome_divergence[0, i], pointer_side_divergence(scheme, rho))
+        assert close(plain.outcome_divergence[0, i],
                      outcome_divergence(instrument.induced_observable, rho, h, beta))
         assert close(audit.groenewold_gain[0, i], groenewold_gain(instrument, rho))
         if oracle_exact:  # no Gibbs block weight falls under the oracle's support cut
@@ -148,3 +161,14 @@ def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, name
     audit = precondition_audit(without)
     with pytest.raises(PreconditionError, match=rf"needs a {named}, and the audit was given none"):
         quantity(audit)
+
+
+def test_report_rows_hold_the_named_columns():
+    scheme, states = build(3, 2, 1.0, 5, 2, 3, 2, [0, 1, 2, 3, 4])
+    audit = AuditBatch.of_schemes(scheme.batch, states[None])
+    rows = audit.report_rows[0].tolist()
+    for row, (law, work) in zip(rows, audit.second_law_reports()):
+        named = [getattr(work, c) for c in WORK_COLUMNS] + [getattr(law, c) for c in LAW_COLUMNS]
+        assert named == row
+    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian, 1.0)
+    assert plain.report_rows.shape[-1] == len(WORK_COLUMNS)

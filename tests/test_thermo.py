@@ -307,6 +307,20 @@ class TestSecondLawReport:
         law, _ = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))
         assert law.verdict, law
 
+    @pytest.mark.parametrize("beta", [800.0, 1600.0])
+    def test_prop1_holds_where_the_induced_effects_underflow(self, beta):
+        # e^-beta underflows in the induced effects, not in the probe's log-weights;
+        # on |2>, beta * prop1_slack does not depend on beta
+        h3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        slacks = []
+        for b in (100.0, beta):
+            frame = SchemeFrame(h3, H2, b, spectral_observable(H2))
+            scheme = random_free_scheme(frame, seed=0, mixture_size=1)
+            law, _ = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))
+            assert law.verdict, law
+            slacks.append(b * law.prop1_slack)
+        assert abs(slacks[1] - slacks[0]) <= 1e-9 * slacks[0]
+
     def test_low_temperature_outcome_divergence_is_finite(self):
         # q_excited = 1 / (1 + e^600): far below any probability cutoff, yet positive
         d = outcome_divergence(Z_SHARP, EXCITED, H2, 600.0)
