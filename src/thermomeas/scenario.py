@@ -68,7 +68,7 @@ from .schemes import (
     require_free_draw,
     trivial_scheme,
 )
-from .thermo import LAW_COLUMNS, WORK_COLUMNS, AuditBatch, second_law_verdict
+from .thermo import LAW_COLUMNS, WORK_COLUMNS, AuditBatch
 from . import classify
 
 SCHEMA_VERSION = 1
@@ -140,6 +140,13 @@ def _number(value, cast, field: str):
         return cast(value)
     except OverflowError as exc:
         raise ValidationError(f"{field}: expected a number, got {value!r}") from exc
+
+
+def _seed(value, field: str) -> int:
+    """A seed: a JSON integer, refused by name unless it is non-negative."""
+    if (seed := _number(value, int, field)) < 0:
+        raise ValidationError(f"{field}: expected a non-negative integer, got {seed}")
+    return seed
 
 
 def decode_hamiltonian(obj, name: str) -> np.ndarray:
@@ -284,7 +291,7 @@ def _resolve_states(spec, d: int) -> _States:
     if isinstance(spec, dict):
         _refuse_unknown_keys(spec, ("count", "seed"), "states")
         count = _number(spec.get("count", 0), int, "states.count")
-        seed = _number(spec["seed"], int, "states.seed") if "seed" in spec else None
+        seed = _seed(spec["seed"], "states.seed") if "seed" in spec else None
         if not 0 <= count <= MAX_STATE_COUNT:
             raise ValidationError(
                 f"states.count must lie in [0, {MAX_STATE_COUNT}], got {count}"
@@ -376,7 +383,7 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
         raise ValidationError(f"scheme {kind!r} needs a pointer observable on the probe")
     frame = SchemeFrame(h_system, h_probe, beta, pointer)
     if kind == "random_block":
-        seed = _number(spec["seed"], int, "scheme.seed") if "seed" in spec else None
+        seed = _seed(spec["seed"], "scheme.seed") if "seed" in spec else None
         mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
         if mixture_size > MAX_MIXTURE_SIZE:
             raise ValidationError(
@@ -505,7 +512,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
     beta = _number(raw["beta"], float, "beta")
     if not np.isfinite(beta) or beta <= 0:
         raise ValidationError(f"beta must be positive and finite, got {beta}")
-    seed = _number(seed_override if seed_override is not None else raw.get("seed", 0), int, "seed")
+    seed = _seed(seed_override if seed_override is not None else raw.get("seed", 0), "seed")
 
     tolerances = {"default": THEOREM_TOL, "validation": VALIDATION_TOL}
     raw_tols = raw.get("tolerances", {})
@@ -857,8 +864,8 @@ def _axis_values(axis) -> tuple:
         raise ValidationError(
             f"sweep grid must have 1 to {MAX_GRID_SIZE} points, got {max(size, 0)}"
         )
-    cast = float if name == "beta" else int
-    judged = [_number(v, cast, f"axis.{name}[{i}]") for i, v in enumerate(values)]
+    judge = _seed if name == "seed" else (lambda v, field: _number(v, float, field))
+    judged = [judge(v, f"axis.{name}[{i}]") for i, v in enumerate(values)]
     for i, value in enumerate(judged):
         if name == "beta" and not (np.isfinite(value) and value > 0):
             raise ValidationError(f"axis.beta[{i}]: beta must be positive and finite, got {value}")
@@ -921,9 +928,8 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
             return all(passed for passed, _ in chunks), [row for _, rows in chunks for row in rows]
         i = indices[0]
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
-    slacks = report[..., len(WORK_COLUMNS):]
-    law = second_law_verdict(*np.moveaxis(slacks, -1, 0), law_tol).all(axis=-1)
-    worst = slacks[..., LAW_COLUMNS.index("prop1_slack")].argmin(axis=-1)
+    law = audit.second_law_verdicts(law_tol).all(axis=-1)
+    worst = report[..., len(WORK_COLUMNS) + LAW_COLUMNS.index("prop1_slack")].argmin(axis=-1)
     cells = report[np.arange(len(worst)), worst].tolist()
     names, beta_cell = template.state_spec.names, repr(float(beta))
     rows = [

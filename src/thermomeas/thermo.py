@@ -16,6 +16,11 @@ audits a bare instrument as a batch of one point; the single-state
 functions read either on one state. The batch's report methods build
 every list of reports, and each second-law verdict, of one state or of a
 whole batch, is :func:`second_law_verdict`.
+
+The second law's energy balance is one residual per state, ``|Q_sys - Q|``,
+the scheme's energy conservation on it: ``|tr[(Phi*(H_tot) - H_tot)(rho (x)
+xi)]|``. Eq. (5)'s ``avg_w - w = Q + G / beta`` follows, as ``avg_w - w -
+G / beta = Q_sys`` exactly for a trace-preserving instrument.
 """
 
 from __future__ import annotations
@@ -63,28 +68,25 @@ class WorkReport:
         return dict(vars(self))
 
 
-def second_law_verdict(prop1_slack, eq5_identity_defect, eq5_bound_slack, heat_bound_slack, tol):
-    """Whether the second-law slacks and defect are all within ``tol``.
-
-    The verdict of :class:`SecondLawReport`, of one state's scalars, and of
-    an :class:`AuditBatch`, elementwise on its per-state arrays.
-    """
+def second_law_verdict(prop1_slack, identity_defect, eq5_slack, heat_slack, beta, tol):
+    """Whether the residual (in energy units) and the slacks (in nats, as ``beta * slack``,
+    so round-off of ``1 / beta``-sized terms does not FAIL) are within ``tol``; elementwise."""
     return (
-        (prop1_slack >= -tol)
-        & (eq5_identity_defect <= tol)
-        & (eq5_bound_slack >= -tol)
-        & (heat_bound_slack >= -tol)
+        (beta * prop1_slack >= -tol)
+        & (identity_defect <= tol)
+        & (beta * eq5_slack >= -tol)
+        & (beta * heat_slack >= -tol)
     )
 
 
 @dataclass(frozen=True)
 class SecondLawReport:
-    """Slack and defect values of the second-law inequalities.
+    """Slack and defect values of the second-law inequalities, and their verdict at ``tol``.
 
     ``prop1_slack``    : extractable work minus divergence term minus average
                          extractable work; nonnegative for thermal instruments.
-    ``eq5_identity_defect`` : violation of the exact energy-entropy balance
-                         relating the work gap to heat plus information gain.
+    ``eq5_identity_defect`` : the energy-balance residual ``|Q_sys - Q|``, the
+                         scheme's energy conservation on the state, whence Eq. (5).
     ``eq5_bound_slack``: distance by which heat plus scaled information gain
                          stays below the negative scaled divergence.
     ``heat_bound_slack``: distance by which the heat stays below the negative
@@ -96,30 +98,23 @@ class SecondLawReport:
     eq5_bound_slack: float
     heat_bound_slack: float
     tol: float
-
-    @property
-    def verdict(self) -> bool:
-        return bool(
-            second_law_verdict(
-                self.prop1_slack, self.eq5_identity_defect, self.eq5_bound_slack,
-                self.heat_bound_slack, self.tol,
-            )
-        )
+    verdict: bool
 
     def to_dict(self) -> dict:
-        return {**vars(self), "verdict": self.verdict}
+        return dict(vars(self))
 
 
 #: The columns of :attr:`AuditBatch.report_rows` in the order it stacks them: the
 #: :class:`WorkReport` quantities, then, in an audit of schemes, the
 #: :class:`SecondLawReport` slacks and defect.
 WORK_COLUMNS = tuple(f.name for f in fields(WorkReport) if f.name != "beta")
-LAW_COLUMNS = tuple(f.name for f in fields(SecondLawReport) if f.name != "tol")
+LAW_COLUMNS = tuple(f.name for f in fields(SecondLawReport) if f.name not in ("tol", "verdict"))
 
 
 @dataclass(frozen=True)
 class HeatReport:
-    """Heat absorbed by the system plus the probe/system bookkeeping defect."""
+    """Heat absorbed by the system, probe-side, and the energy-balance residual
+    ``|Q_sys - Q|``, which :class:`SecondLawReport` holds as ``eq5_identity_defect``."""
 
     heat: float
     duality_defect: float
@@ -365,17 +360,17 @@ class AuditBatch:
         if self.frame is not None:
             columns += [
                 w - divergence / beta - avg_w,
-                np.abs(avg_w - w - heat - gain / beta),
+                np.abs(heat - self.system_heat),
                 -divergence / beta - heat - gain / beta,
                 -gain / beta - heat,
             ]
         return np.stack(columns, axis=-1)
 
-    @cached_property
-    def heat_rows(self) -> np.ndarray:
-        """Per point and state, the probe-side heat and its system-side defect: ``(P, n, 2)``."""
-        heat = self.probe_heat
-        return np.stack([heat, np.abs(heat - self.system_heat)], axis=-1)
+    def second_law_verdicts(self, tol: float) -> np.ndarray:
+        """:func:`second_law_verdict` of each point and state at ``tol``, ``(P, n)``."""
+        _given(self.frame, "scheme")
+        slacks = np.moveaxis(self.report_rows[..., len(WORK_COLUMNS):], -1, 0)
+        return second_law_verdict(*slacks, self.beta, tol)
 
     def work_reports(self) -> list:
         """One :class:`WorkReport` per point and state, point by point; its heat
@@ -384,16 +379,18 @@ class AuditBatch:
         return [WorkReport(*row, beta=beta) for point in rows for row in point]
 
     def heat_reports(self) -> list:
-        """One :class:`HeatReport` per point and state: probe-side heat and its
-        system-side defect."""
-        return [HeatReport(*row) for point in self.heat_rows.tolist() for row in point]
+        """One :class:`HeatReport` per point and state, read off :attr:`report_rows`."""
+        _given(self.frame, "scheme")
+        residual = len(WORK_COLUMNS) + LAW_COLUMNS.index("eq5_identity_defect")
+        rows = self.report_rows[..., [WORK_COLUMNS.index("heat"), residual]].tolist()
+        return [HeatReport(*row) for point in rows for row in point]
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
         """``(SecondLawReport, WorkReport)`` per point and state, point by point; the
         caller refuses a point whose scheme is not free, as :func:`second_law_report` does."""
-        _given(self.frame, "scheme")
-        rows = self.report_rows[..., len(WORK_COLUMNS):].tolist()
-        laws = [SecondLawReport(*row, tol=tol) for point in rows for row in point]
+        verdicts = self.second_law_verdicts(tol).ravel().tolist()
+        rows = self.report_rows[..., len(WORK_COLUMNS):].reshape(-1, len(LAW_COLUMNS)).tolist()
+        laws = [SecondLawReport(*row, tol=tol, verdict=ok) for row, ok in zip(rows, verdicts)]
         return list(zip(laws, self.work_reports()))
 
 
@@ -453,12 +450,7 @@ def groenewold_gain(instrument: Instrument, rho) -> float:
 
 
 def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
-    """Heat the system absorbs from the probe: decrease of probe energy.
-
-    The report carries the defect against the system-side accounting (the
-    increase in the system's expected energy); the two agree for schemes
-    whose interaction conserves the total Hamiltonian.
-    """
+    """The probe's energy loss to the system on ``rho``, and the energy-balance residual."""
     return AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None]).heat_reports()[0]
 
 

@@ -64,6 +64,16 @@ def direct_probe_state(scheme, rho):
     return partial_trace(evolved, (scheme.dim_system, scheme.dim_probe), "probe")
 
 
+def energy_changes(scheme, rho):
+    """``(system_heat, probe_heat)`` of ``rho``, from the literal actions: the system's
+    energy gain ``tr[H (sum_x I_x(rho) - rho)]`` and the probe's energy loss
+    ``tr[H_a (xi - tr_S E(rho (x) xi))]``."""
+    after = sum(direct_instrument_action(scheme, rho))
+    system = np.trace(scheme.system_hamiltonian @ (after - as_matrix(rho))).real
+    probe_change = scheme.probe_state.matrix - direct_probe_state(scheme, rho)
+    return float(system), float(np.trace(scheme.probe_hamiltonian @ probe_change).real)
+
+
 def dilation_relative_entropy(outputs, gibbs_probs, tau):
     """Relative entropy through the classical-register dilation.
 

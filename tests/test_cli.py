@@ -328,6 +328,25 @@ class TestCheckCommand:
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "field,patch,flags",
+        [
+            ("seed", {}, ("--seed", "-1")),
+            ("seed", {"seed": -1}, ()),
+            ("states.seed", {"states": {"count": 2, "seed": -1}}, ()),
+            ("scheme.seed", {"scheme": dict(SCENARIO_PASS["scheme"], seed=-1)}, ()),
+        ],
+        ids=["--seed", "seed", "states.seed", "scheme.seed"],
+    )
+    def test_negative_seed_exits_two_naming_it(self, tmp_path, field, patch, flags):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, **patch)))
+        result = cli("check", str(path), *flags)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        expected = f"{field}: expected a non-negative integer, got -1"
+        assert json.loads(result.stderr)["error"] == expected
+
 
 class TestSweepCommand:
     def test_sweep_to_stdout(self, tmp_path):
@@ -419,6 +438,17 @@ class TestSweepCommand:
         assert result.returncode == 2
         assert not out.exists()
         assert json.loads(result.stderr)["error"] == message
+
+    def test_negative_seed_on_the_axis_exits_two_naming_it(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        sweep = {"axis": {"name": "seed", "range": [-2, 1]}, "scenario": SCENARIO_PASS}
+        path.write_text(json.dumps(sweep))
+        out = tmp_path / "table.csv"
+        result = cli("sweep", str(path), "--out", str(out))
+        assert result.returncode == 2
+        assert not out.exists()
+        error = json.loads(result.stderr)["error"]
+        assert error == "axis.seed[0]: expected a non-negative integer, got -2"
 
     def test_sweep_input_error(self, tmp_path):
         path = tmp_path / "sweep.json"

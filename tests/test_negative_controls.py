@@ -1,0 +1,116 @@
+"""Negative controls for energy conservation: a free scheme broken by ``exp(-i eps G)``.
+
+The scheme is free: d_s = d_a = 3, energies [0, 1, 2], beta = 1, the
+spectral pointer and ``random_free_scheme`` seed 0. Composing its
+interaction with the unitary ``exp(-i eps G)``, for a seeded random
+Hermitian ``G`` on the joint space, keeps the channel bistochastic and
+breaks energy conservation at first order in ``eps``. Every check that
+certifies energy conservation must see the break: its defect grows linearly
+in ``eps``, its verdict fails at ten times its tolerance and passes at a
+tenth of it, and the second law, whose inequalities are theorems only for
+free schemes, is refused with the worst freeness defect named.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermomeas.errors import PreconditionError
+from thermomeas.linalg import THEOREM_TOL
+from thermomeas.objects import spectral_observable
+from thermomeas.sampling import ginibre, random_density_matrix, rng_from_seed
+from thermomeas.scenario import encode_matrix, run_scenario
+from thermomeas.schemes import SchemeFrame, random_free_scheme
+
+ENERGIES = [0.0, 1.0, 2.0]
+H = np.diag(ENERGIES).astype(complex)
+POINTER = spectral_observable(H)
+FREE_KRAUS = random_free_scheme(SchemeFrame(H, H, 1.0, POINTER), seed=0).interaction.kraus
+_G = ginibre(9, 9, rng_from_seed(1))
+G_VALUES, G_VECTORS = np.linalg.eigh((_G + _G.conj().T) / np.sqrt(2))
+STATE = random_density_matrix(3, rng_from_seed(2)).matrix
+
+#: Each energy-conservation check's defect, read off its result.
+DEFECT = {
+    "heat_duality": lambda check: check["worst_duality_defect"],
+    "free_scheme": lambda check: max(check["energy_conservation_defects"]),
+    "covariant": lambda check: check["defect"],
+    "gibbs_preserving": lambda check: check["defect"],
+}
+
+
+def broken_scenario(eps: float, checks) -> dict:
+    """The free scheme's interaction followed by ``exp(-i eps G)``, on ``STATE``."""
+    unitary = (G_VECTORS * np.exp(-1j * eps * G_VALUES)) @ G_VECTORS.conj().T
+    return {
+        "seed": 0,
+        "beta": 1.0,
+        "system_hamiltonian": ENERGIES,
+        "probe_hamiltonian": ENERGIES,
+        "scheme": {
+            "kind": "kraus",
+            "pointer": {"effects": [encode_matrix(z) for z in POINTER.effects]},
+            "kraus": [encode_matrix(k) for k in unitary @ FREE_KRAUS],
+        },
+        "states": [{"name": "random", "matrix": encode_matrix(STATE)}],
+        "checks": list(checks),
+    }
+
+
+def checks_of(eps: float) -> dict:
+    """The energy-conservation checks' results on the scheme broken by ``eps``, by name."""
+    report = run_scenario(broken_scenario(eps, DEFECT))
+    return {check["name"]: check for check in report.checks}
+
+
+#: Each defect of the unbroken scheme, at least the unit round-off: its round-off floor.
+ROUND_OFF = {
+    name: max(DEFECT[name](check), np.finfo(float).eps) for name, check in checks_of(0.0).items()
+}
+
+#: Each defect per unit ``eps``, at ``eps = 1e-5``.
+SLOPE = {name: DEFECT[name](check) / 1e-5 for name, check in checks_of(1e-5).items()}
+
+
+@given(exponent=st.floats(-12.0, -3.0))
+@settings(max_examples=20, deadline=None)
+def test_each_defect_is_linear_in_the_break(exponent):
+    # the duality defect's second-order term reaches 10 % near eps = 1e-2
+    eps = 10.0**exponent
+    for name, check in checks_of(eps).items():
+        defect = DEFECT[name](check)
+        if defect >= 1e3 * ROUND_OFF[name]:
+            assert abs(defect / eps - SLOPE[name]) <= 0.1 * SLOPE[name], (name, eps, defect)
+
+
+@pytest.mark.parametrize("name", list(DEFECT))
+@pytest.mark.parametrize("share,verdict", [(10.0, False), (0.1, True)], ids=["fails", "passes"])
+def test_the_verdict_turns_at_the_tolerance(name, share, verdict):
+    eps = share * THEOREM_TOL / SLOPE[name]
+    check = checks_of(eps)[name]
+    assert check["verdict"] is verdict, (DEFECT[name](check), check)
+
+
+@given(exponent=st.floats(-7.0, -1.0))
+@settings(max_examples=10, deadline=None)
+def test_every_check_fails_and_the_second_law_is_refused(exponent):
+    eps = 10.0**exponent
+    checks = checks_of(eps)
+    assert [name for name, check in checks.items() if check["verdict"]] == []
+    free = checks["free_scheme"]
+    defects = [free["bistochastic_defect"], *free["energy_conservation_defects"], free["yanase_defect"]]
+    worst = max(defects)
+    refusal = f"not thermodynamically free: worst defect {worst:.3e} > {THEOREM_TOL:.1e}"
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
+        run_scenario(broken_scenario(eps, ["second_law"]))
+
+
+def test_the_second_law_is_judged_below_the_gate():
+    # a tenth of the freeness gate: the scheme is free to within its
+    # tolerance, and the second law is scored, not refused
+    eps = 0.1 * THEOREM_TOL / SLOPE["free_scheme"]
+    (law,) = run_scenario(broken_scenario(eps, ["second_law"])).checks
+    assert law["verdict"]

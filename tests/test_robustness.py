@@ -440,7 +440,7 @@ def spectra(draw, dim):
 def free_scenarios(draw):
     """A ``random_block`` scenario with a sharp or grouped Yanase pointer, at a
     beta whose product with the system's smallest level spacing is log-uniform
-    on [1e-2, 1e4]."""
+    on [1e-14, 1e4], on random states or on named ones."""
     d_s, d_a = draw(st.integers(2, 4)), draw(st.integers(2, 3))
     h_s, h_a = draw(spectra(d_s)), draw(spectra(d_a))
     spacings = np.diff(np.unique(h_s))
@@ -451,9 +451,14 @@ def free_scenarios(draw):
     else:  # grouped: the probe levels below a cut, and the rest
         low = np.diag(np.arange(d_a) < draw(st.integers(1, d_a - 1))).astype(float)
         effects = [low, np.eye(d_a) - low]
+    if draw(st.booleans()):
+        states = {"count": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 10_000))}
+    else:
+        named = st.sampled_from(["gibbs", "ground", "maximally_mixed"])
+        states = draw(st.lists(named, min_size=1, max_size=3, unique=True))
     return {
         "seed": draw(st.integers(0, 10_000)),
-        "beta": 10.0 ** draw(st.floats(-2.0, 4.0)) / gap,
+        "beta": 10.0 ** draw(st.floats(-14.0, 4.0)) / gap,
         "system_hamiltonian": h_s,
         "probe_hamiltonian": h_a,
         "scheme": {
@@ -461,13 +466,13 @@ def free_scenarios(draw):
             "mixture_size": draw(st.integers(1, 3)),
             "pointer": {"effects": [e.tolist() for e in effects]},
         },
-        "states": {"count": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 10_000))},
+        "states": states,
         "checks": THEOREM_CHECKS,
     }
 
 
 class TestAcrossTemperature:
-    """Every theorem check of a free scheme passes, from beta * gap = 1e-2 to 1e4."""
+    """Every theorem check of a free scheme passes, from beta * gap = 1e-14 to 1e4."""
 
     @given(raw=free_scenarios())
     @example(  # Gibbs weights far below round-off: once a false second-law FAIL

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dilation_relative_entropy
+from oracles import dilation_relative_entropy, energy_changes
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL
 from thermomeas.objects import spectral_observable
@@ -172,3 +172,43 @@ def test_report_rows_hold_the_named_columns():
         assert named == row
     plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian, 1.0)
     assert plain.report_rows.shape[-1] == len(WORK_COLUMNS)
+
+
+#: Round-off allowance of the energy-balance relations, in units of ``u`` times their scale.
+BALANCE_ULPS = 16
+
+
+@st.composite
+def balance_inputs(draw):
+    """:func:`audit_inputs` with ``beta`` log-uniform on [1e-14, 1e3], gap 1."""
+    inputs = list(draw(audit_inputs()))
+    inputs[2] = 10.0 ** draw(st.floats(min_value=-14.0, max_value=3.0))
+    return tuple(inputs)
+
+
+@given(inputs=balance_inputs())
+@example(inputs=(3, 3, 1e-10, 3, 1, 3, 2, [0, 1, 2, 3, 4]))
+# the ground state's divergence reads -1.1e-16, from ln p at p = 1 - u
+@example(inputs=(4, 2, 72.09792598993542, 4345, 2, 2, 5, [0, 1, 2, 3, 4, 5, 6]))
+@settings(max_examples=40, deadline=None)
+def test_the_audit_keeps_the_energy_balance_relations(inputs):
+    # Each relation is exact; the allowance is round-off on the size of the
+    # terms it sums, where w = tr[rho H] + (ln Z - S) / beta brings the energy
+    # scale and ln(d) / beta besides the reported values.
+    scheme, states = build(*inputs)
+    beta, d_s = scheme.beta, scheme.dim_system
+    audit = AuditBatch.of_schemes(scheme.batch, states[None])
+    w, avg_w, divergence, heat, gain, prop1, _, eq5, heat_bound = audit.report_rows[0].T
+    system_heat = audit.system_heat[0]
+    energy = max(d_s, scheme.dim_probe) - 1.0
+    scale = BALANCE_ULPS * np.finfo(float).eps * (
+        np.abs(w) + np.abs(avg_w) + (np.abs(gain) + np.abs(divergence) + np.log(d_s)) / beta + energy
+    )
+    oracle_system_heat, oracle_heat = np.array([energy_changes(scheme, rho) for rho in states]).T
+    assert (np.abs(system_heat - oracle_system_heat) <= scale).all()
+    assert (np.abs(heat - oracle_heat) <= scale).all()
+    # the thermodynamic identity: avg_w - w = Q_sys + G / beta
+    assert (np.abs(avg_w - w - system_heat - gain / beta) <= scale).all()
+    assert (np.abs((eq5 - prop1) - (avg_w - w - heat - gain / beta)) <= scale).all()
+    assert (np.abs((heat_bound - eq5) - divergence / beta) <= scale).all()
+    assert (divergence >= -BALANCE_ULPS * np.finfo(float).eps).all()

@@ -20,6 +20,7 @@ from thermomeas.sampling import (
     random_diagonal_hamiltonian,
     rng_from_seed,
 )
+from thermomeas.scenario import run_scenario, run_sweep
 from thermomeas.schemes import (
     MeasurementScheme,
     SchemeFrame,
@@ -320,6 +321,31 @@ class TestSecondLawReport:
             assert law.verdict, law
             slacks.append(b * law.prop1_slack)
         assert abs(slacks[1] - slacks[0]) <= 1e-9 * slacks[0]
+
+    def test_tight_slacks_are_judged_in_nats_at_high_temperature(self):
+        # the swap scheme is free and its inequalities are tight on these
+        # states: at beta = 1e-10 the slacks are round-off of 1 / beta-sized
+        # terms, about -1e-6 in energy units and -1e-16 in nats
+        h3 = [0.0, 1.0, 2.0]
+        sharp = {"effects": [np.diag(row).tolist() for row in np.eye(3)]}
+        scenario = {
+            "seed": 3,
+            "beta": 1e-10,
+            "system_hamiltonian": h3,
+            "probe_hamiltonian": h3,
+            "scheme": {"kind": "swap", "pointer": sharp},
+            "states": ["gibbs", "ground", "maximally_mixed"],
+            "checks": ["second_law"],
+        }
+        check = run_scenario(scenario).checks[0]
+        laws = [row["second_law"] for row in check["per_state"]]
+        assert check["verdict"] and all(law["verdict"] for law in laws)
+        assert min(law["prop1_slack"] for law in laws) < -1e-7
+        assert all(1e-10 * law["prop1_slack"] >= -1e-15 for law in laws)
+        # a sweep's rows judge them by the same predicate
+        sweep = {"axis": {"name": "beta", "values": [1e-10, 1.0]}, "scenario": scenario}
+        table, passed = run_sweep(sweep)
+        assert passed and table.count("True,True\n") == 2
 
     def test_low_temperature_outcome_divergence_is_finite(self):
         # q_excited = 1 / (1 + e^600): far below any probability cutoff, yet positive
