@@ -16,6 +16,9 @@ from .objects import Observable, State, _from_validated
 
 
 def rng_from_seed(seed) -> np.random.Generator:
+    """The generator of ``seed``; a negative integer seed is refused by name."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed: expected a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 

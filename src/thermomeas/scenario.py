@@ -502,8 +502,8 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
     if not isinstance(raw, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     schema = raw.get("schema_version", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {schema}, expected {SCHEMA_VERSION}")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
+        raise ValidationError(f"unsupported schema_version {schema!r}, expected {SCHEMA_VERSION}")
     _refuse_unknown_keys(raw, _SCENARIO_KEYS, "scenario")
     if "system_hamiltonian" not in raw:
         raise ValidationError("scenario: missing required field 'system_hamiltonian'")
@@ -905,12 +905,12 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
 
     The chunk's schemes, instruments, states and second-law audit are
     :meth:`Scenario.derive` of its seeds, and its rows are read from their
-    arrays: each point's ``free_scheme`` verdict from the freeness defects,
-    and from the audit's report rows its ``second_law`` verdict and the
-    cells of its worst state, the first with the smallest ``prop1_slack``.
-    On a refusal the chunk is derived again one point at a time, so the
-    refusal names the first failing point in axis order, with the message
-    that point gives alone.
+    arrays by name: each point's ``free_scheme`` verdict from the freeness
+    defects, and from the audit its ``second_law`` verdict and the cells of
+    its worst state, the first with the smallest ``prop1_slack``. On a
+    refusal the chunk is derived again one point at a time, so the refusal
+    names the first failing point in axis order, with the message that
+    point gives alone.
     """
     if axis_name == "seed":
         seeds, beta = [values[i] for i in indices], template.beta
@@ -921,7 +921,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
         schemes, audit = template.derive(seeds, beta)
         free = schemes.free_verdicts(template.tol_for("free_scheme"))
         schemes.require_free(law_tol)
-        report = audit.report_rows
+        named = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
     except (ValidationError, PreconditionError) as exc:
         if len(indices) > 1:
             chunks = [_sweep_rows(template, axis_name, values, [i]) for i in indices]
@@ -929,8 +929,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
         i = indices[0]
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
     law = audit.second_law_verdicts(law_tol).all(axis=-1)
-    worst = report[..., len(WORK_COLUMNS) + LAW_COLUMNS.index("prop1_slack")].argmin(axis=-1)
-    cells = report[np.arange(len(worst)), worst].tolist()
+    worst = audit.prop1_slack.argmin(axis=-1).tolist()
     names, beta_cell = template.state_spec.names, repr(float(beta))
     rows = [
         [
@@ -939,12 +938,12 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
             seed,
             beta_cell,
             names[state],
-            *map(repr, numbers),  # extractable_work .. heat_bound_slack
+            *map(repr, point[state].values()),  # extractable_work .. heat_bound_slack
             free_ok,
             law_ok,
         ]
-        for i, seed, state, numbers, free_ok, law_ok in zip(
-            indices, seeds, worst.tolist(), cells, free.tolist(), law.tolist()
+        for i, seed, state, point, free_ok, law_ok in zip(
+            indices, seeds, worst, named, free.tolist(), law.tolist()
         )
     ]
     return bool((free & law).all()), rows

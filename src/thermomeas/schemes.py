@@ -17,12 +17,13 @@ shares all of it but the Gibbs data.
 
 What depends on the interaction is derived by stacked kernels with a
 leading point axis, over a :class:`SchemeBatch` of interactions on one
-frame: the freeness defects and their verdicts, one dilation per batch,
-and from it the Kraus stacks of the induced instruments and of the
-conjugate channels. A :class:`MeasurementScheme` is a batch of one, which
-it holds from construction: its freeness, instrument and conjugate channel
-are entry 0 of its batch. :func:`random_free_schemes` draws a whole batch,
-one stacked QR per block size.
+frame: the freeness defects, each named as the :class:`FreeSchemeReport`
+field that carries it, and their verdicts, one dilation per batch, and from
+it the Kraus stacks of the induced instruments and of the conjugate
+channels. A :class:`MeasurementScheme` is a batch of one, which it holds
+from construction: its freeness, instrument and conjugate channel are
+entry 0 of its batch. :func:`random_free_schemes` draws a whole batch, one
+stacked QR per block size.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -64,7 +65,7 @@ from .objects import (
     gibbs_log_weights,
     gibbs_state_from,
 )
-from .sampling import haar_unitary_stacks
+from .sampling import haar_unitary_stacks, rng_from_seed
 
 #: Kraus operators of a dilation with Frobenius norm at or below this, relative to
 #: the amplitude ``sqrt(g_a)`` of their probe level, are dropped.
@@ -340,28 +341,31 @@ class SchemeBatch:
         )
 
     @cached_property
-    def free_defects(self) -> tuple:
-        """``(bistochastic, moments)``: per point the worse of the trace and unital
-        defects, ``(P,)``, and the defects of the energy moments ``k =
-        1..ENERGY_MOMENTS``, ``(P, ENERGY_MOMENTS)``."""
-        trace, unital = _bistochastic_defects(self.kraus)
+    def bistochastic_defect(self) -> np.ndarray:
+        """Per point the worse of the trace and unital defects, ``(P,)``."""
+        return np.maximum(*_bistochastic_defects(self.kraus))
+
+    @cached_property
+    def energy_conservation_defects(self) -> np.ndarray:
+        """Per point the defects of the energy moments ``k = 1..ENERGY_MOMENTS``,
+        ``(P, ENERGY_MOMENTS)``."""
         moments = [_moment_defect(self.kraus, hk) for hk in self.frame.energy_powers]
-        return np.maximum(trace, unital), np.stack(moments, axis=-1)
+        return np.stack(moments, axis=-1)
 
     def free_report(self, i: int, tol: float = THEOREM_TOL) -> FreeSchemeReport:
         """The :class:`FreeSchemeReport` of point ``i`` at ``tol``."""
-        bistochastic, moments = self.free_defects
         return FreeSchemeReport(
             gibbs_probe_ok=True,
-            bistochastic_defect=float(bistochastic[i]),
-            energy_conservation_defects=tuple(float(d) for d in moments[i]),
+            bistochastic_defect=float(self.bistochastic_defect[i]),
+            energy_conservation_defects=tuple(self.energy_conservation_defects[i].tolist()),
             yanase_defect=self.frame.yanase_defect,
             tol=tol,
         )
 
     def free_verdicts(self, tol: float) -> np.ndarray:
         """The :func:`free_verdict` of every point at ``tol``, ``(P,)``."""
-        return free_verdict(True, *self.free_defects, self.frame.yanase_defect, tol)
+        defects = self.bistochastic_defect, self.energy_conservation_defects
+        return free_verdict(True, *defects, self.frame.yanase_defect, tol)
 
     def require_free(self, tol: float) -> None:
         """Refuse, naming the worst defect of the first, a point whose scheme is not
@@ -586,7 +590,7 @@ def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> Sch
     """
     require_free_draw(frame, mixture_size)
     vecs, bounds = frame.energy_blocks
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [rng_from_seed(seed) for seed in seeds]
     draws = haar_unitary_stacks([stop - start for start, stop in bounds] * mixture_size, rngs)
     taken = dict.fromkeys(draws, 0)
     blocks = np.zeros((len(rngs), mixture_size, *vecs.shape), dtype=complex)

@@ -13,9 +13,11 @@ the stack helpers it uses. :meth:`AuditBatch.of_schemes` audits every
 scheme of a :class:`SchemeBatch` on its own states, for a sweep chunk, a
 lone scenario and a single scheme alike, and :meth:`AuditBatch.of_instrument`
 audits a bare instrument as a batch of one point; the single-state
-functions read either on one state. The batch's report methods build
-every list of reports, and each second-law verdict, of one state or of a
-whole batch, is :func:`second_law_verdict`.
+functions read either on one state. Each per-state quantity is a batch
+property named as the report field that carries it, and every report is
+built by keyword from those arrays, so a check derives only what it reads.
+Each second-law verdict, of one state or of a whole batch, is
+:meth:`AuditBatch.second_law_verdicts`.
 
 The second law's energy balance is one residual per state, ``|Q_sys - Q|``,
 the scheme's energy conservation on it: ``|tr[(Phi*(H_tot) - H_tot)(rho (x)
@@ -68,17 +70,6 @@ class WorkReport:
         return dict(vars(self))
 
 
-def second_law_verdict(prop1_slack, identity_defect, eq5_slack, heat_slack, beta, tol):
-    """Whether the residual (in energy units) and the slacks (in nats, as ``beta * slack``,
-    so round-off of ``1 / beta``-sized terms does not FAIL) are within ``tol``; elementwise."""
-    return (
-        (beta * prop1_slack >= -tol)
-        & (identity_defect <= tol)
-        & (beta * eq5_slack >= -tol)
-        & (beta * heat_slack >= -tol)
-    )
-
-
 @dataclass(frozen=True)
 class SecondLawReport:
     """Slack and defect values of the second-law inequalities, and their verdict at ``tol``.
@@ -104,9 +95,8 @@ class SecondLawReport:
         return dict(vars(self))
 
 
-#: The columns of :attr:`AuditBatch.report_rows` in the order it stacks them: the
-#: :class:`WorkReport` quantities, then, in an audit of schemes, the
-#: :class:`SecondLawReport` slacks and defect.
+#: The per-state quantities a :class:`WorkReport` and a :class:`SecondLawReport` carry,
+#: each an :class:`AuditBatch` property of the same name; a sweep's CSV has them as columns.
 WORK_COLUMNS = tuple(f.name for f in fields(WorkReport) if f.name != "beta")
 LAW_COLUMNS = tuple(f.name for f in fields(SecondLawReport) if f.name not in ("tol", "verdict"))
 
@@ -345,52 +335,65 @@ class AuditBatch:
         return np.stack([before - per_outcome, per_outcome - after_total], axis=1)
 
     @cached_property
-    def report_rows(self) -> np.ndarray:
-        """Per point and state, the ``WORK_COLUMNS`` and, with a scheme, the
-        ``LAW_COLUMNS``: ``(P, n, 5)`` or ``(P, n, 9)``, in one stacked
-        expression for the whole batch.
+    def heat(self) -> np.ndarray:
+        """Heat absorbed by the system: probe-side with a scheme, system-side without."""
+        return self.system_heat if self.frame is None else self.probe_heat
 
-        The heat is probe-side with a scheme and system-side without.
-        """
-        beta = self.beta
-        w, avg_w = self.extractable_work, self.average_extractable_work
-        divergence, gain = self.outcome_divergence, self.groenewold_gain
-        heat = self.system_heat if self.frame is None else self.probe_heat
-        columns = [w, avg_w, divergence, heat, gain]
-        if self.frame is not None:
-            columns += [
-                w - divergence / beta - avg_w,
-                np.abs(heat - self.system_heat),
-                -divergence / beta - heat - gain / beta,
-                -gain / beta - heat,
-            ]
-        return np.stack(columns, axis=-1)
+    @cached_property
+    def prop1_slack(self) -> np.ndarray:
+        """``W - D(p || q) / beta - avg_W``; each law quantity is refused without a scheme."""
+        beta = _given(self.frame, "scheme").beta
+        return self.extractable_work - self.outcome_divergence / beta - self.average_extractable_work
+
+    @cached_property
+    def eq5_identity_defect(self) -> np.ndarray:
+        """The energy-balance residual ``|Q_sys - Q|``, with ``Q`` the probe-side heat."""
+        return np.abs(self.probe_heat - self.system_heat)
+
+    @cached_property
+    def eq5_bound_slack(self) -> np.ndarray:
+        beta = _given(self.frame, "scheme").beta
+        return -self.outcome_divergence / beta - self.heat - self.groenewold_gain / beta
+
+    @cached_property
+    def heat_bound_slack(self) -> np.ndarray:
+        beta = _given(self.frame, "scheme").beta
+        return -self.groenewold_gain / beta - self.heat
+
+    def named_rows(self, names) -> list:
+        """Per point, per state, ``{name: value}`` of the same-named quantities ``names``."""
+        rows = np.stack([getattr(self, name) for name in names], axis=-1).tolist()
+        return [[dict(zip(names, row)) for row in point] for point in rows]
 
     def second_law_verdicts(self, tol: float) -> np.ndarray:
-        """:func:`second_law_verdict` of each point and state at ``tol``, ``(P, n)``."""
-        _given(self.frame, "scheme")
-        slacks = np.moveaxis(self.report_rows[..., len(WORK_COLUMNS):], -1, 0)
-        return second_law_verdict(*slacks, self.beta, tol)
+        """Whether the residual (in energy units) and the slacks (in nats, as ``beta * slack``,
+        so round-off of ``1 / beta``-sized terms does not FAIL) are within ``tol``; ``(P, n)``."""
+        return (
+            (self.beta * self.prop1_slack >= -tol)
+            & (self.eq5_identity_defect <= tol)
+            & (self.beta * self.eq5_bound_slack >= -tol)
+            & (self.beta * self.heat_bound_slack >= -tol)
+        )
 
     def work_reports(self) -> list:
         """One :class:`WorkReport` per point and state, point by point; its heat
         is probe-side with a scheme and system-side without."""
-        beta, rows = self.beta, self.report_rows[..., :len(WORK_COLUMNS)].tolist()
-        return [WorkReport(*row, beta=beta) for point in rows for row in point]
+        rows = self.named_rows(WORK_COLUMNS)
+        return [WorkReport(**row, beta=self.beta) for point in rows for row in point]
 
     def heat_reports(self) -> list:
-        """One :class:`HeatReport` per point and state, read off :attr:`report_rows`."""
-        _given(self.frame, "scheme")
-        residual = len(WORK_COLUMNS) + LAW_COLUMNS.index("eq5_identity_defect")
-        rows = self.report_rows[..., [WORK_COLUMNS.index("heat"), residual]].tolist()
-        return [HeatReport(*row) for point in rows for row in point]
+        """One :class:`HeatReport` per point and state: the probe-side heat and, as
+        its ``duality_defect``, the :attr:`eq5_identity_defect`."""
+        rows = self.named_rows(("eq5_identity_defect", "heat"))
+        pairs = ((row["heat"], row["eq5_identity_defect"]) for point in rows for row in point)
+        return [HeatReport(heat=heat, duality_defect=defect) for heat, defect in pairs]
 
     def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
         """``(SecondLawReport, WorkReport)`` per point and state, point by point; the
         caller refuses a point whose scheme is not free, as :func:`second_law_report` does."""
         verdicts = self.second_law_verdicts(tol).ravel().tolist()
-        rows = self.report_rows[..., len(WORK_COLUMNS):].reshape(-1, len(LAW_COLUMNS)).tolist()
-        laws = [SecondLawReport(*row, tol=tol, verdict=ok) for row, ok in zip(rows, verdicts)]
+        rows = [row for point in self.named_rows(LAW_COLUMNS) for row in point]
+        laws = [SecondLawReport(**row, tol=tol, verdict=ok) for row, ok in zip(rows, verdicts)]
         return list(zip(laws, self.work_reports()))
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from thermomeas import thermo
 from thermomeas.cli import main
+from thermomeas.scenario import run_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,3 +42,19 @@ def test_seed_zero_output_matches_reference(name, tmp_path, capsys):
     want = workloads.load_output((BENCH / "reference" / f"{name}{suffix}").read_text(), suffix)
     assert workloads.verdict_failures(got, suffix) == []
     assert workloads.first_difference(got, want) is None
+
+
+@pytest.mark.parametrize("checks,entropies", [(["heat_duality"], 0), (None, 2)])
+def test_a_check_derives_only_the_entropies_it_reads(checks, entropies, monkeypatch):
+    # heat duality reads the heats alone; the second law's work needs the
+    # states' and the conditional states' entropies, one stacked solve each
+    calls, entropy = [], thermo.von_neumann_entropy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return entropy(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "von_neumann_entropy", counted)
+    scenario = workloads.WORKLOADS["audit_d4"].scenario(0)
+    report = run_scenario(dict(scenario, checks=checks or scenario["checks"]))
+    assert report.verdict and len(calls) == entropies

@@ -324,6 +324,18 @@ class TestCheckCommand:
             "effects sum differs from identity by 1.273e-09 > 1.0e-09"
         )
 
+    @pytest.mark.parametrize(
+        "version,named", [(True, "True"), ("1", "'1'"), (2, "2"), (1.0, "1.0")]
+    )
+    def test_unsupported_schema_version_exits_two_naming_it(self, tmp_path, version, named):
+        path = tmp_path / "versioned.json"
+        path.write_text(json.dumps(dict(SCENARIO_PASS, schema_version=version)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        expected = f"unsupported schema_version {named}, expected 1"
+        assert json.loads(result.stderr)["error"] == expected
+
     def test_missing_file_exits_two(self, tmp_path):
         result = cli("check", str(tmp_path / "absent.json"))
         assert result.returncode == 2

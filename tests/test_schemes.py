@@ -263,6 +263,10 @@ class TestRandomFreeScheme:
         for ka, kb in zip(a.interaction.kraus, b.interaction.kraus):
             assert np.array_equal(ka, kb)
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValidationError, match=r"^seed: expected a non-negative integer, got -1$"):
+            random_free_scheme(SchemeFrame(H2, H2, 1.0, spectral_observable(H2)), -1)
+
     def test_yanase_precondition(self):
         pointer = Observable(["p", "m"], [PLUS, MINUS])
         with pytest.raises(PreconditionError, match="Yanase"):

@@ -9,6 +9,8 @@ terms must equal the relative entropy of the classical-register dilation,
 computed independently.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import dilation_relative_entropy, energy_changes
 from thermomeas.errors import PreconditionError
-from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL
+from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL, THEOREM_TOL
 from thermomeas.objects import spectral_observable
 from thermomeas.sampling import random_density_matrix_stacks, rng_from_seed
 from thermomeas.schemes import SchemeFrame, random_free_scheme
@@ -147,14 +149,20 @@ def precondition_audit(without) -> AuditBatch:
         (["scheme"], lambda audit: audit.second_law_reports(), "scheme"),
         (["scheme"], lambda audit: audit.heat_reports(), "scheme"),
         (["scheme"], lambda audit: audit.probe_heat, "scheme"),
+        (["scheme"], lambda audit: audit.prop1_slack, "scheme"),
+        (["scheme"], lambda audit: audit.eq5_identity_defect, "scheme"),
+        (["scheme"], lambda audit: audit.eq5_bound_slack, "scheme"),
+        (["scheme"], lambda audit: audit.heat_bound_slack, "scheme"),
+        (["scheme"], lambda audit: audit.second_law_verdicts(1e-8), "scheme"),
         (["scheme", "beta"], lambda audit: audit.extractable_work, "beta"),
         (["scheme", "beta"], lambda audit: audit.work_reports(), "beta"),
         (["scheme", "hamiltonian"], lambda audit: audit.system_heat, "Hamiltonian"),
         (["scheme", "hamiltonian"], lambda audit: audit.skew_chain, "Hamiltonian"),
     ],
     ids=[
-        "second_law_reports", "heat_reports", "probe_heat", "extractable_work", "work_reports",
-        "system_heat", "skew_chain",
+        "second_law_reports", "heat_reports", "probe_heat", "prop1_slack", "eq5_identity_defect",
+        "eq5_bound_slack", "heat_bound_slack", "second_law_verdicts", "extractable_work",
+        "work_reports", "system_heat", "skew_chain",
     ],
 )
 def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, named):
@@ -163,15 +171,55 @@ def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, name
         quantity(audit)
 
 
-def test_report_rows_hold_the_named_columns():
+def test_the_reports_hold_the_named_columns():
     scheme, states = build(3, 2, 1.0, 5, 2, 3, 2, [0, 1, 2, 3, 4])
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
-    rows = audit.report_rows[0].tolist()
-    for row, (law, work) in zip(rows, audit.second_law_reports()):
+    [rows] = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
+    for i, (row, (law, work)) in enumerate(zip(rows, audit.second_law_reports())):
         named = [getattr(work, c) for c in WORK_COLUMNS] + [getattr(law, c) for c in LAW_COLUMNS]
-        assert named == row
+        assert named == list(row.values())
+        assert list(row) == [*WORK_COLUMNS, *LAW_COLUMNS]
+        assert named == [getattr(audit, c)[0, i] for c in row]
     plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian, 1.0)
-    assert plain.report_rows.shape[-1] == len(WORK_COLUMNS)
+    assert [list(row) for row in plain.named_rows(WORK_COLUMNS)[0]] == [list(WORK_COLUMNS)] * 5
+    for column in LAW_COLUMNS:
+        with pytest.raises(PreconditionError, match="needs a scheme"):
+            getattr(plain, column)
+
+
+@given(inputs=audit_inputs())
+@settings(max_examples=15, deadline=None)
+def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
+    scheme, states = build(*inputs)
+    schemes = scheme.batch
+    audit = AuditBatch.of_schemes(schemes, states[None])
+    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian,
+                                     scheme.beta)
+
+    def same(report, batch, index, renamed={}):
+        """Each field of ``report`` but the scalars every entry shares is the batch array
+        of its name (or of ``renamed`` of it) at ``index``."""
+        for field in fields(report):
+            if field.name not in ("beta", "tol", "verdict", "gibbs_probe_ok", "yanase_defect"):
+                name = renamed.get(field.name, field.name)
+                assert bits(getattr(report, field.name)) == bits(getattr(batch, name)[index])
+
+    for i, (law, work) in enumerate(audit.second_law_reports()):
+        same(law, audit, (0, i))
+        same(work, audit, (0, i))
+        assert law.verdict == audit.second_law_verdicts(THEOREM_TOL)[0, i]
+        assert (work.beta, law.tol) == (scheme.beta, THEOREM_TOL)
+    for i, work in enumerate(plain.work_reports()):
+        same(work, plain, (0, i))
+    for i, heat in enumerate(audit.heat_reports()):
+        same(heat, audit, (0, i), renamed={"duality_defect": "eq5_identity_defect"})
+    free = schemes.free_report(0)
+    same(free, schemes, 0)
+    assert free.yanase_defect == schemes.frame.yanase_defect
+
+
+def bits(value) -> bytes:
+    return np.array(value, dtype=float).tobytes()
 
 
 #: Round-off allowance of the energy-balance relations, in units of ``u`` times their scale.
@@ -198,7 +246,9 @@ def test_the_audit_keeps_the_energy_balance_relations(inputs):
     scheme, states = build(*inputs)
     beta, d_s = scheme.beta, scheme.dim_system
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
-    w, avg_w, divergence, heat, gain, prop1, _, eq5, heat_bound = audit.report_rows[0].T
+    w, avg_w = audit.extractable_work[0], audit.average_extractable_work[0]
+    divergence, heat, gain = audit.outcome_divergence[0], audit.heat[0], audit.groenewold_gain[0]
+    prop1, eq5, heat_bound = audit.prop1_slack[0], audit.eq5_bound_slack[0], audit.heat_bound_slack[0]
     system_heat = audit.system_heat[0]
     energy = max(d_s, scheme.dim_probe) - 1.0
     scale = BALANCE_ULPS * np.finfo(float).eps * (

@@ -329,7 +329,7 @@ def bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
-def test_report_rows_are_the_per_state_formulas_bit_for_bit(monkeypatch):
+def test_the_named_quantities_are_the_per_state_formulas_bit_for_bit(monkeypatch):
     sweep = {
         "axis": {"name": "seed", "range": [20, 27]},
         "scenario": sweep_template(3, 3, "equally_spaced", 2, {"count": 3}),
@@ -343,23 +343,25 @@ def test_report_rows_are_the_per_state_formulas_bit_for_bit(monkeypatch):
         w, avg_w = audit.extractable_work, audit.average_extractable_work
         divergence, gain = audit.outcome_divergence, audit.groenewold_gain
         heat, system_heat = audit.probe_heat, audit.system_heat
-        rows = audit.report_rows.tolist()
-        assert np.shape(rows) == (*w.shape, 9) and w.shape[1] == 3
+        rows = audit.named_rows(thermo.WORK_COLUMNS + thermo.LAW_COLUMNS)
+        assert np.shape(rows) == w.shape and w.shape[1] == 3
         for p, i in np.ndindex(w.shape):
+            row = rows[p][i]
+            assert len(row) == 9
             slacks = [
                 w[p, i] - divergence[p, i] / beta - avg_w[p, i],
                 abs(heat[p, i] - system_heat[p, i]),
                 -divergence[p, i] / beta - heat[p, i] - gain[p, i] / beta,
                 -gain[p, i] / beta - heat[p, i],
             ]
-            assert bits(rows[p][i][5:]) == bits(slacks)
+            assert bits([row[name] for name in thermo.LAW_COLUMNS]) == bits(slacks)
             quantities = [w[p, i], avg_w[p, i], divergence[p, i], heat[p, i], gain[p, i]]
-            assert bits(rows[p][i][:5]) == bits(quantities)
-            assert {type(value) for value in rows[p][i]} == {float}
+            assert bits([row[name] for name in thermo.WORK_COLUMNS]) == bits(quantities)
+            assert {type(value) for value in row.values()} == {float}
 
 
-def test_report_rows_are_derived_once_per_chunk(monkeypatch):
-    counts = {"report_rows": 0}
+def test_the_named_quantities_are_derived_once_per_chunk(monkeypatch):
+    counts = dict.fromkeys(thermo.LAW_COLUMNS, 0)
 
     def counted(name):
         derive = getattr(thermo.AuditBatch, name).func
@@ -368,11 +370,12 @@ def test_report_rows_are_derived_once_per_chunk(monkeypatch):
             counts[name] += 1
             return derive(batch)
 
-        rows = cached_property(wrapper)
-        rows.__set_name__(thermo.AuditBatch, name)
-        monkeypatch.setattr(thermo.AuditBatch, name, rows)
+        quantity = cached_property(wrapper)
+        quantity.__set_name__(thermo.AuditBatch, name)
+        monkeypatch.setattr(thermo.AuditBatch, name, quantity)
 
-    counted("report_rows")
+    for name in counts:
+        counted(name)
     sweep = {
         "axis": {"name": "seed", "range": [1, 8]},
         "scenario": sweep_template(3, 3, "equally_spaced", 2, {"count": 3}),
@@ -381,12 +384,12 @@ def test_report_rows_are_derived_once_per_chunk(monkeypatch):
     chunks = recorded_chunks(monkeypatch)
     assert run_sweep(sweep)[1]
     # eight points, three chunks: one derivation per chunk, none per point
-    assert len(chunks) == 3 and counts == {"report_rows": 3}
-    # the heat reports read the rows the chunk derived
+    assert len(chunks) == 3 and counts == dict.fromkeys(thermo.LAW_COLUMNS, 3)
+    # the heat reports read the residual the chunk derived
     audit = chunks[0][1]
     for _ in range(3):
-        assert len(audit.heat_reports()) == audit.report_rows.shape[0] * audit.report_rows.shape[1]
-    assert counts == {"report_rows": 3}
+        assert len(audit.heat_reports()) == audit.eq5_identity_defect.size
+    assert counts == dict.fromkeys(thermo.LAW_COLUMNS, 3)
 
 
 def test_a_lone_scenario_and_each_chunk_derive_through_the_one_template_method(monkeypatch):
