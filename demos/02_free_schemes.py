@@ -60,9 +60,9 @@ for x, out in zip(induced.outcomes, induced.apply(tau)):
 # What the probe looks like after the interaction; at equilibrium nothing moves.
 conjugate = tm.conjugate_channel(scheme)
 print("probe after equilibrium input stays Gibbs:",
-      np.linalg.norm(conjugate.apply(tau) - scheme.probe_state.matrix) < 1e-9)
+      np.linalg.norm(conjugate.apply(tau) - scheme.frame.probe_state.matrix) < 1e-9)
 
 # Energy moments are conserved to machine precision:
-h_total = scheme.total_hamiltonian
+h_total = scheme.frame.total_hamiltonian
 print("moment defects k=1..4:",
       [f"{tm.energy_moment_defect(scheme.interaction, h_total, k):.1e}" for k in (1, 2, 3, 4)])

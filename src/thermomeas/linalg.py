@@ -170,9 +170,6 @@ class SpectralDecomposition:
     def nondegenerate(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.tensordot(self.eigenvalues, self.projectors, axes=1)
-
 
 def _new_clusters(values: np.ndarray) -> np.ndarray:
     """Flags, per consecutive pair of sorted values, of a gap above the clustering threshold.

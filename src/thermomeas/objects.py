@@ -260,12 +260,14 @@ class Observable:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def effect(self, label: str) -> np.ndarray:
-        return self.effects[self.outcomes.index(str(label))]
-
     def probabilities(self, rho) -> np.ndarray:
         """Born-rule outcome distribution ``tr[E_x rho]``."""
-        return np.trace(self.effects @ as_matrix(rho), axis1=1, axis2=2).real
+        m = as_matrix(rho)
+        if m.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"observable input must be {self.dim} x {self.dim}, got {m.shape}"
+            )
+        return np.trace(self.effects @ m, axis1=1, axis2=2).real
 
     def sharpness_defect(self) -> float:
         """Max ``||E_x E_y - delta_xy E_x||_F`` over outcome pairs."""

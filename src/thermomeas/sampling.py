@@ -85,12 +85,6 @@ def random_density_matrix_stacks(dim: int, count: int, rngs) -> np.ndarray:
     return stack
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> State:
-    v = ginibre(dim, 1, rng).reshape(-1)
-    v /= np.linalg.norm(v)
-    return State(np.outer(v, v.conj()))
-
-
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Observable:
     """Generic (noncommuting) POVM: Gram-normalized positive operators."""
     raw = []
@@ -115,8 +109,3 @@ def random_commuting_povm(hamiltonian, n_outcomes: int, rng: np.random.Generator
     weights = rng.dirichlet(np.ones(n_outcomes), size=len(projectors))  # one row per level
     effects = np.einsum("mx,mij->xij", weights, projectors)
     return Observable([f"x{i}" for i in range(n_outcomes)], effects)
-
-
-def random_diagonal_hamiltonian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Diagonal Hamiltonian with ascending energies drawn uniformly in [0, 2]."""
-    return np.diag(np.sort(rng.uniform(0.0, 2.0, size=dim)).astype(complex))

@@ -185,10 +185,6 @@ def decode_observable(obj, field: str = "observable") -> Observable:
     return Observable(outcomes or [f"x{i}" for i in range(len(effects))], effects)
 
 
-def encode_channel(channel: KrausChannel) -> dict:
-    return {"kraus": [encode_matrix(k) for k in channel.kraus]}
-
-
 def decode_channel(obj) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise ValidationError("channel: expected an object with a 'kraus' field")
@@ -402,7 +398,7 @@ class Scenario:
     :class:`SchemeBatch` and their :class:`AuditBatch`: a sweep chunk derives
     its seeds through it, and the own point, at ``seed`` and ``beta``, is its
     batch of one. The own point (:attr:`scheme`, the instrument under test,
-    :attr:`states`, :attr:`audit` and, for the ``refine`` check,
+    its :attr:`audit` of the input states and, for the ``refine`` check,
     :attr:`refinement`) and the canonical :attr:`echo` are derived on first
     use and kept. Every point at the scenario's beta shares one
     :class:`SchemeFrame`; a point at another beta shares all but its Gibbs data.
@@ -456,11 +452,6 @@ class Scenario:
     def audit(self) -> AuditBatch:
         """The :class:`AuditBatch` of the own point, one point of the instrument under test."""
         return self._own[2]
-
-    @property
-    def states(self) -> np.ndarray:
-        """The own point's validated, read-only ``(n, d, d)`` stack of input states."""
-        return self.audit.states[0]
 
     @cached_property
     def refinement(self) -> tuple:
@@ -646,8 +637,9 @@ def _check_refine(sc: Scenario, tol: float) -> dict:
 
 
 def _check_moments(sc: Scenario, tol: float) -> dict:
-    defects = list(sc.scheme.freeness().energy_conservation_defects)
-    joint_gibbs = np.kron(sc.scheme.system_gibbs.matrix, sc.scheme.probe_state.matrix)
+    defects = sc.scheme.batch.energy_conservation_defects[0].tolist()
+    frame = sc.scheme.frame
+    joint_gibbs = np.kron(frame.system_gibbs.matrix, frame.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
     return {
         "verdict": max(max(defects), fixed_point) <= tol,

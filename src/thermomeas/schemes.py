@@ -20,10 +20,12 @@ leading point axis, over a :class:`SchemeBatch` of interactions on one
 frame: the freeness defects, each named as the :class:`FreeSchemeReport`
 field that carries it, and their verdicts, one dilation per batch, and from
 it the Kraus stacks of the induced instruments and of the conjugate
-channels. A :class:`MeasurementScheme` is a batch of one, which it holds
-from construction: its freeness, instrument and conjugate channel are
-entry 0 of its batch. :func:`random_free_schemes` draws a whole batch, one
-stacked QR per block size.
+channels. A :class:`MeasurementScheme` holds its frame, its interaction and
+its batch of one, and nothing is read through it: its freeness report is
+``scheme.batch.free_report(0, tol)``, its instrument and conjugate channel
+are entry 0 of the batch's stacks (:func:`induced_instrument`,
+:func:`conjugate_channel`). :func:`random_free_schemes` draws a whole batch,
+one stacked QR per block size.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -203,15 +205,16 @@ class MeasurementScheme:
     """A frame (system and probe Hamiltonians, beta, pointer) and an interaction.
 
     The probe is prepared in ``gibbs_state(probe_hamiltonian, beta)``; there
-    is deliberately no way to supply a different probe state. Every
-    attribute of the :class:`SchemeFrame` reads as an attribute of the
-    scheme, so ``scheme.beta`` is ``scheme.frame.beta``.
+    is deliberately no way to supply a different probe state. Frame data is
+    read off the frame, as ``scheme.frame.beta``.
 
     A scheme is immutable, as its frame is. It is the :class:`SchemeBatch`
     of one point it holds as ``batch``: what depends on the interaction too
     (the freeness defects, the induced instrument and the conjugate channel)
     is entry 0 of that batch's stacked kernels, derived on first use and
-    kept for every later use.
+    kept for every later use. The freeness report at ``tol`` is
+    ``scheme.batch.free_report(0, tol)``; ``instrument`` keeps the
+    :func:`induced_instrument`.
     """
 
     def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
@@ -229,33 +232,19 @@ class MeasurementScheme:
         """Holds the frame, the interaction and the :class:`SchemeBatch` of one they are."""
         vars(self).update(frame=frame, interaction=interaction, batch=batch)
 
-    def __getattr__(self, name):
-        # Called only for names the scheme itself lacks.
-        if name == "frame":
-            raise AttributeError(name)
-        return getattr(self.frame, name)
-
     __setattr__ = SchemeFrame.__setattr__
     __delattr__ = SchemeFrame.__delattr__
-
-    def freeness(self, tol: float = THEOREM_TOL) -> FreeSchemeReport:
-        """The :func:`validate_free_scheme` report at ``tol``; its defects are derived once."""
-        return self.batch.free_report(0, tol)
 
     @cached_property
     def instrument(self) -> Instrument:
         """The :func:`induced_instrument` of the scheme."""
         return induced_instrument(self)
 
-    @cached_property
-    def conjugate(self) -> KrausChannel:
-        """The :func:`conjugate_channel` of the scheme."""
-        return conjugate_channel(self)
-
     def __repr__(self):
+        frame = self.frame
         return (
-            f"MeasurementScheme(dims={self.dim_system}x{self.dim_probe}, beta={self.beta}, "
-            f"outcomes={list(self.pointer.outcomes)})"
+            f"MeasurementScheme(dims={frame.dim_system}x{frame.dim_probe}, beta={frame.beta}, "
+            f"outcomes={list(frame.pointer.outcomes)})"
         )
 
 
@@ -453,8 +442,8 @@ def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
     Hamiltonian (checked in the Heisenberg picture for moments
     ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
     of a pointer effect with the probe Hamiltonian. The report's verdict is
-    at ``THEOREM_TOL``; ``scheme.freeness(tol)`` gives it at any other tol.
-    The defects are read from the scheme's :class:`SchemeBatch`.
+    at ``THEOREM_TOL``; ``scheme.batch.free_report(0, tol)`` gives it at any
+    other tol, from the same defects of the scheme's :class:`SchemeBatch`.
     """
     return scheme.batch.free_report(0)
 
@@ -499,7 +488,7 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     The Kraus decomposition is not unique; only the action is the contract.
     """
     stacks, grams, effects = scheme.batch.instrument_stacks
-    outcomes = scheme.pointer.outcomes
+    outcomes = scheme.frame.pointer.outcomes
     return _from_validated(
         Instrument,
         outcomes,
@@ -519,17 +508,13 @@ def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
     return _from_validated(KrausChannel, scheme.batch.conjugate_kraus[0])
 
 
-def swap_unitary(dim: int) -> np.ndarray:
-    """Unitary exchanging the two factors of a ``dim x dim`` product space."""
+def swap_channel(dim: int) -> KrausChannel:
+    """The unitary channel exchanging the two factors of a ``dim x dim`` product space."""
     u = np.zeros((dim * dim, dim * dim), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             u[b * dim + a, a * dim + b] = 1.0
-    return u
-
-
-def swap_channel(dim: int) -> KrausChannel:
-    return KrausChannel([swap_unitary(dim)])
+    return KrausChannel([u])
 
 
 def trivial_scheme(observable: Observable, system_hamiltonian, beta: float) -> MeasurementScheme:

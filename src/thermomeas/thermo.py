@@ -16,6 +16,9 @@ audits a bare instrument as a batch of one point; the single-state
 functions read either on one state. Each per-state quantity is a batch
 property named as the report field that carries it, and every report is
 built by keyword from those arrays, so a check derives only what it reads.
+A quantity a report carries has no function of its own: the average
+extractable work and the Groenewold gain of one state are the
+:func:`work_report` fields of those names.
 Each second-law verdict, of one state or of a whole batch, is
 :meth:`AuditBatch.second_law_verdicts`.
 
@@ -289,6 +292,7 @@ class AuditBatch:
 
     @cached_property
     def average_extractable_work(self) -> np.ndarray:
+        """Mean post-measurement extractable work under outcome-conditioned feedback."""
         divergence = _divergence_to_gibbs(
             self._conditional_states(), self._conditional_entropy[self._occurring], self.gibbs
         )
@@ -308,6 +312,7 @@ class AuditBatch:
 
     @cached_property
     def groenewold_gain(self) -> np.ndarray:
+        """Entropy of the input minus the mean entropy of the conditional outputs."""
         return self.entropy - (self.probabilities * self._conditional_entropy).sum(axis=1)
 
     @cached_property
@@ -423,14 +428,6 @@ def extractable_work(rho, system_hamiltonian, beta: float) -> float:
     return float(_divergence_to_gibbs(state, _entropy(state), gibbs)[0]) / beta
 
 
-def average_extractable_work(instrument: Instrument, rho, system_hamiltonian, beta: float) -> float:
-    """Mean post-measurement extractable work under outcome-conditioned feedback."""
-    state, beta = _one_state(rho), require_beta(beta)
-    h = require_hermitian(system_hamiltonian, name="hamiltonian")
-    audit = AuditBatch.of_instrument(instrument, state, h, beta)
-    return float(audit.average_extractable_work[0, 0])
-
-
 def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> float:
     """Classical relative entropy between measurement statistics in ``rho`` and in the Gibbs state.
 
@@ -445,11 +442,6 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     log_q = _log_gibbs_probabilities(observable.effects, gibbs_log_weights(h, beta))
     p = observable.probabilities(state[0])
     return float(_outcome_divergence(observable.outcomes, p[None, :, None], log_q[None])[0, 0])
-
-
-def groenewold_gain(instrument: Instrument, rho) -> float:
-    """Entropy of the input minus the mean entropy of the conditional outputs."""
-    return float(AuditBatch.of_instrument(instrument, _one_state(rho)).groenewold_gain[0, 0])
 
 
 def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:

@@ -14,7 +14,8 @@ reference draws one block unitary at a time, by its own QR, and sums each
 mixture term over the energy blocks, as the library did before it drew
 them in one batch. The sweep-row reference reads a grid point's row off
 the check results of that point run alone, as the sweep did before it read
-its rows off a chunk's stacked arrays.
+its rows off a chunk's stacked arrays. The random diagonal Hamiltonian is
+a test input, drawn here because the library has no use for it.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from thermomeas.linalg import (
 
 def evolved_joint_state(scheme, rho):
     """``E(rho (x) xi) = sum_M M (rho (x) xi) M†`` with plain matrix products."""
-    joint = np.kron(as_matrix(rho), scheme.probe_state.matrix)
+    joint = np.kron(as_matrix(rho), scheme.frame.probe_state.matrix)
     return sum(m @ joint @ m.conj().T for m in scheme.interaction.kraus)
 
 
@@ -50,10 +51,10 @@ def dual_action(kraus, a):
 def direct_instrument_action(scheme, rho):
     """Evaluate ``tr_probe[(1 (x) Z_x) E(rho (x) xi)]`` literally, per outcome."""
     evolved = evolved_joint_state(scheme, rho)
-    dims = (scheme.dim_system, scheme.dim_probe)
+    dims = (scheme.frame.dim_system, scheme.frame.dim_probe)
     outs = []
-    for z in scheme.pointer.effects:
-        big = np.kron(np.eye(scheme.dim_system), z)
+    for z in scheme.frame.pointer.effects:
+        big = np.kron(np.eye(scheme.frame.dim_system), z)
         outs.append(partial_trace(big @ evolved, dims, "system"))
     return outs
 
@@ -61,7 +62,7 @@ def direct_instrument_action(scheme, rho):
 def direct_probe_state(scheme, rho):
     """Evaluate ``tr_system[E(rho (x) xi)]`` literally."""
     evolved = evolved_joint_state(scheme, rho)
-    return partial_trace(evolved, (scheme.dim_system, scheme.dim_probe), "probe")
+    return partial_trace(evolved, (scheme.frame.dim_system, scheme.frame.dim_probe), "probe")
 
 
 def energy_changes(scheme, rho):
@@ -69,9 +70,9 @@ def energy_changes(scheme, rho):
     energy gain ``tr[H (sum_x I_x(rho) - rho)]`` and the probe's energy loss
     ``tr[H_a (xi - tr_S E(rho (x) xi))]``."""
     after = sum(direct_instrument_action(scheme, rho))
-    system = np.trace(scheme.system_hamiltonian @ (after - as_matrix(rho))).real
-    probe_change = scheme.probe_state.matrix - direct_probe_state(scheme, rho)
-    return float(system), float(np.trace(scheme.probe_hamiltonian @ probe_change).real)
+    system = np.trace(scheme.frame.system_hamiltonian @ (after - as_matrix(rho))).real
+    probe_change = scheme.frame.probe_state.matrix - direct_probe_state(scheme, rho)
+    return float(system), float(np.trace(scheme.frame.probe_hamiltonian @ probe_change).real)
 
 
 def dilation_relative_entropy(outputs, gibbs_probs, tau):
@@ -309,6 +310,11 @@ def nuclear_factors(instrument, cutoff):
         sigmas[label] = partial_trace(choi, (d, d), "system") / weight
         residuals[label] = float(np.linalg.norm(choi - np.kron(sigmas[label], effect.T)))
     return sigmas, residuals
+
+
+def random_diagonal_hamiltonian(dim, rng):
+    """Diagonal Hamiltonian with ascending energies drawn uniformly in [0, 2]."""
+    return np.diag(np.sort(rng.uniform(0.0, 2.0, size=dim)).astype(complex))
 
 
 def haar_unitary_by_qr(dim, rng):

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dilation_relative_entropy
+from oracles import dilation_relative_entropy, random_diagonal_hamiltonian
 from thermomeas.classify import (
     check_prop2,
     is_covariant_instrument,
@@ -28,7 +28,6 @@ from thermomeas.sampling import (
     haar_unitary,
     random_commuting_povm,
     random_density_matrix,
-    random_diagonal_hamiltonian,
     rng_from_seed,
 )
 from thermomeas.schemes import (
@@ -39,7 +38,7 @@ from thermomeas.schemes import (
     random_free_scheme,
     trivial_scheme,
 )
-from thermomeas.thermo import average_extractable_work, heat_absorbed, second_law_report, skew_information_chain
+from thermomeas.thermo import heat_absorbed, second_law_report, skew_information_chain, work_report
 
 BETAS = (0.5, 1.0, 2.0)
 
@@ -87,7 +86,7 @@ def sweep():
             )
             instrument = induced_instrument(scheme)
             observable = instrument.induced_observable
-            tau = scheme.system_gibbs
+            tau = scheme.frame.system_gibbs
             q = observable.probabilities(tau)
             conjugate = conjugate_channel(scheme)
             schemes.append(
@@ -261,7 +260,7 @@ def test_criterion_6_heat_to_work_conversion_value():
         luders = Instrument.luders(observable)
         for beta in BETAS:
             tau = gibbs_state(h, beta)
-            got = average_extractable_work(luders, tau, h, beta)
+            got = work_report(luders, tau, h, beta).average_extractable_work
             expected = shannon(observable.probabilities(tau)) / beta
             worst = max(worst, abs(got - expected))
         count += 1
@@ -276,12 +275,12 @@ def test_criterion_7_energy_moment_conservation(sweep):
     worst_moment = worst_fixed = 0.0
     for entry in sweep["schemes"]:
         scheme = entry["scheme"]
-        h_total = scheme.total_hamiltonian
+        h_total = scheme.frame.total_hamiltonian
         for k in range(1, 5):
             worst_moment = max(
                 worst_moment, energy_moment_defect(scheme.interaction, h_total, k)
             )
-        joint = np.kron(entry["tau"].matrix, scheme.probe_state.matrix)
+        joint = np.kron(entry["tau"].matrix, scheme.frame.probe_state.matrix)
         worst_fixed = max(worst_fixed, frobenius(scheme.interaction.apply(joint) - joint))
     rng = rng_from_seed(707)
     h_total = np.kron(resonant_hamiltonian(2), np.eye(2)) + np.kron(

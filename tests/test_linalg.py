@@ -74,7 +74,8 @@ class TestEigHermitian:
         for _ in range(5):
             a = random_hermitian(dim, rng)
             decomp = eig_hermitian(a)
-            assert np.linalg.norm(a - decomp.reconstruct()) < 1e-10
+            rebuilt = np.tensordot(decomp.eigenvalues, decomp.projectors, axes=1)
+            assert np.linalg.norm(a - rebuilt) < 1e-10
             total = sum(decomp.projectors)
             assert np.linalg.norm(total - np.eye(dim)) < 1e-10
             for i, p in enumerate(decomp.projectors):

@@ -114,6 +114,13 @@ class TestObservable:
         probs = obs.probabilities(np.diag([0.25, 0.75]))
         np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-14)
 
+    @pytest.mark.parametrize("d,other", [(2, 3), (3, 2)])
+    def test_probabilities_refuse_a_state_of_another_dimension(self, d, other):
+        obs = Observable(["all"], [np.eye(d)])
+        message = rf"observable input must be {d} x {d}, got \({other}, {other}\)"
+        with pytest.raises(ValidationError, match=message):
+            obs.probabilities(np.eye(other) / other)
+
     def test_rank_one_test(self):
         assert Observable(["a", "b"], [P0, P1]).is_rank_one()
         assert not Observable(["a"], [np.eye(2)]).is_rank_one()
@@ -123,7 +130,6 @@ class TestObservable:
         assert isinstance(obs.effects, np.ndarray) and obs.effects.shape == (4, 3, 3)
         with pytest.raises(ValueError, match="read-only"):
             obs.effects[0, 0, 0] = 1.0
-        assert np.array_equal(obs.effect("x2"), obs.effects[2])
 
     @pytest.mark.parametrize(
         "outcomes,effects,message",
@@ -347,7 +353,7 @@ class TestKrausChannel:
         pointer = Observable(["low", "high"], [low, np.eye(d) - low])
         scheme = random_free_scheme(SchemeFrame(h, h, 1.0, pointer), seed=d)
         for channel, energy in (
-            (scheme.interaction, scheme.total_hamiltonian),
+            (scheme.interaction, scheme.frame.total_hamiltonian),
             (conjugate_channel(scheme), h),
         ):
             for k in range(1, 5):

@@ -26,7 +26,6 @@ from thermomeas.schemes import (
     validate_free_scheme,
 )
 from thermomeas.thermo import (
-    groenewold_gain,
     heat_absorbed,
     outcome_divergence,
     second_law_report,
@@ -62,7 +61,7 @@ class TestRotatedBases:
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
             assert frobenius(out - ref) < 1e-12
 
-        tau = scheme.system_gibbs
+        tau = scheme.frame.system_gibbs
         q = ins.induced_observable.probabilities(tau)
         for qx, out in zip(q, ins.apply(tau)):
             assert frobenius(out - qx * tau.matrix) < 1e-8
@@ -111,7 +110,7 @@ class TestUnequalDimensions:
     def test_gibbs_preservation(self):
         scheme = self.build()
         ins = induced_instrument(scheme)
-        assert is_gibbs_preserving(ins, scheme.system_hamiltonian, scheme.beta).verdict
+        assert is_gibbs_preserving(ins, scheme.frame.system_hamiltonian, scheme.frame.beta).verdict
 
 
 class TestNullEffects:
@@ -122,7 +121,7 @@ class TestNullEffects:
         assert abs(outcome_divergence(obs, rho, np.diag([0.0, 1.0]), 1.0)) < 1e-14
 
         ins = Instrument(["all", "never"], [[np.eye(2)], [zero]])
-        assert abs(groenewold_gain(ins, rho)) < 1e-12
+        assert abs(work_report(ins, rho, np.diag([0.0, 1.0]), 1.0).groenewold_gain) < 1e-12
         assert is_quasi_complete(ins).verdict
         nuclear = is_nuclear(ins)
         assert "never" not in nuclear.witness.get("sigmas", {})

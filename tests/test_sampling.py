@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import commuting_povm_effects, haar_unitary_by_qr
+from oracles import commuting_povm_effects, haar_unitary_by_qr, random_diagonal_hamiltonian
 from thermomeas.errors import ValidationError
 from thermomeas import objects, sampling
 from thermomeas.linalg import commutator_defect, density_matrix
@@ -13,9 +13,7 @@ from thermomeas.sampling import (
     random_density_matrix_stacks,
     random_commuting_povm,
     random_density_matrix,
-    random_diagonal_hamiltonian,
     random_povm,
-    random_pure_state,
     rng_from_seed,
 )
 
@@ -75,12 +73,6 @@ def test_random_density_matrix_validates_each_draw_once(monkeypatch):
     assert calls == [(1, 3, 3)]
     assert rho.dim == 3 and not rho.matrix.flags.writeable
     assert rho.matrix.tobytes() == random_density_matrix_stacks(3, 1, [reference_rng])[0, 0].tobytes()
-
-
-def test_random_pure_state_is_rank_one():
-    rho = random_pure_state(3, rng_from_seed(2))
-    evals = np.linalg.eigvalsh(rho.matrix)
-    assert abs(evals[-1] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (3, 4)])

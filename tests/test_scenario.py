@@ -20,7 +20,6 @@ from thermomeas.scenario import (
     decode_hamiltonian,
     decode_matrix,
     decode_observable,
-    encode_channel,
     encode_matrix,
     encode_observable,
     parse_scenario,
@@ -87,8 +86,15 @@ class TestSerializationRoundTrip:
             assert np.array_equal(a, b)
 
     def test_channel_round_trip(self):
+        # a kraus scheme's echo encodes its interaction; decoding it gives the channel back
         ch = swap_channel(2)
-        back = decode_channel(encode_channel(ch))
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0],
+            "scheme": {"kind": "kraus", "pointer": Z_POINTER, "kraus": [encode_matrix(ch.kraus[0])]},
+            "checks": ["free_scheme"],
+        }
+        back = decode_channel(parse_scenario(raw).echo["scheme"])
         for a, b in zip(back.kraus, ch.kraus):
             assert np.array_equal(a, b)
 
@@ -184,8 +190,8 @@ class TestParseScenario:
         }
         sc = parse_scenario(raw)
         assert sc.state_spec.names == ("gibbs", "ground", "maximally_mixed")
-        assert sc.states.shape == (3, 2, 2)
-        np.testing.assert_allclose(sc.states[1], np.diag([1.0, 0.0]), atol=1e-14)
+        assert sc.audit.states.shape == (1, 3, 2, 2)
+        np.testing.assert_allclose(sc.audit.states[0, 1], np.diag([1.0, 0.0]), atol=1e-14)
 
     @pytest.mark.parametrize(
         "matrix,message",
@@ -214,7 +220,7 @@ class TestParseScenario:
             "checks": ["free_scheme"],
         }
         sc = parse_scenario(raw)
-        assert sc.scheme.pointer.outcomes == ("z0", "z1")
+        assert sc.scheme.frame.pointer.outcomes == ("z0", "z1")
 
     def test_explicit_kraus_scheme(self):
         swap = swap_channel(2)
@@ -262,7 +268,7 @@ class TestParseScenario:
         block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
         sc = parse_scenario(json.loads(block))
         assert sc.checks == ("free_scheme", "second_law", "covariant", "gibbs_preserving")
-        assert sc.states.shape == (100, 2, 2)
+        assert sc.audit.states.shape == (1, 100, 2, 2)
 
     @pytest.mark.parametrize(
         "patch,message",
@@ -570,7 +576,7 @@ class TestRunScenario:
         # each outcome's Kraus stack and the conjugate channel meet the
         # 20-state stack once, in one application each, as a batch of one point
         scheme = parsed[0].scheme
-        expected = (*scheme.instrument.kraus_sets, scheme.conjugate.kraus)
+        expected = (*scheme.instrument.kraus_sets, schemes.conjugate_channel(scheme).kraus)
         assert [shape for _, shape in sandwiches] == [(1, 20, 3, 3)] * len(expected)
         for (ks, _), want in zip(sandwiches, expected):
             assert np.array_equal(ks, want[None])

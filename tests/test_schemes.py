@@ -144,8 +144,8 @@ class TestInducedInstrument:
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([np.eye(4)]))
         assert validate_free_scheme(scheme).verdict
         ins = induced_instrument(scheme)
-        xi = scheme.probe_state
-        q = scheme.pointer.probabilities(xi)
+        xi = scheme.frame.probe_state
+        q = scheme.frame.pointer.probabilities(xi)
         rho = random_density_matrix(2, rng_from_seed(1))
         for x, out in enumerate(ins.apply(rho)):
             assert np.linalg.norm(out - q[x] * rho.matrix) < 1e-12
@@ -165,17 +165,17 @@ class TestInducedInstrument:
     @settings(max_examples=25, deadline=None)
     def test_action_matches_direct_formula_unequal_dims(self, inputs):
         scheme = build_scheme(*inputs)
-        rho = random_density_matrix(scheme.dim_system, rng_from_seed(inputs[-1] + 1))
+        rho = random_density_matrix(scheme.frame.dim_system, rng_from_seed(inputs[-1] + 1))
         outputs = scheme.instrument.apply(rho)
         for out, ref in zip(outputs, direct_instrument_action(scheme, rho), strict=True):
             assert np.linalg.norm(out - ref) < 1e-12
-        probe = scheme.conjugate.apply(rho)
+        probe = conjugate_channel(scheme).apply(rho)
         assert np.linalg.norm(probe - direct_probe_state(scheme, rho)) < 1e-12
 
     def test_gibbs_input_reproduces_gibbs(self):
         scheme = resonant_random_scheme(seed=3)
         ins = induced_instrument(scheme)
-        tau = scheme.system_gibbs
+        tau = scheme.frame.system_gibbs
         q = ins.induced_observable.probabilities(tau)
         for x, out in enumerate(ins.apply(tau)):
             assert np.linalg.norm(out - q[x] * tau.matrix) < 1e-9
@@ -189,8 +189,8 @@ class TestInducedInstrument:
         off_diag = u - np.diag(np.diag(u))
         assert np.linalg.norm(off_diag) < 1e-12
         ins = induced_instrument(scheme)
-        xi = scheme.probe_state
-        q = scheme.pointer.probabilities(xi)
+        xi = scheme.frame.probe_state
+        q = scheme.frame.pointer.probabilities(xi)
         rho = random_density_matrix(2, rng_from_seed(6))
         for x, out in enumerate(ins.apply(rho)):
             # diagonal entries exactly q_x rho_mm; coherences only pick up phases
@@ -218,13 +218,13 @@ class TestConjugateChannel:
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([np.eye(4)]))
         lam = conjugate_channel(scheme)
         rho = random_density_matrix(2, rng_from_seed(3))
-        np.testing.assert_allclose(lam.apply(rho), scheme.probe_state.matrix, atol=1e-12)
+        np.testing.assert_allclose(lam.apply(rho), scheme.frame.probe_state.matrix, atol=1e-12)
 
     def test_gibbs_is_fixed_point_pair(self):
         scheme = resonant_random_scheme(seed=11, beta=0.7)
         lam = conjugate_channel(scheme)
-        tau = scheme.system_gibbs
-        assert np.linalg.norm(lam.apply(tau) - scheme.probe_state.matrix) < 1e-9
+        tau = scheme.frame.system_gibbs
+        assert np.linalg.norm(lam.apply(tau) - scheme.frame.probe_state.matrix) < 1e-9
 
     def test_matches_direct_partial_trace(self):
         scheme = resonant_random_scheme(seed=13, dim=3)
@@ -276,7 +276,7 @@ class TestRandomFreeScheme:
     def test_gibbs_preservation_property(self, seed):
         scheme = resonant_random_scheme(seed=seed, beta=0.9)
         ins = induced_instrument(scheme)
-        tau = scheme.system_gibbs
+        tau = scheme.frame.system_gibbs
         q = ins.induced_observable.probabilities(tau)
         for x, out in enumerate(ins.apply(tau)):
             assert np.linalg.norm(out - q[x] * tau.matrix) < 1e-8
@@ -285,7 +285,7 @@ class TestRandomFreeScheme:
     def test_covariance_property(self, seed):
         scheme = resonant_random_scheme(seed=seed + 50, dim=3)
         ins = induced_instrument(scheme)
-        h = scheme.system_hamiltonian
+        h = scheme.frame.system_hamiltonian
         rng = rng_from_seed(seed)
         for ops in ins.kraus_sets:
             assert liouville_covariance_defect(ops, h) < 1e-8
@@ -300,7 +300,7 @@ class TestRandomFreeScheme:
     @pytest.mark.parametrize("seed", range(3))
     def test_joint_gibbs_fixed_point(self, seed):
         scheme = resonant_random_scheme(seed=seed + 80, beta=1.4)
-        joint = np.kron(scheme.system_gibbs.matrix, scheme.probe_state.matrix)
+        joint = np.kron(scheme.frame.system_gibbs.matrix, scheme.frame.probe_state.matrix)
         assert np.linalg.norm(scheme.interaction.apply(joint) - joint) < 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
@@ -308,13 +308,13 @@ class TestRandomFreeScheme:
         scheme = resonant_random_scheme(seed=seed + 60, beta=0.8)
         ins = induced_instrument(scheme)
         lam = conjugate_channel(scheme)
-        xi = scheme.probe_state.matrix
+        xi = scheme.frame.probe_state.matrix
         rng = rng_from_seed(seed)
         for _ in range(3):
             rho = random_density_matrix(2, rng).matrix
-            probe_side = np.trace(scheme.probe_hamiltonian @ (xi - lam.apply(rho))).real
+            probe_side = np.trace(scheme.frame.probe_hamiltonian @ (xi - lam.apply(rho))).real
             system_side = np.trace(
-                scheme.system_hamiltonian @ (sum(ins.apply(rho)) - rho)
+                scheme.frame.system_hamiltonian @ (sum(ins.apply(rho)) - rho)
             ).real
             assert abs(probe_side - system_side) < 1e-8
 
@@ -323,7 +323,7 @@ class TestRandomFreeScheme:
         scheme = resonant_random_scheme(seed=seed + 70, dim=3)
         induced = induced_instrument(scheme).induced_observable
         for e in induced.effects:
-            assert commutator_defect(e, scheme.system_hamiltonian) < 1e-8
+            assert commutator_defect(e, scheme.frame.system_hamiltonian) < 1e-8
 
 
 class TestBatchedDraw:
@@ -377,11 +377,18 @@ class TestBatchedDraw:
         frame = self.frame(3, 3, "resonant", "resonant", rotate=False)
         a, b = (random_free_scheme(frame, seed) for seed in (1, 2))
         assert a.frame is b.frame is frame
-        assert a.energy_blocks is b.energy_blocks
-        assert a.pointer_roots is b.pointer_roots
+        assert a.frame.energy_blocks is b.frame.energy_blocks
+        assert a.frame.pointer_roots is b.frame.pointer_roots
         assert a.instrument is not b.instrument
         with pytest.raises(AttributeError, match="immutable"):
             frame.beta = 2.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swap_channel_exchanges_the_factors_of_a_product(d):
+    rng = rng_from_seed(d)
+    a, b = (random_density_matrix(d, rng).matrix for _ in range(2))
+    np.testing.assert_allclose(swap_channel(d).apply(np.kron(a, b)), np.kron(b, a), atol=1e-15)
 
 
 class TestEnergyMoments:
@@ -394,7 +401,7 @@ class TestEnergyMoments:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_free_interactions_conserve_moments(self, seed):
         scheme = resonant_random_scheme(seed=seed + 200, dim=3)
-        h_total = scheme.total_hamiltonian
+        h_total = scheme.frame.total_hamiltonian
         for k in range(1, 5):
             assert energy_moment_defect(scheme.interaction, h_total, k) < 1e-9
 
@@ -417,29 +424,35 @@ def test_scheme_annotations_resolve():
 class TestCompiledScheme:
     def test_attributes_cannot_be_reassigned(self):
         scheme = resonant_random_scheme()
-        for name in ("interaction", "pointer", "beta", "system_hamiltonian", "probe_hamiltonian"):
+        frame_names = ("pointer", "beta", "system_hamiltonian", "probe_hamiltonian")
+        owned = [(scheme, name) for name in ("frame", "interaction", "batch")]
+        for owner, name in owned + [(scheme.frame, name) for name in frame_names]:
             with pytest.raises(AttributeError, match="immutable"):
-                setattr(scheme, name, getattr(scheme, name))
+                setattr(owner, name, getattr(owner, name))
             with pytest.raises(AttributeError, match="immutable"):
-                delattr(scheme, name)
+                delattr(owner, name)
+
+    def test_frame_data_is_read_off_the_frame(self):
+        scheme = resonant_random_scheme()
+        for name in ("beta", "pointer", "dim_system", "probe_state"):
+            assert not hasattr(scheme, name)
 
     def test_hamiltonians_are_read_only(self):
         h = H2.copy()
         scheme = MeasurementScheme(SchemeFrame(h, h, 1.0, sharp_z()), swap_channel(2))
-        for m in (scheme.system_hamiltonian, scheme.probe_hamiltonian):
+        for m in (scheme.frame.system_hamiltonian, scheme.frame.probe_hamiltonian):
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 5.0
         h[1, 1] = 5.0  # the caller's array is not the scheme's
-        assert scheme.system_hamiltonian[1, 1] == 1.0
+        assert scheme.frame.system_hamiltonian[1, 1] == 1.0
         assert h.flags.writeable
 
     def test_derived_objects_are_kept(self):
         scheme = resonant_random_scheme()
         assert scheme.instrument is scheme.instrument
-        assert scheme.conjugate is scheme.conjugate
-        assert scheme.system_gibbs is scheme.system_gibbs
-        assert scheme.freeness(1e-3).tol == 1e-3
-        assert scheme.freeness(1e-3).energy_conservation_defects == (
+        assert scheme.frame.system_gibbs is scheme.frame.system_gibbs
+        assert scheme.batch.free_report(0, 1e-3).tol == 1e-3
+        assert scheme.batch.free_report(0, 1e-3).energy_conservation_defects == (
             validate_free_scheme(scheme).energy_conservation_defects
         )
         ins = scheme.instrument
@@ -450,7 +463,7 @@ class TestCompiledScheme:
     def test_warm_scheme_reports_what_a_fresh_one_does(self, inputs):
         warm = build_scheme(*inputs)
         rng = rng_from_seed(inputs[-1] + 1)
-        earlier, rho = (random_density_matrix(warm.dim_system, rng) for _ in range(2))
+        earlier, rho = (random_density_matrix(warm.frame.dim_system, rng) for _ in range(2))
         second_law_report(warm, earlier)
         heat_absorbed(warm, earlier)
         law, work = second_law_report(warm, rho)

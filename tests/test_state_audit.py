@@ -26,9 +26,7 @@ from thermomeas.thermo import (
     LAW_COLUMNS,
     WORK_COLUMNS,
     AuditBatch,
-    average_extractable_work,
     extractable_work,
-    groenewold_gain,
     heat_absorbed,
     outcome_divergence,
     second_law_report,
@@ -78,7 +76,7 @@ def build(d_s, d_a, beta, seed, mixture_size, n_eigen, n_random, order):
 def pointer_side_divergence(scheme, rho) -> float:
     """``D(p || q)`` with the exact ``q_x = tr[Z_x xi]``, which is ``tr[E_x tau]`` for a
     free scheme: on the sharp pointer of ``build``, ``ln q_x = -beta x - ln Z`` of the probe."""
-    levels = -scheme.beta * np.arange(scheme.dim_probe)
+    levels = -scheme.frame.beta * np.arange(scheme.frame.dim_probe)
     log_q = levels - np.logaddexp.reduce(levels)
     p = scheme.instrument.induced_observable.probabilities(rho)
     kept = p > PROBABILITY_CUTOFF
@@ -91,7 +89,7 @@ def pointer_side_divergence(scheme, rho) -> float:
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_single_state_functions_and_oracle(inputs):
     scheme, states = build(*inputs)
-    h, beta, instrument = scheme.system_hamiltonian, scheme.beta, scheme.instrument
+    h, beta, instrument = scheme.frame.system_hamiltonian, scheme.frame.beta, scheme.instrument
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
     laws = audit.second_law_reports()
     heats = audit.heat_reports()
@@ -99,7 +97,7 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
     plain = AuditBatch.of_instrument(instrument, states, h, beta)
     plain_work = plain.work_reports()
 
-    tau = scheme.system_gibbs
+    tau = scheme.frame.system_gibbs
     q = instrument.induced_observable.probabilities(tau)
     oracle_exact = q.min() * tau.matrix.diagonal().real.min() > SUPPORT_TOL
     for i, rho in enumerate(states):
@@ -115,12 +113,12 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         single_chain = skew_information_chain(instrument, rho, h)
         assert close(selective[i], single_chain[0]) and close(convexity[i], single_chain[1])
         assert close(audit.extractable_work[0, i], extractable_work(rho, h, beta))
-        assert close(audit.average_extractable_work[0, i],
-                     average_extractable_work(instrument, rho, h, beta))
+        single_work = work_report(instrument, rho, h, beta)
+        assert close(audit.average_extractable_work[0, i], single_work.average_extractable_work)
         assert close(audit.outcome_divergence[0, i], pointer_side_divergence(scheme, rho))
         assert close(plain.outcome_divergence[0, i],
                      outcome_divergence(instrument.induced_observable, rho, h, beta))
-        assert close(audit.groenewold_gain[0, i], groenewold_gain(instrument, rho))
+        assert close(audit.groenewold_gain[0, i], single_work.groenewold_gain)
         if oracle_exact:  # no Gibbs block weight falls under the oracle's support cut
             direct = dilation_relative_entropy(instrument.apply(rho), q, tau.matrix)
             divergence, avg_w = audit.outcome_divergence[0, i], audit.average_extractable_work[0, i]
@@ -133,11 +131,30 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         assert (audit.probabilities <= PROBABILITY_CUTOFF).any()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the induced instrument loses its exp(-beta * gap) entries at large beta, "
+    "so the Gibbs probabilities read off its effects underflow",
+)
+def test_induced_instrument_audit_agrees_with_the_scheme_audit_at_large_beta():
+    # the bare instrument reads 404.14, 213.26, 298.30, 315.65; the scheme's
+    # own audit, which reads q off the pointer in the Gibbs probe, 403.94,
+    # 213.15, 298.15, 315.49
+    h_s = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    h_a = np.diag([0.0, 1.0]).astype(complex)
+    frame = SchemeFrame(h_s, h_a, 1000.0, spectral_observable(h_a))
+    scheme = random_free_scheme(frame, 11, mixture_size=3)
+    states = random_density_matrix_stacks(3, 4, [rng_from_seed(12)])
+    bare = AuditBatch.of_instrument(scheme.instrument, states[0], h_s, frame.beta)
+    own = AuditBatch.of_schemes(scheme.batch, states)
+    np.testing.assert_allclose(bare.outcome_divergence, own.outcome_divergence, rtol=1e-9, atol=0)
+
+
 def precondition_audit(without) -> AuditBatch:
     """A free scheme's instrument on two states, audited as a bare instrument, which
     has no scheme, without the inputs ``without``."""
     scheme, states = build(2, 2, 1.0, 5, 2, 2, 0, [0, 1])
-    given = {"hamiltonian": scheme.system_hamiltonian, "beta": scheme.beta}
+    given = {"hamiltonian": scheme.frame.system_hamiltonian, "beta": scheme.frame.beta}
     for name in without:
         given.pop(name, None)
     return AuditBatch.of_instrument(scheme.instrument, states, **given)
@@ -180,7 +197,7 @@ def test_the_reports_hold_the_named_columns():
         assert named == list(row.values())
         assert list(row) == [*WORK_COLUMNS, *LAW_COLUMNS]
         assert named == [getattr(audit, c)[0, i] for c in row]
-    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian, 1.0)
+    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.frame.system_hamiltonian, 1.0)
     assert [list(row) for row in plain.named_rows(WORK_COLUMNS)[0]] == [list(WORK_COLUMNS)] * 5
     for column in LAW_COLUMNS:
         with pytest.raises(PreconditionError, match="needs a scheme"):
@@ -193,8 +210,8 @@ def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
     scheme, states = build(*inputs)
     schemes = scheme.batch
     audit = AuditBatch.of_schemes(schemes, states[None])
-    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.system_hamiltonian,
-                                     scheme.beta)
+    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.frame.system_hamiltonian,
+                                     scheme.frame.beta)
 
     def same(report, batch, index, renamed={}):
         """Each field of ``report`` but the scalars every entry shares is the batch array
@@ -208,7 +225,7 @@ def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
         same(law, audit, (0, i))
         same(work, audit, (0, i))
         assert law.verdict == audit.second_law_verdicts(THEOREM_TOL)[0, i]
-        assert (work.beta, law.tol) == (scheme.beta, THEOREM_TOL)
+        assert (work.beta, law.tol) == (scheme.frame.beta, THEOREM_TOL)
     for i, work in enumerate(plain.work_reports()):
         same(work, plain, (0, i))
     for i, heat in enumerate(audit.heat_reports()):
@@ -244,13 +261,13 @@ def test_the_audit_keeps_the_energy_balance_relations(inputs):
     # terms it sums, where w = tr[rho H] + (ln Z - S) / beta brings the energy
     # scale and ln(d) / beta besides the reported values.
     scheme, states = build(*inputs)
-    beta, d_s = scheme.beta, scheme.dim_system
+    beta, d_s = scheme.frame.beta, scheme.frame.dim_system
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
     w, avg_w = audit.extractable_work[0], audit.average_extractable_work[0]
     divergence, heat, gain = audit.outcome_divergence[0], audit.heat[0], audit.groenewold_gain[0]
     prop1, eq5, heat_bound = audit.prop1_slack[0], audit.eq5_bound_slack[0], audit.heat_bound_slack[0]
     system_heat = audit.system_heat[0]
-    energy = max(d_s, scheme.dim_probe) - 1.0
+    energy = max(d_s, scheme.frame.dim_probe) - 1.0
     scale = BALANCE_ULPS * np.finfo(float).eps * (
         np.abs(w) + np.abs(avg_w) + (np.abs(gain) + np.abs(divergence) + np.log(d_s)) / beta + energy
     )

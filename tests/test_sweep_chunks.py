@@ -88,7 +88,7 @@ def test_each_point_derives_what_its_batch_of_one_does(frame_and_size, seeds):
         for ours, theirs in zip(kraus_sets, alone.instrument.kraus_sets):
             assert ours[i].shape == theirs.shape and ours[i].tobytes() == theirs.tobytes()
         assert effects[i].tobytes() == alone.instrument.induced_observable.effects.tobytes()
-        assert batch.conjugate_kraus[i].tobytes() == alone.conjugate.kraus.tobytes()
+        assert batch.conjugate_kraus[i].tobytes() == schemes.conjugate_channel(alone).kraus.tobytes()
 
 
 def sweep_template(d_s, d_a, spectrum, mixture_size, states):

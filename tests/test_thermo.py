@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import dilation_relative_entropy
+from oracles import dilation_relative_entropy, random_diagonal_hamiltonian
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.objects import (
     Instrument,
@@ -17,7 +17,6 @@ from thermomeas.objects import (
 from thermomeas.sampling import (
     random_commuting_povm,
     random_density_matrix,
-    random_diagonal_hamiltonian,
     rng_from_seed,
 )
 from thermomeas.scenario import run_scenario, run_sweep
@@ -30,9 +29,7 @@ from thermomeas.schemes import (
 )
 from thermomeas.thermo import (
     AuditBatch,
-    average_extractable_work,
     extractable_work,
-    groenewold_gain,
     heat_absorbed,
     outcome_divergence,
     second_law_report,
@@ -79,22 +76,21 @@ class TestAverageExtractableWork:
         obs = random_commuting_povm(H2, 3, rng_from_seed(1))
         ins = induced_instrument(trivial_scheme(obs, H2, beta=1.0))
         rho = random_density_matrix(2, rng_from_seed(2))
-        assert abs(average_extractable_work(ins, rho, H2, 1.0)) < 1e-10
+        assert abs(work_report(ins, rho, H2, 1.0).average_extractable_work) < 1e-10
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_luders_eigenbasis_at_equilibrium_is_shannon(self, beta):
         ins = Instrument.luders(Z_SHARP)
         tau = gibbs_state(H2, beta)
         expected = shannon(Z_SHARP.probabilities(tau)) / beta
-        assert abs(average_extractable_work(ins, tau, H2, beta) - expected) < 1e-12
+        assert abs(work_report(ins, tau, H2, beta).average_extractable_work - expected) < 1e-12
 
     def test_identity_interaction_reproduces_extractable_work(self):
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), KrausChannel([np.eye(4)]))
         ins = induced_instrument(scheme)
         rho = random_density_matrix(2, rng_from_seed(3))
-        assert abs(
-            average_extractable_work(ins, rho, H2, 1.0) - extractable_work(rho, H2, 1.0)
-        ) < 1e-10
+        work = work_report(ins, rho, H2, 1.0)
+        assert abs(work.average_extractable_work - extractable_work(rho, H2, 1.0)) < 1e-10
 
 
 class TestOutcomeDivergence:
@@ -150,7 +146,7 @@ class TestGroenewoldGain:
 
         ins = Instrument.luders(Z_SHARP)
         rho = random_density_matrix(2, rng_from_seed(7))
-        assert abs(groenewold_gain(ins, rho) - von_neumann_entropy(rho)) < 1e-10
+        assert abs(work_report(ins, rho, H2, 1.0).groenewold_gain - von_neumann_entropy(rho)) < 1e-10
 
     def test_trivial_thermal_on_pure_input(self):
         from thermomeas.linalg import von_neumann_entropy
@@ -159,14 +155,14 @@ class TestGroenewoldGain:
         obs = random_commuting_povm(H2, 2, rng_from_seed(8))
         ins = induced_instrument(trivial_scheme(obs, H2, beta))
         tau = gibbs_state(H2, beta)
-        gain = groenewold_gain(ins, GROUND)
+        gain = work_report(ins, GROUND, H2, beta).groenewold_gain
         assert abs(gain + von_neumann_entropy(tau)) < 1e-10
         assert gain < 0
 
     def test_identity_channel_gains_nothing(self):
         ins = Instrument(["only"], [[np.eye(2)]])
         rho = random_density_matrix(2, rng_from_seed(9))
-        assert abs(groenewold_gain(ins, rho)) < 1e-12
+        assert abs(work_report(ins, rho, H2, 1.0).groenewold_gain) < 1e-12
 
 
 class TestSkewInformation:
@@ -259,7 +255,7 @@ class TestSecondLawReport:
             pointer = random_commuting_povm(h, 2, rng)
             scheme = random_free_scheme(SchemeFrame(h, h, beta, pointer), seed=500 + seed)
             ins = induced_instrument(scheme)
-            tau = scheme.system_gibbs
+            tau = scheme.frame.system_gibbs
             q = ins.induced_observable.probabilities(tau)
             for _ in range(5):
                 rho = random_density_matrix(dim, rng)
@@ -282,7 +278,7 @@ class TestSecondLawReport:
             for _ in range(50):
                 rho = random_density_matrix(dim, rng)
                 _, work = second_law_report(scheme, rho)
-                plain = work_report(ins, rho, h, scheme.beta)
+                plain = work_report(ins, rho, h, scheme.frame.beta)
                 for field in ("extractable_work", "average_extractable_work",
                               "outcome_divergence", "groenewold_gain", "beta"):
                     assert abs(getattr(work, field) - getattr(plain, field)) <= 1e-12, field
@@ -303,7 +299,7 @@ class TestSecondLawReport:
         frame = SchemeFrame(h3, h2, 100.0, spectral_observable(h2))
         scheme = random_free_scheme(frame, seed=0, mixture_size=1)
         # q_1 = tr[Z_1 xi] = e^-100 / (1 + e^-100) exactly, for a free scheme
-        q = scheme.instrument.induced_observable.probabilities(scheme.system_gibbs)
+        q = scheme.instrument.induced_observable.probabilities(scheme.frame.system_gibbs)
         assert abs(math.log(q[1]) + 100.0) < 1e-9
         law, _ = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))
         assert law.verdict, law
@@ -372,7 +368,7 @@ class TestSzilardValues:
             h = random_diagonal_hamiltonian(dim, rng)
             obs = spectral_observable(h)
             tau = gibbs_state(h, beta)
-            got = average_extractable_work(Instrument.luders(obs), tau, h, beta)
+            got = work_report(Instrument.luders(obs), tau, h, beta).average_extractable_work
             expected = shannon(obs.probabilities(tau)) / beta
             assert abs(got - expected) < 1e-9
 
@@ -393,19 +389,12 @@ RHO2, RHO3 = np.eye(2) / 2, np.eye(3) / 3
 DIMENSION_MISMATCHES = {
     "extractable_work-state": lambda s: extractable_work(RHO3, H2, 1.0),
     "extractable_work-hamiltonian": lambda s: extractable_work(RHO2, H3, 1.0),
-    "average_extractable_work-state": lambda s: average_extractable_work(
-        s.instrument, RHO3, H2, 1.0
-    ),
-    "average_extractable_work-hamiltonian": lambda s: average_extractable_work(
-        s.instrument, RHO2, H3, 1.0
-    ),
     "outcome_divergence-state": lambda s: outcome_divergence(
         s.instrument.induced_observable, RHO3, H2, 1.0
     ),
     "outcome_divergence-hamiltonian": lambda s: outcome_divergence(
         s.instrument.induced_observable, RHO2, H3, 1.0
     ),
-    "groenewold_gain-state": lambda s: groenewold_gain(s.instrument, RHO3),
     "heat_absorbed-state": lambda s: heat_absorbed(s, RHO3),
     "skew_information-state": lambda s: skew_information(H2, RHO3),
     "skew_information-hamiltonian": lambda s: skew_information(H3, RHO2),
