@@ -62,8 +62,12 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def frobenius_each(a: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a ``(..., rows, cols)`` stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """The Frobenius norm of each matrix of a ``(..., rows, cols)`` stack: one unscaled sum
+    of squares per matrix over its float view, within a few ulp of numpy's ``norm``."""
+    m = np.ascontiguousarray(a, dtype=np.result_type(a, np.float64))
+    rows = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
+    rows = rows.view(rows.real.dtype)
+    return np.sqrt(np.einsum("...i,...i->...", rows, rows))
 
 
 def logsumexp(x: np.ndarray):
@@ -130,7 +134,8 @@ def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
         finite = np.isfinite(m).all(axis=(-2, -1))
         _, label = _first_failure(finite, ~finite, name)
         raise ValidationError(f"{label} has non-finite (NaN or infinite) entries")
-    skew = m - dag(m)
+    adjoint = dag(m)
+    skew = m - adjoint
     if frobenius(skew) > tol:  # the defect of the whole stack bounds each entry's
         defect = frobenius_each(skew)
         if (defect > tol).any():
@@ -138,7 +143,7 @@ def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
             raise ValidationError(
                 f"{label} is not Hermitian: ||A - A^dag||_F = {worst:.3e} > {tol:.1e}"
             )
-    return (m + dag(m)) / 2
+    return (m + adjoint) / 2
 
 
 def require_beta(beta) -> float:

@@ -546,11 +546,13 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
     checks = raw.get("checks")
     if not isinstance(checks, list) or not checks:
         raise ValidationError("scenario: 'checks' must be a nonempty list of check names")
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in KNOWN_CHECKS:
             raise ValidationError(
                 f"unknown check {name!r}; known checks: {', '.join(KNOWN_CHECKS)}"
             )
+        if name in checks[:i]:
+            raise ValidationError(f"checks: {name!r} is listed twice")
     states = _resolve_states(raw.get("states"), h_system.shape[0])
     _require_inputs(checks, scheme, states.names)
     scenario = Scenario(
@@ -737,7 +739,7 @@ class RunReport:
     """Outcome of one scenario run; serializes deterministically.
 
     ``timing_ms`` is the measured wall time of the run and
-    ``check_timing_ms`` that of each check, by name (summed over repeats).
+    ``check_timing_ms`` that of each check, by name.
     The per-state record the state checks share is derived inside the
     first of them that runs, so that check carries its cost. Both are
     excluded from the serialized form by default so that reports are
@@ -798,8 +800,7 @@ def run_scenario(source, seed=None, tol=None) -> RunReport:
     for name in scenario.checks:
         begin = time.perf_counter()
         results.append(_run_check(scenario, name))
-        elapsed = (time.perf_counter() - begin) * 1000.0
-        check_timing[name] = check_timing.get(name, 0.0) + elapsed
+        check_timing[name] = (time.perf_counter() - begin) * 1000.0
     verdict = all(bool(r.get("verdict")) for r in results)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(

@@ -330,9 +330,14 @@ class SchemeBatch:
         )
 
     @cached_property
+    def _kraus_gram(self) -> np.ndarray:
+        """Per point ``sum K† K``, for a draw's validation and the bistochastic defect."""
+        return _gram(self.kraus)
+
+    @cached_property
     def bistochastic_defect(self) -> np.ndarray:
         """Per point the worse of the trace and unital defects, ``(P,)``."""
-        return np.maximum(*_bistochastic_defects(self.kraus))
+        return np.maximum(*_bistochastic_defects(self._kraus_gram, _gram(dag(self.kraus))))
 
     @cached_property
     def energy_conservation_defects(self) -> np.ndarray:
@@ -389,7 +394,9 @@ class SchemeBatch:
         dilation, amplitudes = self.dilation
         stacks = []
         for label, root in zip(outcomes, frame.pointer_roots):
-            ops = _pruned(np.einsum("pb,qmaibj->qmapij", root, dilation), amplitudes)
+            ops = root @ dilation.reshape(len(root), -1)
+            ops += 0.0  # as in _dilation, so each point derives the same bits in any batch
+            ops = _pruned(ops.reshape(dilation.shape).transpose(1, 2, 5, 0, 3, 4), amplitudes)
             if ops.shape[1] == 0:
                 ops = np.zeros((n, 1, d_s, d_s), dtype=complex)
             _require_finite(ops, f" of outcome {label!r}")
@@ -409,7 +416,8 @@ class SchemeBatch:
     def conjugate_kraus(self) -> np.ndarray:
         """The read-only ``(P, k', d_a, d_s)`` Kraus stack of the conjugate channels,
         validated for all points at once."""
-        ops = _pruned(*self.dilation)
+        dilation, amplitudes = self.dilation
+        ops = _pruned(dilation.transpose(1, 2, 5, 3, 0, 4), amplitudes)
         if ops.shape[1] == 0:
             raise ValidationError("no Kraus operator given")
         _require_finite(ops)
@@ -452,16 +460,19 @@ def _dilation(frame: SchemeFrame, kraus: np.ndarray) -> tuple:
     """``sqrt(g_a) (1 (x) 1) M (1 (x) |a>)`` for each point, and the amplitudes ``sqrt(g_a)``.
 
     ``kraus`` is a ``(P, k, D, D)`` stack of interactions; the result is
-    ``(P, k, d_a, d_s, d_a, d_s)``: point, interaction Kraus operator ``M``,
-    probe level ``|a>``, then system out, probe out, system in. The
-    amplitudes ``sqrt(g_a) = exp(ln g_a / 2)`` come from the log Gibbs
-    weights, so they stay positive where ``g_a`` is far below round-off.
+    ``(d_a, P, k, d_s, d_s, d_a)``: probe out, point, interaction Kraus
+    operator ``M``, system out, system in, probe level ``|a>``, so that the
+    probe basis here and each pointer root are one matrix product over all
+    of it. The amplitudes ``sqrt(g_a) = exp(ln g_a / 2)`` come from the log
+    Gibbs weights, so they stay positive where ``g_a`` is far below round-off.
     """
     d_s, d_a = frame.dim_system, frame.dim_probe
     log_weights, vecs = frame.probe_log_weights
     amplitudes = np.exp(log_weights / 2)
-    t = kraus.reshape(len(kraus), -1, d_s, d_a, d_s, d_a)
-    return np.einsum("qmibjc,ca->qmaibj", t, vecs * amplitudes), amplitudes
+    t = np.moveaxis(kraus.reshape(len(kraus), -1, d_s, d_a, d_s, d_a), 3, 0)
+    by_probe_out = t.reshape(-1, d_a) @ (vecs * amplitudes)
+    by_probe_out += 0.0  # a -0.0 becomes +0.0, which the kernel for another P may leave
+    return by_probe_out.reshape(t.shape), amplitudes
 
 
 def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -476,7 +487,7 @@ def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
             "the points of a scheme batch keep different dilation operators; "
             "derive them one at a time"
         )
-    return ks[:, keep[0]]
+    return np.ascontiguousarray(ks[:, keep[0]])
 
 
 def induced_instrument(scheme: MeasurementScheme) -> Instrument:
@@ -568,26 +579,34 @@ def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> Sch
 
     Each seed's generator draws its Ginibre normals, term by term and block
     by block in ascending energy, then its mixture weights. One stacked QR
-    per block size turns the normals of every seed into unitaries, and one
-    conjugation by the energy eigenbasis turns each term's block-diagonal
-    matrix into a unitary. Trace preservation and finiteness are validated
-    for all seeds at once.
+    per block size turns the normals of every seed into unitaries, and the
+    conjugation by the energy eigenbasis, two matrix products over every
+    term of every seed, turns each term's block-diagonal matrix into a
+    unitary. Trace preservation and finiteness are validated for all seeds
+    at once.
     """
     require_free_draw(frame, mixture_size)
     vecs, bounds = frame.energy_blocks
     rngs = [rng_from_seed(seed) for seed in seeds]
     draws = haar_unitary_stacks([stop - start for start, stop in bounds] * mixture_size, rngs)
     taken = dict.fromkeys(draws, 0)
-    blocks = np.zeros((len(rngs), mixture_size, *vecs.shape), dtype=complex)
+    d, p = len(vecs), len(rngs)
+    # (row, point, term, column): each change of basis is then one matrix product
+    blocks = np.zeros((d, p, mixture_size, d), dtype=complex)
     for term in range(mixture_size):
         for start, stop in bounds:
-            blocks[:, term, start:stop, start:stop] = draws[stop - start][:, taken[stop - start]]
-            taken[stop - start] += 1
-    # "+ 0.0" makes each -0.0 off the blocks +0.0, as a sum over blocks from zero does.
-    unitaries = vecs @ blocks @ dag(vecs) + 0.0
-    weights = np.array([rng.dirichlet(np.ones(mixture_size)) for rng in rngs])
-    kraus = np.sqrt(weights)[..., None, None] * unitaries
+            n = stop - start
+            blocks[start:stop, :, term, start:stop] = draws[n][:, taken[n]].swapaxes(0, 1)
+            taken[n] += 1
+    unitaries = ((vecs @ blocks.reshape(d, -1)).reshape(-1, d) @ dag(vecs)).reshape(blocks.shape)
+    # numpy's dirichlet at unit concentrations: exponentials times 1 / their running sum
+    weights = np.array([rng.standard_exponential(mixture_size) for rng in rngs])
+    weights *= 1 / np.cumsum(weights, axis=1)[:, -1:]
+    root_weights = np.sqrt(weights)[..., None, None]
+    kraus = np.multiply(root_weights, unitaries.transpose(1, 2, 0, 3), order="C")
+    kraus += 0.0  # each -0.0 off the blocks becomes +0.0, as a sum over blocks from zero gives
     _require_finite(kraus)
-    _require_trace_preserving(_gram(kraus), "channel")
     kraus.flags.writeable = False
-    return SchemeBatch(frame, kraus)
+    batch = SchemeBatch(frame, kraus)
+    _require_trace_preserving(batch._kraus_gram, "channel")
+    return batch

@@ -114,8 +114,10 @@ class HeatReport:
 
 
 def _diagonal(m, vecs) -> np.ndarray:
-    """Diagonal ``<i|M|i>`` in the eigenbasis ``vecs`` of ``H``, of one operator or of a stack."""
-    return np.einsum("ia,...ij,ja->...a", vecs.conj(), m, vecs).real
+    """Diagonal ``<i|M|i>`` in the eigenbasis ``vecs`` of ``H``, of one operator or of a stack:
+    ``M vecs``, one matrix product over the whole stack, summed against ``conj(vecs)``."""
+    d = len(vecs)
+    return ((m.reshape(-1, d) @ vecs).reshape(m.shape) * vecs.conj()).sum(axis=-2).real
 
 
 def _divergence_to_gibbs(rho, entropy, gibbs):
@@ -371,13 +373,20 @@ class AuditBatch:
         return [[dict(zip(names, row)) for row in point] for point in rows]
 
     def second_law_verdicts(self, tol: float) -> np.ndarray:
-        """Whether the residual (in energy units) and the slacks (in nats, as ``beta * slack``,
-        so round-off of ``1 / beta``-sized terms does not FAIL) are within ``tol``; ``(P, n)``."""
+        """Whether the residual is within ``tol`` (in energy units) and each slack, in nats as
+        ``beta * slack``, is at least ``-tol`` times the largest of 1 and the terms it is a
+        difference of, so that no round-off of large terms FAILs; ``(P, n)``."""
+        b, w, avg_w = self.beta, self.extractable_work, self.average_extractable_work
+        d, g, q = self.outcome_divergence, np.abs(self.groenewold_gain), b * np.abs(self.heat)
+
+        def holds(slack, *terms):
+            return b * slack >= -tol * np.max([np.ones_like(slack), *terms], axis=0)
+
         return (
-            (self.beta * self.prop1_slack >= -tol)
+            holds(self.prop1_slack, b * np.abs(w), d, b * np.abs(avg_w))
             & (self.eq5_identity_defect <= tol)
-            & (self.beta * self.eq5_bound_slack >= -tol)
-            & (self.beta * self.heat_bound_slack >= -tol)
+            & holds(self.eq5_bound_slack, d, q, g)
+            & holds(self.heat_bound_slack, g, q)
         )
 
     def work_reports(self) -> list:

@@ -136,6 +136,15 @@ class TestCheckCommand:
         assert result.returncode == 2
         assert "unknown check" in json.loads(result.stderr)["error"]
 
+    def test_a_check_listed_twice_exits_two(self, tmp_path):
+        scenario = dict(SCENARIO_PASS, checks=["second_law", "free_scheme", "second_law"])
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(scenario))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "checks: 'second_law' is listed twice"
+
     def test_jobs_flag_is_gone(self, scenario_file):
         assert cli("check", "--jobs", "2", str(scenario_file)).returncode == 2
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     commutator_defect,
     density_matrix,
     eig_hermitian,
+    frobenius_each,
     logsumexp,
     partial_trace,
     psd_sqrt,
@@ -31,6 +33,33 @@ def random_state_matrix(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Real or complex ``(..., rows, cols)`` stacks with 0-2 leading axes, some entries
+    zero, the others of magnitude 1 to 10 times one scale among 1e-150, 1 and 1e150, so
+    that no square is subnormal."""
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    shape = (*lead, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    entries = st.just(0.0) | st.floats(1.0, 10.0) | st.floats(-10.0, -1.0)
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    m = draw(arrays(float, shape, elements=entries)) * scale
+    if draw(st.booleans()):
+        m = m + 1j * draw(arrays(float, shape, elements=entries)) * scale
+    return m
+
+
+@given(m=matrix_stacks())
+@settings(max_examples=200, deadline=None)
+def test_frobenius_each_is_numpys_norm_within_its_summation_round_off(m):
+    # two sums of the same n nonnegative squares, in other orders, each within
+    # (n - 1) u of the exact sum; the square root halves that
+    ours, numpys = frobenius_each(m), np.linalg.norm(m, axis=(-2, -1))
+    assert ours.shape == numpys.shape == m.shape[:-2]
+    n = m.shape[-2] * m.shape[-1] * (2 if np.iscomplexobj(m) else 1)
+    u = np.finfo(float).eps / 2
+    assert np.all(np.abs(ours - numpys) <= (n + 1) * u * numpys)
 
 
 class TestEigHermitian:

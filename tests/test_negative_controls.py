@@ -1,14 +1,21 @@
-"""Negative controls for energy conservation: a free scheme broken by ``exp(-i eps G)``.
+"""Negative controls: a free scheme broken at first order in ``eps``, two ways.
 
 The scheme is free: d_s = d_a = 3, energies [0, 1, 2], beta = 1, the
-spectral pointer and ``random_free_scheme`` seed 0. Composing its
-interaction with the unitary ``exp(-i eps G)``, for a seeded random
-Hermitian ``G`` on the joint space, keeps the channel bistochastic and
-breaks energy conservation at first order in ``eps``. Every check that
-certifies energy conservation must see the break: its defect grows linearly
-in ``eps``, its verdict fails at ten times its tolerance and passes at a
-tenth of it, and the second law, whose inequalities are theorems only for
-free schemes, is refused with the worst freeness defect named.
+spectral pointer and ``random_free_scheme`` seed 0. Two families break it:
+
+* energy non-conservation: its interaction composed with the unitary
+  ``exp(-i eps G)``, for a seeded random Hermitian ``G`` on the joint
+  space, stays bistochastic and stops conserving energy;
+* Yanase violation: its pointer conjugated by ``exp(-i eps R)``, for a
+  seeded random Hermitian ``R`` on the probe, stops commuting with the
+  probe Hamiltonian, so the induced observable stops commuting with the
+  system's.
+
+Every check that certifies the broken condition must see the break: its
+defect grows linearly in ``eps``, its verdict fails at ten times its
+tolerance and passes at a tenth of it, and the second law, whose
+inequalities are theorems only for free schemes, is refused with the worst
+freeness defect named.
 """
 
 import re
@@ -42,9 +49,8 @@ DEFECT = {
 }
 
 
-def broken_scenario(eps: float, checks) -> dict:
-    """The free scheme's interaction followed by ``exp(-i eps G)``, on ``STATE``."""
-    unitary = (G_VECTORS * np.exp(-1j * eps * G_VALUES)) @ G_VECTORS.conj().T
+def kraus_scenario(pointer_effects, kraus, checks) -> dict:
+    """A ``kraus`` scheme with ``pointer_effects`` and ``kraus``, on ``STATE``."""
     return {
         "seed": 0,
         "beta": 1.0,
@@ -52,12 +58,18 @@ def broken_scenario(eps: float, checks) -> dict:
         "probe_hamiltonian": ENERGIES,
         "scheme": {
             "kind": "kraus",
-            "pointer": {"effects": [encode_matrix(z) for z in POINTER.effects]},
-            "kraus": [encode_matrix(k) for k in unitary @ FREE_KRAUS],
+            "pointer": {"effects": [encode_matrix(z) for z in pointer_effects]},
+            "kraus": [encode_matrix(k) for k in kraus],
         },
         "states": [{"name": "random", "matrix": encode_matrix(STATE)}],
         "checks": list(checks),
     }
+
+
+def broken_scenario(eps: float, checks) -> dict:
+    """The free scheme's interaction followed by ``exp(-i eps G)``, on ``STATE``."""
+    unitary = (G_VECTORS * np.exp(-1j * eps * G_VALUES)) @ G_VECTORS.conj().T
+    return kraus_scenario(POINTER.effects, unitary @ FREE_KRAUS, checks)
 
 
 def checks_of(eps: float) -> dict:
@@ -114,3 +126,62 @@ def test_the_second_law_is_judged_below_the_gate():
     eps = 0.1 * THEOREM_TOL / SLOPE["free_scheme"]
     (law,) = run_scenario(broken_scenario(eps, ["second_law"])).checks
     assert law["verdict"]
+
+
+_R = ginibre(3, 3, rng_from_seed(3))
+R_VALUES, R_VECTORS = np.linalg.eigh((_R + _R.conj().T) / np.sqrt(2))
+
+#: Each Yanase-condition check's defect, read off its result.
+YANASE_DEFECT = {
+    "free_scheme": lambda check: check["yanase_defect"],
+    "thermal_observable": lambda check: check["defect"],
+}
+
+
+def rotated_pointer_scenario(eps: float, checks) -> dict:
+    """The free scheme with its pointer conjugated by ``exp(-i eps R)``, on ``STATE``."""
+    unitary = (R_VECTORS * np.exp(-1j * eps * R_VALUES)) @ R_VECTORS.conj().T
+    effects = [unitary @ z @ unitary.conj().T for z in POINTER.effects]
+    return kraus_scenario(effects, FREE_KRAUS, checks)
+
+
+def yanase_checks_of(eps: float) -> dict:
+    """The Yanase-condition checks' results on the pointer rotated by ``eps``, by name."""
+    report = run_scenario(rotated_pointer_scenario(eps, YANASE_DEFECT))
+    return {check["name"]: check for check in report.checks}
+
+
+YANASE_ROUND_OFF = {
+    name: max(YANASE_DEFECT[name](check), np.finfo(float).eps)
+    for name, check in yanase_checks_of(0.0).items()
+}
+YANASE_SLOPE = {
+    name: YANASE_DEFECT[name](check) / 1e-5 for name, check in yanase_checks_of(1e-5).items()
+}
+
+
+@given(exponent=st.floats(-12.0, -3.0))
+@settings(max_examples=10, deadline=None)
+def test_each_yanase_defect_is_linear_in_the_rotation(exponent):
+    eps = 10.0**exponent
+    for name, check in yanase_checks_of(eps).items():
+        defect = YANASE_DEFECT[name](check)
+        if defect >= 1e3 * YANASE_ROUND_OFF[name]:
+            assert abs(defect / eps - YANASE_SLOPE[name]) <= 0.1 * YANASE_SLOPE[name], (name, eps)
+
+
+@pytest.mark.parametrize("name", list(YANASE_DEFECT))
+@pytest.mark.parametrize("share,verdict", [(10.0, False), (0.1, True)], ids=["fails", "passes"])
+def test_the_yanase_verdict_turns_at_the_tolerance(name, share, verdict):
+    check = yanase_checks_of(share * THEOREM_TOL / YANASE_SLOPE[name])[name]
+    assert check["verdict"] is verdict, (YANASE_DEFECT[name](check), check)
+
+
+@pytest.mark.parametrize("exponent", [-7.0, -4.0, -1.0])
+def test_the_second_law_is_refused_on_a_rotated_pointer(exponent):
+    free = yanase_checks_of(10.0**exponent)["free_scheme"]
+    defects = [free["bistochastic_defect"], *free["energy_conservation_defects"], free["yanase_defect"]]
+    assert max(defects) == free["yanase_defect"]
+    refusal = f"not thermodynamically free: worst defect {max(defects):.3e} > {THEOREM_TOL:.1e}"
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
+        run_scenario(rotated_pointer_scenario(10.0**exponent, ["second_law"]))

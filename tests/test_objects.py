@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dual_action
+from oracles import dual_action, operation_effect
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import partial_trace
 from thermomeas.objects import (
@@ -15,6 +15,7 @@ from thermomeas.objects import (
     State,
     _dual,
     _from_validated,
+    _gram,
     choi_of_operation,
     choi_rank,
     gibbs_state,
@@ -382,6 +383,27 @@ class TestBistochastic:
         rng = rng_from_seed(9)
         kraus = [math.sqrt(0.5) * haar_unitary(2, rng) for _ in range(2)]
         assert is_bistochastic(KrausChannel(kraus)).verdict
+
+
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    n_kraus=st.integers(1, 5),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gram_is_the_literal_sum_of_kraus_products(lead, n_kraus, rows, cols, seed):
+    # entry (i, j) sums n_kraus * rows products, each at most ||K||_F^2 in size,
+    # in the stacked product's order and in the oracle's
+    rng = rng_from_seed(seed)
+    shape = (*lead, n_kraus, rows, cols)
+    ks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _gram(ks)
+    assert got.shape == (*lead, cols, cols)
+    for index in np.ndindex(*lead):
+        bound = 2 * (n_kraus * rows + 2) * np.finfo(float).eps * np.sum(np.abs(ks[index]) ** 2)
+        assert np.abs(got[index] - operation_effect(ks[index])).max() <= bound
 
 
 class TestInstrument:

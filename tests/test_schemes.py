@@ -13,8 +13,9 @@ from oracles import (
     direct_probe_state,
     liouville_covariance_defect,
 )
+from thermomeas import schemes
 from thermomeas.errors import PreconditionError, ValidationError
-from thermomeas.linalg import commutator_defect
+from thermomeas.linalg import commutator_defect, frobenius_each
 from thermomeas.objects import (
     KrausChannel,
     Observable,
@@ -37,6 +38,7 @@ from thermomeas.schemes import (
     energy_moment_defect,
     induced_instrument,
     random_free_scheme,
+    random_free_schemes,
     swap_channel,
     trivial_scheme,
     validate_free_scheme,
@@ -470,3 +472,24 @@ class TestCompiledScheme:
         assert (law, work) == second_law_report(build_scheme(*inputs), rho)
         assert heat_absorbed(warm, rho) == heat_absorbed(build_scheme(*inputs), rho)
         assert law.verdict
+
+
+def test_pruning_keeps_what_numpys_norm_keeps_on_a_whole_seed_sweep(monkeypatch):
+    # the benchmark's 400-point d = 3 seed sweep: equal spacing, the sharp
+    # pointer, beta = 1; every dilation operator it prunes or keeps, by the
+    # norm of each operator against numpy's norm
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    batch = random_free_schemes(SchemeFrame(h, h, 1.0, spectral_observable(h)), range(400), 3)
+    pruned, calls = schemes._pruned, []
+
+    def recorded(ks, amplitudes):
+        calls.append((ks, amplitudes))
+        return pruned(ks, amplitudes)
+
+    monkeypatch.setattr(schemes, "_pruned", recorded)
+    batch.instrument_stacks, batch.conjugate_kraus
+    assert len(calls) == 4  # each outcome's operators, then the conjugate channel's
+    for ks, amplitudes in calls:
+        floor = schemes.PRUNE_TOL * amplitudes[:, None]
+        numpys = np.linalg.norm(ks, axis=(-2, -1))
+        assert np.array_equal(frobenius_each(ks) > floor, numpys > floor)

@@ -343,6 +343,28 @@ class TestSecondLawReport:
         table, passed = run_sweep(sweep)
         assert passed and table.count("True,True\n") == 2
 
+    @pytest.mark.parametrize("beta", [1e16, 1e100, 1e300])
+    def test_slacks_are_judged_against_their_terms_at_low_temperature(self, beta):
+        # beta * W and D(p || q) grow with beta, and beta * prop1_slack is the
+        # round-off of their difference: a few nats, where tol is 1e-8
+        h4 = [0.0, 1.0, 2.0, 3.0]
+        sharp = {"effects": [np.diag(row).tolist() for row in np.eye(4)]}
+        scenario = {
+            "seed": 0,
+            "beta": beta,
+            "system_hamiltonian": h4,
+            "probe_hamiltonian": h4,
+            "scheme": {"kind": "random_block", "mixture_size": 3, "pointer": sharp},
+            "states": {"count": 2},
+            "checks": ["second_law"],
+        }
+        check = run_scenario(scenario).checks[0]
+        assert check["verdict"], check
+        assert abs(check["worst_prop1_slack"]) < 1e-14
+        sweep = {"axis": {"name": "beta", "values": [beta]}, "scenario": scenario}
+        table, passed = run_sweep(sweep)
+        assert passed and table.endswith("True,True\n")
+
     def test_low_temperature_outcome_divergence_is_finite(self):
         # q_excited = 1 / (1 + e^600): far below any probability cutoff, yet positive
         d = outcome_divergence(Z_SHARP, EXCITED, H2, 600.0)
