@@ -14,7 +14,6 @@ from .linalg import (
     SpectralDecomposition,
     commutator_defect,
     eig_hermitian,
-    partial_trace,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -30,7 +29,6 @@ from .objects import (
     is_bistochastic,
     pure_state,
     spectral_observable,
-    time_evolution,
 )
 from .schemes import (
     FreeSchemeReport,
@@ -78,7 +76,6 @@ __all__ = [
     "PreconditionError",
     "SpectralDecomposition",
     "eig_hermitian",
-    "partial_trace",
     "von_neumann_entropy",
     "relative_entropy",
     "commutator_defect",
@@ -91,7 +88,6 @@ __all__ = [
     "is_bistochastic",
     "gibbs_state",
     "spectral_observable",
-    "time_evolution",
     "choi_of_operation",
     "choi_rank",
     "MeasurementScheme",

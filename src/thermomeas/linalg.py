@@ -234,32 +234,6 @@ def psd_sqrt(a, name="operator") -> np.ndarray:
     return (vecs * root[..., None, :]) @ dag(vecs)
 
 
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    Parameters
-    ----------
-    m : matrix on the product space, dimension ``dims[0] * dims[1]``.
-    dims : pair ``(d_system, d_probe)``.
-    keep : ``"system"``/``0`` to keep the first factor, ``"probe"``/``1``
-        to keep the second.
-    """
-    mat = as_matrix(m)
-    d_s, d_a = int(dims[0]), int(dims[1])
-    if mat.shape != (d_s * d_a, d_s * d_a):
-        raise ValidationError(
-            f"partial trace expected a {d_s * d_a} x {d_s * d_a} matrix for dims {dims}, "
-            f"got shape {mat.shape}"
-        )
-    t = mat.reshape(d_s, d_a, d_s, d_a)
-    tag = {0: 0, 1: 1, "system": 0, "probe": 1}.get(keep)
-    if tag is None:
-        raise ValidationError(f"keep must be 'system', 'probe', 0 or 1, got {keep!r}")
-    if tag == 0:
-        return np.einsum("iaja->ij", t)
-    return np.einsum("iaib->ab", t)
-
-
 def density_matrix(obj) -> np.ndarray:
     """Validate and return a density matrix (Hermitian, PSD, unit trace), or a stack of them."""
     m = _symmetrized(as_matrices(obj), VALIDATION_TOL, "state")

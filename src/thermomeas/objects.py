@@ -116,15 +116,23 @@ def _require_effects(stack: np.ndarray, names: tuple) -> None:
         )
 
 
-def _gram(ks: np.ndarray) -> np.ndarray:
-    """``sum K† K`` over a Kraus stack, or over each of a ``(..., k, rows, cols)`` stack of them.
+def _gram(ks: np.ndarray, a: np.ndarray = None) -> np.ndarray:
+    """``sum K† K`` over a Kraus stack, or over each of a ``(..., k, rows, cols)`` stack of
+    them; with a ``rows x rows`` operator ``a`` in the middle, ``sum K† a K``.
 
     One matrix product per stack: the ``K`` laid one above the other, a
-    view of the stack, times its conjugate transpose on the left.
+    view of the stack, times its conjugate transpose on the left. With
+    ``a``, the ``K`` are first laid side by side, so that one product forms
+    every ``a K``, and both factors are stacked by row, then operator.
     """
     k, rows, cols = ks.shape[-3:]
-    stacked = ks.reshape(*ks.shape[:-3], k * rows, cols)
-    return dag(stacked) @ stacked
+    lead = ks.shape[:-3]
+    if a is None:
+        stacked = ks.reshape(*lead, k * rows, cols)
+        return dag(stacked) @ stacked
+    side_by_side = ks.swapaxes(-3, -2).reshape(*lead, rows, k * cols)
+    stacked = side_by_side.reshape(*lead, rows * k, cols)
+    return dag(stacked) @ (a @ side_by_side).reshape(stacked.shape)
 
 
 def _bistochastic_defects(gram: np.ndarray, co_gram: np.ndarray) -> tuple:
@@ -395,13 +403,6 @@ def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
     log_weights.flags.writeable = False
     vecs.flags.writeable = False
     return log_weights, vecs
-
-
-def time_evolution(hamiltonian, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t H)`` computed spectrally."""
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * t * evals)) @ dag(vecs)
 
 
 class Instrument:

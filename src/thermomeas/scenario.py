@@ -310,6 +310,8 @@ def _resolve_states(spec, d: int) -> _States:
                 matrices.append(_explicit_state(entry, names[-1], d))
             else:
                 raise ValidationError(f"states[{i}]: expected a name or an object with 'matrix'")
+            if names[-1] in names[:-1]:
+                raise ValidationError(f"states: {names[-1]!r} is given twice")
         return _States(tuple(names), matrices=tuple(matrices))
     raise ValidationError("states: expected a generator object or a list")
 
@@ -592,10 +594,15 @@ def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) 
 
 def _check_second_law(sc: Scenario, tol: float) -> dict:
     sc.scheme.batch.require_free(tol)
-    reports = sc.audit.second_law_reports(tol)
-    rows = [{"work": work.to_dict(), "second_law": law.to_dict()} for law, work in reports]
-    worst = min(law.prop1_slack for law, _ in reports)
-    return _per_state(sc, rows, "worst_prop1_slack", worst, all(law.verdict for law, _ in reports))
+    audit = sc.audit
+    [works], [laws] = audit.named_rows(WORK_COLUMNS), audit.named_rows(LAW_COLUMNS)
+    verdicts = audit.second_law_verdicts(tol)[0].tolist()
+    rows = [
+        {"work": {**work, "beta": audit.beta}, "second_law": {**law, "tol": tol, "verdict": ok}}
+        for work, law, ok in zip(works, laws, verdicts)
+    ]
+    worst = min(law["prop1_slack"] for law in laws)
+    return _per_state(sc, rows, "worst_prop1_slack", worst, all(verdicts))
 
 
 def _check_joint_observable(sc: Scenario, tol: float) -> dict:
@@ -659,7 +666,8 @@ def _check_skew_chain(sc: Scenario, tol: float) -> dict:
 
 
 def _check_heat_duality(sc: Scenario, tol: float) -> dict:
-    rows = [vars(report) for report in sc.audit.heat_reports()]
+    [named] = sc.audit.named_rows(("heat", "eq5_identity_defect"))
+    rows = [{"heat": r["heat"], "duality_defect": r["eq5_identity_defect"]} for r in named]
     worst = max(r["duality_defect"] for r in rows)
     return _per_state(sc, rows, "worst_duality_defect", worst, worst <= tol)
 
@@ -880,15 +888,14 @@ def chunk_size(template: Scenario) -> int:
     Per point, the largest stacked arrays are the dilation of its
     interaction and each outcome's Kraus operators before pruning (``k D²``
     complex entries for ``k`` interaction Kraus operators on the joint
-    dimension ``D``), the outputs of its instrument on its ``n`` states
-    (``n_outcomes n d_s²``) and the probe states after them (``n d_a²``);
-    every other intermediate is at most one of these.
+    dimension ``D``) and the outputs of its instrument on its ``n`` states
+    (``n_outcomes n d_s²``); every other intermediate is at most one of these.
     """
     d_s, d_a = template.system_hamiltonian.shape[0], template.probe_hamiltonian.shape[0]
     scheme, n = template.scheme_spec, len(template.state_spec.names)
     k = scheme.mixture_size if scheme.fixed is None else len(scheme.fixed.interaction.kraus)
     n_outcomes = scheme.frame.pointer.n_outcomes
-    point_bytes = 16 * max(k * (d_s * d_a) ** 2, n_outcomes * n * d_s**2, n * d_a**2)
+    point_bytes = 16 * max(k * (d_s * d_a) ** 2, n_outcomes * n * d_s**2)
     return max(1, CHUNK_BYTES // point_bytes)
 
 

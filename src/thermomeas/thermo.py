@@ -14,13 +14,19 @@ scheme of a :class:`SchemeBatch` on its own states, for a sweep chunk, a
 lone scenario and a single scheme alike, and :meth:`AuditBatch.of_instrument`
 audits a bare instrument as a batch of one point; the single-state
 functions read either on one state. Each per-state quantity is a batch
-property named as the report field that carries it, and every report is
-built by keyword from those arrays, so a check derives only what it reads.
-A quantity a report carries has no function of its own: the average
-extractable work and the Groenewold gain of one state are the
-:func:`work_report` fields of those names.
-Each second-law verdict, of one state or of a whole batch, is
-:meth:`AuditBatch.second_law_verdicts`.
+property named as the report field that carries it, and
+:meth:`AuditBatch.named_rows` reads them by name, state by state: the
+state checks and a sweep read their rows as the same named columns, and a
+single-state function builds its one report from its one row, so a caller
+derives only what it reads. A quantity a report carries has no function of
+its own: the average extractable work and the Groenewold gain of one state
+are the :func:`work_report` fields of those names. Each second-law verdict,
+of one state or of a whole batch, is :meth:`AuditBatch.second_law_verdicts`.
+
+The heat drawn from the probe, ``Q = tr[H_A (xi - Lambda(rho))]``, is
+linear in ``rho``: it is ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, read off one
+``d_s x d_s`` operator ``Lambda*(H_A)`` per scheme, so the conjugate channel
+never acts on a state.
 
 The second law's energy balance is one residual per state, ``|Q_sys - Q|``,
 the scheme's energy conservation on it: ``|tr[(Phi*(H_tot) - H_tot)(rho (x)
@@ -49,7 +55,7 @@ from .linalg import (
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument, _sandwich, gibbs_log_weights
+from .objects import Instrument, _gram, _sandwich, gibbs_log_weights
 from .schemes import MeasurementScheme, SchemeBatch, SchemeFrame
 
 
@@ -200,16 +206,19 @@ class AuditBatch:
     every point and needed only by the quantities that use them; a quantity
     without its input is refused with a :class:`PreconditionError`. An
     audit of schemes, made by :meth:`of_schemes`, also holds the
-    :class:`SchemeFrame` every point's scheme is on as ``frame`` and the
-    ``(P, k', d_a, d)`` Kraus stack of their conjugate channels as
-    ``conjugates``; the frame then supplies the Gibbs data, the Gibbs
-    outcome probabilities (off its pointer) and, with the conjugates, the
-    probe-side heat.
+    :class:`SchemeFrame` every point's scheme is on as ``frame`` and, as
+    ``dual_probe_hamiltonian``, the ``(P, d, d)`` stack of ``Lambda*(H_A)``,
+    the probe Hamiltonian under the dual of each point's conjugate channel;
+    the frame then supplies the Gibbs data, the Gibbs outcome probabilities
+    (off its pointer) and, with that stack, the probe-side heat
+    ``tr[H_A xi] - tr[rho Lambda*(H_A)]``.
 
     Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
-    stack once; every quantity is derived from those outputs on its first
-    use and kept, so the second law, heat duality and the skew chain read
-    one shared record and a caller pays only for what it reads.
+    stack once, and nothing else is; every quantity is derived from those
+    outputs on its first use and kept, so the second law, heat duality and
+    the skew chain read one shared record and a caller pays only for what
+    it reads. :meth:`named_rows` is the one way from these arrays to a
+    per-state row, for a check's report as for a sweep's CSV.
     """
 
     outcomes: tuple
@@ -219,19 +228,21 @@ class AuditBatch:
     hamiltonian: np.ndarray = None
     beta: float = None
     frame: SchemeFrame = None
-    conjugates: np.ndarray = None
+    dual_probe_hamiltonian: np.ndarray = None
 
     @classmethod
     def of_schemes(cls, schemes: SchemeBatch, states):
         """Each scheme of ``schemes`` on its own states, a validated ``(P, n, d, d)``
         stack of the system's dimension: the induced instruments, then the
-        conjugate channels, are validated for all points at once."""
+        conjugate channels, are validated for all points at once, and each
+        conjugate channel's dual is taken once, on the probe Hamiltonian."""
         frame = schemes.frame
         _require_dimension(frame.dim_system, "scheme", states=states)
         kraus_sets, _, effects = schemes.instrument_stacks
+        dual = _gram(schemes.conjugate_kraus, frame.probe_hamiltonian)
         return cls(
             frame.pointer.outcomes, kraus_sets, effects, states, frame.system_hamiltonian,
-            frame.beta, frame, schemes.conjugate_kraus,
+            frame.beta, frame, dual,
         )
 
     @classmethod
@@ -326,10 +337,13 @@ class AuditBatch:
 
     @cached_property
     def probe_heat(self) -> np.ndarray:
-        """Decrease of the probe's expected energy when the scheme acts on each state."""
+        """Decrease of the probe's expected energy when the scheme acts on each state,
+        ``tr[H_A xi] - tr[rho Lambda*(H_A)]``."""
         frame = _given(self.frame, "scheme")
-        change = frame.probe_state.matrix - _sandwich(self.conjugates, self.states)
-        return np.einsum("ij,pnji->pn", frame.probe_hamiltonian, change).real
+        before = np.trace(frame.probe_hamiltonian @ frame.probe_state.matrix).real
+        dual = self.dual_probe_hamiltonian.swapaxes(-1, -2)[:, None]
+        # one sum per state, so each point derives the same bits in any batch
+        return before - (self.states * dual).sum(axis=(-2, -1)).real
 
     @cached_property
     def skew_chain(self) -> np.ndarray:
@@ -389,27 +403,6 @@ class AuditBatch:
             & holds(self.heat_bound_slack, g, q)
         )
 
-    def work_reports(self) -> list:
-        """One :class:`WorkReport` per point and state, point by point; its heat
-        is probe-side with a scheme and system-side without."""
-        rows = self.named_rows(WORK_COLUMNS)
-        return [WorkReport(**row, beta=self.beta) for point in rows for row in point]
-
-    def heat_reports(self) -> list:
-        """One :class:`HeatReport` per point and state: the probe-side heat and, as
-        its ``duality_defect``, the :attr:`eq5_identity_defect`."""
-        rows = self.named_rows(("eq5_identity_defect", "heat"))
-        pairs = ((row["heat"], row["eq5_identity_defect"]) for point in rows for row in point)
-        return [HeatReport(heat=heat, duality_defect=defect) for heat, defect in pairs]
-
-    def second_law_reports(self, tol: float = THEOREM_TOL) -> list:
-        """``(SecondLawReport, WorkReport)`` per point and state, point by point; the
-        caller refuses a point whose scheme is not free, as :func:`second_law_report` does."""
-        verdicts = self.second_law_verdicts(tol).ravel().tolist()
-        rows = [row for point in self.named_rows(LAW_COLUMNS) for row in point]
-        laws = [SecondLawReport(**row, tol=tol, verdict=ok) for row, ok in zip(rows, verdicts)]
-        return list(zip(laws, self.work_reports()))
-
 
 def _one_state(rho) -> np.ndarray:
     """A validated density matrix as a stack of one."""
@@ -455,7 +448,9 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
 
 def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
     """The probe's energy loss to the system on ``rho``, and the energy-balance residual."""
-    return AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None]).heat_reports()[0]
+    audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
+    [[row]] = audit.named_rows(("heat", "eq5_identity_defect"))
+    return HeatReport(heat=row["heat"], duality_defect=row["eq5_identity_defect"])
 
 
 def skew_information(hamiltonian, rho) -> float:
@@ -494,7 +489,9 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     """
     beta = require_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    return AuditBatch.of_instrument(instrument, _one_state(rho), h, beta).work_reports()[0]
+    audit = AuditBatch.of_instrument(instrument, _one_state(rho), h, beta)
+    [[row]] = audit.named_rows(WORK_COLUMNS)
+    return WorkReport(**row, beta=beta)
 
 
 def second_law_report(
@@ -510,4 +507,6 @@ def second_law_report(
     """
     audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
     scheme.batch.require_free(tol)
-    return audit.second_law_reports(tol)[0]
+    [[work]], [[law]] = audit.named_rows(WORK_COLUMNS), audit.named_rows(LAW_COLUMNS)
+    verdict = bool(audit.second_law_verdicts(tol)[0, 0])
+    return SecondLawReport(**law, tol=tol, verdict=verdict), WorkReport(**work, beta=audit.beta)

@@ -14,20 +14,56 @@ reference draws one block unitary at a time, by its own QR, and sums each
 mixture term over the energy blocks, as the library did before it drew
 them in one batch. The sweep-row reference reads a grid point's row off
 the check results of that point run alone, as the sweep did before it read
-its rows off a chunk's stacked arrays. The random diagonal Hamiltonian is
-a test input, drawn here because the library has no use for it.
+its rows off a chunk's stacked arrays. The random diagonal Hamiltonian,
+the partial trace and the spectral time evolution are test tools, kept
+here because the library has no use for them.
 """
 
 import numpy as np
 
+from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     CLUSTER_TOL,
     SUPPORT_TOL,
     as_matrix,
     cluster_indices,
-    partial_trace,
+    dag,
     relative_entropy,
+    require_hermitian,
 )
+
+
+def partial_trace(m, dims, keep) -> np.ndarray:
+    """Trace out one factor of a bipartite operator.
+
+    Parameters
+    ----------
+    m : matrix on the product space, dimension ``dims[0] * dims[1]``.
+    dims : pair ``(d_system, d_probe)``.
+    keep : ``"system"``/``0`` to keep the first factor, ``"probe"``/``1``
+        to keep the second.
+    """
+    mat = as_matrix(m)
+    d_s, d_a = int(dims[0]), int(dims[1])
+    if mat.shape != (d_s * d_a, d_s * d_a):
+        raise ValidationError(
+            f"partial trace expected a {d_s * d_a} x {d_s * d_a} matrix for dims {dims}, "
+            f"got shape {mat.shape}"
+        )
+    t = mat.reshape(d_s, d_a, d_s, d_a)
+    tag = {0: 0, 1: 1, "system": 0, "probe": 1}.get(keep)
+    if tag is None:
+        raise ValidationError(f"keep must be 'system', 'probe', 0 or 1, got {keep!r}")
+    if tag == 0:
+        return np.einsum("iaja->ij", t)
+    return np.einsum("iaib->ab", t)
+
+
+def time_evolution(hamiltonian, t: float) -> np.ndarray:
+    """Unitary ``exp(-i t H)`` computed spectrally."""
+    h = require_hermitian(hamiltonian, name="hamiltonian")
+    evals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * t * evals)) @ dag(vecs)
 
 
 def evolved_joint_state(scheme, rho):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import liouville_covariance_defect
+from oracles import liouville_covariance_defect, time_evolution
 from test_schemes import SPECTRA, build_scheme, scheme_inputs
 from thermomeas.classify import (
     COVARIANCE_SAMPLE_TIMES,
@@ -26,7 +26,6 @@ from thermomeas.objects import (
     Observable,
     gibbs_state,
     spectral_observable,
-    time_evolution,
 )
 from thermomeas.sampling import (
     haar_unitary,

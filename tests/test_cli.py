@@ -145,6 +145,31 @@ class TestCheckCommand:
         assert result.stdout == ""
         assert json.loads(result.stderr)["error"] == "checks: 'second_law' is listed twice"
 
+    @pytest.mark.parametrize(
+        "states,name",
+        [
+            (["gibbs", "ground", "gibbs"], "gibbs"),
+            ([{"name": "a", "matrix": [[1, 0], [0, 0]]},
+              {"name": "a", "matrix": [[0, 0], [0, 1]]}], "a"),
+            (["gibbs", {"name": "gibbs", "matrix": [[1, 0], [0, 0]]}], "gibbs"),
+            ([{"matrix": [[1, 0], [0, 0]]}, {"name": "state_0", "matrix": [[0, 0], [0, 1]]}],
+             "state_0"),
+        ],
+        ids=["named", "explicit", "explicit_as_named", "explicit_as_default"],
+    )
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_a_state_name_given_twice_exits_two(self, tmp_path, states, name, command):
+        # a per-state row, and a sweep row's worst state, must name one state
+        scenario = dict(SCENARIO_PASS, states=states)
+        if command == "sweep":
+            scenario = {"axis": {"name": "seed", "range": [0, 1]}, "scenario": scenario}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(scenario))
+        result = cli(command, str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"] == f"states: {name!r} is given twice"
+
     def test_jobs_flag_is_gone(self, scenario_file):
         assert cli("check", "--jobs", "2", str(scenario_file)).returncode == 2
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import partial_trace
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     commutator_defect,
@@ -13,7 +14,6 @@ from thermomeas.linalg import (
     eig_hermitian,
     frobenius_each,
     logsumexp,
-    partial_trace,
     psd_sqrt,
     relative_entropy,
     require_hermitian,

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dual_action, operation_effect
+from oracles import dual_action, operation_effect, partial_trace, time_evolution
 from thermomeas.errors import ValidationError
-from thermomeas.linalg import partial_trace
 from thermomeas.objects import (
     Instrument,
     KrausChannel,
@@ -22,7 +21,6 @@ from thermomeas.objects import (
     is_bistochastic,
     pure_state,
     spectral_observable,
-    time_evolution,
 )
 from thermomeas.sampling import (
     ginibre,

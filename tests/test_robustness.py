@@ -495,6 +495,9 @@ class TestAcrossTemperature:
             report = run_scenario(raw)
         except (ValidationError, PreconditionError) as refusal:
             assert str(refusal).strip(), "a refusal must name its defect"
+            # every drawn scheme is free by construction, so refusing it as
+            # not free is a numerical failure, not a refusal of bad input
+            assert "not thermodynamically free" not in str(refusal)
             return
         assert [c["name"] for c in report.checks if not c["verdict"]] == []
 

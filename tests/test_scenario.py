@@ -566,14 +566,14 @@ class TestRunScenario:
         assert report.verdict
         assert report.checks[1]["n_states"] == 20
         # one dilation, shared by the instrument and the conjugate channel; the
-        # states meet the instrument and the conjugate only in the audit, and
-        # outside it only the interaction acts, on the joint Gibbs state
+        # states meet the instrument only in the audit, and outside it only the
+        # interaction acts, on the joint Gibbs state
         assert counts == {"dilation": 1, "moment": 4, "audit": 1, "instrument_apply": 0}
         assert other_sandwiches == [(9, 9)]
-        # each outcome's Kraus stack and the conjugate channel meet the
-        # 20-state stack once, in one application each, as a batch of one point
+        # only each outcome's Kraus stack meets the 20-state stack, once, as a
+        # batch of one point; the conjugate channel's heat is read off its dual
         scheme = parsed[0].scheme
-        expected = (*scheme.instrument.kraus_sets, schemes.conjugate_channel(scheme).kraus)
+        expected = scheme.instrument.kraus_sets
         assert [shape for _, shape in sandwiches] == [(1, 20, 3, 3)] * len(expected)
         for (ks, _), want in zip(sandwiches, expected):
             assert np.array_equal(ks, want[None])

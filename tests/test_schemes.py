@@ -12,6 +12,7 @@ from oracles import (
     direct_instrument_action,
     direct_probe_state,
     liouville_covariance_defect,
+    time_evolution,
 )
 from thermomeas import schemes
 from thermomeas.errors import PreconditionError, ValidationError
@@ -23,7 +24,6 @@ from thermomeas.objects import (
     _from_validated,
     gibbs_state,
     spectral_observable,
-    time_evolution,
 )
 from thermomeas.sampling import (
     haar_unitary,

@@ -20,7 +20,7 @@ from oracles import dilation_relative_entropy, energy_changes
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL, THEOREM_TOL
 from thermomeas.objects import spectral_observable
-from thermomeas.sampling import random_density_matrix_stacks, rng_from_seed
+from thermomeas.sampling import haar_unitary, random_density_matrix_stacks, rng_from_seed
 from thermomeas.schemes import SchemeFrame, random_free_scheme
 from thermomeas.thermo import (
     LAW_COLUMNS,
@@ -42,6 +42,11 @@ DIMS = [(d_s, d_a) for d_s in (2, 3, 4) for d_a in (2, 3, 4)]
 
 def close(a, b) -> bool:
     return abs(a - b) <= AGREEMENT * max(1.0, abs(a), abs(b))
+
+
+def values(report, columns) -> list:
+    """The fields ``columns`` of ``report``, in that order."""
+    return [getattr(report, c) for c in columns]
 
 
 @st.composite
@@ -91,25 +96,25 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
     scheme, states = build(*inputs)
     h, beta, instrument = scheme.frame.system_hamiltonian, scheme.frame.beta, scheme.instrument
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
-    laws = audit.second_law_reports()
-    heats = audit.heat_reports()
+    [rows] = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
+    verdicts = audit.second_law_verdicts(THEOREM_TOL)[0]
     selective, convexity = audit.skew_chain[0]
     plain = AuditBatch.of_instrument(instrument, states, h, beta)
-    plain_work = plain.work_reports()
+    [plain_rows] = plain.named_rows(WORK_COLUMNS)
 
     tau = scheme.frame.system_gibbs
     q = instrument.induced_observable.probabilities(tau)
     oracle_exact = q.min() * tau.matrix.diagonal().real.min() > SUPPORT_TOL
     for i, rho in enumerate(states):
         law, work = second_law_report(scheme, rho)
-        assert all(map(close, laws[i][0].to_dict().values(), law.to_dict().values()))
-        assert laws[i][0].verdict == law.verdict
-        assert all(map(close, laws[i][1].to_dict().values(), work.to_dict().values()))
-        assert all(map(close, plain_work[i].to_dict().values(),
-                       work_report(instrument, rho, h, beta).to_dict().values()))
+        assert all(map(close, values(law, LAW_COLUMNS), [rows[i][c] for c in LAW_COLUMNS]))
+        assert verdicts[i] == law.verdict
+        assert all(map(close, values(work, WORK_COLUMNS), [rows[i][c] for c in WORK_COLUMNS]))
+        assert all(map(close, plain_rows[i].values(),
+                       values(work_report(instrument, rho, h, beta), WORK_COLUMNS)))
         single_heat = heat_absorbed(scheme, rho)
-        assert close(heats[i].heat, single_heat.heat)
-        assert close(heats[i].duality_defect, single_heat.duality_defect)
+        assert close(rows[i]["heat"], single_heat.heat)
+        assert close(rows[i]["eq5_identity_defect"], single_heat.duality_defect)
         single_chain = skew_information_chain(instrument, rho, h)
         assert close(selective[i], single_chain[0]) and close(convexity[i], single_chain[1])
         assert close(audit.extractable_work[0, i], extractable_work(rho, h, beta))
@@ -163,8 +168,8 @@ def precondition_audit(without) -> AuditBatch:
 @pytest.mark.parametrize(
     "without,quantity,named",
     [
-        (["scheme"], lambda audit: audit.second_law_reports(), "scheme"),
-        (["scheme"], lambda audit: audit.heat_reports(), "scheme"),
+        (["scheme"], lambda audit: audit.named_rows(LAW_COLUMNS), "scheme"),
+        (["scheme"], lambda audit: audit.named_rows(("heat", "eq5_identity_defect")), "scheme"),
         (["scheme"], lambda audit: audit.probe_heat, "scheme"),
         (["scheme"], lambda audit: audit.prop1_slack, "scheme"),
         (["scheme"], lambda audit: audit.eq5_identity_defect, "scheme"),
@@ -172,14 +177,14 @@ def precondition_audit(without) -> AuditBatch:
         (["scheme"], lambda audit: audit.heat_bound_slack, "scheme"),
         (["scheme"], lambda audit: audit.second_law_verdicts(1e-8), "scheme"),
         (["scheme", "beta"], lambda audit: audit.extractable_work, "beta"),
-        (["scheme", "beta"], lambda audit: audit.work_reports(), "beta"),
+        (["scheme", "beta"], lambda audit: audit.named_rows(WORK_COLUMNS), "beta"),
         (["scheme", "hamiltonian"], lambda audit: audit.system_heat, "Hamiltonian"),
         (["scheme", "hamiltonian"], lambda audit: audit.skew_chain, "Hamiltonian"),
     ],
     ids=[
-        "second_law_reports", "heat_reports", "probe_heat", "prop1_slack", "eq5_identity_defect",
+        "law_rows", "heat_duality_rows", "probe_heat", "prop1_slack", "eq5_identity_defect",
         "eq5_bound_slack", "heat_bound_slack", "second_law_verdicts", "extractable_work",
-        "work_reports", "system_heat", "skew_chain",
+        "work_rows", "system_heat", "skew_chain",
     ],
 )
 def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, named):
@@ -192,11 +197,11 @@ def test_the_reports_hold_the_named_columns():
     scheme, states = build(3, 2, 1.0, 5, 2, 3, 2, [0, 1, 2, 3, 4])
     audit = AuditBatch.of_schemes(scheme.batch, states[None])
     [rows] = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
-    for i, (row, (law, work)) in enumerate(zip(rows, audit.second_law_reports())):
-        named = [getattr(work, c) for c in WORK_COLUMNS] + [getattr(law, c) for c in LAW_COLUMNS]
-        assert named == list(row.values())
+    for i, row in enumerate(rows):
         assert list(row) == [*WORK_COLUMNS, *LAW_COLUMNS]
-        assert named == [getattr(audit, c)[0, i] for c in row]
+        assert list(row.values()) == [getattr(audit, c)[0, i] for c in row]
+        law, work = second_law_report(scheme, states[i])
+        assert all(map(close, values(work, WORK_COLUMNS) + values(law, LAW_COLUMNS), row.values()))
     plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.frame.system_hamiltonian, 1.0)
     assert [list(row) for row in plain.named_rows(WORK_COLUMNS)[0]] == [list(WORK_COLUMNS)] * 5
     for column in LAW_COLUMNS:
@@ -208,10 +213,7 @@ def test_the_reports_hold_the_named_columns():
 @settings(max_examples=15, deadline=None)
 def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
     scheme, states = build(*inputs)
-    schemes = scheme.batch
-    audit = AuditBatch.of_schemes(schemes, states[None])
-    plain = AuditBatch.of_instrument(scheme.instrument, states, scheme.frame.system_hamiltonian,
-                                     scheme.frame.beta)
+    schemes, h, beta = scheme.batch, scheme.frame.system_hamiltonian, scheme.frame.beta
 
     def same(report, batch, index, renamed={}):
         """Each field of ``report`` but the scalars every entry shares is the batch array
@@ -221,15 +223,18 @@ def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
                 name = renamed.get(field.name, field.name)
                 assert bits(getattr(report, field.name)) == bits(getattr(batch, name)[index])
 
-    for i, (law, work) in enumerate(audit.second_law_reports()):
-        same(law, audit, (0, i))
-        same(work, audit, (0, i))
-        assert law.verdict == audit.second_law_verdicts(THEOREM_TOL)[0, i]
-        assert (work.beta, law.tol) == (scheme.frame.beta, THEOREM_TOL)
-    for i, work in enumerate(plain.work_reports()):
-        same(work, plain, (0, i))
-    for i, heat in enumerate(audit.heat_reports()):
-        same(heat, audit, (0, i), renamed={"duality_defect": "eq5_identity_defect"})
+    # a single-state report is the one row of that state's audit
+    for rho in states:
+        audit = AuditBatch.of_schemes(schemes, rho[None, None])
+        plain = AuditBatch.of_instrument(scheme.instrument, rho[None], h, beta)
+        law, work = second_law_report(scheme, rho)
+        same(law, audit, (0, 0))
+        same(work, audit, (0, 0))
+        assert law.verdict == audit.second_law_verdicts(THEOREM_TOL)[0, 0]
+        assert (work.beta, law.tol) == (beta, THEOREM_TOL)
+        same(work_report(scheme.instrument, rho, h, beta), plain, (0, 0))
+        renamed = {"duality_defect": "eq5_identity_defect"}
+        same(heat_absorbed(scheme, rho), audit, (0, 0), renamed=renamed)
     free = schemes.free_report(0)
     same(free, schemes, 0)
     assert free.yanase_defect == schemes.frame.yanase_defect
@@ -279,3 +284,46 @@ def test_the_audit_keeps_the_energy_balance_relations(inputs):
     assert (np.abs((eq5 - prop1) - (avg_w - w - heat - gain / beta)) <= scale).all()
     assert (np.abs((heat_bound - eq5) - divergence / beta) <= scale).all()
     assert (divergence >= -BALANCE_ULPS * np.finfo(float).eps).all()
+
+
+#: Round-off allowance of the probe-side heat, in units of ``u`` times the joint
+#: dimension and the largest probe energy: each side sums ``d_s d_a`` products.
+HEAT_ULPS = 4
+
+
+@st.composite
+def rotated_frames(draw):
+    """``(frame, seed, mixture_size)``: system and probe of unequal dimensions, with
+    levels on one integer ladder of a drawn gap (so the total spectrum is degenerate
+    and the interaction not just a phase), each Hamiltonian Haar-rotated, and a
+    sharp pointer on the probe's rotated energy levels."""
+    d_s, d_a = draw(st.sampled_from([(d_s, d_a) for d_s, d_a in DIMS if d_s != d_a]))
+    gap = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    rng = rng_from_seed(draw(st.integers(min_value=0, max_value=10_000)))
+
+    def rotated(dim):
+        levels = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+        u = haar_unitary(dim, rng)
+        h = (u * (gap * np.array(levels, dtype=float))) @ u.conj().T
+        return (h + h.conj().T) / 2
+
+    h_s, h_a = rotated(d_s), rotated(d_a)
+    beta = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) / gap
+    frame = SchemeFrame(h_s, h_a, beta, spectral_observable(h_a))
+    return frame, draw(st.integers(min_value=0, max_value=10_000)), draw(st.integers(1, 3))
+
+
+@given(drawn=rotated_frames())
+@settings(max_examples=40, deadline=None)
+def test_probe_heat_is_the_literal_probe_energy_change(drawn):
+    # tr[H_A xi] - tr[rho Lambda*(H_A)] against tr[H_A (xi - tr_S E(rho (x) xi))],
+    # the joint state evolved by the interaction's Kraus operators one at a time
+    frame, seed, mixture_size = drawn
+    scheme = random_free_scheme(frame, seed, mixture_size)
+    d_s, d_a = frame.dim_system, frame.dim_probe
+    states = random_density_matrix_stacks(d_s, 4, [rng_from_seed(seed + 1)])[0]
+    heat = AuditBatch.of_schemes(scheme.batch, states[None]).probe_heat[0]
+    oracle = np.array([energy_changes(scheme, rho)[1] for rho in states])
+    energy = np.abs(np.linalg.eigvalsh(frame.probe_hamiltonian)).max()
+    budget = HEAT_ULPS * np.finfo(float).eps * d_s * d_a * energy
+    assert np.abs(heat - oracle).max() <= budget

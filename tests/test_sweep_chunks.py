@@ -283,7 +283,7 @@ def held_bytes(chunk) -> dict:
     held = {
         "interactions": batch.kraus,
         "dilation": batch.dilation[0],
-        "conjugates": batch.conjugate_kraus,
+        "conjugates": audit.dual_probe_hamiltonian,
         "states": audit.states,
         "outputs": audit.outputs,
     }
@@ -385,10 +385,11 @@ def test_the_named_quantities_are_derived_once_per_chunk(monkeypatch):
     assert run_sweep(sweep)[1]
     # eight points, three chunks: one derivation per chunk, none per point
     assert len(chunks) == 3 and counts == dict.fromkeys(thermo.LAW_COLUMNS, 3)
-    # the heat reports read the residual the chunk derived
+    # the heat duality's rows read the residual the chunk derived
     audit = chunks[0][1]
     for _ in range(3):
-        assert len(audit.heat_reports()) == audit.eq5_identity_defect.size
+        rows = audit.named_rows(("heat", "eq5_identity_defect"))
+        assert sum(map(len, rows)) == audit.eq5_identity_defect.size
     assert counts == dict.fromkeys(thermo.LAW_COLUMNS, 3)
 
 
