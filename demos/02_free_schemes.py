@@ -19,7 +19,7 @@ rng = rng_from_seed(1)
 # system, interaction = unitary swap, pointer = the observable itself.
 observable = random_commuting_povm(H, 3, rng)
 swap_scheme = tm.trivial_scheme(observable, H, BETA)
-print("swap scheme report:", tm.validate_free_scheme(swap_scheme).to_dict())
+print("swap scheme report:", tm.validate_free_scheme(swap_scheme))
 
 # Its instrument thermalises: every output is tr[E_x rho] * tau_beta.
 instrument = tm.induced_instrument(swap_scheme)
@@ -44,7 +44,7 @@ except tm.PreconditionError as err:
 # mixes Haar-random block unitaries; everything follows from the seed.
 pointer = tm.spectral_observable(H)
 scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, pointer), seed=7, mixture_size=3)
-print("\nrandom scheme report:", tm.validate_free_scheme(scheme).to_dict())
+print("\nrandom scheme report:", tm.validate_free_scheme(scheme))
 
 induced = tm.induced_instrument(scheme)
 E = induced.induced_observable

@@ -23,17 +23,17 @@ luders = tm.Instrument.luders(energy)
 diag = tm.work_report(luders, tau, H, BETA)
 q = energy.probabilities(tau)
 print("collapse measurement on tau:")
-print(f"  extractable work without measurement: {diag.extractable_work:.6f}")
-print(f"  average extractable work with feedback: {diag.average_extractable_work:.6f}")
+print(f"  extractable work without measurement: {diag['extractable_work']:.6f}")
+print(f"  average extractable work with feedback: {diag['average_extractable_work']:.6f}")
 print(f"  Shannon entropy / beta: {-(q * np.log(q)).sum() / BETA:.6f}")
 print("  -> heat converted to work, so this instrument cannot be free.\n")
 
 # --- the same question for a free measurement ----------------------------------
 scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, energy), seed=11, mixture_size=3)
-law, work = tm.second_law_report(scheme, tau)
+row = tm.second_law_report(scheme, tau)
 print("free measurement on tau:")
-print(f"  average extractable work: {work.average_extractable_work:.2e} (nothing)")
-print(f"  verdict: {law.verdict}\n")
+print(f"  average extractable work: {row['work']['average_extractable_work']:.2e} (nothing)")
+print(f"  verdict: {row['second_law']['verdict']}\n")
 
 # Away from equilibrium the demon may extract work, but never more than the
 # no-measurement benchmark minus the divergence penalty:
@@ -41,24 +41,27 @@ rng = rng_from_seed(3)
 print("free measurement on random states (W >= D/beta + <W>):")
 for _ in range(5):
     rho = random_density_matrix(2, rng)
-    law, work = tm.second_law_report(scheme, rho)
+    row = tm.second_law_report(scheme, rho)
+    work, law = row["work"], row["second_law"]
     print(
-        f"  W = {work.extractable_work:.4f}  <W> = {work.average_extractable_work:.4f}  "
-        f"D/beta = {work.outcome_divergence / BETA:.4f}  slack = {law.prop1_slack:.4f}  "
-        f"ok = {law.verdict}"
+        f"  W = {work['extractable_work']:.4f}  <W> = {work['average_extractable_work']:.4f}  "
+        f"D/beta = {work['outcome_divergence'] / BETA:.4f}  slack = {law['prop1_slack']:.4f}  "
+        f"ok = {law['verdict']}"
     )
 
 # --- heat and information gain --------------------------------------------------
 ground = tm.pure_state([1.0, 0.0])
-law, work = tm.second_law_report(scheme, ground)
+row = tm.second_law_report(scheme, ground)
+work, law = row["work"], row["second_law"]
 heat = tm.heat_absorbed(scheme, ground)
 print("\nground-state input:")
-print(f"  heat absorbed from the probe: {work.heat:.4f} (duality defect {heat.duality_defect:.1e})")
-print(f"  information gain: {work.groenewold_gain:.4f} (negative: conditionals are mixed)")
-print(f"  heat bound Q <= -I/beta holds with slack {law.heat_bound_slack:.4f}")
+print(f"  heat absorbed from the probe: {heat['heat']:.4f} "
+      f"(duality defect {heat['duality_defect']:.1e})")
+print(f"  information gain: {work['groenewold_gain']:.4f} (negative: conditionals are mixed)")
+print(f"  heat bound Q <= -I/beta holds with slack {law['heat_bound_slack']:.4f}")
 
 # Asymmetry (coherence with respect to H) can only decrease on average:
 plus = tm.pure_state([1.0, 1.0])
-selective, convexity = tm.skew_information_chain(tm.induced_instrument(scheme), plus, H)
-print(f"\nskew-information monotonicity on |+>: selective slack {selective:.4f}, "
-      f"convexity slack {convexity:.4f}")
+chain = tm.skew_information_chain(tm.induced_instrument(scheme), plus, H)
+print(f"\nskew-information monotonicity on |+>: selective slack {chain['selective_slack']:.4f}, "
+      f"convexity slack {chain['convexity_slack']:.4f}")

@@ -18,7 +18,6 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .objects import (
-    BistochasticReport,
     Instrument,
     KrausChannel,
     Observable,
@@ -26,12 +25,10 @@ from .objects import (
     choi_of_operation,
     choi_rank,
     gibbs_state,
-    is_bistochastic,
     pure_state,
     spectral_observable,
 )
 from .schemes import (
-    FreeSchemeReport,
     MeasurementScheme,
     SchemeFrame,
     conjugate_channel,
@@ -44,9 +41,6 @@ from .schemes import (
 )
 from .thermo import (
     AuditBatch,
-    HeatReport,
-    SecondLawReport,
-    WorkReport,
     extractable_work,
     heat_absorbed,
     outcome_divergence,
@@ -84,15 +78,12 @@ __all__ = [
     "Observable",
     "KrausChannel",
     "Instrument",
-    "BistochasticReport",
-    "is_bistochastic",
     "gibbs_state",
     "spectral_observable",
     "choi_of_operation",
     "choi_rank",
     "MeasurementScheme",
     "SchemeFrame",
-    "FreeSchemeReport",
     "validate_free_scheme",
     "induced_instrument",
     "conjugate_channel",
@@ -100,10 +91,7 @@ __all__ = [
     "random_free_scheme",
     "swap_channel",
     "energy_moment_defect",
-    "WorkReport",
-    "SecondLawReport",
     "AuditBatch",
-    "HeatReport",
     "extractable_work",
     "outcome_divergence",
     "heat_absorbed",

@@ -9,7 +9,6 @@ supports use ``SUPPORT_TOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -355,31 +354,6 @@ class KrausChannel:
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
 
 
-@dataclass(frozen=True)
-class BistochasticReport:
-    """Trace-preservation and unitality defects of a channel."""
-
-    trace_defect: float
-    unital_defect: float
-    tol: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.trace_defect <= self.tol and self.unital_defect <= self.tol
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "verdict": self.verdict}
-
-
-def is_bistochastic(channel: KrausChannel) -> BistochasticReport:
-    """Check that a channel preserves both the trace and the identity."""
-    if channel.dim_in != channel.dim_out:
-        raise ValidationError("bistochasticity is defined for square channels only")
-    ks = channel.kraus
-    trace_defect, unital_defect = _bistochastic_defects(_gram(ks), _gram(dag(ks)))
-    return BistochasticReport(float(trace_defect), float(unital_defect), VALIDATION_TOL)
-
-
 def gibbs_state(hamiltonian, beta: float) -> State:
     """Thermal state ``exp(-beta H) / tr[exp(-beta H)]``, computed spectrally."""
     return gibbs_state_from(*gibbs_log_weights(hamiltonian, require_beta(beta)))
@@ -393,11 +367,19 @@ def gibbs_state_from(log_weights: np.ndarray, vecs: np.ndarray) -> State:
 def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
     """Log-weights ``ln tau_i = -beta E_i - ln Z`` and eigenvectors of ``H``, read-only.
 
-    ``ln Z`` is a log-sum-exp, so the weights stay finite for every finite
-    beta, however small the Gibbs populations of the excited levels.
+    ``ln Z`` is a log-sum-exp, so the weights stay finite for every beta
+    whose product with the energy spread ``E_max - E_min`` is finite,
+    however small the Gibbs populations of the excited levels; a beta whose
+    product overflows is refused, naming both.
     """
     h = require_hermitian(hamiltonian, name="hamiltonian")
     evals, vecs = np.linalg.eigh(h)
+    spread = float(evals[-1]) - float(evals[0])
+    if not np.isfinite(float(beta) * spread):  # in Python floats an overflow is inf, unwarned
+        raise ValidationError(
+            f"beta = {beta:.6g} times the energy spread {spread:.6g} of the Hamiltonian "
+            f"overflows; the Gibbs weights cannot be formed"
+        )
     log_weights = -beta * (evals - evals[0])
     log_weights = log_weights - logsumexp(log_weights)
     log_weights.flags.writeable = False

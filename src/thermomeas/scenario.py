@@ -594,15 +594,10 @@ def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) 
 
 def _check_second_law(sc: Scenario, tol: float) -> dict:
     sc.scheme.batch.require_free(tol)
-    audit = sc.audit
-    [works], [laws] = audit.named_rows(WORK_COLUMNS), audit.named_rows(LAW_COLUMNS)
-    verdicts = audit.second_law_verdicts(tol)[0].tolist()
-    rows = [
-        {"work": {**work, "beta": audit.beta}, "second_law": {**law, "tol": tol, "verdict": ok}}
-        for work, law, ok in zip(works, laws, verdicts)
-    ]
+    [rows] = sc.audit.second_law_rows(tol)
+    laws = [row["second_law"] for row in rows]
     worst = min(law["prop1_slack"] for law in laws)
-    return _per_state(sc, rows, "worst_prop1_slack", worst, all(verdicts))
+    return _per_state(sc, rows, "worst_prop1_slack", worst, all(law["verdict"] for law in laws))
 
 
 def _check_joint_observable(sc: Scenario, tol: float) -> dict:
@@ -659,15 +654,13 @@ def _check_moments(sc: Scenario, tol: float) -> dict:
 
 
 def _check_skew_chain(sc: Scenario, tol: float) -> dict:
-    slacks = zip(*sc.audit.skew_chain[0].tolist())
-    rows = [{"selective_slack": s, "convexity_slack": c} for s, c in slacks]
+    [rows] = sc.audit.skew_chain_rows()
     worst = min(min(r["selective_slack"], r["convexity_slack"]) for r in rows)
     return _per_state(sc, rows, "worst_slack", worst, worst >= -tol)
 
 
 def _check_heat_duality(sc: Scenario, tol: float) -> dict:
-    [named] = sc.audit.named_rows(("heat", "eq5_identity_defect"))
-    rows = [{"heat": r["heat"], "duality_defect": r["eq5_identity_defect"]} for r in named]
+    [rows] = sc.audit.heat_duality_rows()
     worst = max(r["duality_defect"] for r in rows)
     return _per_state(sc, rows, "worst_duality_defect", worst, worst <= tol)
 
@@ -684,9 +677,7 @@ class _Check:
 
 #: Every check by name, in the order the known-checks error message lists them.
 _CHECKS = {
-    "free_scheme": _Check(
-        lambda sc, tol: sc.scheme.batch.free_report(0, tol).to_dict(), needs_scheme=True
-    ),
+    "free_scheme": _Check(lambda sc, tol: sc.scheme.batch.free_report(0, tol), needs_scheme=True),
     "second_law": _Check(_check_second_law, needs_scheme=True, needs_states=True),
     "covariant": _Check(
         lambda sc, tol: classify.is_covariant_instrument(

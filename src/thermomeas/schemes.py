@@ -17,11 +17,12 @@ shares all of it but the Gibbs data.
 
 What depends on the interaction is derived by stacked kernels with a
 leading point axis, over a :class:`SchemeBatch` of interactions on one
-frame: the freeness defects, each named as the :class:`FreeSchemeReport`
-field that carries it, and their verdicts, one dilation per batch, and from
-it the Kraus stacks of the induced instruments and of the conjugate
-channels. A :class:`MeasurementScheme` holds its frame, its interaction and
-its batch of one, and nothing is read through it: its freeness report is
+frame: the freeness defects, each named as the key of the ``free_scheme``
+row (:meth:`SchemeBatch.free_report`) that carries it, and their
+verdicts, one dilation per batch, and from it the Kraus stacks of the
+induced instruments and of the conjugate channels. A
+:class:`MeasurementScheme` holds its frame, its interaction and its batch
+of one, and nothing is read through it: its freeness row is
 ``scheme.batch.free_report(0, tol)``, its instrument and conjugate channel
 are entry 0 of the batch's stacks (:func:`induced_instrument`,
 :func:`conjugate_channel`). :func:`random_free_schemes` draws a whole batch,
@@ -35,7 +36,6 @@ standard way to obtain interesting instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -248,62 +248,6 @@ class MeasurementScheme:
         )
 
 
-def free_verdict(gibbs_probe_ok, bistochastic, energy_conservation, yanase, tol: float):
-    """Whether defects against the conditions of a free scheme are all within ``tol``.
-
-    The verdict of :class:`FreeSchemeReport`, of one scheme's scalars, and of
-    a :class:`SchemeBatch`, elementwise on arrays with a leading point axis;
-    ``energy_conservation`` holds the moment defects on its last axis.
-    """
-    return (
-        (gibbs_probe_ok & (bistochastic <= tol))
-        & np.all(np.asarray(energy_conservation) <= tol, axis=-1)
-        & (yanase <= tol)
-    )
-
-
-@dataclass(frozen=True)
-class FreeSchemeReport:
-    """Defects against the four conditions of a thermodynamically free scheme.
-
-    ``gibbs_probe_ok`` is always true (the probe state is Gibbs by
-    construction) and is recorded for completeness. Energy-conservation
-    defects are indexed by moment ``k = 1..ENERGY_MOMENTS``; moments beyond the
-    first must vanish automatically once bistochasticity and first-moment
-    conservation hold.
-    """
-
-    gibbs_probe_ok: bool
-    bistochastic_defect: float
-    energy_conservation_defects: tuple
-    yanase_defect: float
-    tol: float
-
-    @property
-    def verdict(self) -> bool:
-        return bool(
-            free_verdict(
-                self.gibbs_probe_ok, self.bistochastic_defect, self.energy_conservation_defects,
-                self.yanase_defect, self.tol,
-            )
-        )
-
-    @property
-    def worst_defect(self) -> float:
-        return max(
-            self.bistochastic_defect,
-            max(self.energy_conservation_defects),
-            self.yanase_defect,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "energy_conservation_defects": list(self.energy_conservation_defects),
-            "verdict": self.verdict,
-        }
-
-
 class SchemeBatch:
     """The schemes of one frame whose interactions are the entries of one stack.
 
@@ -346,20 +290,32 @@ class SchemeBatch:
         moments = [_moment_defect(self.kraus, hk) for hk in self.frame.energy_powers]
         return np.stack(moments, axis=-1)
 
-    def free_report(self, i: int, tol: float = THEOREM_TOL) -> FreeSchemeReport:
-        """The :class:`FreeSchemeReport` of point ``i`` at ``tol``."""
-        return FreeSchemeReport(
-            gibbs_probe_ok=True,
-            bistochastic_defect=float(self.bistochastic_defect[i]),
-            energy_conservation_defects=tuple(self.energy_conservation_defects[i].tolist()),
-            yanase_defect=self.frame.yanase_defect,
-            tol=tol,
-        )
+    def free_report(self, i: int, tol: float = THEOREM_TOL) -> dict:
+        """The ``free_scheme`` check's result for point ``i`` at ``tol``: the defects
+        against the conditions of a thermodynamically free scheme, and their verdict.
+
+        ``gibbs_probe_ok`` is always true (the probe state is Gibbs by
+        construction) and is recorded for completeness. The energy-conservation
+        defects are indexed by moment ``k = 1..ENERGY_MOMENTS``; moments beyond
+        the first must vanish automatically once bistochasticity and
+        first-moment conservation hold.
+        """
+        return {
+            "gibbs_probe_ok": True,
+            "bistochastic_defect": float(self.bistochastic_defect[i]),
+            "energy_conservation_defects": self.energy_conservation_defects[i].tolist(),
+            "yanase_defect": self.frame.yanase_defect,
+            "tol": tol,
+            "verdict": bool(self.free_verdicts(tol)[i]),
+        }
 
     def free_verdicts(self, tol: float) -> np.ndarray:
-        """The :func:`free_verdict` of every point at ``tol``, ``(P,)``."""
-        defects = self.bistochastic_defect, self.energy_conservation_defects
-        return free_verdict(True, *defects, self.frame.yanase_defect, tol)
+        """Whether each point's defects are all within ``tol``, ``(P,)``."""
+        return (
+            (self.bistochastic_defect <= tol)
+            & (self.energy_conservation_defects <= tol).all(axis=-1)
+            & (self.frame.yanase_defect <= tol)
+        )
 
     def require_free(self, tol: float) -> None:
         """Refuse, naming the worst defect of the first, a point whose scheme is not
@@ -369,9 +325,10 @@ class SchemeBatch:
         free = self.free_verdicts(tol)
         if not free.all():
             i = int(np.argmin(free))
+            moments, yanase = self.energy_conservation_defects[i], self.frame.yanase_defect
+            worst = max(self.bistochastic_defect[i], moments.max(), yanase)
             raise PreconditionError(
-                f"scheme is not thermodynamically free: worst defect "
-                f"{self.free_report(i, tol).worst_defect:.3e} > {tol:.1e}"
+                f"scheme is not thermodynamically free: worst defect {worst:.3e} > {tol:.1e}"
             )
 
     @cached_property
@@ -442,16 +399,16 @@ def _moment_defect(kraus: np.ndarray, hk: np.ndarray) -> np.ndarray:
     return frobenius_each(_dual(kraus, hk) - hk)
 
 
-def validate_free_scheme(scheme: MeasurementScheme) -> FreeSchemeReport:
-    """Measure how far a scheme is from being thermodynamically free.
+def validate_free_scheme(scheme: MeasurementScheme) -> dict:
+    """Measure how far a scheme is from being thermodynamically free: its
+    ``free_scheme`` row at ``THEOREM_TOL``, ``scheme.batch.free_report(0)``.
 
     Probe thermality holds by construction, so three defects remain:
     bistochasticity of the interaction, conservation of the total additive
     Hamiltonian (checked in the Heisenberg picture for moments
     ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
-    of a pointer effect with the probe Hamiltonian. The report's verdict is
-    at ``THEOREM_TOL``; ``scheme.batch.free_report(0, tol)`` gives it at any
-    other tol, from the same defects of the scheme's :class:`SchemeBatch`.
+    of a pointer effect with the probe Hamiltonian.
+    ``scheme.batch.free_report(0, tol)`` gives the row at any other tol.
     """
     return scheme.batch.free_report(0)
 

@@ -12,16 +12,19 @@ d)`` state stack holds each point's states for that point's instrument, and
 the stack helpers it uses. :meth:`AuditBatch.of_schemes` audits every
 scheme of a :class:`SchemeBatch` on its own states, for a sweep chunk, a
 lone scenario and a single scheme alike, and :meth:`AuditBatch.of_instrument`
-audits a bare instrument as a batch of one point; the single-state
-functions read either on one state. Each per-state quantity is a batch
-property named as the report field that carries it, and
-:meth:`AuditBatch.named_rows` reads them by name, state by state: the
-state checks and a sweep read their rows as the same named columns, and a
-single-state function builds its one report from its one row, so a caller
-derives only what it reads. A quantity a report carries has no function of
-its own: the average extractable work and the Groenewold gain of one state
-are the :func:`work_report` fields of those names. Each second-law verdict,
-of one state or of a whole batch, is :meth:`AuditBatch.second_law_verdicts`.
+audits a bare instrument as a batch of one point. Each per-state quantity
+is a batch property named as the row key that carries it, and
+:meth:`AuditBatch.named_rows` reads them by name, state by state. Each
+state check's per-state row has one builder on the batch
+(:meth:`~AuditBatch.second_law_rows`, :meth:`~AuditBatch.heat_duality_rows`,
+:meth:`~AuditBatch.skew_chain_rows`, and :meth:`~AuditBatch.work_rows` for
+the work part of the first): a check's report reads those rows, a sweep's
+CSV the same named columns, and a single-state function returns the row
+of its one state, a plain dict, so a caller derives only what it reads. A
+quantity a row carries has no function of its own: the average
+extractable work and the Groenewold gain of one state are the
+:func:`work_report` keys of those names. Each second-law verdict, of one
+state or of a whole batch, is :meth:`AuditBatch.second_law_verdicts`.
 
 The heat drawn from the probe, ``Q = tr[H_A (xi - Lambda(rho))]``, is
 linear in ``rho``: it is ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, read off one
@@ -36,7 +39,7 @@ G / beta = Q_sys`` exactly for a trace-preserving instrument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,64 +62,28 @@ from .objects import Instrument, _gram, _sandwich, gibbs_log_weights
 from .schemes import MeasurementScheme, SchemeBatch, SchemeFrame
 
 
-@dataclass(frozen=True)
-class WorkReport:
-    """The scalar thermodynamic quantities of one (instrument, state) pair.
+#: The per-state work quantities, each an :class:`AuditBatch` property of the same name.
+#: With ``beta`` they are a work row (:meth:`AuditBatch.work_rows`), and a sweep's CSV has
+#: them as columns, in this order.
+WORK_COLUMNS = (
+    "extractable_work",
+    "average_extractable_work",
+    "outcome_divergence",
+    "heat",
+    "groenewold_gain",
+)
 
-    ``heat`` is the heat absorbed by the system: probe-side when derived
-    from a scheme, system-side (energy increase of the system) when derived
-    from a bare instrument.
-    """
-
-    extractable_work: float
-    average_extractable_work: float
-    outcome_divergence: float
-    heat: float
-    groenewold_gain: float
-    beta: float
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
+#: The per-state second-law slacks and residual, each an :class:`AuditBatch` property of the
+#: same name. With ``tol`` and ``verdict`` they are a second-law row
+#: (:meth:`AuditBatch.second_law_rows`), and a sweep's CSV has them as columns after the work.
+LAW_COLUMNS = ("prop1_slack", "eq5_identity_defect", "eq5_bound_slack", "heat_bound_slack")
 
 
-@dataclass(frozen=True)
-class SecondLawReport:
-    """Slack and defect values of the second-law inequalities, and their verdict at ``tol``.
-
-    ``prop1_slack``    : extractable work minus divergence term minus average
-                         extractable work; nonnegative for thermal instruments.
-    ``eq5_identity_defect`` : the energy-balance residual ``|Q_sys - Q|``, the
-                         scheme's energy conservation on the state, whence Eq. (5).
-    ``eq5_bound_slack``: distance by which heat plus scaled information gain
-                         stays below the negative scaled divergence.
-    ``heat_bound_slack``: distance by which the heat stays below the negative
-                         scaled information gain.
-    """
-
-    prop1_slack: float
-    eq5_identity_defect: float
-    eq5_bound_slack: float
-    heat_bound_slack: float
-    tol: float
-    verdict: bool
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-#: The per-state quantities a :class:`WorkReport` and a :class:`SecondLawReport` carry,
-#: each an :class:`AuditBatch` property of the same name; a sweep's CSV has them as columns.
-WORK_COLUMNS = tuple(f.name for f in fields(WorkReport) if f.name != "beta")
-LAW_COLUMNS = tuple(f.name for f in fields(SecondLawReport) if f.name not in ("tol", "verdict"))
-
-
-@dataclass(frozen=True)
-class HeatReport:
-    """Heat absorbed by the system, probe-side, and the energy-balance residual
-    ``|Q_sys - Q|``, which :class:`SecondLawReport` holds as ``eq5_identity_defect``."""
-
-    heat: float
-    duality_defect: float
+def _rows(**columns) -> list:
+    """Per point, per state, ``{name: value}`` of the same-shaped ``(P, n)`` arrays ``columns``."""
+    names = tuple(columns)
+    stacked = np.stack(list(columns.values()), axis=-1).tolist()
+    return [[dict(zip(names, row)) for row in point] for point in stacked]
 
 
 def _diagonal(m, vecs) -> np.ndarray:
@@ -217,8 +184,8 @@ class AuditBatch:
     stack once, and nothing else is; every quantity is derived from those
     outputs on its first use and kept, so the second law, heat duality and
     the skew chain read one shared record and a caller pays only for what
-    it reads. :meth:`named_rows` is the one way from these arrays to a
-    per-state row, for a check's report as for a sweep's CSV.
+    it reads. Every per-state row, of a check's report or of a sweep's CSV,
+    is read off these arrays by one helper.
     """
 
     outcomes: tuple
@@ -362,7 +329,8 @@ class AuditBatch:
 
     @cached_property
     def prop1_slack(self) -> np.ndarray:
-        """``W - D(p || q) / beta - avg_W``; each law quantity is refused without a scheme."""
+        """``W - D(p || q) / beta - avg_W``, nonnegative for thermal instruments; each law
+        quantity is refused without a scheme."""
         beta = _given(self.frame, "scheme").beta
         return self.extractable_work - self.outcome_divergence / beta - self.average_extractable_work
 
@@ -373,18 +341,52 @@ class AuditBatch:
 
     @cached_property
     def eq5_bound_slack(self) -> np.ndarray:
+        """How far the heat plus the scaled information gain stays below the negative
+        scaled divergence, ``-D(p || q) / beta - Q - G / beta``."""
         beta = _given(self.frame, "scheme").beta
         return -self.outcome_divergence / beta - self.heat - self.groenewold_gain / beta
 
     @cached_property
     def heat_bound_slack(self) -> np.ndarray:
+        """How far the heat stays below the negative scaled information gain, ``-G / beta - Q``."""
         beta = _given(self.frame, "scheme").beta
         return -self.groenewold_gain / beta - self.heat
 
     def named_rows(self, names) -> list:
         """Per point, per state, ``{name: value}`` of the same-named quantities ``names``."""
-        rows = np.stack([getattr(self, name) for name in names], axis=-1).tolist()
-        return [[dict(zip(names, row)) for row in point] for point in rows]
+        return _rows(**{name: getattr(self, name) for name in names})
+
+    def work_rows(self) -> list:
+        """Per point, per state, the work accounting: the ``WORK_COLUMNS`` and ``beta``.
+
+        Its ``heat`` is probe-side with a scheme and system-side without.
+        """
+        rows = self.named_rows(WORK_COLUMNS)
+        return [[{**row, "beta": self.beta} for row in point] for point in rows]
+
+    def second_law_rows(self, tol: float) -> list:
+        """Per point, per state, the ``second_law`` check's row: ``{"work": ..., "second_law":
+        ...}``, a :meth:`work_rows` row and the ``LAW_COLUMNS`` with ``tol`` and the
+        :meth:`second_law_verdicts` ``verdict`` at ``tol``."""
+        laws, verdicts = self.named_rows(LAW_COLUMNS), self.second_law_verdicts(tol).tolist()
+        return [
+            [
+                {"work": work, "second_law": {**law, "tol": tol, "verdict": ok}}
+                for work, law, ok in zip(*point)
+            ]
+            for point in zip(self.work_rows(), laws, verdicts)
+        ]
+
+    def heat_duality_rows(self) -> list:
+        """Per point, per state, the ``heat_duality`` check's row: the ``heat`` and, as
+        ``duality_defect``, the energy-balance residual ``eq5_identity_defect``."""
+        return _rows(heat=self.heat, duality_defect=self.eq5_identity_defect)
+
+    def skew_chain_rows(self) -> list:
+        """Per point, per state, the ``skew_chain`` check's row: its ``selective_slack`` and
+        ``convexity_slack``, see :func:`skew_information_chain`."""
+        chain = self.skew_chain
+        return _rows(selective_slack=chain[:, 0], convexity_slack=chain[:, 1])
 
     def second_law_verdicts(self, tol: float) -> np.ndarray:
         """Whether the residual is within ``tol`` (in energy units) and each slack, in nats as
@@ -446,11 +448,11 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     return float(_outcome_divergence(observable.outcomes, p[None, :, None], log_q[None])[0, 0])
 
 
-def heat_absorbed(scheme: MeasurementScheme, rho) -> HeatReport:
-    """The probe's energy loss to the system on ``rho``, and the energy-balance residual."""
-    audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
-    [[row]] = audit.named_rows(("heat", "eq5_identity_defect"))
-    return HeatReport(heat=row["heat"], duality_defect=row["eq5_identity_defect"])
+def heat_absorbed(scheme: MeasurementScheme, rho) -> dict:
+    """The ``heat_duality`` row of ``rho``: the probe's energy loss to the system, ``heat``,
+    and the energy-balance residual ``|Q_sys - Q|``, ``duality_defect``."""
+    [[row]] = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None]).heat_duality_rows()
+    return row
 
 
 def skew_information(hamiltonian, rho) -> float:
@@ -466,21 +468,22 @@ def skew_information(hamiltonian, rho) -> float:
     return float(_skew_information(h, m))
 
 
-def skew_information_chain(instrument: Instrument, rho, system_hamiltonian):
-    """Slacks of the selective asymmetry-monotonicity chain.
+def skew_information_chain(instrument: Instrument, rho, system_hamiltonian) -> dict:
+    """The ``skew_chain`` row of ``rho``: slacks of the selective asymmetry-monotonicity chain.
 
-    Returns ``(selective_slack, convexity_slack)``: the asymmetry of the
-    input minus the summed asymmetries of the (sub-normalized) outputs, and
-    that sum minus the asymmetry of the total channel output. Both are
+    ``selective_slack`` is the asymmetry of the input minus the summed
+    asymmetries of the (sub-normalized) outputs, and ``convexity_slack`` that
+    sum minus the asymmetry of the total channel output. Both are
     nonnegative for covariant instruments.
     """
     h = require_hermitian(system_hamiltonian, name="hamiltonian")
-    selective, convexity = AuditBatch.of_instrument(instrument, _one_state(rho), h).skew_chain[0]
-    return float(selective[0]), float(convexity[0])
+    [[row]] = AuditBatch.of_instrument(instrument, _one_state(rho), h).skew_chain_rows()
+    return row
 
 
-def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) -> WorkReport:
-    """Diagnostic work accounting for an arbitrary instrument.
+def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) -> dict:
+    """Diagnostic work accounting for an arbitrary instrument: the work row of ``rho``,
+    its ``WORK_COLUMNS`` and ``beta``.
 
     No freeness is assumed and no verdict is attached; the heat entry is the
     system-side energy increase (for non-free schemes no probe-side heat is
@@ -489,24 +492,21 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     """
     beta = require_beta(beta)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    audit = AuditBatch.of_instrument(instrument, _one_state(rho), h, beta)
-    [[row]] = audit.named_rows(WORK_COLUMNS)
-    return WorkReport(**row, beta=beta)
+    [[row]] = AuditBatch.of_instrument(instrument, _one_state(rho), h, beta).work_rows()
+    return row
 
 
-def second_law_report(
-    scheme: MeasurementScheme, rho, tol: float = THEOREM_TOL
-) -> tuple[SecondLawReport, WorkReport]:
-    """Full second-law audit of a thermodynamically free scheme on one state.
+def second_law_report(scheme: MeasurementScheme, rho, tol: float = THEOREM_TOL) -> dict:
+    """Full second-law audit of a thermodynamically free scheme on one state: the
+    ``second_law`` row of ``rho``, ``{"work": ..., "second_law": ...}``.
 
     The scheme must be free at ``tol`` (:meth:`SchemeBatch.require_free`); the
     audited inequalities are theorems only for thermal instruments, so
-    non-free schemes are refused rather than scored. The work accounting is
+    non-free schemes are refused rather than scored. The work row is
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
     audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
     scheme.batch.require_free(tol)
-    [[work]], [[law]] = audit.named_rows(WORK_COLUMNS), audit.named_rows(LAW_COLUMNS)
-    verdict = bool(audit.second_law_verdicts(tol)[0, 0])
-    return SecondLawReport(**law, tol=tol, verdict=verdict), WorkReport(**work, beta=audit.beta)
+    [[row]] = audit.second_law_rows(tol)
+    return row

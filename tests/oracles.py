@@ -14,7 +14,8 @@ reference draws one block unitary at a time, by its own QR, and sums each
 mixture term over the energy blocks, as the library did before it drew
 them in one batch. The sweep-row reference reads a grid point's row off
 the check results of that point run alone, as the sweep did before it read
-its rows off a chunk's stacked arrays. The random diagonal Hamiltonian,
+its rows off a chunk's stacked arrays, and the worst freeness defect is
+read off a ``free_scheme`` row. The random diagonal Hamiltonian,
 the partial trace and the spectral time evolution are test tools, kept
 here because the library has no use for them.
 """
@@ -417,3 +418,9 @@ def sweep_row(axis_name, value, report):
         law["verdict"],
     ]
     return [str(cell) for cell in cells]
+
+
+def worst_defect(free) -> float:
+    """The largest defect of a ``free_scheme`` row: bistochastic, any energy moment, Yanase."""
+    moments = free["energy_conservation_defects"]
+    return max(free["bistochastic_defect"], *moments, free["yanase_defect"])

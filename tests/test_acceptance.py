@@ -103,12 +103,14 @@ def sweep():
             )
             for _ in range(20):
                 rho = random_density_matrix(dim, state_rng)
-                law, work = second_law_report(scheme, rho)
-                duality = heat_absorbed(scheme, rho).duality_defect
+                row = second_law_report(scheme, rho)
+                law, work = row["second_law"], row["work"]
+                duality = heat_absorbed(scheme, rho)["duality_defect"]
                 outputs = instrument.apply(rho)
                 dilated = dilation_relative_entropy(outputs, q, tau.matrix)
-                decomposition = work.outcome_divergence + beta * work.average_extractable_work
-                selective, convexity = skew_information_chain(instrument, rho, h)
+                divergence, avg_w = work["outcome_divergence"], work["average_extractable_work"]
+                decomposition = divergence + beta * avg_w
+                chain = skew_information_chain(instrument, rho, h)
                 rows.append(
                     {
                         "beta": beta,
@@ -116,9 +118,8 @@ def sweep():
                         "work": work,
                         "duality_defect": duality,
                         "dilation_defect": abs(dilated - decomposition),
-                        "dpi_slack": beta * work.extractable_work - dilated,
-                        "selective_slack": selective,
-                        "convexity_slack": convexity,
+                        "dpi_slack": beta * work["extractable_work"] - dilated,
+                        **chain,
                     }
                 )
             index += 1
@@ -184,18 +185,19 @@ def test_criterion_2_gibbs_preservation_and_covariance():
 
 def test_criterion_3_second_law_work_bound(sweep):
     rows = sweep["rows"]
-    worst_slack = min(r["law"].prop1_slack for r in rows)
+    worst_slack = min(r["law"]["prop1_slack"] for r in rows)
     worst_dilation = max(r["dilation_defect"] for r in rows)
     worst_dpi = min(r["dpi_slack"] for r in rows)
     equilibrium_ok = True
     for entry in sweep["schemes"]:
-        law, work = second_law_report(entry["scheme"], entry["tau"])
+        row = second_law_report(entry["scheme"], entry["tau"])
+        law, work = row["second_law"], row["work"]
         equilibrium_ok = equilibrium_ok and all(
             abs(v) < 1e-9
             for v in (
-                work.extractable_work,
-                work.outcome_divergence,
-                work.average_extractable_work,
+                work["extractable_work"],
+                work["outcome_divergence"],
+                work["average_extractable_work"],
             )
         )
     report(
@@ -211,9 +213,9 @@ def test_criterion_3_second_law_work_bound(sweep):
 
 def test_criterion_4_energy_entropy_balance(sweep):
     rows = sweep["rows"]
-    worst_identity = max(r["law"].eq5_identity_defect for r in rows)
-    worst_bound = min(r["law"].eq5_bound_slack for r in rows)
-    worst_heat_bound = min(r["law"].heat_bound_slack for r in rows)
+    worst_identity = max(r["law"]["eq5_identity_defect"] for r in rows)
+    worst_bound = min(r["law"]["eq5_bound_slack"] for r in rows)
+    worst_heat_bound = min(r["law"]["heat_bound_slack"] for r in rows)
     worst_duality = max(r["duality_defect"] for r in rows)
     report(
         "criterion 4: balance identity, bounds, and heat duality over the sweep",
@@ -236,8 +238,9 @@ def test_criterion_5_strict_negativity_at_ground(sweep):
         dim = entry["dim"]
         ground = np.zeros((dim, dim), dtype=complex)
         ground[0, 0] = 1.0
-        law, work = second_law_report(entry["scheme"], State(ground))
-        gain, divergence = work.groenewold_gain, work.outcome_divergence
+        row = second_law_report(entry["scheme"], State(ground))
+        law, work = row["second_law"], row["work"]
+        gain, divergence = work["groenewold_gain"], work["outcome_divergence"]
         ok = ok and divergence > 1e-9
         ok = ok and gain < -divergence + 1e-9  # implies the beta >= 1 scaled form
         ok = ok and gain < 0
@@ -260,7 +263,7 @@ def test_criterion_6_heat_to_work_conversion_value():
         luders = Instrument.luders(observable)
         for beta in BETAS:
             tau = gibbs_state(h, beta)
-            got = work_report(luders, tau, h, beta).average_extractable_work
+            got = work_report(luders, tau, h, beta)["average_extractable_work"]
             expected = shannon(observable.probabilities(tau)) / beta
             worst = max(worst, abs(got - expected))
         count += 1

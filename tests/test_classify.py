@@ -270,7 +270,7 @@ class TestQuasiComplete:
             ins = Instrument.luders(obs)
             assert is_quasi_complete(ins).verdict
             rho = random_density_matrix(2, rng)
-            assert work_report(ins, rho, H2, 1.0).groenewold_gain >= -1e-8
+            assert work_report(ins, rho, H2, 1.0)["groenewold_gain"] >= -1e-8
 
 
 class TestJointObservable:

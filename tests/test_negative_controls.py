@@ -16,6 +16,15 @@ defect grows linearly in ``eps``, its verdict fails at ten times its
 tolerance and passes at a tenth of it, and the second law, whose
 inequalities are theorems only for free schemes, is refused with the worst
 freeness defect named.
+
+Where the second law is tight, at the Gibbs state, a free scheme's slack
+is zero, and the energy non-conservation break buys the demon a gain of
+second order in ``eps`` while its freeness defects are of first order.
+
+A third family breaks thermalisation alone: the nuclear instrument
+``rho -> tr[E_x rho] sigma_x`` with ``sigma_x = tau + eps Delta_x``. It
+stays nuclear and stops preserving the Gibbs state, so Prop. 2, whose
+premise is Gibbs preservation, is refused rather than failed.
 """
 
 import re
@@ -25,9 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import worst_defect
+from thermomeas.classify import check_prop2, is_gibbs_preserving, is_nuclear
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import THEOREM_TOL
-from thermomeas.objects import spectral_observable
+from thermomeas.objects import Instrument, gibbs_state, spectral_observable
 from thermomeas.sampling import ginibre, random_density_matrix, rng_from_seed
 from thermomeas.scenario import encode_matrix, run_scenario
 from thermomeas.schemes import SchemeFrame, random_free_scheme
@@ -112,9 +123,7 @@ def test_every_check_fails_and_the_second_law_is_refused(exponent):
     eps = 10.0**exponent
     checks = checks_of(eps)
     assert [name for name, check in checks.items() if check["verdict"]] == []
-    free = checks["free_scheme"]
-    defects = [free["bistochastic_defect"], *free["energy_conservation_defects"], free["yanase_defect"]]
-    worst = max(defects)
+    worst = worst_defect(checks["free_scheme"])
     refusal = f"not thermodynamically free: worst defect {worst:.3e} > {THEOREM_TOL:.1e}"
     with pytest.raises(PreconditionError, match=re.escape(refusal)):
         run_scenario(broken_scenario(eps, ["second_law"]))
@@ -126,6 +135,35 @@ def test_the_second_law_is_judged_below_the_gate():
     eps = 0.1 * THEOREM_TOL / SLOPE["free_scheme"]
     (law,) = run_scenario(broken_scenario(eps, ["second_law"])).checks
     assert law["verdict"]
+
+
+def at_gibbs(scenario: dict) -> dict:
+    """``scenario`` on the Gibbs state alone, its second law scored below a gate of 100:
+    above every freeness defect of a break up to ``eps = 1e-2``, so it is not refused."""
+    return dict(scenario, states=["gibbs"], tolerances={"second_law": 100.0})
+
+
+def test_the_second_law_is_tight_at_the_gibbs_state():
+    scenario = at_gibbs(kraus_scenario(POINTER.effects, FREE_KRAUS, ["second_law"]))
+    (law,) = run_scenario(scenario).checks
+    # beta = 1: the slack in nats is the slack; its terms are all zero at tau
+    assert abs(law["worst_prop1_slack"]) <= 64 * np.finfo(float).eps
+
+
+#: The break's second-law gain at tau per unit ``eps ** 2``, at ``eps = 1e-5``.
+(_LAW,) = run_scenario(at_gibbs(broken_scenario(1e-5, ["second_law"]))).checks
+CURVATURE = _LAW["worst_prop1_slack"] / 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_the_break_gains_at_second_order_and_breaks_freeness_at_first(eps):
+    free, law = run_scenario(at_gibbs(broken_scenario(eps, ["free_scheme", "second_law"]))).checks
+    slack = law["worst_prop1_slack"]
+    assert CURVATURE < 0 and slack < 0
+    assert abs(slack / eps**2 - CURVATURE) <= 0.1 * abs(CURVATURE), (eps, slack)
+    defect = max(free["energy_conservation_defects"])
+    assert abs(defect / eps - SLOPE["free_scheme"]) <= 0.1 * SLOPE["free_scheme"], (eps, defect)
+    assert worst_defect(free) == defect
 
 
 _R = ginibre(3, 3, rng_from_seed(3))
@@ -180,8 +218,56 @@ def test_the_yanase_verdict_turns_at_the_tolerance(name, share, verdict):
 @pytest.mark.parametrize("exponent", [-7.0, -4.0, -1.0])
 def test_the_second_law_is_refused_on_a_rotated_pointer(exponent):
     free = yanase_checks_of(10.0**exponent)["free_scheme"]
-    defects = [free["bistochastic_defect"], *free["energy_conservation_defects"], free["yanase_defect"]]
-    assert max(defects) == free["yanase_defect"]
-    refusal = f"not thermodynamically free: worst defect {max(defects):.3e} > {THEOREM_TOL:.1e}"
+    assert worst_defect(free) == free["yanase_defect"]
+    refusal = f"not thermodynamically free: worst defect {worst_defect(free):.3e} > {THEOREM_TOL:.1e}"
     with pytest.raises(PreconditionError, match=re.escape(refusal)):
         run_scenario(rotated_pointer_scenario(10.0**exponent, ["second_law"]))
+
+
+TAU = gibbs_state(H, 1.0).matrix
+
+
+def traceless_hermitian(seed: int) -> np.ndarray:
+    """A seeded traceless Hermitian ``3 x 3`` operator of unit Frobenius norm."""
+    g = ginibre(3, 3, rng_from_seed(seed))
+    delta = (g + g.conj().T) / 2
+    delta -= np.trace(delta) / 3 * np.eye(3)
+    return delta / np.linalg.norm(delta)
+
+
+DELTAS = [traceless_hermitian(4 + x) for x in range(3)]
+
+
+def nuclear_instrument(eps: float) -> Instrument:
+    """``rho -> tr[E_x rho] sigma_x`` on the sharp energy pointer, with
+    ``sigma_x = tau + eps Delta_x``: Kraus operators ``sqrt(s) |v><x|`` over the
+    eigenpairs ``(s, v)`` of each ``sigma_x``."""
+    kraus_sets = []
+    for x, delta in enumerate(DELTAS):
+        weights, vectors = np.linalg.eigh(TAU + eps * delta)
+        pointer_state = np.eye(3)[x]
+        kraus_sets.append([np.sqrt(w) * np.outer(v, pointer_state) for w, v in zip(weights, vectors.T)])
+    return Instrument(POINTER.outcomes, kraus_sets)
+
+
+#: The Gibbs-preservation defect per unit ``eps``: ``max_x q_x ||Delta_x||_F``, ``q_x = tau_xx``.
+NUCLEAR_SLOPE = float(TAU.diagonal().real.max())
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3, 1e-2])
+def test_a_nuclear_instrument_that_does_not_thermalise(eps):
+    instrument = nuclear_instrument(eps)
+    assert is_nuclear(instrument).verdict
+    gibbs = is_gibbs_preserving(instrument, H, 1.0)
+    assert not gibbs.verdict
+    assert abs(gibbs.defect / eps - NUCLEAR_SLOPE) <= 1e-6 * NUCLEAR_SLOPE, (eps, gibbs.defect)
+    # Prop. 2's premise fails, so its conclusion is not tested
+    refusal = f"instrument is not Gibbs-preserving (defect {gibbs.defect:.3e} > {THEOREM_TOL:.1e})"
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
+        check_prop2(instrument, H, 1.0)
+
+
+def test_the_nuclear_break_passes_prop2_without_it():
+    instrument = nuclear_instrument(0.0)
+    assert is_nuclear(instrument).verdict and is_gibbs_preserving(instrument, H, 1.0).verdict
+    assert check_prop2(instrument, H, 1.0).verdict

@@ -4,6 +4,7 @@ and free scenarios across temperature."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_instrument_action, direct_probe_state
+from thermomeas.cli import main
 from thermomeas.errors import PreconditionError, ValidationError
 from thermomeas.linalg import THEOREM_TOL, dag, frobenius
 from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
@@ -54,7 +56,7 @@ class TestRotatedBases:
         pointer = spectral_observable(h_probe)
         scheme = random_free_scheme(SchemeFrame(h_sys, h_probe, 1.0, pointer), seed=60 + seed)
         report = validate_free_scheme(scheme)
-        assert report.verdict, report.to_dict()
+        assert report["verdict"], report
 
         ins = induced_instrument(scheme)
         rho = random_density_matrix(2, rng)
@@ -66,8 +68,8 @@ class TestRotatedBases:
         for qx, out in zip(q, ins.apply(tau)):
             assert frobenius(out - qx * tau.matrix) < 1e-8
         assert is_covariant_instrument(ins, h_sys).verdict
-        law, _ = second_law_report(scheme, rho)
-        assert law.verdict
+        law = second_law_report(scheme, rho)["second_law"]
+        assert law["verdict"]
 
 
 class TestUnequalDimensions:
@@ -81,7 +83,7 @@ class TestUnequalDimensions:
         return random_free_scheme(frame, seed=seed, mixture_size=2)
 
     def test_scheme_validates(self):
-        assert validate_free_scheme(self.build()).verdict
+        assert validate_free_scheme(self.build())["verdict"]
 
     def test_instrument_matches_direct_formula(self):
         scheme = self.build()
@@ -103,9 +105,9 @@ class TestUnequalDimensions:
         rng = rng_from_seed(3)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            assert heat_absorbed(scheme, rho).duality_defect < 1e-8
-            law, _ = second_law_report(scheme, rho)
-            assert law.verdict
+            assert heat_absorbed(scheme, rho)["duality_defect"] < 1e-8
+            law = second_law_report(scheme, rho)["second_law"]
+            assert law["verdict"]
 
     def test_gibbs_preservation(self):
         scheme = self.build()
@@ -121,7 +123,7 @@ class TestNullEffects:
         assert abs(outcome_divergence(obs, rho, np.diag([0.0, 1.0]), 1.0)) < 1e-14
 
         ins = Instrument(["all", "never"], [[np.eye(2)], [zero]])
-        assert abs(work_report(ins, rho, np.diag([0.0, 1.0]), 1.0).groenewold_gain) < 1e-12
+        assert abs(work_report(ins, rho, np.diag([0.0, 1.0]), 1.0)["groenewold_gain"]) < 1e-12
         assert is_quasi_complete(ins).verdict
         nuclear = is_nuclear(ins)
         assert "never" not in nuclear.witness.get("sigmas", {})
@@ -273,6 +275,43 @@ class TestInverseTemperature:
         with pytest.raises(ValidationError, match="inverse temperature must be positive and finite"):
             build(beta)
 
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            ["free_scheme", "second_law", "covariant", "gibbs_preserving", "skew_chain",
+             "heat_duality"],
+            ["free_scheme", "covariant", "gibbs_preserving"],
+        ],
+        ids=["state_checks", "scheme_checks"],
+    )
+    @pytest.mark.parametrize("beta,code", [(1e308, 2), (5e307, 0)], ids=["overflows", "fits"])
+    def test_beta_times_the_energy_spread_must_be_finite(self, tmp_path, capsys, checks, beta, code):
+        # energies [0, 1, 2, 3]: beta * 3 overflows at 1e308; no RuntimeWarning on the way
+        sharp = [np.diag(np.eye(4)[i]).tolist() for i in range(4)]
+        raw = {
+            "seed": 0,
+            "beta": beta,
+            "system_hamiltonian": [0.0, 1.0, 2.0, 3.0],
+            "probe_hamiltonian": [0.0, 1.0, 2.0, 3.0],
+            "scheme": {"kind": "random_block", "mixture_size": 3, "pointer": {"effects": sharp}},
+            "states": {"count": 20},
+            "checks": checks,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(path), "--out", str(tmp_path / "report.json")]) == code
+        if code == 2:
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error.startswith("beta = 1e+308 times the energy spread 3 of the Hamiltonian overflows")
+
+    def test_gibbs_weights_refuse_an_overflowing_beta(self):
+        h = np.diag([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match=r"beta = 1e\+308 times the energy spread 3 "):
+            gibbs_state(h, 1e308)
+        assert np.isfinite(np.diag(gibbs_state(h, 5e307).matrix)).all()
+
 
 # An effect 1.4e-7 from Hermitian and an interaction 1.4e-7 from trace preserving:
 # refused at the validation tolerance, which a scenario cannot loosen.
@@ -379,13 +418,13 @@ class TestLargerDimensions:
         h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
         pointer = spectral_observable(h)
         scheme = random_free_scheme(SchemeFrame(h, h, 0.6, pointer), seed=77, mixture_size=2)
-        assert validate_free_scheme(scheme).verdict
+        assert validate_free_scheme(scheme)["verdict"]
         ins = induced_instrument(scheme)
         rho = random_density_matrix(4, rng_from_seed(8))
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
             assert frobenius(out - ref) < 1e-11
-        law, _ = second_law_report(scheme, rho)
-        assert law.verdict
+        law = second_law_report(scheme, rho)["second_law"]
+        assert law["verdict"]
         assert is_covariant_instrument(ins, h).verdict
 
     def test_free_scheme_and_moments_at_d16(self):

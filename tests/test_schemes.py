@@ -13,6 +13,7 @@ from oracles import (
     direct_probe_state,
     liouville_covariance_defect,
     time_evolution,
+    worst_defect,
 )
 from thermomeas import schemes
 from thermomeas.errors import PreconditionError, ValidationError
@@ -101,32 +102,32 @@ class TestValidateFreeScheme:
     def test_swap_scheme_passes_tightly(self):
         scheme = trivial_scheme(sharp_z(), H2, beta=1.0)
         report = validate_free_scheme(scheme)
-        assert report.verdict
-        assert report.worst_defect < 1e-12
-        assert report.gibbs_probe_ok
+        assert report["verdict"]
+        assert worst_defect(report) < 1e-12
+        assert report["gibbs_probe_ok"]
 
     def test_yanase_violation_detected(self):
         pointer = Observable(["p", "m"], [PLUS, MINUS])
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, pointer), swap_channel(2))
         report = validate_free_scheme(scheme)
-        assert not report.verdict
+        assert not report["verdict"]
         # defined metric: max_x ||[Z_x, H_probe]||_F = 1/sqrt(2) for the X basis
-        assert abs(report.yanase_defect - 1 / math.sqrt(2)) < 1e-12
-        assert report.bistochastic_defect < 1e-12
+        assert abs(report["yanase_defect"] - 1 / math.sqrt(2)) < 1e-12
+        assert report["bistochastic_defect"] < 1e-12
 
     def test_non_unital_interaction_detected(self):
         frame = SchemeFrame(H2, H2, 1.0, sharp_z())
         scheme = MeasurementScheme(frame, amplitude_damping_times_identity())
         report = validate_free_scheme(scheme)
-        assert not report.verdict
-        assert report.bistochastic_defect > 0.1
+        assert not report["verdict"]
+        assert report["bistochastic_defect"] > 0.1
 
     def test_non_conserving_unitary_detected(self):
         u = haar_unitary(4, rng_from_seed(99))
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([u]))
         report = validate_free_scheme(scheme)
-        assert not report.verdict
-        assert report.energy_conservation_defects[0] > 1e-3
+        assert not report["verdict"]
+        assert report["energy_conservation_defects"][0] > 1e-3
 
 
 class TestInducedInstrument:
@@ -144,7 +145,7 @@ class TestInducedInstrument:
 
     def test_identity_interaction_leaves_state_alone(self):
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, sharp_z()), KrausChannel([np.eye(4)]))
-        assert validate_free_scheme(scheme).verdict
+        assert validate_free_scheme(scheme)["verdict"]
         ins = induced_instrument(scheme)
         xi = scheme.frame.probe_state
         q = scheme.frame.pointer.probabilities(xi)
@@ -238,12 +239,12 @@ class TestConjugateChannel:
 class TestTrivialScheme:
     def test_spectral_measure_accepted(self):
         scheme = trivial_scheme(sharp_z(), H2, beta=2.0)
-        assert validate_free_scheme(scheme).verdict
+        assert validate_free_scheme(scheme)["verdict"]
 
     def test_trivial_observable_accepted_for_any_hamiltonian(self):
         trivial_obs = Observable(["a", "b"], [np.eye(2) / 2, np.eye(2) / 2])
         scheme = trivial_scheme(trivial_obs, H2, beta=1.0)
-        assert validate_free_scheme(scheme).worst_defect < 1e-12
+        assert worst_defect(validate_free_scheme(scheme)) < 1e-12
 
     def test_noncommuting_observable_rejected(self):
         obs = Observable(["p", "m"], [PLUS, MINUS])
@@ -255,7 +256,7 @@ class TestTrivialScheme:
 class TestRandomFreeScheme:
     def test_resonant_qubits_verdict_and_nontrivial(self):
         scheme = resonant_random_scheme(seed=7, mixture_size=3)
-        assert validate_free_scheme(scheme).verdict
+        assert validate_free_scheme(scheme)["verdict"]
         induced = induced_instrument(scheme).induced_observable
         assert induced.triviality_defect() > 1e-3
 
@@ -453,9 +454,9 @@ class TestCompiledScheme:
         scheme = resonant_random_scheme()
         assert scheme.instrument is scheme.instrument
         assert scheme.frame.system_gibbs is scheme.frame.system_gibbs
-        assert scheme.batch.free_report(0, 1e-3).tol == 1e-3
-        assert scheme.batch.free_report(0, 1e-3).energy_conservation_defects == (
-            validate_free_scheme(scheme).energy_conservation_defects
+        assert scheme.batch.free_report(0, 1e-3)["tol"] == 1e-3
+        assert scheme.batch.free_report(0, 1e-3)["energy_conservation_defects"] == (
+            validate_free_scheme(scheme)["energy_conservation_defects"]
         )
         ins = scheme.instrument
         assert ins.induced_observable is ins.induced_observable
@@ -468,10 +469,10 @@ class TestCompiledScheme:
         earlier, rho = (random_density_matrix(warm.frame.dim_system, rng) for _ in range(2))
         second_law_report(warm, earlier)
         heat_absorbed(warm, earlier)
-        law, work = second_law_report(warm, rho)
-        assert (law, work) == second_law_report(build_scheme(*inputs), rho)
+        row = second_law_report(warm, rho)
+        assert row == second_law_report(build_scheme(*inputs), rho)
         assert heat_absorbed(warm, rho) == heat_absorbed(build_scheme(*inputs), rho)
-        assert law.verdict
+        assert row["second_law"]["verdict"]
 
 
 def test_pruning_keeps_what_numpys_norm_keeps_on_a_whole_seed_sweep(monkeypatch):

@@ -76,21 +76,21 @@ class TestAverageExtractableWork:
         obs = random_commuting_povm(H2, 3, rng_from_seed(1))
         ins = induced_instrument(trivial_scheme(obs, H2, beta=1.0))
         rho = random_density_matrix(2, rng_from_seed(2))
-        assert abs(work_report(ins, rho, H2, 1.0).average_extractable_work) < 1e-10
+        assert abs(work_report(ins, rho, H2, 1.0)["average_extractable_work"]) < 1e-10
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_luders_eigenbasis_at_equilibrium_is_shannon(self, beta):
         ins = Instrument.luders(Z_SHARP)
         tau = gibbs_state(H2, beta)
         expected = shannon(Z_SHARP.probabilities(tau)) / beta
-        assert abs(work_report(ins, tau, H2, beta).average_extractable_work - expected) < 1e-12
+        assert abs(work_report(ins, tau, H2, beta)["average_extractable_work"] - expected) < 1e-12
 
     def test_identity_interaction_reproduces_extractable_work(self):
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), KrausChannel([np.eye(4)]))
         ins = induced_instrument(scheme)
         rho = random_density_matrix(2, rng_from_seed(3))
         work = work_report(ins, rho, H2, 1.0)
-        assert abs(work.average_extractable_work - extractable_work(rho, H2, 1.0)) < 1e-10
+        assert abs(work["average_extractable_work"] - extractable_work(rho, H2, 1.0)) < 1e-10
 
 
 class TestOutcomeDivergence:
@@ -120,8 +120,8 @@ class TestHeat:
     def test_zero_at_equilibrium(self):
         scheme = random_free_scheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), seed=9)
         report = heat_absorbed(scheme, gibbs_state(H2, 1.0))
-        assert abs(report.heat) < 1e-9
-        assert report.duality_defect < 1e-9
+        assert abs(report["heat"]) < 1e-9
+        assert report["duality_defect"] < 1e-9
 
     def test_swap_scheme_ground_state(self):
         beta = 1.0
@@ -129,15 +129,15 @@ class TestHeat:
         report = heat_absorbed(scheme, GROUND)
         tau = gibbs_state(H2, beta)
         expected = np.trace(H2 @ tau.matrix).real  # ground energy is zero
-        assert abs(report.heat - expected) < 1e-12
-        assert report.heat >= 0.0
-        assert report.duality_defect < 1e-12
+        assert abs(report["heat"] - expected) < 1e-12
+        assert report["heat"] >= 0.0
+        assert report["duality_defect"] < 1e-12
 
     def test_identity_interaction_no_heat(self):
         scheme = MeasurementScheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), KrausChannel([np.eye(4)]))
         rho = random_density_matrix(2, rng_from_seed(6))
         report = heat_absorbed(scheme, rho)
-        assert abs(report.heat) < 1e-12
+        assert abs(report["heat"]) < 1e-12
 
 
 class TestGroenewoldGain:
@@ -146,7 +146,8 @@ class TestGroenewoldGain:
 
         ins = Instrument.luders(Z_SHARP)
         rho = random_density_matrix(2, rng_from_seed(7))
-        assert abs(work_report(ins, rho, H2, 1.0).groenewold_gain - von_neumann_entropy(rho)) < 1e-10
+        gain = work_report(ins, rho, H2, 1.0)["groenewold_gain"]
+        assert abs(gain - von_neumann_entropy(rho)) < 1e-10
 
     def test_trivial_thermal_on_pure_input(self):
         from thermomeas.linalg import von_neumann_entropy
@@ -155,14 +156,14 @@ class TestGroenewoldGain:
         obs = random_commuting_povm(H2, 2, rng_from_seed(8))
         ins = induced_instrument(trivial_scheme(obs, H2, beta))
         tau = gibbs_state(H2, beta)
-        gain = work_report(ins, GROUND, H2, beta).groenewold_gain
+        gain = work_report(ins, GROUND, H2, beta)["groenewold_gain"]
         assert abs(gain + von_neumann_entropy(tau)) < 1e-10
         assert gain < 0
 
     def test_identity_channel_gains_nothing(self):
         ins = Instrument(["only"], [[np.eye(2)]])
         rho = random_density_matrix(2, rng_from_seed(9))
-        assert abs(work_report(ins, rho, H2, 1.0).groenewold_gain) < 1e-12
+        assert abs(work_report(ins, rho, H2, 1.0)["groenewold_gain"]) < 1e-12
 
 
 class TestSkewInformation:
@@ -197,7 +198,8 @@ class TestSkewInformation:
         rng = rng_from_seed(seed)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            selective, convexity = skew_information_chain(ins, rho, H2)
+            chain = skew_information_chain(ins, rho, H2)
+            selective, convexity = chain["selective_slack"], chain["convexity_slack"]
             assert selective >= -1e-8
             assert convexity >= -1e-8
 
@@ -206,13 +208,14 @@ class TestSecondLawReport:
     def test_equilibrium_input_everything_vanishes(self):
         obs = random_commuting_povm(H2, 2, rng_from_seed(11))
         scheme = trivial_scheme(obs, H2, beta=1.0)
-        law, work = second_law_report(scheme, gibbs_state(H2, 1.0))
-        assert law.verdict
+        row = second_law_report(scheme, gibbs_state(H2, 1.0))
+        law, work = row["second_law"], row["work"]
+        assert law["verdict"]
         for value in (
-            work.extractable_work,
-            work.average_extractable_work,
-            work.outcome_divergence,
-            work.heat,
+            work["extractable_work"],
+            work["average_extractable_work"],
+            work["outcome_divergence"],
+            work["heat"],
         ):
             assert abs(value) < 1e-9
 
@@ -220,11 +223,12 @@ class TestSecondLawReport:
         obs = random_commuting_povm(H2, 2, rng_from_seed(12))
         assert obs.triviality_defect() > 1e-3
         scheme = trivial_scheme(obs, H2, beta=1.0)
-        law, work = second_law_report(scheme, GROUND)
-        assert law.verdict
-        assert law.prop1_slack >= -1e-10
-        assert work.outcome_divergence > 1e-6
-        assert work.groenewold_gain < -1e-6
+        row = second_law_report(scheme, GROUND)
+        law, work = row["second_law"], row["work"]
+        assert law["verdict"]
+        assert law["prop1_slack"] >= -1e-10
+        assert work["outcome_divergence"] > 1e-6
+        assert work["groenewold_gain"] < -1e-6
 
     def test_refuses_non_free_scheme(self):
         u_rng = rng_from_seed(13)
@@ -241,10 +245,11 @@ class TestSecondLawReport:
         rng = rng_from_seed(14)
         for seed in range(5):
             scheme = random_free_scheme(SchemeFrame(H2, H2, beta, Z_SHARP), seed=400 + seed)
-            law, work = second_law_report(scheme, GROUND)
-            assert law.verdict
-            assert work.groenewold_gain <= (
-                -work.outcome_divergence - beta * work.heat + 1e-8
+            row = second_law_report(scheme, GROUND)
+            law, work = row["second_law"], row["work"]
+            assert law["verdict"]
+            assert work["groenewold_gain"] <= (
+                -work["outcome_divergence"] - beta * work["heat"] + 1e-8
             )
 
     @pytest.mark.parametrize("dim,beta", [(2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0)])
@@ -259,13 +264,14 @@ class TestSecondLawReport:
             q = ins.induced_observable.probabilities(tau)
             for _ in range(5):
                 rho = random_density_matrix(dim, rng)
-                law, work = second_law_report(scheme, rho)
-                assert law.verdict, (dim, beta, seed, law)
+                row = second_law_report(scheme, rho)
+                law, work = row["second_law"], row["work"]
+                assert law["verdict"], (dim, beta, seed, law)
                 # Appendix-style oracle: data-processing through the register dilation
                 direct = dilation_relative_entropy(ins.apply(rho), q, tau.matrix)
-                decomposed = work.outcome_divergence + beta * work.average_extractable_work
+                decomposed = work["outcome_divergence"] + beta * work["average_extractable_work"]
                 assert abs(direct - decomposed) < 1e-8
-                assert beta * work.extractable_work - direct >= -1e-8
+                assert beta * work["extractable_work"] - direct >= -1e-8
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_report_is_work_report_with_probe_side_heat(self, dim):
@@ -277,22 +283,23 @@ class TestSecondLawReport:
             ins = induced_instrument(scheme)
             for _ in range(50):
                 rho = random_density_matrix(dim, rng)
-                _, work = second_law_report(scheme, rho)
+                work = second_law_report(scheme, rho)["work"]
                 plain = work_report(ins, rho, h, scheme.frame.beta)
                 for field in ("extractable_work", "average_extractable_work",
                               "outcome_divergence", "groenewold_gain", "beta"):
-                    assert abs(getattr(work, field) - getattr(plain, field)) <= 1e-12, field
-                assert work.heat == heat_absorbed(scheme, rho).heat
+                    assert abs(work[field] - plain[field]) <= 1e-12, field
+                assert work["heat"] == heat_absorbed(scheme, rho)["heat"]
 
     @pytest.mark.parametrize("beta", [40.0, 600.0])
     def test_low_temperature_passes_with_finite_slacks(self, beta):
         scheme = random_free_scheme(SchemeFrame(H2, H2, beta, Z_SHARP), seed=17)
         rng = rng_from_seed(18)
         for rho in [GROUND, EXCITED] + [random_density_matrix(2, rng) for _ in range(10)]:
-            law, work = second_law_report(scheme, rho)
-            assert law.verdict, law
-            assert all(math.isfinite(v) for v in law.to_dict().values() if not isinstance(v, bool))
-            assert all(math.isfinite(v) for v in work.to_dict().values())
+            row = second_law_report(scheme, rho)
+            law, work = row["second_law"], row["work"]
+            assert law["verdict"], law
+            assert all(math.isfinite(v) for v in law.values() if not isinstance(v, bool))
+            assert all(math.isfinite(v) for v in work.values())
 
     def test_prop1_holds_when_pruning_would_drop_a_probe_level(self):
         h3, h2 = np.diag([0.0, 1.0, 2.0]).astype(complex), H2
@@ -301,8 +308,8 @@ class TestSecondLawReport:
         # q_1 = tr[Z_1 xi] = e^-100 / (1 + e^-100) exactly, for a free scheme
         q = scheme.instrument.induced_observable.probabilities(scheme.frame.system_gibbs)
         assert abs(math.log(q[1]) + 100.0) < 1e-9
-        law, _ = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))
-        assert law.verdict, law
+        law = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))["second_law"]
+        assert law["verdict"], law
 
     @pytest.mark.parametrize("beta", [800.0, 1600.0])
     def test_prop1_holds_where_the_induced_effects_underflow(self, beta):
@@ -313,9 +320,9 @@ class TestSecondLawReport:
         for b in (100.0, beta):
             frame = SchemeFrame(h3, H2, b, spectral_observable(H2))
             scheme = random_free_scheme(frame, seed=0, mixture_size=1)
-            law, _ = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))
-            assert law.verdict, law
-            slacks.append(b * law.prop1_slack)
+            law = second_law_report(scheme, np.diag([0.0, 0.0, 1.0]))["second_law"]
+            assert law["verdict"], law
+            slacks.append(b * law["prop1_slack"])
         assert abs(slacks[1] - slacks[0]) <= 1e-9 * slacks[0]
 
     def test_tight_slacks_are_judged_in_nats_at_high_temperature(self):
@@ -375,10 +382,10 @@ class TestSecondLawReport:
         beta = 1.0
         tau = gibbs_state(H2, beta)
         report = work_report(Instrument.luders(Z_SHARP), tau, H2, beta)
-        assert report.extractable_work < 1e-12
-        assert report.average_extractable_work > 0.1
+        assert report["extractable_work"] < 1e-12
+        assert report["average_extractable_work"] > 0.1
         expected = shannon(Z_SHARP.probabilities(tau)) / beta
-        assert abs(report.average_extractable_work - expected) < 1e-12
+        assert abs(report["average_extractable_work"] - expected) < 1e-12
 
 
 class TestSzilardValues:
@@ -390,7 +397,7 @@ class TestSzilardValues:
             h = random_diagonal_hamiltonian(dim, rng)
             obs = spectral_observable(h)
             tau = gibbs_state(h, beta)
-            got = work_report(Instrument.luders(obs), tau, h, beta).average_extractable_work
+            got = work_report(Instrument.luders(obs), tau, h, beta)["average_extractable_work"]
             expected = shannon(obs.probabilities(tau)) / beta
             assert abs(got - expected) < 1e-9
 
