@@ -50,8 +50,6 @@ from .thermo import (
     work_report,
 )
 from .classify import (
-    ClassifierVerdict,
-    PostProcessing,
     check_prop2,
     is_covariant_instrument,
     is_gibbs_preserving,
@@ -99,8 +97,6 @@ __all__ = [
     "skew_information_chain",
     "work_report",
     "second_law_report",
-    "ClassifierVerdict",
-    "PostProcessing",
     "is_thermal_observable",
     "is_covariant_instrument",
     "is_gibbs_preserving",

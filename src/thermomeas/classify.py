@@ -7,11 +7,14 @@ for instruments: time-translation covariance, Gibbs preservation, and the
 consequences forced on nuclear instruments. A failed necessary condition
 certifies non-thermality; the classifiers never claim thermality of an
 instrument from necessary conditions alone.
+
+Every classifier returns the row its check prints: ``{"name", "verdict",
+"defect", "tol", "witness"}``, where ``verdict`` is true exactly when
+``defect <= tol`` and ``witness`` holds JSON diagnostics such as the worst
+outcome label.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,38 +38,9 @@ from .sampling import random_density_matrix_stacks, rng_from_seed
 COVARIANCE_SAMPLE_TIMES = (0.37, 1.0, 2.5)
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
-    """Boolean verdict backed by a continuous defect magnitude.
-
-    ``verdict`` is true exactly when ``defect <= tol``; ``witness`` carries
-    structured diagnostics such as the worst outcome label.
-    """
-
-    name: str
-    verdict: bool
-    defect: float
-    tol: float
-    witness: dict = field(default=None)
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "verdict": self.verdict, "defect": self.defect, "tol": self.tol}
-        if self.witness is not None:
-            out["witness"] = {
-                k: v for k, v in self.witness.items() if not isinstance(v, (dict, np.ndarray))
-            }
-        return out
-
-
-def _verdict(name, defect, tol, witness=None) -> ClassifierVerdict:
-    return ClassifierVerdict(
-        name=name, verdict=bool(defect <= tol), defect=float(defect), tol=tol, witness=witness
-    )
-
-
 def is_thermal_observable(
     observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
-) -> ClassifierVerdict:
+) -> dict:
     """Observable thermality test: commutation of every effect with the Hamiltonian.
 
     Commutation is equivalent to time-translation invariance, which is both
@@ -81,17 +55,30 @@ def is_thermal_observable(
         )
     defects = commutator_defect(observable.effects, h)
     worst = int(np.argmax(defects))
-    return _verdict(
-        "thermal_observable",
-        defects[worst],
-        tol,
-        witness={"worst_outcome": observable.outcomes[worst]},
-    )
+    defect = float(defects[worst])
+    return {
+        "name": "thermal_observable",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": observable.outcomes[worst]},
+    }
+
+
+def _require_thermal(observable: Observable, system_hamiltonian, tol: float, why: str = "") -> None:
+    """Refuse an observable that :func:`is_thermal_observable` fails at ``tol``,
+    ending the message with ``why``."""
+    thermal = is_thermal_observable(observable, system_hamiltonian, tol)
+    if not thermal["verdict"]:
+        raise PreconditionError(
+            f"observable does not commute with the Hamiltonian "
+            f"(defect {thermal['defect']:.3e} > {tol:.1e}){why}"
+        )
 
 
 def is_covariant_instrument(
     instrument: Instrument, system_hamiltonian, tol: float = THEOREM_TOL
-) -> ClassifierVerdict:
+) -> dict:
     """Time-translation covariance of every operation of an instrument.
 
     Read off the Choi matrices in the eigenbasis of the Hamiltonian, where
@@ -123,21 +110,23 @@ def is_covariant_instrument(
     outs = instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)]))
     plain, moved = outs[:, None, :3], outs[:, 3:].reshape(-1, *rotated.shape)
     sampled = float(frobenius_each(moved - evolutions @ plain @ dag(evolutions)).max())
-    return _verdict(
-        "covariant",
-        defects[worst],
-        tol,
-        witness={
+    defect = float(defects[worst])
+    return {
+        "name": "covariant",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {
             "worst_outcome": instrument.outcomes[worst],
             "sampled_time_defect": sampled,
             "sample_times": list(COVARIANCE_SAMPLE_TIMES),
         },
-    )
+    }
 
 
 def is_gibbs_preserving(
     instrument: Instrument, system_hamiltonian, beta: float, tol: float = THEOREM_TOL
-) -> ClassifierVerdict:
+) -> dict:
     """Check ``I_x(tau) = tr[E_x tau] tau`` for every outcome.
 
     All thermal instruments satisfy this, so a false verdict certifies that
@@ -148,76 +137,94 @@ def is_gibbs_preserving(
     q = instrument.induced_observable.probabilities(tau)
     defects = frobenius_each(instrument.apply(tau) - q[:, None, None] * tau.matrix)
     worst = int(np.argmax(defects))
-    return _verdict(
-        "gibbs_preserving",
-        defects[worst],
-        tol,
-        witness={"worst_outcome": instrument.outcomes[worst]},
-    )
+    defect = float(defects[worst])
+    return {
+        "name": "gibbs_preserving",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": instrument.outcomes[worst]},
+    }
 
 
-def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVerdict:
-    """Test whether every operation factorizes as ``rho -> tr[E_x rho] sigma_x``.
+def _nuclear_factors(instrument: Instrument):
+    """Each operation's best factorization as ``rho -> tr[E_x rho] sigma_x``.
 
     Checked in Choi form: the operation is nuclear exactly when its Choi
     matrix is ``sigma_x (x) transpose(E_x)``. The candidate ``sigma_x`` is
-    the output-side partial trace of the Choi divided by ``tr[E_x]``; the
-    defect is the worst factorization residual. When the verdict is true
-    the recovered ``sigma_x`` family is returned in the witness.
+    the output-side partial trace of the Choi divided by ``tr[E_x]``. Null
+    effects carry no constraint and are skipped; a validated observable's
+    traces sum to the dimension, so some effect is always live. Returns the
+    live outcomes' labels, their ``(n, d, d)`` candidates ``sigma_x`` and
+    their Choi residuals.
     """
     effects = instrument.induced_observable.effects
     d = instrument.dim
     weights = np.trace(effects, axis1=1, axis2=2).real
-    live = weights > PROBABILITY_CUTOFF  # null effects carry no constraint
-    if not live.any():
-        return _verdict("nuclear", 0.0, tol, witness={"note": "all effects null"})
+    live = weights > PROBABILITY_CUTOFF
     choi = instrument.choi[live]
     sigmas = np.einsum("xiaja->xij", choi.reshape(-1, d, d, d, d)) / weights[live, None, None]
     products = sigmas[:, :, None, :, None] * effects[live].swapaxes(1, 2)[:, None, :, None, :]
     residuals = frobenius_each(choi - products.reshape(choi.shape))
     labels = [label for label, kept in zip(instrument.outcomes, live) if kept]
+    return labels, sigmas, residuals
+
+
+def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> dict:
+    """Test whether every operation factorizes as ``rho -> tr[E_x rho] sigma_x``.
+
+    The defect is the worst Choi factorization residual of
+    :func:`_nuclear_factors`.
+    """
+    labels, _, residuals = _nuclear_factors(instrument)
     worst = int(np.argmax(residuals))
-    witness = {"worst_outcome": labels[worst]}
-    if residuals[worst] <= tol:
-        witness["sigmas"] = dict(zip(labels, sigmas))
-    return _verdict("nuclear", residuals[worst], tol, witness=witness)
+    defect = float(residuals[worst])
+    return {
+        "name": "nuclear",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": labels[worst]},
+    }
 
 
 def check_prop2(
     instrument: Instrument, system_hamiltonian, beta: float, tol: float = THEOREM_TOL
-) -> ClassifierVerdict:
+) -> dict:
     """Nuclear + Gibbs-preserving instruments must thermalise: ``sigma_x = tau``.
 
     Preconditions (the testable necessary conditions standing in for
     thermality) are enforced: the instrument must pass both
     :func:`is_nuclear` and :func:`is_gibbs_preserving`. The verdict then
-    reports whether every recovered output state is the Gibbs state.
+    reports whether every recovered output state is the Gibbs state. Each
+    ``||sigma_x - tau||_F`` is weighted by ``q_x = tr[E_x tau]``, as in the
+    Gibbs-preservation defect, so that premises passing at ``tol`` are not
+    followed by a conclusion that fails at ``tol`` for an unlikely outcome.
     """
-    nuclear = is_nuclear(instrument, tol)
+    labels, sigmas, residuals = _nuclear_factors(instrument)
+    residual = residuals.max()
     gibbs = is_gibbs_preserving(instrument, system_hamiltonian, beta, tol)
-    if not nuclear.verdict:
+    if not residual <= tol:
+        raise PreconditionError(f"instrument is not nuclear (residual {residual:.3e} > {tol:.1e})")
+    if not gibbs["verdict"]:
         raise PreconditionError(
-            f"instrument is not nuclear (residual {nuclear.defect:.3e} > {tol:.1e})"
+            f"instrument is not Gibbs-preserving (defect {gibbs['defect']:.3e} > {tol:.1e})"
         )
-    if not gibbs.verdict:
-        raise PreconditionError(
-            f"instrument is not Gibbs-preserving (defect {gibbs.defect:.3e} > {tol:.1e})"
-        )
-    tau = gibbs_state(system_hamiltonian, beta).matrix
-    sigmas = nuclear.witness.get("sigmas", {})
-    if not sigmas:
-        return _verdict("prop2", 0.0, tol, witness={"note": "all effects null"})
-    defects = frobenius_each(np.array(list(sigmas.values())) - tau)
+    tau = gibbs_state(system_hamiltonian, beta)
+    q = dict(zip(instrument.outcomes, instrument.induced_observable.probabilities(tau)))
+    defects = np.array([q[label] for label in labels]) * frobenius_each(sigmas - tau.matrix)
     worst = int(np.argmax(defects))
-    return _verdict(
-        "prop2",
-        defects[worst],
-        tol,
-        witness={"worst_outcome": list(sigmas)[worst], "n_outcomes_tested": len(defects)},
-    )
+    defect = float(defects[worst])
+    return {
+        "name": "prop2",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": labels[worst], "n_outcomes_tested": len(labels)},
+    }
 
 
-def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> ClassifierVerdict:
+def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> dict:
     """Choi rank at most one per outcome: pure inputs give pure conditionals.
 
     The defect is the largest second Choi eigenvalue over outcomes, so
@@ -231,12 +238,14 @@ def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> Class
     second = evals[:, -2:-1].max(axis=1, initial=0.0)
     worst = int(np.argmax(second))  # the first outcome when every entry is 0
     rank = int(np.sum(evals[worst] > tol)) if second[worst] > 0.0 else 0
-    return _verdict(
-        "quasi_complete",
-        second[worst],
-        tol,
-        witness={"worst_outcome": instrument.outcomes[worst], "worst_rank": rank},
-    )
+    defect = float(second[worst])
+    return {
+        "name": "quasi_complete",
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": instrument.outcomes[worst], "worst_rank": rank},
+    }
 
 
 def joint_with_hamiltonian(
@@ -255,12 +264,7 @@ def joint_with_hamiltonian(
     non-thermal resources; deciding joint measurability for arbitrary
     noncommuting pairs is out of scope.
     """
-    thermal = is_thermal_observable(observable, system_hamiltonian, tol)
-    if not thermal.verdict:
-        raise PreconditionError(
-            f"observable does not commute with the Hamiltonian "
-            f"(defect {thermal.defect:.3e} > {tol:.1e}); no unique joint observable"
-        )
+    _require_thermal(observable, system_hamiltonian, tol, "; no unique joint observable")
     energy = spectral_observable(system_hamiltonian)
     labels = tuple(f"{x}|{m}" for x in observable.outcomes for m in energy.outcomes)
     d = observable.dim
@@ -281,49 +285,21 @@ def marginal_defect(joint: Observable, observable: Observable, system_hamiltonia
     return float(frobenius_each(np.concatenate(gaps)).max())
 
 
-@dataclass(frozen=True)
-class PostProcessing:
-    """Conditional probabilities ``p(x|m)`` expressing effects over energy levels.
-
-    Rows are outcomes, columns are (nondegenerate) energy levels; each
-    column sums to one.
-    """
-
-    matrix: np.ndarray
-    outcomes: tuple
-    energies: np.ndarray
-    reconstruction_defect: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.min() < -VALIDATION_TOL or m.max() > 1 + VALIDATION_TOL:
-            raise ValidationError(
-                f"post-processing entries must lie in [0, 1], got range "
-                f"[{m.min():.3e}, {m.max():.3e}]"
-            )
-        col_defect = float(np.abs(m.sum(axis=0) - 1.0).max())
-        if col_defect > VALIDATION_TOL:
-            raise ValidationError(f"post-processing columns must sum to 1, defect {col_defect:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-
 def post_processing_decomposition(
     observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
-) -> PostProcessing:
+) -> dict:
     """Diagonal weights of a thermal observable over a nondegenerate spectrum.
 
     With rank-1 spectral projections ``P_m``, every effect of an observable
     commuting with ``H`` is ``E_x = sum_m p(x|m) P_m``; the weights are read
-    back as ``<m|E_x|m>``, and ``reconstruction_defect`` is the worst distance
-    of an effect from ``sum_m p(x|m) P_m``. Degenerate spectra are refused
-    (the decomposition is not unique there).
+    back as ``<m|E_x|m>`` into ``matrix`` (rows are outcomes, columns are the
+    ascending ``energies``), and ``reconstruction_defect`` is the worst
+    distance of an effect from ``sum_m p(x|m) P_m``. Each column sums to one
+    and each entry lies in [0, 1], within the observable's validation
+    tolerance. Degenerate spectra are refused (the decomposition is not
+    unique there).
     """
-    thermal = is_thermal_observable(observable, system_hamiltonian, tol)
-    if not thermal.verdict:
-        raise PreconditionError(
-            f"observable does not commute with the Hamiltonian "
-            f"(defect {thermal.defect:.3e} > {tol:.1e})"
-        )
+    _require_thermal(observable, system_hamiltonian, tol)
     decomp = eig_hermitian(system_hamiltonian)
     if not decomp.nondegenerate:
         raise PreconditionError(
@@ -332,12 +308,14 @@ def post_processing_decomposition(
         )
     weights = np.einsum("xij,mji->xm", observable.effects, decomp.projectors).real
     rebuilt = np.tensordot(weights, decomp.projectors, axes=1)
-    return PostProcessing(
-        matrix=weights,
-        outcomes=observable.outcomes,
-        energies=decomp.eigenvalues,
-        reconstruction_defect=float(frobenius_each(rebuilt - observable.effects).max()),
-    )
+    defect = float(frobenius_each(rebuilt - observable.effects).max())
+    return {
+        "verdict": defect <= tol,
+        "reconstruction_defect": defect,
+        "matrix": weights.tolist(),
+        "energies": decomp.eigenvalues.tolist(),
+        "tol": tol,
+    }
 
 
 def refine_to_rank_one(observable: Observable):

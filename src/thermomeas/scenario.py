@@ -612,19 +612,6 @@ def _check_joint_observable(sc: Scenario, tol: float) -> dict:
     }
 
 
-def _check_post_processing(sc: Scenario, tol: float) -> dict:
-    post = classify.post_processing_decomposition(
-        sc.observable_under_test(), sc.system_hamiltonian, tol
-    )
-    return {
-        "verdict": post.reconstruction_defect <= tol,
-        "reconstruction_defect": post.reconstruction_defect,
-        "matrix": [[float(v) for v in row] for row in post.matrix],
-        "energies": [float(e) for e in post.energies],
-        "tol": tol,
-    }
-
-
 def _check_refine(sc: Scenario, tol: float) -> dict:
     observable = sc.observable_under_test()
     refined, relabel = sc.refinement
@@ -680,31 +667,29 @@ _CHECKS = {
     "free_scheme": _Check(lambda sc, tol: sc.scheme.batch.free_report(0, tol), needs_scheme=True),
     "second_law": _Check(_check_second_law, needs_scheme=True, needs_states=True),
     "covariant": _Check(
-        lambda sc, tol: classify.is_covariant_instrument(
-            sc.instrument, sc.system_hamiltonian, tol
-        ).to_dict()
+        lambda sc, tol: classify.is_covariant_instrument(sc.instrument, sc.system_hamiltonian, tol)
     ),
     "gibbs_preserving": _Check(
         lambda sc, tol: classify.is_gibbs_preserving(
             sc.instrument, sc.system_hamiltonian, sc.beta, tol
-        ).to_dict()
+        )
     ),
-    "nuclear": _Check(lambda sc, tol: classify.is_nuclear(sc.instrument, tol).to_dict()),
+    "nuclear": _Check(lambda sc, tol: classify.is_nuclear(sc.instrument, tol)),
     "prop2": _Check(
-        lambda sc, tol: classify.check_prop2(
-            sc.instrument, sc.system_hamiltonian, sc.beta, tol
-        ).to_dict()
+        lambda sc, tol: classify.check_prop2(sc.instrument, sc.system_hamiltonian, sc.beta, tol)
     ),
-    "quasi_complete": _Check(
-        lambda sc, tol: classify.is_quasi_complete(sc.instrument, tol).to_dict()
-    ),
+    "quasi_complete": _Check(lambda sc, tol: classify.is_quasi_complete(sc.instrument, tol)),
     "thermal_observable": _Check(
         lambda sc, tol: classify.is_thermal_observable(
             sc.observable_under_test(), sc.system_hamiltonian, tol
-        ).to_dict()
+        )
     ),
     "joint_observable": _Check(_check_joint_observable),
-    "post_processing": _Check(_check_post_processing),
+    "post_processing": _Check(
+        lambda sc, tol: classify.post_processing_decomposition(
+            sc.observable_under_test(), sc.system_hamiltonian, tol
+        )
+    ),
     "refine": _Check(_check_refine),
     "moments": _Check(_check_moments, needs_scheme=True),
     "skew_chain": _Check(_check_skew_chain, needs_states=True),

@@ -172,9 +172,9 @@ def test_criterion_2_gibbs_preservation_and_covariance():
             instrument = induced_instrument(scheme)
             gibbs = is_gibbs_preserving(instrument, h, beta, tol=1e-8)
             cov = is_covariant_instrument(instrument, h, tol=1e-8)
-            worst_gibbs = max(worst_gibbs, gibbs.defect)
-            worst_cov = max(worst_cov, cov.defect)
-            worst_sampled = max(worst_sampled, cov.witness["sampled_time_defect"])
+            worst_gibbs = max(worst_gibbs, gibbs["defect"])
+            worst_cov = max(worst_cov, cov["defect"])
+            worst_sampled = max(worst_sampled, cov["witness"]["sampled_time_defect"])
             count += 1
     report(
         "criterion 2: Gibbs preservation + covariance for 50 random free schemes",
@@ -310,19 +310,19 @@ def test_criterion_8_nuclear_instruments_thermalise(sweep):
         observable = random_commuting_povm(h, 2, rng)
         instrument = induced_instrument(trivial_scheme(observable, h, beta))
         nuclear = is_nuclear(instrument, tol=1e-8)
-        if not nuclear.verdict:
+        if not nuclear["verdict"]:
             report("criterion 8: nuclear thermal instruments thermalise", False, "not nuclear")
-        worst_sigma = max(worst_sigma, check_prop2(instrument, h, beta, tol=1e-8).defect)
+        worst_sigma = max(worst_sigma, check_prop2(instrument, h, beta, tol=1e-8)["defect"])
     consistent = True
     for entry in sweep["schemes"]:
-        if is_nuclear(entry["instrument"], tol=1e-8).verdict:
+        if is_nuclear(entry["instrument"], tol=1e-8)["verdict"]:
             verdict = check_prop2(entry["instrument"], resonant_hamiltonian(entry["dim"]), entry["beta"], tol=1e-8)
-            consistent = consistent and verdict.verdict
+            consistent = consistent and verdict["verdict"]
     h2 = resonant_hamiltonian(2)
     luders = Instrument.luders(spectral_observable(h2))
     witness_ok = (
-        is_covariant_instrument(luders, h2).verdict
-        and not is_gibbs_preserving(luders, h2, 1.0).verdict
+        is_covariant_instrument(luders, h2)["verdict"]
+        and not is_gibbs_preserving(luders, h2, 1.0)["verdict"]
     )
     report(
         "criterion 8: nuclear thermal instruments thermalise; covariant non-thermal witness",
@@ -359,7 +359,7 @@ def test_criterion_10_structural_operations_and_reproducibility(tmp_path):
             marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
             worst_marginal = max(worst_marginal, frobenius(marg - p))
         post = post_processing_decomposition(observable, h)
-        worst_post = max(worst_post, post.reconstruction_defect)
+        worst_post = max(worst_post, post["reconstruction_defect"])
         refined, relabel = refine_to_rank_one(observable)
         for y, original in zip(observable.outcomes, observable.effects):
             coarse = sum(

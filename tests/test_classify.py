@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import liouville_covariance_defect, time_evolution
 from test_schemes import SPECTRA, build_scheme, scheme_inputs
 from thermomeas.classify import (
     COVARIANCE_SAMPLE_TIMES,
+    _nuclear_factors,
     check_prop2,
     is_covariant_instrument,
     is_gibbs_preserving,
@@ -20,7 +22,7 @@ from thermomeas.classify import (
     refine_to_rank_one,
 )
 from thermomeas.errors import PreconditionError
-from thermomeas.linalg import commutator_defect, frobenius
+from thermomeas.linalg import VALIDATION_TOL, commutator_defect, frobenius
 from thermomeas.objects import (
     Instrument,
     Observable,
@@ -53,23 +55,23 @@ def effect(observable, label):
 class TestThermalObservable:
     def test_spectral_measure_is_thermal(self):
         verdict = is_thermal_observable(Z_SHARP, H2)
-        assert verdict.verdict and verdict.defect < 1e-14
+        assert verdict["verdict"] and verdict["defect"] < 1e-14
 
     def test_x_basis_is_not(self):
         verdict = is_thermal_observable(X_BASIS, H2)
-        assert not verdict.verdict
-        assert abs(verdict.defect - 1 / math.sqrt(2)) < 1e-12
+        assert not verdict["verdict"]
+        assert abs(verdict["defect"] - 1 / math.sqrt(2)) < 1e-12
 
     def test_trivial_observable_always_thermal(self):
         rng = rng_from_seed(0)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = (h + h.conj().T) / 2
-        assert is_thermal_observable(TRIVIAL2, h).verdict
+        assert is_thermal_observable(TRIVIAL2, h)["verdict"]
 
     def test_equivalence_with_swap_construction(self):
         rng = rng_from_seed(1)
         obs = random_commuting_povm(H2, 3, rng)
-        assert is_thermal_observable(obs, H2).verdict
+        assert is_thermal_observable(obs, H2)["verdict"]
         scheme = trivial_scheme(obs, H2, beta=1.0)
         induced = induced_instrument(scheme).induced_observable
         for a, b in zip(induced.effects, obs.effects):
@@ -115,9 +117,10 @@ class TestCovariantInstrument:
         instrument, h = case
         oracle = [liouville_covariance_defect(ops, h) for ops in instrument.kraus_sets]
         verdict = is_covariant_instrument(instrument, h)
-        assert abs(verdict.defect - max(oracle)) <= 1e-12 * max(1.0, max(oracle))
+        assert abs(verdict["defect"] - max(oracle)) <= 1e-12 * max(1.0, max(oracle))
         if max(oracle) > 1e-6:
-            assert verdict.witness["worst_outcome"] == instrument.outcomes[int(np.argmax(oracle))]
+            worst = instrument.outcomes[int(np.argmax(oracle))]
+            assert verdict["witness"]["worst_outcome"] == worst
 
     @pytest.mark.parametrize("case", ["sharp", "x_basis", "rotated_povm", "free_scheme"])
     def test_stacked_cross_check_is_the_per_probe_loop(self, case):
@@ -132,7 +135,7 @@ class TestCovariantInstrument:
                 H4,
             ),
         }[case]
-        stacked = is_covariant_instrument(instrument, h).witness["sampled_time_defect"]
+        stacked = is_covariant_instrument(instrument, h)["witness"]["sampled_time_defect"]
         looped = per_probe_sampled_defect(instrument, h)
         assert abs(stacked - looped) <= 1e-14 * max(1.0, looped)
 
@@ -151,47 +154,47 @@ class TestCovariantInstrument:
 
     def test_luders_eigenbasis_is_covariant(self):
         verdict = is_covariant_instrument(Instrument.luders(Z_SHARP), H2)
-        assert verdict.verdict
-        assert verdict.witness["sampled_time_defect"] < 1e-8
+        assert verdict["verdict"]
+        assert verdict["witness"]["sampled_time_defect"] < 1e-8
 
     def test_free_scheme_instrument_is_covariant(self):
         scheme = random_free_scheme(SchemeFrame(H2, H2, 1.0, Z_SHARP), seed=17)
         verdict = is_covariant_instrument(induced_instrument(scheme), H2)
-        assert verdict.verdict and verdict.defect < 1e-8
+        assert verdict["verdict"] and verdict["defect"] < 1e-8
 
     def test_x_basis_luders_is_not_covariant(self):
         verdict = is_covariant_instrument(Instrument.luders(X_BASIS), H2)
-        assert not verdict.verdict
-        assert verdict.defect > 0.1
+        assert not verdict["verdict"]
+        assert verdict["defect"] > 0.1
 
     def test_covariance_implies_invariant_observable(self):
         for seed in range(4):
             scheme = random_free_scheme(SchemeFrame(H2, H2, 0.9, Z_SHARP), seed=700 + seed)
             ins = induced_instrument(scheme)
-            assert is_covariant_instrument(ins, H2).verdict
-            assert is_thermal_observable(ins.induced_observable, H2).verdict
+            assert is_covariant_instrument(ins, H2)["verdict"]
+            assert is_thermal_observable(ins.induced_observable, H2)["verdict"]
 
 
 class TestGibbsPreserving:
     def test_trivial_thermal_instrument(self):
         obs = random_commuting_povm(H2, 2, rng_from_seed(2))
         ins = induced_instrument(trivial_scheme(obs, H2, beta=1.0))
-        assert is_gibbs_preserving(ins, H2, 1.0).verdict
+        assert is_gibbs_preserving(ins, H2, 1.0)["verdict"]
 
     def test_luders_eigenbasis_fails(self):
         verdict = is_gibbs_preserving(Instrument.luders(Z_SHARP), H2, 1.0)
-        assert not verdict.verdict
-        assert verdict.defect > 0.01
+        assert not verdict["verdict"]
+        assert verdict["defect"] > 0.01
 
     def test_free_scheme_instrument_passes(self):
         scheme = random_free_scheme(SchemeFrame(H2, H2, 1.2, Z_SHARP), seed=21)
-        assert is_gibbs_preserving(induced_instrument(scheme), H2, 1.2).verdict
+        assert is_gibbs_preserving(induced_instrument(scheme), H2, 1.2)["verdict"]
 
     def test_non_thermality_witness(self):
         # covariant yet not Gibbs-preserving: no free scheme can implement it
         luders = Instrument.luders(Z_SHARP)
-        assert is_covariant_instrument(luders, H2).verdict
-        assert not is_gibbs_preserving(luders, H2, 1.0).verdict
+        assert is_covariant_instrument(luders, H2)["verdict"]
+        assert not is_gibbs_preserving(luders, H2, 1.0)["verdict"]
 
 
 class TestNuclear:
@@ -200,25 +203,24 @@ class TestNuclear:
         obs = random_commuting_povm(H2, 3, rng_from_seed(3))
         ins = induced_instrument(trivial_scheme(obs, H2, beta))
         verdict = is_nuclear(ins)
-        assert verdict.verdict
+        assert verdict["verdict"]
         tau = gibbs_state(H2, beta).matrix
-        for sigma in verdict.witness["sigmas"].values():
+        for sigma in _nuclear_factors(ins)[1]:
             assert frobenius(sigma - tau) < 1e-9
 
     def test_luders_rank_one_sharp(self):
-        verdict = is_nuclear(Instrument.luders(Z_SHARP))
-        assert verdict.verdict
-        np.testing.assert_allclose(
-            verdict.witness["sigmas"]["0"], np.diag([1.0, 0.0]), atol=1e-12
-        )
+        instrument = Instrument.luders(Z_SHARP)
+        assert is_nuclear(instrument)["verdict"]
+        labels, sigmas, _ = _nuclear_factors(instrument)
+        np.testing.assert_allclose(sigmas[labels.index("0")], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_luders_rank_two_projective_not_nuclear(self):
         p01 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         p23 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
         obs = Observable(["low", "high"], [p01, p23])
         verdict = is_nuclear(Instrument.luders(obs))
-        assert not verdict.verdict
-        assert verdict.defect > 0.5
+        assert not verdict["verdict"]
+        assert verdict["defect"] > 0.5
 
 
 class TestProp2:
@@ -227,11 +229,19 @@ class TestProp2:
         obs = random_commuting_povm(H2, 2, rng_from_seed(4))
         ins = induced_instrument(trivial_scheme(obs, H2, beta))
         verdict = check_prop2(ins, H2, beta)
-        assert verdict.verdict and verdict.defect < 1e-9
+        assert verdict["verdict"] and verdict["defect"] < 1e-9
 
     def test_luders_gate_behavior(self):
         with pytest.raises(PreconditionError, match="Gibbs-preserving"):
             check_prop2(Instrument.luders(Z_SHARP), H2, 1.0)
+
+    def test_a_non_nuclear_instrument_is_refused(self):
+        p01 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        p23 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+        instrument = Instrument.luders(Observable(["low", "high"], [p01, p23]))
+        refusal = "instrument is not nuclear (residual 1.732e+00 > 1.0e-08)"
+        with pytest.raises(PreconditionError, match=re.escape(refusal)):
+            check_prop2(instrument, H4, 1.0)
 
     def test_nuclear_free_scheme_instruments_thermalise(self):
         # whenever a free-scheme instrument happens to be nuclear, it must thermalise
@@ -241,8 +251,8 @@ class TestProp2:
             obs = random_commuting_povm(H2, 2, rng)
             scheme = trivial_scheme(obs, H2, beta=1.1)
             ins = induced_instrument(scheme)
-            if is_nuclear(ins).verdict:
-                assert check_prop2(ins, H2, 1.1).verdict
+            if is_nuclear(ins)["verdict"]:
+                assert check_prop2(ins, H2, 1.1)["verdict"]
                 tested += 1
         assert tested > 0
 
@@ -250,25 +260,25 @@ class TestProp2:
 class TestQuasiComplete:
     def test_luders_of_unsharp_povm(self):
         obs = random_povm(2, 3, rng_from_seed(6))
-        assert is_quasi_complete(Instrument.luders(obs)).verdict
+        assert is_quasi_complete(Instrument.luders(obs))["verdict"]
 
     def test_trivial_thermal_is_not(self):
         obs = random_commuting_povm(H2, 2, rng_from_seed(7))
         ins = induced_instrument(trivial_scheme(obs, H2, beta=1.0))
         verdict = is_quasi_complete(ins)
-        assert not verdict.verdict
-        assert verdict.witness["worst_rank"] > 1
+        assert not verdict["verdict"]
+        assert verdict["witness"]["worst_rank"] > 1
 
     def test_unitary_single_outcome(self):
         ins = Instrument(["u"], [[haar_unitary(3, rng_from_seed(8))]])
-        assert is_quasi_complete(ins).verdict
+        assert is_quasi_complete(ins)["verdict"]
 
     def test_quasi_complete_implies_nonnegative_gain(self):
         rng = rng_from_seed(9)
         for _ in range(10):
             obs = random_povm(2, 2, rng)
             ins = Instrument.luders(obs)
-            assert is_quasi_complete(ins).verdict
+            assert is_quasi_complete(ins)["verdict"]
             rho = random_density_matrix(2, rng)
             assert work_report(ins, rho, H2, 1.0)["groenewold_gain"] >= -1e-8
 
@@ -298,27 +308,49 @@ class TestJointObservable:
             assert frobenius(marg - e) < 1e-10
 
     def test_refuses_noncommuting(self):
-        with pytest.raises(PreconditionError, match="commute"):
+        refusal = "observable does not commute with the Hamiltonian (defect 7.071e-01 > 1.0e-08)"
+        with pytest.raises(PreconditionError, match=re.escape(f"{refusal}; no unique joint")):
             joint_with_hamiltonian(X_BASIS, H2)
 
 
 class TestPostProcessing:
     def test_sharp_observable_is_permutation(self):
         post = post_processing_decomposition(Z_SHARP, H2)
-        np.testing.assert_allclose(post.matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(post["matrix"], np.eye(2), atol=1e-12)
 
     def test_trivial_observable_uniform(self):
         post = post_processing_decomposition(TRIVIAL2, H2)
-        np.testing.assert_allclose(post.matrix, np.full((2, 2), 0.5), atol=1e-12)
+        np.testing.assert_allclose(post["matrix"], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_random_diagonal_povm_read_back(self):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
         rng = rng_from_seed(10)
         obs = random_commuting_povm(h, 3, rng)
         post = post_processing_decomposition(obs, h)
-        assert post.reconstruction_defect < 1e-10
-        for row, e in zip(post.matrix, obs.effects):
+        assert post["reconstruction_defect"] < 1e-10
+        for row, e in zip(post["matrix"], obs.effects):
             np.testing.assert_allclose(row, np.diag(e).real, atol=1e-12)
+
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(2, 4),
+        rotated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_is_column_stochastic(self, d, n, rotated, seed):
+        # a validated observable's weights lie in its effects' eigenvalue range,
+        # and its columns sum to one within its completeness defect
+        rng = rng_from_seed(seed)
+        h = np.diag(np.cumsum(rng.uniform(0.1, 2.0, d))).astype(complex)
+        if rotated:
+            u = haar_unitary(d, rng)
+            h = u @ h @ u.conj().T
+        observable = random_commuting_povm(h, n, rng)
+        matrix = np.array(post_processing_decomposition(observable, h)["matrix"])
+        assert matrix.shape == (n, d)
+        assert matrix.min() >= -VALIDATION_TOL and matrix.max() <= 1 + VALIDATION_TOL
+        assert np.abs(matrix.sum(axis=0) - 1.0).max() <= VALIDATION_TOL
 
     def test_refuses_degenerate_spectrum(self):
         h = np.diag([0.0, 1.0, 1.0]).astype(complex)
@@ -327,7 +359,8 @@ class TestPostProcessing:
             post_processing_decomposition(obs, h)
 
     def test_refuses_noncommuting(self):
-        with pytest.raises(PreconditionError, match="commute"):
+        refusal = "observable does not commute with the Hamiltonian (defect 7.071e-01 > 1.0e-08)"
+        with pytest.raises(PreconditionError, match=re.escape(refusal) + "$"):
             post_processing_decomposition(X_BASIS, H2)
 
 
@@ -365,7 +398,7 @@ class TestRefineToRankOne:
         obs = random_povm(3, 2, rng)
         refined, _ = refine_to_rank_one(obs)
         assert refined.is_rank_one()
-        assert is_nuclear(Instrument.luders(refined)).verdict
+        assert is_nuclear(Instrument.luders(refined))["verdict"]
 
 
 class TestNondegenerateCommutation:
@@ -374,8 +407,8 @@ class TestNondegenerateCommutation:
         rng = rng_from_seed(12)
         first = random_commuting_povm(h, 3, rng)
         second = random_commuting_povm(h, 2, rng)
-        assert is_thermal_observable(first, h).verdict
-        assert is_thermal_observable(second, h).verdict
+        assert is_thermal_observable(first, h)["verdict"]
+        assert is_thermal_observable(second, h)["verdict"]
         for a in first.effects:
             for b in second.effects:
                 assert commutator_defect(a, b) < 1e-8

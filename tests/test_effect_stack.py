@@ -89,7 +89,7 @@ def test_stacked_per_effect_quantities_match_the_loops(case):
     coarse = oracles.coarse_grain_defect(observable.outcomes, effects, labels, pieces)
     assert_close(report.checks[0]["coarse_grain_defect"], coarse)
 
-    if not is_thermal_observable(observable, h).verdict:
+    if not is_thermal_observable(observable, h)["verdict"]:
         return
     joint = joint_with_hamiltonian(observable, h)
     products = oracles.joint_effects(effects, projectors)
@@ -99,5 +99,5 @@ def test_stacked_per_effect_quantities_match_the_loops(case):
     if len(projectors) == len(h):  # the decomposition needs a nondegenerate spectrum
         post = post_processing_decomposition(observable, h)
         weights, defect = oracles.post_processing(effects, projectors)
-        assert_close(post.matrix, weights)
-        assert_close(post.reconstruction_defect, defect)
+        assert_close(post["matrix"], weights)
+        assert_close(post["reconstruction_defect"], defect)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from thermomeas.classify import (
     COVARIANCE_SAMPLE_TIMES,
+    _nuclear_factors,
     is_covariant_instrument,
     is_gibbs_preserving,
     is_nuclear,
@@ -93,22 +94,23 @@ def test_stacked_per_outcome_classifiers_match_the_loops(case):
 
     covariant = is_covariant_instrument(instrument, h)
     choi_defects = oracles.covariance_choi_defects(instrument, h)
-    assert_close(covariant.defect, max(choi_defects))
-    assert_worst(covariant.witness["worst_outcome"], outcomes, choi_defects)
+    assert_close(covariant["defect"], max(choi_defects))
+    assert_worst(covariant["witness"]["worst_outcome"], outcomes, choi_defects)
     probes = random_density_matrix_stacks(instrument.dim, 3, [rng_from_seed(20100526)])[0]
     sampled = oracles.sampled_covariance_defect(instrument, h, COVARIANCE_SAMPLE_TIMES, probes)
-    assert_close(covariant.witness["sampled_time_defect"], sampled)
+    assert_close(covariant["witness"]["sampled_time_defect"], sampled)
 
     gibbs = is_gibbs_preserving(instrument, h, beta)
     gibbs_defects = oracles.gibbs_preservation_defects(instrument, gibbs_state(h, beta))
-    assert_close(gibbs.defect, max(gibbs_defects))
-    assert_worst(gibbs.witness["worst_outcome"], outcomes, gibbs_defects)
+    assert_close(gibbs["defect"], max(gibbs_defects))
+    assert_worst(gibbs["witness"]["worst_outcome"], outcomes, gibbs_defects)
 
-    nuclear = is_nuclear(instrument, tol=np.inf)  # an infinite tolerance keeps the sigmas
+    nuclear = is_nuclear(instrument)
+    labels, stacked_sigmas, _ = _nuclear_factors(instrument)
     sigmas, residuals = oracles.nuclear_factors(instrument, PROBABILITY_CUTOFF)
-    assert list(nuclear.witness["sigmas"]) == list(sigmas)
-    for label, sigma in sigmas.items():
-        assert_close(nuclear.witness["sigmas"][label], sigma)
-    assert_close(nuclear.defect, max(residuals.values()))
-    assert_worst(nuclear.witness["worst_outcome"], list(residuals), list(residuals.values()))
+    assert labels == list(sigmas)
+    for got, want in zip(stacked_sigmas, sigmas.values()):
+        assert_close(got, want)
+    assert_close(nuclear["defect"], max(residuals.values()))
+    assert_worst(nuclear["witness"]["worst_outcome"], list(residuals), list(residuals.values()))
 

@@ -24,7 +24,9 @@ second order in ``eps`` while its freeness defects are of first order.
 A third family breaks thermalisation alone: the nuclear instrument
 ``rho -> tr[E_x rho] sigma_x`` with ``sigma_x = tau + eps Delta_x``. It
 stays nuclear and stops preserving the Gibbs state, so Prop. 2, whose
-premise is Gibbs preservation, is refused rather than failed.
+premise is Gibbs preservation, is refused rather than failed. Just below
+the tolerance both premises pass, and so does Prop. 2: its defect weighs
+each ``sigma_x - tau`` by ``q_x`` as the premise does.
 """
 
 import re
@@ -257,17 +259,40 @@ NUCLEAR_SLOPE = float(TAU.diagonal().real.max())
 @pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3, 1e-2])
 def test_a_nuclear_instrument_that_does_not_thermalise(eps):
     instrument = nuclear_instrument(eps)
-    assert is_nuclear(instrument).verdict
+    assert is_nuclear(instrument)["verdict"]
     gibbs = is_gibbs_preserving(instrument, H, 1.0)
-    assert not gibbs.verdict
-    assert abs(gibbs.defect / eps - NUCLEAR_SLOPE) <= 1e-6 * NUCLEAR_SLOPE, (eps, gibbs.defect)
+    assert not gibbs["verdict"]
+    defect = gibbs["defect"]
+    assert abs(defect / eps - NUCLEAR_SLOPE) <= 1e-6 * NUCLEAR_SLOPE, (eps, defect)
     # Prop. 2's premise fails, so its conclusion is not tested
-    refusal = f"instrument is not Gibbs-preserving (defect {gibbs.defect:.3e} > {THEOREM_TOL:.1e})"
+    refusal = f"instrument is not Gibbs-preserving (defect {defect:.3e} > {THEOREM_TOL:.1e})"
     with pytest.raises(PreconditionError, match=re.escape(refusal)):
         check_prop2(instrument, H, 1.0)
 
 
+@pytest.mark.parametrize("eps", [1.0e-8, 1.2e-8, 1.4e-8])
+def test_prop2_passes_where_both_premises_pass(eps):
+    instrument = nuclear_instrument(eps)
+    assert is_nuclear(instrument)["verdict"]
+    gibbs = is_gibbs_preserving(instrument, H, 1.0)
+    assert gibbs["verdict"]
+    prop2 = check_prop2(instrument, H, 1.0)
+    assert prop2["verdict"], (eps, gibbs["defect"], prop2["defect"])
+    assert abs(prop2["defect"] - gibbs["defect"]) <= 1e-6 * gibbs["defect"]
+
+
+@given(exponent=st.floats(-10.0, -6.0))
+@settings(max_examples=100, deadline=None)
+def test_prop2_is_refused_or_passes_but_never_fails(exponent):
+    instrument = nuclear_instrument(10.0**exponent)
+    try:
+        prop2 = check_prop2(instrument, H, 1.0)
+    except PreconditionError:
+        return
+    assert prop2["verdict"], (exponent, prop2["defect"])
+
+
 def test_the_nuclear_break_passes_prop2_without_it():
     instrument = nuclear_instrument(0.0)
-    assert is_nuclear(instrument).verdict and is_gibbs_preserving(instrument, H, 1.0).verdict
-    assert check_prop2(instrument, H, 1.0).verdict
+    assert is_nuclear(instrument)["verdict"] and is_gibbs_preserving(instrument, H, 1.0)["verdict"]
+    assert check_prop2(instrument, H, 1.0)["verdict"]

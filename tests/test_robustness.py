@@ -33,7 +33,13 @@ from thermomeas.thermo import (
     second_law_report,
     work_report,
 )
-from thermomeas.classify import is_covariant_instrument, is_gibbs_preserving, is_nuclear, is_quasi_complete
+from thermomeas.classify import (
+    _nuclear_factors,
+    is_covariant_instrument,
+    is_gibbs_preserving,
+    is_nuclear,
+    is_quasi_complete,
+)
 
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
@@ -67,7 +73,7 @@ class TestRotatedBases:
         q = ins.induced_observable.probabilities(tau)
         for qx, out in zip(q, ins.apply(tau)):
             assert frobenius(out - qx * tau.matrix) < 1e-8
-        assert is_covariant_instrument(ins, h_sys).verdict
+        assert is_covariant_instrument(ins, h_sys)["verdict"]
         law = second_law_report(scheme, rho)["second_law"]
         assert law["verdict"]
 
@@ -112,7 +118,8 @@ class TestUnequalDimensions:
     def test_gibbs_preservation(self):
         scheme = self.build()
         ins = induced_instrument(scheme)
-        assert is_gibbs_preserving(ins, scheme.frame.system_hamiltonian, scheme.frame.beta).verdict
+        frame = scheme.frame
+        assert is_gibbs_preserving(ins, frame.system_hamiltonian, frame.beta)["verdict"]
 
 
 class TestNullEffects:
@@ -124,9 +131,9 @@ class TestNullEffects:
 
         ins = Instrument(["all", "never"], [[np.eye(2)], [zero]])
         assert abs(work_report(ins, rho, np.diag([0.0, 1.0]), 1.0)["groenewold_gain"]) < 1e-12
-        assert is_quasi_complete(ins).verdict
-        nuclear = is_nuclear(ins)
-        assert "never" not in nuclear.witness.get("sigmas", {})
+        assert is_quasi_complete(ins)["verdict"]
+        assert is_nuclear(ins)["witness"]["worst_outcome"] == "all"
+        assert _nuclear_factors(ins)[0] == ["all"]
 
     def test_probabilities_sum_with_null_outcome(self):
         zero = np.zeros((2, 2), dtype=complex)
@@ -425,7 +432,7 @@ class TestLargerDimensions:
             assert frobenius(out - ref) < 1e-11
         law = second_law_report(scheme, rho)["second_law"]
         assert law["verdict"]
-        assert is_covariant_instrument(ins, h).verdict
+        assert is_covariant_instrument(ins, h)["verdict"]
 
     def test_free_scheme_and_moments_at_d16(self):
         # the energy-moment check on a 256-dimensional joint space: seconds

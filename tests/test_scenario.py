@@ -621,6 +621,50 @@ class TestRunScenario:
         assert not post["verdict"]
         assert abs(post["reconstruction_defect"] - 2**0.5 * eps) < 1e-15
 
+    def test_every_check_result_keeps_its_schema(self):
+        sharp = [np.diag(np.eye(3)[x]).tolist() for x in range(3)]
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0, 2.0],
+            "probe_hamiltonian": [0.0, 1.0, 2.0],
+            "scheme": {"kind": "swap", "pointer": {"effects": sharp}},
+            "states": {"count": 3},
+            "checks": list(KNOWN_CHECKS),
+        }
+        classifier = ["defect", "name", "tol", "verdict", "witness"]
+        per_state = ["n_states", "name", "per_state", "verdict"]
+        schema = {
+            "free_scheme": (
+                ["bistochastic_defect", "energy_conservation_defects", "gibbs_probe_ok"]
+                + ["name", "tol", "verdict", "yanase_defect"],
+                None,
+            ),
+            "second_law": (per_state + ["worst_prop1_slack"], None),
+            "covariant": (classifier, ["sample_times", "sampled_time_defect", "worst_outcome"]),
+            "gibbs_preserving": (classifier, ["worst_outcome"]),
+            "nuclear": (classifier, ["worst_outcome"]),
+            "prop2": (classifier, ["n_outcomes_tested", "worst_outcome"]),
+            "quasi_complete": (classifier, ["worst_outcome", "worst_rank"]),
+            "thermal_observable": (classifier, ["worst_outcome"]),
+            "joint_observable": (["marginal_defect", "n_effects", "name", "tol", "verdict"], None),
+            "post_processing": (
+                ["energies", "matrix", "name", "reconstruction_defect", "tol", "verdict"],
+                None,
+            ),
+            "refine": (["coarse_grain_defect", "n_refined", "name", "tol", "verdict"], None),
+            "moments": (["fixed_point_defect", "moment_defects", "name", "tol", "verdict"], None),
+            "skew_chain": (per_state + ["worst_slack"], None),
+            "heat_duality": (per_state + ["worst_duality_defect"], None),
+        }
+        checks = run_scenario(raw).checks
+        assert [check["name"] for check in checks] == list(schema)
+        for check in checks:
+            keys, witness_keys = schema[check["name"]]
+            assert sorted(check) == keys, check["name"]
+            if witness_keys is not None:
+                assert sorted(check["witness"]) == witness_keys, check["name"]
+                assert json.loads(json.dumps(check["witness"])) == check["witness"]
+
 
 class TestRunSweep:
     def test_beta_grid_on_swap_scheme(self):
