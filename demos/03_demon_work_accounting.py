@@ -11,7 +11,7 @@ Run: python demos/03_demon_work_accounting.py
 import numpy as np
 
 import thermomeas as tm
-from thermomeas.sampling import random_density_matrix, rng_from_seed
+from thermomeas.sampling import random_density_matrix_stacks, rng_from_seed
 
 H = np.diag([0.0, 1.0]).astype(complex)
 BETA = 1.0
@@ -36,12 +36,13 @@ print(f"  average extractable work: {row['work']['average_extractable_work']:.2e
 print(f"  verdict: {row['second_law']['verdict']}\n")
 
 # Away from equilibrium the demon may extract work, but never more than the
-# no-measurement benchmark minus the divergence penalty:
-rng = rng_from_seed(3)
+# no-measurement benchmark minus the divergence penalty. The scheme is a batch
+# of one point, so one audit takes its five states at once, as a (1, 5, 2, 2)
+# stack, and applies each outcome to them once:
+states = random_density_matrix_stacks(2, 5, [rng_from_seed(3)])
+[rows] = tm.AuditBatch.of_schemes(scheme, states).second_law_rows(1e-8)
 print("free measurement on random states (W >= D/beta + <W>):")
-for _ in range(5):
-    rho = random_density_matrix(2, rng)
-    row = tm.second_law_report(scheme, rho)
+for row in rows:
     work, law = row["work"], row["second_law"]
     print(
         f"  W = {work['extractable_work']:.4f}  <W> = {work['average_extractable_work']:.4f}  "
@@ -62,6 +63,6 @@ print(f"  heat bound Q <= -I/beta holds with slack {law['heat_bound_slack']:.4f}
 
 # Asymmetry (coherence with respect to H) can only decrease on average:
 plus = tm.pure_state([1.0, 1.0])
-chain = tm.skew_information_chain(tm.induced_instrument(scheme), plus, H)
+chain = tm.skew_information_chain(scheme.instrument, plus, H)
 print(f"\nskew-information monotonicity on |+>: selective slack {chain['selective_slack']:.4f}, "
       f"convexity slack {chain['convexity_slack']:.4f}")

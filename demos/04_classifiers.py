@@ -34,7 +34,7 @@ print("  quasi-complete?   ", tm.is_quasi_complete(luders)["verdict"])
 
 # A free scheme's instrument passes both necessary conditions:
 scheme = tm.random_free_scheme(tm.SchemeFrame(H, H, BETA, energy), seed=5, mixture_size=2)
-instrument = tm.induced_instrument(scheme)
+instrument = scheme.instrument  # the induced instrument, kept by the scheme
 print("\nfree-scheme instrument:")
 print("  covariant?        ", tm.is_covariant_instrument(instrument, H)["verdict"])
 print("  Gibbs-preserving? ", tm.is_gibbs_preserving(instrument, H, BETA)["verdict"])
@@ -42,7 +42,7 @@ print("  Gibbs-preserving? ", tm.is_gibbs_preserving(instrument, H, BETA)["verdi
 # --- nuclear instruments: state preparation has a price --------------------------
 # Nuclear + thermal forces every prepared state to be the Gibbs state.
 observable = random_commuting_povm(H, 2, rng)
-thermalising = tm.induced_instrument(tm.trivial_scheme(observable, H, BETA))
+thermalising = tm.trivial_scheme(observable, H, BETA).instrument
 tau = tm.gibbs_state(H, BETA)
 print("\nswap-scheme instrument nuclear?", tm.is_nuclear(thermalising)["verdict"])
 # each outcome prepares sigma_x = I_x(tau) / q_x; Prop. 2 says it is tau

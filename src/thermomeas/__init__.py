@@ -30,6 +30,7 @@ from .objects import (
 )
 from .schemes import (
     MeasurementScheme,
+    SchemeBatch,
     SchemeFrame,
     conjugate_channel,
     energy_moment_defect,
@@ -81,6 +82,7 @@ __all__ = [
     "choi_of_operation",
     "choi_rank",
     "MeasurementScheme",
+    "SchemeBatch",
     "SchemeFrame",
     "validate_free_scheme",
     "induced_instrument",

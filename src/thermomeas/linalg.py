@@ -17,7 +17,7 @@ decision has one constant here, and the other modules import it:
   larger defects raise, they are never silently repaired. Every object,
   parsed from a scenario or derived, validates at it.
 * ``THEOREM_TOL`` decides whether a theorem's defect counts as zero. The
-  classifiers, ``freeness`` and ``second_law_report`` take it as a ``tol``
+  classifiers, ``free_report`` and ``second_law_report`` take it as a ``tol``
   argument, which scenario input sets (``tolerances.<check>``, ``--tol``).
 * ``SUPPORT_TOL`` decides support and rank: eigenvalues at or below it are
   zero.
@@ -219,8 +219,10 @@ def eig_hermitian(a) -> SpectralDecomposition:
 def psd_sqrt(a, name="operator") -> np.ndarray:
     """Principal square root of a positive semidefinite operator, or of each entry of a stack.
 
-    Eigenvalues in ``[-VALIDATION_TOL, 0)`` are clipped to zero; anything
-    more negative raises, naming the entry as :func:`_first_failure` does.
+    Eigenvalues at or below ``d u max|lambda|`` of their own matrix (``u`` the
+    float64 machine epsilon), whose roots would be round-off, are set to zero,
+    as are those in ``[-VALIDATION_TOL, 0)``; anything more negative raises,
+    naming the entry as :func:`_first_failure` does.
     """
     evals, vecs = np.linalg.eigh(_symmetrized(as_matrices(a), VALIDATION_TOL, "matrix"))
     lowest = evals[..., 0]
@@ -230,7 +232,8 @@ def psd_sqrt(a, name="operator") -> np.ndarray:
             f"{label} is not positive semidefinite: min eigenvalue {worst:.3e} "
             f"< -{VALIDATION_TOL:.1e}"
         )
-    root = np.sqrt(np.maximum(evals, 0.0))
+    floor = evals.shape[-1] * np.finfo(float).eps * np.abs(evals).max(axis=-1, keepdims=True)
+    root = np.sqrt(np.where(evals > floor, evals, 0.0))
     return (vecs * root[..., None, :]) @ dag(vecs)
 
 

@@ -18,14 +18,15 @@ the points' schemes as one :class:`SchemeBatch` and their audit as one
 own point through it, a batch of one: its random interaction and states,
 its scheme, the instrument under test, its audit and, for the ``refine``
 check of an induced observable, its refinement, so their validation too
-comes before any check runs. A sweep file (an object with an ``axis``,
-``values`` or ``range`` but not both, and a ``scenario`` object, and no
-other key) judges its scenario and every axis value before the first grid
-point, then derives its points from the one scenario in chunks of
-:func:`chunk_size` points at one beta, whose largest stacked array stays
-within ``CHUNK_BYTES`` (one point at least), with every validation holding
-per point. A chunk's rows are read off its arrays: a sweep derives only
-what the ``free_scheme`` and ``second_law`` verdicts of its rows read. A
+comes before any check runs; its conjugate channel waits for a check that
+reads a heat. A sweep file (an object with an ``axis``, ``values`` or
+``range`` but not both, and a ``scenario`` object, and no other key) judges
+its scenario and every axis value before the first grid point, then
+derives its points from the one scenario in chunks of :func:`chunk_size`
+points at one beta, whose largest stacked array stays within
+``CHUNK_BYTES`` (one point at least), with every validation holding per
+point. A chunk's rows are read off its arrays: a sweep derives only what
+the ``free_scheme`` and ``second_law`` verdicts of its rows read. A
 refusal names the first failing grid point in axis order.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
@@ -338,7 +339,7 @@ class _Scheme:
         if self.kind == "random_block":
             own = seeds if self.seed is None else [self.seed] * len(seeds)
             return random_free_schemes(frame, own, self.mixture_size)
-        kraus = np.repeat(self.fixed.interaction.kraus[None], len(seeds), axis=0)
+        kraus = np.repeat(self.fixed.kraus, len(seeds), axis=0)
         kraus.flags.writeable = False
         return SchemeBatch(frame, kraus)
 
@@ -429,20 +430,19 @@ class Scenario:
     @cached_property
     def _own(self) -> tuple:
         """``(scheme, instrument, audit)`` of the own point, validated in that order:
-        :meth:`derive` of one seed, or without a scheme the observable's Lüders
-        instrument on its states."""
+        :meth:`derive` of one seed, whose batch of one point is the scheme, or
+        without a scheme the observable's Lüders instrument on its states."""
         h, beta = self.system_hamiltonian, self.beta
         if self.scheme_spec is None:
             instrument = Instrument.luders(self.observable)
             states = self.state_spec.stacks(h, [self.seed], beta)[0]
             return None, instrument, AuditBatch.of_instrument(instrument, states, h, beta)
-        schemes, audit = self.derive([self.seed], beta)
-        scheme = schemes.scheme
+        scheme, audit = self.derive([self.seed], beta)
         return scheme, scheme.instrument, audit
 
     @property
-    def scheme(self) -> MeasurementScheme:
-        """The own point's scheme, or ``None`` without one."""
+    def scheme(self) -> SchemeBatch:
+        """The own point's scheme, a batch of one point, or ``None`` without one."""
         return self._own[0]
 
     @property
@@ -593,7 +593,7 @@ def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) 
 
 
 def _check_second_law(sc: Scenario, tol: float) -> dict:
-    sc.scheme.batch.require_free(tol)
+    sc.scheme.require_free(tol)
     [rows] = sc.audit.second_law_rows(tol)
     laws = [row["second_law"] for row in rows]
     worst = min(law["prop1_slack"] for law in laws)
@@ -628,7 +628,7 @@ def _check_refine(sc: Scenario, tol: float) -> dict:
 
 
 def _check_moments(sc: Scenario, tol: float) -> dict:
-    defects = sc.scheme.batch.energy_conservation_defects[0].tolist()
+    defects = sc.scheme.energy_conservation_defects[0].tolist()
     frame = sc.scheme.frame
     joint_gibbs = np.kron(frame.system_gibbs.matrix, frame.probe_state.matrix)
     fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
@@ -664,7 +664,7 @@ class _Check:
 
 #: Every check by name, in the order the known-checks error message lists them.
 _CHECKS = {
-    "free_scheme": _Check(lambda sc, tol: sc.scheme.batch.free_report(0, tol), needs_scheme=True),
+    "free_scheme": _Check(lambda sc, tol: sc.scheme.free_report(0, tol), needs_scheme=True),
     "second_law": _Check(_check_second_law, needs_scheme=True, needs_states=True),
     "covariant": _Check(
         lambda sc, tol: classify.is_covariant_instrument(sc.instrument, sc.system_hamiltonian, tol)

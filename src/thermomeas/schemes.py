@@ -20,13 +20,13 @@ leading point axis, over a :class:`SchemeBatch` of interactions on one
 frame: the freeness defects, each named as the key of the ``free_scheme``
 row (:meth:`SchemeBatch.free_report`) that carries it, and their
 verdicts, one dilation per batch, and from it the Kraus stacks of the
-induced instruments and of the conjugate channels. A
-:class:`MeasurementScheme` holds its frame, its interaction and its batch
-of one, and nothing is read through it: its freeness row is
-``scheme.batch.free_report(0, tol)``, its instrument and conjugate channel
-are entry 0 of the batch's stacks (:func:`induced_instrument`,
-:func:`conjugate_channel`). :func:`random_free_schemes` draws a whole batch,
-one stacked QR per block size.
+induced instruments and of the conjugate channels. A scheme is a batch of
+one point: its freeness row is ``scheme.free_report(0, tol)``, its
+``interaction`` and ``instrument`` are entry 0 of the batch, and its
+conjugate channel is entry 0 of the conjugate stack
+(:func:`conjugate_channel`). :class:`MeasurementScheme` validates a frame
+and an interaction into one; :func:`random_free_schemes` draws a whole
+batch, one stacked QR per block size.
 
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
@@ -201,53 +201,6 @@ class SchemeFrame:
         return gibbs_state_from(*self.gibbs_log_weights)
 
 
-class MeasurementScheme:
-    """A frame (system and probe Hamiltonians, beta, pointer) and an interaction.
-
-    The probe is prepared in ``gibbs_state(probe_hamiltonian, beta)``; there
-    is deliberately no way to supply a different probe state. Frame data is
-    read off the frame, as ``scheme.frame.beta``.
-
-    A scheme is immutable, as its frame is. It is the :class:`SchemeBatch`
-    of one point it holds as ``batch``: what depends on the interaction too
-    (the freeness defects, the induced instrument and the conjugate channel)
-    is entry 0 of that batch's stacked kernels, derived on first use and
-    kept for every later use. The freeness report at ``tol`` is
-    ``scheme.batch.free_report(0, tol)``; ``instrument`` keeps the
-    :func:`induced_instrument`.
-    """
-
-    def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
-        d = frame.dim_system * frame.dim_probe
-        if interaction.dim_in != interaction.dim_out:
-            raise ValidationError("interaction channel must be square")
-        if interaction.dim_in != d:
-            raise ValidationError(
-                f"interaction acts on dimension {interaction.dim_in}, expected "
-                f"{frame.dim_system} * {frame.dim_probe} = {d}"
-            )
-        self._hold(frame, interaction, SchemeBatch(frame, interaction.kraus[None]))
-
-    def _hold(self, frame: SchemeFrame, interaction: KrausChannel, batch: SchemeBatch) -> None:
-        """Holds the frame, the interaction and the :class:`SchemeBatch` of one they are."""
-        vars(self).update(frame=frame, interaction=interaction, batch=batch)
-
-    __setattr__ = SchemeFrame.__setattr__
-    __delattr__ = SchemeFrame.__delattr__
-
-    @cached_property
-    def instrument(self) -> Instrument:
-        """The :func:`induced_instrument` of the scheme."""
-        return induced_instrument(self)
-
-    def __repr__(self):
-        frame = self.frame
-        return (
-            f"MeasurementScheme(dims={frame.dim_system}x{frame.dim_probe}, beta={frame.beta}, "
-            f"outcomes={list(frame.pointer.outcomes)})"
-        )
-
-
 class SchemeBatch:
     """The schemes of one frame whose interactions are the entries of one stack.
 
@@ -258,20 +211,28 @@ class SchemeBatch:
     and of the conjugate channels. Each point keeps the dilation's operators
     that :func:`_pruned` keeps; points that keep different ones cannot share
     a stack and are refused, to be derived one at a time.
+
+    A batch of one point is one scheme, its probe in ``gibbs_state(H_A, beta)``
+    and no way to supply another. Its ``interaction`` and ``instrument`` (the
+    :func:`induced_instrument`) are kept on first use; a larger batch refuses
+    both. A batch is immutable, as its frame is.
     """
 
     def __init__(self, frame: SchemeFrame, kraus: np.ndarray):
-        self.frame = frame
-        self.kraus = kraus
+        vars(self).update(frame=frame, kraus=kraus)
 
-    @property
-    def scheme(self) -> MeasurementScheme:
-        """The :class:`MeasurementScheme` a batch of one point is."""
-        if len(self.kraus) != 1:
-            raise ValueError(f"a batch of {len(self.kraus)} points is not one scheme")
-        return _from_validated(
-            MeasurementScheme, self.frame, _from_validated(KrausChannel, self.kraus[0]), self
-        )
+    __setattr__ = SchemeFrame.__setattr__
+    __delattr__ = SchemeFrame.__delattr__
+
+    @cached_property
+    def interaction(self) -> KrausChannel:
+        """The interaction of a batch of one point."""
+        return _from_validated(KrausChannel, self.kraus[_only_point(self)])
+
+    @cached_property
+    def instrument(self) -> Instrument:
+        """The :func:`induced_instrument` of a batch of one point."""
+        return induced_instrument(self)
 
     @cached_property
     def _kraus_gram(self) -> np.ndarray:
@@ -383,6 +344,37 @@ class SchemeBatch:
         return ops
 
 
+class MeasurementScheme(SchemeBatch):
+    """A frame and an interaction channel, validated into the :class:`SchemeBatch`
+    of one point whose ``interaction`` is that channel."""
+
+    def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
+        d = frame.dim_system * frame.dim_probe
+        if interaction.dim_in != interaction.dim_out:
+            raise ValidationError("interaction channel must be square")
+        if interaction.dim_in != d:
+            raise ValidationError(
+                f"interaction acts on dimension {interaction.dim_in}, expected "
+                f"{frame.dim_system} * {frame.dim_probe} = {d}"
+            )
+        super().__init__(frame, interaction.kraus[None])
+        vars(self)["interaction"] = interaction  # what the cached property would derive
+
+    def __repr__(self):
+        frame = self.frame
+        return (
+            f"MeasurementScheme(dims={frame.dim_system}x{frame.dim_probe}, beta={frame.beta}, "
+            f"outcomes={list(frame.pointer.outcomes)})"
+        )
+
+
+def _only_point(schemes: SchemeBatch) -> int:
+    """0, the index of the one point of ``schemes``; a larger batch is not one scheme."""
+    if len(schemes.kraus) != 1:
+        raise ValueError(f"a batch of {len(schemes.kraus)} points is not one scheme")
+    return 0
+
+
 def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     """``||Phi*(H^k) - H^k||_F``: conservation of the k-th energy moment."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
@@ -399,18 +391,18 @@ def _moment_defect(kraus: np.ndarray, hk: np.ndarray) -> np.ndarray:
     return frobenius_each(_dual(kraus, hk) - hk)
 
 
-def validate_free_scheme(scheme: MeasurementScheme) -> dict:
+def validate_free_scheme(scheme: SchemeBatch) -> dict:
     """Measure how far a scheme is from being thermodynamically free: its
-    ``free_scheme`` row at ``THEOREM_TOL``, ``scheme.batch.free_report(0)``.
+    ``free_scheme`` row at ``THEOREM_TOL``, ``scheme.free_report(0)``.
 
     Probe thermality holds by construction, so three defects remain:
     bistochasticity of the interaction, conservation of the total additive
     Hamiltonian (checked in the Heisenberg picture for moments
     ``k = 1..ENERGY_MOMENTS``), and the Yanase defect, the worst commutator
     of a pointer effect with the probe Hamiltonian.
-    ``scheme.batch.free_report(0, tol)`` gives the row at any other tol.
+    ``scheme.free_report(0, tol)`` gives the row at any other tol.
     """
-    return scheme.batch.free_report(0)
+    return scheme.free_report(_only_point(scheme))
 
 
 def _dilation(frame: SchemeFrame, kraus: np.ndarray) -> tuple:
@@ -447,7 +439,7 @@ def _pruned(ks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ks[:, keep[0]])
 
 
-def induced_instrument(scheme: MeasurementScheme) -> Instrument:
+def induced_instrument(scheme: SchemeBatch) -> Instrument:
     """Instrument the scheme implements: ``I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)]``.
 
     Realized in Kraus form by applying the square roots of the pointer
@@ -455,25 +447,25 @@ def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    stacks, grams, effects = scheme.batch.instrument_stacks
-    outcomes = scheme.frame.pointer.outcomes
+    i, outcomes = _only_point(scheme), scheme.frame.pointer.outcomes
+    stacks, grams, effects = scheme.instrument_stacks
     return _from_validated(
         Instrument,
         outcomes,
-        tuple(ops[0] for ops in stacks),
-        grams[0],
-        _from_validated(Observable, outcomes, effects[0]),
+        tuple(ops[i] for ops in stacks),
+        grams[i],
+        _from_validated(Observable, outcomes, effects[i]),
     )
 
 
-def conjugate_channel(scheme: MeasurementScheme) -> KrausChannel:
+def conjugate_channel(scheme: SchemeBatch) -> KrausChannel:
     """Channel describing the probe after the interaction: ``tr_S[E(rho (x) xi)]``.
 
     Input dimension is the system's, output dimension the probe's. Kraus
     operators are ordered by interaction Kraus operator, probe level and
     system output.
     """
-    return _from_validated(KrausChannel, scheme.batch.conjugate_kraus[0])
+    return _from_validated(KrausChannel, scheme.conjugate_kraus[_only_point(scheme)])
 
 
 def swap_channel(dim: int) -> KrausChannel:
@@ -519,16 +511,16 @@ def require_free_draw(frame: SchemeFrame, mixture_size: int) -> None:
         raise ValidationError(f"mixture_size must be at least 1, got {mixture_size}")
 
 
-def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> MeasurementScheme:
+def random_free_scheme(frame: SchemeFrame, seed: int, mixture_size: int = 3) -> SchemeBatch:
     """Seeded generator of nontrivial thermodynamically free schemes on ``frame``.
 
     The interaction is a convex mixture of ``mixture_size`` Haar-random
     unitaries block-diagonal on the degenerate eigenspaces of the total
     Hamiltonian (hence energy conserving), with mixture weights drawn
-    uniformly from the simplex. Deterministic for a fixed seed; the draw of
-    :func:`random_free_schemes` for one seed.
+    uniformly from the simplex. Deterministic for a fixed seed: the batch of
+    one point :func:`random_free_schemes` draws for ``[seed]``.
     """
-    return random_free_schemes(frame, [seed], mixture_size).scheme
+    return random_free_schemes(frame, [seed], mixture_size)
 
 
 def random_free_schemes(frame: SchemeFrame, seeds, mixture_size: int = 3) -> SchemeBatch:

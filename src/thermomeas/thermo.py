@@ -10,9 +10,9 @@ Every per-state quantity has one implementation, which works on stacks of
 states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
 d)`` state stack holds each point's states for that point's instrument, and
 the stack helpers it uses. :meth:`AuditBatch.of_schemes` audits every
-scheme of a :class:`SchemeBatch` on its own states, for a sweep chunk, a
-lone scenario and a single scheme alike, and :meth:`AuditBatch.of_instrument`
-audits a bare instrument as a batch of one point. Each per-state quantity
+scheme of a :class:`SchemeBatch` on its own states, a sweep chunk's and one
+scheme's alike, and :meth:`AuditBatch.of_instrument` audits a bare
+instrument as a batch of one point. Each per-state quantity
 is a batch property named as the row key that carries it, and
 :meth:`AuditBatch.named_rows` reads them by name, state by state. Each
 state check's per-state row has one builder on the batch
@@ -29,7 +29,7 @@ state or of a whole batch, is :meth:`AuditBatch.second_law_verdicts`.
 The heat drawn from the probe, ``Q = tr[H_A (xi - Lambda(rho))]``, is
 linear in ``rho``: it is ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, read off one
 ``d_s x d_s`` operator ``Lambda*(H_A)`` per scheme, so the conjugate channel
-never acts on a state.
+never acts on a state; it is formed when a heat is first read.
 
 The second law's energy balance is one residual per state, ``|Q_sys - Q|``,
 the scheme's energy conservation on it: ``|tr[(Phi*(H_tot) - H_tot)(rho (x)
@@ -59,7 +59,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .objects import Instrument, _gram, _sandwich, gibbs_log_weights
-from .schemes import MeasurementScheme, SchemeBatch, SchemeFrame
+from .schemes import SchemeBatch
 
 
 #: The per-state work quantities, each an :class:`AuditBatch` property of the same name.
@@ -172,13 +172,11 @@ class AuditBatch:
     the states of point ``i``. ``hamiltonian`` and ``beta`` are shared by
     every point and needed only by the quantities that use them; a quantity
     without its input is refused with a :class:`PreconditionError`. An
-    audit of schemes, made by :meth:`of_schemes`, also holds the
-    :class:`SchemeFrame` every point's scheme is on as ``frame`` and, as
-    ``dual_probe_hamiltonian``, the ``(P, d, d)`` stack of ``Lambda*(H_A)``,
-    the probe Hamiltonian under the dual of each point's conjugate channel;
-    the frame then supplies the Gibbs data, the Gibbs outcome probabilities
-    (off its pointer) and, with that stack, the probe-side heat
-    ``tr[H_A xi] - tr[rho Lambda*(H_A)]``.
+    audit of schemes, made by :meth:`of_schemes`, also holds their
+    :class:`SchemeBatch` as ``schemes``; their frame then supplies the Gibbs
+    data and the Gibbs outcome probabilities (off its pointer), and their
+    conjugate channels the probe-side heat ``tr[H_A xi] - tr[rho
+    Lambda*(H_A)]``, with ``Lambda*(H_A)`` formed on its first read.
 
     Each outcome's Kraus stacks are applied to the whole ``(P, n, d, d)``
     stack once, and nothing else is; every quantity is derived from those
@@ -194,22 +192,23 @@ class AuditBatch:
     states: np.ndarray
     hamiltonian: np.ndarray = None
     beta: float = None
-    frame: SchemeFrame = None
-    dual_probe_hamiltonian: np.ndarray = None
+    schemes: SchemeBatch = None
 
     @classmethod
     def of_schemes(cls, schemes: SchemeBatch, states):
         """Each scheme of ``schemes`` on its own states, a validated ``(P, n, d, d)``
-        stack of the system's dimension: the induced instruments, then the
-        conjugate channels, are validated for all points at once, and each
-        conjugate channel's dual is taken once, on the probe Hamiltonian."""
+        stack of the system's dimension: the induced instruments are validated
+        for all points at once."""
         frame = schemes.frame
         _require_dimension(frame.dim_system, "scheme", states=states)
+        if len(states) != len(schemes.kraus):
+            raise ValidationError(
+                f"{len(schemes.kraus)} schemes need as many state stacks, got {len(states)}"
+            )
         kraus_sets, _, effects = schemes.instrument_stacks
-        dual = _gram(schemes.conjugate_kraus, frame.probe_hamiltonian)
         return cls(
             frame.pointer.outcomes, kraus_sets, effects, states, frame.system_hamiltonian,
-            frame.beta, frame, dual,
+            frame.beta, schemes,
         )
 
     @classmethod
@@ -226,8 +225,8 @@ class AuditBatch:
     def gibbs(self) -> tuple:
         """Gibbs log-weights and eigenvectors of the Hamiltonian at ``beta``."""
         beta = _given(self.beta, "beta")
-        if self.frame is not None:
-            return self.frame.gibbs_log_weights
+        if self.schemes is not None:
+            return self.schemes.frame.gibbs_log_weights
         return gibbs_log_weights(_given(self.hamiltonian, "Hamiltonian"), require_beta(beta))
 
     @cached_property
@@ -283,11 +282,11 @@ class AuditBatch:
         """``D(p || q)`` of each state. With a scheme, ``q_x = tr[Z_x xi]`` is read
         off the pointer in the Gibbs probe, which equals ``tr[E_x tau]`` for a free
         scheme and stays exact where the induced effects underflow."""
-        if self.frame is None:
+        if self.schemes is None:
             log_q = _log_gibbs_probabilities(self.effects, self.gibbs)
         else:
-            pointer = self.frame.pointer.effects
-            log_q = _log_gibbs_probabilities(pointer, self.frame.probe_log_weights)[None]
+            frame = self.schemes.frame
+            log_q = _log_gibbs_probabilities(frame.pointer.effects, frame.probe_log_weights)[None]
         return _outcome_divergence(self.outcomes, self.probabilities, log_q)
 
     @cached_property
@@ -305,10 +304,12 @@ class AuditBatch:
     @cached_property
     def probe_heat(self) -> np.ndarray:
         """Decrease of the probe's expected energy when the scheme acts on each state,
-        ``tr[H_A xi] - tr[rho Lambda*(H_A)]``."""
-        frame = _given(self.frame, "scheme")
-        before = np.trace(frame.probe_hamiltonian @ frame.probe_state.matrix).real
-        dual = self.dual_probe_hamiltonian.swapaxes(-1, -2)[:, None]
+        ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, with ``Lambda*(H_A)``, the probe
+        Hamiltonian under the dual of each point's conjugate channel, formed here."""
+        schemes = _given(self.schemes, "scheme")
+        h_a, xi = schemes.frame.probe_hamiltonian, schemes.frame.probe_state.matrix
+        before = np.trace(h_a @ xi).real
+        dual = _gram(schemes.conjugate_kraus, h_a).swapaxes(-1, -2)[:, None]
         # one sum per state, so each point derives the same bits in any batch
         return before - (self.states * dual).sum(axis=(-2, -1)).real
 
@@ -325,13 +326,13 @@ class AuditBatch:
     @cached_property
     def heat(self) -> np.ndarray:
         """Heat absorbed by the system: probe-side with a scheme, system-side without."""
-        return self.system_heat if self.frame is None else self.probe_heat
+        return self.system_heat if self.schemes is None else self.probe_heat
 
     @cached_property
     def prop1_slack(self) -> np.ndarray:
         """``W - D(p || q) / beta - avg_W``, nonnegative for thermal instruments; each law
         quantity is refused without a scheme."""
-        beta = _given(self.frame, "scheme").beta
+        beta = _given(self.schemes, "scheme").frame.beta
         return self.extractable_work - self.outcome_divergence / beta - self.average_extractable_work
 
     @cached_property
@@ -343,13 +344,13 @@ class AuditBatch:
     def eq5_bound_slack(self) -> np.ndarray:
         """How far the heat plus the scaled information gain stays below the negative
         scaled divergence, ``-D(p || q) / beta - Q - G / beta``."""
-        beta = _given(self.frame, "scheme").beta
+        beta = _given(self.schemes, "scheme").frame.beta
         return -self.outcome_divergence / beta - self.heat - self.groenewold_gain / beta
 
     @cached_property
     def heat_bound_slack(self) -> np.ndarray:
         """How far the heat stays below the negative scaled information gain, ``-G / beta - Q``."""
-        beta = _given(self.frame, "scheme").beta
+        beta = _given(self.schemes, "scheme").frame.beta
         return -self.groenewold_gain / beta - self.heat
 
     def named_rows(self, names) -> list:
@@ -448,10 +449,10 @@ def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> floa
     return float(_outcome_divergence(observable.outcomes, p[None, :, None], log_q[None])[0, 0])
 
 
-def heat_absorbed(scheme: MeasurementScheme, rho) -> dict:
+def heat_absorbed(scheme: SchemeBatch, rho) -> dict:
     """The ``heat_duality`` row of ``rho``: the probe's energy loss to the system, ``heat``,
     and the energy-balance residual ``|Q_sys - Q|``, ``duality_defect``."""
-    [[row]] = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None]).heat_duality_rows()
+    [[row]] = AuditBatch.of_schemes(scheme, _one_state(rho)[None]).heat_duality_rows()
     return row
 
 
@@ -496,7 +497,7 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     return row
 
 
-def second_law_report(scheme: MeasurementScheme, rho, tol: float = THEOREM_TOL) -> dict:
+def second_law_report(scheme: SchemeBatch, rho, tol: float = THEOREM_TOL) -> dict:
     """Full second-law audit of a thermodynamically free scheme on one state: the
     ``second_law`` row of ``rho``, ``{"work": ..., "second_law": ...}``.
 
@@ -506,7 +507,7 @@ def second_law_report(scheme: MeasurementScheme, rho, tol: float = THEOREM_TOL) 
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
-    audit = AuditBatch.of_schemes(scheme.batch, _one_state(rho)[None])
-    scheme.batch.require_free(tol)
+    audit = AuditBatch.of_schemes(scheme, _one_state(rho)[None])
+    scheme.require_free(tol)
     [[row]] = audit.second_law_rows(tol)
     return row

@@ -8,13 +8,15 @@ benchmark's own relative tolerance (`workloads.REL_TOL`).
 import importlib.util
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from thermomeas import thermo
 from thermomeas.cli import main
-from thermomeas.scenario import run_scenario
+from thermomeas.scenario import parse_scenario, run_scenario
+from thermomeas.schemes import SchemeBatch
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,3 +60,28 @@ def test_a_check_derives_only_the_entropies_it_reads(checks, entropies, monkeypa
     scenario = workloads.WORKLOADS["audit_d4"].scenario(0)
     report = run_scenario(dict(scenario, checks=checks or scenario["checks"]))
     assert report.verdict and len(calls) == entropies
+
+
+def conjugate_formations(monkeypatch) -> list:
+    """The batches whose ``SchemeBatch.conjugate_kraus`` is formed from now on, one entry
+    per formation; a cached property is formed on its first read."""
+    formed, form = [], SchemeBatch.conjugate_kraus.func
+
+    def counted(batch):
+        formed.append(batch)
+        return form(batch)
+
+    recorded = cached_property(counted)
+    recorded.__set_name__(SchemeBatch, "conjugate_kraus")
+    monkeypatch.setattr(SchemeBatch, "conjugate_kraus", recorded)
+    return formed
+
+
+def test_the_conjugate_channel_is_formed_only_when_a_heat_is_read(monkeypatch):
+    formed = conjugate_formations(monkeypatch)
+    scenario = workloads.WORKLOADS["scheme_d8"].scenario(0)
+    parse_scenario(scenario)
+    report = run_scenario(scenario)
+    assert report.verdict and formed == []  # none of its checks reads a heat
+    report = run_scenario(dict(scenario, checks=["heat_duality"]))
+    assert report.verdict and formed == [report.scenario.scheme]

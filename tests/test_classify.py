@@ -22,7 +22,7 @@ from thermomeas.classify import (
     refine_to_rank_one,
 )
 from thermomeas.errors import PreconditionError
-from thermomeas.linalg import VALIDATION_TOL, commutator_defect, frobenius
+from thermomeas.linalg import THEOREM_TOL, VALIDATION_TOL, commutator_defect, frobenius
 from thermomeas.objects import (
     Instrument,
     Observable,
@@ -399,6 +399,15 @@ class TestRefineToRankOne:
         refined, _ = refine_to_rank_one(obs)
         assert refined.is_rank_one()
         assert is_nuclear(Instrument.luders(refined))["verdict"]
+
+    def test_lueders_of_the_demo_refinement_is_nuclear(self):
+        # demos/04_classifiers.py's refined observable, whose rank-1 effects have
+        # round-off eigenvalues near 1e-16: their roots must not pick up entries
+        # near 1e-8, which broke the nuclear factorisation by 2e-8
+        rng = rng_from_seed(0)
+        random_commuting_povm(H2, 2, rng)  # the demo's earlier draw from the same generator
+        refined, _ = refine_to_rank_one(random_povm(3, 2, rng))
+        assert is_nuclear(Instrument.luders(refined), THEOREM_TOL)["verdict"]
 
 
 class TestNondegenerateCommutation:

@@ -265,6 +265,15 @@ class TestHermitianRepair:
         root = psd_sqrt(m)
         np.testing.assert_allclose(root @ root, m, atol=1e-12)
 
+    def test_psd_sqrt_of_a_rank_one_projector_is_itself(self):
+        # the zero eigenvalues come out of eigh as round-off near 1e-17, whose
+        # roots, near 3e-9, must not enter the root
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 5, 8):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            p = np.outer(v, v.conj()) / np.vdot(v, v).real
+            np.testing.assert_allclose(psd_sqrt(p), p, rtol=0, atol=1e-13)
+
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
             psd_sqrt(np.diag([1.0, -0.5]))

@@ -17,7 +17,7 @@ from oracles import (
 )
 from thermomeas import schemes
 from thermomeas.errors import PreconditionError, ValidationError
-from thermomeas.linalg import commutator_defect, frobenius_each
+from thermomeas.linalg import THEOREM_TOL, commutator_defect, frobenius_each
 from thermomeas.objects import (
     KrausChannel,
     Observable,
@@ -30,10 +30,12 @@ from thermomeas.sampling import (
     haar_unitary,
     random_commuting_povm,
     random_density_matrix,
+    random_density_matrix_stacks,
     rng_from_seed,
 )
 from thermomeas.schemes import (
     MeasurementScheme,
+    SchemeBatch,
     SchemeFrame,
     conjugate_channel,
     energy_moment_defect,
@@ -44,7 +46,7 @@ from thermomeas.schemes import (
     trivial_scheme,
     validate_free_scheme,
 )
-from thermomeas.thermo import heat_absorbed, second_law_report
+from thermomeas.thermo import AuditBatch, heat_absorbed, second_law_report
 
 H2 = np.diag([0.0, 1.0]).astype(complex)
 H3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -428,7 +430,7 @@ class TestCompiledScheme:
     def test_attributes_cannot_be_reassigned(self):
         scheme = resonant_random_scheme()
         frame_names = ("pointer", "beta", "system_hamiltonian", "probe_hamiltonian")
-        owned = [(scheme, name) for name in ("frame", "interaction", "batch")]
+        owned = [(scheme, name) for name in ("frame", "kraus", "interaction", "instrument")]
         for owner, name in owned + [(scheme.frame, name) for name in frame_names]:
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(owner, name, getattr(owner, name))
@@ -454,8 +456,8 @@ class TestCompiledScheme:
         scheme = resonant_random_scheme()
         assert scheme.instrument is scheme.instrument
         assert scheme.frame.system_gibbs is scheme.frame.system_gibbs
-        assert scheme.batch.free_report(0, 1e-3)["tol"] == 1e-3
-        assert scheme.batch.free_report(0, 1e-3)["energy_conservation_defects"] == (
+        assert scheme.free_report(0, 1e-3)["tol"] == 1e-3
+        assert scheme.free_report(0, 1e-3)["energy_conservation_defects"] == (
             validate_free_scheme(scheme)["energy_conservation_defects"]
         )
         ins = scheme.instrument
@@ -473,6 +475,47 @@ class TestCompiledScheme:
         assert row == second_law_report(build_scheme(*inputs), rho)
         assert heat_absorbed(warm, rho) == heat_absorbed(build_scheme(*inputs), rho)
         assert row["second_law"]["verdict"]
+
+
+class TestOneSchemeType:
+    """A scheme is the :class:`SchemeBatch` of one point, read with no hop to another object."""
+
+    def test_a_validated_and_a_drawn_scheme_are_batches_of_one_point(self):
+        frame = SchemeFrame(H2, H2, 1.0, sharp_z())
+        states = random_density_matrix_stacks(2, 3, [rng_from_seed(4)])
+        for scheme in (MeasurementScheme(frame, swap_channel(2)), random_free_scheme(frame, 4)):
+            assert isinstance(scheme, SchemeBatch) and scheme.kraus.shape[:1] == (1,)
+            assert np.array_equal(scheme.interaction.kraus, scheme.kraus[0])
+            row = scheme.free_report(0, 1e-6)
+            assert row["verdict"] and row["tol"] == 1e-6
+            audit = AuditBatch.of_schemes(scheme, states)
+            assert audit.schemes is scheme and audit.second_law_verdicts(THEOREM_TOL).all()
+            assert not hasattr(scheme, "batch")
+
+    def test_a_larger_batch_is_not_one_scheme(self):
+        batch = random_free_schemes(SchemeFrame(H2, H2, 1.0, sharp_z()), [1, 2])
+        states = random_density_matrix_stacks(2, 3, [rng_from_seed(4)])
+        for one_scheme_only in (
+            lambda: batch.interaction,
+            lambda: batch.instrument,
+            lambda: induced_instrument(batch),
+            lambda: conjugate_channel(batch),
+            lambda: validate_free_scheme(batch),
+        ):
+            with pytest.raises(ValueError, match="a batch of 2 points is not one scheme"):
+                one_scheme_only()
+        with pytest.raises(ValidationError, match="2 schemes need as many state stacks, got 1"):
+            AuditBatch.of_schemes(batch, states)
+
+    def test_assigning_to_any_attribute_of_a_batch_is_refused(self):
+        batch = random_free_schemes(SchemeFrame(H2, H2, 1.0, sharp_z()), [1, 2])
+        batch.instrument_stacks, batch.conjugate_kraus, batch.bistochastic_defect
+        class_names = {name for name in dir(SchemeBatch) if not name.startswith("__")}
+        for name in sorted(set(vars(batch)) | class_names | {"batch", "new_attribute"}):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(batch, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(batch, name)
 
 
 def test_pruning_keeps_what_numpys_norm_keeps_on_a_whole_seed_sweep(monkeypatch):

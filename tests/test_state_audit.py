@@ -1,6 +1,6 @@
 """The batched per-state core against the single-state functions and the dilation oracle.
 
-:meth:`thermomeas.thermo.AuditBatch.of_schemes` of a scheme's batch of one,
+:meth:`thermomeas.thermo.AuditBatch.of_schemes` of a scheme, a batch of one point,
 and :meth:`~thermomeas.thermo.AuditBatch.of_instrument` of its bare
 instrument, derive every per-state scalar of the second law, heat duality and the skew
 chain for a whole stack of states at once. Each scalar must equal the
@@ -93,7 +93,7 @@ def pointer_side_divergence(scheme, rho) -> float:
 def test_batch_equals_single_state_functions_and_oracle(inputs):
     scheme, states = build(*inputs)
     h, beta, instrument = scheme.frame.system_hamiltonian, scheme.frame.beta, scheme.instrument
-    audit = AuditBatch.of_schemes(scheme.batch, states[None])
+    audit = AuditBatch.of_schemes(scheme, states[None])
     [rows] = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
     verdicts = audit.second_law_verdicts(THEOREM_TOL)[0]
     selective, convexity = audit.skew_chain[0]
@@ -151,7 +151,7 @@ def test_induced_instrument_audit_agrees_with_the_scheme_audit_at_large_beta():
     scheme = random_free_scheme(frame, 11, mixture_size=3)
     states = random_density_matrix_stacks(3, 4, [rng_from_seed(12)])
     bare = AuditBatch.of_instrument(scheme.instrument, states[0], h_s, frame.beta)
-    own = AuditBatch.of_schemes(scheme.batch, states)
+    own = AuditBatch.of_schemes(scheme, states)
     np.testing.assert_allclose(bare.outcome_divergence, own.outcome_divergence, rtol=1e-9, atol=0)
 
 
@@ -195,7 +195,7 @@ def test_a_quantity_without_its_input_is_refused_by_name(without, quantity, name
 
 def test_the_reports_hold_the_named_columns():
     scheme, states = build(3, 2, 1.0, 5, 2, 3, 2, [0, 1, 2, 3, 4])
-    audit = AuditBatch.of_schemes(scheme.batch, states[None])
+    audit = AuditBatch.of_schemes(scheme, states[None])
     [rows] = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
     for i, row in enumerate(rows):
         assert list(row) == [*WORK_COLUMNS, *LAW_COLUMNS]
@@ -214,7 +214,7 @@ def test_the_reports_hold_the_named_columns():
 @settings(max_examples=15, deadline=None)
 def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
     scheme, states = build(*inputs)
-    schemes, h, beta = scheme.batch, scheme.frame.system_hamiltonian, scheme.frame.beta
+    h, beta = scheme.frame.system_hamiltonian, scheme.frame.beta
 
     def same(row, batch, index, renamed={}):
         """Each entry of ``row`` but the scalars every entry shares is the batch array
@@ -225,7 +225,7 @@ def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
 
     # a single-state report is the one row of that state's audit
     for rho in states:
-        audit = AuditBatch.of_schemes(schemes, rho[None, None])
+        audit = AuditBatch.of_schemes(scheme, rho[None, None])
         plain = AuditBatch.of_instrument(scheme.instrument, rho[None], h, beta)
         row = second_law_report(scheme, rho)
         law, work = row["second_law"], row["work"]
@@ -236,9 +236,9 @@ def test_every_report_field_is_its_same_named_batch_array_bit_for_bit(inputs):
         same(work_report(scheme.instrument, rho, h, beta), plain, (0, 0))
         renamed = {"duality_defect": "eq5_identity_defect"}
         same(heat_absorbed(scheme, rho), audit, (0, 0), renamed=renamed)
-    free = schemes.free_report(0)
-    same(free, schemes, 0)
-    assert free["yanase_defect"] == schemes.frame.yanase_defect
+    free = scheme.free_report(0)
+    same(free, scheme, 0)
+    assert free["yanase_defect"] == scheme.frame.yanase_defect
 
 
 def bits(value) -> bytes:
@@ -268,7 +268,7 @@ def test_the_audit_keeps_the_energy_balance_relations(inputs):
     # scale and ln(d) / beta besides the reported values.
     scheme, states = build(*inputs)
     beta, d_s = scheme.frame.beta, scheme.frame.dim_system
-    audit = AuditBatch.of_schemes(scheme.batch, states[None])
+    audit = AuditBatch.of_schemes(scheme, states[None])
     w, avg_w = audit.extractable_work[0], audit.average_extractable_work[0]
     divergence, heat, gain = audit.outcome_divergence[0], audit.heat[0], audit.groenewold_gain[0]
     prop1, eq5, heat_bound = audit.prop1_slack[0], audit.eq5_bound_slack[0], audit.heat_bound_slack[0]
@@ -323,7 +323,7 @@ def test_probe_heat_is_the_literal_probe_energy_change(drawn):
     scheme = random_free_scheme(frame, seed, mixture_size)
     d_s, d_a = frame.dim_system, frame.dim_probe
     states = random_density_matrix_stacks(d_s, 4, [rng_from_seed(seed + 1)])[0]
-    heat = AuditBatch.of_schemes(scheme.batch, states[None]).probe_heat[0]
+    heat = AuditBatch.of_schemes(scheme, states[None]).probe_heat[0]
     oracle = np.array([energy_changes(scheme, rho)[1] for rho in states])
     energy = np.abs(np.linalg.eigvalsh(frame.probe_hamiltonian)).max()
     budget = HEAT_ULPS * np.finfo(float).eps * d_s * d_a * energy

@@ -71,8 +71,9 @@ def test_stacked_draw_is_each_seed_drawn_alone(frame_and_size, seeds):
         alone = random_free_scheme(frame, seed, mixture_size)
         assert kraus.tobytes() == alone.interaction.kraus.tobytes()
     if len(seeds) > 1:
-        with pytest.raises(ValueError, match=f"a batch of {len(seeds)} points is not one scheme"):
-            batch.scheme
+        for one_point_only in ("interaction", "instrument"):
+            with pytest.raises(ValueError, match=f"a batch of {len(seeds)} points is not one"):
+                getattr(batch, one_point_only)
 
 
 @given(frame_and_size=frames(), seeds=SEEDS)
@@ -83,7 +84,6 @@ def test_each_point_derives_what_its_batch_of_one_does(frame_and_size, seeds):
     kraus_sets, _, effects = batch.instrument_stacks
     for i, seed in enumerate(seeds):
         alone = random_free_scheme(frame, seed, mixture_size)
-        assert alone.batch.scheme.batch is alone.batch
         assert batch.free_report(i) == validate_free_scheme(alone)
         for ours, theirs in zip(kraus_sets, alone.instrument.kraus_sets):
             assert ours[i].shape == theirs.shape and ours[i].tobytes() == theirs.tobytes()
@@ -283,7 +283,7 @@ def held_bytes(chunk) -> dict:
     held = {
         "interactions": batch.kraus,
         "dilation": batch.dilation[0],
-        "conjugates": audit.dual_probe_hamiltonian,
+        "conjugates": batch.conjugate_kraus,
         "states": audit.states,
         "outputs": audit.outputs,
     }
@@ -407,7 +407,7 @@ def test_a_lone_scenario_and_each_chunk_derive_through_the_one_template_method(m
     assert report.verdict
     [(seeds, beta, (schemes, audit))] = derived
     assert (seeds, beta) == ([2], 0.8) and report.scenario.audit is audit
-    assert report.scenario.scheme.batch is schemes
+    assert report.scenario.scheme is schemes
 
     derived.clear()
     sweep = {"axis": {"name": "seed", "range": [0, 6]}, "scenario": raw}

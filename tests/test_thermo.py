@@ -435,7 +435,7 @@ DIMENSION_MISMATCHES = {
     "work_report-hamiltonian": lambda s: work_report(s.instrument, RHO2, H3, 1.0),
     "second_law_report-state": lambda s: second_law_report(s, RHO3),
     "audit-states": lambda s: AuditBatch.of_instrument(s.instrument, RHO3[None], H2, 1.0),
-    "audit_of_schemes-states": lambda s: AuditBatch.of_schemes(s.batch, RHO3[None, None]),
+    "audit_of_schemes-states": lambda s: AuditBatch.of_schemes(s, RHO3[None, None]),
     "audit-hamiltonian": lambda s: AuditBatch.of_instrument(s.instrument, RHO2[None], H3, 1.0),
 }
 
