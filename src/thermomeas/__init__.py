@@ -42,11 +42,8 @@ from .schemes import (
 )
 from .thermo import (
     AuditBatch,
-    extractable_work,
     heat_absorbed,
-    outcome_divergence,
     second_law_report,
-    skew_information,
     skew_information_chain,
     work_report,
 )
@@ -92,10 +89,7 @@ __all__ = [
     "swap_channel",
     "energy_moment_defect",
     "AuditBatch",
-    "extractable_work",
-    "outcome_divergence",
     "heat_absorbed",
-    "skew_information",
     "skew_information_chain",
     "work_report",
     "second_law_report",

@@ -38,6 +38,20 @@ from .sampling import random_density_matrix_stacks, rng_from_seed
 COVARIANCE_SAMPLE_TIMES = (0.37, 1.0, 2.5)
 
 
+def _worst_row(name: str, defects, labels, tol: float, **witness) -> dict:
+    """The row of check ``name``, judged on the worst of the per-outcome ``defects``: its
+    verdict at ``tol``, and a witness of that outcome's label and then ``witness``."""
+    worst = int(np.argmax(defects))  # the first outcome when every entry is 0
+    defect = float(defects[worst])
+    return {
+        "name": name,
+        "verdict": bool(defect <= tol),
+        "defect": defect,
+        "tol": tol,
+        "witness": {"worst_outcome": labels[worst], **witness},
+    }
+
+
 def is_thermal_observable(
     observable: Observable, system_hamiltonian, tol: float = THEOREM_TOL
 ) -> dict:
@@ -54,15 +68,7 @@ def is_thermal_observable(
             f"observable dimension {observable.dim} != Hamiltonian dimension {h.shape[0]}"
         )
     defects = commutator_defect(observable.effects, h)
-    worst = int(np.argmax(defects))
-    defect = float(defects[worst])
-    return {
-        "name": "thermal_observable",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {"worst_outcome": observable.outcomes[worst]},
-    }
+    return _worst_row("thermal_observable", defects, observable.outcomes, tol)
 
 
 def _require_thermal(observable: Observable, system_hamiltonian, tol: float, why: str = "") -> None:
@@ -100,7 +106,6 @@ def is_covariant_instrument(
     mask = bohr[:, None] - bohr[None, :]
     weighted = (dag(rotation) @ instrument.choi @ rotation) * mask
     defects = frobenius_each(weighted)
-    worst = int(np.argmax(defects))
 
     rng = rng_from_seed(20100526)  # fixed: the cross-check must be deterministic
     probes = random_density_matrix_stacks(d, 3, [rng])[0]
@@ -110,18 +115,10 @@ def is_covariant_instrument(
     outs = instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)]))
     plain, moved = outs[:, None, :3], outs[:, 3:].reshape(-1, *rotated.shape)
     sampled = float(frobenius_each(moved - evolutions @ plain @ dag(evolutions)).max())
-    defect = float(defects[worst])
-    return {
-        "name": "covariant",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {
-            "worst_outcome": instrument.outcomes[worst],
-            "sampled_time_defect": sampled,
-            "sample_times": list(COVARIANCE_SAMPLE_TIMES),
-        },
-    }
+    return _worst_row(
+        "covariant", defects, instrument.outcomes, tol,
+        sampled_time_defect=sampled, sample_times=list(COVARIANCE_SAMPLE_TIMES),
+    )
 
 
 def is_gibbs_preserving(
@@ -136,15 +133,7 @@ def is_gibbs_preserving(
     tau = gibbs_state(system_hamiltonian, beta)
     q = instrument.induced_observable.probabilities(tau)
     defects = frobenius_each(instrument.apply(tau) - q[:, None, None] * tau.matrix)
-    worst = int(np.argmax(defects))
-    defect = float(defects[worst])
-    return {
-        "name": "gibbs_preserving",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {"worst_outcome": instrument.outcomes[worst]},
-    }
+    return _worst_row("gibbs_preserving", defects, instrument.outcomes, tol)
 
 
 def _nuclear_factors(instrument: Instrument):
@@ -177,15 +166,7 @@ def is_nuclear(instrument: Instrument, tol: float = THEOREM_TOL) -> dict:
     :func:`_nuclear_factors`.
     """
     labels, _, residuals = _nuclear_factors(instrument)
-    worst = int(np.argmax(residuals))
-    defect = float(residuals[worst])
-    return {
-        "name": "nuclear",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {"worst_outcome": labels[worst]},
-    }
+    return _worst_row("nuclear", residuals, labels, tol)
 
 
 def check_prop2(
@@ -213,15 +194,7 @@ def check_prop2(
     tau = gibbs_state(system_hamiltonian, beta)
     q = dict(zip(instrument.outcomes, instrument.induced_observable.probabilities(tau)))
     defects = np.array([q[label] for label in labels]) * frobenius_each(sigmas - tau.matrix)
-    worst = int(np.argmax(defects))
-    defect = float(defects[worst])
-    return {
-        "name": "prop2",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {"worst_outcome": labels[worst], "n_outcomes_tested": len(labels)},
-    }
+    return _worst_row("prop2", defects, labels, tol, n_outcomes_tested=len(labels))
 
 
 def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> dict:
@@ -236,16 +209,9 @@ def is_quasi_complete(instrument: Instrument, tol: float = THEOREM_TOL) -> dict:
     evals = np.linalg.eigvalsh(instrument.choi)
     # second-largest eigenvalue per outcome, clipped at 0 (and 0 when dim is 1)
     second = evals[:, -2:-1].max(axis=1, initial=0.0)
-    worst = int(np.argmax(second))  # the first outcome when every entry is 0
+    worst = int(np.argmax(second))
     rank = int(np.sum(evals[worst] > tol)) if second[worst] > 0.0 else 0
-    defect = float(second[worst])
-    return {
-        "name": "quasi_complete",
-        "verdict": bool(defect <= tol),
-        "defect": defect,
-        "tol": tol,
-        "witness": {"worst_outcome": instrument.outcomes[worst], "worst_rank": rank},
-    }
+    return _worst_row("quasi_complete", second, instrument.outcomes, tol, worst_rank=rank)
 
 
 def joint_with_hamiltonian(

@@ -50,6 +50,9 @@ PROBABILITY_CUTOFF = 1e-12
 #: Relative eigenvalue-clustering tolerance for degeneracy detection.
 CLUSTER_TOL = 1e-8
 
+#: Smallest inverse temperature accepted, the smallest normal float: D / beta overflows below it.
+MIN_BETA = float(np.finfo(float).tiny)
+
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each entry of a stack)."""
@@ -146,10 +149,15 @@ def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
     return (m + adjoint) / 2
 
 
-def require_beta(beta) -> float:
-    """``float(beta)`` for a positive, finite inverse temperature; anything else raises."""
+def require_beta(beta, name: str = "inverse temperature") -> float:
+    """``float(beta)`` for a finite inverse temperature of at least ``MIN_BETA``; anything
+    else raises, naming it ``name``."""
     if not np.isfinite(beta) or beta <= 0:
-        raise ValidationError(f"inverse temperature must be positive and finite, got {beta}")
+        raise ValidationError(f"{name} must be positive and finite, got {beta}")
+    if beta < MIN_BETA:
+        raise ValidationError(
+            f"{name} must be at least {MIN_BETA}, the smallest normal float, got {beta}"
+        )
     return float(beta)
 
 

@@ -57,6 +57,7 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     frobenius_each,
+    require_beta,
     require_hermitian,
 )
 from .objects import Instrument, KrausChannel, Observable, gibbs_state
@@ -384,10 +385,9 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
     if kind == "random_block":
         seed = _seed(spec["seed"], "scheme.seed") if "seed" in spec else None
         mixture_size = _number(spec.get("mixture_size", 3), int, "scheme.mixture_size")
-        if mixture_size > MAX_MIXTURE_SIZE:
-            raise ValidationError(
-                f"scheme.mixture_size must be at most {MAX_MIXTURE_SIZE}, got {mixture_size}"
-            )
+        if not 1 <= mixture_size <= MAX_MIXTURE_SIZE:
+            bound = "at least 1" if mixture_size < 1 else f"at most {MAX_MIXTURE_SIZE}"
+            raise ValidationError(f"scheme.mixture_size must be {bound}, got {mixture_size}")
         require_free_draw(frame, mixture_size)
         return _Scheme(kind, frame, seed=seed, mixture_size=mixture_size)
     return _Scheme(kind, frame, fixed=MeasurementScheme(frame, decode_channel(spec)))
@@ -502,9 +502,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
         raise ValidationError("scenario: missing required field 'system_hamiltonian'")
     if "beta" not in raw:
         raise ValidationError("scenario: missing required field 'beta'")
-    beta = _number(raw["beta"], float, "beta")
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValidationError(f"beta must be positive and finite, got {beta}")
+    beta = require_beta(_number(raw["beta"], float, "beta"), "beta")
     seed = _seed(seed_override if seed_override is not None else raw.get("seed", 0), "seed")
 
     tolerances = {"default": THEOREM_TOL, "validation": VALIDATION_TOL}
@@ -841,12 +839,10 @@ def _axis_values(axis) -> tuple:
         raise ValidationError(
             f"sweep grid must have 1 to {MAX_GRID_SIZE} points, got {max(size, 0)}"
         )
-    judge = _seed if name == "seed" else (lambda v, field: _number(v, float, field))
-    judged = [judge(v, f"axis.{name}[{i}]") for i, v in enumerate(values)]
-    for i, value in enumerate(judged):
-        if name == "beta" and not (np.isfinite(value) and value > 0):
-            raise ValidationError(f"axis.beta[{i}]: beta must be positive and finite, got {value}")
-    return name, judged
+    judge = _seed if name == "seed" else (
+        lambda v, field: require_beta(_number(v, float, field), f"{field}: beta")
+    )
+    return name, [judge(v, f"axis.{name}[{i}]") for i, v in enumerate(values)]
 
 
 #: The checks whose verdicts a sweep's rows report.

@@ -21,10 +21,11 @@ state check's per-state row has one builder on the batch
 the work part of the first): a check's report reads those rows, a sweep's
 CSV the same named columns, and a single-state function returns the row
 of its one state, a plain dict, so a caller derives only what it reads. A
-quantity a row carries has no function of its own: the average
-extractable work and the Groenewold gain of one state are the
-:func:`work_report` keys of those names. Each second-law verdict, of one
-state or of a whole batch, is :meth:`AuditBatch.second_law_verdicts`.
+quantity a row carries has no function of its own: the work quantities of
+one state are the :func:`work_report` keys of those names, and the skew
+information is computed only inside the ``skew_chain`` rows. Each
+second-law verdict, of one state or of a whole batch, is
+:meth:`AuditBatch.second_law_verdicts`.
 
 The heat drawn from the probe, ``Q = tr[H_A (xi - Lambda(rho))]``, is
 linear in ``rho``: it is ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, read off one
@@ -135,7 +136,12 @@ def _outcome_divergence(outcomes, p, log_q) -> np.ndarray:
 
 
 def _skew_information(h, m) -> np.ndarray:
-    """:func:`skew_information` of one operator or of each entry of a stack, all Hermitian."""
+    """Wigner-Yanase skew information ``tr[m H^2] - tr[sqrt(m) H sqrt(m) H]`` of one
+    Hermitian operator or of each entry of a stack, in the nonnegative commutator form.
+
+    Defined for sub-normalized positive operators (trace at most 1) and
+    linear under scaling ``m -> p m``.
+    """
     trace = np.trace(m, axis1=-2, axis2=-1).real
     if (trace > 1 + VALIDATION_TOL).any():
         raise ValidationError(f"operator must be sub-normalized, got trace {np.max(trace):.6f}")
@@ -420,53 +426,11 @@ def _require_dimension(d: int, of: str, **matrices) -> None:
             raise ValidationError(f"{name} must be {d} x {d} to match the {of}, got {shape}")
 
 
-def extractable_work(rho, system_hamiltonian, beta: float) -> float:
-    """Nonequilibrium free energy relative to the Gibbs state, over beta.
-
-    This is the maximum work an isothermal process can extract while the
-    state relaxes to thermal equilibrium; zero exactly at the Gibbs state.
-    """
-    beta, state = require_beta(beta), _one_state(rho)
-    h = require_hermitian(system_hamiltonian, name="hamiltonian")
-    _require_dimension(h.shape[0], "Hamiltonian", state=state)
-    gibbs = gibbs_log_weights(h, beta)
-    return float(_divergence_to_gibbs(state, _entropy(state), gibbs)[0]) / beta
-
-
-def outcome_divergence(observable, rho, system_hamiltonian, beta: float) -> float:
-    """Classical relative entropy between measurement statistics in ``rho`` and in the Gibbs state.
-
-    The Gibbs probabilities are taken in log form,
-    ``ln q_x = logsumexp_i(ln <i|E_x|i> + ln tau_i)`` over the positive
-    diagonal entries of ``E_x`` in the eigenbasis of ``H``, so they stay
-    finite at low temperature.
-    """
-    beta, state = require_beta(beta), _one_state(rho)
-    h = require_hermitian(system_hamiltonian, name="hamiltonian")
-    _require_dimension(observable.dim, "observable", state=state, Hamiltonian=h)
-    log_q = _log_gibbs_probabilities(observable.effects, gibbs_log_weights(h, beta))
-    p = observable.probabilities(state[0])
-    return float(_outcome_divergence(observable.outcomes, p[None, :, None], log_q[None])[0, 0])
-
-
 def heat_absorbed(scheme: SchemeBatch, rho) -> dict:
     """The ``heat_duality`` row of ``rho``: the probe's energy loss to the system, ``heat``,
     and the energy-balance residual ``|Q_sys - Q|``, ``duality_defect``."""
     [[row]] = AuditBatch.of_schemes(scheme, _one_state(rho)[None]).heat_duality_rows()
     return row
-
-
-def skew_information(hamiltonian, rho) -> float:
-    """Wigner-Yanase skew information ``tr[rho H^2] - tr[sqrt(rho) H sqrt(rho) H]``.
-
-    Defined for sub-normalized positive operators (trace at most 1) and
-    linear under scaling ``rho -> p rho``; computed in the manifestly
-    nonnegative commutator form.
-    """
-    h = require_hermitian(hamiltonian, name="hamiltonian")
-    m = require_hermitian(rho, name="operator")
-    _require_dimension(h.shape[0], "Hamiltonian", operator=m)
-    return float(_skew_information(h, m))
 
 
 def skew_information_chain(instrument: Instrument, rho, system_hamiltonian) -> dict:

@@ -15,16 +15,21 @@ mixture term over the energy blocks, as the library did before it drew
 them in one batch. The sweep-row reference reads a grid point's row off
 the check results of that point run alone, as the sweep did before it read
 its rows off a chunk's stacked arrays, and the worst freeness defect is
-read off a ``free_scheme`` row. The random diagonal Hamiltonian,
+read off a ``free_scheme`` row. The work-row references compute the
+extractable work ``D(rho || tau) / beta`` and the outcome divergence
+``D(p || q)`` at 50 significant digits with mpmath, from ``mp.eighe``
+spectra and exact Gibbs weights. The random diagonal Hamiltonian,
 the partial trace and the spectral time evolution are test tools, kept
 here because the library has no use for them.
 """
 
 import numpy as np
+from mpmath import mp
 
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     CLUSTER_TOL,
+    PROBABILITY_CUTOFF,
     SUPPORT_TOL,
     as_matrix,
     cluster_indices,
@@ -129,6 +134,53 @@ def dilation_relative_entropy(outputs, gibbs_probs, tau):
         big_rho += np.kron(out, unit)
         big_tau += np.kron(qx * tau, unit)
     return relative_entropy(big_rho, big_tau)
+
+
+#: Significant digits of the mpmath work-row references.
+MP_DIGITS = 50
+
+
+def _mp(m):
+    return mp.matrix(as_matrix(m).tolist())
+
+
+def _mp_gibbs(hamiltonian, beta):
+    """Eigenvectors of ``hamiltonian`` and the Gibbs weights ``e^(-beta E_i)`` over
+    their sum ``Z``, and ``ln Z``, for a caller at ``MP_DIGITS`` digits."""
+    energies, vecs = mp.eighe(_mp(hamiltonian))
+    boltzmann = [mp.exp(-mp.mpf(beta) * e) for e in energies]
+    return vecs, boltzmann, mp.log(mp.fsum(boltzmann))
+
+
+def mp_extractable_work(rho, hamiltonian, beta):
+    """``D(rho || tau) / beta = (-S(rho) + beta tr[rho H] + ln Z) / beta`` at ``MP_DIGITS``
+    digits, with ``S(rho)`` and ``ln Z`` read off ``mp.eighe`` spectra (0 ln 0 := 0)."""
+    with mp.workdps(MP_DIGITS):
+        r, h = _mp(rho), _mp(hamiltonian)
+        entropy = -mp.fsum(p * mp.log(p) for p in mp.eighe(r, eigvals_only=True) if p > 0)
+        energy = mp.re(mp.fsum(r[i, j] * h[j, i] for i in range(r.rows) for j in range(r.rows)))
+        log_z = _mp_gibbs(hamiltonian, beta)[2]
+        return (-entropy + mp.mpf(beta) * energy + log_z) / beta
+
+
+def mp_outcome_divergence(effects, rho, gibbs_effects, hamiltonian, beta):
+    """``D(p || q) = sum_x p_x (ln p_x - ln q_x)`` at ``MP_DIGITS`` digits, over ``p_x`` above
+    ``PROBABILITY_CUTOFF``: ``p_x = tr[E_x rho]`` of the ``effects``, and ``q_x = tr[F_x tau]``
+    of the ``gibbs_effects`` in the Gibbs state of ``hamiltonian`` at ``beta``, summed over
+    the positive diagonal entries of ``F_x`` in the energy eigenbasis with exact weights."""
+    with mp.workdps(MP_DIGITS):
+        r = _mp(rho)
+        vecs, boltzmann, log_z = _mp_gibbs(hamiltonian, beta)
+        total = mp.mpf(0)
+        for e, f in zip(effects, gibbs_effects):
+            p = mp.re(mp.fsum((_mp(e) * r)[i, i] for i in range(r.rows)))
+            if p <= PROBABILITY_CUTOFF:
+                continue
+            in_basis = vecs.H * _mp(f) * vecs
+            diagonal = [mp.re(in_basis[i, i]) for i in range(len(boltzmann))]
+            q = mp.fsum(f_i * w for f_i, w in zip(diagonal, boltzmann) if f_i > 0)
+            total += p * (mp.log(p) - (mp.log(q) - log_z))
+        return total
 
 
 def liouville_covariance_defect(kraus, hamiltonian):

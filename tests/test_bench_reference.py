@@ -8,6 +8,7 @@ benchmark's own relative tolerance (`workloads.REL_TOL`).
 import importlib.util
 import json
 import sys
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -85,3 +86,14 @@ def test_the_conjugate_channel_is_formed_only_when_a_heat_is_read(monkeypatch):
     assert report.verdict and formed == []  # none of its checks reads a heat
     report = run_scenario(dict(scenario, checks=["heat_duality"]))
     assert report.verdict and formed == [report.scenario.scheme]
+
+
+def test_the_audit_input_passes_at_the_smallest_normal_beta(tmp_path):
+    # the smallest beta accepted: D / beta stays finite on d = 4, and nothing warns
+    source = tmp_path / "input.json"
+    document = workloads.WORKLOADS["audit_d4"].input_document(0)
+    document["beta"] = 2.2250738585072014e-308
+    source.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(source), "--out", str(tmp_path / "report.json")]) == 0

@@ -325,6 +325,17 @@ class TestCheckCommand:
         assert "Traceback" not in result.stderr
         assert json.loads(result.stderr)["error"].startswith(message)
 
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_a_mixture_size_below_one_exits_two_naming_its_field(self, tmp_path, size):
+        path = tmp_path / "refused.json"
+        scheme = dict(SCENARIO_PASS["scheme"], mixture_size=size)
+        path.write_text(json.dumps(dict(SCENARIO_PASS, scheme=scheme)))
+        result = cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr)["error"]
+        assert error == f"scheme.mixture_size must be at least 1, got {size}"
+
     def test_refused_refinement_exits_two_before_any_check(self, tmp_path):
         # both effects validate, but the rank-1 refinement drops the -9e-10
         # eigenvalues and so lies 1.27e-9 from complete
@@ -474,6 +485,11 @@ class TestSweepCommand:
         [
             ([1, 2, -1], "axis.beta[2]: beta must be positive and finite, got -1.0"),
             ([1, float("nan")], "axis.beta[1]: beta must be positive and finite, got nan"),
+            (
+                [1, 1e-310],
+                "axis.beta[1]: beta must be at least 2.2250738585072014e-308, the smallest "
+                "normal float, got 1e-310",
+            ),
         ],
     )
     def test_bad_beta_on_the_axis_exits_two_before_any_row(self, tmp_path, values, message):

@@ -27,12 +27,7 @@ from thermomeas.schemes import (
     swap_channel,
     validate_free_scheme,
 )
-from thermomeas.thermo import (
-    heat_absorbed,
-    outcome_divergence,
-    second_law_report,
-    work_report,
-)
+from thermomeas.thermo import heat_absorbed, second_law_report, work_report
 from thermomeas.classify import (
     _nuclear_factors,
     is_covariant_instrument,
@@ -125,12 +120,11 @@ class TestUnequalDimensions:
 class TestNullEffects:
     def test_zero_effect_outcome_is_skipped_everywhere(self):
         zero = np.zeros((2, 2), dtype=complex)
-        obs = Observable(["all", "never"], [np.eye(2), zero])
         rho = random_density_matrix(2, rng_from_seed(4))
-        assert abs(outcome_divergence(obs, rho, np.diag([0.0, 1.0]), 1.0)) < 1e-14
-
         ins = Instrument(["all", "never"], [[np.eye(2)], [zero]])
-        assert abs(work_report(ins, rho, np.diag([0.0, 1.0]), 1.0)["groenewold_gain"]) < 1e-12
+        work = work_report(ins, rho, np.diag([0.0, 1.0]), 1.0)
+        assert abs(work["outcome_divergence"]) < 1e-14
+        assert abs(work["groenewold_gain"]) < 1e-12
         assert is_quasi_complete(ins)["verdict"]
         assert is_nuclear(ins)["witness"]["worst_outcome"] == "all"
         assert _nuclear_factors(ins)[0] == ["all"]
@@ -263,24 +257,73 @@ class TestToleranceKnobs:
         assert tight.returncode == 1
 
 
+#: Each library entry point that takes a beta, as a function of it.
+BETA_ENTRIES = {
+    "gibbs_state": lambda beta: gibbs_state(H2, beta),
+    "MeasurementScheme": lambda beta: MeasurementScheme(
+        SchemeFrame(H2, H2, beta, spectral_observable(H2)), swap_channel(2)
+    ),
+    "work_report": lambda beta: work_report(
+        Instrument.luders(spectral_observable(H2)), np.eye(2) / 2, H2, beta
+    ),
+}
+
+#: A free d = 2 scenario; at a beta below the smallest normal float, D / beta overflowed.
+TINY_BETA_SCENARIO = {
+    "seed": 0,
+    "system_hamiltonian": [0.0, 1.0],
+    "probe_hamiltonian": [0.0, 1.0],
+    "scheme": {
+        "kind": "random_block",
+        "pointer": {"effects": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+    },
+    "states": {"count": 3},
+    "checks": ["free_scheme", "second_law"],
+}
+
+
 class TestInverseTemperature:
     """Every library entry point that takes a beta refuses the same values with one message."""
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda beta: gibbs_state(H2, beta),
-            lambda beta: MeasurementScheme(
-                SchemeFrame(H2, H2, beta, spectral_observable(H2)), swap_channel(2)
-            ),
-            lambda beta: work_report(Instrument.luders(spectral_observable(H2)), np.eye(2) / 2, H2, beta),
-        ],
-        ids=["gibbs_state", "MeasurementScheme", "work_report"],
-    )
+    @pytest.mark.parametrize("build", BETA_ENTRIES.values(), ids=BETA_ENTRIES.keys())
     def test_non_positive_or_non_finite_beta_is_refused(self, build, beta):
         with pytest.raises(ValidationError, match="inverse temperature must be positive and finite"):
             build(beta)
+
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    @pytest.mark.parametrize("build", BETA_ENTRIES.values(), ids=BETA_ENTRIES.keys())
+    def test_beta_below_the_smallest_normal_float_is_refused(self, build, beta):
+        below = "inverse temperature must be at least 2.2250738585072014e-308, the smallest "
+        with pytest.raises(ValidationError, match=f"^{below}normal float, got {beta}$"):
+            build(beta)
+
+    @pytest.mark.parametrize(
+        "command,document,message",
+        [
+            ("check", dict(TINY_BETA_SCENARIO, beta=1e-310), "beta"),
+            (
+                "sweep",
+                {"axis": {"name": "beta", "values": [1.0, 1e-310]},
+                 "scenario": dict(TINY_BETA_SCENARIO, beta=1.0)},
+                "axis.beta[1]: beta",
+            ),
+        ],
+        ids=["check", "sweep"],
+    )
+    def test_a_tiny_beta_input_exits_two_naming_its_field(
+        self, tmp_path, capsys, command, document, message
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == (
+            f"{message} must be at least 2.2250738585072014e-308, the smallest normal float, "
+            "got 1e-310"
+        )
 
     @pytest.mark.parametrize(
         "checks",

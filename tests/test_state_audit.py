@@ -1,10 +1,11 @@
-"""The batched per-state core against the single-state functions and the dilation oracle.
+"""The batched per-state core against the single-state functions and the oracles.
 
 :meth:`thermomeas.thermo.AuditBatch.of_schemes` of a scheme, a batch of one point,
 and :meth:`~thermomeas.thermo.AuditBatch.of_instrument` of its bare
 instrument, derive every per-state scalar of the second law, heat duality and the skew
 chain for a whole stack of states at once. Each scalar must equal the
-single-state public function on that state, and the second law's divergence
+single-state public function on that state, the extractable work and the
+outcome divergence their 50-digit references, and the second law's divergence
 terms must equal the relative entropy of the classical-register dilation,
 computed independently.
 """
@@ -14,7 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dilation_relative_entropy, energy_changes
+from oracles import (
+    dilation_relative_entropy,
+    energy_changes,
+    mp_extractable_work,
+    mp_outcome_divergence,
+)
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL, THEOREM_TOL
 from thermomeas.objects import spectral_observable
@@ -24,9 +30,7 @@ from thermomeas.thermo import (
     LAW_COLUMNS,
     WORK_COLUMNS,
     AuditBatch,
-    extractable_work,
     heat_absorbed,
-    outcome_divergence,
     second_law_report,
     skew_information_chain,
     work_report,
@@ -117,12 +121,13 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         single_chain = skew_information_chain(instrument, rho, h)
         assert close(selective[i], single_chain["selective_slack"])
         assert close(convexity[i], single_chain["convexity_slack"])
-        assert close(audit.extractable_work[0, i], extractable_work(rho, h, beta))
+        assert close(audit.extractable_work[0, i], float(mp_extractable_work(rho, h, beta)))
         single_work = work_report(instrument, rho, h, beta)
         assert close(audit.average_extractable_work[0, i], single_work["average_extractable_work"])
         assert close(audit.outcome_divergence[0, i], pointer_side_divergence(scheme, rho))
+        effects = instrument.induced_observable.effects
         assert close(plain.outcome_divergence[0, i],
-                     outcome_divergence(instrument.induced_observable, rho, h, beta))
+                     float(mp_outcome_divergence(effects, rho, effects, h, beta)))
         assert close(audit.groenewold_gain[0, i], single_work["groenewold_gain"])
         if oracle_exact:  # no Gibbs block weight falls under the oracle's support cut
             direct = dilation_relative_entropy(instrument.apply(rho), q, tau.matrix)
@@ -134,6 +139,41 @@ def test_batch_equals_single_state_functions_and_oracle(inputs):
         # the ground state is in every stack; at this beta it leaves every
         # pointer outcome but the lowest below the probability cutoff
         assert (audit.probabilities <= PROBABILITY_CUTOFF).any()
+
+
+#: The work row's tolerance against its 50-digit references, in ``d_s * u * max(1, |value|)``
+#: with ``u = np.finfo(float).eps``. Over 4 500 random draws the worst error read 9.5 of
+#: these for the extractable work and 1.7 for the outcome divergence. States within 1e-3 of
+#: equilibrium at beta near 0.01, where ``D(rho || tau)`` is a difference of terms some
+#: ``ln d / beta`` larger than ``W``, read up to 41 for the extractable work.
+WORK_ULPS, DIVERGENCE_ULPS = 128, 8
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_a=st.sampled_from([2, 3]),
+    log_beta=st.floats(min_value=-2.0, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+    mixture_size=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_work_row_agrees_with_its_50_digit_references(d_s, d_a, log_beta, seed, mixture_size):
+    beta = 10.0**log_beta
+    h_s = np.diag(np.arange(float(d_s))).astype(complex)
+    h_a = np.diag(np.arange(float(d_a))).astype(complex)
+    frame = SchemeFrame(h_s, h_a, beta, spectral_observable(h_a))
+    scheme = random_free_scheme(frame, seed, mixture_size)
+    states = random_density_matrix_stacks(d_s, 3, [rng_from_seed(seed + 1)])
+    audit = AuditBatch.of_schemes(scheme, states)
+    effects, u = scheme.instrument.induced_observable.effects, np.finfo(float).eps
+    for i, rho in enumerate(states[0]):
+        work = mp_extractable_work(rho, h_s, beta)
+        divergence = mp_outcome_divergence(effects, rho, frame.pointer.effects, h_a, beta)
+        for got, want, ulps in (
+            (audit.extractable_work[0, i], work, WORK_ULPS),
+            (audit.outcome_divergence[0, i], divergence, DIVERGENCE_ULPS),
+        ):
+            assert abs(got - want) <= ulps * d_s * u * max(1, abs(want)), (got, want)
 
 
 @pytest.mark.xfail(
