@@ -23,8 +23,6 @@ from .linalg import (
     PROBABILITY_CUTOFF,
     SUPPORT_TOL,
     THEOREM_TOL,
-    VALIDATION_TOL,
-    _symmetrized,
     commutator_defect,
     dag,
     eig_hermitian,
@@ -112,13 +110,21 @@ def is_covariant_instrument(
     times = np.array(COVARIANCE_SAMPLE_TIMES)[:, None, None]
     evolutions = ((basis * np.exp(-1j * times * energies)) @ dag(basis))[:, None]
     rotated = evolutions @ probes @ dag(evolutions)  # (time, probe, d, d)
-    outs = instrument.apply(np.concatenate([probes, rotated.reshape(-1, d, d)]))
-    plain, moved = outs[:, None, :3], outs[:, 3:].reshape(-1, *rotated.shape)
+    outs = instrument.apply(np.concatenate([probes[None], rotated]))
+    plain, moved = outs[:, :1], outs[:, 1:]
     sampled = float(frobenius_each(moved - evolutions @ plain @ dag(evolutions)).max())
     return _worst_row(
         "covariant", defects, instrument.outcomes, tol,
         sampled_time_defect=sampled, sample_times=list(COVARIANCE_SAMPLE_TIMES),
     )
+
+
+def _gibbs_defects(instrument: Instrument, system_hamiltonian, beta: float) -> tuple:
+    """``(tau, q, defects)``: the Gibbs state, each outcome's ``q_x = tr[E_x tau]`` and
+    its defect ``||I_x(tau) - q_x tau||_F``."""
+    tau = gibbs_state(system_hamiltonian, beta).matrix
+    q = instrument.induced_observable.probabilities(tau)
+    return tau, q, frobenius_each(instrument.apply(tau) - q[:, None, None] * tau)
 
 
 def is_gibbs_preserving(
@@ -130,9 +136,7 @@ def is_gibbs_preserving(
     the instrument admits no thermodynamically free implementation at this
     temperature.
     """
-    tau = gibbs_state(system_hamiltonian, beta)
-    q = instrument.induced_observable.probabilities(tau)
-    defects = frobenius_each(instrument.apply(tau) - q[:, None, None] * tau.matrix)
+    _, _, defects = _gibbs_defects(instrument, system_hamiltonian, beta)
     return _worst_row("gibbs_preserving", defects, instrument.outcomes, tol)
 
 
@@ -184,16 +188,15 @@ def check_prop2(
     """
     labels, sigmas, residuals = _nuclear_factors(instrument)
     residual = residuals.max()
-    gibbs = is_gibbs_preserving(instrument, system_hamiltonian, beta, tol)
+    tau, q, gibbs = _gibbs_defects(instrument, system_hamiltonian, beta)
     if not residual <= tol:
         raise PreconditionError(f"instrument is not nuclear (residual {residual:.3e} > {tol:.1e})")
-    if not gibbs["verdict"]:
+    if not gibbs.max() <= tol:
         raise PreconditionError(
-            f"instrument is not Gibbs-preserving (defect {gibbs['defect']:.3e} > {tol:.1e})"
+            f"instrument is not Gibbs-preserving (defect {gibbs.max():.3e} > {tol:.1e})"
         )
-    tau = gibbs_state(system_hamiltonian, beta)
-    q = dict(zip(instrument.outcomes, instrument.induced_observable.probabilities(tau)))
-    defects = np.array([q[label] for label in labels]) * frobenius_each(sigmas - tau.matrix)
+    q = dict(zip(instrument.outcomes, q))
+    defects = np.array([q[label] for label in labels]) * frobenius_each(sigmas - tau)
     return _worst_row("prop2", defects, labels, tol, n_outcomes_tested=len(labels))
 
 
@@ -233,10 +236,8 @@ def joint_with_hamiltonian(
     _require_thermal(observable, system_hamiltonian, tol, "; no unique joint observable")
     energy = spectral_observable(system_hamiltonian)
     labels = tuple(f"{x}|{m}" for x in observable.outcomes for m in energy.outcomes)
-    d = observable.dim
-    products = (observable.effects[:, None] @ energy.effects[None]).reshape(-1, d, d)
-    names = tuple(f"joint effect {label}" for label in labels)
-    return Observable(labels, _symmetrized(products, VALIDATION_TOL, names))
+    products = observable.effects[:, None] @ energy.effects[None]
+    return Observable(labels, products.reshape(-1, observable.dim, observable.dim))
 
 
 def marginal_defect(joint: Observable, observable: Observable, system_hamiltonian) -> float:

@@ -4,10 +4,10 @@ All operators are plain complex numpy arrays; the higher-level object types
 in :mod:`thermomeas.objects` are thin validated wrappers around them, and
 every function here also accepts such wrappers (anything with a ``.matrix``
 attribute). ``psd_sqrt``, ``density_matrix``, ``von_neumann_entropy`` and
-the first operand of ``commutator_defect`` also take an ``(n, d, d)`` stack
-of operators and treat each entry as one operator; their messages then name
-the first offending entry by its index. Logarithms are natural throughout,
-so entropies are in nats.
+the first operand of ``commutator_defect`` also take a ``(..., d, d)`` stack
+and treat each entry as one operator; their messages then name the first
+offending entry by its index in the flattened stack. Logarithms are
+natural throughout, so entropies are in nats.
 
 Numerical conventions, applied consistently package-wide. Each numerical
 decision has one constant here, and the other modules import it:
@@ -29,6 +29,7 @@ decision has one constant here, and the other modules import it:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,10 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def as_matrices(obj) -> np.ndarray:
-    """Like :func:`as_matrix`, but an ``(n, rows, cols)`` stack of matrices is accepted too."""
+    """Like :func:`as_matrix`, but a ``(..., rows, cols)`` stack of matrices is accepted too."""
     m = getattr(obj, "matrix", obj)
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3):
+    if m.ndim < 2:
         raise ValidationError(
             f"expected a matrix or a stack of matrices, got array of ndim {m.ndim}"
         )
@@ -104,12 +105,12 @@ def _first_failure(values, bad, name) -> tuple:
 
     ``values`` and ``bad`` hold one entry per matrix of a stack, or a single
     entry for one matrix. The label is ``name`` for one matrix; for entry
-    ``i`` of a stack it is ``name[i]`` when ``name`` is a tuple of one label
-    per entry, else ``"name i"``.
+    ``i`` of the flattened stack it is ``name[i]`` when ``name`` is a tuple
+    of one label per entry, else ``"name i"``.
     """
-    i = int(np.argmax(np.atleast_1d(bad)))
+    i = int(np.argmax(np.ravel(bad)))
     label = name if np.ndim(bad) == 0 else name[i] if isinstance(name, tuple) else f"{name} {i}"
-    return np.atleast_1d(values)[i], label
+    return np.ravel(values)[i], label
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -159,6 +160,16 @@ def require_beta(beta, name: str = "inverse temperature") -> float:
             f"{name} must be at least {MIN_BETA}, the smallest normal float, got {beta}"
         )
     return float(beta)
+
+
+def _require_beta_at_dimension(beta: float, d: int, name: str = "beta") -> None:
+    """Refuse a ``beta`` at which ``ln(d) / beta`` overflows: a per-state quantity divided
+    by ``beta``, such as ``D(rho || tau) / beta``, reaches about that size on ``d`` levels."""
+    if beta < (floor := math.log(d) / sys.float_info.max):
+        raise ValidationError(
+            f"{name} = {beta!r} is below ln(d) / {sys.float_info.max!r} = {floor!r} for the "
+            f"system dimension d = {d}: a quantity divided by beta overflows"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,7 +322,7 @@ def relative_entropy(rho, sigma) -> float:
 def commutator_defect(a, b):
     """``||AB - BA||_F``, the uniform metric for all commutation checks.
 
-    A float for one operator ``a``; for an ``(n, d, d)`` stack ``a``, an
+    A float for one operator ``a``; for a ``(..., d, d)`` stack ``a``, an
     array of one defect per entry.
     """
     ma, mb = as_matrices(a), as_matrix(b)

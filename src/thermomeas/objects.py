@@ -44,6 +44,14 @@ def _from_validated(cls, *fields):
     return obj
 
 
+def _input(m: np.ndarray, d: int, what: str) -> np.ndarray:
+    """``m``, a matrix or a stack of them, refused unless each is ``d x d``, as the input
+    of ``what`` must be."""
+    if m.shape[-2:] != (d, d):
+        raise ValidationError(f"{what} input must be {d} x {d}, got {m.shape}")
+    return m
+
+
 def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
     """Read-only ``(k, d_out, d_in)`` stack of a Kraus list.
 
@@ -142,11 +150,8 @@ def _bistochastic_defects(gram: np.ndarray, co_gram: np.ndarray) -> tuple:
 
 
 def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``sum K m K†`` over a Kraus stack, for one operator ``m`` or an ``(n, d, d)`` stack.
-
-    With a ``(P, k, d_out, d_in)`` stack of Kraus stacks, ``m`` is a
-    ``(P, n, d_in, d_in)`` stack of stacks, and each point's operators act
-    on its own stack.
+    """``sum K m K†`` of each Kraus stack of a ``(..., k, d_out, d_in)`` stack on each of
+    the ``n`` operators of its own ``(..., *n, d_in, d_in)`` stack, none for one operator.
 
     Two matrix products per group of Kraus operators: the operators laid
     one above the other times the stack laid side by side, then, with the
@@ -156,11 +161,10 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     no intermediate is larger than the Kraus stack or, for
     ``d_in <= d_out``, the output.
     """
-    points = ks if ks.ndim == 4 else ks[None]
-    stack = m if ks.ndim == 4 else (m[None] if m.ndim == 3 else m[None, None])
-    p, n, d_in = stack.shape[:3]
-    k, d_out = points.shape[1:3]
-    side_by_side = stack.transpose(0, 2, 1, 3).reshape(p, d_in, n * d_in)
+    k, d_out, d_in = ks.shape[-3:]
+    points = ks.reshape(-1, k, d_out, d_in)
+    p, n = len(points), int(np.prod(m.shape[ks.ndim - 3:-2]))
+    side_by_side = m.reshape(p, n, d_in, d_in).transpose(0, 2, 1, 3).reshape(p, d_in, n * d_in)
     rows = points.reshape(p, k * d_out, d_in)
     cols = np.conjugate(points.swapaxes(-1, -2), order="C").reshape(p, k * d_in, d_out)
     group = max(1, k // n)
@@ -172,9 +176,18 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
         left = left.reshape(p, d_out * n, (stop - start) * d_in)
         out += left @ cols[:, start * d_in:stop * d_in]
     out = out.reshape(p, d_out, n, d_out).transpose(0, 2, 1, 3)
-    if ks.ndim == 4:
-        return out
-    return out[0, 0] if m.ndim == 2 else out[0]
+    return out.reshape(*m.shape[:-2], d_out, d_out)
+
+
+def _outputs(kraus_sets: tuple, m: np.ndarray) -> np.ndarray:
+    """:func:`_sandwich` of each outcome's ``(..., k_x, d, d)`` Kraus stack on ``m``, as one
+    ``(..., n_outcomes, *n, d, d)`` array: every instrument meets its states here."""
+    lead = kraus_sets[0].ndim - 3
+    out = np.empty((*m.shape[:lead], len(kraus_sets), *m.shape[lead:]), dtype=complex)
+    by_outcome = np.moveaxis(out, lead, 0)
+    for x, ks in enumerate(kraus_sets):
+        by_outcome[x] = _sandwich(ks, m)
+    return out
 
 
 def _dual(ks: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -271,11 +284,7 @@ class Observable:
 
     def probabilities(self, rho) -> np.ndarray:
         """Born-rule outcome distribution ``tr[E_x rho]``."""
-        m = as_matrix(rho)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"observable input must be {self.dim} x {self.dim}, got {m.shape}"
-            )
+        m = _input(as_matrix(rho), self.dim, "observable")
         return np.trace(self.effects @ m, axis1=1, axis2=2).real
 
     def sharpness_defect(self) -> float:
@@ -334,21 +343,11 @@ class KrausChannel:
 
     def apply(self, rho) -> np.ndarray:
         """Schroedinger action ``sum K rho K†`` on one operator or on each entry of a stack."""
-        m = as_matrices(rho)
-        if m.shape[-2:] != (self.dim_in, self.dim_in):
-            raise ValidationError(
-                f"channel input must be {self.dim_in} x {self.dim_in}, got {m.shape}"
-            )
-        return _sandwich(self.kraus, m)
+        return _sandwich(self.kraus, _input(as_matrices(rho), self.dim_in, "channel"))
 
     def apply_dual(self, a) -> np.ndarray:
         """Heisenberg action ``sum K† A K`` (trace dual of :meth:`apply`)."""
-        m = as_matrix(a)
-        if m.shape != (self.dim_out, self.dim_out):
-            raise ValidationError(
-                f"dual input must be {self.dim_out} x {self.dim_out}, got {m.shape}"
-            )
-        return _dual(self.kraus, m)
+        return _dual(self.kraus, _input(as_matrix(a), self.dim_out, "dual"))
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
@@ -445,14 +444,9 @@ class Instrument:
     def apply(self, rho) -> np.ndarray:
         """All unnormalized outputs ``I_x(rho)`` as one ``(n_outcomes, d, d)`` array.
 
-        For an ``(n, d, d)`` stack of inputs the result is ``(n_outcomes, n, d, d)``.
+        For a ``(..., d, d)`` stack of inputs the result is ``(n_outcomes, ..., d, d)``.
         """
-        m = as_matrices(rho)
-        if m.shape[-2:] != (self.dim, self.dim):
-            raise ValidationError(
-                f"instrument input must be {self.dim} x {self.dim}, got {m.shape}"
-            )
-        return np.array([_sandwich(ks, m) for ks in self.kraus_sets])
+        return _outputs(self.kraus_sets, _input(as_matrices(rho), self.dim, "instrument"))
 
     @cached_property
     def induced_observable(self) -> Observable:

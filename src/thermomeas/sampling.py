@@ -80,7 +80,7 @@ def random_density_matrix_stacks(dim: int, count: int, rngs) -> np.ndarray:
     g = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2)
     m = g @ dag(g)
     m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    stack = density_matrix(m.reshape(-1, dim, dim)).reshape(m.shape)
+    stack = density_matrix(m)
     stack.flags.writeable = False
     return stack
 

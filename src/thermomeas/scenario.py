@@ -53,6 +53,7 @@ from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
+    _require_beta_at_dimension,
     density_matrix,
     eig_hermitian,
     frobenius,
@@ -89,14 +90,8 @@ MAX_GRID_SIZE = 10_000
 # ---------------------------------------------------------------------------
 
 
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[encode_complex(z) for z in row] for row in m]
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -575,6 +570,7 @@ def parse_scenario(raw: dict, seed_override=None, tol_override=None) -> Scenario
     """Validate and resolve a scenario dict and derive its own point, so that
     every refusal comes before any check runs."""
     scenario = parse_template(raw, seed_override, tol_override)
+    _require_beta_at_dimension(scenario.beta, len(scenario.system_hamiltonian))
     scenario.audit, scenario.refinement  # the own point, derived now and kept
     return scenario
 
@@ -953,6 +949,11 @@ def run_sweep(source, seed=None, tol=None) -> tuple[str, bool]:
         {**raw["scenario"], axis_name: values[0]}, seed_override=seed, tol_override=tol
     )
     _require_inputs(_SWEEP_CHECKS, template.scheme_spec, template.state_spec.names)
+    d = len(template.system_hamiltonian)
+    if axis_name == "seed":
+        _require_beta_at_dimension(template.beta, d)
+    for i, beta in enumerate(values if axis_name == "beta" else ()):
+        _require_beta_at_dimension(beta, d, f"axis.beta[{i}]: beta")
     size = chunk_size(template)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

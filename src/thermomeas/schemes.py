@@ -324,8 +324,7 @@ class SchemeBatch:
         grams.flags.writeable = False
         _require_trace_preserving(grams.sum(axis=1), "total channel")
         names = tuple(f"effect {x!r}" for x in outcomes)
-        effects = _symmetrized(grams.reshape(-1, d_s, d_s), VALIDATION_TOL, names * n)
-        effects = effects.reshape(grams.shape)
+        effects = _symmetrized(grams, VALIDATION_TOL, names * n)
         _require_effects(effects, names)
         effects.flags.writeable = False
         return tuple(stacks), grams, effects

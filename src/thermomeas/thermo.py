@@ -50,6 +50,7 @@ from .linalg import (
     PROBABILITY_CUTOFF,
     THEOREM_TOL,
     VALIDATION_TOL,
+    _require_beta_at_dimension,
     as_matrix,
     density_matrix,
     frobenius_each,
@@ -59,7 +60,7 @@ from .linalg import (
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument, _gram, _sandwich, gibbs_log_weights
+from .objects import Instrument, _gram, _outputs, gibbs_log_weights
 from .schemes import SchemeBatch
 
 
@@ -145,17 +146,10 @@ def _skew_information(h, m) -> np.ndarray:
     trace = np.trace(m, axis1=-2, axis2=-1).real
     if (trace > 1 + VALIDATION_TOL).any():
         raise ValidationError(f"operator must be sub-normalized, got trace {np.max(trace):.6f}")
-    d = m.shape[-1]
-    root = psd_sqrt(m if m.ndim <= 3 else m.reshape(-1, d, d)).reshape(m.shape)
+    root = psd_sqrt(m)
     comm = root @ h
     comm -= h @ root
     return 0.5 * frobenius_each(comm) ** 2
-
-
-def _entropy(m) -> np.ndarray:
-    """:func:`von_neumann_entropy` of each matrix of a ``(..., d, d)`` stack, unvalidated."""
-    d = m.shape[-1]
-    return von_neumann_entropy(m.reshape(-1, d, d), validate=False).reshape(m.shape[:-2])
 
 
 def _given(value, name: str):
@@ -238,11 +232,7 @@ class AuditBatch:
     @cached_property
     def outputs(self) -> np.ndarray:
         """``I_x(rho)`` of every point, outcome and state, shaped ``(P, n_outcomes, n, d, d)``."""
-        p, n, d = self.states.shape[:3]
-        outputs = np.empty((p, len(self.outcomes), n, d, d), dtype=complex)
-        for x, kraus in enumerate(self.kraus_sets):
-            outputs[:, x] = _sandwich(kraus, self.states)
-        return outputs
+        return _outputs(self.kraus_sets, self.states)
 
     @cached_property
     def probabilities(self) -> np.ndarray:
@@ -265,11 +255,11 @@ class AuditBatch:
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return _entropy(self.states)
+        return von_neumann_entropy(self.states, validate=False)
 
     @cached_property
     def _conditional_entropy(self) -> np.ndarray:
-        return self._per_outcome(_entropy(self._conditional_states()))
+        return self._per_outcome(von_neumann_entropy(self._conditional_states(), validate=False))
 
     @cached_property
     def extractable_work(self) -> np.ndarray:
@@ -456,6 +446,7 @@ def work_report(instrument: Instrument, rho, system_hamiltonian, beta: float) ->
     measurement-and-feedback engine run with a non-thermal instrument.
     """
     beta = require_beta(beta)
+    _require_beta_at_dimension(beta, instrument.dim)
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
     [[row]] = AuditBatch.of_instrument(instrument, _one_state(rho), h, beta).work_rows()
     return row
@@ -471,6 +462,7 @@ def second_law_report(scheme: SchemeBatch, rho, tol: float = THEOREM_TOL) -> dic
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
+    _require_beta_at_dimension(scheme.frame.beta, scheme.frame.dim_system)
     audit = AuditBatch.of_schemes(scheme, _one_state(rho)[None])
     scheme.require_free(tol)
     [[row]] = audit.second_law_rows(tol)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import liouville_covariance_defect, time_evolution
 from test_schemes import SPECTRA, build_scheme, scheme_inputs
+from thermomeas import classify
 from thermomeas.classify import (
     COVARIANCE_SAMPLE_TIMES,
     _nuclear_factors,
@@ -150,7 +151,7 @@ class TestCovariantInstrument:
         instrument = random_free_scheme(SchemeFrame(H4, H2, 1.0, Z_SHARP), seed=3).instrument
         monkeypatch.setattr(Instrument, "apply", counted)
         is_covariant_instrument(instrument, H4)
-        assert shapes == [(12, 4, 4)]  # 3 probes and their rotations at 3 times
+        assert shapes == [(4, 3, 4, 4)]  # 3 probes, then their rotations at 3 times
 
     def test_luders_eigenbasis_is_covariant(self):
         verdict = is_covariant_instrument(Instrument.luders(Z_SHARP), H2)
@@ -230,6 +231,19 @@ class TestProp2:
         ins = induced_instrument(trivial_scheme(obs, H2, beta))
         verdict = check_prop2(ins, H2, beta)
         assert verdict["verdict"] and verdict["defect"] < 1e-9
+
+    def test_the_gibbs_state_is_formed_once(self, monkeypatch):
+        # the Gibbs-preservation premise and the conclusion read one tau and one q
+        calls = []
+
+        def counted(h, beta):
+            calls.append(beta)
+            return gibbs_state(h, beta)
+
+        monkeypatch.setattr(classify, "gibbs_state", counted)
+        obs = random_commuting_povm(H2, 2, rng_from_seed(4))
+        verdict = check_prop2(induced_instrument(trivial_scheme(obs, H2, 1.0)), H2, 1.0)
+        assert verdict["verdict"] and calls == [1.0]
 
     def test_luders_gate_behavior(self):
         with pytest.raises(PreconditionError, match="Gibbs-preserving"):

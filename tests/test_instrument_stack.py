@@ -3,7 +3,9 @@
 The references in ``oracles`` take one operation at a time, from its Kraus
 operators; the library evaluates covariance, Gibbs preservation and
 nuclearity in one expression on the ``(n_outcomes, d², d²)`` Choi stack or
-the ``(n_outcomes, d, d)`` output array of ``Instrument.apply``.
+the ``(n_outcomes, d, d)`` output array of ``Instrument.apply``. Every
+application of Kraus operators to states takes one path, whichever object
+asks for it, so the outputs agree bit for bit.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from thermomeas.classify import (
     is_nuclear,
 )
 from thermomeas.linalg import PROBABILITY_CUTOFF
-from thermomeas.objects import Instrument, gibbs_state
+from thermomeas.objects import Instrument, KrausChannel, _from_validated, gibbs_state
 from thermomeas.sampling import (
     haar_unitary,
     random_commuting_povm,
@@ -28,6 +30,7 @@ from thermomeas.sampling import (
     rng_from_seed,
 )
 from thermomeas.schemes import SchemeFrame, random_free_scheme, trivial_scheme
+from thermomeas.thermo import AuditBatch
 
 
 def assert_close(got, want):
@@ -80,6 +83,12 @@ def instruments(draw):
     return instrument, h, beta
 
 
+def assert_same_bits(got, want):
+    """The same shape and the same bytes."""
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def assert_worst(reported, labels, defects):
     """The reported worst outcome's reference defect is the largest, up to round-off."""
     by_label = dict(zip(labels, defects))
@@ -114,3 +123,32 @@ def test_stacked_per_outcome_classifiers_match_the_loops(case):
     assert_close(nuclear["defect"], max(residuals.values()))
     assert_worst(nuclear["witness"]["worst_outcome"], list(residuals), list(residuals.values()))
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(instruments(), st.sampled_from([(), (3,), (2, 3)]), st.integers(0, 2**32 - 1))
+def test_instruments_act_on_states_through_one_path(case, lead, seed):
+    # one state, a stack of states and a stack of stacks
+    instrument, _, _ = case
+    d = instrument.dim
+    flat = random_density_matrix_stacks(d, int(np.prod(lead)), [rng_from_seed(seed)])[0]
+    states = flat.reshape(*lead, d, d)
+    outputs = instrument.apply(states)
+    assert outputs.shape == (instrument.n_outcomes, *lead, d, d)
+    audit = AuditBatch.of_instrument(instrument, flat).outputs
+    assert audit.shape == (1, instrument.n_outcomes, len(flat), d, d)
+    for x, kraus in enumerate(instrument.kraus_sets):
+        assert_same_bits(_from_validated(KrausChannel, kraus).apply(states), outputs[x])
+        assert_same_bits(audit[0, x], outputs[x].reshape(-1, d, d))
+        for got, rho in zip(audit[0, x], flat):
+            assert_close(got, oracles.operation(kraus, rho))
+    if len(lead) == 2:
+        # each of several points acts on its own stack as it would alone
+        effects = instrument.induced_observable.effects
+        points = AuditBatch(
+            instrument.outcomes,
+            tuple(np.broadcast_to(ks, (lead[0], *ks.shape)) for ks in instrument.kraus_sets),
+            np.broadcast_to(effects, (lead[0], *effects.shape)),
+            states,
+        )
+        assert_same_bits(points.outputs, np.stack([instrument.apply(point) for point in states]))

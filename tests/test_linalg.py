@@ -317,3 +317,26 @@ class TestStacks:
     def test_psd_sqrt_refusal_names_the_entry(self):
         with pytest.raises(ValidationError, match="operator 1 is not positive semidefinite"):
             psd_sqrt(np.array([np.eye(2), -np.eye(2)]))
+
+    def test_a_stack_of_stacks_as_its_flattening(self):
+        rng = np.random.default_rng(22)
+        flat = np.array([random_state_matrix(3, rng) for _ in range(6)], dtype=complex)
+        stack = flat.reshape(2, 3, 3, 3)
+        for function in (density_matrix, psd_sqrt, von_neumann_entropy):
+            got, want = function(stack), function(flat)
+            assert got.shape == (2, 3) + want.shape[1:]
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "refuse,message",
+        [
+            (density_matrix, "state 5 has negative eigenvalue -5.000e-01"),
+            (lambda m: psd_sqrt(m, "state"), "state 5 is not positive semidefinite"),
+        ],
+        ids=["density_matrix", "psd_sqrt"],
+    )
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)], ids=["flat", "stack_of_stacks"])
+    def test_a_refusal_counts_entries_in_the_flattened_stack(self, refuse, message, shape):
+        states = np.array([np.eye(2) / 2] * 5 + [np.diag([1.5, -0.5])], dtype=complex)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            refuse(states.reshape(*shape, 2, 2))

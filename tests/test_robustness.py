@@ -2,6 +2,7 @@
 and free scenarios across temperature."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import direct_instrument_action, direct_probe_state
 from thermomeas.cli import main
 from thermomeas.errors import PreconditionError, ValidationError
-from thermomeas.linalg import THEOREM_TOL, dag, frobenius
+from thermomeas.linalg import MIN_BETA, THEOREM_TOL, dag, frobenius
 from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
 from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
 from thermomeas.scenario import parse_scenario, run_scenario
@@ -361,6 +362,68 @@ class TestInverseTemperature:
         with pytest.raises(ValidationError, match=r"beta = 1e\+308 times the energy spread 3 "):
             gibbs_state(h, 1e308)
         assert np.isfinite(np.diag(gibbs_state(h, 5e307).matrix)).all()
+
+    @staticmethod
+    def ground_state_work(d, beta):
+        """The work row of the ground state of ``H = diag(0, ..., d - 1)`` under the Lueders
+        instrument of the energy, where ``D(rho || tau) / beta`` is about ``ln(d) / beta``."""
+        h = np.diag(np.arange(float(d)))
+        ground = np.diag(np.eye(d)[0])
+        return work_report(Instrument.luders(spectral_observable(h)), ground, h, beta)
+
+    def test_a_beta_at_which_work_overflows_is_refused(self):
+        # ln(64) / 2.2e-308 exceeds the largest float
+        refused = (
+            r"^beta = 2.2250738585072014e-308 is below ln\(d\) / 1.7976931348623157e\+308 = "
+            r"2.3134555073428583e-308 for the system dimension d = 64: "
+        )
+        with pytest.raises(ValidationError, match=refused):
+            self.ground_state_work(64, MIN_BETA)
+
+    @pytest.mark.parametrize("d,beta", [(64, 2 * MIN_BETA), (32, MIN_BETA)])
+    def test_work_just_above_that_beta_is_finite(self, d, beta):
+        row = self.ground_state_work(d, beta)
+        assert all(np.isfinite(value) for value in row.values())
+        assert row["extractable_work"] > 1e307
+
+    @pytest.mark.parametrize(
+        "dim,command,axis,beta,code,message",
+        [
+            (64, "check", None, MIN_BETA, 2, "beta"),
+            (64, "sweep", "beta", [1.0, MIN_BETA], 2, "axis.beta[1]: beta"),
+            (64, "sweep", "beta", [MIN_BETA, 1.0], 2, "axis.beta[0]: beta"),
+            (64, "sweep", "seed", MIN_BETA, 2, "beta"),
+            (32, "check", None, MIN_BETA, 0, None),
+            (32, "sweep", "beta", [1.0, MIN_BETA], 0, None),
+            (32, "sweep", "seed", MIN_BETA, 0, None),
+        ],
+        ids=[
+            "check_d64", "beta_sweep_d64", "first_beta_d64", "seed_sweep_d64",
+            "check_d32", "beta_sweep_d32", "seed_sweep_d32",
+        ],
+    )
+    def test_the_cli_refuses_a_beta_at_which_work_overflows(
+        self, tmp_path, capsys, dim, command, axis, beta, code, message
+    ):
+        scenario = dict(
+            TINY_BETA_SCENARIO, system_hamiltonian=list(map(float, range(dim))), states={"count": 1}
+        )
+        document = {
+            None: dict(scenario, beta=beta),
+            "beta": {"axis": {"name": "beta", "values": beta}, "scenario": dict(scenario, beta=1.0)},
+            "seed": {"axis": {"name": "seed", "range": [0, 1]}, "scenario": dict(scenario, beta=beta)},
+        }[axis]
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--out", str(out)]) == code
+        if code == 2:
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error.startswith(f"{message} = {MIN_BETA!r} is below ln(d)")
+            assert error.endswith("system dimension d = 64: a quantity divided by beta overflows")
+        else:
+            assert not re.search(r"\b(-?inf|infinity|nan)\b", out.read_text(), re.IGNORECASE)
 
 
 # An effect 1.4e-7 from Hermitian and an interaction 1.4e-7 from trace preserving:

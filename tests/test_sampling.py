@@ -70,7 +70,7 @@ def test_random_density_matrix_validates_each_draw_once(monkeypatch):
     monkeypatch.setattr(objects, "density_matrix", counted)
     rng, reference_rng = rng_from_seed(6), rng_from_seed(6)
     rho = random_density_matrix(3, rng)
-    assert calls == [(1, 3, 3)]
+    assert calls == [(1, 1, 3, 3)]  # one generator's one draw, validated as drawn
     assert rho.dim == 3 and not rho.matrix.flags.writeable
     assert rho.matrix.tobytes() == random_density_matrix_stacks(3, 1, [reference_rng])[0, 0].tobytes()
 

@@ -526,14 +526,10 @@ class TestRunScenario:
 
             return wrapper
 
-        sandwiches, other_sandwiches = [], []
+        sandwiches = []
 
         def recorded(ks, m):
             sandwiches.append((ks, m.shape))
-            return sandwich(ks, m)
-
-        def recorded_elsewhere(ks, m):
-            other_sandwiches.append(m.shape)
             return sandwich(ks, m)
 
         parsed = []
@@ -542,9 +538,8 @@ class TestRunScenario:
             parsed.append(parse(*args, **kwargs))
             return parsed[-1]
 
-        sandwich, parse = thermo._sandwich, scenario_module.parse_scenario
-        monkeypatch.setattr(thermo, "_sandwich", recorded)
-        monkeypatch.setattr(objects, "_sandwich", recorded_elsewhere)
+        sandwich, parse = objects._sandwich, scenario_module.parse_scenario
+        monkeypatch.setattr(objects, "_sandwich", recorded)
         monkeypatch.setattr(scenario_module, "parse_scenario", kept)
         monkeypatch.setattr(schemes, "_dilation", counted("dilation", schemes._dilation))
         monkeypatch.setattr(schemes, "_moment_defect", counted("moment", schemes._moment_defect))
@@ -569,14 +564,17 @@ class TestRunScenario:
         # states meet the instrument only in the audit, and outside it only the
         # interaction acts, on the joint Gibbs state
         assert counts == {"dilation": 1, "moment": 4, "audit": 1, "instrument_apply": 0}
-        assert other_sandwiches == [(9, 9)]
         # only each outcome's Kraus stack meets the 20-state stack, once, as a
-        # batch of one point; the conjugate channel's heat is read off its dual
+        # batch of one point, in the second law's audit; the conjugate channel's
+        # heat is read off its dual; and the moments check applies the
+        # interaction to the 9 x 9 joint Gibbs state
         scheme = parsed[0].scheme
         expected = scheme.instrument.kraus_sets
-        assert [shape for _, shape in sandwiches] == [(1, 20, 3, 3)] * len(expected)
+        shapes = [shape for _, shape in sandwiches]
+        assert shapes == [(1, 20, 3, 3)] * len(expected) + [(9, 9)]
         for (ks, _), want in zip(sandwiches, expected):
             assert np.array_equal(ks, want[None])
+        assert sandwiches[-1][0] is scheme.interaction.kraus
 
     def test_luders_instrument_is_built_once(self, monkeypatch):
         calls = []
