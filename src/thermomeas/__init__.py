@@ -11,7 +11,6 @@ properties.
 from ._version import __version__
 from .errors import PreconditionError, ValidationError
 from .linalg import (
-    SpectralDecomposition,
     commutator_defect,
     eig_hermitian,
     relative_entropy,
@@ -64,7 +63,6 @@ __all__ = [
     "__version__",
     "ValidationError",
     "PreconditionError",
-    "SpectralDecomposition",
     "eig_hermitian",
     "von_neumann_entropy",
     "relative_entropy",

@@ -267,20 +267,21 @@ def post_processing_decomposition(
     unique there).
     """
     _require_thermal(observable, system_hamiltonian, tol)
-    decomp = eig_hermitian(system_hamiltonian)
-    if not decomp.nondegenerate:
+    energies, projectors = eig_hermitian(system_hamiltonian)
+    if len(energies) < len(projectors[0]):
+        multiplicities = tuple(round(m) for m in np.trace(projectors, axis1=1, axis2=2).real)
         raise PreconditionError(
-            f"Hamiltonian spectrum is degenerate (multiplicities {decomp.multiplicities}); "
+            f"Hamiltonian spectrum is degenerate (multiplicities {multiplicities}); "
             "the post-processing decomposition is not unique"
         )
-    weights = np.einsum("xij,mji->xm", observable.effects, decomp.projectors).real
-    rebuilt = np.tensordot(weights, decomp.projectors, axes=1)
+    weights = np.einsum("xij,mji->xm", observable.effects, projectors).real
+    rebuilt = np.tensordot(weights, projectors, axes=1)
     defect = float(frobenius_each(rebuilt - observable.effects).max())
     return {
         "verdict": defect <= tol,
         "reconstruction_defect": defect,
         "matrix": weights.tolist(),
-        "energies": decomp.eigenvalues.tolist(),
+        "energies": energies.tolist(),
         "tol": tol,
     }
 

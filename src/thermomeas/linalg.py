@@ -22,15 +22,19 @@ decision has one constant here, and the other modules import it:
 * ``SUPPORT_TOL`` decides support and rank: eigenvalues at or below it are
   zero.
 * ``0 * ln 0 := 0`` in every entropy-like sum.
-* Eigenvalues closer than ``CLUSTER_TOL`` times the spectral range are
-  treated as degenerate and merged into a single spectral projector.
+* Sorted eigenvalues whose consecutive gap is at most ``CLUSTER_TOL``
+  times the spread (largest minus smallest), or at most the round-off
+  bound ``16 d u max|E|`` on ``d`` levels (``u`` the float64 machine
+  epsilon) when that is larger, are one degenerate level with one
+  spectral projector. The rule is scale-free: ``s H`` clusters as ``H``
+  does for any ``s > 0``, and a rotated multiple of the identity is one
+  level.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +52,7 @@ SUPPORT_TOL = 1e-10
 #: Outcomes with probability at or below this contribute nothing to conditional sums.
 PROBABILITY_CUTOFF = 1e-12
 
-#: Relative eigenvalue-clustering tolerance for degeneracy detection.
+#: Relative eigenvalue-clustering tolerance for degeneracy detection: a gap over the spread.
 CLUSTER_TOL = 1e-8
 
 #: Smallest inverse temperature accepted, the smallest normal float: D / beta overflows below it.
@@ -60,14 +64,10 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
-
-
 def frobenius_each(a: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a ``(..., rows, cols)`` stack: one unscaled sum
-    of squares per matrix over its float view, within a few ulp of numpy's ``norm``."""
+    """The Frobenius norm of a matrix, or of each matrix of a ``(..., rows, cols)`` stack:
+    one unscaled sum of squares per matrix over its float view, within a few ulp of
+    numpy's ``norm``. A 0-d array for one matrix."""
     m = np.ascontiguousarray(a, dtype=np.result_type(a, np.float64))
     rows = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
     rows = rows.view(rows.real.dtype)
@@ -139,14 +139,12 @@ def _symmetrized(m: np.ndarray, tol: float, name) -> np.ndarray:
         _, label = _first_failure(finite, ~finite, name)
         raise ValidationError(f"{label} has non-finite (NaN or infinite) entries")
     adjoint = dag(m)
-    skew = m - adjoint
-    if frobenius(skew) > tol:  # the defect of the whole stack bounds each entry's
-        defect = frobenius_each(skew)
-        if (defect > tol).any():
-            worst, label = _first_failure(defect, defect > tol, name)
-            raise ValidationError(
-                f"{label} is not Hermitian: ||A - A^dag||_F = {worst:.3e} > {tol:.1e}"
-            )
+    defect = frobenius_each(m - adjoint)
+    if (defect > tol).any():
+        worst, label = _first_failure(defect, defect > tol, name)
+        raise ValidationError(
+            f"{label} is not Hermitian: ||A - A^dag||_F = {worst:.3e} > {tol:.1e}"
+        )
     return (m + adjoint) / 2
 
 
@@ -172,67 +170,33 @@ def _require_beta_at_dimension(beta: float, d: int, name: str = "beta") -> None:
         )
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` holds one value per cluster, ascending; ``projectors``
-    the corresponding orthogonal projectors (rank = multiplicity) as one
-    read-only ``(n_levels, d, d)`` stack, mutually orthogonal and summing
-    to the identity.
-    """
-
-    eigenvalues: np.ndarray
-    projectors: np.ndarray
-    multiplicities: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[1]
-
-    @property
-    def nondegenerate(self) -> bool:
-        return all(m == 1 for m in self.multiplicities)
-
-
 def _new_clusters(values: np.ndarray) -> np.ndarray:
-    """Flags, per consecutive pair of sorted values, of a gap above the clustering threshold.
+    """Flags, per consecutive pair of ascending values, of a gap that starts a new level.
 
-    The absolute threshold is ``CLUSTER_TOL * max(spread, 1)``.
+    A gap starts one when it exceeds both ``CLUSTER_TOL * (values[-1] - values[0])``
+    and the round-off bound ``16 d u max|value|`` of ``d`` eigenvalues: the gaps
+    ``eigh`` leaves inside a rotated degenerate level were at most ``3.4 d u max|E|``
+    over Haar-rotated integer spectra of d = 2 to 64 at scales 1e-21 to 1e6.
     """
-    return np.diff(values) > CLUSTER_TOL * max(float(values[-1] - values[0]), 1.0)
+    roundoff = 16 * len(values) * np.finfo(float).eps * float(np.abs(values).max())
+    return np.diff(values) > max(CLUSTER_TOL * float(values[-1] - values[0]), roundoff)
 
 
-def cluster_indices(values: np.ndarray) -> list:
-    """Group sorted real values whose consecutive gaps fall below the threshold.
+def eig_hermitian(a) -> tuple:
+    """``(energies, projectors)`` of a Hermitian operator, near-degenerate eigenvalues merged.
 
-    The threshold is that of :func:`_new_clusters`. Returns a list of index
-    arrays, one per cluster, in ascending order.
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        return []
-    return np.split(np.arange(len(values)), np.flatnonzero(_new_clusters(values)) + 1)
-
-
-def eig_hermitian(a) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian operator, merging near-degenerate eigenvalues.
-
-    Each cluster of eigenvalues within ``CLUSTER_TOL`` (relative to the
-    spectral range) of each other yields one projector; the reported
-    eigenvalue is the cluster mean.
+    Eigenvalues are grouped into levels by :func:`_new_clusters`. ``energies``
+    holds each level's mean eigenvalue, ascending; ``projectors`` the
+    orthogonal projectors onto the levels as one read-only ``(n_levels, d, d)``
+    stack, mutually orthogonal and summing to the identity. A level's
+    multiplicity is its projector's trace.
     """
     evals, vecs = np.linalg.eigh(require_hermitian(a))
     level = np.concatenate([[0], np.cumsum(_new_clusters(evals))])
     member = level == np.arange(level[-1] + 1)[:, None]  # (n_levels, d): eigenvector in level
-    counts = member.sum(axis=1)
     projectors = (vecs * member[:, None, :]) @ dag(vecs)
     projectors.flags.writeable = False
-    return SpectralDecomposition(
-        eigenvalues=member @ evals / counts,
-        projectors=projectors,
-        multiplicities=tuple(counts.tolist()),
-    )
+    return member @ evals / member.sum(axis=1), projectors
 
 
 def psd_sqrt(a, name="operator") -> np.ndarray:

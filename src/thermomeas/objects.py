@@ -476,9 +476,8 @@ def spectral_observable(hamiltonian) -> Observable:
 
     Outcomes are labeled ``"0", "1", ...`` in ascending eigenvalue order.
     """
-    decomp = eig_hermitian(hamiltonian)
-    labels = [str(i) for i in range(len(decomp.projectors))]
-    return Observable(labels, decomp.projectors)
+    _, projectors = eig_hermitian(hamiltonian)
+    return Observable([str(i) for i in range(len(projectors))], projectors)
 
 
 def choi_of_operation(kraus: Sequence) -> np.ndarray:

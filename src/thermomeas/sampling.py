@@ -105,7 +105,7 @@ def random_commuting_povm(hamiltonian, n_outcomes: int, rng: np.random.Generator
     For each (clustered) energy level a probability vector over outcomes is
     drawn uniformly from the simplex; effect ``E_x = sum_m p(x|m) P_m``.
     """
-    projectors = eig_hermitian(hamiltonian).projectors
+    _, projectors = eig_hermitian(hamiltonian)
     weights = rng.dirichlet(np.ones(n_outcomes), size=len(projectors))  # one row per level
     effects = np.einsum("mx,mij->xij", weights, projectors)
     return Observable([f"x{i}" for i in range(n_outcomes)], effects)

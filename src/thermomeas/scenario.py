@@ -56,7 +56,6 @@ from .linalg import (
     _require_beta_at_dimension,
     density_matrix,
     eig_hermitian,
-    frobenius,
     frobenius_each,
     require_beta,
     require_hermitian,
@@ -217,8 +216,8 @@ def _refuse_unknown_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _ground_state(h_system, beta) -> np.ndarray:
-    decomp = eig_hermitian(h_system)
-    return density_matrix(decomp.projectors[0] / decomp.multiplicities[0])
+    ground = eig_hermitian(h_system)[1][0]
+    return density_matrix(ground / round(np.trace(ground).real))
 
 
 #: Each named input state as a function of the system Hamiltonian and beta.
@@ -625,7 +624,7 @@ def _check_moments(sc: Scenario, tol: float) -> dict:
     defects = sc.scheme.energy_conservation_defects[0].tolist()
     frame = sc.scheme.frame
     joint_gibbs = np.kron(frame.system_gibbs.matrix, frame.probe_state.matrix)
-    fixed_point = frobenius(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs)
+    fixed_point = float(frobenius_each(sc.scheme.interaction.apply(joint_gibbs) - joint_gibbs))
     return {
         "verdict": max(max(defects), fixed_point) <= tol,
         "moment_defects": defects,

@@ -44,14 +44,13 @@ from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
-    cluster_indices,
     commutator_defect,
     dag,
     psd_sqrt,
     require_beta,
     require_hermitian,
 )
-from .linalg import _symmetrized, frobenius_each
+from .linalg import _new_clusters, _symmetrized, frobenius_each
 from .objects import (
     Instrument,
     KrausChannel,
@@ -169,7 +168,8 @@ class SchemeFrame:
         energy, and the ``(start, stop)`` columns of each degenerate eigenspace."""
         evals, vecs = np.linalg.eigh(self.total_hamiltonian)
         vecs.flags.writeable = False
-        return vecs, tuple((int(idx[0]), int(idx[-1]) + 1) for idx in cluster_indices(evals))
+        edges = [0, *(np.flatnonzero(_new_clusters(evals)) + 1).tolist(), len(evals)]
+        return vecs, tuple(zip(edges[:-1], edges[1:]))
 
     @_beta_free
     def yanase_defect(self) -> float:

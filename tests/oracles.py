@@ -12,9 +12,11 @@ per-outcome instrument references after them take one operation at a time,
 from its Kraus operators and its defining action. The free-interaction
 reference draws one block unitary at a time, by its own QR, and sums each
 mixture term over the energy blocks, as the library did before it drew
-them in one batch. The sweep-row reference reads a grid point's row off
-the check results of that point run alone, as the sweep did before it read
-its rows off a chunk's stacked arrays, and the worst freeness defect is
+them in one batch. Both the projector and the free-interaction references
+group eigenvalues into levels by one rule of their own, written out
+eigenvector by eigenvector. The sweep-row reference reads a grid point's
+row off the check results of that point run alone, as the sweep did before
+it read its rows off a chunk's stacked arrays, and the worst freeness defect is
 read off a ``free_scheme`` row. The work-row references compute the
 extractable work ``D(rho || tau) / beta`` and the outcome divergence
 ``D(p || q)`` at 50 significant digits with mpmath, from ``mp.eighe``
@@ -32,7 +34,6 @@ from thermomeas.linalg import (
     PROBABILITY_CUTOFF,
     SUPPORT_TOL,
     as_matrix,
-    cluster_indices,
     dag,
     relative_entropy,
     require_hermitian,
@@ -202,19 +203,31 @@ def liouville_covariance_defect(kraus, hamiltonian):
 # ---------------------------------------------------------------------------
 
 
-def spectral_projectors(hamiltonian):
-    """Projectors of the clustered eigenvalues of ``H``, grown one eigenvector at a time."""
+def energy_levels(hamiltonian):
+    """``(vecs, levels)``: the eigenvectors of ``H`` in ascending energy and the columns of
+    each degenerate level, grown one eigenvector at a time.
+
+    An eigenvector joins the level of the one before it when their eigenvalues differ
+    by at most ``CLUSTER_TOL`` times the spread of the spectrum, or by at most the
+    round-off ``16 d u max|E|`` of ``d`` eigenvalues if that is larger.
+    """
     h = as_matrix(hamiltonian)
     evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-    thresh = CLUSTER_TOL * max(float(evals[-1] - evals[0]), 1.0)
-    projectors = []
+    spread = evals[-1] - evals[0]
+    roundoff = 16 * len(evals) * np.finfo(float).eps * max(abs(evals[0]), abs(evals[-1]))
+    levels = []
     for i in range(len(evals)):
-        piece = np.outer(vecs[:, i], vecs[:, i].conj())
-        if i > 0 and evals[i] - evals[i - 1] <= thresh:
-            projectors[-1] = projectors[-1] + piece
+        if i > 0 and evals[i] - evals[i - 1] <= max(CLUSTER_TOL * spread, roundoff):
+            levels[-1].append(i)
         else:
-            projectors.append(piece)
-    return projectors
+            levels.append([i])
+    return vecs, levels
+
+
+def spectral_projectors(hamiltonian):
+    """Projectors of the levels of ``H``, summed one eigenvector at a time."""
+    vecs, levels = energy_levels(hamiltonian)
+    return [sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in level) for level in levels]
 
 
 def commuting_povm_effects(hamiltonian, n_outcomes, rng):
@@ -424,8 +437,8 @@ def blockwise_free_kraus(h_system, h_probe, seed, mixture_size):
     """
     d_s, d_a = len(h_system), len(h_probe)
     h_total = np.kron(h_system, np.eye(d_a)) + np.kron(np.eye(d_s), h_probe)
-    evals, vecs = np.linalg.eigh(h_total)
-    blocks = [vecs[:, idx] for idx in cluster_indices(evals)]
+    vecs, levels = energy_levels(h_total)
+    blocks = [vecs[:, level] for level in levels]
     rng = np.random.default_rng(seed)
     unitaries = []
     for _ in range(mixture_size):

@@ -22,7 +22,6 @@ from thermomeas.classify import (
     post_processing_decomposition,
     refine_to_rank_one,
 )
-from thermomeas.linalg import frobenius
 from thermomeas.objects import Instrument, KrausChannel, State, gibbs_state, spectral_observable
 from thermomeas.sampling import (
     haar_unitary,
@@ -143,7 +142,7 @@ def test_criterion_1_trivial_scheme_reproduction():
             rho = random_density_matrix(dim, rng)
             p = observable.probabilities(rho)
             for px, out in zip(p, instrument.apply(rho)):
-                worst = max(worst, frobenius(out - px * tau.matrix))
+                worst = max(worst, np.linalg.norm(out - px * tau.matrix))
     report(
         "criterion 1: swap-scheme instruments thermalise (100 observables x 100 states)",
         n_obs == 100 and worst < 1e-9,
@@ -284,7 +283,7 @@ def test_criterion_7_energy_moment_conservation(sweep):
                 worst_moment, energy_moment_defect(scheme.interaction, h_total, k)
             )
         joint = np.kron(entry["tau"].matrix, scheme.frame.probe_state.matrix)
-        worst_fixed = max(worst_fixed, frobenius(scheme.interaction.apply(joint) - joint))
+        worst_fixed = max(worst_fixed, np.linalg.norm(scheme.interaction.apply(joint) - joint))
     rng = rng_from_seed(707)
     h_total = np.kron(resonant_hamiltonian(2), np.eye(2)) + np.kron(
         np.eye(2), resonant_hamiltonian(2)
@@ -354,10 +353,10 @@ def test_criterion_10_structural_operations_and_reproducibility(tmp_path):
         n_m = energy.n_outcomes
         for i, e in enumerate(observable.effects):
             marg = sum(joint.effects[i * n_m + j] for j in range(n_m))
-            worst_marginal = max(worst_marginal, frobenius(marg - e))
+            worst_marginal = max(worst_marginal, np.linalg.norm(marg - e))
         for j, p in enumerate(energy.effects):
             marg = sum(joint.effects[i * n_m + j] for i in range(observable.n_outcomes))
-            worst_marginal = max(worst_marginal, frobenius(marg - p))
+            worst_marginal = max(worst_marginal, np.linalg.norm(marg - p))
         post = post_processing_decomposition(observable, h)
         worst_post = max(worst_post, post["reconstruction_defect"])
         refined, relabel = refine_to_rank_one(observable)
@@ -365,7 +364,7 @@ def test_criterion_10_structural_operations_and_reproducibility(tmp_path):
             coarse = sum(
                 e for lab, e in zip(refined.outcomes, refined.effects) if relabel[lab] == y
             )
-            worst_coarse = max(worst_coarse, frobenius(coarse - original))
+            worst_coarse = max(worst_coarse, np.linalg.norm(coarse - original))
 
     scenario = {
         "schema_version": 1,

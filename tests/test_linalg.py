@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import partial_trace
+from oracles import haar_unitary_by_qr, partial_trace
 from thermomeas.errors import ValidationError
 from thermomeas.linalg import (
     commutator_defect,
@@ -19,6 +19,8 @@ from thermomeas.linalg import (
     require_hermitian,
     von_neumann_entropy,
 )
+from thermomeas.objects import Observable
+from thermomeas.schemes import SchemeFrame
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -62,32 +64,37 @@ def test_frobenius_each_is_numpys_norm_within_its_summation_round_off(m):
     assert np.all(np.abs(ours - numpys) <= (n + 1) * u * numpys)
 
 
+def level_sizes(projectors) -> list:
+    """Each level's multiplicity: its projector's trace, rounded."""
+    return [round(t) for t in np.trace(projectors, axis1=1, axis2=2).real]
+
+
 class TestEigHermitian:
     def test_projectors_are_one_read_only_stack(self):
-        decomp = eig_hermitian(np.diag([0.0, 1.0, 1.0]).astype(complex))
-        assert isinstance(decomp.projectors, np.ndarray) and decomp.projectors.shape == (2, 3, 3)
+        _, projectors = eig_hermitian(np.diag([0.0, 1.0, 1.0]).astype(complex))
+        assert isinstance(projectors, np.ndarray) and projectors.shape == (2, 3, 3)
         with pytest.raises(ValueError, match="read-only"):
-            decomp.projectors[0, 0, 0] = 1.0
+            projectors[0, 0, 0] = 1.0
 
     def test_identity_single_cluster(self):
-        decomp = eig_hermitian(np.eye(3, dtype=complex))
-        assert decomp.eigenvalues.tolist() == [1.0]
-        assert decomp.multiplicities == (3,)
-        np.testing.assert_allclose(decomp.projectors[0], np.eye(3), atol=1e-14)
+        energies, projectors = eig_hermitian(np.eye(3, dtype=complex))
+        assert energies.tolist() == [1.0]
+        assert level_sizes(projectors) == [3]
+        np.testing.assert_allclose(projectors[0], np.eye(3), atol=1e-14)
 
     def test_already_diagonal(self):
-        decomp = eig_hermitian(np.diag([0.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(decomp.eigenvalues, [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(decomp.projectors[0], np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(decomp.projectors[1], np.diag([0.0, 1.0]), atol=1e-14)
+        energies, projectors = eig_hermitian(np.diag([0.0, 1.0]).astype(complex))
+        np.testing.assert_allclose(energies, [0.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(projectors[0], np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(projectors[1], np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_pauli_x_eigenbasis(self):
-        decomp = eig_hermitian(X)
-        np.testing.assert_allclose(decomp.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        energies, projectors = eig_hermitian(X)
+        np.testing.assert_allclose(energies, [-1.0, 1.0], atol=1e-14)
         minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
         plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        np.testing.assert_allclose(decomp.projectors[0], minus, atol=1e-14)
-        np.testing.assert_allclose(decomp.projectors[1], plus, atol=1e-14)
+        np.testing.assert_allclose(projectors[0], minus, atol=1e-14)
+        np.testing.assert_allclose(projectors[1], plus, atol=1e-14)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
@@ -102,22 +109,75 @@ class TestEigHermitian:
         rng = np.random.default_rng(dim)
         for _ in range(5):
             a = random_hermitian(dim, rng)
-            decomp = eig_hermitian(a)
-            rebuilt = np.tensordot(decomp.eigenvalues, decomp.projectors, axes=1)
+            energies, projectors = eig_hermitian(a)
+            rebuilt = np.tensordot(energies, projectors, axes=1)
             assert np.linalg.norm(a - rebuilt) < 1e-10
-            total = sum(decomp.projectors)
+            total = sum(projectors)
             assert np.linalg.norm(total - np.eye(dim)) < 1e-10
-            for i, p in enumerate(decomp.projectors):
-                for j, q in enumerate(decomp.projectors):
+            for i, p in enumerate(projectors):
+                for j, q in enumerate(projectors):
                     target = p if i == j else np.zeros_like(p)
                     assert np.linalg.norm(p @ q - target) < 1e-10
 
     def test_degenerate_clustering(self):
         # resonant pair spectrum {0, 1, 1, 2}
         h = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
-        decomp = eig_hermitian(h)
-        assert decomp.multiplicities == (1, 2, 1)
-        assert not decomp.nondegenerate
+        assert level_sizes(eig_hermitian(h)[1]) == [1, 2, 1]
+
+    @pytest.mark.parametrize("scale", [1e-21, 1e-9, 1.0, 1e6])
+    def test_a_rotated_multiple_of_the_identity_is_one_level(self, scale):
+        u = haar_unitary_by_qr(4, np.random.default_rng(0))
+        energies, projectors = eig_hermitian(scale * 3.0 * u @ u.conj().T)
+        assert level_sizes(projectors) == [4]
+        np.testing.assert_allclose(energies, [3.0 * scale], rtol=1e-14)
+
+
+@st.composite
+def integer_spectra(draw, max_dim=3):
+    """An integer ladder of 1 to ``max_dim`` levels in [-3, 3], repeats allowed, and
+    whether to rotate it by a Haar unitary of the drawn seed."""
+    levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=max_dim))
+    return np.array(levels, dtype=float), draw(st.booleans())
+
+
+def hamiltonian(levels, rotate, scale, seed):
+    """``scale * U diag(levels) U^dag``, with ``U`` a Haar unitary of ``seed`` or ``1``."""
+    h = np.diag(levels).astype(complex)
+    if rotate:
+        u = haar_unitary_by_qr(len(levels), np.random.default_rng(seed))
+        h = u @ h @ u.conj().T
+    return scale * (h + h.conj().T) / 2
+
+
+def exact_levels(levels):
+    """The distinct values of ``levels`` and the ``(start, stop)`` of each in sorted order."""
+    values, counts = np.unique(levels, return_counts=True)
+    edges = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    return values, tuple(zip(edges[:-1], edges[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    system=integer_spectra(),
+    probe=integer_spectra(),
+    exponent=st.floats(-21.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clustering_is_scale_free(system, probe, exponent, seed):
+    # eig_hermitian and energy_blocks find the exact levels of s H at every scale s
+    scale = 10.0**exponent
+    h_s = hamiltonian(*system, scale, seed)
+    h_a = hamiltonian(*probe, scale, seed + 1)
+
+    values, bounds = exact_levels(system[0])
+    energies, projectors = eig_hermitian(h_s)
+    assert level_sizes(projectors) == [stop - start for start, stop in bounds]
+    np.testing.assert_allclose(energies, scale * values, rtol=0, atol=1e-13 * scale)
+
+    pointer = Observable(["all"], [np.eye(len(h_a))])
+    frame = SchemeFrame(h_s, h_a, 1.0, pointer)
+    total = np.add.outer(system[0], probe[0]).ravel()
+    assert frame.energy_blocks[1] == exact_levels(total)[1]
 
 
 class TestPartialTrace:

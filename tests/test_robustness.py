@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import direct_instrument_action, direct_probe_state
 from thermomeas.cli import main
 from thermomeas.errors import PreconditionError, ValidationError
-from thermomeas.linalg import MIN_BETA, THEOREM_TOL, dag, frobenius
+from thermomeas.linalg import MIN_BETA, THEOREM_TOL, dag
 from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
 from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
 from thermomeas.scenario import parse_scenario, run_scenario
@@ -63,12 +63,12 @@ class TestRotatedBases:
         ins = induced_instrument(scheme)
         rho = random_density_matrix(2, rng)
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
-            assert frobenius(out - ref) < 1e-12
+            assert np.linalg.norm(out - ref) < 1e-12
 
         tau = scheme.frame.system_gibbs
         q = ins.induced_observable.probabilities(tau)
         for qx, out in zip(q, ins.apply(tau)):
-            assert frobenius(out - qx * tau.matrix) < 1e-8
+            assert np.linalg.norm(out - qx * tau.matrix) < 1e-8
         assert is_covariant_instrument(ins, h_sys)["verdict"]
         law = second_law_report(scheme, rho)["second_law"]
         assert law["verdict"]
@@ -93,7 +93,7 @@ class TestUnequalDimensions:
         assert ins.dim == 2
         rho = random_density_matrix(2, rng_from_seed(1))
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
-            assert frobenius(out - ref) < 1e-12
+            assert np.linalg.norm(out - ref) < 1e-12
 
     def test_conjugate_channel_shape_and_action(self):
         scheme = self.build()
@@ -211,9 +211,9 @@ class TestToleranceKnobs:
 
         # gaps below CLUSTER_TOL (relative to the spectral range) merge, larger ones do not
         h = np.diag([0.0, 1e-5, 1.0]).astype(complex)
-        assert eig_hermitian(h).multiplicities == (1, 1, 1)
+        assert len(eig_hermitian(h)[0]) == 3
         h = np.diag([0.0, CLUSTER_TOL / 10, 1.0]).astype(complex)
-        assert eig_hermitian(h).multiplicities == (2, 1)
+        assert np.trace(eig_hermitian(h)[1], axis1=1, axis2=2).real.round().tolist() == [2, 1]
 
     def test_support_tolerance_controls_infinity(self):
         import math
@@ -535,7 +535,7 @@ class TestLargerDimensions:
         ins = induced_instrument(scheme)
         rho = random_density_matrix(4, rng_from_seed(8))
         for out, ref in zip(ins.apply(rho), direct_instrument_action(scheme, rho)):
-            assert frobenius(out - ref) < 1e-11
+            assert np.linalg.norm(out - ref) < 1e-11
         law = second_law_report(scheme, rho)["second_law"]
         assert law["verdict"]
         assert is_covariant_instrument(ins, h)["verdict"]
@@ -651,6 +651,23 @@ class TestAcrossTemperature:
             # not free is a numerical failure, not a refusal of bad input
             assert "not thermodynamically free" not in str(refusal)
             return
+        assert [c["name"] for c in report.checks if not c["verdict"]] == []
+
+    @pytest.mark.parametrize("unit", [1e-9, 1e-21])
+    def test_every_check_passes_in_small_energy_units(self, unit):
+        # the physics of energies [0, 1, 2] at beta = 1, in units of 1e-9 and of about a
+        # joule; once every level merged into one energy block below a unit of about 1e-8
+        sharp = [np.diag(np.arange(3) == x).astype(float).tolist() for x in range(3)]
+        raw = {
+            "seed": 0,
+            "beta": 1 / unit,
+            "system_hamiltonian": [0.0, unit, 2 * unit],
+            "probe_hamiltonian": [0.0, unit, 2 * unit],
+            "scheme": {"kind": "random_block", "mixture_size": 3, "pointer": {"effects": sharp}},
+            "states": {"count": 3},
+            "checks": THEOREM_CHECKS,
+        }
+        report = run_scenario(raw)
         assert [c["name"] for c in report.checks if not c["verdict"]] == []
 
     @pytest.mark.xfail(
