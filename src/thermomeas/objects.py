@@ -1,10 +1,11 @@
 """Validated quantum objects: states, observables, channels, instruments.
 
-All types are immutable after construction (backing arrays are marked
-read-only) and validate their defining invariants on entry, so downstream
-code can assume well-formed inputs. Validation uses ``VALIDATION_TOL``,
-for objects parsed from a scenario as for derived ones. Ranks and
-supports use ``SUPPORT_TOL``.
+Every library object is immutable after construction: its class derives
+from :class:`_Immutable`, which refuses attribute writes and deletions,
+and its arrays are read-only. Each validates its defining invariants on
+entry, so downstream code can assume well-formed inputs. Validation uses
+``VALIDATION_TOL``, for objects parsed from a scenario as for derived
+ones. Ranks and supports use ``SUPPORT_TOL``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ from .linalg import (
 )
 
 
+class _Immutable:
+    """Base of every library object: setting or deleting an attribute is refused.
+
+    A constructor stores its fields with ``vars(self).update``, and a ``cached_property``
+    writes to ``__dict__`` directly, so what it derives is computed on first read and kept."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
 def _from_validated(cls, *fields):
     """An instance of ``cls`` made from ``fields`` that a stacked kernel has validated.
 
@@ -42,6 +56,19 @@ def _from_validated(cls, *fields):
     obj = object.__new__(cls)
     obj._hold(*fields)
     return obj
+
+
+def _labels(outcomes: Sequence, what: str, n: int, given: str) -> tuple:
+    """``outcomes`` as strings, refused unless nonempty, unique and as many as
+    the ``n`` ``given`` items (effects or Kraus sets) of ``what``."""
+    labels = tuple(str(x) for x in outcomes)
+    if not labels:
+        raise ValidationError(f"{what} needs at least one outcome")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("outcome labels must be unique")
+    if n != len(labels):
+        raise ValidationError(f"{len(labels)} outcomes but {n} {given} supplied")
+    return labels
 
 
 def _input(m: np.ndarray, d: int, what: str) -> np.ndarray:
@@ -219,7 +246,7 @@ def _choi(ks: np.ndarray) -> np.ndarray:
     return (choi + dag(choi)) / 2
 
 
-class State:
+class State(_Immutable):
     """Density operator: Hermitian, positive semidefinite, unit trace."""
 
     def __init__(self, matrix):
@@ -229,7 +256,7 @@ class State:
 
     def _hold(self, matrix: np.ndarray) -> None:
         """Holds a validated, read-only density matrix."""
-        self.matrix, self.dim = matrix, matrix.shape[0]
+        vars(self).update(matrix=matrix, dim=matrix.shape[0])
 
     def __repr__(self):
         return f"State(dim={self.dim})"
@@ -245,22 +272,14 @@ def pure_state(vector) -> State:
     return State(np.outer(v, v.conj()))
 
 
-class Observable:
+class Observable(_Immutable):
     """Discrete POVM: labeled effects with 0 <= E_x <= 1 summing to identity.
 
     ``effects`` is one read-only ``(n_outcomes, dim, dim)`` stack.
     """
 
     def __init__(self, outcomes: Sequence[str], effects: Sequence):
-        outcomes = tuple(str(x) for x in outcomes)
-        if not outcomes:
-            raise ValidationError("observable needs at least one outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("outcome labels must be unique")
-        if len(effects) != len(outcomes):
-            raise ValidationError(
-                f"{len(outcomes)} outcomes but {len(effects)} effects supplied"
-            )
+        outcomes = _labels(outcomes, "observable", len(effects), "effects")
         names = tuple(f"effect {x!r}" for x in outcomes)
         matrices = [as_matrix(e) for e in effects]
         dim = matrices[0].shape[0]
@@ -274,9 +293,7 @@ class Observable:
         self._hold(outcomes, stack)
 
     def _hold(self, outcomes: tuple, effects: np.ndarray) -> None:
-        self.outcomes = outcomes
-        self.effects = effects
-        self.dim = effects.shape[-1]
+        vars(self).update(outcomes=outcomes, effects=effects, dim=effects.shape[-1])
 
     @property
     def n_outcomes(self) -> int:
@@ -317,7 +334,7 @@ class Observable:
         return f"Observable(outcomes={list(self.outcomes)}, dim={self.dim})"
 
 
-class KrausChannel:
+class KrausChannel(_Immutable):
     """Trace-preserving completely positive map in Kraus form.
 
     ``kraus`` is one read-only ``(k, dim_out, dim_in)`` stack; operators may
@@ -330,8 +347,7 @@ class KrausChannel:
         self._hold(ks)
 
     def _hold(self, kraus: np.ndarray) -> None:
-        self.kraus = kraus
-        self.dim_out, self.dim_in = kraus.shape[1:]
+        vars(self).update(kraus=kraus, dim_out=kraus.shape[1], dim_in=kraus.shape[2])
 
     @property
     def dim(self) -> int:
@@ -386,7 +402,7 @@ def gibbs_log_weights(hamiltonian, beta: float) -> tuple:
     return log_weights, vecs
 
 
-class Instrument:
+class Instrument(_Immutable):
     """Outcome-indexed family of CP trace non-increasing operations.
 
     Each outcome holds a read-only ``(k_x, dim, dim)`` Kraus stack; together
@@ -394,15 +410,7 @@ class Instrument:
     """
 
     def __init__(self, outcomes: Sequence[str], kraus_sets: Sequence):
-        outcomes = tuple(str(x) for x in outcomes)
-        if not outcomes:
-            raise ValidationError("instrument needs at least one outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("outcome labels must be unique")
-        if len(kraus_sets) != len(outcomes):
-            raise ValidationError(
-                f"{len(outcomes)} outcomes but {len(kraus_sets)} Kraus sets supplied"
-            )
+        outcomes = _labels(outcomes, "instrument", len(kraus_sets), "Kraus sets")
         stacks = tuple(_kraus_stack(ops, label) for label, ops in zip(outcomes, kraus_sets))
         dim = stacks[0].shape[1]
         for label, ks in zip(outcomes, stacks):
@@ -421,12 +429,11 @@ class Instrument:
     ) -> None:
         """Holds the outcomes, their Kraus stacks and Gram sums, and, when given,
         the induced observable of those Gram sums."""
-        self.outcomes = outcomes
-        self.kraus_sets = kraus_sets
-        self.dim = kraus_sets[0].shape[-1]
-        self._grams = grams
+        vars(self).update(
+            outcomes=outcomes, kraus_sets=kraus_sets, dim=kraus_sets[0].shape[-1], _grams=grams
+        )
         if induced is not None:
-            self.induced_observable = induced
+            vars(self)["induced_observable"] = induced  # what the cached property would derive
 
     @classmethod
     def luders(cls, observable: Observable) -> "Instrument":

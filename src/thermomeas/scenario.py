@@ -43,7 +43,6 @@ import json
 import numbers
 import os
 import time
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +59,7 @@ from .linalg import (
     require_beta,
     require_hermitian,
 )
-from .objects import Instrument, KrausChannel, Observable, gibbs_state
+from .objects import Instrument, KrausChannel, Observable, _Immutable, gibbs_state
 from .sampling import random_density_matrix_stacks, rng_from_seed
 from .schemes import (
     MeasurementScheme,
@@ -178,6 +177,10 @@ def decode_observable(obj, field: str = "observable") -> Observable:
     matrices = _list_field(obj, "effects", field)
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(matrices)]
     outcomes = _list_field(obj, "outcomes", field) if obj.get("outcomes") is not None else []
+    for i, label in enumerate(outcomes):
+        if not isinstance(label, str):
+            kind = type(label).__name__
+            raise ValidationError(f"{field}: outcome {i} must be a string, got {kind}")
     return Observable(outcomes or [f"x{i}" for i in range(len(effects))], effects)
 
 
@@ -228,8 +231,7 @@ _NAMED_STATES = {
 }
 
 
-@dataclass(frozen=True)
-class _States:
+class _States(_Immutable):
     """A ``states`` entry judged at parse.
 
     A generator has a ``count`` and draws its states at each point from its
@@ -238,10 +240,8 @@ class _States:
     is built at the point's beta.
     """
 
-    names: tuple
-    count: int = None
-    seed: int = None
-    matrices: tuple = ()
+    def __init__(self, names: tuple, count: int = None, seed: int = None, matrices: tuple = ()):
+        vars(self).update(names=names, count=count, seed=seed, matrices=matrices)
 
     def stacks(self, h_system, seeds, beta: float) -> np.ndarray:
         """The validated read-only ``(P, n, d, d)`` stack of the states of the
@@ -302,7 +302,10 @@ def _resolve_states(spec, d: int) -> _States:
                 matrices.append(None)
             elif isinstance(entry, dict) and "matrix" in entry:
                 _refuse_unknown_keys(entry, ("name", "matrix"), f"states[{i}]")
-                names.append(str(entry.get("name", f"state_{i}")))
+                names.append(entry.get("name", f"state_{i}"))
+                if not isinstance(names[-1], str):
+                    kind = type(names[-1]).__name__
+                    raise ValidationError(f"states[{i}].name: expected a string, got {kind}")
                 matrices.append(_explicit_state(entry, names[-1], d))
             else:
                 raise ValidationError(f"states[{i}]: expected a name or an object with 'matrix'")
@@ -312,8 +315,7 @@ def _resolve_states(spec, d: int) -> _States:
     raise ValidationError("states: expected a generator object or a list")
 
 
-@dataclass(frozen=True)
-class _Scheme:
+class _Scheme(_Immutable):
     """A ``scheme`` entry judged at parse, on the frame of the scenario's beta.
 
     A ``swap`` or ``kraus`` scheme draws nothing and is ``fixed``; a
@@ -321,11 +323,11 @@ class _Scheme:
     ``seed``, or from the point's when that is ``None``.
     """
 
-    kind: str
-    frame: SchemeFrame
-    fixed: MeasurementScheme = None
-    seed: int = None
-    mixture_size: int = None
+    def __init__(
+        self, kind: str, frame: SchemeFrame, fixed: MeasurementScheme = None, seed: int = None,
+        mixture_size: int = None,
+    ):
+        vars(self).update(kind=kind, frame=frame, fixed=fixed, seed=seed, mixture_size=mixture_size)
 
     def at(self, seeds, beta: float) -> SchemeBatch:
         """The schemes of the points with ``seeds``, all at ``beta``, as one batch;
@@ -387,8 +389,7 @@ def _resolve_scheme(spec, h_system, h_probe, beta, observable) -> _Scheme:
     return _Scheme(kind, frame, fixed=MeasurementScheme(frame, decode_channel(spec)))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Immutable):
     """A scenario judged once, every field decoded and validated, and its own point.
 
     :meth:`derive` gives, for seeds and a beta, the points' schemes as one
@@ -401,15 +402,16 @@ class Scenario:
     :class:`SchemeFrame`; a point at another beta shares all but its Gibbs data.
     """
 
-    beta: float
-    seed: int
-    system_hamiltonian: np.ndarray
-    probe_hamiltonian: np.ndarray
-    observable: Observable
-    scheme_spec: _Scheme
-    state_spec: _States
-    checks: tuple
-    tolerances: dict
+    def __init__(
+        self, beta: float, seed: int, system_hamiltonian: np.ndarray,
+        probe_hamiltonian: np.ndarray, observable: Observable, scheme_spec: _Scheme,
+        state_spec: _States, checks: tuple, tolerances: dict,
+    ):
+        vars(self).update(
+            beta=beta, seed=seed, system_hamiltonian=system_hamiltonian,
+            probe_hamiltonian=probe_hamiltonian, observable=observable, scheme_spec=scheme_spec,
+            state_spec=state_spec, checks=checks, tolerances=tolerances,
+        )
 
     def tol_for(self, check: str) -> float:
         return float(self.tolerances.get(check, self.tolerances["default"]))
@@ -645,14 +647,12 @@ def _check_heat_duality(sc: Scenario, tol: float) -> dict:
     return _per_state(sc, rows, "worst_duality_defect", worst, worst <= tol)
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(_Immutable):
     """A check's result as a function of ``(scenario, tol)``, and what it needs
     besides the instrument under test: a scheme, at least one input state."""
 
-    run: object
-    needs_scheme: bool = False
-    needs_states: bool = False
+    def __init__(self, run, needs_scheme: bool = False, needs_states: bool = False):
+        vars(self).update(run=run, needs_scheme=needs_scheme, needs_states=needs_states)
 
 
 #: Every check by name, in the order the known-checks error message lists them.
@@ -711,8 +711,7 @@ def _run_check(sc: Scenario, name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
+class RunReport(_Immutable):
     """Outcome of one scenario run; serializes deterministically.
 
     ``timing_ms`` is the measured wall time of the run and
@@ -724,11 +723,14 @@ class RunReport:
     is built when the report is serialized.
     """
 
-    scenario: Scenario
-    checks: list
-    verdict: bool
-    timing_ms: float
-    check_timing_ms: dict
+    def __init__(
+        self, scenario: Scenario, checks: list, verdict: bool, timing_ms: float,
+        check_timing_ms: dict,
+    ):
+        vars(self).update(
+            scenario=scenario, checks=checks, verdict=verdict, timing_ms=timing_ms,
+            check_timing_ms=check_timing_ms,
+        )
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {

@@ -28,6 +28,10 @@ conjugate channel is entry 0 of the conjugate stack
 and an interaction into one; :func:`random_free_schemes` draws a whole
 batch, one stacked QR per block size.
 
+Frames, batches and schemes are immutable, as every library object is: no
+attribute can be set or deleted (:class:`~thermomeas.objects._Immutable`), every
+array is read-only, and what is derived is computed on first read and kept.
+
 Nontrivial free interactions require degeneracies in the total spectrum:
 on a nondegenerate total spectrum every energy-conserving unitary is a
 phase unitary. Resonant system/probe pairs (equal level spacings) are the
@@ -56,6 +60,7 @@ from .objects import (
     KrausChannel,
     Observable,
     State,
+    _Immutable,
     _bistochastic_defects,
     _dual,
     _from_validated,
@@ -86,7 +91,7 @@ class _beta_free(cached_property):
         return super().__get__(frame, owner)
 
 
-class SchemeFrame:
+class SchemeFrame(_Immutable):
     """The system and probe Hamiltonians, beta and pointer of a scheme, and
     everything derived from them alone.
 
@@ -97,11 +102,6 @@ class SchemeFrame:
     defect and the square roots of the pointer effects, and the Gibbs
     log-weights and states of system and probe. The frames of a beta sweep,
     made by :meth:`at_beta`, share all but the Gibbs data.
-
-    A frame is immutable: its attributes cannot be reassigned and its arrays
-    are read-only. Derived data is computed on first use and kept; a
-    ``cached_property`` stores it in the instance ``__dict__`` directly,
-    past the immutability guard.
     """
 
     def __init__(self, system_hamiltonian, probe_hamiltonian, beta: float, pointer: Observable):
@@ -136,12 +136,6 @@ class SchemeFrame:
             SchemeFrame, self.system_hamiltonian, self.probe_hamiltonian, require_beta(beta),
             self.pointer, self._origin,
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     @_beta_free
     def total_hamiltonian(self) -> np.ndarray:
@@ -201,7 +195,7 @@ class SchemeFrame:
         return gibbs_state_from(*self.gibbs_log_weights)
 
 
-class SchemeBatch:
+class SchemeBatch(_Immutable):
     """The schemes of one frame whose interactions are the entries of one stack.
 
     ``kraus`` is a read-only ``(P, k, D, D)`` stack of validated interactions,
@@ -215,14 +209,11 @@ class SchemeBatch:
     A batch of one point is one scheme, its probe in ``gibbs_state(H_A, beta)``
     and no way to supply another. Its ``interaction`` and ``instrument`` (the
     :func:`induced_instrument`) are kept on first use; a larger batch refuses
-    both. A batch is immutable, as its frame is.
+    both.
     """
 
     def __init__(self, frame: SchemeFrame, kraus: np.ndarray):
         vars(self).update(frame=frame, kraus=kraus)
-
-    __setattr__ = SchemeFrame.__setattr__
-    __delattr__ = SchemeFrame.__delattr__
 
     @cached_property
     def interaction(self) -> KrausChannel:

@@ -40,7 +40,6 @@ G / beta = Q_sys`` exactly for a trace-preserving instrument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +59,7 @@ from .linalg import (
     require_hermitian,
     von_neumann_entropy,
 )
-from .objects import Instrument, _gram, _outputs, gibbs_log_weights
+from .objects import Instrument, _Immutable, _gram, _outputs, gibbs_log_weights
 from .schemes import SchemeBatch
 
 
@@ -159,8 +158,7 @@ def _given(value, name: str):
     return value
 
 
-@dataclass(eq=False)
-class AuditBatch:
+class AuditBatch(_Immutable):
     """Every per-state quantity of several points, each one instrument on its
     own stack of states, as arrays with a leading point axis.
 
@@ -186,13 +184,14 @@ class AuditBatch:
     is read off these arrays by one helper.
     """
 
-    outcomes: tuple
-    kraus_sets: tuple
-    effects: np.ndarray
-    states: np.ndarray
-    hamiltonian: np.ndarray = None
-    beta: float = None
-    schemes: SchemeBatch = None
+    def __init__(
+        self, outcomes: tuple, kraus_sets: tuple, effects: np.ndarray, states: np.ndarray,
+        hamiltonian: np.ndarray = None, beta: float = None, schemes: SchemeBatch = None,
+    ):
+        vars(self).update(
+            outcomes=outcomes, kraus_sets=kraus_sets, effects=effects, states=states,
+            hamiltonian=hamiltonian, beta=beta, schemes=schemes,
+        )
 
     @classmethod
     def of_schemes(cls, schemes: SchemeBatch, states):

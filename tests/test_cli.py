@@ -314,6 +314,34 @@ class TestCheckCommand:
                 {"scheme": dict(SCENARIO_PASS["scheme"], mixture_size=101)},
                 "scheme.mixture_size must be at most 100, got 101",
             ),
+            (
+                {
+                    "scheme": dict(
+                        SCENARIO_PASS["scheme"], pointer=dict(SWEEP_POINTER, outcomes=[["a"], None])
+                    )
+                },
+                "scheme.pointer: outcome 0 must be a string, got list",
+            ),
+            (
+                {
+                    "scheme": dict(
+                        SCENARIO_PASS["scheme"], pointer=dict(SWEEP_POINTER, outcomes=[1, "1"])
+                    )
+                },
+                "scheme.pointer: outcome 0 must be a string, got int",
+            ),
+            (
+                {"observable": dict(SWEEP_POINTER, outcomes=["p", None])},
+                "observable: outcome 1 must be a string, got NoneType",
+            ),
+            (
+                {"states": [{"name": None, "matrix": [[0.5, 0], [0, 0.5]]}]},
+                "states[0].name: expected a string, got NoneType",
+            ),
+            (
+                {"states": ["gibbs", {"name": 3, "matrix": [[0.5, 0], [0, 0.5]]}]},
+                "states[1].name: expected a string, got int",
+            ),
         ],
     )
     def test_refused_input_exits_two_naming_it(self, tmp_path, patch, message):

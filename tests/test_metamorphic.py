@@ -1,12 +1,13 @@
 """Metamorphic relations: a transformation of the input that the physics leaves
 unchanged must leave every verdict and every per-state number unchanged too.
 
-Neither relation needs an oracle. An energy shift ``H -> H + c 1`` moves every
+No relation needs an oracle. An energy shift ``H -> H + c 1`` moves every
 energy by ``c`` and no heat, work or skew information. A time translation
 ``rho -> e^(-i H_S t) rho e^(i H_S t)`` of every audited state leaves the rows of
 a covariant instrument unchanged (Marvian & Spekkens, PRA 90, 062110, 2014),
 since the Gibbs state, the outcome probabilities and the entropies are all
-unchanged by it.
+unchanged by it. A reordering of the audited states reorders their rows, and
+the worst state is the same state wherever it is unique.
 """
 
 import numpy as np
@@ -56,6 +57,16 @@ def leaves(tree, path=()):
     if isinstance(tree, list):
         return {k: v for i, sub in enumerate(tree) for k, v in leaves(sub, (*path, i)).items()}
     return {path: tree}
+
+
+def audited_rows(scheme, states):
+    """The ``second_law``, ``heat_duality`` and ``skew_chain`` rows of ``states``, a
+    ``(n, d, d)`` stack, and their ``prop1_slack``, audited as one point of ``scheme``."""
+    audit = AuditBatch.of_schemes(scheme, states[None])
+    [laws], [heats], [chain] = (
+        audit.second_law_rows(THEOREM_TOL), audit.heat_duality_rows(), audit.skew_chain_rows()
+    )
+    return [laws, heats, chain], audit.prop1_slack[0]
 
 
 def assert_same_rows(got, want):
@@ -117,9 +128,29 @@ def test_a_time_translation_of_the_states_changes_no_row(h_s, h_a, time, beta, s
     evolution = np.diag(np.exp(-1j * h_s * time))
     translated = density_matrix(evolution @ states @ dag(evolution))
 
-    def rows(stack):
-        audit = AuditBatch.of_schemes(scheme, stack[None])
-        laws = audit.second_law_rows(THEOREM_TOL)
-        return [laws, audit.heat_duality_rows(), audit.skew_chain_rows()]
+    assert_same_rows(audited_rows(scheme, translated)[0], audited_rows(scheme, states)[0])
 
-    assert_same_rows(rows(translated), rows(states))
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h_s=ladders(),
+    h_a=ladders(),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 10_000),
+    state_seeds=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    order=st.permutations(range(4)),
+)
+def test_a_reordering_of_the_states_reorders_every_row(h_s, h_a, beta, seed, state_seeds, order):
+    # repeated state seeds give equal states, so ties for the worst state occur
+    scheme = free_scheme(h_s, h_a, beta, seed)
+    states = np.array(
+        [random_density_matrix(len(h_s), rng_from_seed(s)).matrix for s in state_seeds]
+    )
+    rows, slack = audited_rows(scheme, states)
+    moved, moved_slack = audited_rows(scheme, states[order])
+    assert_same_rows(moved, [[per_state[i] for i in order] for per_state in rows])
+    worst, moved_worst = int(np.argmin(slack)), int(np.argmin(moved_slack))
+    assert abs(moved_slack[moved_worst] - slack[worst]) <= BUDGET * max(1.0, abs(slack[worst]))
+    smallest, runner_up = np.sort(slack)[:2]
+    if runner_up - smallest > BUDGET * max(1.0, abs(smallest)):
+        assert order[moved_worst] == worst
