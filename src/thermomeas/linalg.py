@@ -25,10 +25,10 @@ decision has one constant here, and the other modules import it:
 * Sorted eigenvalues whose consecutive gap is at most ``CLUSTER_TOL``
   times the spread (largest minus smallest), or at most the round-off
   bound ``16 d u max|E|`` on ``d`` levels (``u`` the float64 machine
-  epsilon) when that is larger, are one degenerate level with one
-  spectral projector. The rule is scale-free: ``s H`` clusters as ``H``
-  does for any ``s > 0``, and a rotated multiple of the identity is one
-  level.
+  epsilon, ``max|E|`` summed over the terms of a sum) when that is larger,
+  are one degenerate level with one spectral projector. The rule is
+  scale-free: ``s H`` clusters as ``H`` does for any ``s > 0``, and a
+  rotated multiple of the identity is one level.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ THEOREM_TOL = 1e-8
 #: Support and rank: eigenvalues at or below this count as zero.
 SUPPORT_TOL = 1e-10
 
-#: Outcomes with probability at or below this contribute nothing to conditional sums.
+#: Outcome probabilities in ``D(p || q)`` and nuclear factor weights at or below this are zero.
 PROBABILITY_CUTOFF = 1e-12
 
 #: Relative eigenvalue-clustering tolerance for degeneracy detection: a gap over the spread.
@@ -170,15 +170,17 @@ def _require_beta_at_dimension(beta: float, d: int, name: str = "beta") -> None:
         )
 
 
-def _new_clusters(values: np.ndarray) -> np.ndarray:
+def _new_clusters(values: np.ndarray, scale: float) -> np.ndarray:
     """Flags, per consecutive pair of ascending values, of a gap that starts a new level.
 
     A gap starts one when it exceeds both ``CLUSTER_TOL * (values[-1] - values[0])``
-    and the round-off bound ``16 d u max|value|`` of ``d`` eigenvalues: the gaps
-    ``eigh`` leaves inside a rotated degenerate level were at most ``3.4 d u max|E|``
-    over Haar-rotated integer spectra of d = 2 to 64 at scales 1e-21 to 1e6.
+    and the round-off bound ``16 d u scale`` of ``d`` eigenvalues, ``scale`` being
+    ``max|E|`` of the operator, or ``max|E_S| + max|E_A|`` of ``H_S (x) 1 + 1 (x) H_A``,
+    whose terms leave round-off of their size however they cancel: the gaps ``eigh``
+    leaves inside a rotated degenerate level were at most ``3.4 d u max|E|`` over
+    Haar-rotated integer spectra of d = 2 to 64 at scales 1e-21 to 1e6.
     """
-    roundoff = 16 * len(values) * np.finfo(float).eps * float(np.abs(values).max())
+    roundoff = 16 * len(values) * np.finfo(float).eps * scale
     return np.diff(values) > max(CLUSTER_TOL * float(values[-1] - values[0]), roundoff)
 
 
@@ -192,7 +194,7 @@ def eig_hermitian(a) -> tuple:
     multiplicity is its projector's trace.
     """
     evals, vecs = np.linalg.eigh(require_hermitian(a))
-    level = np.concatenate([[0], np.cumsum(_new_clusters(evals))])
+    level = np.concatenate([[0], np.cumsum(_new_clusters(evals, float(np.abs(evals).max())))])
     member = level == np.arange(level[-1] + 1)[:, None]  # (n_levels, d): eigenvector in level
     projectors = (vecs * member[:, None, :]) @ dag(vecs)
     projectors.flags.writeable = False
@@ -243,8 +245,8 @@ def von_neumann_entropy(rho, validate: bool = True):
 
     A float for one operator, an array of one entropy per entry for a stack.
     ``validate=False`` skips the density-matrix checks (negative eigenvalues
-    are still clipped at zero); intended for conditional states obtained by
-    normalizing machine-generated instrument outputs.
+    are still clipped at zero); intended for machine-generated instrument
+    outputs, whose traces may be below 1.
     """
     if validate:
         m = density_matrix(rho)

@@ -162,7 +162,9 @@ class SchemeFrame(_Immutable):
         energy, and the ``(start, stop)`` columns of each degenerate eigenspace."""
         evals, vecs = np.linalg.eigh(self.total_hamiltonian)
         vecs.flags.writeable = False
-        edges = [0, *(np.flatnonzero(_new_clusters(evals)) + 1).tolist(), len(evals)]
+        terms = (self.system_hamiltonian, self.probe_hamiltonian)
+        scale = sum(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in terms)
+        edges = [0, *(np.flatnonzero(_new_clusters(evals, scale)) + 1).tolist(), len(evals)]
         return vecs, tuple(zip(edges[:-1], edges[1:]))
 
     @_beta_free

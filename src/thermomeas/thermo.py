@@ -2,9 +2,10 @@
 
 Conventions: entropic quantities are in nats, energies in the units of the
 Hamiltonians, and the inverse temperature carries inverse-energy units.
-Outcomes with probability below ``PROBABILITY_CUTOFF`` are excluded from
-every conditional sum (the 0 ln 0 convention); conditional states are only
-defined for outcomes that actually occur.
+No conditional state is formed: every outcome's ``p_x S(rho_x) = S(I_x(rho))
++ p_x ln p_x`` (0 ln 0 := 0) is read off its unnormalized output and goes to
+0 with ``p_x``. Only ``D(p || q)`` leaves out outcomes at or below
+``PROBABILITY_CUTOFF``.
 
 Every per-state quantity has one implementation, which works on stacks of
 states with a leading point axis: :class:`AuditBatch`, whose ``(P, n, d,
@@ -95,7 +96,8 @@ def _diagonal(m, vecs) -> np.ndarray:
 
 
 def _divergence_to_gibbs(rho, entropy, gibbs):
-    """``D(rho || tau) = -S(rho) - sum_i <i|rho|i> ln tau_i``, given ``S(rho)``; stacks too."""
+    """``D(rho || tau) = -S(rho) - sum_i <i|rho|i> ln tau_i``, given ``S(rho)``; stacks too.
+    Linear in the pair: ``p rho`` with ``p S(rho)`` gives ``p D(rho || tau)``."""
     log_weights, vecs = gibbs
     return -entropy - _diagonal(rho, vecs) @ log_weights
 
@@ -239,26 +241,16 @@ class AuditBatch(_Immutable):
         return np.trace(self.outputs, axis1=-2, axis2=-1).real
 
     @cached_property
-    def _occurring(self) -> np.ndarray:
-        return self.probabilities > PROBABILITY_CUTOFF
-
-    def _conditional_states(self) -> np.ndarray:
-        """Conditional states ``rho_x`` of the occurring (outcome, state) pairs, not kept."""
-        return self.outputs[self._occurring] / self.probabilities[self._occurring][:, None, None]
-
-    def _per_outcome(self, values) -> np.ndarray:
-        """``values`` of the occurring pairs spread to ``(P, n_outcomes, n)``, zero elsewhere."""
-        full = np.zeros(self.probabilities.shape)
-        full[self._occurring] = values
-        return full
-
-    @cached_property
     def entropy(self) -> np.ndarray:
         return von_neumann_entropy(self.states, validate=False)
 
     @cached_property
-    def _conditional_entropy(self) -> np.ndarray:
-        return self._per_outcome(von_neumann_entropy(self._conditional_states(), validate=False))
+    def _weighted_entropies(self) -> np.ndarray:
+        """``p_x S(rho_x) = S(I_x(rho)) + p_x ln p_x`` of every output, ``(P, n_outcomes, n)``,
+        read off the unnormalized output with ``0 ln 0 := 0``, so it vanishes as ``p_x -> 0``."""
+        p = self.probabilities
+        p_log_p = p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
+        return von_neumann_entropy(self.outputs, validate=False) + p_log_p
 
     @cached_property
     def extractable_work(self) -> np.ndarray:
@@ -266,11 +258,10 @@ class AuditBatch(_Immutable):
 
     @cached_property
     def average_extractable_work(self) -> np.ndarray:
-        """Mean post-measurement extractable work under outcome-conditioned feedback."""
-        divergence = _divergence_to_gibbs(
-            self._conditional_states(), self._conditional_entropy[self._occurring], self.gibbs
-        )
-        return (self.probabilities * self._per_outcome(divergence)).sum(axis=1) / self.beta
+        """Mean post-measurement extractable work under outcome-conditioned feedback,
+        ``sum_x p_x D(rho_x || tau) / beta``, summed over the unnormalized outputs."""
+        divergence = _divergence_to_gibbs(self.outputs, self._weighted_entropies, self.gibbs)
+        return divergence.sum(axis=1) / self.beta
 
     @cached_property
     def outcome_divergence(self) -> np.ndarray:
@@ -287,7 +278,7 @@ class AuditBatch(_Immutable):
     @cached_property
     def groenewold_gain(self) -> np.ndarray:
         """Entropy of the input minus the mean entropy of the conditional outputs."""
-        return self.entropy - (self.probabilities * self._conditional_entropy).sum(axis=1)
+        return self.entropy - self._weighted_entropies.sum(axis=1)
 
     @cached_property
     def system_heat(self) -> np.ndarray:

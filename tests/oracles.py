@@ -18,9 +18,11 @@ eigenvector by eigenvector. The sweep-row reference reads a grid point's
 row off the check results of that point run alone, as the sweep did before
 it read its rows off a chunk's stacked arrays, and the worst freeness defect is
 read off a ``free_scheme`` row. The work-row references compute the
-extractable work ``D(rho || tau) / beta`` and the outcome divergence
-``D(p || q)`` at 50 significant digits with mpmath, from ``mp.eighe``
-spectra and exact Gibbs weights. The random diagonal Hamiltonian,
+extractable work ``D(rho || tau) / beta``, the outcome divergence ``D(p ||
+q)``, and the average work and information gain of the conditional states
+``rho_x = I_x(rho) / p_x``, each formed and summed over every outcome with
+``p_x > 0``, at 50 significant digits with mpmath, from ``mp.eighe`` spectra
+and exact Gibbs weights. The random diagonal Hamiltonian,
 the partial trace and the spectral time evolution are test tools, kept
 here because the library has no use for them.
 """
@@ -153,15 +155,56 @@ def _mp_gibbs(hamiltonian, beta):
     return vecs, boltzmann, mp.log(mp.fsum(boltzmann))
 
 
+def _mp_entropy(r):
+    """``S(r)`` of an mpmath density matrix, read off its ``mp.eighe`` spectrum (0 ln 0 := 0)."""
+    return -mp.fsum(p * mp.log(p) for p in mp.eighe(r, eigvals_only=True) if p > 0)
+
+
+def _mp_work(r, h, log_z, beta):
+    """``D(r || tau) / beta = (-S(r) + beta tr[r H] + ln Z) / beta`` of an mpmath density
+    matrix ``r``, given the mpmath Hamiltonian ``h`` and ``ln Z``."""
+    energy = mp.re(mp.fsum(r[i, j] * h[j, i] for i in range(r.rows) for j in range(r.rows)))
+    return (-_mp_entropy(r) + mp.mpf(beta) * energy + log_z) / beta
+
+
 def mp_extractable_work(rho, hamiltonian, beta):
     """``D(rho || tau) / beta = (-S(rho) + beta tr[rho H] + ln Z) / beta`` at ``MP_DIGITS``
     digits, with ``S(rho)`` and ``ln Z`` read off ``mp.eighe`` spectra (0 ln 0 := 0)."""
     with mp.workdps(MP_DIGITS):
-        r, h = _mp(rho), _mp(hamiltonian)
-        entropy = -mp.fsum(p * mp.log(p) for p in mp.eighe(r, eigvals_only=True) if p > 0)
-        energy = mp.re(mp.fsum(r[i, j] * h[j, i] for i in range(r.rows) for j in range(r.rows)))
-        log_z = _mp_gibbs(hamiltonian, beta)[2]
-        return (-entropy + mp.mpf(beta) * energy + log_z) / beta
+        return _mp_work(_mp(rho), _mp(hamiltonian), _mp_gibbs(hamiltonian, beta)[2], beta)
+
+
+def _mp_conditional_states(kraus_sets, rho):
+    """``(p_x, rho_x)`` of every outcome with ``p_x > 0``, the textbook way: ``I_x(rho) =
+    sum_k K rho K^dag`` over the outcome's Kraus operators, ``p_x`` its trace and ``rho_x
+    = I_x(rho) / p_x``, at the caller's mpmath precision."""
+    r = _mp(rho)
+    conditional = []
+    for kraus in kraus_sets:
+        out = mp.zeros(r.rows)
+        for k in map(_mp, kraus):
+            out += k * r * k.H
+        p = mp.re(mp.fsum(out[i, i] for i in range(r.rows)))
+        if p > 0:
+            conditional.append((p, out / p))
+    return conditional
+
+
+def mp_average_extractable_work(kraus_sets, rho, hamiltonian, beta):
+    """``sum_x p_x D(rho_x || tau) / beta`` at ``MP_DIGITS`` digits over every outcome with
+    ``p_x > 0``, each ``D(rho_x || tau) / beta`` as :func:`mp_extractable_work` forms it."""
+    with mp.workdps(MP_DIGITS):
+        h, log_z = _mp(hamiltonian), _mp_gibbs(hamiltonian, beta)[2]
+        conditional = _mp_conditional_states(kraus_sets, rho)
+        return mp.fsum(p * _mp_work(r, h, log_z, beta) for p, r in conditional)
+
+
+def mp_groenewold_gain(kraus_sets, rho):
+    """``S(rho) - sum_x p_x S(rho_x)`` at ``MP_DIGITS`` digits over every outcome with
+    ``p_x > 0``, each entropy read off an ``mp.eighe`` spectrum."""
+    with mp.workdps(MP_DIGITS):
+        conditional = _mp_conditional_states(kraus_sets, rho)
+        return _mp_entropy(_mp(rho)) - mp.fsum(p * _mp_entropy(r) for p, r in conditional)
 
 
 def mp_outcome_divergence(effects, rho, gibbs_effects, hamiltonian, beta):

@@ -50,7 +50,7 @@ def test_seed_zero_output_matches_reference(name, tmp_path, capsys):
 @pytest.mark.parametrize("checks,entropies", [(["heat_duality"], 0), (None, 2)])
 def test_a_check_derives_only_the_entropies_it_reads(checks, entropies, monkeypatch):
     # heat duality reads the heats alone; the second law's work needs the
-    # states' and the conditional states' entropies, one stacked solve each
+    # states' and outputs' entropies, one stacked solve each
     calls, entropy = [], thermo.von_neumann_entropy
 
     def counted(*args, **kwargs):

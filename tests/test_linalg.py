@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,6 +162,10 @@ def exact_levels(levels):
     probe=integer_spectra(),
     exponent=st.floats(-21.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
+)
+# H_S (x) 1 + 1 (x) H_A cancels to round-off, which is of the terms' size, not of its own
+@example(
+    system=(np.array([2.0]), False), probe=(np.array([-2.0, -2.0]), True), exponent=0.0, seed=0
 )
 def test_clustering_is_scale_free(system, probe, exponent, seed):
     # eig_hermitian and energy_blocks find the exact levels of s H at every scale s

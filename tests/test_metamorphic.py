@@ -7,7 +7,10 @@ energy by ``c`` and no heat, work or skew information. A time translation
 a covariant instrument unchanged (Marvian & Spekkens, PRA 90, 062110, 2014),
 since the Gibbs state, the outcome probabilities and the entropies are all
 unchanged by it. A reordering of the audited states reorders their rows, and
-the worst state is the same state wherever it is unique.
+the worst state is the same state wherever it is unique. A relabelling of the
+pointer, its outcome labels and effects permuted together, is the same
+measurement listed in another order: every sum over outcomes, and so every
+row and verdict, is unchanged.
 """
 
 import numpy as np
@@ -106,11 +109,16 @@ def test_an_energy_shift_changes_no_verdict_and_no_per_state_number(h_s, h_a, sh
             "checks": CHECKS,
         }).checks
 
-    before, after = run(0, 0), run(*shifts)
-    assert [(c["name"], c["verdict"]) for c in after] == [(c["name"], c["verdict"]) for c in before]
-    for got, want in zip(after, before):
-        if want["name"] in PER_STATE:
-            assert_same_rows(got["per_state"], want["per_state"])
+    assert_same_checks(run(*shifts), run(0, 0))
+
+
+def assert_same_checks(got, want):
+    """The same verdict of every check, and every per-state row of ``PER_STATE`` the same
+    within ``BUDGET``."""
+    assert [(c["name"], c["verdict"]) for c in got] == [(c["name"], c["verdict"]) for c in want]
+    for check, reference in zip(got, want):
+        if reference["name"] in PER_STATE:
+            assert_same_rows(check["per_state"], reference["per_state"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,3 +162,33 @@ def test_a_reordering_of_the_states_reorders_every_row(h_s, h_a, beta, seed, sta
     smallest, runner_up = np.sort(slack)[:2]
     if runner_up - smallest > BUDGET * max(1.0, abs(smallest)):
         assert order[moved_worst] == worst
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h_s=ladders(),
+    h_a=ladders(),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_a_relabelling_of_the_pointer_changes_no_row_and_no_verdict(h_s, h_a, beta, seed, data):
+    # one drawn interaction, read by the sharp pointer in two orders of its outcomes
+    scheme = free_scheme(h_s, h_a, beta, seed)
+    kraus = [encode_matrix(k) for k in scheme.interaction.kraus]
+    pointer = scheme.frame.pointer
+    order = data.draw(st.permutations(range(len(pointer.outcomes))), label="order")
+    relabelled = Observable([pointer.outcomes[i] for i in order], pointer.effects[order])
+
+    def run(reading):
+        return run_scenario({
+            "seed": seed,
+            "beta": beta,
+            "system_hamiltonian": h_s.tolist(),
+            "probe_hamiltonian": h_a.tolist(),
+            "scheme": {"kind": "kraus", "kraus": kraus, "pointer": encode_observable(reading)},
+            "states": {"count": 3},
+            "checks": CHECKS,
+        }).checks
+
+    assert_same_checks(run(relabelled), run(pointer))

@@ -4,8 +4,9 @@
 and :meth:`~thermomeas.thermo.AuditBatch.of_instrument` of its bare
 instrument, derive every per-state scalar of the second law, heat duality and the skew
 chain for a whole stack of states at once. Each scalar must equal the
-single-state public function on that state, the extractable work and the
-outcome divergence their 50-digit references, and the second law's divergence
+single-state public function on that state, the extractable work, the
+outcome divergence, the average work and the information gain their 50-digit
+references, and the second law's divergence
 terms must equal the relative entropy of the classical-register dilation,
 computed independently.
 """
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from oracles import (
     dilation_relative_entropy,
     energy_changes,
+    mp_average_extractable_work,
     mp_extractable_work,
+    mp_groenewold_gain,
     mp_outcome_divergence,
 )
 from thermomeas.errors import PreconditionError
@@ -174,6 +177,50 @@ def test_work_row_agrees_with_its_50_digit_references(d_s, d_a, log_beta, seed, 
             (audit.outcome_divergence[0, i], divergence, DIVERGENCE_ULPS),
         ):
             assert abs(got - want) <= ulps * d_s * u * max(1, abs(want)), (got, want)
+
+
+#: The average work and the information gain against their 50-digit references, which form
+#: each conditional state ``rho_x = I_x(rho) / p_x`` of an outcome with ``p_x > 0``, in the
+#: units of ``WORK_ULPS``. Over 4 500 random draws at beta from 0.01 to 316, each audit holding
+#: the ground state, the worst error read 46 of these for the average work, at beta near 0.02,
+#: where it is a difference of terms some ``ln d / beta`` larger, and 3.2 for the gain.
+AVERAGE_WORK_ULPS, GAIN_ULPS = 128, 16
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_a=st.sampled_from([2, 3]),
+    log_beta=st.floats(min_value=-2.0, max_value=2.5),
+    seed=st.integers(min_value=0, max_value=10_000),
+    mixture_size=st.integers(min_value=1, max_value=3),
+)
+@example(d_s=3, d_a=3, log_beta=2.0, seed=0, mixture_size=2)
+@settings(max_examples=30, deadline=None)
+def test_average_work_and_gain_agree_with_their_50_digit_references(
+    d_s, d_a, log_beta, seed, mixture_size
+):
+    beta = 10.0**log_beta
+    h_s = np.diag(np.arange(float(d_s))).astype(complex)
+    h_a = np.diag(np.arange(float(d_a))).astype(complex)
+    frame = SchemeFrame(h_s, h_a, beta, spectral_observable(h_a))
+    scheme = random_free_scheme(frame, seed, mixture_size)
+    ground = np.diag(np.eye(d_s)[0]).astype(complex)
+    random_states = random_density_matrix_stacks(d_s, 2, [rng_from_seed(seed + 1)])[0]
+    states = np.concatenate([ground[None], random_states])
+    audit = AuditBatch.of_schemes(scheme, states[None])
+    kraus_sets, u = scheme.instrument.kraus_sets, np.finfo(float).eps
+    for i, rho in enumerate(states):
+        work = mp_average_extractable_work(kraus_sets, rho, h_s, beta)
+        for got, want, ulps in (
+            (audit.average_extractable_work[0, i], work, AVERAGE_WORK_ULPS),
+            (audit.groenewold_gain[0, i], mp_groenewold_gain(kraus_sets, rho), GAIN_ULPS),
+        ):
+            assert abs(got - want) <= ulps * d_s * u * max(1, abs(want)), (got, want)
+
+    if beta >= 100.0:
+        # the ground state cannot lift the probe, so every outcome but the lowest
+        # occurs with probability about exp(-beta), far below the cutoff
+        assert (audit.probabilities[0, 1:, 0] <= PROBABILITY_CUTOFF).all()
 
 
 @pytest.mark.xfail(

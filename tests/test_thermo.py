@@ -344,24 +344,27 @@ class TestSecondLawReport:
 
     def test_tight_slacks_are_judged_in_nats_at_high_temperature(self):
         # the swap scheme is free and its inequalities are tight on these
-        # states: at beta = 1e-10 the slacks are round-off of 1 / beta-sized
-        # terms, about -1e-6 in energy units and -1e-16 in nats
+        # states: at beta around 1e-10 the slacks are round-off of 1 / beta-sized
+        # terms, up to about 1e-6 in energy units and 1e-16 in nats, of
+        # either sign; over the betas some slack is negative beyond 1e-7
         h3 = [0.0, 1.0, 2.0]
         sharp = {"effects": [np.diag(row).tolist() for row in np.eye(3)]}
         scenario = {
             "seed": 3,
-            "beta": 1e-10,
             "system_hamiltonian": h3,
             "probe_hamiltonian": h3,
             "scheme": {"kind": "swap", "pointer": sharp},
             "states": ["gibbs", "ground", "maximally_mixed"],
             "checks": ["second_law"],
         }
-        check = run_scenario(scenario).checks[0]
-        laws = [row["second_law"] for row in check["per_state"]]
-        assert check["verdict"] and all(law["verdict"] for law in laws)
-        assert min(law["prop1_slack"] for law in laws) < -1e-7
-        assert all(1e-10 * law["prop1_slack"] >= -1e-15 for law in laws)
+        slacks = []
+        for beta in (1e-11, 1e-10, 1e-9):
+            check = run_scenario(dict(scenario, beta=beta)).checks[0]
+            laws = [row["second_law"] for row in check["per_state"]]
+            assert check["verdict"] and all(law["verdict"] for law in laws)
+            assert all(beta * law["prop1_slack"] >= -1e-15 for law in laws)
+            slacks += [law["prop1_slack"] for law in laws]
+        assert min(slacks) < -1e-7
         # a sweep's rows judge them by the same predicate
         sweep = {"axis": {"name": "beta", "values": [1e-10, 1.0]}, "scenario": scenario}
         table, passed = run_sweep(sweep)
