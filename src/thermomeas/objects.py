@@ -180,30 +180,26 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``sum K m K†`` of each Kraus stack of a ``(..., k, d_out, d_in)`` stack on each of
     the ``n`` operators of its own ``(..., *n, d_in, d_in)`` stack, none for one operator.
 
-    Two matrix products per group of Kraus operators: the operators laid
-    one above the other times the stack laid side by side, then, with the
-    products regrouped, times the ``K†`` laid one above the other, which
-    sums over the operators and their inner index. Groups hold
-    ``max(1, k // n)`` operators and the sum accumulates in the output, so
-    no intermediate is larger than the Kraus stack or, for
-    ``d_in <= d_out``, the output.
+    Per block of the ``n`` operators, laid one above the other, two matrix
+    products: times every ``K†`` side by side, then each ``(m K†)^T`` side by
+    side times every ``K^T`` one above the other, summing over the Kraus
+    operators to ``(K m K†)^T``. Only the rows of a product depend on ``n``,
+    and they leave a row's bits as they are: for ``d_out > 1`` an output has
+    the same bits alone as in a stack. A block holds ``n d_out // (k d_in)``,
+    one at least, so no intermediate outgrows the Kraus stack or the output.
     """
     k, d_out, d_in = ks.shape[-3:]
     points = ks.reshape(-1, k, d_out, d_in)
     p, n = len(points), int(np.prod(m.shape[ks.ndim - 3:-2]))
-    side_by_side = m.reshape(p, n, d_in, d_in).transpose(0, 2, 1, 3).reshape(p, d_in, n * d_in)
-    rows = points.reshape(p, k * d_out, d_in)
-    cols = np.conjugate(points.swapaxes(-1, -2), order="C").reshape(p, k * d_in, d_out)
-    group = max(1, k // n)
-    out = np.zeros((p, d_out * n, d_out), dtype=complex)
-    for start in range(0, k, group):
-        stop = min(start + group, k)
-        left = rows[:, start * d_out:stop * d_out] @ side_by_side
-        left = left.reshape(p, stop - start, d_out, n, d_in).transpose(0, 2, 3, 1, 4)
-        left = left.reshape(p, d_out * n, (stop - start) * d_in)
-        out += left @ cols[:, start * d_in:stop * d_in]
-    out = out.reshape(p, d_out, n, d_out).transpose(0, 2, 1, 3)
-    return out.reshape(*m.shape[:-2], d_out, d_out)
+    above = np.ascontiguousarray(m).reshape(p, n * d_in, d_in)
+    adjoints = np.conjugate(points.transpose(0, 3, 1, 2), order="C").reshape(p, d_in, k * d_out)
+    transposes = np.ascontiguousarray(points.transpose(0, 1, 3, 2)).reshape(p, k * d_in, d_out)
+    block, out = max(1, n * d_out // (k * d_in)), np.empty((p, n * d_out, d_out), dtype=complex)
+    for start in range(0, n, block):
+        right = above[:, start * d_in:(start + block) * d_in] @ adjoints
+        right = right.reshape(p, -1, d_in, k, d_out).transpose(0, 1, 4, 3, 2)
+        out[:, start * d_out:(start + block) * d_out] = right.reshape(p, -1, k * d_in) @ transposes
+    return out.reshape(p, n, d_out, d_out).swapaxes(-1, -2).reshape(*m.shape[:-2], d_out, d_out)
 
 
 def _outputs(kraus_sets: tuple, m: np.ndarray) -> np.ndarray:

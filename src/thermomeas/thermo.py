@@ -99,7 +99,8 @@ def _divergence_to_gibbs(rho, entropy, gibbs):
     """``D(rho || tau) = -S(rho) - sum_i <i|rho|i> ln tau_i``, given ``S(rho)``; stacks too.
     Linear in the pair: ``p rho`` with ``p S(rho)`` gives ``p D(rho || tau)``."""
     log_weights, vecs = gibbs
-    return -entropy - _diagonal(rho, vecs) @ log_weights
+    # a sum per row, not a matrix-vector product, which sums a row alone otherwise than in a stack
+    return -entropy - (_diagonal(rho, vecs) * log_weights).sum(axis=-1)
 
 
 def _log_gibbs_probabilities(effects, gibbs) -> np.ndarray:

@@ -12,12 +12,13 @@ import warnings
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thermomeas import thermo
 from thermomeas.cli import main
 from thermomeas.scenario import parse_scenario, run_scenario
-from thermomeas.schemes import SchemeBatch
+from thermomeas.schemes import SchemeBatch, conjugate_channel
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -97,3 +98,31 @@ def test_the_audit_input_passes_at_the_smallest_normal_beta(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["check", str(source), "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_each_state_alone_has_the_bits_of_its_entry_in_a_stack():
+    # audit_d4's seed-0 instrument, conjugate channel and interaction, each on the 200
+    # states alone and stacked; and each state's rows, alone and in the check's report
+    report = run_scenario(workloads.WORKLOADS["audit_d4"].scenario(0))
+    scenario = report.scenario
+    scheme, states = scenario.scheme, scenario.audit.states[0]
+    outputs = scenario.instrument.apply(states)
+    for i, rho in enumerate(states):
+        assert scenario.instrument.apply(rho).tobytes() == outputs[:, i].tobytes()
+    xi = scheme.frame.probe_state.matrix
+    joint = np.array([np.kron(rho, xi) for rho in states])
+    for channel, inputs in ((conjugate_channel(scheme), states), (scheme.interaction, joint)):
+        stacked = channel.apply(inputs)
+        for one, entry in zip(inputs, stacked):
+            assert channel.apply(one).tobytes() == entry.tobytes()
+    rows = {check["name"]: check.get("per_state") for check in report.checks}
+    h, tol = scenario.system_hamiltonian, scenario.tol_for("second_law")
+    for i, rho in enumerate(states):
+        assert thermo.second_law_report(scheme, rho, tol) == without_state(rows["second_law"][i])
+        assert thermo.heat_absorbed(scheme, rho) == without_state(rows["heat_duality"][i])
+        chain = thermo.skew_information_chain(scenario.instrument, rho, h)
+        assert chain == without_state(rows["skew_chain"][i])
+
+
+def without_state(row: dict) -> dict:
+    return {key: value for key, value in row.items() if key != "state"}

@@ -10,7 +10,10 @@ unchanged by it. A reordering of the audited states reorders their rows, and
 the worst state is the same state wherever it is unique. A relabelling of the
 pointer, its outcome labels and effects permuted together, is the same
 measurement listed in another order: every sum over outcomes, and so every
-row and verdict, is unchanged.
+row and verdict, is unchanged. A rotation ``U_S (x) U_A`` of system and probe
+together, applied to both Hamiltonians, the pointer, the interaction and the
+states, is a change of basis: every trace, spectrum and commutator, and so
+every row and verdict, is unchanged.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from thermomeas.linalg import THEOREM_TOL, dag, density_matrix
 from thermomeas.objects import Observable
-from thermomeas.sampling import random_density_matrix, rng_from_seed
+from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
 from thermomeas.scenario import encode_matrix, encode_observable, run_scenario
 from thermomeas.schemes import SchemeFrame, random_free_scheme
 from thermomeas.thermo import AuditBatch
@@ -192,3 +195,45 @@ def test_a_relabelling_of_the_pointer_changes_no_row_and_no_verdict(h_s, h_a, be
         }).checks
 
     assert_same_checks(run(relabelled), run(pointer))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h_s=ladders(),
+    h_a=ladders(),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_a_rotation_of_system_and_probe_changes_no_row_and_no_verdict(h_s, h_a, beta, seed):
+    # one drawn interaction and three drawn states, given explicitly on both sides, in
+    # the energy basis and in the basis of one Haar-random U_S (x) U_A
+    scheme = free_scheme(h_s, h_a, beta, seed)
+    pointer = scheme.frame.pointer
+    rng = rng_from_seed(seed)
+    states = [random_density_matrix(len(h_s), rng).matrix for _ in range(3)]
+    u_s, u_a = haar_unitary(len(h_s), rng), haar_unitary(len(h_a), rng)
+
+    def run(u_s, u_a):
+        def rotated(u, m):
+            return u @ m @ dag(u)
+
+        u = np.kron(u_s, u_a)
+        effects = rotated(u_a, pointer.effects)
+        return run_scenario({
+            "seed": seed,
+            "beta": beta,
+            "system_hamiltonian": encode_matrix(rotated(u_s, np.diag(h_s))),
+            "probe_hamiltonian": encode_matrix(rotated(u_a, np.diag(h_a))),
+            "scheme": {
+                "kind": "kraus",
+                "kraus": [encode_matrix(rotated(u, k)) for k in scheme.interaction.kraus],
+                "pointer": encode_observable(Observable(pointer.outcomes, effects)),
+            },
+            "states": [
+                {"name": f"rho_{i}", "matrix": encode_matrix(rotated(u_s, rho))}
+                for i, rho in enumerate(states)
+            ],
+            "checks": CHECKS,
+        }).checks
+
+    assert_same_checks(run(u_s, u_a), run(np.eye(len(h_s)), np.eye(len(h_a))))

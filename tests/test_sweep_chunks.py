@@ -29,6 +29,7 @@ from thermomeas.objects import spectral_observable
 from thermomeas.scenario import (
     MAX_STATE_COUNT,
     chunk_size,
+    encode_matrix,
     parse_template,
     run_scenario,
     run_sweep,
@@ -108,14 +109,36 @@ def sweep_template(d_s, d_a, spectrum, mixture_size, states):
     }
 
 
+#: Each scheme kind a sweep must handle: drawn per point, or shared by every point.
+SCHEME_KINDS = ("random_block", "random_block with a seed", "swap", "kraus")
+
+
+def shared_scheme(template, kind, seed):
+    """``template``'s ``random_block`` scheme as ``kind``: one seed for every point, a
+    ``swap`` (probe equal to system, sharp pointer) or its ``seed`` draw as ``kraus``."""
+    scheme = template["scheme"]
+    if kind == "random_block with a seed":
+        return dict(scheme, seed=seed)
+    if kind == "swap":
+        return {"kind": "swap", "pointer": scheme["pointer"]}
+    frame = parse_template(template).scheme_spec.frame
+    drawn = random_free_scheme(frame, seed, scheme["mixture_size"]).interaction
+    kraus = [encode_matrix(k) for k in drawn.kraus]
+    return {"kind": "kraus", "pointer": scheme["pointer"], "kraus": kraus}
+
+
 @st.composite
 def sweeps(draw):
     """``(sweep, chunk)``: a template and an axis whose grid spans at least 3 chunks of ``chunk``."""
-    d_s, d_a = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(SCHEME_KINDS))
+    d_s = draw(st.integers(2, 3))
+    d_a = d_s if kind == "swap" else draw(st.integers(2, 3))
     template = sweep_template(
         d_s, d_a, draw(st.sampled_from(sorted(SPECTRA))), draw(st.integers(1, 4)),
         draw(st.sampled_from([{"count": 1}, {"count": 3}, {"count": 2, "seed": 11}, ["gibbs"]])),
     )
+    if kind != "random_block":
+        template["scheme"] = shared_scheme(template, kind, draw(st.integers(0, 1000)))
     chunk = draw(st.integers(1, 3))
     if draw(st.booleans()):
         first = draw(st.integers(0, 1000))
@@ -151,7 +174,7 @@ def points_per_chunk(monkeypatch, sweep, chunk):
 
 
 @given(sweep_and_chunk=sweeps())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_each_row_of_a_chunked_sweep_is_its_point_run_alone(sweep_and_chunk):
     sweep, chunk = sweep_and_chunk
     with pytest.MonkeyPatch.context() as monkeypatch:
