@@ -180,13 +180,15 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``sum K m K†`` of each Kraus stack of a ``(..., k, d_out, d_in)`` stack on each of
     the ``n`` operators of its own ``(..., *n, d_in, d_in)`` stack, none for one operator.
 
-    Per block of the ``n`` operators, laid one above the other, two matrix
-    products: times every ``K†`` side by side, then each ``(m K†)^T`` side by
-    side times every ``K^T`` one above the other, summing over the Kraus
-    operators to ``(K m K†)^T``. Only the rows of a product depend on ``n``,
-    and they leave a row's bits as they are: for ``d_out > 1`` an output has
-    the same bits alone as in a stack. A block holds ``n d_out // (k d_in)``,
-    one at least, so no intermediate outgrows the Kraus stack or the output.
+    Per block of the ``n`` operators, laid one above the other, two products:
+    times every ``K†`` side by side, then each ``(m K†)^T`` side by side times
+    every ``K^T`` one above the other, summing over the Kraus operators to
+    ``(K m K†)^T``. Only the rows of a product depend on ``n``, and they leave
+    a row's bits as they are, so an output has the same bits alone as in a
+    stack. For ``d_out = 1`` the second is an elementwise product summed over
+    its last axis: a matrix-vector product's bits depend on its row count. A
+    block holds ``n d_out // (k d_in)``, one at least, so no intermediate
+    outgrows the Kraus stack or the output.
     """
     k, d_out, d_in = ks.shape[-3:]
     points = ks.reshape(-1, k, d_out, d_in)
@@ -198,7 +200,11 @@ def _sandwich(ks: np.ndarray, m: np.ndarray) -> np.ndarray:
     for start in range(0, n, block):
         right = above[:, start * d_in:(start + block) * d_in] @ adjoints
         right = right.reshape(p, -1, d_in, k, d_out).transpose(0, 1, 4, 3, 2)
-        out[:, start * d_out:(start + block) * d_out] = right.reshape(p, -1, k * d_in) @ transposes
+        right = right.reshape(p, -1, k * d_in)
+        out[:, start * d_out:(start + block) * d_out] = (
+            right @ transposes if d_out > 1
+            else (right * transposes.swapaxes(1, 2)).sum(axis=-1, keepdims=True)
+        )
     return out.reshape(p, n, d_out, d_out).swapaxes(-1, -2).reshape(*m.shape[:-2], d_out, d_out)
 
 

@@ -395,10 +395,10 @@ class Scenario(_Immutable):
     :meth:`derive` gives, for seeds and a beta, the points' schemes as one
     :class:`SchemeBatch` and their :class:`AuditBatch`: a sweep chunk derives
     its seeds through it, and the own point, at ``seed`` and ``beta``, is its
-    batch of one. The own point (:attr:`scheme`, the instrument under test,
-    its :attr:`audit` of the input states and, for the ``refine`` check,
-    :attr:`refinement`) and the canonical :attr:`echo` are derived on first
-    use and kept. Every point at the scenario's beta shares one
+    batch of one. The own point (its :attr:`audit` of the input states, the
+    :attr:`scheme` it holds, the :attr:`instrument` under test and, for the
+    ``refine`` check, :attr:`refinement`) and the canonical :attr:`echo` are
+    derived on first use and kept. Every point at the scenario's beta shares one
     :class:`SchemeFrame`; a point at another beta shares all but its Gibbs data.
     """
 
@@ -424,32 +424,27 @@ class Scenario(_Immutable):
         return schemes, AuditBatch.of_schemes(schemes, states)
 
     @cached_property
-    def _own(self) -> tuple:
-        """``(scheme, instrument, audit)`` of the own point, validated in that order:
-        :meth:`derive` of one seed, whose batch of one point is the scheme, or
-        without a scheme the observable's Lüders instrument on its states."""
-        h, beta = self.system_hamiltonian, self.beta
-        if self.scheme_spec is None:
-            instrument = Instrument.luders(self.observable)
-            states = self.state_spec.stacks(h, [self.seed], beta)[0]
-            return None, instrument, AuditBatch.of_instrument(instrument, states, h, beta)
-        scheme, audit = self.derive([self.seed], beta)
-        return scheme, scheme.instrument, audit
+    def audit(self) -> AuditBatch:
+        """The :class:`AuditBatch` of the own point, one point of the instrument under
+        test: :meth:`derive` of one seed, or without a scheme the Lüders
+        instrument's, built before the states are."""
+        if self.scheme_spec is not None:
+            return self.derive([self.seed], self.beta)[1]
+        h, instrument = self.system_hamiltonian, self.instrument
+        states = self.state_spec.stacks(h, [self.seed], self.beta)[0]
+        return AuditBatch.of_instrument(instrument, states, h, self.beta)
 
-    @property
+    @cached_property
     def scheme(self) -> SchemeBatch:
-        """The own point's scheme, a batch of one point, or ``None`` without one."""
-        return self._own[0]
+        """The own point's scheme, its audit's batch of one point, or ``None``."""
+        return self.audit.schemes if self.scheme_spec is not None else None
 
-    @property
+    @cached_property
     def instrument(self) -> Instrument:
         """The instrument under test: the scheme's, or the observable's Lüders instrument."""
-        return self._own[1]
-
-    @property
-    def audit(self) -> AuditBatch:
-        """The :class:`AuditBatch` of the own point, one point of the instrument under test."""
-        return self._own[2]
+        if self.scheme_spec is None:
+            return Instrument.luders(self.observable)
+        return self.scheme.instrument
 
     @cached_property
     def refinement(self) -> tuple:
@@ -899,15 +894,15 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
     law = audit.second_law_verdicts(law_tol).all(axis=-1)
     worst = audit.prop1_slack.argmin(axis=-1).tolist()
-    names, beta_cell = template.state_spec.names, repr(float(beta))
+    names = template.state_spec.names
     rows = [
         [
             axis_name,
-            repr(float(values[i])) if axis_name == "beta" else values[i],
+            values[i],
             seed,
-            beta_cell,
+            beta,
             names[state],
-            *map(repr, point[state].values()),  # extractable_work .. heat_bound_slack
+            *point[state].values(),  # extractable_work .. heat_bound_slack
             free_ok,
             law_ok,
         ]

@@ -81,14 +81,11 @@ PRUNE_TOL = 1e-12
 ENERGY_MOMENTS = 4
 
 
-class _beta_free(cached_property):
-    """A derived quantity of a frame that does not depend on beta: a frame made
-    by :meth:`SchemeFrame.at_beta` reads it from the frame it was made from."""
-
-    def __get__(self, frame, owner=None):
-        if frame is not None and frame._origin is not frame:
-            return getattr(frame._origin, self.attrname)
-        return super().__get__(frame, owner)
+#: The derived quantities of a frame that do not depend on beta: a frame made by
+#: :meth:`SchemeFrame.at_beta` holds the very objects of the frame it came from.
+_BETA_FREE = (
+    "total_hamiltonian", "energy_powers", "energy_blocks", "yanase_defect", "pointer_roots"
+)
 
 
 class SchemeFrame(_Immutable):
@@ -100,8 +97,10 @@ class SchemeFrame(_Immutable):
     computed once for all of them: the total Hamiltonian, its powers for
     moments ``k = 1..ENERGY_MOMENTS`` and its energy blocks, the Yanase
     defect and the square roots of the pointer effects, and the Gibbs
-    log-weights and states of system and probe. The frames of a beta sweep,
-    made by :meth:`at_beta`, share all but the Gibbs data.
+    log-weights and states of system and probe, each a ``cached_property``.
+    The frames of a beta sweep, made by :meth:`at_beta`, hold the very
+    objects of the beta-free ones (``_BETA_FREE``) and derive only their own
+    Gibbs data.
     """
 
     def __init__(self, system_hamiltonian, probe_hamiltonian, beta: float, pointer: Observable):
@@ -114,10 +113,9 @@ class SchemeFrame(_Immutable):
             )
         h_s.flags.writeable = False
         h_a.flags.writeable = False
-        self._hold(h_s, h_a, beta, pointer, self)
+        self._hold(h_s, h_a, beta, pointer)
 
-    def _hold(self, h_s, h_a, beta: float, pointer: Observable, origin: "SchemeFrame") -> None:
-        """Holds the validated inputs and the frame whose beta-free data this one reads."""
+    def _hold(self, h_s, h_a, beta: float, pointer: Observable) -> None:
         vars(self).update(
             system_hamiltonian=h_s,
             probe_hamiltonian=h_a,
@@ -125,19 +123,19 @@ class SchemeFrame(_Immutable):
             dim_system=h_s.shape[0],
             dim_probe=h_a.shape[0],
             pointer=pointer,
-            _origin=origin,
         )
 
     def at_beta(self, beta: float) -> "SchemeFrame":
-        """This frame at another ``beta``: it derives its own Gibbs data and reads
-        everything else (the total Hamiltonian, its eigenbasis and powers, the
-        Yanase defect and the pointer roots) from the frame it came from."""
-        return _from_validated(
+        """This frame at another ``beta``: it derives its own Gibbs data and holds
+        this frame's values of the ``_BETA_FREE`` quantities, derived here first."""
+        frame = _from_validated(
             SchemeFrame, self.system_hamiltonian, self.probe_hamiltonian, require_beta(beta),
-            self.pointer, self._origin,
+            self.pointer,
         )
+        vars(frame).update((name, getattr(self, name)) for name in _BETA_FREE)
+        return frame
 
-    @_beta_free
+    @cached_property
     def total_hamiltonian(self) -> np.ndarray:
         """``H_S (x) 1 + 1 (x) H_A``, read-only."""
         h = np.kron(self.system_hamiltonian, np.eye(self.dim_probe)) + np.kron(
@@ -146,7 +144,7 @@ class SchemeFrame(_Immutable):
         h.flags.writeable = False
         return h
 
-    @_beta_free
+    @cached_property
     def energy_powers(self) -> tuple:
         """The total Hamiltonian's powers ``k = 1..ENERGY_MOMENTS``, read-only."""
         powers = tuple(
@@ -156,7 +154,7 @@ class SchemeFrame(_Immutable):
             hk.flags.writeable = False
         return powers
 
-    @_beta_free
+    @cached_property
     def energy_blocks(self) -> tuple:
         """``(vecs, bounds)``: eigenvectors of the total Hamiltonian in ascending
         energy, and the ``(start, stop)`` columns of each degenerate eigenspace."""
@@ -167,12 +165,12 @@ class SchemeFrame(_Immutable):
         edges = [0, *(np.flatnonzero(_new_clusters(evals, scale)) + 1).tolist(), len(evals)]
         return vecs, tuple(zip(edges[:-1], edges[1:]))
 
-    @_beta_free
+    @cached_property
     def yanase_defect(self) -> float:
         """The worst commutator of a pointer effect with the probe Hamiltonian."""
         return float(commutator_defect(self.pointer.effects, self.probe_hamiltonian).max())
 
-    @_beta_free
+    @cached_property
     def pointer_roots(self) -> np.ndarray:
         """Square roots of the pointer effects, one per outcome."""
         names = tuple(f"pointer effect {x!r}: operator" for x in self.pointer.outcomes)

@@ -342,6 +342,28 @@ class TestKrausChannel:
             assert batch.shape == (n_points, d_in, d_in)
             assert all(point.tobytes() == one.tobytes() for point, one in zip(batch, alone))
 
+    @given(
+        d_out=st.integers(1, 4),
+        d_in=st.integers(1, 4),
+        n_kraus=st.integers(1, 12),
+        n=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d_out=1, d_in=3, n_kraus=3, n=50, seed=0)
+    @example(d_out=3, d_in=2, n_kraus=4, n=17, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_apply_gives_an_operator_alone_the_bits_it_has_in_a_stack(
+        self, d_out, d_in, n_kraus, n, seed
+    ):
+        # A one-row output (d_out = 1) too, whose last product a matrix-vector
+        # kernel would round by the stack's row count.
+        assume(n_kraus * d_out >= d_in)  # else no Kraus stack is trace preserving
+        rng = rng_from_seed(seed)
+        ch = random_channel(n_kraus, d_out, d_in, rng)
+        inputs = np.array([ginibre(d_in, d_in, rng) for _ in range(n)])
+        stacked = ch.apply(inputs)
+        assert all(ch.apply(m).tobytes() == out.tobytes() for m, out in zip(inputs, stacked))
+
     @pytest.mark.parametrize("d", range(2, 9))
     def test_apply_dual_on_diagonal_energy_powers_is_bit_for_bit_the_reference(self, d):
         # The free-scheme check takes Phi*(H^k), k = 1..4, with H diagonal on
