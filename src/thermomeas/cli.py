@@ -55,23 +55,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             report = run_scenario(args.file, seed=args.seed, tol=args.tol)
-            text = report.to_json(include_timing=args.timing)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                for result in report.checks:
-                    status = "PASS" if result.get("verdict") else "FAIL"
-                    print(f"{result['name']}: {status}")
-            else:
-                sys.stdout.write(text)
-            return 0 if report.verdict else 1
-        table, all_pass = run_sweep(args.file, seed=args.seed, tol=args.tol)
+            text, passed = report.to_json(include_timing=args.timing), report.verdict
+            lines = [f"{r['name']}: {'PASS' if r.get('verdict') else 'FAIL'}\n" for r in report.checks]
+        else:
+            (text, passed), lines = run_sweep(args.file, seed=args.seed, tol=args.tol), []
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(table)
-        else:
-            sys.stdout.write(table)
-        return 0 if all_pass else 1
+                fh.write(text)
+        sys.stdout.write("".join(lines) if args.out else text)
+        return 0 if passed else 1
     except OSError as exc:  # missing, a directory, unreadable
         if exc.filename is None:
             raise

@@ -51,7 +51,8 @@ def _from_validated(cls, *fields):
     """An instance of ``cls`` made from ``fields`` that a stacked kernel has validated.
 
     ``cls._hold`` sets what the constructor sets once it has validated the
-    same fields, so what an object holds is decided by its class alone.
+    same fields, so what an object holds is decided by its class alone; what
+    the object derives from them, its ``cached_property`` derives on first read.
     """
     obj = object.__new__(cls)
     obj._hold(*fields)
@@ -426,16 +427,12 @@ class Instrument(_Immutable):
         _require_trace_preserving(grams.sum(axis=0), "total channel")
         self._hold(outcomes, stacks, grams)
 
-    def _hold(
-        self, outcomes: tuple, kraus_sets: tuple, grams: np.ndarray, induced: Observable = None
-    ) -> None:
-        """Holds the outcomes, their Kraus stacks and Gram sums, and, when given,
-        the induced observable of those Gram sums."""
+    def _hold(self, outcomes: tuple, kraus_sets: tuple, grams: np.ndarray) -> None:
+        """Holds the outcomes, their Kraus stacks and Gram sums, from which
+        :attr:`induced_observable` is derived when it is first read."""
         vars(self).update(
             outcomes=outcomes, kraus_sets=kraus_sets, dim=kraus_sets[0].shape[-1], _grams=grams
         )
-        if induced is not None:
-            vars(self)["induced_observable"] = induced  # what the cached property would derive
 
     @classmethod
     def luders(cls, observable: Observable) -> "Instrument":
@@ -462,7 +459,7 @@ class Instrument(_Immutable):
         """The unique observable with ``tr[I_x(rho)] = tr[E_x rho]``, derived once.
 
         Its effects are the per-outcome Gram sums ``sum K† K`` that the
-        trace-preservation check of the constructor already took.
+        trace-preservation check, of the constructor or a scheme's, already took.
         """
         return Observable(self.outcomes, self._grams)
 

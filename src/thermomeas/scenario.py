@@ -176,12 +176,16 @@ def decode_observable(obj, field: str = "observable") -> Observable:
     _refuse_unknown_keys(obj, ("outcomes", "effects"), field)
     matrices = _list_field(obj, "effects", field)
     effects = [decode_matrix(e, f"effect {i}") for i, e in enumerate(matrices)]
-    outcomes = _list_field(obj, "outcomes", field) if obj.get("outcomes") is not None else []
+    outcomes = obj.get("outcomes")
+    if outcomes is None:
+        outcomes = [f"x{i}" for i in range(len(effects))]
+    elif not _list_field(obj, "outcomes", field):
+        raise ValidationError(f"{field}: 'outcomes' must not be empty; omit it for x0, x1, ...")
     for i, label in enumerate(outcomes):
         if not isinstance(label, str):
             kind = type(label).__name__
             raise ValidationError(f"{field}: outcome {i} must be a string, got {kind}")
-    return Observable(outcomes or [f"x{i}" for i in range(len(effects))], effects)
+    return Observable(outcomes, effects)
 
 
 def decode_channel(obj) -> KrausChannel:
@@ -583,7 +587,6 @@ def _per_state(sc: Scenario, rows, worst_key: str, worst: float, verdict: bool) 
 
 
 def _check_second_law(sc: Scenario, tol: float) -> dict:
-    sc.scheme.require_free(tol)
     [rows] = sc.audit.second_law_rows(tol)
     laws = [row["second_law"] for row in rows]
     worst = min(law["prop1_slack"] for law in laws)
@@ -884,7 +887,7 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
     try:
         schemes, audit = template.derive(seeds, beta)
         free = schemes.free_verdicts(template.tol_for("free_scheme"))
-        schemes.require_free(law_tol)
+        law = audit.second_law_verdicts(law_tol).all(axis=-1)
         named = audit.named_rows(WORK_COLUMNS + LAW_COLUMNS)
     except (ValidationError, PreconditionError) as exc:
         if len(indices) > 1:
@@ -892,7 +895,6 @@ def _sweep_rows(template, axis_name: str, values, indices) -> tuple:
             return all(passed for passed, _ in chunks), [row for _, rows in chunks for row in rows]
         i = indices[0]
         raise type(exc)(f"axis.{axis_name}[{i}] = {values[i]!r}: {exc}") from None
-    law = audit.second_law_verdicts(law_tol).all(axis=-1)
     worst = audit.prop1_slack.argmin(axis=-1).tolist()
     names = template.state_spec.names
     rows = [

@@ -47,14 +47,13 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .linalg import (
     THEOREM_TOL,
-    VALIDATION_TOL,
     commutator_defect,
     dag,
     psd_sqrt,
     require_beta,
     require_hermitian,
 )
-from .linalg import _new_clusters, _symmetrized, frobenius_each
+from .linalg import _new_clusters, frobenius_each
 from .objects import (
     Instrument,
     KrausChannel,
@@ -65,7 +64,6 @@ from .objects import (
     _dual,
     _from_validated,
     _gram,
-    _require_effects,
     _require_finite,
     _require_trace_preserving,
     gibbs_log_weights,
@@ -272,7 +270,8 @@ class SchemeBatch(_Immutable):
     def require_free(self, tol: float) -> None:
         """Refuse, naming the worst defect of the first, a point whose scheme is not
         thermodynamically free at ``tol``, or at ``THEOREM_TOL`` if that is looser:
-        a tighter ``tol`` would refuse round-off rather than a scheme."""
+        a tighter ``tol`` would refuse round-off rather than a scheme. The second
+        law's gate: :meth:`~thermomeas.thermo.AuditBatch.second_law_verdicts` calls it first."""
         tol = max(tol, THEOREM_TOL)
         free = self.free_verdicts(tol)
         if not free.all():
@@ -290,13 +289,13 @@ class SchemeBatch(_Immutable):
 
     @cached_property
     def instrument_stacks(self) -> tuple:
-        """``(kraus_sets, grams, effects)`` of the induced instruments, read-only.
+        """``(kraus_sets, grams)`` of the induced instruments, read-only.
 
-        ``kraus_sets`` holds per outcome one ``(P, k', d_s, d_s)`` Kraus stack;
-        ``grams`` and ``effects`` are ``(P, n_outcomes, d_s, d_s)``: each
-        outcome's Gram sum and the induced effect symmetrized from it.
-        Finiteness, the trace preservation of the total channel and the
-        induced effects are validated for all points at once.
+        ``kraus_sets`` holds per outcome one ``(P, k', d_s, d_s)`` Kraus stack,
+        and ``grams`` is ``(P, n_outcomes, d_s, d_s)``, each outcome's Gram sum.
+        Finiteness and the trace preservation of the total channel are
+        validated for all points at once; an instrument's induced effects are
+        its Gram sums, validated by :class:`Observable` when they are first read.
         """
         frame = self.frame
         outcomes, d_s, n = frame.pointer.outcomes, frame.dim_system, len(self.kraus)
@@ -314,11 +313,7 @@ class SchemeBatch(_Immutable):
         grams = np.stack([_gram(ops) for ops in stacks], axis=1)
         grams.flags.writeable = False
         _require_trace_preserving(grams.sum(axis=1), "total channel")
-        names = tuple(f"effect {x!r}" for x in outcomes)
-        effects = _symmetrized(grams, VALIDATION_TOL, names * n)
-        _require_effects(effects, names)
-        effects.flags.writeable = False
-        return tuple(stacks), grams, effects
+        return tuple(stacks), grams
 
     @cached_property
     def conjugate_kraus(self) -> np.ndarray:
@@ -336,7 +331,7 @@ class SchemeBatch(_Immutable):
 
 class MeasurementScheme(SchemeBatch):
     """A frame and an interaction channel, validated into the :class:`SchemeBatch`
-    of one point whose ``interaction`` is that channel."""
+    of one point whose ``interaction`` holds that channel's Kraus stack."""
 
     def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
         d = frame.dim_system * frame.dim_probe
@@ -348,7 +343,6 @@ class MeasurementScheme(SchemeBatch):
                 f"{frame.dim_system} * {frame.dim_probe} = {d}"
             )
         super().__init__(frame, interaction.kraus[None])
-        vars(self)["interaction"] = interaction  # what the cached property would derive
 
     def __repr__(self):
         frame = self.frame
@@ -437,14 +431,9 @@ def induced_instrument(scheme: SchemeBatch) -> Instrument:
     ordered by interaction Kraus operator, probe level and probe output.
     The Kraus decomposition is not unique; only the action is the contract.
     """
-    i, outcomes = _only_point(scheme), scheme.frame.pointer.outcomes
-    stacks, grams, effects = scheme.instrument_stacks
+    i, (stacks, grams) = _only_point(scheme), scheme.instrument_stacks
     return _from_validated(
-        Instrument,
-        outcomes,
-        tuple(ops[i] for ops in stacks),
-        grams[i],
-        _from_validated(Observable, outcomes, effects[i]),
+        Instrument, scheme.frame.pointer.outcomes, tuple(ops[i] for ops in stacks), grams[i]
     )
 
 

@@ -26,7 +26,8 @@ quantity a row carries has no function of its own: the work quantities of
 one state are the :func:`work_report` keys of those names, and the skew
 information is computed only inside the ``skew_chain`` rows. Each
 second-law verdict, of one state or of a whole batch, is
-:meth:`AuditBatch.second_law_verdicts`.
+:meth:`AuditBatch.second_law_verdicts`, the one place that refuses a scheme
+that is not thermodynamically free; the law quantities themselves are not gated.
 
 The heat drawn from the probe, ``Q = tr[H_A (xi - Lambda(rho))]``, is
 linear in ``rho``: it is ``tr[H_A xi] - tr[rho Lambda*(H_A)]``, read off one
@@ -167,8 +168,8 @@ class AuditBatch(_Immutable):
 
     Each point's instrument has the outcomes ``outcomes`` and as many Kraus
     operators per outcome as the others: ``kraus_sets`` holds per outcome
-    one ``(P, k, d, d)`` Kraus stack, and ``effects`` the ``(P, n_outcomes,
-    d, d)`` induced effects, as :class:`Instrument` validates them.
+    one ``(P, k, d, d)`` Kraus stack. ``effects`` is a bare instrument's
+    ``(1, n_outcomes, d, d)`` induced effects, and ``None`` for schemes.
     ``states`` is a validated ``(P, n, d, d)`` stack: entry ``[i]`` holds
     the states of point ``i``. ``hamiltonian`` and ``beta`` are shared by
     every point and needed only by the quantities that use them; a quantity
@@ -207,9 +208,9 @@ class AuditBatch(_Immutable):
             raise ValidationError(
                 f"{len(schemes.kraus)} schemes need as many state stacks, got {len(states)}"
             )
-        kraus_sets, _, effects = schemes.instrument_stacks
+        kraus_sets, _ = schemes.instrument_stacks
         return cls(
-            frame.pointer.outcomes, kraus_sets, effects, states, frame.system_hamiltonian,
+            frame.pointer.outcomes, kraus_sets, None, states, frame.system_hamiltonian,
             frame.beta, schemes,
         )
 
@@ -355,8 +356,9 @@ class AuditBatch(_Immutable):
     def second_law_rows(self, tol: float) -> list:
         """Per point, per state, the ``second_law`` check's row: ``{"work": ..., "second_law":
         ...}``, a :meth:`work_rows` row and the ``LAW_COLUMNS`` with ``tol`` and the
-        :meth:`second_law_verdicts` ``verdict`` at ``tol``."""
-        laws, verdicts = self.named_rows(LAW_COLUMNS), self.second_law_verdicts(tol).tolist()
+        :meth:`second_law_verdicts` ``verdict`` at ``tol``; refused, as those verdicts
+        are, unless every scheme is free at ``tol``."""
+        verdicts, laws = self.second_law_verdicts(tol).tolist(), self.named_rows(LAW_COLUMNS)
         return [
             [
                 {"work": work, "second_law": {**law, "tol": tol, "verdict": ok}}
@@ -379,7 +381,10 @@ class AuditBatch(_Immutable):
     def second_law_verdicts(self, tol: float) -> np.ndarray:
         """Whether the residual is within ``tol`` (in energy units) and each slack, in nats as
         ``beta * slack``, is at least ``-tol`` times the largest of 1 and the terms it is a
-        difference of, so that no round-off of large terms FAILs; ``(P, n)``."""
+        difference of, so that no round-off of large terms FAILs; ``(P, n)``. The
+        inequalities are theorems only for thermal instruments: unless every scheme is
+        free at ``tol`` (:meth:`SchemeBatch.require_free`) the verdicts are refused."""
+        _given(self.schemes, "scheme").require_free(tol)
         b, w, avg_w = self.beta, self.extractable_work, self.average_extractable_work
         d, g, q = self.outcome_divergence, np.abs(self.groenewold_gain), b * np.abs(self.heat)
 
@@ -447,14 +452,11 @@ def second_law_report(scheme: SchemeBatch, rho, tol: float = THEOREM_TOL) -> dic
     """Full second-law audit of a thermodynamically free scheme on one state: the
     ``second_law`` row of ``rho``, ``{"work": ..., "second_law": ...}``.
 
-    The scheme must be free at ``tol`` (:meth:`SchemeBatch.require_free`); the
-    audited inequalities are theorems only for thermal instruments, so
-    non-free schemes are refused rather than scored. The work row is
+    A scheme not free at ``tol`` is refused, not scored, by
+    :meth:`AuditBatch.second_law_verdicts`. The work row is
     :func:`work_report` on the induced instrument, with its system-side heat
     replaced by the probe-side heat of :func:`heat_absorbed`.
     """
     _require_beta_at_dimension(scheme.frame.beta, scheme.frame.dim_system)
-    audit = AuditBatch.of_schemes(scheme, _one_state(rho)[None])
-    scheme.require_free(tol)
-    [[row]] = audit.second_law_rows(tol)
+    [[row]] = AuditBatch.of_schemes(scheme, _one_state(rho)[None]).second_law_rows(tol)
     return row

@@ -335,6 +335,14 @@ class TestCheckCommand:
                 "observable: outcome 1 must be a string, got NoneType",
             ),
             (
+                {"observable": dict(SWEEP_POINTER, outcomes=[])},
+                "observable: 'outcomes' must not be empty",
+            ),
+            (
+                {"scheme": dict(SCENARIO_PASS["scheme"], pointer=dict(SWEEP_POINTER, outcomes=[]))},
+                "scheme.pointer: 'outcomes' must not be empty",
+            ),
+            (
                 {"states": [{"name": None, "matrix": [[0.5, 0], [0, 0.5]]}]},
                 "states[0].name: expected a string, got NoneType",
             ),

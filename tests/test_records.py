@@ -12,6 +12,8 @@ from thermomeas.scenario import parse_scenario, run_scenario
 from thermomeas.schemes import (
     MeasurementScheme,
     SchemeFrame,
+    induced_instrument,
+    random_free_scheme,
     random_free_schemes,
     swap_channel,
 )
@@ -53,6 +55,13 @@ OBJECTS = {
     "SchemeBatch": (lambda: random_free_schemes(frame(), [1, 2]), "kraus", "bistochastic_defect"),
     "MeasurementScheme": (
         lambda: MeasurementScheme(frame(), swap_channel(2)), "frame", "instrument"
+    ),
+    "MeasurementScheme.interaction": (
+        lambda: MeasurementScheme(frame(), swap_channel(2)), "frame", "interaction"
+    ),
+    "induced_instrument": (
+        lambda: induced_instrument(random_free_scheme(frame(), 1)), "kraus_sets",
+        "induced_observable",
     ),
     "Scenario": (lambda: parse_scenario(SCENARIO), "checks", "echo"),
     "RunReport": (lambda: run_scenario(SCENARIO), "verdict", None),

@@ -319,6 +319,10 @@ class TestParseScenario:
                 "scheme.pointer: 'outcomes' must be a list, got str",
             ),
             (
+                {"kind": "swap", "pointer": dict(Z_POINTER, outcomes=[])},
+                r"scheme.pointer: 'outcomes' must not be empty; omit it for x0, x1, \.\.\.",
+            ),
+            (
                 {"kind": "kraus", "kraus": 5, "pointer": Z_POINTER},
                 "channel: 'kraus' must be a list, got int",
             ),

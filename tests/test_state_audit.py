@@ -11,6 +11,8 @@ terms must equal the relative entropy of the classical-register dilation,
 computed independently.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +28,9 @@ from oracles import (
 )
 from thermomeas.errors import PreconditionError
 from thermomeas.linalg import PROBABILITY_CUTOFF, SUPPORT_TOL, THEOREM_TOL
-from thermomeas.objects import spectral_observable
+from thermomeas.objects import KrausChannel, spectral_observable
 from thermomeas.sampling import haar_unitary, random_density_matrix_stacks, rng_from_seed
-from thermomeas.schemes import SchemeFrame, random_free_scheme
+from thermomeas.schemes import MeasurementScheme, SchemeFrame, random_free_scheme
 from thermomeas.thermo import (
     LAW_COLUMNS,
     WORK_COLUMNS,
@@ -295,6 +297,27 @@ def test_the_reports_hold_the_named_columns():
     for column in LAW_COLUMNS:
         with pytest.raises(PreconditionError, match="needs a scheme"):
             getattr(plain, column)
+
+
+def test_the_second_law_verdicts_refuse_a_scheme_that_is_not_free():
+    # the cyclic shift |k> -> |k + 1 mod 9> of the product states at d = 3 is
+    # unitary and bistochastic and does not conserve energy
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    shift = KrausChannel([np.roll(np.eye(9), 1, axis=0)])
+    scheme = MeasurementScheme(SchemeFrame(h, h, 1.0, spectral_observable(h)), shift)
+    states = random_density_matrix_stacks(3, 2, [rng_from_seed(0)])
+    audit = AuditBatch.of_schemes(scheme, states)
+    refusal = "scheme is not thermodynamically free: worst defect 3.309e+02 > 1.0e-08"
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
+        second_law_report(scheme, states[0, 0], 1e-8)
+    for gated in (audit.second_law_verdicts, audit.second_law_rows):
+        with pytest.raises(PreconditionError, match=re.escape(refusal)):
+            gated(1e-8)
+    # past the gate, the law quantities and heat duality are still read
+    [laws] = audit.named_rows(LAW_COLUMNS)
+    [duality] = audit.heat_duality_rows()
+    assert all(np.isfinite(list(row.values())).all() for row in laws + duality)
+    assert min(row["prop1_slack"] for row in laws) < -0.5
 
 
 @given(inputs=audit_inputs())

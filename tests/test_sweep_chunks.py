@@ -82,13 +82,13 @@ def test_stacked_draw_is_each_seed_drawn_alone(frame_and_size, seeds):
 def test_each_point_derives_what_its_batch_of_one_does(frame_and_size, seeds):
     frame, mixture_size = frame_and_size
     batch = random_free_schemes(frame, seeds, mixture_size)
-    kraus_sets, _, effects = batch.instrument_stacks
+    kraus_sets, grams = batch.instrument_stacks
     for i, seed in enumerate(seeds):
         alone = random_free_scheme(frame, seed, mixture_size)
         assert batch.free_report(i) == validate_free_scheme(alone)
         for ours, theirs in zip(kraus_sets, alone.instrument.kraus_sets):
             assert ours[i].shape == theirs.shape and ours[i].tobytes() == theirs.tobytes()
-        assert effects[i].tobytes() == alone.instrument.induced_observable.effects.tobytes()
+        assert grams[i].tobytes() == alone.instrument_stacks[1][0].tobytes()
         assert batch.conjugate_kraus[i].tobytes() == schemes.conjugate_channel(alone).kraus.tobytes()
 
 
