@@ -31,7 +31,8 @@ refusal names the first failing grid point in axis order.
 
 Reports are deterministic: for a fixed scenario and seed the emitted JSON
 is byte-identical across runs (timing is therefore kept out of the
-serialized report unless explicitly requested).
+serialized report unless explicitly requested). A report is one line of
+sorted-key JSON; ``python -m json.tool`` indents it.
 """
 
 from __future__ import annotations
@@ -718,7 +719,10 @@ class RunReport(_Immutable):
     first of them that runs, so that check carries its cost. Both are
     excluded from the serialized form by default so that reports are
     byte-reproducible for a fixed scenario and seed. The scenario's echo
-    is built when the report is serialized.
+    is built when the report is serialized. :meth:`to_json` writes it as
+    one line of sorted-key JSON, the layout json's C encoder writes;
+    :meth:`to_dict` parses that line back, a copy that shares nothing with
+    the report.
     """
 
     def __init__(
@@ -730,7 +734,7 @@ class RunReport(_Immutable):
             check_timing_ms=check_timing_ms,
         )
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_json(self, include_timing: bool = False) -> str:
         out = {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
@@ -741,10 +745,10 @@ class RunReport(_Immutable):
         if include_timing:
             out["timing_ms"] = self.timing_ms
             out["check_timing_ms"] = self.check_timing_ms
-        return out
+        return json.dumps(out, sort_keys=True) + "\n"
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True) + "\n"
+    def to_dict(self, include_timing: bool = False) -> dict:
+        return json.loads(self.to_json(include_timing))
 
 
 def _load(source) -> dict:

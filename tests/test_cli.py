@@ -91,7 +91,7 @@ class TestCheckCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert "second_law: PASS" in first.stdout
 
-    def test_timing_flag_adds_field(self, scenario_file):
+    def test_timing_flag_adds_field(self, scenario_file, tmp_path):
         result = cli("check", str(scenario_file), "--timing")
         assert result.returncode == 0
         report = json.loads(result.stdout)
@@ -103,8 +103,11 @@ class TestCheckCommand:
         untimed = cli("check", str(scenario_file))
         assert untimed.stdout == json.dumps(
             {k: v for k, v in report.items() if k not in ("timing_ms", "check_timing_ms")},
-            indent=2, sort_keys=True,
+            sort_keys=True,
         ) + "\n"
+        out = tmp_path / "report.json"
+        assert cli("check", str(scenario_file), "--out", str(out)).returncode == 0
+        assert out.read_bytes() == untimed.stdout.encode("ascii")
 
     def test_failing_scenario_exits_one(self, tmp_path):
         path = tmp_path / "fail.json"

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -483,6 +484,43 @@ class TestRunScenario:
         a = run_scenario(raw).to_json()
         b = run_scenario(raw).to_json()
         assert a == b
+
+    def test_a_report_is_one_line_of_sorted_key_ascii_json(self):
+        sharp = [np.diag(np.eye(3)[x]).tolist() for x in range(3)]
+        raw = {
+            "beta": 1.0,
+            "system_hamiltonian": [0.0, 1.0, 2.0],
+            "probe_hamiltonian": [0.0, 1.0, 2.0],
+            "scheme": {
+                "kind": "swap",
+                "pointer": {"outcomes": ["ψ0", "ψ1", "ψ2"], "effects": sharp},
+            },
+            "states": {"count": 3},
+            "checks": list(KNOWN_CHECKS),
+        }
+        report = run_scenario(raw)
+        assert [c["name"] for c in report.checks] == list(KNOWN_CHECKS)
+        text = report.to_json()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(report.to_dict(), sort_keys=True) + "\n"
+        assert json.loads(text) == report.to_dict()
+        assert text.isascii()
+        assert all(f'"\\u03c8{x}"' in text for x in range(3))
+        assert json.loads(text)["scenario"]["scheme"]["pointer"]["outcomes"] == [
+            "ψ0", "ψ1", "ψ2"
+        ]
+
+    def test_changing_the_dict_of_a_report_leaves_the_report_as_it_is(self):
+        report = run_scenario(random_block_scenario(["free_scheme", "second_law"], n_states=2))
+        text, echo = report.to_json(), copy.deepcopy(report.scenario.echo)
+        d = report.to_dict()
+        d["scenario"]["beta"] = 99.0
+        d["checks"][0]["verdict"] = "tampered"
+        d["checks"].append({"name": "extra"})
+        assert report.to_json() == text
+        assert report.scenario.echo == echo
+        assert report.checks[0]["verdict"] is True
+        assert report.to_dict() == json.loads(text)
 
     def test_timing_only_on_request(self):
         report = run_scenario(random_block_scenario(["free_scheme", "second_law"], n_states=1))
