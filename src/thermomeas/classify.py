@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .linalg import (
     PROBABILITY_CUTOFF,
     SUPPORT_TOL,
     THEOREM_TOL,
+    _require_dimension,
+    as_matrix,
     commutator_defect,
     dag,
     eig_hermitian,
@@ -61,10 +63,7 @@ def is_thermal_observable(
     is a constructive certificate).
     """
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    if observable.dim != h.shape[0]:
-        raise ValidationError(
-            f"observable dimension {observable.dim} != Hamiltonian dimension {h.shape[0]}"
-        )
+    _require_dimension(observable.dim, "observable", Hamiltonian=h)
     defects = commutator_defect(observable.effects, h)
     return _worst_row("thermal_observable", defects, observable.outcomes, tol)
 
@@ -96,8 +95,7 @@ def is_covariant_instrument(
     """
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
     d = instrument.dim
-    if d != h.shape[0]:
-        raise ValidationError(f"instrument dimension {d} != Hamiltonian dimension {h.shape[0]}")
+    _require_dimension(d, "instrument", Hamiltonian=h)
     energies, basis = np.linalg.eigh(h)
     rotation = np.kron(basis, basis.conj())
     bohr = (energies[:, None] - energies[None, :]).reshape(-1)
@@ -122,7 +120,9 @@ def is_covariant_instrument(
 def _gibbs_defects(instrument: Instrument, system_hamiltonian, beta: float) -> tuple:
     """``(tau, q, defects)``: the Gibbs state, each outcome's ``q_x = tr[E_x tau]`` and
     its defect ``||I_x(tau) - q_x tau||_F``."""
-    tau = gibbs_state(system_hamiltonian, beta).matrix
+    h = as_matrix(system_hamiltonian)
+    _require_dimension(instrument.dim, "instrument", Hamiltonian=h)
+    tau = gibbs_state(h, beta).matrix
     q = instrument.induced_observable.probabilities(tau)
     return tau, q, frobenius_each(instrument.apply(tau) - q[:, None, None] * tau)
 
@@ -246,7 +246,9 @@ def marginal_defect(joint: Observable, observable: Observable, system_hamiltonia
     Summing ``G_(x,m)`` over energies must give ``E_x``, and summing over
     outcomes must give the spectral projector ``P_m`` of the Hamiltonian.
     """
-    energy = spectral_observable(system_hamiltonian)
+    h = as_matrix(system_hamiltonian)
+    _require_dimension(observable.dim, "observable", joint=joint.effects, Hamiltonian=h)
+    energy = spectral_observable(h)
     grid = joint.effects.reshape(observable.n_outcomes, *energy.effects.shape)
     gaps = [grid.sum(axis=1) - observable.effects, grid.sum(axis=0) - energy.effects]
     return float(frobenius_each(np.concatenate(gaps)).max())

@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             report = run_scenario(args.file, seed=args.seed, tol=args.tol)
             text, passed = report.to_json(include_timing=args.timing), report.verdict
-            lines = [f"{r['name']}: {'PASS' if r.get('verdict') else 'FAIL'}\n" for r in report.checks]
+            lines = [f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in report._verdicts]
         else:
             (text, passed), lines = run_sweep(args.file, seed=args.seed, tol=args.tol), []
         if args.out:

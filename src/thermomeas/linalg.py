@@ -7,7 +7,9 @@ attribute). ``psd_sqrt``, ``density_matrix``, ``von_neumann_entropy`` and
 the first operand of ``commutator_defect`` also take a ``(..., d, d)`` stack
 and treat each entry as one operator; their messages then name the first
 offending entry by its index in the flattened stack. Logarithms are
-natural throughout, so entropies are in nats.
+natural throughout, so entropies are in nats. ``_require_dimension`` is
+the package's one check that an argument has the dimension of the object
+it meets.
 
 Numerical conventions, applied consistently package-wide. Each numerical
 decision has one constant here, and the other modules import it:
@@ -117,6 +119,15 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _require_dimension(d: int, of: str, **matrices) -> None:
+    """Refuse each given matrix, or stack of them, unless it is ``d x d`` as ``of`` is;
+    a ``None`` is skipped."""
+    for name, m in matrices.items():
+        shape = np.shape(m)[-2:]
+        if m is not None and shape != (d, d):
+            raise ValidationError(f"{name} must be {d} x {d} to match the {of}, got {shape}")
 
 
 def require_hermitian(obj, name: str = "matrix") -> np.ndarray:
@@ -266,10 +277,8 @@ def relative_entropy(rho, sigma) -> float:
     ``SUPPORT_TOL``). Returns ``math.inf`` when ``rho`` carries more than
     ``SUPPORT_TOL`` of weight outside that support.
     """
-    r = density_matrix(rho)
-    s = density_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValidationError(f"dimension mismatch: {r.shape} vs {s.shape}")
+    r, s = density_matrix(as_matrix(rho)), density_matrix(as_matrix(sigma))
+    _require_dimension(len(r), "first state", **{"second state": s})
     a, u = np.linalg.eigh(r)
     b, v = np.linalg.eigh(s)
     a = np.clip(a, 0.0, None)
@@ -294,7 +303,6 @@ def commutator_defect(a, b):
     ma, mb = as_matrices(a), as_matrix(b)
     require_square(ma, "first operand")
     require_square(mb, "second operand")
-    if ma.shape[-2:] != mb.shape:
-        raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    _require_dimension(len(mb), "second operand", **{"first operand": ma})
     defects = frobenius_each(ma @ mb - mb @ ma)
     return float(defects) if ma.ndim == 2 else defects

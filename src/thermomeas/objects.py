@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .linalg import (
     SUPPORT_TOL,
     VALIDATION_TOL,
+    _require_dimension,
     _symmetrized,
     as_matrices,
     as_matrix,
@@ -70,14 +71,6 @@ def _labels(outcomes: Sequence, what: str, n: int, given: str) -> tuple:
     if n != len(labels):
         raise ValidationError(f"{len(labels)} outcomes but {n} {given} supplied")
     return labels
-
-
-def _input(m: np.ndarray, d: int, what: str) -> np.ndarray:
-    """``m``, a matrix or a stack of them, refused unless each is ``d x d``, as the input
-    of ``what`` must be."""
-    if m.shape[-2:] != (d, d):
-        raise ValidationError(f"{what} input must be {d} x {d}, got {m.shape}")
-    return m
 
 
 def _kraus_stack(kraus: Sequence, outcome: str = None) -> np.ndarray:
@@ -304,7 +297,8 @@ class Observable(_Immutable):
 
     def probabilities(self, rho) -> np.ndarray:
         """Born-rule outcome distribution ``tr[E_x rho]``."""
-        m = _input(as_matrix(rho), self.dim, "observable")
+        m = as_matrix(rho)
+        _require_dimension(self.dim, "observable", state=m)
         return np.trace(self.effects @ m, axis1=1, axis2=2).real
 
     def sharpness_defect(self) -> float:
@@ -362,11 +356,15 @@ class KrausChannel(_Immutable):
 
     def apply(self, rho) -> np.ndarray:
         """Schroedinger action ``sum K rho K†`` on one operator or on each entry of a stack."""
-        return _sandwich(self.kraus, _input(as_matrices(rho), self.dim_in, "channel"))
+        m = as_matrices(rho)
+        _require_dimension(self.dim_in, "channel's input", state=m)
+        return _sandwich(self.kraus, m)
 
     def apply_dual(self, a) -> np.ndarray:
         """Heisenberg action ``sum K† A K`` (trace dual of :meth:`apply`)."""
-        return _dual(self.kraus, _input(as_matrix(a), self.dim_out, "dual"))
+        m = as_matrix(a)
+        _require_dimension(self.dim_out, "channel's output", operator=m)
+        return _dual(self.kraus, m)
 
     def __repr__(self):
         return f"KrausChannel(n_kraus={len(self.kraus)}, dims={self.dim_out}x{self.dim_in})"
@@ -452,7 +450,9 @@ class Instrument(_Immutable):
 
         For a ``(..., d, d)`` stack of inputs the result is ``(n_outcomes, ..., d, d)``.
         """
-        return _outputs(self.kraus_sets, _input(as_matrices(rho), self.dim, "instrument"))
+        m = as_matrices(rho)
+        _require_dimension(self.dim, "instrument", state=m)
+        return _outputs(self.kraus_sets, m)
 
     @cached_property
     def induced_observable(self) -> Observable:

@@ -45,6 +45,7 @@ import numbers
 import os
 import time
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
     _require_beta_at_dimension,
+    _require_dimension,
     density_matrix,
     eig_hermitian,
     frobenius_each,
@@ -274,8 +276,7 @@ class _States(_Immutable):
 def _explicit_state(entry: dict, name: str, d: int) -> np.ndarray:
     """The validated matrix of a ``{"name", "matrix"}`` entry; a refusal names the state."""
     m = decode_matrix(entry["matrix"], name)
-    if m.shape != (d, d):
-        raise ValidationError(f"state {name!r} has shape {m.shape}, expected ({d}, {d})")
+    _require_dimension(d, "system Hamiltonian", **{f"state {name!r}": m})
     try:
         return density_matrix(m)
     except ValidationError as exc:
@@ -405,12 +406,13 @@ class Scenario(_Immutable):
     ``refine`` check, :attr:`refinement`) and the canonical :attr:`echo` are
     derived on first use and kept. Every point at the scenario's beta shares one
     :class:`SchemeFrame`; a point at another beta shares all but its Gibbs data.
+    Its ``tolerances``, by check name, are a read-only mapping.
     """
 
     def __init__(
         self, beta: float, seed: int, system_hamiltonian: np.ndarray,
         probe_hamiltonian: np.ndarray, observable: Observable, scheme_spec: _Scheme,
-        state_spec: _States, checks: tuple, tolerances: dict,
+        state_spec: _States, checks: tuple, tolerances: MappingProxyType,
     ):
         vars(self).update(
             beta=beta, seed=seed, system_hamiltonian=system_hamiltonian,
@@ -482,7 +484,7 @@ class Scenario(_Immutable):
             ),
             "states": self.state_spec.echo(self.seed),
             "checks": list(self.checks),
-            "tolerances": self.tolerances,
+            "tolerances": dict(self.tolerances),
         }
 
 
@@ -529,11 +531,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
     observable = None
     if raw.get("observable") is not None:
         observable = decode_observable(raw["observable"])
-        if observable.dim != h_system.shape[0]:
-            raise ValidationError(
-                f"observable dimension {observable.dim} does not match the system "
-                f"dimension {h_system.shape[0]}"
-            )
+        _require_dimension(len(h_system), "system Hamiltonian", observable=observable.effects)
 
     scheme = _resolve_scheme(raw.get("scheme"), h_system, h_probe, beta, observable)
     if scheme is None and observable is None:
@@ -560,7 +558,7 @@ def parse_template(raw: dict, seed_override=None, tol_override=None) -> Scenario
         scheme_spec=scheme,
         state_spec=states,
         checks=tuple(checks),
-        tolerances=tolerances,
+        tolerances=MappingProxyType(tolerances),
     )
     if observable is not None:
         scenario.refinement  # a top-level observable is refined once, at parse
@@ -718,33 +716,37 @@ class RunReport(_Immutable):
     The per-state record the state checks share is derived inside the
     first of them that runs, so that check carries its cost. Both are
     excluded from the serialized form by default so that reports are
-    byte-reproducible for a fixed scenario and seed. The scenario's echo
-    is built when the report is serialized. :meth:`to_json` writes it as
-    one line of sorted-key JSON, the layout json's C encoder writes;
-    :meth:`to_dict` parses that line back, a copy that shares nothing with
-    the report.
+    byte-reproducible for a fixed scenario and seed. The report, with the
+    scenario's echo, is encoded once, when it is built, as one line of
+    sorted-key JSON, the layout json's C encoder writes, so nothing done to
+    the scenario or the check results afterwards changes it. :meth:`to_json`
+    returns that line; :attr:`checks` and :meth:`to_dict` parse it back,
+    copies that share nothing with the report.
     """
 
     def __init__(
         self, scenario: Scenario, checks: list, verdict: bool, timing_ms: float,
         check_timing_ms: dict,
     ):
+        report = dict(
+            schema_version=SCHEMA_VERSION, version=__version__, scenario=scenario.echo,
+            checks=checks, verdict=verdict,
+        )
         vars(self).update(
-            scenario=scenario, checks=checks, verdict=verdict, timing_ms=timing_ms,
-            check_timing_ms=check_timing_ms,
+            scenario=scenario, verdict=verdict, timing_ms=timing_ms,
+            check_timing_ms=check_timing_ms, _json=json.dumps(report, sort_keys=True) + "\n",
+            _verdicts=tuple((r["name"], bool(r["verdict"])) for r in checks),
         )
 
+    @property
+    def checks(self) -> list:
+        return json.loads(self._json)["checks"]
+
     def to_json(self, include_timing: bool = False) -> str:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "scenario": self.scenario.echo,
-            "checks": self.checks,
-            "verdict": self.verdict,
-        }
-        if include_timing:
-            out["timing_ms"] = self.timing_ms
-            out["check_timing_ms"] = self.check_timing_ms
+        if not include_timing:
+            return self._json
+        out = json.loads(self._json)
+        out.update(timing_ms=self.timing_ms, check_timing_ms=self.check_timing_ms)
         return json.dumps(out, sort_keys=True) + "\n"
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -784,13 +786,7 @@ def run_scenario(source, seed=None, tol=None) -> RunReport:
         check_timing[name] = (time.perf_counter() - begin) * 1000.0
     verdict = all(bool(r.get("verdict")) for r in results)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return RunReport(
-        scenario=scenario,
-        checks=results,
-        verdict=verdict,
-        timing_ms=elapsed,
-        check_timing_ms=check_timing,
-    )
+    return RunReport(scenario, results, verdict, elapsed, check_timing)
 
 
 # ---------------------------------------------------------------------------

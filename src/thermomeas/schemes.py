@@ -53,7 +53,7 @@ from .linalg import (
     require_beta,
     require_hermitian,
 )
-from .linalg import _new_clusters, frobenius_each
+from .linalg import _new_clusters, _require_dimension, frobenius_each
 from .objects import (
     Instrument,
     KrausChannel,
@@ -105,10 +105,7 @@ class SchemeFrame(_Immutable):
         h_s = require_hermitian(system_hamiltonian, name="system Hamiltonian")
         h_a = require_hermitian(probe_hamiltonian, name="probe Hamiltonian")
         beta = require_beta(beta)
-        if pointer.dim != h_a.shape[0]:
-            raise ValidationError(
-                f"pointer has dimension {pointer.dim}, expected probe dimension {h_a.shape[0]}"
-            )
+        _require_dimension(len(h_a), "probe Hamiltonian", pointer=pointer.effects)
         h_s.flags.writeable = False
         h_a.flags.writeable = False
         self._hold(h_s, h_a, beta, pointer)
@@ -335,13 +332,7 @@ class MeasurementScheme(SchemeBatch):
 
     def __init__(self, frame: SchemeFrame, interaction: KrausChannel):
         d = frame.dim_system * frame.dim_probe
-        if interaction.dim_in != interaction.dim_out:
-            raise ValidationError("interaction channel must be square")
-        if interaction.dim_in != d:
-            raise ValidationError(
-                f"interaction acts on dimension {interaction.dim_in}, expected "
-                f"{frame.dim_system} * {frame.dim_probe} = {d}"
-            )
+        _require_dimension(d, "frame's joint space", interaction=interaction.kraus)
         super().__init__(frame, interaction.kraus[None])
 
     def __repr__(self):
@@ -362,11 +353,7 @@ def _only_point(schemes: SchemeBatch) -> int:
 def energy_moment_defect(channel: KrausChannel, hamiltonian, k: int) -> float:
     """``||Phi*(H^k) - H^k||_F``: conservation of the k-th energy moment."""
     h = require_hermitian(hamiltonian, name="hamiltonian")
-    if channel.dim_in != h.shape[0] or channel.dim_out != h.shape[0]:
-        raise ValidationError(
-            f"channel dims {channel.dim_out}x{channel.dim_in} do not match "
-            f"Hamiltonian dimension {h.shape[0]}"
-        )
+    _require_dimension(channel.dim, "channel", Hamiltonian=h)
     return float(_moment_defect(channel.kraus, np.linalg.matrix_power(h, int(k))))
 
 
@@ -464,11 +451,7 @@ def trivial_scheme(observable: Observable, system_hamiltonian, beta: float) -> M
     the trivial thermalising one, ``I_x(rho) = tr[E_x rho] tau_beta``.
     """
     h = require_hermitian(system_hamiltonian, name="system Hamiltonian")
-    if observable.dim != h.shape[0]:
-        raise ValidationError(
-            f"observable dimension {observable.dim} does not match Hamiltonian "
-            f"dimension {h.shape[0]}"
-        )
+    _require_dimension(observable.dim, "observable", Hamiltonian=h)
     worst = commutator_defect(observable.effects, h).max()
     if worst > THEOREM_TOL:
         raise PreconditionError(

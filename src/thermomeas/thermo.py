@@ -52,6 +52,7 @@ from .linalg import (
     THEOREM_TOL,
     VALIDATION_TOL,
     _require_beta_at_dimension,
+    _require_dimension,
     as_matrix,
     density_matrix,
     frobenius_each,
@@ -402,14 +403,6 @@ class AuditBatch(_Immutable):
 def _one_state(rho) -> np.ndarray:
     """A validated density matrix as a stack of one."""
     return density_matrix(as_matrix(rho))[None]
-
-
-def _require_dimension(d: int, of: str, **matrices) -> None:
-    """Refuse each given matrix, or stack of them, unless it is ``d x d`` as ``of`` is."""
-    for name, m in matrices.items():
-        shape = np.shape(m)[-2:]
-        if m is not None and shape != (d, d):
-            raise ValidationError(f"{name} must be {d} x {d} to match the {of}, got {shape}")
 
 
 def heat_absorbed(scheme: SchemeBatch, rho) -> dict:

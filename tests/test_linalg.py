@@ -253,7 +253,8 @@ class TestRelativeEntropy:
         assert relative_entropy(np.eye(2) / 2, np.diag([1.0, 0.0])) == math.inf
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
+        message = r"^second state must be 2 x 2 to match the first state, got \(3, 3\)$"
+        with pytest.raises(ValidationError, match=message):
             relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -291,9 +292,10 @@ class TestCommutatorDefect:
         assert abs(commutator_defect(X, Z) - 2 * math.sqrt(2)) < 1e-14
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
+        message = r"^first operand must be 3 x 3 to match the second operand, got \(2, 2\)$"
+        with pytest.raises(ValidationError, match=message):
             commutator_defect(np.eye(2), np.eye(3))
-        with pytest.raises(ValidationError, match="mismatch"):
+        with pytest.raises(ValidationError, match=message):
             commutator_defect(np.array([np.eye(2)]), np.eye(3))
 
     def test_stack_gives_one_defect_per_entry(self):

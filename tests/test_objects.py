@@ -117,7 +117,7 @@ class TestObservable:
     @pytest.mark.parametrize("d,other", [(2, 3), (3, 2)])
     def test_probabilities_refuse_a_state_of_another_dimension(self, d, other):
         obs = Observable(["all"], [np.eye(d)])
-        message = rf"observable input must be {d} x {d}, got \({other}, {other}\)"
+        message = rf"^state must be {d} x {d} to match the observable, got \({other}, {other}\)$"
         with pytest.raises(ValidationError, match=message):
             obs.probabilities(np.eye(other) / other)
 
@@ -279,7 +279,11 @@ class TestKrausChannel:
         reference = np.array([sum(k @ m @ k.conj().T for k in ch.kraus) for m in inputs])
         np.testing.assert_allclose(ch.apply(inputs), reference, atol=1e-13)
         np.testing.assert_allclose(ch.apply(inputs[0]), reference[0], atol=1e-13)
-        with pytest.raises(ValidationError, match="channel input must be"):
+        message = (
+            rf"^state must be {d_in} x {d_in} to match the channel's input, "
+            rf"got \({d_in + 1}, {d_in + 1}\)$"
+        )
+        with pytest.raises(ValidationError, match=message):
             ch.apply(np.zeros((n, d_in + 1, d_in + 1)))
 
     @given(
@@ -298,7 +302,11 @@ class TestKrausChannel:
         got, reference = ch.apply_dual(a), dual_action(ch.kraus, a)
         assert got.shape == (d_in, d_in)
         assert np.abs(got - reference).max() <= 1e-12 * max(1.0, np.abs(reference).max())
-        with pytest.raises(ValidationError, match="dual input must be"):
+        message = (
+            rf"^operator must be {d_out} x {d_out} to match the channel's output, "
+            rf"got \({d_out + 1}, {d_out + 1}\)$"
+        )
+        with pytest.raises(ValidationError, match=message):
             ch.apply_dual(np.eye(d_out + 1))
 
     @given(
@@ -495,7 +503,8 @@ class TestInstrument:
         for i, rho in enumerate(states):
             for out, single in zip(stacked, ins.apply(rho)):
                 np.testing.assert_allclose(out[i], single, atol=1e-14)
-        with pytest.raises(ValidationError, match="instrument input must be 3 x 3"):
+        message = r"^state must be 3 x 3 to match the instrument, got \(2, 2\)$"
+        with pytest.raises(ValidationError, match=message):
             ins.apply(np.eye(2))
 
     def test_choi_stack_holds_each_outcomes_choi_matrix(self):

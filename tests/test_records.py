@@ -1,5 +1,6 @@
 """Every library object is immutable, and importing the package builds no dataclass."""
 
+import json
 import subprocess
 import sys
 
@@ -83,6 +84,26 @@ def test_attributes_cannot_be_set_or_deleted_and_derived_data_is_kept(make, fiel
         first = getattr(obj, derived)
         assert vars(obj)[derived] is first
         assert getattr(obj, derived) is first
+
+
+def test_a_report_and_its_scenario_are_fixed_once_the_run_is_over():
+    sharp = [[[float(i == j == x) for j in range(3)] for i in range(3)] for x in range(3)]
+    report = run_scenario({
+        "beta": 1.0,
+        "system_hamiltonian": [0.0, 1.0, 2.0],
+        "scheme": {"kind": "swap", "pointer": {"effects": sharp}},
+        "states": {"count": 3},
+        "checks": ["covariant", "second_law"],
+    })
+    text, tol = report.to_json(), report.scenario.tol_for("second_law")
+    report.scenario.echo["beta"] = 99.0
+    report.checks[0]["verdict"] = "tampered"
+    with pytest.raises(TypeError):
+        report.scenario.tolerances["second_law"] = 5.0
+    assert report.to_json() == text
+    assert report.to_dict() == json.loads(text)
+    assert report.checks[0]["verdict"] is True
+    assert report.scenario.tol_for("second_law") == tol
 
 
 def test_importing_the_package_creates_no_dataclass():

@@ -15,26 +15,39 @@ from hypothesis import strategies as st
 from oracles import direct_instrument_action, direct_probe_state
 from thermomeas.cli import main
 from thermomeas.errors import PreconditionError, ValidationError
-from thermomeas.linalg import MIN_BETA, THEOREM_TOL, dag
-from thermomeas.objects import Instrument, Observable, gibbs_state, spectral_observable
+from thermomeas.linalg import MIN_BETA, THEOREM_TOL, commutator_defect, dag, relative_entropy
+from thermomeas.objects import (
+    Instrument,
+    KrausChannel,
+    Observable,
+    gibbs_state,
+    spectral_observable,
+)
 from thermomeas.sampling import haar_unitary, random_density_matrix, rng_from_seed
 from thermomeas.scenario import parse_scenario, run_scenario
 from thermomeas.schemes import (
     MeasurementScheme,
     SchemeFrame,
     conjugate_channel,
+    energy_moment_defect,
     induced_instrument,
     random_free_scheme,
     swap_channel,
+    trivial_scheme,
     validate_free_scheme,
 )
-from thermomeas.thermo import heat_absorbed, second_law_report, work_report
+from thermomeas.thermo import heat_absorbed, second_law_report, skew_information_chain, work_report
 from thermomeas.classify import (
     _nuclear_factors,
+    check_prop2,
     is_covariant_instrument,
     is_gibbs_preserving,
     is_nuclear,
     is_quasi_complete,
+    is_thermal_observable,
+    joint_with_hamiltonian,
+    marginal_defect,
+    post_processing_decomposition,
 )
 
 
@@ -72,6 +85,120 @@ class TestRotatedBases:
         assert is_covariant_instrument(ins, h_sys)["verdict"]
         law = second_law_report(scheme, rho)["second_law"]
         assert law["verdict"]
+
+
+def energies(d):
+    return np.diag(np.arange(d, dtype=float))
+
+
+def sharp(d):
+    return spectral_observable(energies(d))
+
+
+def mixed(d):
+    return np.eye(d) / d
+
+
+#: Every public function that takes an object and a matrix of the object's dimension:
+#: ``call(d, other)`` hands it an object of dimension ``d`` and a matrix of ``other``,
+#: and the refusal names the matrix, then the object.
+DIMENSION_REFUSALS = {
+    "is_thermal_observable": (
+        lambda d, o: is_thermal_observable(sharp(d), energies(o)), "Hamiltonian", "observable"
+    ),
+    "joint_with_hamiltonian": (
+        lambda d, o: joint_with_hamiltonian(sharp(d), energies(o)), "Hamiltonian", "observable"
+    ),
+    "post_processing_decomposition": (
+        lambda d, o: post_processing_decomposition(sharp(d), energies(o)),
+        "Hamiltonian", "observable",
+    ),
+    "marginal_defect": (
+        lambda d, o: marginal_defect(sharp(d), sharp(d), energies(o)), "Hamiltonian", "observable"
+    ),
+    "is_covariant_instrument": (
+        lambda d, o: is_covariant_instrument(Instrument.luders(sharp(d)), energies(o)),
+        "Hamiltonian", "instrument",
+    ),
+    "is_gibbs_preserving": (
+        lambda d, o: is_gibbs_preserving(Instrument.luders(sharp(d)), energies(o), 1.0),
+        "Hamiltonian", "instrument",
+    ),
+    "check_prop2": (
+        lambda d, o: check_prop2(Instrument.luders(sharp(d)), energies(o), 1.0),
+        "Hamiltonian", "instrument",
+    ),
+    "commutator_defect": (
+        lambda d, o: commutator_defect(np.eye(o), np.eye(d)), "first operand", "second operand"
+    ),
+    "relative_entropy": (
+        lambda d, o: relative_entropy(mixed(d), mixed(o)), "second state", "first state"
+    ),
+    "energy_moment_defect": (
+        lambda d, o: energy_moment_defect(KrausChannel([np.eye(d)]), energies(o), 1),
+        "Hamiltonian", "channel",
+    ),
+    "trivial_scheme": (
+        lambda d, o: trivial_scheme(sharp(d), energies(o), 1.0), "Hamiltonian", "observable"
+    ),
+    "SchemeFrame": (
+        lambda d, o: SchemeFrame(energies(2), energies(d), 1.0, sharp(o)),
+        "pointer", "probe Hamiltonian",
+    ),
+    "MeasurementScheme": (
+        # a one-level system: the joint space is the probe's
+        lambda d, o: MeasurementScheme(
+            SchemeFrame(energies(1), energies(d), 1.0, sharp(d)), KrausChannel([np.eye(o)])
+        ),
+        "interaction", "frame's joint space",
+    ),
+    "work_report-state": (
+        lambda d, o: work_report(Instrument.luders(sharp(d)), mixed(o), energies(d), 1.0),
+        "states", "instrument",
+    ),
+    "work_report-hamiltonian": (
+        lambda d, o: work_report(Instrument.luders(sharp(d)), mixed(d), energies(o), 1.0),
+        "Hamiltonian", "instrument",
+    ),
+    "skew_information_chain-state": (
+        lambda d, o: skew_information_chain(Instrument.luders(sharp(d)), mixed(o), energies(d)),
+        "states", "instrument",
+    ),
+    "skew_information_chain-hamiltonian": (
+        lambda d, o: skew_information_chain(Instrument.luders(sharp(d)), mixed(d), energies(o)),
+        "Hamiltonian", "instrument",
+    ),
+    "Observable.probabilities": (
+        lambda d, o: sharp(d).probabilities(mixed(o)), "state", "observable"
+    ),
+    "KrausChannel.apply": (
+        lambda d, o: KrausChannel([np.eye(d)]).apply(mixed(o)), "state", "channel's input"
+    ),
+    "KrausChannel.apply_dual": (
+        lambda d, o: KrausChannel([np.eye(d)]).apply_dual(np.eye(o)),
+        "operator", "channel's output",
+    ),
+    "Instrument.apply": (
+        lambda d, o: Instrument.luders(sharp(d)).apply(mixed(o)), "state", "instrument"
+    ),
+    "parse_scenario": (
+        lambda d, o: parse_scenario({
+            "beta": 1.0, "system_hamiltonian": list(range(d)),
+            "observable": {"effects": sharp(o).effects.real.tolist()},
+            "checks": ["thermal_observable"],
+        }),
+        "observable", "system Hamiltonian",
+    ),
+}
+
+
+@pytest.mark.parametrize("d,other", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("case", DIMENSION_REFUSALS.values(), ids=DIMENSION_REFUSALS.keys())
+def test_a_dimension_mismatch_is_refused_by_the_one_check(case, d, other):
+    call, name, of = case
+    message = f"{name} must be {d} x {d} to match the {of}, got ({other}, {other})"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(d, other)
 
 
 class TestUnequalDimensions:

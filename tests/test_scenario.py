@@ -197,7 +197,10 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "matrix,message",
         [
-            (np.eye(3).tolist(), r"state 'odd' has shape \(3, 3\), expected \(2, 2\)"),
+            (
+                np.eye(3).tolist(),
+                r"^state 'odd' must be 2 x 2 to match the system Hamiltonian, got \(3, 3\)$",
+            ),
             ([[1.0, 0.0], [0.0, 1.0]], "state 'odd': state trace differs from 1"),
         ],
     )
